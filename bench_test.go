@@ -410,10 +410,10 @@ func BenchmarkRunLoadStream40K(b *testing.B) {
 	}
 }
 
-// BenchmarkRunLoadParallel40K drives the sharded parallel engine at
-// the ~40K-router rung: one serial and one 4-worker run of the same
-// load point, reporting the wall-clock speedup and cross-checking
-// message conservation between the two engines. The speedup gate
+// BenchmarkRunLoadParallel40K drives the sharded run loop at the
+// ~40K-router rung: a one-shard and a 4-shard run of the same load
+// point, reporting the wall-clock speedup and cross-checking message
+// conservation between the two. The speedup gate
 // itself lives at class 1 (internal/simnet's
 // TestRunLoadParallelSpeedupGate); this leg shows the engine holds up
 // at the scale where a single cell dominates a sweep.
@@ -454,15 +454,12 @@ func BenchmarkRunLoadParallel40K(b *testing.B) {
 	}
 }
 
-// BenchmarkReconfigParallel40K drives the unified engine's
-// schedule-aware barriers at the ~40K-router rung: the same load point
-// as BenchmarkRunLoadParallel40K but with a link-churn schedule firing
-// mid-run, serial versus 4 workers. Each engine must conserve its own
-// messages (offered = delivered + dropped once the run drains);
-// cross-engine count equality is NOT asserted — severed-in-flight
-// drops depend on where packets sit when a change fires, and the two
-// engines are different deterministic schedules. The reported metric
-// is the wall-clock speedup the window-clipped barriers retain.
+// BenchmarkReconfigParallel40K drives the schedule-aware drains at the
+// ~40K-router rung: the same load point as BenchmarkRunLoadParallel40K
+// but with a link-churn schedule firing mid-run, one shard versus 4.
+// Each run must conserve its own messages (offered = delivered +
+// dropped once the run drains). The reported metric is the wall-clock
+// speedup the schedule-clipped windows retain.
 func BenchmarkReconfigParallel40K(b *testing.B) {
 	if os.Getenv("SPECTRALFLY_LARGE_BENCH") == "" {
 		b.Skip("set SPECTRALFLY_LARGE_BENCH=1 to run the 40K-router reconfig bench")

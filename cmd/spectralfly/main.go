@@ -31,9 +31,9 @@
 // parallel run scheduler (internal/runner): -parallel N sizes the
 // worker pool (0 = GOMAXPROCS, 1 = serial) without changing any
 // result. -workers N additionally shards each simulation across N
-// parallel workers (0/1 keeps the bit-identical serial engine; with
-// -parallel 0 the cell pool shrinks to GOMAXPROCS/N so cells × shards
-// never oversubscribe the machine). -cpuprofile/-memprofile write
+// router partitions simulated in parallel, again without changing any
+// result (with -parallel 0 the cell pool shrinks to GOMAXPROCS/N so
+// cells × shards never oversubscribe the machine). -cpuprofile/-memprofile write
 // pprof profiles of the run. -json emits the result rows as JSON (one
 // document per exhibit, stamped with the code version) for scripted
 // sweeps.
@@ -310,7 +310,7 @@ commands:
 
 flags: -full (paper-scale), -classes 0,1, -class N, -maxpq N, -maxn N,
        -ranks N, -msgs N, -seed N, -parallel N (0=GOMAXPROCS, 1=serial),
-       -workers N (intra-run simulator shards; 0/1=serial engine),
+       -workers N (intra-run simulator shards; speed only, 0/1=one),
        -fractions 0.05,0.1 -trials N (resilience fault grid),
        -store packed|lazy|dense -resident N -rungs 0,1,2 (scale sweep),
        -cache -cache-dir D (content-addressed result cache),

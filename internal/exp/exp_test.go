@@ -264,28 +264,35 @@ func TestFig6QuickRuns(t *testing.T) {
 }
 
 func TestFig8QuickValiantContrast(t *testing.T) {
-	// 16 messages per rank: the contrast below compares MaxLatency
-	// ratios, and at 8 messages the max statistic is noisy enough for
-	// the qualitative ordering to flip with the workload RNG stream.
-	points, err := Fig8(Quick, SimOptions{
-		Ranks:       128,
-		MsgsPerRank: 16,
-		Loads:       []float64{0.6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 4 { // 4 patterns × 1 load
-		t.Fatalf("points %d want 4", len(points))
-	}
+	// The contrast compares MaxLatency ratios, and the max of one run is
+	// noisy enough for the qualitative ordering to flip with the random
+	// draws of a single seed (it does at the default seed). The claim is
+	// about the expected effect, so it is checked on the mean over four
+	// seeds, the default one included. 16 messages per rank, as at 8 the
+	// max statistic is noisier still.
 	byPattern := map[string]float64{}
-	for _, p := range points {
-		byPattern[p.Pattern.String()] = p.Speedup
+	const seeds = 4
+	for seed := int64(0); seed < seeds; seed++ {
+		points, err := Fig8(Quick, SimOptions{
+			Ranks:       128,
+			MsgsPerRank: 16,
+			Loads:       []float64{0.6},
+			Seed:        seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(points) != 4 { // 4 patterns × 1 load
+			t.Fatalf("points %d want 4", len(points))
+		}
+		for _, p := range points {
+			byPattern[p.Pattern.String()] += p.Speedup / seeds
+		}
 	}
 	// §VI-C.2: Valiant helps the structured bit-shuffle pattern more
 	// than the random pattern.
 	if byPattern["bit-shuffle"] <= byPattern["random"] {
-		t.Errorf("valiant should help shuffle (%.3f) more than random (%.3f)",
+		t.Errorf("valiant should help shuffle (mean %.3f) more than random (mean %.3f)",
 			byPattern["bit-shuffle"], byPattern["random"])
 	}
 }

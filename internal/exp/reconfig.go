@@ -40,11 +40,9 @@ type ReconfigOptions struct {
 	Ranks         int
 	MsgsPerRank   int
 	Seed          int64
-	// Parallel sizes the sweep worker pool; Workers selects each
-	// cell's intra-run engine (0/1 = serial, >= 2 = sharded). The
-	// unified engine runs timed-schedule cells on both paths, so
-	// Workers >= 2 shards the reconfiguration runs themselves; see
-	// sweep.Options.Workers for the determinism contract.
+	// Parallel sizes the sweep worker pool; Workers shards each
+	// reconfiguration run (a speed knob only; see
+	// sweep.Options.Workers).
 	Parallel int
 	Workers  int
 }
@@ -179,7 +177,7 @@ type ReconfigReport struct {
 //
 // Every schedule is a pure value and every cell seed derives from a
 // stable key, so the report is bit-identical across Parallel values
-// and across every Workers >= 2.
+// and across every Workers value.
 func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 	opts = opts.withDefaults(scale)
 	n, k := opts.Routers, opts.Degree

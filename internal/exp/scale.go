@@ -71,7 +71,7 @@ type ScaleOptions struct {
 	// Parallel sizes the worker pool (0 = GOMAXPROCS, 1 = serial);
 	// results are bit-identical for every value.
 	Parallel int
-	// Workers selects each cell's intra-run simulator engine, as in
+	// Workers is each cell's intra-run simulator shard count, as in
 	// sweep.Options.Workers. With Workers >= 2 and Parallel unset, the
 	// pool is sized GOMAXPROCS / Workers.
 	Workers int

@@ -87,9 +87,8 @@ type SimOptions struct {
 	// for every value (per-job seeds are derived from stable job keys
 	// and results are reassembled in submission order).
 	Parallel int
-	// Workers selects each cell's intra-run simulator engine (0/1 =
-	// serial reference engine, >= 2 = sharded parallel engine); see
-	// sweep.Options.Workers for the determinism and pool-splitting
+	// Workers is each cell's intra-run simulator shard count, a speed
+	// knob only; see sweep.Options.Workers for the pool-splitting
 	// contract.
 	Workers int
 }

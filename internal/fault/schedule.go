@@ -1,10 +1,9 @@
 // Timed topology events: where Plan describes damage that exists for
 // the whole life of a run, a Schedule describes damage (and recovery,
 // and planned rewiring) that happens *while traffic flows*. The
-// simulator applies each Change at its cycle — the serial engine
-// injects one event per Change into its event stream, the sharded
-// engine walks the schedule with an EdgeCursor and applies changes at
-// window barriers — and repairs its routing table incrementally at
+// simulator applies each Change at its cycle — its run loop walks the
+// schedule with an EdgeCursor and applies changes between drains —
+// and repairs its routing table incrementally at
 // each one (routing.Table.Repair for the cut direction, Table.Restore
 // for the restore direction) — see simnet's Config.Schedule and
 // DESIGN.md §10.
@@ -41,8 +40,8 @@ type Change struct {
 
 // Schedule is a sequence of timed topology events, sorted by cycle.
 // The zero value (empty schedule) means a static topology; every
-// simulator contract (bit-identical goldens, the parallel engine) is
-// unchanged by an empty schedule.
+// simulator contract (bit-identical goldens, shard-count invariance)
+// is unchanged by an empty schedule.
 type Schedule []Change
 
 // Validate checks the schedule against the base topology it will run

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -96,5 +99,30 @@ func TestBetweennessDisconnected(t *testing.T) {
 	bc := b.Build().BetweennessCentrality()
 	for _, x := range bc {
 		approxF(t, x, 0, 1e-12, "disconnected pairs contribute nothing")
+	}
+}
+
+// TestBetweennessIndependentOfGOMAXPROCS: sources fold in fixed
+// blocks in block order, so vertex and edge betweenness are
+// bit-identical whatever the worker count. The graph is irregular, so
+// a different summation order would change low-order bits.
+func TestBetweennessIndependentOfGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b := NewBuilder(300)
+	for i := 0; i < 900; i++ {
+		b.AddEdge(rng.Intn(300), rng.Intn(300))
+	}
+	g := b.Build()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	vOne, eOne := g.BetweennessCentrality(), g.EdgeBetweennessCentrality()
+	runtime.GOMAXPROCS(4)
+	for rep := 0; rep < 3; rep++ {
+		v, e := g.BetweennessCentrality(), g.EdgeBetweennessCentrality()
+		if !slices.Equal(v, vOne) {
+			t.Fatal("vertex betweenness differs between GOMAXPROCS 1 and 4")
+		}
+		if !slices.Equal(e, eOne) {
+			t.Fatal("edge betweenness differs between GOMAXPROCS 1 and 4")
+		}
 	}
 }

@@ -304,19 +304,30 @@ func (t *Table) NextHops(v, dest int, buf []int32) []int32 {
 // the path-diversity mechanism the paper credits for SpectralFly's
 // minimal-routing performance (§VI-C).
 func (t *Table) NextHopRandom(v, dest int, rng *rand.Rand) int32 {
+	slot := t.NextHopSlot(v, dest, rng)
+	if slot < 0 {
+		return -1
+	}
+	return t.G.Neighbors(v)[slot]
+}
+
+// NextHopSlot is NextHopRandom returning the chosen hop's index in
+// G.Neighbors(v) — the port slot — instead of its router id, or -1
+// when none exists. Both draw identically from rng.
+func (t *Table) NextHopSlot(v, dest int, rng *rand.Rand) int {
 	row := t.row(dest)
 	dv := row.at(v)
 	if dv <= 0 {
 		return -1
 	}
-	var chosen int32 = -1
+	chosen := -1
 	count := 0
-	for _, w := range t.G.Neighbors(v) {
+	for i, w := range t.G.Neighbors(v) {
 		if row.at(int(w)) == dv-1 {
 			count++
 			// Reservoir sampling avoids allocating the candidate set.
 			if rng.Intn(count) == 0 {
-				chosen = w
+				chosen = i
 			}
 		}
 	}

@@ -109,12 +109,9 @@ type Job struct {
 	Tenants *traffic.Assignment
 	// Seed drives the simulation itself.
 	Seed int64
-	// Workers selects the simulator's intra-run engine: 0 or 1 is the
-	// serial reference engine, >= 2 the sharded parallel one
-	// (simnet.Config.Workers). Statistics depend only on whether the
-	// parallel engine runs, not on the shard count, but the two engines
-	// are distinct deterministic schedules — so a sweep must pin one
-	// value across all its jobs for comparable results.
+	// Workers is the simulator's intra-run shard count
+	// (simnet.Config.Workers), a speed knob only: statistics are
+	// identical for every value.
 	Workers int
 	// LatencyFactor and Tol parameterize Saturation jobs
 	// (simnet.SaturationLoad); zero values select its defaults.
@@ -178,7 +175,7 @@ type mapEntry struct {
 }
 
 // New returns a Runner with the given worker count; workers <= 0 sizes
-// the pool by GOMAXPROCS, workers == 1 is the serial engine.
+// the pool by GOMAXPROCS, workers == 1 runs jobs one at a time.
 func New(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

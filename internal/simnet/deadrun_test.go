@@ -72,14 +72,17 @@ func TestSaturationLoadAllRoutersDead(t *testing.T) {
 }
 
 func TestPercentileEmpty(t *testing.T) {
-	if p := percentile(nil, 0.99); p != 0 {
-		t.Fatalf("percentile(nil) = %d, want 0", p)
+	var d latDigest
+	if p := d.quantile(0.99); p != 0 {
+		t.Fatalf("quantile of an empty digest = %d, want 0", p)
 	}
-	if p := percentile([]int64{}, 0.5); p != 0 {
-		t.Fatalf("percentile(empty) = %d, want 0", p)
+	d.add(42)
+	if p := d.quantile(0.99); p != 42 {
+		t.Fatalf("quantile of {42} = %d, want 42", p)
 	}
-	if p := percentile([]int64{42}, 0.99); p != 42 {
-		t.Fatalf("percentile([42]) = %d, want 42", p)
+	d.reset()
+	if p := d.quantile(0.5); p != 0 || len(d.hist) != 0 {
+		t.Fatalf("reset digest: quantile %d, %d histogram bins, want 0 and 0", p, len(d.hist))
 	}
 }
 

@@ -2,89 +2,65 @@ package simnet
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"sync"
-	"unsafe"
 
 	"repro/internal/partition"
 	"repro/internal/routing"
 )
 
-// This file is the sharded conservative parallel engine behind
-// Config.Workers >= 2 (DESIGN.md §10).
+// This file is the run loop of every simulation: RunLoad, RunLoadTimed
+// and RunBatches all run here, on P = parWorkers() shards (DESIGN.md
+// §10).
 //
-// Routers are split into P shards by partition.KWay (recursive
-// multilevel bisection, so the cross-shard cut — and with it the
-// barrier traffic — is low). Each shard is a lightweight Network view
-// that owns the routers of its part and every endpoint attached to
-// them: it has a private calendar-queue scheduler, packet arena,
-// latency digest and statistics, while the port/NIC/injection-cursor
-// arrays are shared with owner-only writes (a router's port state is
-// only ever touched by the shard that owns the router, an endpoint's
-// NIC state only by the shard owning its router).
+// One discipline makes a run's statistics a pure function of the
+// seed, whatever P is. Events pop in (time, canonical key) order, where
+// the key is the message's stable identity — srcEP·msgs + draw index
+// for packet events, the same form offset past the packet ids for
+// injection-cursor events, the message index for RunBatches — never a
+// push counter. Every packet draws its routing randomness (next hops,
+// Valiant intermediates) from a private SplitMix64 stream seeded by
+// that identity, not from a shared generator. Events at one router
+// touch only that router's ports and its endpoints' NIC and cursor
+// state, so the order of events at each router — and with it port
+// contention, adaptive decisions, everything — is the same for every
+// router partition. Statistics fold exactly: counters sum, extrema
+// take the max, and latencies merge as histograms.
 //
+// P = 1 is the Network itself: no goroutines, no barriers, no second
+// view. For P >= 2, partition.KWay splits the routers into P parts
+// (recursive multilevel bisection keeps the cut, and with it the
+// handoff traffic, low). Each shard is a Network view that owns the
+// routers of its part and every endpoint attached to them: it has a
+// private scheduler, packet arena, digests and counters, while the
+// port/NIC/injection-cursor arrays are shared with owner-only writes.
 // Time advances in lock-step windows of the model's intrinsic
 // lookahead L = RouterLatency + PacketFlits + (the smallest wire
-// latency over links crossing the shard cut — exactly LinkLatency for
-// a uniform-latency run): a hop scheduled while processing an event
-// at time t arrives no earlier than t + RouterLatency + PacketFlits +
-// that link's latency, and only router-to-router hops can cross
-// shards, so during the window [T, T+L) every cross-shard arrival
-// generated by any shard lands at or beyond T+L — the next window.
-// Intra-shard hops may be faster than L; they stay inside the shard's
-// own scheduler, which pops in time order regardless.
-// Each round the coordinator picks T as the global earliest pending
-// event, all shards drain events with time < T+L, and at the barrier
-// every shard absorbs the evArrive messages other shards queued for
-// it (in shard order; order is actually immaterial, see below).
+// latency over links crossing the shard cut): a hop scheduled while
+// handling an event at time t arrives no earlier than t + L when it
+// crosses shards (only router-to-router hops can), so during the window
+// [T, T+L) every cross-shard arrival lands at or beyond T+L. Each
+// round the run loop picks T as the global earliest pending event,
+// every shard drains events before T+L, and at the barrier every shard
+// absorbs the arrivals other shards queued for it (their keys, not the
+// merge order, decide where they pop).
 //
-// A timed topology schedule (Config.Schedule) rides on the same
-// barriers: the coordinator walks the schedule with a fault.EdgeCursor
-// and clips every window so none spans a Change.Cycle (end =
-// min(T+L, next change cycle)). A change at cycle C therefore applies
-// at the barrier where the global earliest pending event has reached
-// C — every event before C has drained, every shard is parked — by
-// mutating the shared liveTopo and re-pointing each shard's live-table
-// alias (applyTopo, schedule.go). Clipping only ever shrinks windows,
-// so the lookahead safety argument is untouched, and events at cycle C
-// observe the post-change state in both engines (the serial engine
-// seeds evTopo events ahead of same-cycle traffic). The conservation
-// invariant is checked at each such barrier via the onTopo hook, where
-// the per-shard counters sum exactly (see conservation).
-//
-// Determinism does not come from the merge order but from a canonical
-// total order on events: in parallel mode an event's scheduler
-// tie-break key (event.seq) is not a push counter but the message's
-// stable identity — srcEP·msgs + draw index for packet events, the
-// same form offset past the packet range for injection-cursor events.
-// Every shard therefore pops its events in (time, canonical id) order
-// no matter how they arrived, and each packet draws its routing
-// randomness (next-hop selection, Valiant intermediates) from a
-// private SplitMix64 stream seeded by its identity. Together these
-// make the parallel schedule — port contention, adaptive decisions,
-// everything — a pure function of (Seed, shard map), and since a
-// router's event order is independent of which other routers share
-// its shard, the simulated schedule is identical for EVERY worker
-// count >= 2. Only the serial engine differs (it draws routing
-// randomness from one global stream in global event order), which is
-// why Workers<=1 vs >=2 is a documented deterministic-but-different
-// pair of schedules, like PR 5's golden regeneration.
-type parRun struct {
-	shardOf []int32 // router id -> owning shard
-	msgs    int64   // msgsPerEP, the stride of the canonical id space
-	injBase int64   // nep*msgs: injection-event keys start past packets
-}
+// A timed topology schedule (Config.Schedule) rides on the same loop
+// for every P: a fault.EdgeCursor ends every drain at the next change
+// cycle (for P = 1 that is the only window end), and a change at cycle
+// C applies between drains once the earliest pending event has reached
+// C — every event before C has drained, every event at or after C sees
+// the new state. Applying it mutates the shared liveTopo and re-points
+// each shard's table (applyTopo, schedule.go); the onTopo hook checks
+// the conservation invariant there, where the per-shard counters sum
+// exactly.
 
 // xmsg is one cross-shard packet handoff: the arrival event (with the
-// canonical key already in e.seq), the packet by value, and its
-// identity/routing-stream sidecar. The receiving shard reallocates the
-// packet in its own arena and rewrites e.pkt.
+// canonical key already in e.seq) and the packet by value, routing
+// stream included. The receiving shard reallocates the packet in its
+// own arena and rewrites e.pkt.
 type xmsg struct {
-	e   event
-	p   packet
-	uid int64
-	rng uint64
+	e event
+	p packet
 }
 
 // kwayCache memoizes shard assignments per worker count for one
@@ -98,11 +74,11 @@ type kwayCache struct {
 // few routers (the barrier overhead would swamp the win long before).
 const minShardRouters = 4
 
-// parWorkers resolves Config.Workers to the effective shard count, or
-// 1 for the serial engine. Configurations the sharded engine cannot
-// express fall back to serial: UGAL-G samples backlog along whole
-// paths (remote shards' port state), and finite buffers write
-// backpressure into the upstream shard's ports.
+// parWorkers resolves Config.Workers to the run's shard count.
+// Configurations shards cannot express run on one: UGAL-G samples
+// backlog along whole paths (remote shards' port state), and finite
+// buffers write backpressure into the upstream shard's ports. Either
+// way the run takes the same code path and gives the same statistics.
 func (nw *Network) parWorkers() int {
 	w := nw.cfg.Workers
 	if w <= 1 {
@@ -124,11 +100,10 @@ func (nw *Network) parWorkers() int {
 // endpoints live in different shards — the link term of the PDES
 // lookahead. Only router-to-router hops cross shards (injections and
 // deliveries are shard-local by construction), so this is the tight
-// safe bound; with a uniform latency it is exactly cfg.LinkLatency,
-// so uniform runs keep the historical window schedule. The bound
-// depends on the shard map, but worker-count invariance is untouched:
-// windows only decide where barriers fall, and each router's event
-// order is (time, canonical uid) regardless of barrier placement.
+// safe bound; with a uniform latency it is exactly cfg.LinkLatency.
+// The bound depends on the shard map, but results do not: windows only
+// decide where barriers fall, and each router's event order is
+// (time, canonical key) regardless of barrier placement.
 func (nw *Network) minCutLatency(shardOf []int32) int64 {
 	if nw.lats == nil {
 		return nw.cfg.LinkLatency
@@ -170,165 +145,144 @@ func (nw *Network) shardAssign(workers int) []int32 {
 	return a
 }
 
-// setPktMeta records a packet's canonical identity and routing-RNG
-// state in the arena sidecars, growing them in step with the arena.
-func (nw *Network) setPktMeta(pi int32, uid int64, rngState uint64) {
-	for len(nw.pktUID) < len(nw.packets) {
-		nw.pktUID = append(nw.pktUID, 0)
-		nw.pktRng = append(nw.pktRng, 0)
+// begin resets the run state and returns the run's shards: the
+// Network itself when parWorkers is 1, otherwise views kept across
+// runs, each reset to alias the shared run state.
+func (nw *Network) begin(pattern PatternFunc, tpattern TimedPatternFunc, meanGap float64, msgsPerEP int) []*Network {
+	nw.reset()
+	nw.pattern, nw.tpattern, nw.meanGap = pattern, tpattern, meanGap
+	nw.msgs = int64(msgsPerEP)
+	nw.injBase = int64(nw.nep) * nw.msgs
+	p := nw.parWorkers()
+	if p == 1 {
+		nw.shards = []*Network{nw}
+		return nw.shards
 	}
-	nw.pktUID[pi] = uid
-	nw.pktRng[pi] = rngState
+	shardOf := nw.shardAssign(p)
+	if len(nw.views) != p {
+		nw.views = make([]*Network, p)
+		for s := range nw.views {
+			nw.views[s] = &Network{out: make([][]xmsg, p)}
+		}
+	}
+	for s, sh := range nw.views {
+		sh.cfg, sh.table, sh.tbl, sh.live = nw.cfg, nw.table, nw.tbl, nw.live
+		sh.n, sh.nep, sh.dead, sh.lats, sh.tenants = nw.n, nw.nep, nw.dead, nw.lats, nw.tenants
+		sh.portFree, sh.injFree, sh.ejFree, sh.gens = nw.portFree, nw.injFree, nw.ejFree, nw.gens
+		sh.pattern, sh.tpattern, sh.meanGap = pattern, tpattern, meanGap
+		sh.msgs, sh.injBase = nw.msgs, nw.injBase
+		sh.shardOf, sh.shardID = shardOf, int32(s)
+		sh.resetShard()
+	}
+	nw.shardOf = shardOf
+	nw.shards = nw.views
+	return nw.shards
 }
 
-// pushPar is the parallel-mode push: it stamps the canonical event key
-// and diverts cross-shard arrivals into the outbox for the owning
-// shard. Injection arrivals (NIC -> source router) and deliveries
-// (router -> local endpoint) are local by construction; only
-// router-to-router hops can cross shards.
-func (nw *Network) pushPar(e event) {
-	switch e.kind {
-	case evInject:
-		// fireInjection pushed this after decrementing left, and the
-		// initial seeding pushes with left = msgs: either way the event
-		// is draw number msgs-left of endpoint e.at.
-		e.seq = nw.par.injBase + int64(e.at)*nw.par.msgs + (nw.par.msgs - int64(nw.gens[e.at].left))
-	case evArrive:
-		e.seq = nw.pktUID[e.pkt]
-		if s := nw.par.shardOf[e.at]; s != nw.shardID {
-			// nw.parSrc currently holds this packet's routing stream
-			// (drainUntil loaded it for the event being processed, and
-			// arriveAtRouter consumes its draws before pushing).
-			nw.out[s] = append(nw.out[s], xmsg{e: e, p: nw.packets[e.pkt], uid: nw.pktUID[e.pkt], rng: nw.parSrc.state})
-			nw.freePacket(e.pkt)
-			return
-		}
-	case evDeliver:
-		e.seq = nw.pktUID[e.pkt]
+// ownerOf returns the shard of the current run that owns router r.
+func (nw *Network) ownerOf(r int32) *Network {
+	if nw.shardOf == nil {
+		return nw
 	}
-	nw.sched.push(e)
+	return nw.shards[nw.shardOf[r]]
 }
 
 // recv absorbs one cross-shard handoff into this shard's arena and
 // scheduler. e.seq already carries the canonical key, so where the
 // message came from cannot influence pop order.
 func (nw *Network) recv(x xmsg) {
-	pi := nw.newPacket(x.p)
-	nw.setPktMeta(pi, x.uid, x.rng)
 	e := x.e
-	e.pkt = pi
+	e.pkt = nw.newPacket(x.p)
 	nw.sched.push(e)
 }
 
-// drainUntil processes every queued event with time < end, wrapping
-// evArrive handling with the owning packet's routing-RNG stream.
+// drainUntil handles every queued event with time < end, loading each
+// arriving packet's routing stream into pktSrc around its handling.
 func (nw *Network) drainUntil(end int64) {
 	for {
 		e, ok := nw.sched.popBefore(end)
 		if !ok {
 			return
 		}
-		if e.kind == evArrive {
-			nw.parSrc.state = nw.pktRng[e.pkt]
+		if e.kind != evArrive {
 			nw.handle(e)
-			// Harmless if the packet was delivered, dropped or handed
-			// off (the slot is then free and the state unread).
-			nw.pktRng[e.pkt] = nw.parSrc.state
-		} else {
-			nw.handle(e)
+			continue
 		}
+		nw.pktSrc.state = nw.packets[e.pkt].rng
+		nw.handle(e)
+		// Harmless if the packet was delivered, dropped or handed off
+		// (the slot is then free and the state unread).
+		nw.packets[e.pkt].rng = nw.pktSrc.state
 	}
 }
 
-// runLoadParallel is the sharded RunLoad/RunLoadTimed engine (see the
-// file comment for the model; exactly one of pattern/tpattern is
-// non-nil). The coordinator alternates drain and merge phases over
-// persistent shard goroutines — applying any due topology changes at
-// the barriers in between — then folds per-shard statistics in shard
-// order.
-func (nw *Network) runLoadParallel(pattern PatternFunc, tpattern TimedPatternFunc, load float64, msgsPerEP int, workers int) Stats {
-	nw.reset()
-	nw.pattern = pattern
-	nw.tpattern = tpattern
-	nw.meanGap = float64(nw.cfg.PacketFlits) / load
-	if nw.gens == nil {
-		nw.gens = make([]epGen, nw.nep)
+// drive runs the current run's shards until no event is pending,
+// applying timed topology changes between drains. One shard drains in
+// place up to the next change cycle; several drain windows of the
+// lookahead on persistent goroutines (startShards).
+func (nw *Network) drive() {
+	shards := nw.shards
+	drain := nw.drainUntil
+	var lookahead int64
+	if len(shards) > 1 {
+		lookahead = nw.cfg.RouterLatency + nw.cfg.PacketFlits + nw.minCutLatency(nw.shardOf)
+		var stop func()
+		drain, stop = nw.startShards()
+		defer stop()
 	}
-	shardOf := nw.shardAssign(workers)
-	par := &parRun{
-		shardOf: shardOf,
-		msgs:    int64(msgsPerEP),
-		injBase: int64(nw.nep) * int64(msgsPerEP),
-	}
-	lookahead := nw.cfg.RouterLatency + nw.cfg.PacketFlits + nw.minCutLatency(shardOf)
-
-	limit := nw.cfg.LatencySampleCap
-	if limit <= 0 {
-		limit = defaultLatencySampleCap
-	}
-	shards := make([]*Network, workers)
-	for s := range shards {
-		sh := &Network{
-			cfg:      nw.cfg,
-			table:    nw.table,
-			tbl:      nw.tbl,
-			n:        nw.n,
-			nep:      nw.nep,
-			dead:     nw.dead,
-			lats:     nw.lats,
-			tenants:  nw.tenants,
-			slotOf:   nw.slotOf,
-			live:     nw.live,
-			portFree: nw.portFree,
-			injFree:  nw.injFree,
-			ejFree:   nw.ejFree,
-			gens:     nw.gens,
-			pattern:  pattern,
-			tpattern: tpattern,
-			meanGap:  nw.meanGap,
-			par:      par,
-			shardID:  int32(s),
-			out:      make([][]xmsg, workers),
+	edges := nw.cfg.Schedule.Cursor()
+	for {
+		next := int64(math.MaxInt64)
+		for _, sh := range shards {
+			next = min(next, sh.sched.peekTime())
 		}
-		sh.sched.reset()
-		sh.sched.sorted = true
-		sh.rng = rand.New(&sh.parSrc)
-		sh.lat.reset(nw.cfg.Seed, limit)
-		sh.resetTenants(limit)
-		shards[s] = sh
-	}
-	nw.parShards = shards
-
-	// Seed the injection cursors exactly like the serial engine — the
-	// per-endpoint workload streams are identical in both modes — and
-	// queue each endpoint's first injection on its owning shard.
-	for ep := 0; ep < nw.nep; ep++ {
-		g := &nw.gens[ep]
-		g.src.state = mixSeed(nw.cfg.Seed, int64(ep))
-		if g.rng == nil {
-			g.rng = rand.New(&g.src)
+		// Apply every change due at or before the global earliest
+		// pending event: everything before it has drained and no shard
+		// is running. When the event stream has dried up (next ==
+		// MaxInt64) this applies the schedule's tail.
+		for {
+			ci, ok := edges.Due(next)
+			if !ok {
+				break
+			}
+			nw.applyTopo(ci, nw.cfg.Schedule[ci].Cycle)
+			for _, sh := range shards {
+				sh.tbl = nw.tbl
+			}
 		}
-		g.t = 0
-		g.left = msgsPerEP
-		if msgsPerEP > 0 {
-			sh := shards[shardOf[nw.routerOf(int32(ep))]]
-			sh.push(event{time: g.next(nw.gapOf(int32(ep))), at: int32(ep), kind: evInject})
+		if next == math.MaxInt64 {
+			return
 		}
+		end := int64(math.MaxInt64)
+		if len(shards) > 1 {
+			end = next + lookahead
+		}
+		if c, ok := edges.Peek(); ok && c < end {
+			// End the window at the next change cycle: events in
+			// [next, c) drain now, the change applies before anything at
+			// or beyond c runs. Due consumed every change at or before
+			// next, so c > next and the window is never empty.
+			end = c
+		}
+		drain(end)
 	}
+}
 
-	// Persistent shard workers: drain phase, barrier, merge phase,
-	// barrier, repeat. Outboxes written in a drain phase are read only
-	// in the following merge phase and reset by their owner at the
-	// start of the next drain phase; the coordinator's done-channel
-	// round trips order every transition.
-	drainCh := make([]chan int64, workers)
-	mergeCh := make([]chan struct{}, workers)
-	doneCh := make(chan struct{}, workers)
-	for s := 0; s < workers; s++ {
+// startShards starts one goroutine per shard and returns the window
+// step — every shard drains the events before end, then absorbs the
+// handoffs the others queued for it — and the func that stops them.
+// Outboxes written in a drain phase are read only in the following
+// merge phase and reset by their owner at the start of the next drain
+// phase; the done-channel round trips order every transition.
+func (nw *Network) startShards() (step func(end int64), stop func()) {
+	shards := nw.shards
+	drainCh := make([]chan int64, len(shards))
+	mergeCh := make([]chan struct{}, len(shards))
+	doneCh := make(chan struct{}, len(shards))
+	for s, sh := range shards {
 		drainCh[s] = make(chan int64, 1)
 		mergeCh[s] = make(chan struct{}, 1)
-		go func(s int) {
-			sh := shards[s]
+		go func() {
 			for end := range drainCh[s] {
 				for j := range sh.out {
 					sh.out[j] = sh.out[j][:0]
@@ -343,84 +297,37 @@ func (nw *Network) runLoadParallel(pattern PatternFunc, tpattern TimedPatternFun
 				}
 				doneCh <- struct{}{}
 			}
-		}(s)
+		}()
 	}
-
-	edges := nw.cfg.Schedule.Cursor()
-	for {
-		next := int64(math.MaxInt64)
-		for _, sh := range shards {
-			if t := sh.sched.peekTime(); t < next {
-				next = t
-			}
-		}
-		// Apply every schedule change due at or before the global
-		// earliest pending event: everything before it has drained and
-		// all shards are parked, so this barrier is the parallel
-		// analogue of the serial engine's evTopo-before-same-cycle-
-		// traffic ordering. When the event stream has dried up (next ==
-		// MaxInt64) this drains the schedule's tail, matching the serial
-		// engine's trailing evTopo events.
-		for {
-			ci, ok := edges.Due(next)
-			if !ok {
-				break
-			}
-			nw.applyTopo(ci, nw.cfg.Schedule[ci].Cycle)
-			for _, sh := range shards {
-				sh.tbl = nw.tbl
-			}
-		}
-		if next == math.MaxInt64 {
-			break
-		}
-		end := next + lookahead
-		if c, ok := edges.Peek(); ok && c < end {
-			// Clip the window at the next change cycle so no window spans
-			// it: events in [next, c) drain now, the change applies at the
-			// next barrier, and only then does anything at or beyond c
-			// run. Clipping only shrinks windows, so lookahead safety is
-			// unaffected. Due consumed every change at or before next, so
-			// c > next and the window is never empty.
-			end = c
-		}
-		for s := range drainCh {
-			drainCh[s] <- end
+	step = func(end int64) {
+		for _, ch := range drainCh {
+			ch <- end
 		}
 		for range shards {
 			<-doneCh
 		}
-		for s := range mergeCh {
-			mergeCh[s] <- struct{}{}
+		for _, ch := range mergeCh {
+			ch <- struct{}{}
 		}
 		for range shards {
 			<-doneCh
 		}
 	}
-	for s := range drainCh {
-		close(drainCh[s])
+	stop = func() {
+		for _, ch := range drainCh {
+			close(ch)
+		}
 	}
-
-	return nw.foldShards(shards)
+	return step, stop
 }
 
-// foldShards combines per-shard statistics into the run's Stats, in
-// shard order. Counters sum, extrema take the max, and the mean folds
-// from exact per-shard sums (integer-valued float64 well below 2^53,
-// so the fold is exact and independent of shard count). The P99 is the
-// weighted percentile of the shard samples: exact — and identical to
-// a serial percentile over the union — while every shard held all its
-// deliveries, a deterministic estimate once reservoirs kicked in.
-func (nw *Network) foldShards(shards []*Network) Stats {
+// fold combines the shards' statistics into the run's Stats. Counters
+// sum, extrema take the max, and latency histograms merge by addition,
+// so every statistic — mean, P99, per-tenant rows — is exact and the
+// same for every shard count.
+func (nw *Network) fold() Stats {
+	shards := nw.shards
 	st := Stats{}
-	var sum float64
-	var count int64
-	type wsample struct {
-		v int64
-		w float64
-	}
-	var samples []wsample
-	var mem int64
 	for _, sh := range shards {
 		st.Offered += sh.stats.Offered
 		st.Delivered += sh.stats.Delivered
@@ -428,61 +335,32 @@ func (nw *Network) foldShards(shards []*Network) Stats {
 		st.ValiantTaken += sh.stats.ValiantTaken
 		st.PatternSkips += sh.stats.PatternSkips
 		st.SeveredInFlight += sh.stats.SeveredInFlight
-		if sh.stats.MaxLatency > st.MaxLatency {
-			st.MaxLatency = sh.stats.MaxLatency
-		}
-		if sh.stats.Makespan > st.Makespan {
-			st.Makespan = sh.stats.Makespan
-		}
-		if sh.stats.MaxVC > st.MaxVC {
-			st.MaxVC = sh.stats.MaxVC
-		}
-		sum += sh.lat.sum
-		count += sh.lat.count
-		if len(sh.lat.samples) > 0 {
-			w := float64(sh.lat.count) / float64(len(sh.lat.samples))
-			for _, v := range sh.lat.samples {
-				samples = append(samples, wsample{v, w})
+		st.MaxLatency = max(st.MaxLatency, sh.stats.MaxLatency)
+		st.Makespan = max(st.Makespan, sh.stats.Makespan)
+		st.MaxVC = max(st.MaxVC, sh.stats.MaxVC)
+	}
+	st.MemoryBytes = nw.MemoryBytes()
+	if len(shards) > 1 {
+		// The Network's own digests are not a shard's here: fold into
+		// them.
+		nw.lat.reset()
+		nw.resetTenants()
+		for _, sh := range shards {
+			nw.lat.merge(&sh.lat)
+			for t := range nw.tenStats {
+				nw.tenStats[t].Offered += sh.tenStats[t].Offered
+				nw.tenStats[t].Delivered += sh.tenStats[t].Delivered
+				nw.tenLat[t].merge(&sh.tenLat[t])
 			}
 		}
-		// Private shard state; the shared arrays are charged once below.
-		mem += sh.sched.memoryBytes()
-		mem += int64(len(sh.packets))*int64(unsafe.Sizeof(packet{})) + int64(len(sh.free))*4
-		mem += int64(len(sh.pktUID)) * 16 // uid + rng sidecars
-		mem += sh.lat.memoryBytes()
-		mem += sh.memoryBytesTenants()
 	}
 	st.Dropped = st.Offered - st.Delivered
-	st.Tenants = nw.foldTenantShards(shards)
-	if count > 0 {
-		st.MeanLatency = sum / float64(count)
-		st.MeanHops = float64(st.TotalHops) / float64(count)
-		sort.Slice(samples, func(i, j int) bool { return samples[i].v < samples[j].v })
-		var total float64
-		for _, s := range samples {
-			total += s.w
-		}
-		thr := 0.99 * total
-		var cum float64
-		for _, s := range samples {
-			cum += s.w
-			if cum >= thr {
-				st.P99Latency = s.v
-				break
-			}
-		}
+	if nw.lat.count > 0 {
+		st.MeanLatency = nw.lat.mean()
+		st.MeanHops = float64(st.TotalHops) / float64(nw.lat.count)
+		st.P99Latency = nw.lat.quantile(0.99)
 	}
-	mem += int64(len(nw.gens)) * (int64(unsafe.Sizeof(epGen{})) + 48)
-	for _, pf := range nw.portFree {
-		mem += int64(len(pf)) * 8
-	}
-	mem += int64(len(nw.injFree)+len(nw.ejFree)) * 8
-	// Shared live-topology state of a scheduled run: masks plus the
-	// run-local table, charged once (shards alias it).
-	if nw.live != nil {
-		mem += nw.live.memoryBytes(nw.table)
-	}
-	st.MemoryBytes = mem
+	st.Tenants = nw.finalizeTenants()
 	nw.stats = st
 	return st
 }

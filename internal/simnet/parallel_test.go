@@ -2,104 +2,32 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
-// runAt runs the class-1 instance with the given engine selection.
-func runAt(tb testing.TB, workers int, policy routing.Policy, load float64, msgs, latCap int) Stats {
+// runAt runs the class-1 instance with the given shard count.
+func runAt(tb testing.TB, workers int, policy routing.Policy, load float64, msgs int) Stats {
 	tb.Helper()
-	nw := class1StreamNet(tb, latCap)
+	nw := class1StreamNet(tb)
 	nw.SetPolicy(policy)
 	nw.SetWorkers(workers)
 	return nw.RunLoad(uniformPattern(nw.Endpoints()), load, msgs)
 }
 
-// TestParallelMatchesSerialClass1Gate is the correctness gate of the
-// acceptance criteria: on the class-1 instance the parallel engine
-// must match serial delivered/dropped counts and the exact mean/max
-// latency statistics.
-//
-// The workload makes exactness well-defined: every endpoint sends to
-// a random graph neighbor of its router, so every packet has a unique
-// one-hop shortest path and routing cannot depend on which engine's
-// RNG draws it; concentration 1 means each router output port carries
-// a single endpoint's stream, whose injections the NIC already
-// serializes one flit-time apart — so no two packets ever contend for
-// the same resource in the same cycle, and the simulated schedule is
-// tie-free. Under those conditions serial and parallel runs must
-// agree on every statistic at a fully contended load, not just a
-// light one. (With path choice or same-cycle ties in play the two
-// engines are different deterministic schedules; see
-// TestParallelConservationHeavyLoad.)
-func TestParallelMatchesSerialClass1Gate(t *testing.T) {
-	inst := topo.MustLPS(11, 7)
-	tab := routing.NewTable(inst.G)
-	neighbor := func(src int, rng *rand.Rand) int {
-		nbs := inst.G.Neighbors(src)
-		return int(nbs[rng.Intn(len(nbs))])
-	}
-	run := func(workers, msgs int) Stats {
-		nw, err := New(Config{Topo: inst.G, Concentration: 1, Seed: 11, Workers: workers}, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw.RunLoad(neighbor, streamGateLoad, msgs)
-	}
-	for _, msgs := range []int{16, 64} {
-		serial := run(1, msgs)
-		if serial.Delivered == 0 {
-			t.Fatal("serial gate run delivered nothing")
-		}
-		for _, w := range []int{2, 4, 8} {
-			par := run(w, msgs)
-			if par.Offered != serial.Offered || par.Delivered != serial.Delivered ||
-				par.Dropped != serial.Dropped || par.PatternSkips != serial.PatternSkips {
-				t.Errorf("msgs=%d workers=%d: counts diverged from serial: %+v vs %+v",
-					msgs, w, par, serial)
-			}
-			if par.MeanLatency != serial.MeanLatency {
-				t.Errorf("msgs=%d workers=%d: mean latency %v, serial %v",
-					msgs, w, par.MeanLatency, serial.MeanLatency)
-			}
-			if par.MaxLatency != serial.MaxLatency {
-				t.Errorf("msgs=%d workers=%d: max latency %d, serial %d",
-					msgs, w, par.MaxLatency, serial.MaxLatency)
-			}
-			if par.P99Latency != serial.P99Latency {
-				t.Errorf("msgs=%d workers=%d: P99 %d, serial %d",
-					msgs, w, par.P99Latency, serial.P99Latency)
-			}
-			if par.Makespan != serial.Makespan {
-				t.Errorf("msgs=%d workers=%d: makespan %d, serial %d",
-					msgs, w, par.Makespan, serial.Makespan)
-			}
-			if par.TotalHops != serial.TotalHops || par.MeanHops != serial.MeanHops {
-				t.Errorf("msgs=%d workers=%d: hops %d/%v, serial %d/%v",
-					msgs, w, par.TotalHops, par.MeanHops, serial.TotalHops, serial.MeanHops)
-			}
-		}
-	}
-}
-
-// At contended loads path choice feeds back into queueing, so the
-// parallel engine is a different deterministic schedule than serial —
-// but message conservation is schedule-independent: the workload
-// streams are identical and every offered message is delivered or
-// dropped by static reachability, not by timing.
+// At contended loads, where path choice feeds back into queueing, one
+// and four shards still conserve the same messages at the same
+// latency. (TestWorkerCountInvariance asserts full equality.)
 func TestParallelConservationHeavyLoad(t *testing.T) {
 	for _, pol := range []routing.Policy{routing.Minimal, routing.Valiant, routing.UGALL} {
-		serial := runAt(t, 1, pol, streamGateLoad, streamGateMsgs, 0)
-		par := runAt(t, 4, pol, streamGateLoad, streamGateMsgs, 0)
+		serial := runAt(t, 1, pol, streamGateLoad, streamGateMsgs)
+		par := runAt(t, 4, pol, streamGateLoad, streamGateMsgs)
 		if par.Offered != serial.Offered || par.Delivered != serial.Delivered ||
 			par.Dropped != serial.Dropped || par.PatternSkips != serial.PatternSkips {
 			t.Errorf("policy %v: conservation broken: parallel %d/%d/%d/%d, serial %d/%d/%d/%d",
@@ -119,149 +47,10 @@ func TestParallelConservationHeavyLoad(t *testing.T) {
 // Fixed (seed, Workers) must reproduce bit-identical statistics.
 func TestParallelDeterministic(t *testing.T) {
 	for _, pol := range []routing.Policy{routing.Minimal, routing.UGALL} {
-		a := runAt(t, 4, pol, streamGateLoad, streamGateMsgs, 0)
-		b := runAt(t, 4, pol, streamGateLoad, streamGateMsgs, 0)
+		a := runAt(t, 4, pol, streamGateLoad, streamGateMsgs)
+		b := runAt(t, 4, pol, streamGateLoad, streamGateMsgs)
 		if !a.Equal(b) {
 			t.Errorf("policy %v: repeated parallel runs diverged:\n%+v\n%+v", pol, a, b)
-		}
-	}
-}
-
-// The canonical event order makes the simulated schedule a pure
-// function of the seed, independent of the shard count: every
-// Workers>=2 run must produce identical statistics (MemoryBytes aside
-// — shard structure is real memory — and P99 once per-shard
-// reservoirs engage, which the raised sample cap avoids here).
-// The scheduled and timed-pattern extensions of this contract live in
-// TestScheduleParallelWorkerInvariance (schedule_test.go) and
-// TestScheduleTimedWorkerCountInvariance below.
-func TestParallelWorkerCountInvariance(t *testing.T) {
-	const sampleCap = 1 << 20 // retain every latency: exact P99 fold
-	base := runAt(t, 2, routing.UGALL, streamGateLoad, streamGateMsgs, sampleCap)
-	for _, w := range []int{3, 4, 8} {
-		st := runAt(t, w, routing.UGALL, streamGateLoad, streamGateMsgs, sampleCap)
-		a, b := base, st
-		a.MemoryBytes, b.MemoryBytes = 0, 0
-		if !a.Equal(b) {
-			t.Errorf("workers=%d stats differ from workers=2:\n%+v\n%+v", w, a, b)
-		}
-	}
-}
-
-// TestScheduleParallelMatchesSerialClass1Gate is the tie-free
-// scheduled gate of the unified engine: serial and parallel runs of a
-// class-1 instance with a mid-run kill/revive schedule must agree
-// EXACTLY on every statistic (counts, mean, max, P99, makespan,
-// SeveredInFlight), for every worker count.
-//
-// The construction keeps the schedule out of the tie-breaking games
-// the engines play differently: the workload is the one-hop neighbor
-// pattern at concentration 1 (unique shortest paths, no port
-// contention — see TestParallelMatchesSerialClass1Gate), and the
-// schedule only kills routers and cuts exactly their incident links.
-// No surviving packet is ever rerouted — a cut link always has a dead
-// endpoint router, so packets that would cross it are dropped, not
-// diverted — which makes every drop (NIC-dead, severed mid-flight,
-// severed in the ejection pipeline, unreachable-destination) a pure
-// function of exact event times that both engines compute identically.
-func TestScheduleParallelMatchesSerialClass1Gate(t *testing.T) {
-	inst := topo.MustLPS(11, 7)
-	tab := routing.NewTable(inst.G)
-	kill := []int32{3, 29, 57, 88, 104, 131}
-	var cut [][2]int32
-	seen := map[[2]int32]bool{}
-	for _, r := range kill {
-		for _, w := range inst.G.Neighbors(int(r)) {
-			u, v := r, w
-			if u > v {
-				u, v = v, u
-			}
-			if e := [2]int32{u, v}; !seen[e] {
-				seen[e] = true
-				cut = append(cut, e)
-			}
-		}
-	}
-	sched := fault.Schedule{
-		{Cycle: 500, Cut: cut, Kill: kill},
-		{Cycle: 1500, Restore: cut, Revive: kill},
-	}
-	neighbor := func(src int, rng *rand.Rand) int {
-		nbs := inst.G.Neighbors(src)
-		return int(nbs[rng.Intn(len(nbs))])
-	}
-	run := func(workers int) Stats {
-		nw, err := New(Config{
-			Topo: inst.G, Concentration: 1, Seed: 11, Workers: workers,
-			Schedule:         sched,
-			LatencySampleCap: 1 << 20, // retain every latency: exact P99 in both engines
-		}, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw.RunLoad(neighbor, streamGateLoad, 48)
-	}
-	serial := run(1)
-	if serial.Delivered == 0 {
-		t.Fatal("serial scheduled gate run delivered nothing")
-	}
-	if serial.SeveredInFlight == 0 {
-		t.Fatal("schedule severed no packets in flight; the gate exercises nothing")
-	}
-	if serial.Dropped <= serial.SeveredInFlight {
-		t.Fatal("schedule produced no NIC-dead/unreachable drops; the gate exercises nothing")
-	}
-	for _, w := range []int{2, 4, 8} {
-		par := run(w)
-		a, b := serial, par
-		a.MemoryBytes, b.MemoryBytes = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("workers=%d scheduled run diverged from serial:\nser: %+v\npar: %+v", w, a, b)
-		}
-	}
-}
-
-// The worker-count invariance contract extends to the unified
-// engine's schedule barriers and to RunLoadTimed: a churned run under
-// a time-varying workload produces identical statistics for every
-// Workers >= 2.
-func TestScheduleTimedWorkerCountInvariance(t *testing.T) {
-	inst := topo.MustLPS(11, 7)
-	tab := routing.NewTable(inst.G)
-	sched, err := fault.ChurnSpec{
-		Kind: fault.Links, Fraction: 0.02,
-		Period: 1500, Outage: 700, Repeats: 2, Seed: 7,
-	}.Schedule(inst.G)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) Stats {
-		nw, err := New(Config{
-			Topo: inst.G, Concentration: 4, Seed: 11, Workers: workers,
-			Schedule:         sched,
-			LatencySampleCap: 1 << 20,
-		}, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nep := nw.Endpoints()
-		return nw.RunLoadTimed(func(src int, now int64, rng *rand.Rand) int {
-			if (now/1500)%2 == 0 {
-				return rng.Intn(nep)
-			}
-			return (src + 7) % nep
-		}, streamGateLoad, 24)
-	}
-	base := run(2)
-	if base.Delivered == 0 {
-		t.Fatal("timed scheduled run delivered nothing")
-	}
-	for _, w := range []int{3, 4, 8} {
-		st := run(w)
-		a, b := base, st
-		a.MemoryBytes, b.MemoryBytes = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("workers=%d timed scheduled stats differ from workers=2:\n%+v\n%+v", w, a, b)
 		}
 	}
 }
@@ -324,59 +113,9 @@ func TestScheduleParallelSpeedupGate(t *testing.T) {
 	}
 }
 
-// Unsupported configurations must fall back to the serial engine and
-// reproduce its statistics exactly.
-func TestParallelFallbacks(t *testing.T) {
-	inst := topo.MustLPS(11, 7)
-	tab := routing.NewTable(inst.G)
-	mk := func(cfg Config) *Network {
-		cfg.Topo = inst.G
-		cfg.Concentration = 2
-		cfg.Seed = 11
-		nw, err := New(cfg, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw
-	}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"ugal-g", Config{Policy: routing.UGALG, Workers: 4}},
-		{"finite-buffers", Config{BufferPackets: 4, Workers: 4}},
-	}
-	for _, tc := range cases {
-		par := mk(tc.cfg)
-		if got := par.parWorkers(); got != 1 {
-			t.Fatalf("%s: parWorkers() = %d, want serial fallback", tc.name, got)
-		}
-		cfgSerial := tc.cfg
-		cfgSerial.Workers = 0
-		ser := mk(cfgSerial)
-		a := par.RunLoad(uniformPattern(par.Endpoints()), 0.2, 8)
-		b := ser.RunLoad(uniformPattern(ser.Endpoints()), 0.2, 8)
-		if !a.Equal(b) {
-			t.Errorf("%s: fallback run differs from serial:\n%+v\n%+v", tc.name, a, b)
-		}
-	}
-
-	// Tiny topologies cannot shard: fewer than minShardRouters per
-	// worker would remain. A 6-node ring yields at most one shard, so
-	// the engine must fall back to serial outright.
-	ring := graph.FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
-	tiny, err := New(Config{Topo: ring, Workers: 8, Seed: 1}, routing.NewTable(ring))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tiny.parWorkers(); got != 1 {
-		t.Errorf("tiny topology: parWorkers() = %d, want serial fallback", got)
-	}
-}
-
 // Dead routers drop messages by static reachability (NIC drops and
-// unreachable-next-hop drops), so delivered/dropped must match serial
-// in parallel mode even on damaged topologies.
+// unreachable-next-hop drops): one and four shards deliver and drop
+// the same messages on damaged topologies.
 func TestParallelDamagedConservation(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
@@ -420,8 +159,8 @@ func TestRunLoadParallelSpeedupGate(t *testing.T) {
 	if n := runtime.GOMAXPROCS(0); n < 4 {
 		t.Skipf("need 4 cores, have %d", n)
 	}
-	serialNet := class1StreamNet(t, 0)
-	parNet := class1StreamNet(t, 0)
+	serialNet := class1StreamNet(t)
+	parNet := class1StreamNet(t)
 	parNet.SetWorkers(4)
 	patS := uniformPattern(serialNet.Endpoints())
 	patP := uniformPattern(parNet.Endpoints())
@@ -449,11 +188,11 @@ func TestRunLoadParallelSpeedupGate(t *testing.T) {
 }
 
 // BenchmarkRunLoadParallel measures the class-1 hot path across worker
-// counts (1 = the serial reference engine).
+// counts (1 = one shard, no goroutines or barriers).
 func BenchmarkRunLoadParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			nw := class1StreamNet(b, 0)
+			nw := class1StreamNet(b)
 			nw.SetWorkers(w)
 			pattern := uniformPattern(nw.Endpoints())
 			nw.RunLoad(pattern, streamGateLoad, speedupGateMsgs)

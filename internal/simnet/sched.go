@@ -17,14 +17,16 @@ import (
 // window — overflow to the heap and migrate into the wheel as the
 // cursor advances past their horizon.
 //
-// Ordering contract (identical to the old global heap): events pop in
-// strictly nondecreasing (time, seq) order. Within a bucket this falls
-// out of append order: a non-empty bucket holds events of exactly one
-// absolute time (two times congruent mod wheelSize are ≥ wheelSize
-// apart, so they can never share the window), direct pushes append in
-// increasing seq, and migration — which runs before any later direct
-// push can target the bucket — drains the overflow heap in (time, seq)
-// order.
+// Ordering contract (identical to a global heap): events pop in
+// nondecreasing (time, seq) order, where seq is the event's canonical
+// key (see push in simnet.go). A non-empty bucket holds events of
+// exactly one absolute time (two times congruent mod wheelSize are
+// ≥ wheelSize apart, so they can never share the window), so ordering a
+// bucket is ordering its keys. Keys arrive out of order — a bucket
+// collects the events of one cycle pushed by many earlier events, and
+// on a shard also by cross-shard handoffs — so a push below the
+// bucket's largest key marks the bucket unsorted, and the bucket's
+// pending suffix is sorted once, when it is next popped from.
 type scheduler struct {
 	// cur is the time cursor: every popped event had time ≤ cur, every
 	// queued event has time ≥ cur, and the wheel window is
@@ -34,16 +36,11 @@ type scheduler struct {
 	wcount int // events currently in the wheel
 	peak   int // high-water mark of count within the current run
 
-	// sorted selects the parallel-shard pop rule: take the minimum-seq
-	// event of the head bucket instead of FIFO order. Shard schedulers
-	// receive same-time pushes out of seq order (seq is the canonical
-	// event key there, not a push counter), so the append-order
-	// invariant behind the FIFO fast path does not hold for them.
-	sorted bool
-
 	buckets  [][]event // wheelSize buckets of one cycle each
 	bhead    []int32   // per-bucket FIFO head (consumed prefix)
+	top      []int64   // per-bucket largest key (compact: pushes read no bucket)
 	occ      []uint64  // occupancy bitmap over the buckets
+	unsorted []uint64  // bitmap: the bucket's pending suffix is out of key order
 	overflow eventQueue
 }
 
@@ -60,15 +57,16 @@ func (s *scheduler) reset() {
 	if s.buckets == nil {
 		s.buckets = make([][]event, wheelSize)
 		s.bhead = make([]int32, wheelSize)
+		s.top = make([]int64, wheelSize)
 		s.occ = make([]uint64, wheelWords)
+		s.unsorted = make([]uint64, wheelWords)
 	}
 	for i := range s.buckets {
 		s.buckets[i] = s.buckets[i][:0]
 		s.bhead[i] = 0
 	}
-	for i := range s.occ {
-		s.occ[i] = 0
-	}
+	clear(s.occ)
+	clear(s.unsorted)
 	s.overflow = s.overflow[:0]
 	s.cur, s.count, s.wcount, s.peak = 0, 0, 0, 0
 }
@@ -93,8 +91,14 @@ func (s *scheduler) push(e event) {
 
 func (s *scheduler) bucketPush(e event) {
 	b := int(e.time & wheelMask)
-	if len(s.buckets[b]) == 0 {
+	switch {
+	case len(s.buckets[b]) == 0:
 		s.occ[b>>6] |= 1 << uint(b&63)
+		s.top[b] = e.seq
+	case e.seq < s.top[b]:
+		s.unsorted[b>>6] |= 1 << uint(b&63)
+	default:
+		s.top[b] = e.seq
 	}
 	s.buckets[b] = append(s.buckets[b], e)
 	s.wcount++
@@ -128,30 +132,13 @@ func (s *scheduler) nextOccupied() int {
 	}
 }
 
-// pop removes and returns the earliest event by (time, seq). The
-// caller must check count > 0 first.
-func (s *scheduler) pop() event {
-	if s.wcount == 0 {
-		// Everything pending is beyond the horizon: jump the window to
-		// the earliest overflow event and pull the new window in.
-		s.cur = s.overflow[0].time
-		s.migrate()
-	}
-	b := s.nextOccupied()
-	t := s.cur + (int64(b)-s.cur)&wheelMask
-	if t > s.cur {
-		s.cur = t
-		s.migrate()
-	}
-	return s.takeFrom(b)
-}
-
-// popBefore pops the earliest event only if its time lies before end.
-// It is the fused peek+pop of the parallel window loop: one bitmap
-// scan decides and extracts, where a peekTime+pop pair would scan
-// twice per event. A failed attempt may still advance the cursor to
-// the earliest queued time, which preserves every invariant (cur
-// never exceeds a queued event's time).
+// popBefore removes and returns the earliest event by (time, seq) if
+// its time lies before end — the one pop rule of the run loop (end is
+// the window end of a shard, or math.MaxInt64). One bitmap scan
+// decides and extracts, where a peekTime+pop pair would scan twice per
+// event. A failed attempt may still advance the cursor to the earliest
+// queued time, which preserves every invariant (cur never exceeds a
+// queued event's time).
 func (s *scheduler) popBefore(end int64) (event, bool) {
 	if s.count == 0 {
 		return event{}, false
@@ -176,21 +163,13 @@ func (s *scheduler) popBefore(end int64) (event, bool) {
 }
 
 // takeFrom extracts the next event of bucket b, which the caller has
-// established is the head bucket of the wheel.
+// established is the head bucket of the wheel, sorting the bucket's
+// pending suffix first if a push left it out of key order.
 func (s *scheduler) takeFrom(b int) event {
 	bk := s.buckets[b]
-	if s.sorted {
-		// A bucket holds events of exactly one absolute time, so
-		// selecting the minimum seq restores full (time, seq) order for
-		// out-of-order same-time pushes. Buckets hold the events of one
-		// cycle of one shard, so the scan is short.
-		min := int(s.bhead[b])
-		for i := min + 1; i < len(bk); i++ {
-			if bk[i].seq < bk[min].seq {
-				min = i
-			}
-		}
-		bk[min], bk[s.bhead[b]] = bk[s.bhead[b]], bk[min]
+	if w, m := b>>6, uint64(1)<<uint(b&63); s.unsorted[w]&m != 0 {
+		sortBySeq(bk[s.bhead[b]:])
+		s.unsorted[w] &^= m
 	}
 	e := bk[s.bhead[b]]
 	s.bhead[b]++
@@ -205,9 +184,8 @@ func (s *scheduler) takeFrom(b int) event {
 }
 
 // peekTime returns the time of the earliest queued event without
-// popping it, or math.MaxInt64 when the queue is empty. The barrier
-// loop of the parallel simulator uses it to pick the next global
-// window start.
+// popping it, or math.MaxInt64 when the queue is empty. The window
+// loop uses it to pick the next global window start.
 func (s *scheduler) peekTime() int64 {
 	if s.count == 0 {
 		return int64(^uint64(0) >> 1) // math.MaxInt64
@@ -219,6 +197,53 @@ func (s *scheduler) peekTime() int64 {
 	return s.cur + (int64(b)-s.cur)&wheelMask
 }
 
+// sortBySeq sorts one bucket's events by key: insertion sort for short
+// runs, otherwise a median-of-three quicksort that recurses into the
+// smaller half. Written out for the event type because this is the
+// run loop's hottest sort, and a comparator call per comparison would
+// cost more than the comparison.
+func sortBySeq(a []event) {
+	for len(a) > 12 {
+		m := len(a) / 2
+		if a[m].seq < a[0].seq {
+			a[m], a[0] = a[0], a[m]
+		}
+		if a[len(a)-1].seq < a[0].seq {
+			a[len(a)-1], a[0] = a[0], a[len(a)-1]
+		}
+		if a[len(a)-1].seq < a[m].seq {
+			a[len(a)-1], a[m] = a[m], a[len(a)-1]
+		}
+		pivot := a[m].seq
+		i, j := 0, len(a)-1
+		for i <= j {
+			for a[i].seq < pivot {
+				i++
+			}
+			for a[j].seq > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		if j+1 < len(a)-i {
+			sortBySeq(a[:j+1])
+			a = a[i:]
+		} else {
+			sortBySeq(a[i:])
+			a = a[:j+1]
+		}
+	}
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j].seq < a[j-1].seq; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+}
+
 // memoryBytes reports the scheduler's peak footprint for the current
 // run: the event high-water mark plus the fixed wheel structure. The
 // accounting is length-based, not capacity-based, so the value is a
@@ -228,7 +253,7 @@ func (s *scheduler) peekTime() int64 {
 func (s *scheduler) memoryBytes() int64 {
 	const eventBytes = int64(unsafe.Sizeof(event{}))
 	b := int64(s.peak) * eventBytes
-	// Bucket slice headers, FIFO heads, and the occupancy bitmap.
-	b += int64(len(s.buckets))*24 + int64(len(s.bhead))*4 + int64(len(s.occ))*8
+	// Bucket slice headers, FIFO heads, top keys and the two bitmaps.
+	b += int64(len(s.buckets))*24 + int64(len(s.bhead))*4 + int64(len(s.top))*8 + int64(len(s.occ)+len(s.unsorted))*8
 	return b
 }

@@ -22,13 +22,12 @@ func chordRing(n int) *graph.Graph {
 	return b.Build()
 }
 
-// hookConservation installs the event-boundary invariant check: at
-// every applied topology change (a serial evTopo event or a parallel
-// window barrier — both fire onTopo) and, via the returned func, at
-// run end, every offered message is delivered, dropped, or still in
-// flight — nothing is double-counted or leaks. conservation()
-// aggregates across shards on a parallel run, so the same hook checks
-// both engines.
+// hookConservation installs the change-boundary invariant check: at
+// every applied topology change (between drains, where onTopo fires)
+// and, via the returned func, at run end, every offered message is
+// delivered, dropped, or still in flight — nothing is double-counted
+// or leaks. conservation() sums over the run's shards, so the same
+// hook checks every shard count.
 func hookConservation(t *testing.T, nw *Network) (atEnd func()) {
 	t.Helper()
 	check := func(now int64, label string) {
@@ -56,13 +55,9 @@ func hookConservation(t *testing.T, nw *Network) (atEnd func()) {
 
 // runChurnConservation is the shared body of the property test and the
 // fuzz target: sample a churn schedule from the raw parameters, run a
-// loaded simulation over it on both engines (serial and the sharded
-// engine at 4 workers), and require conservation at every event
-// boundary and at the end. The two engines are different deterministic
-// schedules under churn — severed-in-flight drops depend on where
-// packets sit when a change fires — so each engine checks its own
-// invariant; no cross-engine count equality is asserted here (the
-// tie-free gate in parallel_test.go does that).
+// loaded simulation over it on one shard and on four, and require
+// conservation at every change boundary and at the end.
+// (TestWorkerCountInvariance asserts the shard counts agree.)
 func runChurnConservation(t *testing.T, seed int64, kindRaw, periodRaw, outageRaw, fracRaw uint8) {
 	g := chordRing(16)
 	spec := fault.ChurnSpec{
@@ -197,45 +192,6 @@ func TestSeveredInFlightAccounting(t *testing.T) {
 	}
 }
 
-func TestScheduleParallelWorkerInvariance(t *testing.T) {
-	// Scheduled runs shard like any other (the PR 7 serial pin is
-	// gone), and the unified engine's determinism contract extends to
-	// them: the live state an event at cycle t observes is a pure
-	// function of (schedule, t), so every Workers >= 2 run produces
-	// identical statistics. MemoryBytes is zeroed — shard structure is
-	// real memory and varies with the worker count.
-	g := chordRing(24)
-	sched := fault.Schedule{
-		{Cycle: 300, Cut: [][2]int32{{0, 1}, {5, 6}}, Kill: []int32{9}},
-		{Cycle: 900, Restore: [][2]int32{{0, 1}, {5, 6}}, Revive: []int32{9}},
-	}
-	tab := routing.NewTable(g)
-	nw, err := New(Config{
-		Topo: g, Concentration: 2, Seed: 4, Schedule: sched, Workers: 4,
-		LatencySampleCap: 1 << 20, // retain every latency: exact P99 fold
-	}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := nw.parWorkers(); w != 4 {
-		t.Fatalf("parWorkers() = %d with a schedule, want 4 (scheduled runs shard)", w)
-	}
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
-	base := nw.RunLoad(pattern, 0.4, 10)
-	if base.Offered == 0 {
-		t.Fatal("scheduled gate run offered no traffic")
-	}
-	for _, w := range []int{2, 3, 6} {
-		nw.SetWorkers(w)
-		st := nw.RunLoad(pattern, 0.4, 10)
-		a, b := base, st
-		a.MemoryBytes, b.MemoryBytes = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("workers=%d scheduled stats differ from workers=4:\n%+v\n%+v", w, a, b)
-		}
-	}
-}
-
 func TestRewiringScheduleUnderShiftingTraffic(t *testing.T) {
 	// The exhibit's mechanics in miniature: the base topology is the
 	// union of two fabric configurations, the schedule steps between
@@ -264,7 +220,7 @@ func TestRewiringScheduleUnderShiftingTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both engines: serial, then sharded (n=16 routers caps at 4 shards).
+	// One shard, then four (n=16 routers caps at 4 shards).
 	for _, workers := range []int{0, 4} {
 		nw.SetWorkers(workers)
 		atEnd := hookConservation(t, nw)

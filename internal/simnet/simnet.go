@@ -18,25 +18,27 @@
 // hops traversed) and validated against the d+1 / 2d+1 budgets of §V-A.
 //
 // A Network separates immutable instance state (topology, routing
-// table, port maps) from per-run state (ports, RNG, event queue,
-// statistics). Clone produces a cheap second instance sharing the
+// table, port maps) from per-run state (ports, event queue, packet
+// arena, statistics). Clone produces a cheap second instance sharing the
 // immutable half, so a sweep engine can run many configurations of the
 // same instance concurrently — see internal/runner.
 //
 // The run loop streams its workload: RunLoad keeps one injection
 // cursor per endpoint (epGen) that schedules only that endpoint's next
 // arrival, delivered packets recycle arena slots through a freelist,
-// and latency statistics fold into a bounded digest (latDigest) — so
-// steady-state memory is O(active packets + endpoints), not O(total
-// offered traffic). Events dispatch through a calendar-queue scheduler
-// (sched.go) sized to the model's cycle granularity, with a heap
-// fallback for far-future events. See DESIGN.md §9 for the memory
-// model.
+// and latency statistics fold into an exact histogram (latDigest) — so
+// steady-state memory is O(active packets + endpoints + max latency),
+// not O(total offered traffic). Events dispatch through a
+// calendar-queue scheduler (sched.go) sized to the model's cycle
+// granularity, with a heap fallback for far-future events. Every run
+// goes through one run loop (parallel.go) that orders events by
+// (time, canonical message id) and gives each packet its own routing
+// stream, so results do not depend on the shard count. See DESIGN.md
+// §9–§10.
 package simnet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -77,13 +79,6 @@ type Config struct {
 	// endpoints are dropped at the NIC and counted in Stats.Dropped.
 	// Length must equal Topo.N() when non-nil.
 	DeadRouters []bool
-	// LatencySampleCap bounds the per-run latency sample behind the
-	// P99Latency statistic: up to this many delivered latencies are
-	// retained exactly; beyond it a deterministic reservoir (seeded by
-	// Seed) keeps a uniform sample, so the percentile becomes an
-	// estimate while MeanLatency and MaxLatency stay exact. 0 selects
-	// the default (8192).
-	LatencySampleCap int
 	// Schedule lists timed topology events — link cuts/restores, router
 	// kills/revivals, planned rewiring steps — applied mid-run at their
 	// cycles (fault.Schedule; see DESIGN.md §10). At each event the run's
@@ -94,28 +89,21 @@ type Config struct {
 	// in Stats.SeveredInFlight. Every pair must be an edge of Topo
 	// (restores bring base-topology links back — the schedule can never
 	// grow the topology past Topo). Nil/empty means a static topology
-	// and changes nothing. Scheduled runs work on both engines: the
-	// serial event loop interleaves the changes as evTopo events, the
-	// sharded engine (Workers >= 2) clips its drain windows at change
-	// cycles and applies each change at a global window barrier — same
-	// live state at every cycle either way (DESIGN.md §10). RunBatches
-	// returns an error on a scheduled instance: motif rounds have no
-	// global clock a schedule could be pinned to.
+	// and changes nothing. The run loop ends its drain windows at change
+	// cycles and applies each change between drains, after every event
+	// before the change cycle and before any event at or after it
+	// (DESIGN.md §10). RunBatches returns an error on a scheduled
+	// instance: motif rounds have no global clock a schedule could be
+	// pinned to.
 	Schedule fault.Schedule
 	// Seed drives all randomized choices.
 	Seed int64
-	// Workers selects the RunLoad/RunLoadTimed engine: 0 or 1 is the
-	// serial reference event loop (bit-identical to the historical
-	// simulator), >= 2 runs the sharded conservative parallel engine
-	// (parallel.go) with that many shards — including runs with a
-	// timed topology Schedule or a timed traffic pattern. Parallel
-	// runs are deterministic for a fixed (Seed, Workers) — in fact
-	// identical for every Workers >= 2 (see DESIGN.md §10 for the
-	// small print) — but use per-packet routing-RNG streams, so they
-	// are a different deterministic schedule than Workers<=1.
-	// Configurations the parallel engine does not support (UGAL-G,
-	// finite buffers, tiny topologies) fall back to serial; RunBatches
-	// is always serial.
+	// Workers is the number of shards a run is split into (0 and 1
+	// mean one). It is a speed knob only: every run's statistics are
+	// identical for every value (MemoryBytes aside, which counts the
+	// shards' real memory). Runs the shards cannot express — UGAL-G,
+	// finite buffers, topologies under 4 routers per shard — use fewer
+	// shards, down to one (see parWorkers).
 	Workers int
 }
 
@@ -157,40 +145,38 @@ type Network struct {
 	// (read-only once set; nil = single-tenant run). Set per clone.
 	tenants *TenantConfig
 
-	// slotOf[r] maps neighbor router id to its port slot; built once in
-	// New, read-only afterwards (shared across clones).
-	slotOf []map[int32]int
-
 	// ---- mutable per-run state (private to each clone) ----
 
 	// Per-router output port state: portFree[r] maps neighbor-slot to
 	// the earliest cycle the port is idle. Slot i corresponds to
-	// Topo.Neighbors(r)[i].
+	// Topo.Neighbors(r)[i]. The shards of a run share these arrays with
+	// owner-only writes.
 	portFree [][]int64
 	// Injection and ejection port state per endpoint.
 	injFree []int64
 	ejFree  []int64
 
-	rng   *rand.Rand
 	sched scheduler
-	seq   int64
+	// route draws the routing randomness (next hops, Valiant
+	// intermediates) of the packet whose event is being handled: it
+	// wraps pktSrc, which drainUntil loads from the packet around each
+	// evArrive, so every packet consumes its own stream.
+	route  *rand.Rand
+	pktSrc splitmix64
 
 	// tbl is this view's fast-path pointer to the live routing table of
-	// the current run: it starts as table and is re-synced from
-	// live.tbl at each applied topology change (serial: at the evTopo
-	// event; parallel: the coordinator re-points every shard's tbl at
-	// the barrier), so all per-run routing decisions go through tbl
-	// while table stays the pristine shared instance. With an empty
-	// schedule tbl == table for the whole run.
+	// the current run: it starts as table and is re-pointed at live.tbl
+	// after each applied topology change, so all per-run routing
+	// decisions go through tbl while table stays the pristine shared
+	// instance. With an empty schedule tbl == table for the whole run.
 	tbl *routing.Table
 	// live is the run-local live topology of a scheduled run (nil with
 	// an empty schedule): the dead/down masks plus the live table,
-	// mutated only by applyTopo (schedule.go). In a parallel run every
-	// shard aliases the coordinator's live, which is written only at
-	// window barriers. dropRun counts every message lost after being
-	// offered — NIC-dead, unreachable, or severed in flight — so the
-	// conservation invariant Offered == Delivered + dropRun + in-flight
-	// holds at every instant of the run.
+	// mutated only by applyTopo (schedule.go) between drains. Every
+	// shard aliases the Network's live. dropRun counts every message
+	// lost after being offered — NIC-dead, unreachable, or severed in
+	// flight — so the conservation invariant Offered == Delivered +
+	// dropRun + in-flight holds at every instant of the run.
 	live    *liveTopo
 	dropRun int
 	// onTopo, when set, is called after each topology event is applied
@@ -212,8 +198,8 @@ type Network struct {
 	tpattern TimedPatternFunc
 	meanGap  float64
 
-	// lat folds per-message end-to-end latencies across drains of one
-	// run into a bounded digest (RunBatches pools rounds here).
+	// lat folds per-message end-to-end latencies of one run (RunBatches
+	// pools its rounds here).
 	lat latDigest
 
 	// tenStats/tenLat accumulate per-tenant counters and latency
@@ -224,31 +210,26 @@ type Network struct {
 
 	stats Stats
 
-	// ---- sharded parallel engine state (parallel.go) ----
+	// ---- run layout and shards (parallel.go) ----
 
-	// par is non-nil only on the per-shard views of a parallel run; it
-	// carries the shared router-to-shard map and event-key layout.
-	par     *parRun
+	// msgs is the run's messages per endpoint, the stride of the
+	// canonical id space; injBase (nep·msgs) starts the injection-event
+	// keys past the packet ids.
+	msgs, injBase int64
+	// shards lists the views of the current (or just-finished) run:
+	// the Network itself for a one-shard run, else views. On a view,
+	// shardOf maps routers to owning shards (nil on a one-shard run),
+	// shardID is the view's own index, and out[s] collects the
+	// arrivals it generated for routers of shard s during the current
+	// window.
+	shards  []*Network
+	shardOf []int32
 	shardID int32
-	// parShards, on the coordinator Network of a parallel run, lists
-	// the shard views of the current (or just-finished) run so
-	// conservation can aggregate across them; nil on serial runs and
-	// on the shards themselves. Cleared by reset.
-	parShards []*Network
-	// out[s] collects the evArrive events this shard generated for
-	// routers owned by shard s during the current window (drained by s
-	// in the merge phase, reset by the owner at the next drain).
-	out [][]xmsg
-	// pktUID/pktRng shadow the packet arena in parallel mode: the
-	// canonical message id (the scheduler tie-break key) and the
-	// packet's private routing-RNG state. They live outside the packet
-	// struct so the serial engine's memory layout — and therefore its
-	// MemoryBytes accounting — is untouched.
-	pktUID []int64
-	pktRng []uint64
-	// parSrc is the scratch source behind rng on a shard: drainUntil
-	// loads the current packet's stream into it around each evArrive.
-	parSrc splitmix64
+	out     [][]xmsg
+	// views keeps the shard views of multi-shard runs, with their
+	// scheduler and arena capacity, for the next run at the same
+	// shard count.
+	views []*Network
 
 	// kways memoizes KWay shard assignments per worker count (shared
 	// across clones of an instance, like the routing table).
@@ -262,33 +243,36 @@ type packet struct {
 	interm       int32 // Valiant intermediate router (-1 = none)
 	phase        int8  // 0 = toward intermediate, 1 = toward destination
 	hops         int32 // network hops taken so far (= VC index)
-	created      int64 // cycle the message entered the injection queue
+	// Upstream position of the pending arrival: the router/slot (or
+	// NIC injection port of endpoint fromSlot when fromR = -1) the
+	// packet came through, for severing and finite-buffer
+	// backpressure.
+	fromR, fromSlot int32
+	created         int64  // cycle the message entered the injection queue
+	uid             int64  // canonical message id: the event key
+	rng             uint64 // the packet's routing-stream state
 }
 
 // Event kinds.
 const (
 	evArrive  int8 = iota // packet arrives at a router
-	evDeliver             // packet delivered to its endpoint
+	evDeliver             // packet delivered to its endpoint (scheduled runs only)
 	evInject              // an endpoint's next streamed injection is due
-	evTopo                // a timed topology event fires (pkt = schedule index)
 )
 
 type event struct {
 	time int64
-	seq  int64 // tie-break for determinism
+	seq  int64 // canonical key: same-time events pop in seq order
 	at   int32 // router id (endpoint id for evDeliver/evInject)
-	kind int8
 	pkt  int32 // index into Network.packets (unused for evInject)
-	// Upstream position for finite-buffer backpressure: the router/slot
-	// (or NIC injection port when fromR = -1) the packet came through.
-	fromR    int32
-	fromSlot int32
+	kind int8
 }
 
 // eventQueue is a hand-rolled binary min-heap over (time, seq). It
 // avoids the interface{} boxing of container/heap: push/pop move plain
 // event values, never allocating per event. (time, seq) is a total
-// order — seq is unique — so the pop order is fully deterministic.
+// order — keys are unique among pending events — so the pop order is
+// fully deterministic.
 // The scheduler uses it as the overflow store for events beyond the
 // calendar-queue horizon.
 type eventQueue []event
@@ -416,21 +400,12 @@ func New(cfg Config, table *routing.Table) (*Network, error) {
 		return nil, fmt.Errorf("simnet: %w", err)
 	}
 	nw := &Network{
-		cfg:    cfg,
-		table:  table,
-		n:      n,
-		nep:    n * cfg.Concentration,
-		dead:   cfg.DeadRouters,
-		slotOf: make([]map[int32]int, n),
-		kways:  &kwayCache{},
-	}
-	for r := 0; r < n; r++ {
-		nb := cfg.Topo.Neighbors(r)
-		m := make(map[int32]int, len(nb))
-		for i, w := range nb {
-			m[w] = i
-		}
-		nw.slotOf[r] = m
+		cfg:   cfg,
+		table: table,
+		n:     n,
+		nep:   n * cfg.Concentration,
+		dead:  cfg.DeadRouters,
+		kways: &kwayCache{},
 	}
 	return nw, nil
 }
@@ -449,7 +424,6 @@ func (nw *Network) Clone() *Network {
 		dead:    nw.dead,
 		lats:    nw.lats,
 		tenants: nw.tenants,
-		slotOf:  nw.slotOf,
 		kways:   nw.kways,
 	}
 }
@@ -460,8 +434,8 @@ func (nw *Network) SetPolicy(p routing.Policy) { nw.cfg.Policy = p }
 // SetSeed overrides the random seed for subsequent runs.
 func (nw *Network) SetSeed(s int64) { nw.cfg.Seed = s }
 
-// SetWorkers overrides the RunLoad engine selection for subsequent
-// runs (see Config.Workers).
+// SetWorkers overrides the shard count for subsequent runs (see
+// Config.Workers).
 func (nw *Network) SetWorkers(w int) { nw.cfg.Workers = w }
 
 // SetDeadRouters overrides the failed-router mask for subsequent runs
@@ -564,45 +538,76 @@ func (nw *Network) routerOf(ep int32) int32 {
 	return ep / int32(nw.cfg.Concentration)
 }
 
+// reset clears the shared run state — port and NIC state (keeping the
+// arrays of earlier runs), the live topology — and the Network's own
+// shard state.
 func (nw *Network) reset() {
-	n := nw.n
-	nw.portFree = make([][]int64, n)
-	for r := 0; r < n; r++ {
-		nw.portFree[r] = make([]int64, nw.cfg.Topo.Degree(r))
+	if nw.portFree == nil {
+		nw.portFree = make([][]int64, nw.n)
+		for r := range nw.portFree {
+			nw.portFree[r] = make([]int64, nw.cfg.Topo.Degree(r))
+		}
+		nw.injFree = make([]int64, nw.nep)
+		nw.ejFree = make([]int64, nw.nep)
+	} else {
+		for _, pf := range nw.portFree {
+			clear(pf)
+		}
+		clear(nw.injFree)
+		clear(nw.ejFree)
 	}
-	nw.injFree = make([]int64, nw.nep)
-	nw.ejFree = make([]int64, nw.nep)
-	nw.rng = rand.New(rand.NewSource(nw.cfg.Seed + 1))
-	nw.sched.reset()
-	nw.seq = 0
-	nw.packets = nw.packets[:0]
-	nw.free = nw.free[:0]
-	nw.pattern = nil
-	nw.tpattern = nil
 	nw.tbl = nw.table
-	nw.dropRun = 0
-	nw.parShards = nil
 	if len(nw.cfg.Schedule) > 0 {
 		nw.live = newLiveTopo(nw.cfg.Schedule, nw)
 	} else {
 		nw.live = nil
 	}
-	limit := nw.cfg.LatencySampleCap
-	if limit <= 0 {
-		limit = defaultLatencySampleCap
-	}
-	nw.lat.reset(nw.cfg.Seed, limit)
-	nw.resetTenants(limit)
-	nw.stats = Stats{}
+	nw.shardOf = nil
+	nw.shardID = 0
+	nw.resetShard()
 }
 
-func (nw *Network) push(e event) {
-	if nw.par != nil {
-		nw.pushPar(e)
-		return
+// resetShard clears one shard's private run state: scheduler, arena,
+// counters and digests. Capacity is kept for the next run.
+func (nw *Network) resetShard() {
+	nw.sched.reset()
+	nw.packets = nw.packets[:0]
+	nw.free = nw.free[:0]
+	nw.dropRun = 0
+	nw.stats = Stats{}
+	nw.lat.reset()
+	nw.resetTenants()
+	if nw.route == nil {
+		nw.route = rand.New(&nw.pktSrc)
 	}
-	e.seq = nw.seq
-	nw.seq++
+}
+
+// push queues an event under its canonical key: the message id for
+// packet events, and for an endpoint's injection cursor the same form
+// offset past the packet ids. Keys are a pure function of the
+// workload, so same-time events pop in one order whatever the shard
+// layout. An arrival at a router another shard owns goes to that
+// shard's outbox instead, with the packet (and its routing stream,
+// live in pktSrc while the arrival that pushed it is handled) by
+// value.
+func (nw *Network) push(e event) {
+	if e.kind == evInject {
+		// Draw number msgs-left of endpoint e.at: fireInjection pushes
+		// after decrementing left, the initial seeding with left = msgs.
+		e.seq = nw.injBase + int64(e.at)*nw.msgs + (nw.msgs - int64(nw.gens[e.at].left))
+	} else {
+		p := &nw.packets[e.pkt]
+		e.seq = p.uid
+		if nw.shardOf != nil && e.kind == evArrive {
+			if s := nw.shardOf[e.at]; s != nw.shardID {
+				x := xmsg{e: e, p: *p}
+				x.p.rng = nw.pktSrc.state
+				nw.out[s] = append(nw.out[s], x)
+				nw.freePacket(e.pkt)
+				return
+			}
+		}
+	}
 	nw.sched.push(e)
 }
 
@@ -628,14 +633,30 @@ func (nw *Network) freePacket(pi int32) { nw.free = append(nw.free, pi) }
 // inject serializes a packet through its endpoint's injection port and
 // schedules its arrival at the source router.
 func (nw *Network) inject(pi int32, now int64) {
-	ep := nw.packets[pi].srcEP
+	p := &nw.packets[pi]
+	ep := p.srcEP
+	p.fromR, p.fromSlot = -1, ep
 	start := now
 	if nw.injFree[ep] > start {
 		start = nw.injFree[ep]
 	}
 	nw.injFree[ep] = start + nw.cfg.PacketFlits
 	arrive := start + nw.cfg.PacketFlits + nw.nicLat()
-	nw.push(event{time: arrive, at: nw.routerOf(ep), kind: evArrive, pkt: pi, fromR: -1, fromSlot: ep})
+	nw.push(event{time: arrive, at: nw.routerOf(ep), kind: evArrive, pkt: pi})
+}
+
+// newMessage places a new message in the arena under canonical id uid,
+// seeding its private routing stream from the run seed.
+func (nw *Network) newMessage(src, dst int32, created, uid int64) int32 {
+	return nw.newPacket(packet{
+		srcEP:     src,
+		dstEP:     dst,
+		dstRouter: nw.routerOf(dst),
+		interm:    -2, // routing decision pending
+		created:   created,
+		uid:       uid,
+		rng:       mixSeed(nw.cfg.Seed, int64(nw.nep)+uid),
+	})
 }
 
 // fireInjection services one endpoint's streaming injection cursor:
@@ -669,19 +690,9 @@ func (nw *Network) fireInjection(ep int32, now int64) {
 			nw.dropRun++
 			return // orphaned endpoint: the message is lost at the NIC
 		}
-		pi := nw.newPacket(packet{
-			srcEP:     ep,
-			dstEP:     int32(dst),
-			dstRouter: nw.routerOf(int32(dst)),
-			interm:    -2, // routing decision pending
-			created:   now,
-		})
-		if nw.par != nil {
-			// g.left was already decremented: this is draw msgs-left-1.
-			uid := int64(ep)*nw.par.msgs + (nw.par.msgs - int64(g.left) - 1)
-			nw.setPktMeta(pi, uid, mixSeed(nw.cfg.Seed, int64(nw.nep)+uid))
-		}
-		nw.inject(pi, now)
+		// g.left was already decremented: this is draw msgs-left-1.
+		uid := int64(ep)*nw.msgs + (nw.msgs - int64(g.left) - 1)
+		nw.inject(nw.newMessage(ep, int32(dst), now, uid), now)
 	}
 }
 
@@ -695,7 +706,7 @@ func (nw *Network) fireInjection(ep int32, now int64) {
 // consumes exactly the same random draws as before.
 func (nw *Network) chooseValiantIntermediate(srcR, dstR int32) int32 {
 	for attempts := 0; attempts < 8*nw.n+16; attempts++ {
-		i := int32(nw.rng.Intn(nw.n))
+		i := int32(nw.route.Intn(nw.n))
 		if i == srcR || i == dstR {
 			continue
 		}
@@ -749,8 +760,8 @@ func (nw *Network) decidePolicy(p *packet, r int32, now int64) {
 			p.phase = 1
 			return
 		}
-		minHop := nw.tbl.NextHopRandom(int(r), int(p.dstRouter), nw.rng)
-		valHop := nw.tbl.NextHopRandom(int(r), int(interm), nw.rng)
+		_, minHop := nw.nextHop(r, p.dstRouter)
+		_, valHop := nw.nextHop(r, interm)
 		if minHop < 0 || valHop < 0 {
 			p.interm = -1
 			p.phase = 1
@@ -810,21 +821,38 @@ func (nw *Network) pathCost(src, dst int, now int64) (int64, bool) {
 	var cost int64
 	v := src
 	for v != dst {
-		next := nw.tbl.NextHopRandom(v, dst, nw.rng)
-		if next < 0 {
+		next, slot := nw.nextHop(int32(v), int32(dst))
+		if slot < 0 {
 			return 0, false
 		}
-		cost += nw.portBacklog(int32(v), next, now) + nw.cfg.PacketFlits
+		cost += nw.portBacklog(int32(v), slot, now) + nw.cfg.PacketFlits
 		v = int(next)
 	}
 	return cost, true
 }
 
+// nextHop draws a random shortest-path hop from router r toward target
+// on the live table, returning the neighbor and its port slot, or
+// (-1, -1) when none exists. A repaired live table routes a graph with
+// links removed, so its neighbor indices are mapped back to the
+// topology's port slots.
+func (nw *Network) nextHop(r, target int32) (next int32, slot int) {
+	s := nw.tbl.NextHopSlot(int(r), int(target), nw.route)
+	if s < 0 {
+		return -1, -1
+	}
+	if nw.tbl.G == nw.cfg.Topo {
+		return nw.cfg.Topo.Neighbors(int(r))[s], s
+	}
+	next = nw.tbl.G.Neighbors(int(r))[s]
+	slot, _ = slices.BinarySearch(nw.cfg.Topo.Neighbors(int(r)), next)
+	return next, slot
+}
+
 // portBacklog returns the queueing delay (cycles) a packet would face
-// on the output port from router r to neighbor nb — the "local queue
-// length" information UGAL-L is allowed to use.
-func (nw *Network) portBacklog(r, nb int32, now int64) int64 {
-	slot := nw.slotOf[r][nb]
+// on output port slot of router r — the "local queue length"
+// information UGAL-L is allowed to use.
+func (nw *Network) portBacklog(r int32, slot int, now int64) int64 {
 	b := nw.portFree[r][slot] - now
 	if b < 0 {
 		return 0
@@ -832,10 +860,10 @@ func (nw *Network) portBacklog(r, nb int32, now int64) int64 {
 	return b
 }
 
-// arriveAtRouter routes a packet one hop further. from identifies the
-// upstream buffer the packet occupies until it is admitted downstream
-// (finite-buffer backpressure).
-func (nw *Network) arriveAtRouter(r int32, pi int32, now int64, fromR, fromSlot int32) {
+// arriveAtRouter routes a packet one hop further. The packet's
+// fromR/fromSlot identify the upstream buffer it occupies until it is
+// admitted downstream (finite-buffer backpressure).
+func (nw *Network) arriveAtRouter(r int32, pi int32, now int64) {
 	p := &nw.packets[pi]
 	// Phase handoff at the Valiant intermediate.
 	if p.phase == 0 && r == p.interm {
@@ -849,18 +877,23 @@ func (nw *Network) arriveAtRouter(r int32, pi int32, now int64, fromR, fromSlot 
 		}
 		nw.ejFree[p.dstEP] = start + nw.cfg.PacketFlits
 		deliver := start + nw.cfg.PacketFlits + nw.nicLat()
+		if nw.live == nil {
+			// Nothing can sever a packet in a static run's ejection
+			// pipeline: account the delivery now instead of queueing it.
+			nw.deliver(pi, deliver)
+			return
+		}
 		nw.push(event{time: deliver, at: p.dstEP, kind: evDeliver, pkt: pi})
 		return
 	}
 	target := p.routeTarget()
-	next := nw.tbl.NextHopRandom(int(r), int(target), nw.rng)
-	if next < 0 {
+	next, slot := nw.nextHop(r, target)
+	if slot < 0 {
 		// Unreachable (only possible on damaged topologies): drop.
 		nw.freePacket(pi)
 		nw.dropRun++
 		return
 	}
-	slot := nw.slotOf[r][next]
 	admit := now
 	if nw.cfg.BufferPackets > 0 {
 		// Queue admission: wait until the output queue drains below its
@@ -868,14 +901,12 @@ func (nw *Network) arriveAtRouter(r int32, pi int32, now int64, fromR, fromSlot 
 		// holding that port busy (backpressure).
 		if earliest := nw.portFree[r][slot] - int64(nw.cfg.BufferPackets)*nw.cfg.PacketFlits; earliest > admit {
 			admit = earliest
-			if fromR >= 0 {
-				if nw.portFree[fromR][fromSlot] < admit {
-					nw.portFree[fromR][fromSlot] = admit
+			if p.fromR >= 0 {
+				if nw.portFree[p.fromR][p.fromSlot] < admit {
+					nw.portFree[p.fromR][p.fromSlot] = admit
 				}
-			} else if fromSlot >= 0 {
-				if nw.injFree[fromSlot] < admit {
-					nw.injFree[fromSlot] = admit
-				}
+			} else if nw.injFree[p.fromSlot] < admit {
+				nw.injFree[p.fromSlot] = admit
 			}
 		}
 	}
@@ -885,33 +916,14 @@ func (nw *Network) arriveAtRouter(r int32, pi int32, now int64, fromR, fromSlot 
 	}
 	nw.portFree[r][slot] = start + nw.cfg.PacketFlits
 	p.hops++
+	p.fromR, p.fromSlot = r, int32(slot)
 	arrive := start + nw.cfg.PacketFlits + nw.linkLat(r, slot)
-	nw.push(event{time: arrive, at: next, kind: evArrive, pkt: pi, fromR: r, fromSlot: int32(slot)})
+	nw.push(event{time: arrive, at: next, kind: evArrive, pkt: pi})
 }
 
-// drain runs the event loop to completion, collecting statistics.
-// Latencies observed during this drain fold into nw.lat (so
-// multi-round runs can pool them). When segStats is true the
-// mean/percentile statistics are finalized over the digest — RunLoad's
-// single drain owns the whole run; batch runs pass false and compute
-// them once over the pooled digest instead.
-func (nw *Network) drain(segStats bool) {
-	for nw.sched.count > 0 {
-		nw.handle(nw.sched.pop())
-	}
-	if segStats && nw.lat.count > 0 {
-		nw.stats.MeanLatency = nw.lat.mean()
-		nw.stats.MeanHops = float64(nw.stats.TotalHops) / float64(nw.lat.count)
-		nw.stats.P99Latency = nw.lat.quantile(0.99)
-	}
-}
-
-// handle dispatches one event — the body of the event loop, shared
-// verbatim by the serial drain and the parallel shards' drainUntil.
+// handle dispatches one event — the body of the event loop.
 func (nw *Network) handle(e event) {
 	switch e.kind {
-	case evTopo:
-		nw.applyTopo(int(e.pkt), e.time)
 	case evInject:
 		nw.fireInjection(e.at, e.time)
 	case evArrive:
@@ -920,19 +932,19 @@ func (nw *Network) handle(e event) {
 		// (fromR < 0 means the hop came from the NIC, which has no
 		// cuttable link). Surviving packets re-route naturally: the next
 		// hop is chosen on the repaired live table.
+		p := &nw.packets[e.pkt]
 		if nw.live != nil &&
-			((e.fromR >= 0 && nw.live.downPort[e.fromR][e.fromSlot]) || nw.live.deadRun[e.at]) {
+			((p.fromR >= 0 && nw.live.downPort[p.fromR][p.fromSlot]) || nw.live.deadRun[e.at]) {
 			nw.freePacket(e.pkt)
 			nw.dropRun++
 			nw.stats.SeveredInFlight++
 			return
 		}
-		p := &nw.packets[e.pkt]
 		if p.hops == 0 && p.interm == -2 {
 			// First router touch: fix the path shape.
 			nw.decidePolicy(p, e.at, e.time)
 		}
-		nw.arriveAtRouter(e.at, e.pkt, e.time, e.fromR, e.fromSlot)
+		nw.arriveAtRouter(e.at, e.pkt, e.time)
 	case evDeliver:
 		p := &nw.packets[e.pkt]
 		if nw.live != nil && nw.live.deadRun[p.dstRouter] {
@@ -943,59 +955,46 @@ func (nw *Network) handle(e event) {
 			nw.stats.SeveredInFlight++
 			return
 		}
-		lat := e.time - p.created
-		nw.lat.add(lat)
-		nw.stats.Delivered++
-		nw.tenDelivered(p.srcEP, lat)
-		if lat > nw.stats.MaxLatency {
-			nw.stats.MaxLatency = lat
-		}
-		if e.time > nw.stats.Makespan {
-			nw.stats.Makespan = e.time
-		}
-		nw.stats.TotalHops += int64(p.hops)
-		if p.hops > nw.stats.MaxVC {
-			nw.stats.MaxVC = p.hops
-		}
-		nw.freePacket(e.pkt)
+		nw.deliver(e.pkt, e.time)
 	}
 }
 
-// percentile sorts v in place and returns the nearest-rank p-quantile
-// (the ⌈p·n⌉-th smallest value), or 0 for an empty slice (a run that
-// delivered nothing — fully dead or partitioned network — has no tail
-// to report). Nearest-rank never reports below the requested quantile:
-// the old floor(p·(n-1)) index did (n=50, p=0.99 picked element 48,
-// ≈P96). Callers own their latency slices, so sorting in place
-// replaces the old copy-then-sort per call.
-func percentile(v []int64, p float64) int64 {
-	if len(v) == 0 {
-		return 0
-	}
-	slices.Sort(v)
-	idx := int(math.Ceil(p*float64(len(v)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(v) {
-		idx = len(v) - 1
-	}
-	return v[idx]
+// deliver accounts packet pi's delivery to its endpoint at cycle now
+// and frees its arena slot.
+func (nw *Network) deliver(pi int32, now int64) {
+	p := &nw.packets[pi]
+	lat := now - p.created
+	nw.lat.add(lat)
+	nw.stats.Delivered++
+	nw.tenDelivered(p.srcEP, lat)
+	nw.stats.MaxLatency = max(nw.stats.MaxLatency, lat)
+	nw.stats.Makespan = max(nw.stats.Makespan, now)
+	nw.stats.TotalHops += int64(p.hops)
+	nw.stats.MaxVC = max(nw.stats.MaxVC, p.hops)
+	nw.freePacket(pi)
 }
 
 // MemoryBytes reports the run loop's working-set footprint for the
-// current (or just-finished) run: the event scheduler's high-water
-// mark, the packet arena and its freelist, the latency digest, the
-// injection generators, and the per-port state. The accounting is
-// length-based — lengths are a pure function of the run, so the value
-// is identical whether the Network is fresh, cloned, or reused — and
-// every component's length is at its run peak when the drain
-// completes, so Stats.MemoryBytes records the run's peak working set.
+// current (or just-finished) run: each shard's event scheduler
+// high-water mark, packet arena and freelist, latency digests, plus
+// the shared injection generators, per-port state and live topology.
+// The accounting is length-based — lengths are a pure function of the
+// run and its shard count, so the value is identical whether the
+// Network is fresh, cloned, or reused — and every component's length
+// is at its run peak when the drain completes, so Stats.MemoryBytes
+// records the run's peak working set.
 func (nw *Network) MemoryBytes() int64 {
-	b := nw.sched.memoryBytes()
-	b += int64(len(nw.packets)) * int64(unsafe.Sizeof(packet{}))
-	b += int64(len(nw.free)) * 4
-	b += nw.lat.memoryBytes()
+	shards := nw.shards
+	if shards == nil {
+		shards = []*Network{nw}
+	}
+	var b int64
+	for _, sh := range shards {
+		b += sh.sched.memoryBytes()
+		b += int64(len(sh.packets))*int64(unsafe.Sizeof(packet{})) + int64(len(sh.free))*4
+		b += sh.lat.memoryBytes()
+		b += sh.memoryBytesTenants()
+	}
 	if nw.pattern != nil || nw.tpattern != nil {
 		// Streaming (RunLoad) runs use the injection generators: each
 		// carries a two-word source plus one heap-allocated rand.Rand
@@ -1012,12 +1011,11 @@ func (nw *Network) MemoryBytes() int64 {
 	// runs' accounting is untouched): the masks plus the run-local
 	// table Repair/Restore built. The lazy table backend's footprint
 	// depends on access order, so with it a scheduled run's
-	// MemoryBytes is engine- and worker-count-dependent; dense and
-	// packed stay run-deterministic.
+	// MemoryBytes depends on the shard count; dense and packed stay
+	// run-deterministic.
 	if nw.live != nil {
 		b += nw.live.memoryBytes(nw.table)
 	}
-	b += nw.memoryBytesTenants()
 	return b
 }
 
@@ -1047,44 +1045,25 @@ func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Sta
 // shifts phase every P cycles while the fabric rewires underneath it).
 type TimedPatternFunc func(srcEP int, now int64, rng *rand.Rand) int
 
-// RunLoadTimed is RunLoad for a time-varying traffic pattern. It runs
-// on whichever engine Workers selects: event times are exact in both
-// engines and every destination draw comes from the endpoint's
-// private stream at the injection's cycle, so a timed pattern sees
-// the same (endpoint, cycle) sequence either way.
+// RunLoadTimed is RunLoad for a time-varying traffic pattern. Every
+// destination draw comes from the endpoint's private stream at the
+// injection's cycle.
 func (nw *Network) RunLoadTimed(pattern TimedPatternFunc, load float64, msgsPerEP int) Stats {
 	return nw.runLoad(nil, pattern, load, msgsPerEP)
 }
 
-// runLoad is the shared engine dispatch of RunLoad and RunLoadTimed:
-// exactly one of pattern/tpattern is non-nil.
+// runLoad is the shared body of RunLoad and RunLoadTimed: exactly one
+// of pattern/tpattern is non-nil. Each endpoint's injection cursor is
+// seeded and queued on the shard owning its router, then the run loop
+// drains the shards.
 func (nw *Network) runLoad(pattern PatternFunc, tpattern TimedPatternFunc, load float64, msgsPerEP int) Stats {
 	if load <= 0 || load > 1 {
 		panic(fmt.Sprintf("simnet: offered load %v out of (0,1]", load))
 	}
-	if w := nw.parWorkers(); w > 1 {
-		return nw.runLoadParallel(pattern, tpattern, load, msgsPerEP, w)
-	}
-	nw.reset()
-	nw.pattern = pattern
-	nw.tpattern = tpattern
-	return nw.runLoadSerial(load, msgsPerEP)
-}
-
-// runLoadSerial is the serial body of RunLoad and RunLoadTimed after
-// reset and pattern selection: seed the schedule's topology events and
-// the per-endpoint injection streams, drain, finalize.
-func (nw *Network) runLoadSerial(load float64, msgsPerEP int) Stats {
-	// Seed topology events before any injection: push order breaks
-	// same-cycle ties, so a change at cycle c applies before traffic
-	// scheduled for cycle c routes.
-	for ci := range nw.cfg.Schedule {
-		nw.push(event{time: nw.cfg.Schedule[ci].Cycle, kind: evTopo, pkt: int32(ci)})
-	}
-	nw.meanGap = float64(nw.cfg.PacketFlits) / load
 	if nw.gens == nil {
 		nw.gens = make([]epGen, nw.nep)
 	}
+	nw.begin(pattern, tpattern, float64(nw.cfg.PacketFlits)/load, msgsPerEP)
 	for ep := range nw.gens {
 		g := &nw.gens[ep]
 		g.src.state = mixSeed(nw.cfg.Seed, int64(ep))
@@ -1094,14 +1073,12 @@ func (nw *Network) runLoadSerial(load float64, msgsPerEP int) Stats {
 		g.t = 0
 		g.left = msgsPerEP
 		if msgsPerEP > 0 {
-			nw.push(event{time: g.next(nw.gapOf(int32(ep))), at: int32(ep), kind: evInject})
+			sh := nw.ownerOf(nw.routerOf(int32(ep)))
+			sh.push(event{time: g.next(nw.gapOf(int32(ep))), at: int32(ep), kind: evInject})
 		}
 	}
-	nw.drain(true)
-	nw.stats.Dropped = nw.stats.Offered - nw.stats.Delivered
-	nw.stats.Tenants = nw.finalizeTenants()
-	nw.stats.MemoryBytes = nw.MemoryBytes()
-	return nw.stats
+	nw.drive()
+	return nw.fold()
 }
 
 // SaturationLoad estimates the saturation point of the network under a
@@ -1166,42 +1143,34 @@ func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
 	if len(nw.cfg.Schedule) > 0 {
 		return Stats{}, fmt.Errorf("simnet: RunBatches does not support a topology-event schedule")
 	}
-	nw.reset()
-	var clock int64
-	agg := Stats{}
+	shards := nw.begin(nil, nil, 0, 0)
+	var clock, uid int64
 	for _, round := range rounds {
 		for _, m := range round {
 			if m.SrcEP == m.DstEP || m.DstEP < 0 || m.DstEP >= nw.nep {
-				agg.PatternSkips++
+				shards[0].stats.PatternSkips++
 				continue
 			}
-			agg.Offered++
-			nw.tenOffered(int32(m.SrcEP))
-			if nw.isDead(nw.routerOf(int32(m.SrcEP))) || nw.isDead(nw.routerOf(int32(m.DstEP))) {
-				nw.dropRun++
+			src, dst := int32(m.SrcEP), int32(m.DstEP)
+			sh := nw.ownerOf(nw.routerOf(src))
+			sh.stats.Offered++
+			sh.tenOffered(src)
+			if nw.isDead(nw.routerOf(src)) || nw.isDead(nw.routerOf(dst)) {
+				sh.dropRun++
 				continue
 			}
-			pi := nw.newPacket(packet{
-				srcEP:     int32(m.SrcEP),
-				dstEP:     int32(m.DstEP),
-				dstRouter: nw.routerOf(int32(m.DstEP)),
-				interm:    -2,
-				created:   clock,
-			})
-			nw.inject(pi, clock)
+			sh.inject(sh.newMessage(src, dst, clock, uid), clock)
+			uid++
 		}
-		nw.drain(false)
-		agg.Delivered += nw.stats.Delivered
-		agg.TotalHops += nw.stats.TotalHops
-		agg.ValiantTaken += nw.stats.ValiantTaken
-		if nw.stats.MaxLatency > agg.MaxLatency {
-			agg.MaxLatency = nw.stats.MaxLatency
+		nw.drive()
+		for _, sh := range shards {
+			clock = max(clock, sh.stats.Makespan)
 		}
-		if nw.stats.MaxVC > agg.MaxVC {
-			agg.MaxVC = nw.stats.MaxVC
-		}
-		if nw.stats.Makespan > clock {
-			clock = nw.stats.Makespan
+		for _, sh := range shards {
+			// The drained scheduler may have popped a drop past the
+			// round's last delivery; rewinding its cursor to the round
+			// start keeps the next round's events from being clamped.
+			sh.sched.cur = clock
 		}
 		// Port/NIC state carries over naturally; subsequent rounds start
 		// after the drain point.
@@ -1220,20 +1189,6 @@ func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
 				nw.ejFree[i] = clock
 			}
 		}
-		nw.stats = Stats{}
 	}
-	agg.Makespan = clock
-	agg.Dropped = agg.Offered - agg.Delivered
-	if agg.Delivered > 0 {
-		agg.MeanHops = float64(agg.TotalHops) / float64(agg.Delivered)
-		// Pool the per-round latencies: delivered-weighted mean and the
-		// percentile of the combined digest (per-round drains only fold
-		// their own deliveries, so without this the aggregate mean/P99
-		// of a motif run would read 0).
-		agg.MeanLatency = nw.lat.mean()
-		agg.P99Latency = nw.lat.quantile(0.99)
-	}
-	agg.Tenants = nw.finalizeTenants()
-	agg.MemoryBytes = nw.MemoryBytes()
-	return agg, nil
+	return nw.fold(), nil
 }

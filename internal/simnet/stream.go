@@ -1,6 +1,10 @@
 package simnet
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+	"slices"
+)
 
 // splitmix64 is a tiny deterministic rand.Source64 (Steele et al.'s
 // SplitMix64 finalizer). Every endpoint generator carries one, so the
@@ -59,67 +63,79 @@ func (g *epGen) next(meanGap float64) int64 {
 	return int64(g.t + 0.5)
 }
 
-// defaultLatencySampleCap bounds the per-run latency sample when
-// Config.LatencySampleCap is zero: 64 KB per run, exact quantiles for
-// every run that delivers up to 8192 messages.
-const defaultLatencySampleCap = 8192
-
-// latDigest is the bounded latency statistic behind
-// MeanLatency/P99Latency: mean and max fold in O(1) state, and the
-// quantile keeps every sample exactly up to limit, then degrades to a
-// deterministic uniform reservoir (Vitter's Algorithm R with a private
-// seeded RNG). nw.latencies used to retain every delivery of a run —
-// O(total offered traffic); the digest retains O(limit).
+// latDigest is the exact latency statistic behind MeanLatency and
+// P99Latency: a histogram with one count per latency cycle, plus the
+// exact count and sum. It costs O(max latency) memory instead of
+// O(deliveries), and shards merge by adding counts, so every quantile
+// is the exact quantile of the whole run's deliveries whatever the
+// shard count.
 type latDigest struct {
-	count   int64
-	sum     float64
-	limit   int
-	samples []int64
-	src     splitmix64
-	rng     *rand.Rand
+	count int64
+	sum   int64
+	// hist[v] counts deliveries of latency v. Entries past len are
+	// zero (reset clears what a run used), so growing by reslicing
+	// needs no clearing.
+	hist []int64
 }
 
-func (d *latDigest) reset(seed int64, limit int) {
+func (d *latDigest) reset() {
 	d.count, d.sum = 0, 0
-	d.limit = limit
-	d.samples = d.samples[:0]
-	d.src.state = mixSeed(seed, -2)
-	if d.rng == nil {
-		d.rng = rand.New(&d.src)
+	clear(d.hist)
+	d.hist = d.hist[:0]
+}
+
+// grow extends the histogram to cover latencies below n.
+func (d *latDigest) grow(n int) {
+	if n > len(d.hist) {
+		d.hist = slices.Grow(d.hist, n-len(d.hist))[:n]
 	}
 }
 
 func (d *latDigest) add(v int64) {
 	d.count++
-	d.sum += float64(v)
-	if len(d.samples) < d.limit {
-		d.samples = append(d.samples, v)
-		return
-	}
-	// Reservoir replacement keeps the sample uniform over all d.count
-	// values seen; correctness does not depend on sample order, so the
-	// in-place sort of quantile() is harmless.
-	if j := d.rng.Int63n(d.count); j < int64(len(d.samples)) {
-		d.samples[j] = v
+	d.sum += v
+	d.grow(int(v) + 1)
+	d.hist[v]++
+}
+
+// merge adds o's deliveries to d.
+func (d *latDigest) merge(o *latDigest) {
+	d.count += o.count
+	d.sum += o.sum
+	d.grow(len(o.hist))
+	for v, c := range o.hist {
+		d.hist[v] += c
 	}
 }
 
-// mean returns the exact mean over every value added.
+// mean returns the exact mean latency.
 func (d *latDigest) mean() float64 {
 	if d.count == 0 {
 		return 0
 	}
-	return d.sum / float64(d.count)
+	return float64(d.sum) / float64(d.count)
 }
 
-// quantile returns the p-quantile of the retained sample: exact while
-// the run delivered ≤ limit messages, a reservoir estimate beyond.
+// quantile returns the nearest-rank p-quantile (the ⌈p·n⌉-th smallest
+// latency), or 0 when nothing was delivered (a fully dead or
+// partitioned network has no tail to report). Nearest-rank never
+// reports below the requested quantile.
 func (d *latDigest) quantile(p float64) int64 {
-	return percentile(d.samples, p)
+	if d.count == 0 {
+		return 0
+	}
+	rank := min(max(int64(math.Ceil(p*float64(d.count))), 1), d.count)
+	var cum int64
+	for v, c := range d.hist {
+		if cum += c; cum >= rank {
+			return int64(v)
+		}
+	}
+	return int64(len(d.hist) - 1)
 }
 
-// memoryBytes reports the digest's retained sample footprint
-// (length-based, like the rest of the MemoryBytes accounting).
+// memoryBytes reports the histogram's footprint (length-based, like
+// the rest of the MemoryBytes accounting).
 func (d *latDigest) memoryBytes() int64 {
-	return int64(len(d.samples)) * 8
+	return int64(len(d.hist)) * 8
 }

@@ -24,20 +24,30 @@ func refPercentile(v []int64, p float64) int64 {
 	return s[len(s)-1]
 }
 
+// digestOf folds v into a fresh latency digest.
+func digestOf(v []int64) *latDigest {
+	d := &latDigest{}
+	for _, x := range v {
+		d.add(x)
+	}
+	return d
+}
+
 // TestPercentileNearestRank is the regression test for the truncated
 // rank index: int(p*(len-1)) reported below the requested quantile
-// (len=50, p=0.99 picked element 48 ≈ P96, not P99).
+// (len=50, p=0.99 picked element 48 ≈ P96, not P99). The digest's
+// quantile must be the nearest-rank quantile of everything added.
 func TestPercentileNearestRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 3, 10, 49, 50, 51, 100, 1000} {
 		for _, p := range []float64{0.01, 0.5, 0.9, 0.95, 0.99, 1} {
 			v := make([]int64, n)
 			for i := range v {
-				v[i] = rng.Int63n(1 << 20)
+				v[i] = rng.Int63n(1 << 12)
 			}
 			want := refPercentile(v, p)
-			if got := percentile(v, p); got != want {
-				t.Errorf("percentile(n=%d, p=%v) = %d, want %d", n, p, got, want)
+			if got := digestOf(v).quantile(p); got != want {
+				t.Errorf("quantile(n=%d, p=%v) = %d, want %d", n, p, got, want)
 			}
 		}
 	}
@@ -47,7 +57,7 @@ func TestPercentileNearestRank(t *testing.T) {
 	for i := range v {
 		v[i] = int64(i)
 	}
-	if got := percentile(v, 0.99); got != 49 {
+	if got := digestOf(v).quantile(0.99); got != 49 {
 		t.Errorf("P99 of 0..49 = %d, want 49 (nearest rank)", got)
 	}
 }
@@ -133,14 +143,15 @@ func TestRunBatchesPatternSkips(t *testing.T) {
 
 // TestSchedulerMatchesHeap drives the calendar-queue scheduler and the
 // reference binary heap with an identical randomized push/pop script —
-// including far-future events beyond the wheel horizon — and requires
-// identical pop sequences.
+// keys pushed out of order, same-cycle pushes, far-future events beyond
+// the wheel horizon — and requires identical pop sequences.
 func TestSchedulerMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var s scheduler
 	s.reset()
 	var ref eventQueue
-	now, seq := int64(0), int64(0)
+	now := int64(0)
+	keys := rng.Perm(1 << 20) // unique keys in random push order
 	push := func() {
 		dt := int64(rng.Intn(40)) // mostly inside the wheel window
 		switch rng.Intn(10) {
@@ -148,25 +159,35 @@ func TestSchedulerMatchesHeap(t *testing.T) {
 			dt = int64(rng.Intn(8 * wheelSize)) // far future: overflow path
 		case 1:
 			dt = 0 // same-cycle push
+		case 2, 3:
+			dt = 8 - now%8 // a hot cycle: buckets large enough to quicksort
 		}
+		seq := int64(keys[0])
+		keys = keys[1:]
 		e := event{time: now + dt, seq: seq, at: int32(seq % 97), kind: int8(seq % 3)}
-		seq++
 		s.push(e)
 		ref.push(e)
+	}
+	pop := func() event {
+		e, ok := s.popBefore(math.MaxInt64)
+		if !ok {
+			t.Fatal("scheduler empty while the heap is not")
+		}
+		return e
 	}
 	for i := 0; i < 20_000; i++ {
 		if len(ref) == 0 || (s.count < 400 && rng.Intn(3) > 0) {
 			push()
 			continue
 		}
-		got, want := s.pop(), ref.pop()
+		got, want := pop(), ref.pop()
 		if got != want {
 			t.Fatalf("step %d: scheduler popped %+v, heap popped %+v", i, got, want)
 		}
 		now = got.time
 	}
 	for len(ref) > 0 {
-		got, want := s.pop(), ref.pop()
+		got, want := pop(), ref.pop()
 		if got != want {
 			t.Fatalf("drain: scheduler popped %+v, heap popped %+v", got, want)
 		}
@@ -176,53 +197,35 @@ func TestSchedulerMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestLatDigestExactBelowCap: while a run delivers no more samples
-// than the cap, the digest's quantile is the exact quantile.
-func TestLatDigestExactBelowCap(t *testing.T) {
-	var d latDigest
-	d.reset(5, 1000)
+// TestLatDigestExactMerge: the histogram digest is exact at any
+// delivery count, and splitting the deliveries over several digests
+// and merging them — as a sharded run folds its shards — gives the
+// same mean and quantiles as one digest over everything.
+func TestLatDigestExactMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var all []int64
 	var sum float64
-	for i := 0; i < 999; i++ {
-		v := rng.Int63n(1 << 16)
-		d.add(v)
+	parts := make([]latDigest, 3)
+	for i := 0; i < 50_000; i++ {
+		v := rng.Int63n(1 << 12)
+		parts[rng.Intn(len(parts))].add(v)
 		all = append(all, v)
 		sum += float64(v)
 	}
-	if got, want := d.quantile(0.99), refPercentile(all, 0.99); got != want {
-		t.Errorf("below-cap quantile %d want exact %d", got, want)
+	var d latDigest
+	for i := range parts {
+		d.merge(&parts[i])
+	}
+	for _, p := range []float64{0.5, 0.99, 1} {
+		if got, want := d.quantile(p), refPercentile(all, p); got != want {
+			t.Errorf("merged quantile(%v) = %d, want exact %d", p, got, want)
+		}
 	}
 	if got, want := d.mean(), sum/float64(len(all)); got != want {
-		t.Errorf("mean %v want %v", got, want)
+		t.Errorf("merged mean %v, want %v", got, want)
 	}
-}
-
-// TestLatDigestReservoir: beyond the cap the sample stays bounded,
-// deterministic per seed, exact in mean, and the quantile estimate
-// lands near the true quantile of a known distribution.
-func TestLatDigestReservoir(t *testing.T) {
-	mk := func() *latDigest {
-		d := &latDigest{}
-		d.reset(5, 512)
-		for i := int64(0); i < 100_000; i++ {
-			d.add(i) // uniform 0..99999
-		}
-		return d
-	}
-	a, b := mk(), mk()
-	if len(a.samples) != 512 {
-		t.Fatalf("reservoir size %d want 512", len(a.samples))
-	}
-	if qa, qb := a.quantile(0.99), b.quantile(0.99); qa != qb {
-		t.Errorf("same seed, different reservoir quantiles: %d vs %d", qa, qb)
-	}
-	if got, want := a.mean(), float64(99_999)/2; math.Abs(got-want) > 1 {
-		t.Errorf("mean %v want %v (exact regardless of reservoir)", got, want)
-	}
-	q := float64(a.quantile(0.99))
-	if q < 95_000 || q > 100_000 {
-		t.Errorf("P99 estimate %v far from true 99000", q)
+	if d.count != int64(len(all)) {
+		t.Errorf("merged count %d, want %d", d.count, len(all))
 	}
 }
 

@@ -104,24 +104,14 @@ func motifDigest(m traffic.Motif) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// engineClass names the statistics-relevant engine choice: the serial
-// reference engine and the sharded parallel engine produce different
-// (both deterministic) statistics, but the parallel engine's results
-// are invariant across every shard count >= 2, so only the class — not
-// the exact Workers value — enters cell keys.
-func engineClass(workers int) string {
-	if workers >= 2 {
-		return "parallel"
-	}
-	return "serial"
-}
-
 // sharedKeyHeader is the per-grid prefix of every cell content key:
 // the code version stamp plus every knob that shapes all cells alike.
-func (g *Grid) sharedKeyHeader(workers int) string {
+// The shard count is not one: statistics are identical for every
+// Options.Workers, so a cache filled at one worker count serves all.
+func (g *Grid) sharedKeyHeader() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "spectralfly-cell-v1\nversion=%s\nengine=%s\nmeasure=%s\nseed=%d\nranks=%d\nmsgs=%d\n",
-		version.Stamp(), engineClass(workers), g.Measure, g.Seed, g.Ranks, g.MsgsPerRank)
+	fmt.Fprintf(&b, "spectralfly-cell-v2\nversion=%s\nmeasure=%s\nseed=%d\nranks=%d\nmsgs=%d\n",
+		version.Stamp(), g.Measure, g.Seed, g.Ranks, g.MsgsPerRank)
 	switch g.Measure {
 	case MeasureSaturation:
 		fmt.Fprintf(&b, "latf=%v\ntol=%v\n", g.LatencyFactor, g.Tol)
@@ -134,8 +124,7 @@ func (g *Grid) sharedKeyHeader(workers int) string {
 			b.WriteByte('\n')
 		}
 	}
-	// The layout and tenant axes append only when active, so grids that
-	// never use them keep the keys a PR-9 cache already holds.
+	// The layout and tenant axes append only when active.
 	if g.Layout.enabled() {
 		fmt.Fprintf(&b, "layout=%s:%v:%d\n", g.Layout.Mode, g.Layout.cyclesPerNs(), g.Layout.Seed)
 	}
@@ -202,28 +191,29 @@ func (g *Grid) contentKey(shared string, digests []string, c *Cell, extra string
 
 // ContentKeys returns one content-addressed cache key per cell, in
 // Cells() order. A key commits to everything the cell's measurement
-// depends on: the code version stamp, the engine class for the given
-// Workers option, the grid's shared workload knobs, the instance's
-// exact graph and concentration, the cell identity and its derived
-// simulation seed, and the cell's sampled fault-plan or schedule
-// parameters. Two overlapping grids (say, differing only in an extra
-// fault axis) share keys for the cells they have in common, so a
-// cache warmed by one serves the other.
+// depends on: the code version stamp, the grid's shared workload
+// knobs, the instance's exact graph and concentration, the cell
+// identity and its derived simulation seed, and the cell's sampled
+// fault-plan or schedule parameters. Two overlapping grids (say,
+// differing only in an extra fault axis) share keys for the cells they
+// have in common, so a cache warmed by one serves the other. The
+// workers argument (callers pass their Options.Workers) no longer
+// enters the keys: statistics do not depend on the shard count.
 func (g *Grid) ContentKeys(workers int) ([]string, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
 	}
-	return g.contentKeys(workers, g.deriver())
+	return g.contentKeys(g.deriver())
 }
 
 // contentKeys is ContentKeys with a caller-supplied deriver, so Run
 // shares one set of memoized placements between key computation and
 // job construction instead of optimizing every placement twice.
-func (g *Grid) contentKeys(workers int, d *deriver) ([]string, error) {
+func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 	if err := g.cacheable(); err != nil {
 		return nil, err
 	}
-	shared := g.sharedKeyHeader(workers)
+	shared := g.sharedKeyHeader()
 	digests := make([]string, len(g.Instances))
 	for i := range g.Instances {
 		digests[i] = graphDigest(g.Instances[i].Inst.G)
@@ -273,13 +263,14 @@ func (g *Grid) contentKeys(workers int, d *deriver) ([]string, error) {
 	return keys, nil
 }
 
-// Fingerprint returns the full grid identity for the given Workers
-// option: a digest over the code version stamp, every axis (instances
-// with their exact graphs, faults, schedules, policies, patterns,
-// motifs, loads) and every shared knob. Distributed runs use it as the
-// coordinator/worker compatibility check and the journal name —
-// unlike the per-cell keys of ContentKeys, which deliberately exclude
-// unrelated axes, the fingerprint pins the whole grid.
+// Fingerprint returns the full grid identity: a digest over the code
+// version stamp, every axis (instances with their exact graphs,
+// faults, schedules, policies, patterns, motifs, loads) and every
+// shared knob. Distributed runs use it as the coordinator/worker
+// compatibility check and the journal name — unlike the per-cell keys
+// of ContentKeys, which deliberately exclude unrelated axes, the
+// fingerprint pins the whole grid. Like ContentKeys it takes the
+// caller's Options.Workers and ignores it.
 func (g *Grid) Fingerprint(workers int) (string, error) {
 	if err := g.validate(); err != nil {
 		return "", err
@@ -289,7 +280,7 @@ func (g *Grid) Fingerprint(workers int) (string, error) {
 	}
 	h := sha256.New()
 	io.WriteString(h, "spectralfly-grid-v1\n")
-	io.WriteString(h, g.sharedKeyHeader(workers))
+	io.WriteString(h, g.sharedKeyHeader())
 	fmt.Fprintf(h, "omitintact=%v\nshift=%d", g.OmitIntact, g.ShiftPeriod)
 	for _, p := range g.ShiftPatterns {
 		fmt.Fprintf(h, ":%s", p)

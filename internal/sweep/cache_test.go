@@ -253,12 +253,11 @@ func TestContentKeyDiscrimination(t *testing.T) {
 		t.Error("identical grids produced different keys")
 	}
 
-	// Engine class: serial vs parallel differ; shard counts >= 2 agree.
-	if reflect.DeepEqual(base, keysOf(cacheGrid(t), 2)) {
-		t.Error("serial and parallel engines share keys")
-	}
-	if !reflect.DeepEqual(keysOf(cacheGrid(t), 2), keysOf(cacheGrid(t), 8)) {
-		t.Error("shard count leaked into keys (Workers=2 vs 8 must agree)")
+	// Workers is a speed knob: it never enters a key.
+	for _, w := range []int{1, 2, 8} {
+		if !reflect.DeepEqual(base, keysOf(cacheGrid(t), w)) {
+			t.Errorf("shard count leaked into keys (Workers=0 vs %d must agree)", w)
+		}
 	}
 
 	// FaultAxis.RegionSize is absent from the default cell identity
@@ -309,7 +308,7 @@ func TestContentKeyDiscrimination(t *testing.T) {
 }
 
 // TestFingerprint pins the full-grid identity: stable for identical
-// grids, moved by any axis change, sensitive to the engine class.
+// grids, moved by any axis change, blind to the shard count.
 func TestFingerprint(t *testing.T) {
 	fp := func(g *Grid, workers int) string {
 		s, err := g.Fingerprint(workers)
@@ -322,8 +321,8 @@ func TestFingerprint(t *testing.T) {
 	if a != b {
 		t.Error("identical grids fingerprint differently")
 	}
-	if fp(cacheGrid(t), 0) == fp(cacheGrid(t), 2) {
-		t.Error("engine class absent from the fingerprint")
+	if fp(cacheGrid(t), 0) != fp(cacheGrid(t), 2) {
+		t.Error("shard count leaked into the fingerprint")
 	}
 	mod := cacheGrid(t)
 	mod.Schedules = nil
@@ -417,4 +416,72 @@ func FuzzCellKeyInjective(f *testing.F) {
 			ck[k] = i
 		}
 	})
+}
+
+// TestCacheKeysSoundAcrossWorkers: content keys leave out Workers, so
+// a cell's result must not depend on it. Every cell here delivers more
+// than 8,192 messages — past the point where a sampled latency digest
+// once made P99 depend on the shard count — and must encode to the
+// same payload for Workers 0, 1, 2 and 4 (MemoryBytes aside: it counts
+// the shards' real memory). A cache filled at one worker count then
+// serves every other with zero misses.
+func TestCacheKeysSoundAcrossWorkers(t *testing.T) {
+	grid := func() *Grid {
+		lps := testInstances(t)[0]
+		lps.Concentration = 4
+		return &Grid{
+			Instances:   []Instance{lps},
+			Policies:    []routing.Policy{routing.Minimal, routing.UGALL},
+			Patterns:    []traffic.Pattern{traffic.Random},
+			Loads:       []float64{0.5},
+			Measure:     MeasureLoad,
+			Ranks:       672,
+			MsgsPerRank: 64,
+			Seed:        11,
+		}
+	}
+	payloads := func(rows []Result) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			if r.Err != nil {
+				t.Fatalf("cell %d: %v", i, r.Err)
+			}
+			if r.Stats.Delivered <= 8192 {
+				t.Fatalf("cell %d delivered %d messages, want > 8192", i, r.Stats.Delivered)
+			}
+			r.Stats.MemoryBytes = 0
+			b, err := EncodePayload(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = string(b)
+		}
+		return out
+	}
+	run := func(workers int, cache CellCache) []Result {
+		rows, err := grid().Collect(context.Background(), Options{Parallel: 1, Workers: workers, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	want := payloads(run(0, nil))
+	for _, w := range []int{1, 2, 4} {
+		if got := payloads(run(w, nil)); !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers=%d payloads differ from Workers=0:\n%v\n%v", w, got, want)
+		}
+	}
+
+	cache := newMemCache()
+	filled := run(2, cache)
+	for _, w := range []int{0, 1, 4} {
+		cache.misses = 0
+		served := run(w, cache)
+		if cache.misses != 0 {
+			t.Errorf("Workers=%d missed a cache filled at Workers=2 %d times", w, cache.misses)
+		}
+		if !reflect.DeepEqual(served, filled) {
+			t.Errorf("Workers=%d served rows differ from the filling run", w)
+		}
+	}
 }

@@ -273,14 +273,11 @@ type Options struct {
 	// Parallel sizes the worker pool (0 = GOMAXPROCS, 1 = serial);
 	// results are bit-identical for every value.
 	Parallel int
-	// Workers selects each cell's intra-run simulator engine: 0 or 1
-	// is the serial reference engine (bit-identical to historical
-	// outputs), >= 2 the sharded parallel engine. When Workers >= 2 and
-	// Parallel is 0, the cell pool is sized GOMAXPROCS / Workers
-	// (at least 1) so cells × shards never oversubscribe the machine.
-	// Per-cell statistics do not depend on the shard count, so a grid's
-	// output is still bit-identical for every Parallel value and every
-	// Workers >= 2 — only the serial/parallel engine choice matters.
+	// Workers is each cell's simulator shard count (simnet
+	// Config.Workers), a speed knob only: statistics, content keys and
+	// output are identical for every value. When Workers >= 2 and
+	// Parallel is 0, the cell pool is sized GOMAXPROCS / Workers (at
+	// least 1) so cells × shards never oversubscribe the machine.
 	Workers int
 	// Tables selects the routing-table storage backend for tables the
 	// engine builds.
@@ -565,7 +562,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 	var keys []string
 	if opts.Cache != nil {
 		var err error
-		if keys, err = g.contentKeys(opts.Workers, d); err != nil {
+		if keys, err = g.contentKeys(d); err != nil {
 			return err
 		}
 	}

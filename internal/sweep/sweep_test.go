@@ -124,10 +124,8 @@ func TestRunParallelIndependence(t *testing.T) {
 }
 
 // TestRunWorkersPlumbing: Options.Workers reaches each cell's
-// simulator. Shard-count invariance (identical stats for every
-// Workers >= 2, MemoryBytes aside) must survive the whole sweep
-// lifecycle, and the parallel engine must conserve the serial engine's
-// message counts cell by cell.
+// simulator, and shard-count invariance (identical stats for every
+// Workers, MemoryBytes aside) survives the whole sweep lifecycle.
 func TestRunWorkersPlumbing(t *testing.T) {
 	serial, err := loadGrid(t).Collect(context.Background(), Options{Parallel: 1})
 	if err != nil {
@@ -149,13 +147,9 @@ func TestRunWorkersPlumbing(t *testing.T) {
 			t.Fatalf("cell %d errored: %v / %v / %v", i, serial[i].Err, w2[i].Err, w4[i].Err)
 		}
 		s, a, b := serial[i].Stats, w2[i].Stats, w4[i].Stats
-		if a.Offered != s.Offered || a.Delivered != s.Delivered || a.Dropped != s.Dropped {
-			t.Errorf("cell %d: parallel engine broke conservation: %d/%d/%d vs serial %d/%d/%d",
-				i, a.Offered, a.Delivered, a.Dropped, s.Offered, s.Delivered, s.Dropped)
-		}
-		a.MemoryBytes, b.MemoryBytes = 0, 0
-		if !a.Equal(b) {
-			t.Errorf("cell %d: stats differ between Workers=2 and Workers=4:\n%+v\n%+v", i, a, b)
+		s.MemoryBytes, a.MemoryBytes, b.MemoryBytes = 0, 0, 0
+		if !a.Equal(s) || !b.Equal(s) {
+			t.Errorf("cell %d: stats differ across Workers 0/2/4:\n%+v\n%+v\n%+v", i, s, a, b)
 		}
 	}
 }

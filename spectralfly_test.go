@@ -172,26 +172,28 @@ func TestPublicAPISimulation(t *testing.T) {
 	}
 }
 
-func TestPublicAPILatencySampleCap(t *testing.T) {
+func TestPublicAPIWorkersExactP99(t *testing.T) {
 	net, _ := LPS(11, 7)
-	// A tight cap degrades P99 to a bounded reservoir estimate: the run
-	// must stay deterministic per seed, keep mean/max exact, and report
-	// a smaller working set than the uncapped run.
-	capped := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9, LatencySampleCap: 64})
-	full := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9, LatencySampleCap: 1 << 20})
-	cst := capped.RunUniform(0.3, 20)
-	fst := full.RunUniform(0.3, 20)
-	if cst.Delivered != fst.Delivered || cst.MeanLatency != fst.MeanLatency || cst.MaxLatency != fst.MaxLatency {
-		t.Fatalf("cap changed exact statistics:\n%+v\n%+v", cst, fst)
+	// More than 8,192 deliveries: the latency digest stays exact at any
+	// size, so sharding the run changes no statistic, P99 included.
+	one := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
+	four := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9, Workers: 4})
+	a := one.RunUniform(0.3, 30)
+	b := four.RunUniform(0.3, 30)
+	if a.Delivered <= 8192 {
+		t.Fatalf("run delivered %d messages, want > 8192", a.Delivered)
 	}
-	if cst.P99Latency <= 0 || cst.P99Latency > cst.MaxLatency {
-		t.Errorf("capped P99 %d out of range (max %d)", cst.P99Latency, cst.MaxLatency)
+	a.MemoryBytes, b.MemoryBytes = 0, 0
+	if !a.Equal(b) {
+		t.Fatalf("Workers changed the statistics:\n%+v\n%+v", a, b)
 	}
-	if cst.MemoryBytes >= fst.MemoryBytes {
-		t.Errorf("capped run working set %d not below uncapped %d", cst.MemoryBytes, fst.MemoryBytes)
+	if a.P99Latency <= 0 || a.P99Latency > a.MaxLatency {
+		t.Errorf("P99 %d out of range (max %d)", a.P99Latency, a.MaxLatency)
 	}
-	if again := capped.RunUniform(0.3, 20); !again.Equal(cst) {
-		t.Errorf("capped run not deterministic:\n%+v\n%+v", again, cst)
+	again := one.RunUniform(0.3, 30)
+	again.MemoryBytes = 0
+	if !again.Equal(a) {
+		t.Errorf("run not deterministic:\n%+v\n%+v", again, a)
 	}
 }
 

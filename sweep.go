@@ -358,14 +358,11 @@ func (s *Sweep) Parallel(workers int) *Sweep {
 	return s
 }
 
-// Workers selects each cell's intra-run simulator engine: 0 or 1 is
-// the serial reference engine (bit-identical to previous releases),
-// >= 2 the sharded parallel engine of SimConfig.Workers. With
+// Workers sets each cell's simulator shard count (SimConfig.Workers),
+// a speed knob only: results are identical for every value. With
 // Workers >= 2 and Parallel unset, the cell pool is sized
 // GOMAXPROCS / Workers so cells × shards never oversubscribe the
-// machine. Cell statistics do not depend on the shard count — only
-// on the serial/parallel engine choice — so results stay
-// machine-independent for any fixed Workers value.
+// machine.
 func (s *Sweep) Workers(n int) *Sweep {
 	s.workers = n
 	return s
@@ -437,7 +434,7 @@ func (s *Sweep) CacheStats() CacheStats {
 // Fingerprint returns the sweep's full content identity: a digest over
 // the code version stamp, every axis (topologies with their exact
 // wiring, faults, schedules, policies, patterns, motifs, loads), every
-// workload knob and the engine class. Two sweeps with equal
+// workload knob (not Workers, which changes no result). Two sweeps with equal
 // fingerprints compute identical grids; the distributed fabric uses it
 // as the coordinator/worker compatibility check and the journal name.
 func (s *Sweep) Fingerprint() (string, error) {
