@@ -80,7 +80,7 @@ func RunMotifs(scale Scale, pol routing.Policy, opts SimOptions) ([]MotifPoint, 
 		for m, motif := range motifs {
 			res := at(i, m)
 			if res.Err != nil {
-				return nil, res.Err // job key already names the instance
+				return nil, res.Err // cell key already names the instance
 			}
 			baseRes := at(dfIdx, m)
 			if baseRes.Err != nil {

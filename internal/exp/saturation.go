@@ -20,7 +20,7 @@ type SaturationRow struct {
 
 // Saturation measures the saturation load of every §VI-B topology at
 // the given scale; the per-topology bisection searches run as
-// independent jobs on the parallel engine.
+// independent cells on the parallel engine.
 func Saturation(scale Scale, opts SimOptions) ([]SaturationRow, error) {
 	opts = opts.withDefaults(scale)
 	instances, err := SimInstances(scale)

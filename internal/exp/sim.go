@@ -84,8 +84,8 @@ type SimOptions struct {
 	Seed  int64
 	// Parallel is the worker-pool size for the sweep engine: 0 sizes it
 	// by GOMAXPROCS, 1 forces the serial engine. Results are identical
-	// for every value (per-job seeds are derived from stable job keys
-	// and results are reassembled in submission order).
+	// for every value (per-cell seeds are derived from stable cell keys
+	// and results are reassembled in cell order).
 	Parallel int
 	// Workers is each cell's intra-run simulator shard count, a speed
 	// knob only; see sweep.Options.Workers for the pool-splitting
@@ -219,7 +219,7 @@ func loadSweep(scale Scale, opts SimOptions, pol routing.Policy, pats []traffic.
 // Fig8 compares Valiant to minimal routing on SpectralFly only: the
 // value is max-time(minimal) / max-time(Valiant) per pattern and load
 // (>1 means Valiant helps). Both policy legs of every point run as
-// independent jobs on the shared runner, but both legs run with
+// independent cells on the shared runner, but both legs run with
 // Seed = opts.Seed (matching the old serial driver): they replay the
 // same traffic realization (identical arrival times and
 // destinations), so the ratio isolates the routing-policy effect

@@ -10,15 +10,17 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/runner"
+	"repro/internal/simnet"
 	"repro/internal/sweep"
 	"repro/internal/traffic"
 )
 
-// handRolledFig6 is the pre-declarative Fig6 driver, kept verbatim as
-// the overhead baseline: it builds the (topology × pattern × load) job
-// set by hand and runs it directly on internal/runner, exactly as
-// every exp driver did before the sweep-core rewire. The benchmark and
-// gate below hold the generic core to within 5% of it.
+// handRolledFig6 is the overhead baseline for the declarative core: it
+// does by hand exactly the work a Fig6 cell needs, without internal/sweep
+// — the same (topology × pattern × load) cells and seeds, the Runner
+// memo (Table, Network, Mapping) and its ordered fan-out, then RunLoad
+// — and reduces the results into Fig6's points. The benchmark and gate
+// below hold the generic core to within 5% of it.
 func handRolledFig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 	pol, pats := routing.UGALL, traffic.SyntheticPatterns
 	opts = opts.withDefaults(scale)
@@ -26,32 +28,45 @@ func handRolledFig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]runner.Job, 0, len(instances)*len(pats)*len(opts.Loads))
+	type cell struct {
+		si   *SimInstance
+		pat  traffic.Pattern
+		load float64
+	}
+	cells := make([]cell, 0, len(instances)*len(pats)*len(opts.Loads))
 	for _, si := range instances {
 		for _, pat := range pats {
 			for _, load := range opts.Loads {
-				key := fmt.Sprintf("load/%s/%s/%s/%v", si.Name, pol, pat, load)
-				jobs = append(jobs, runner.Job{
-					Key:           key,
-					Inst:          si.Inst,
-					Concentration: si.Concentration,
-					Policy:        pol,
-					Kind:          runner.Load,
-					Pattern:       pat,
-					Load:          load,
-					Ranks:         opts.Ranks,
-					MsgsPerRank:   opts.MsgsPerRank,
-					MappingSeed:   opts.Seed,
-					Seed:          runner.DeriveSeed(opts.Seed, key),
-				})
+				cells = append(cells, cell{si, pat, load})
 			}
 		}
 	}
-	results := runner.New(opts.Parallel).Run(jobs)
+	type result struct {
+		Stats simnet.Stats
+		Err   error
+	}
+	results := make([]result, len(cells))
+	r := runner.New(opts.Parallel)
+	_ = r.RunStream(context.Background(), len(cells), func(i int) {
+		c, res := cells[i], &results[i]
+		nw, err := r.Network(c.si.Inst.G, c.si.Concentration)
+		if err != nil {
+			res.Err = err
+			return
+		}
+		nw.SetPolicy(pol)
+		nw.SetSeed(runner.DeriveSeed(opts.Seed, fmt.Sprintf("load/%s/%s/%s/%v", c.si.Name, pol, c.pat, c.load)))
+		mp, err := r.Mapping(opts.Ranks, nw.Endpoints(), opts.Seed)
+		if err != nil {
+			res.Err = err
+			return
+		}
+		res.Stats = nw.RunLoad(mp.PatternEndpoints(c.pat, opts.Ranks), c.load, opts.MsgsPerRank)
+	}, func(int) error { return nil })
 	nPats, nLoads := len(pats), len(opts.Loads)
-	at := func(i, p, l int) *runner.Result { return &results[(i*nPats+p)*nLoads+l] }
+	at := func(i, p, l int) *result { return &results[(i*nPats+p)*nLoads+l] }
 	dfIdx := len(instances) - 1
-	points := make([]LoadPoint, 0, len(jobs))
+	points := make([]LoadPoint, 0, len(cells))
 	for i, si := range instances {
 		for p, pat := range pats {
 			for l, load := range opts.Loads {

@@ -6,13 +6,12 @@ import (
 	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
 // TestRegisterTableInstallsRepairedTable verifies the resilience-sweep
-// contract: a table registered for a damaged graph is the one every
-// job uses (no silent NewTable rebuild), and jobs on the damaged
-// instance run with the plan's dead-router mask applied.
+// contract: a table registered for a damaged graph is the one the memo
+// serves — to Table and to the simulator prototype Network builds — so
+// no silent NewTable rebuild of the damaged instance ever happens.
 func TestRegisterTableInstallsRepairedTable(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	r := New(2)
@@ -25,53 +24,11 @@ func TestRegisterTableInstallsRepairedTable(t *testing.T) {
 	if got := r.Table(repaired.G); got != repaired {
 		t.Fatal("registered table was not reused by the memo")
 	}
-
-	dInst := &topo.Instance{Name: inst.Name, G: repaired.G}
-	key := "damage/test"
-	res := r.Run([]Job{{
-		Key:           key,
-		Inst:          dInst,
-		Concentration: 2,
-		Policy:        routing.Minimal,
-		Kind:          Load,
-		Pattern:       traffic.Random,
-		Load:          0.3,
-		Ranks:         64,
-		MsgsPerRank:   4,
-		MappingSeed:   11,
-		DeadRouters:   out.DeadRouters,
-		Seed:          DeriveSeed(11, key),
-	}})[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	if _, err := r.Network(repaired.G, 2); err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.Dropped == 0 {
-		t.Error("router-kill job lost no traffic; dead-router mask not applied")
-	}
-	if res.Stats.Offered != res.Stats.Delivered+res.Stats.Dropped {
-		t.Errorf("accounting broken: offered %d != delivered %d + dropped %d",
-			res.Stats.Offered, res.Stats.Delivered, res.Stats.Dropped)
-	}
-}
-
-func TestMismatchedDeadRoutersReportsJobError(t *testing.T) {
-	// A wrong-length mask must surface as Result.Err, not panic a
-	// worker goroutine and abort the sweep.
-	inst := topo.MustLPS(11, 7)
-	res := New(2).Run([]Job{{
-		Key:           "bad-mask",
-		Inst:          inst,
-		Concentration: 1,
-		Kind:          Load,
-		Pattern:       traffic.Random,
-		Load:          0.3,
-		Ranks:         64,
-		MsgsPerRank:   2,
-		DeadRouters:   []bool{true, false},
-		Seed:          1,
-	}})[0]
-	if res.Err == nil {
-		t.Fatal("wrong-length DeadRouters mask not reported as a job error")
+	if n := len(r.tables); n != 2 || r.Table(repaired.G) != repaired {
+		t.Errorf("Network rebuilt the damaged table (%d memoized tables)", n)
 	}
 }
 
@@ -79,7 +36,13 @@ func TestReleaseDropsMemoEntries(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	r := New(1)
 	t1 := r.Table(inst.G)
+	if _, err := r.Network(inst.G, 2); err != nil {
+		t.Fatal(err)
+	}
 	r.Release(inst.G)
+	if len(r.protos) != 0 {
+		t.Fatal("Release left the simulator prototype in place")
+	}
 	if t2 := r.Table(inst.G); t2 == t1 {
 		t.Fatal("Release left the memoized table in place")
 	}

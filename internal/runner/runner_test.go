@@ -1,94 +1,97 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/routing"
+	"repro/internal/simnet"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
-// smallGrid builds a (policy × pattern × load) job grid over one
-// instance, with seeds derived from stable keys.
-func smallGrid(t testing.TB) []Job {
-	t.Helper()
-	inst, err := topo.LPS(11, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobs []Job
+// sim is one (policy × pattern × load) simulation point over a shared
+// instance, with its seed derived from a stable key.
+type sim struct {
+	key     string
+	policy  routing.Policy
+	pattern traffic.Pattern
+	load    float64
+}
+
+func smallGrid() []sim {
+	var sims []sim
 	for _, pol := range []routing.Policy{routing.Minimal, routing.UGALL} {
 		for _, pat := range []traffic.Pattern{traffic.Random, traffic.BitShuffle} {
 			for _, load := range []float64{0.2, 0.5} {
-				key := fmt.Sprintf("test/%s/%s/%.2f", pol, pat, load)
-				jobs = append(jobs, Job{
-					Key:           key,
-					Inst:          inst,
-					Concentration: 2,
-					Policy:        pol,
-					Kind:          Load,
-					Pattern:       pat,
-					Load:          load,
-					Ranks:         128,
-					MsgsPerRank:   4,
-					MappingSeed:   11,
-					Seed:          DeriveSeed(11, key),
+				sims = append(sims, sim{
+					key:    fmt.Sprintf("test/%s/%s/%.2f", pol, pat, load),
+					policy: pol, pattern: pat, load: load,
 				})
 			}
 		}
 	}
-	return jobs
+	return sims
 }
 
-func stats(t *testing.T, results []Result) []any {
+// runSims executes the grid on r's pool the way a sweep does: each
+// index simulates on a private Network clone with a memoized mapping,
+// and the stream hands the results back in index order.
+func runSims(t *testing.T, r *Runner, inst *topo.Instance, sims []sim) []simnet.Stats {
 	t.Helper()
-	out := make([]any, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("job %d (%s): %v", i, r.Job.Key, r.Err)
+	out := make([]simnet.Stats, len(sims))
+	errs := make([]error, len(sims))
+	err := r.RunStream(context.Background(), len(sims), func(i int) {
+		nw, err := r.Network(inst.G, 2)
+		if err != nil {
+			errs[i] = err
+			return
 		}
-		if r.Stats.Delivered == 0 {
-			t.Fatalf("job %d (%s): no traffic", i, r.Job.Key)
+		nw.SetPolicy(sims[i].policy)
+		nw.SetSeed(DeriveSeed(11, sims[i].key))
+		mp, err := r.Mapping(128, nw.Endpoints(), 11)
+		if err != nil {
+			errs[i] = err
+			return
 		}
-		out[i] = r.Stats
+		out[i] = nw.RunLoad(mp.PatternEndpoints(sims[i].pattern, 128), sims[i].load, 4)
+	}, func(i int) error { return errs[i] })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range out {
+		if st.Delivered == 0 {
+			t.Fatalf("sim %d (%s): no traffic", i, sims[i].key)
+		}
 	}
 	return out
 }
 
-// TestSerialParallelEquivalence: the same grid must produce identical
-// Stats, in identical order, on 1 worker and on many. This is the
-// determinism contract of the engine: per-job seeds come from job
-// identity, not execution order, and results are reassembled in
-// submission order.
+// TestSerialParallelEquivalence: the same simulations must produce
+// identical Stats, in identical order, on 1 worker and on many. This
+// is the determinism contract of the engine: clones of a shared
+// prototype keep all run state private, seeds come from stable keys,
+// and the stream reassembles results in index order.
 func TestSerialParallelEquivalence(t *testing.T) {
-	jobs := smallGrid(t)
-	serial := stats(t, New(1).Run(append([]Job(nil), jobs...)))
-	parallel := stats(t, New(8).Run(append([]Job(nil), jobs...)))
+	inst := topo.MustLPS(11, 7)
+	sims := smallGrid()
+	serial := runSims(t, New(1), inst, sims)
+	parallel := runSims(t, New(8), inst, sims)
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("serial and parallel sweeps diverged:\nserial:   %v\nparallel: %v", serial, parallel)
+		t.Errorf("serial and parallel runs diverged:\nserial:   %v\nparallel: %v", serial, parallel)
 	}
 }
 
-// TestRunRepeatable: two identical parallel runs on fresh runners are
-// identical (no hidden shared mutable state).
-func TestRunRepeatable(t *testing.T) {
-	jobs := smallGrid(t)
-	a := stats(t, New(4).Run(append([]Job(nil), jobs...)))
-	b := stats(t, New(4).Run(append([]Job(nil), jobs...)))
-	if !reflect.DeepEqual(a, b) {
-		t.Error("identical runs diverged")
-	}
-}
-
-// TestSharedArtifactsMemoized: all jobs of one instance share one
-// routing table and one mapping.
+// TestSharedArtifactsMemoized: all simulations of one instance share
+// one routing table, one simulator prototype and one mapping, while
+// every Network call hands out a private clone.
 func TestSharedArtifactsMemoized(t *testing.T) {
-	jobs := smallGrid(t)
+	inst := topo.MustLPS(11, 7)
 	r := New(4)
-	r.Run(jobs)
+	runSims(t, r, inst, smallGrid())
 	if n := len(r.tables); n != 1 {
 		t.Errorf("built %d routing tables for 1 instance", n)
 	}
@@ -99,69 +102,19 @@ func TestSharedArtifactsMemoized(t *testing.T) {
 		t.Errorf("built %d mappings for 1 (endpoints, ranks, seed)", n)
 	}
 	// The memoized table is shared with direct lookups.
-	g := jobs[0].Inst.G
-	if r.Table(g) != r.Table(g) {
+	if r.Table(inst.G) != r.Table(inst.G) {
 		t.Error("Table not memoized")
 	}
-}
-
-// TestSaturationAndMotifKinds exercises the two non-Load job kinds end
-// to end through the pool.
-func TestSaturationAndMotifKinds(t *testing.T) {
-	inst, err := topo.LPS(11, 7)
+	a, err := r.Network(inst.G, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := []Job{
-		{
-			Key: "sat", Inst: inst, Concentration: 2, Kind: Saturation,
-			MsgsPerRank: 6, Seed: 3,
-		},
-		{
-			Key: "motif", Inst: inst, Concentration: 2, Kind: Motif,
-			Motif: traffic.FFT{NX: 8, NY: 4, NZ: 4, Iters: 1},
-			Ranks: 128, MappingSeed: 3, Seed: DeriveSeed(3, "motif"),
-		},
-	}
-	results := New(2).Run(jobs)
-	if results[0].Err != nil || results[1].Err != nil {
-		t.Fatalf("errors: %v / %v", results[0].Err, results[1].Err)
-	}
-	if s := results[0].Saturation; s <= 0 || s > 1 {
-		t.Errorf("saturation %v out of range", s)
-	}
-	if results[1].Stats.Makespan <= 0 {
-		t.Error("motif produced no makespan")
-	}
-	if results[1].Stats.MeanLatency <= 0 || results[1].Stats.P99Latency <= 0 {
-		t.Errorf("motif latency aggregation missing: %+v", results[1].Stats)
-	}
-}
-
-// TestJobErrorsIsolated: a bad job reports its error without poisoning
-// the rest of the set.
-func TestJobErrorsIsolated(t *testing.T) {
-	inst, err := topo.LPS(11, 7)
+	b, err := r.Network(inst.G, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := smallGrid(t)[0]
-	jobs := []Job{
-		{Key: "nil-inst", Kind: Load},
-		{Key: "bad-ranks", Inst: inst, Concentration: 2, Kind: Load,
-			Pattern: traffic.Random, Load: 0.3, Ranks: 1 << 30, MsgsPerRank: 2},
-		{Key: "bad-load", Inst: inst, Concentration: 2, Kind: Load,
-			Pattern: traffic.Random, Load: 0, Ranks: 128, MsgsPerRank: 2},
-		good,
-	}
-	results := New(2).Run(jobs)
-	for i := 0; i < 3; i++ {
-		if results[i].Err == nil {
-			t.Errorf("bad job %q did not report an error", jobs[i].Key)
-		}
-	}
-	if results[3].Err != nil {
-		t.Errorf("good job failed alongside bad ones: %v", results[3].Err)
+	if a == b || a == r.protos[protoKey{g: inst.G, conc: 2}].proto {
+		t.Error("Network handed out a shared simulator instead of a private clone")
 	}
 }
 

@@ -50,41 +50,3 @@ func TestTableOptionsAndBytes(t *testing.T) {
 		t.Fatalf("TableBytes %d with a registered repair, want %d", b, want)
 	}
 }
-
-// TestJobsRunOnPackedTables runs a small load job grid on a packed-
-// oracle runner and checks it matches the dense-oracle results
-// bit for bit.
-func TestJobsRunOnPackedTables(t *testing.T) {
-	inst := topo.MustLPS(11, 7)
-	mkJobs := func() []Job {
-		var jobs []Job
-		for _, pol := range []routing.Policy{routing.Minimal, routing.UGALL} {
-			key := "store-test/" + pol.String()
-			jobs = append(jobs, Job{
-				Key:           key,
-				Inst:          inst,
-				Concentration: 2,
-				Policy:        pol,
-				Kind:          Load,
-				Load:          0.4,
-				Ranks:         64,
-				MsgsPerRank:   6,
-				Seed:          DeriveSeed(77, key),
-			})
-		}
-		return jobs
-	}
-	dense := New(2).Run(mkJobs())
-	rp := New(2)
-	rp.SetTableOptions(routing.TableOptions{Store: routing.StorePacked})
-	packed := rp.Run(mkJobs())
-	for i := range dense {
-		if dense[i].Err != nil || packed[i].Err != nil {
-			t.Fatalf("job errors: %v / %v", dense[i].Err, packed[i].Err)
-		}
-		if !dense[i].Stats.Equal(packed[i].Stats) {
-			t.Errorf("job %q stats diverge across oracles:\n dense  %+v\n packed %+v",
-				dense[i].Job.Key, dense[i].Stats, packed[i].Stats)
-		}
-	}
-}

@@ -5,39 +5,38 @@ import (
 	"sync"
 )
 
-// RunStream executes the job set over the worker pool and delivers
-// each Result to emit in submission order, as soon as it and every
-// predecessor have completed — the streaming core behind the
-// declarative sweep API. emit is never called concurrently with
-// itself, and the delivered sequence is always a prefix of the
-// submission order, so a consumer observes exactly the same cells in
-// exactly the same order for any worker count.
+// RunStream calls run(i) for every index in [0, n) over the worker
+// pool and then emit(i) in index order, as soon as run(i) and every
+// predecessor have returned — the ordered fan-out behind the
+// declarative sweep API. run must be safe to call concurrently for
+// distinct indices and keeps its own results (typically in a slice
+// indexed by i); emit observes every write run(i) made. emit is never
+// called concurrently with itself, and the emitted sequence is always
+// a prefix of the index order, so a consumer observes exactly the same
+// indices in exactly the same order for any worker count.
 //
-// Cancelling ctx stops the stream at job granularity: no new jobs are
-// scheduled, jobs already in flight finish (their results are
-// discarded, not emitted), and RunStream returns ctx.Err(). An error
-// from emit stops the stream the same way and is returned. Individual
-// job failures do NOT stop the stream; they are reported in
-// Result.Err, as with Run.
-func (r *Runner) RunStream(ctx context.Context, jobs []Job, emit func(int, Result) error) error {
-	n := len(jobs)
+// Cancelling ctx stops the stream at index granularity: no new index
+// is scheduled, runs already in flight finish (they are not emitted),
+// and RunStream returns ctx.Err(). An error from emit stops the stream
+// the same way and is returned.
+func (r *Runner) RunStream(ctx context.Context, n int, run func(i int), emit func(i int) error) error {
 	workers := r.workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := range jobs {
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := emit(i, r.exec(&jobs[i])); err != nil {
+			run(i)
+			if err := emit(i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	results := make([]Result, n)
 	done := make([]bool, n)
 	work := make(chan int)
 	// completed is buffered to n so a worker can always report without
@@ -50,7 +49,7 @@ func (r *Runner) RunStream(ctx context.Context, jobs []Job, emit func(int, Resul
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i] = r.exec(&jobs[i])
+				run(i)
 				completed <- i
 			}
 		}()
@@ -67,7 +66,7 @@ loop:
 		if err = ctx.Err(); err != nil {
 			break loop
 		}
-		// Only offer work while jobs remain; a nil channel parks that
+		// Only offer work while indices remain; a nil channel parks that
 		// select arm.
 		var feed chan int
 		if next < n {
@@ -79,12 +78,12 @@ loop:
 		case i := <-completed:
 			done[i] = true
 			for delivered < n && done[delivered] {
-				if err = emit(delivered, results[delivered]); err != nil {
+				if err = emit(delivered); err != nil {
 					break loop
 				}
 				delivered++
 				// Re-check the context between deliveries: emit itself may
-				// have cancelled, and when every remaining job has already
+				// have cancelled, and when every remaining index has already
 				// completed this loop would otherwise drain them all.
 				if err = ctx.Err(); err != nil {
 					break loop

@@ -3,54 +3,58 @@ package runner
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
+	"time"
 )
 
-// TestRunStreamInOrder checks that the stream delivers every result,
-// in submission order, identical to a serial Run.
-func TestRunStreamInOrder(t *testing.T) {
-	jobs := smallGrid(t)
-	want := New(1).Run(jobs)
+const streamN = 12
 
-	var gotIdx []int
-	var got []Result
-	err := New(4).RunStream(context.Background(), jobs, func(i int, res Result) error {
-		gotIdx = append(gotIdx, i)
-		got = append(got, res)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// squares returns a run func that stores i*i at index i. Low indices
+// take longest, so on a pool they complete out of order and the stream
+// must hold them back to emit in index order.
+func squares(out []int) func(int) {
+	return func(i int) {
+		time.Sleep(time.Duration(len(out)-i) * 100 * time.Microsecond)
+		out[i] = i * i
 	}
-	if len(got) != len(jobs) {
-		t.Fatalf("delivered %d of %d results", len(got), len(jobs))
-	}
-	for i, idx := range gotIdx {
-		if idx != i {
-			t.Fatalf("delivery order broken at position %d: got index %d", i, idx)
+}
+
+// TestRunStreamInOrder checks that the stream emits every index, in
+// index order, each after its run has completed.
+func TestRunStreamInOrder(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		out := make([]int, streamN)
+		var got []int
+		err := New(workers).RunStream(context.Background(), streamN, squares(out), func(i int) error {
+			if out[i] != i*i {
+				t.Errorf("workers=%d: index %d emitted before its run completed", workers, i)
+			}
+			got = append(got, i)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := range got {
-		if got[i].Err != nil {
-			t.Fatalf("job %d failed: %v", i, got[i].Err)
+		if len(got) != streamN {
+			t.Fatalf("workers=%d: emitted %d of %d indices", workers, len(got), streamN)
 		}
-		if !reflect.DeepEqual(got[i].Stats, want[i].Stats) {
-			t.Errorf("job %d: streamed stats diverge from serial Run", i)
+		for pos, i := range got {
+			if i != pos {
+				t.Fatalf("workers=%d: emission order broken at position %d: got index %d", workers, pos, i)
+			}
 		}
 	}
 }
 
 // TestRunStreamCancel cancels mid-stream and checks the contract: a
-// prompt return with ctx.Err(), and the delivered cells a strict
-// prefix of the submission order.
+// prompt return with ctx.Err(), and the emitted indices a strict prefix
+// of the index order.
 func TestRunStreamCancel(t *testing.T) {
-	jobs := smallGrid(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	var delivered []int
-	err := New(2).RunStream(ctx, jobs, func(i int, res Result) error {
-		delivered = append(delivered, i)
-		if len(delivered) == 2 {
+	var emitted []int
+	err := New(2).RunStream(ctx, streamN, squares(make([]int, streamN)), func(i int) error {
+		emitted = append(emitted, i)
+		if len(emitted) == 2 {
 			cancel()
 		}
 		return nil
@@ -58,75 +62,69 @@ func TestRunStreamCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(delivered) >= len(jobs) {
-		t.Fatalf("cancellation delivered all %d results", len(delivered))
+	if len(emitted) >= streamN {
+		t.Fatalf("cancellation emitted all %d indices", len(emitted))
 	}
-	for i, idx := range delivered {
-		if idx != i {
-			t.Fatalf("partial delivery is not a prefix: position %d has index %d", i, idx)
+	for pos, i := range emitted {
+		if i != pos {
+			t.Fatalf("partial emission is not a prefix: position %d has index %d", pos, i)
 		}
 	}
 }
 
 // TestRunStreamCancelEveryPrefix: for EVERY prefix length k, a stream
-// cancelled by its k-th delivery has delivered exactly the first k
-// results of the uninterrupted run, bit-identical — the prefix
-// guarantee the distributed fabric's resume journal is built on (a
-// killed sweep's journal is always a clean prefix of cell order, so a
-// restart can replay it from the cache and continue).
+// cancelled by its k-th emission has emitted exactly the indices 0..k-1
+// — the prefix guarantee the distributed fabric's resume journal is
+// built on (a killed sweep's journal is always a clean prefix of cell
+// order, so a restart can replay it from the cache and continue).
 func TestRunStreamCancelEveryPrefix(t *testing.T) {
-	jobs := smallGrid(t)
-	want := New(1).Run(jobs)
 	for _, workers := range []int{1, 8} {
-		for k := 1; k <= len(jobs); k++ {
+		for k := 1; k <= streamN; k++ {
 			ctx, cancel := context.WithCancel(context.Background())
-			var got []Result
-			err := New(workers).RunStream(ctx, jobs, func(i int, res Result) error {
-				got = append(got, res)
+			out := make([]int, streamN)
+			var got []int
+			err := New(workers).RunStream(ctx, streamN, squares(out), func(i int) error {
+				got = append(got, out[i])
 				if len(got) == k {
 					cancel()
 				}
 				return nil
 			})
 			cancel()
-			// Cancelling on the final delivery may legitimately race the
+			// Cancelling on the final emission may legitimately race the
 			// stream's own completion; every earlier k must report the
 			// cancellation.
-			if k < len(jobs) && !errors.Is(err, context.Canceled) {
+			if k < streamN && !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers=%d k=%d: err = %v, want context.Canceled", workers, k, err)
 			}
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers=%d k=%d: err = %v", workers, k, err)
 			}
 			if len(got) != k {
-				t.Fatalf("workers=%d k=%d: delivered %d results after cancelling", workers, k, len(got))
+				t.Fatalf("workers=%d k=%d: emitted %d indices after cancelling", workers, k, len(got))
 			}
-			for i := range got {
-				if got[i].Err != nil {
-					t.Fatalf("workers=%d k=%d: job %d failed: %v", workers, k, i, got[i].Err)
-				}
-				if !reflect.DeepEqual(got[i].Stats, want[i].Stats) {
-					t.Errorf("workers=%d k=%d: delivered prefix diverges at %d", workers, k, i)
+			for i, v := range got {
+				if v != i*i {
+					t.Errorf("workers=%d k=%d: emitted prefix diverges at %d", workers, k, i)
 				}
 			}
 		}
 	}
 }
 
-// TestRunStreamPreCancelled never executes a job when the context is
-// already dead.
+// TestRunStreamPreCancelled never runs or emits an index when the
+// context is already dead.
 func TestRunStreamPreCancelled(t *testing.T) {
-	jobs := smallGrid(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		calls := 0
-		err := New(workers).RunStream(ctx, jobs, func(int, Result) error { calls++; return nil })
+		runs, calls := 0, 0
+		err := New(workers).RunStream(ctx, streamN, func(int) { runs++ }, func(int) error { calls++; return nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		if calls != 0 {
-			t.Errorf("workers=%d: emit called %d times on a dead context", workers, calls)
+		if runs != 0 || calls != 0 {
+			t.Errorf("workers=%d: %d runs and %d emissions on a dead context", workers, runs, calls)
 		}
 	}
 }
@@ -134,11 +132,10 @@ func TestRunStreamPreCancelled(t *testing.T) {
 // TestRunStreamEmitError propagates a consumer error and stops the
 // stream.
 func TestRunStreamEmitError(t *testing.T) {
-	jobs := smallGrid(t)
 	sentinel := errors.New("consumer full")
 	for _, workers := range []int{1, 3} {
 		calls := 0
-		err := New(workers).RunStream(context.Background(), jobs, func(int, Result) error {
+		err := New(workers).RunStream(context.Background(), streamN, squares(make([]int, streamN)), func(int) error {
 			calls++
 			if calls == 3 {
 				return sentinel

@@ -21,7 +21,8 @@
 // table, port maps) from per-run state (ports, event queue, packet
 // arena, statistics). Clone produces a cheap second instance sharing the
 // immutable half, so a sweep engine can run many configurations of the
-// same instance concurrently — see internal/runner.
+// same instance concurrently — runner.Runner.Network hands each sweep
+// cell such a clone.
 //
 // The run loop streams its workload: RunLoad keeps one injection
 // cursor per endpoint (epGen) that schedules only that endpoint's next

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/graph"
-	"repro/internal/runner"
 	"repro/internal/simnet"
 	"repro/internal/traffic"
 	"repro/internal/version"
@@ -208,7 +207,7 @@ func (g *Grid) ContentKeys(workers int) ([]string, error) {
 
 // contentKeys is ContentKeys with a caller-supplied deriver, so Run
 // shares one set of memoized placements between key computation and
-// job construction instead of optimizing every placement twice.
+// cell execution instead of optimizing every placement twice.
 func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 	if err := g.cacheable(); err != nil {
 		return nil, err
@@ -229,35 +228,23 @@ func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 		}
 	}
 	var keys []string
-	addGroup := func(cells []Cell, extra string) {
-		for i := range cells {
-			keys = append(keys, g.contentKey(shared, digests, &cells[i], extra))
-		}
-	}
-	next := 0
-	for ii := range g.Instances {
-		inst := g.Instances[ii]
-		if !g.OmitIntact {
-			cells := g.pointCells(ii, "none", 0, 0, next)
-			next += len(cells)
-			addGroup(cells, "")
-		}
-		for _, f := range g.Faults {
-			for trial := 0; trial < f.trials(); trial++ {
-				cells := g.pointCells(ii, f.Kind.String(), f.Fraction, trial, next)
-				next += len(cells)
-				planSeed := runner.DeriveSeed(g.Seed, g.Keys.planKey(inst.Name, f, trial))
-				addGroup(cells, fmt.Sprintf("fault=%s:%v:%d:%d", f.Kind, f.Fraction, f.RegionSize, planSeed))
+	plan, _ := g.groups()
+	for _, gr := range plan {
+		// A damaged or reconfiguration trial's group context: the
+		// fault-plan or schedule parameters its cells were sampled with.
+		extra := make([]string, gr.trials)
+		for trial := range extra {
+			switch f, s := gr.fault, gr.sched; {
+			case f != nil:
+				extra[trial] = fmt.Sprintf("fault=%s:%v:%d:%d",
+					f.Kind, f.Fraction, f.RegionSize, g.planSeed(gr.inst, f, trial))
+			case s != nil:
+				extra[trial] = fmt.Sprintf("sched=%s:%v:%d:%d:%d:%d:%d",
+					s.Kind, s.Fraction, s.RegionSize, s.Period, s.Outage, s.Repeats, g.schedSeed(gr.inst, s, trial))
 			}
 		}
-		for _, s := range g.Schedules {
-			for trial := 0; trial < s.trials(); trial++ {
-				cells := g.schedCells(ii, s, trial, next)
-				next += len(cells)
-				schedSeed := runner.DeriveSeed(g.Seed, g.Keys.scheduleKey(inst.Name, s, trial))
-				addGroup(cells, fmt.Sprintf("sched=%s:%v:%d:%d:%d:%d:%d",
-					s.Kind, s.Fraction, s.RegionSize, s.Period, s.Outage, s.Repeats, schedSeed))
-			}
+		for i := range gr.cells {
+			keys = append(keys, g.contentKey(shared, digests, &gr.cells[i], extra[gr.cells[i].Trial]))
 		}
 	}
 	return keys, nil

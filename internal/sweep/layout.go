@@ -43,8 +43,8 @@ func (l Layout) cyclesPerNs() float64 {
 // table per concrete graph. Fault cells reuse the intact placement —
 // damage removes cables, it does not re-rack routers — so their tables
 // are rebuilt per damaged graph from the same placement. A deriver is
-// confined to the goroutine that builds jobs (cell execution is what
-// the engine parallelizes), so plain maps suffice.
+// confined to the goroutine that resolves execution contexts (cell
+// execution is what the engine parallelizes), so plain maps suffice.
 type deriver struct {
 	g      *Grid
 	places map[int]*layout.Placement
@@ -111,4 +111,15 @@ func (d *deriver) assignment(ii int) (*traffic.Assignment, error) {
 	}
 	d.asgs[ii] = a
 	return a, nil
+}
+
+// resolve fills in the artifacts the Layout and Tenants axes derive
+// for a point of instance ii: the latency table of its graph and the
+// instance's tenant placement.
+func (d *deriver) resolve(ii int, pt *point) (err error) {
+	if pt.lats, err = d.latencies(ii, pt.g); err != nil {
+		return err
+	}
+	pt.tenants, err = d.assignment(ii)
+	return err
 }

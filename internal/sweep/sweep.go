@@ -1,9 +1,10 @@
 // Package sweep is the declarative experiment core: it turns a
 // cross-product grid specification — topology instances × fault plans ×
 // routing policies × traffic patterns/motifs × offered loads — into a
-// deterministic cell sequence, executes it on the concurrent run
-// scheduler (internal/runner), and streams one Result per cell, in
-// cell order, to the caller.
+// deterministic plan of cell groups, runs every cell as a simulation
+// on a clone of the shared engine's memoized simulator prototype
+// (internal/runner supplies the memo and the ordered fan-out), and
+// streams one Result per cell, in cell order, to the caller.
 //
 // Every experiment driver in internal/exp and the public
 // spectralfly.Sweep API are thin presets over this package: they
@@ -24,6 +25,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 
 	"repro/internal/fault"
@@ -163,7 +165,7 @@ type Result struct {
 }
 
 // Keys customizes the stable identities of a grid. CellKey feeds the
-// per-cell seed derivation and the runner's job keys; PlanKey seeds
+// per-cell seed derivation and the cells' error messages; PlanKey seeds
 // the fault-plan sampling. Nil funcs select the canonical formats
 // below, which the public sweep API uses; the exp presets install
 // their historical formats so golden outputs are preserved.
@@ -208,7 +210,7 @@ func (k Keys) scheduleKey(topology string, s ScheduleAxis, trial int) string {
 
 // Grid is a declarative cross-product experiment: instances × faults ×
 // policies × (patterns × loads | motifs). The zero values of the
-// optional axes mean "single default entry" (see normalize); Measure
+// optional axes mean "single default entry" (see axes); Measure
 // selects which axes are live.
 type Grid struct {
 	Instances []Instance
@@ -231,14 +233,17 @@ type Grid struct {
 	Loads      []float64
 	Measure    Measure
 
-	// Ranks and MsgsPerRank shape the workloads, as in runner.Job.
+	// Ranks is the MPI job size of Load and Motif cells (mapped onto
+	// endpoints with Seed). MsgsPerRank is the message count per rank
+	// on Load cells, or per endpoint for the uniform traffic of
+	// saturation cells.
 	Ranks       int
 	MsgsPerRank int
 	// ShiftPeriod and ShiftPatterns make every Load cell's workload
-	// time-varying (runner.Job's fields of the same names): the traffic
-	// rotates through ShiftPatterns every ShiftPeriod cycles, and the
-	// Patterns axis' value is ignored by the simulation (it still labels
-	// cells). Zero means the usual static patterns.
+	// time-varying (simnet's RunLoadTimed): the traffic rotates through
+	// ShiftPatterns every ShiftPeriod cycles, and the Patterns axis'
+	// value is ignored by the simulation (it still labels cells). Zero
+	// means the usual static patterns.
 	ShiftPeriod   int64
 	ShiftPatterns []traffic.Pattern
 	// LatencyFactor and Tol parameterize saturation cells.
@@ -283,8 +288,8 @@ type Options struct {
 	// engine builds.
 	Tables routing.TableOptions
 	// Runner injects a shared engine (so consecutive grids reuse
-	// memoized tables); nil builds a fresh one from Parallel + Tables,
-	// in which case Tables/Parallel are only consulted here.
+	// memoized tables); nil builds a fresh one (see Engine), in which
+	// case Tables/Parallel are only consulted there.
 	Runner *runner.Runner
 	// OnTableBytes, when set, is called with the engine's current
 	// routing-table footprint at every batch and repair boundary; scale
@@ -309,8 +314,26 @@ type Options struct {
 	Cache CellCache
 }
 
-// normalize returns the live axes with absent optional axes collapsed
-// to a single neutral entry, so the cross product is well defined.
+// Engine returns the engine a run executes on: o.Runner when set,
+// otherwise a fresh one with the Tables backend whose pool is
+// Parallel — or, when Workers >= 2 and Parallel is 0, GOMAXPROCS /
+// Workers cells (at least 1), splitting the machine between cell-level
+// and intra-run parallelism rather than oversubscribing it.
+func (o Options) Engine() *runner.Runner {
+	if o.Runner != nil {
+		return o.Runner
+	}
+	pool := o.Parallel
+	if pool == 0 && o.Workers > 1 {
+		pool = max(1, runtime.GOMAXPROCS(0)/o.Workers)
+	}
+	r := runner.New(pool)
+	r.SetTableOptions(o.Tables)
+	return r
+}
+
+// axes returns the live axes with absent optional axes collapsed to a
+// single neutral entry, so the cross product is well defined.
 func (g *Grid) axes() (pols []routing.Policy, pats []traffic.Pattern, motifs []traffic.Motif, loads []float64) {
 	pols = g.Policies
 	if len(pols) == 0 {
@@ -411,15 +434,13 @@ func (g *Grid) validate() error {
 	return nil
 }
 
-// pointCells enumerates the measurement cells of one (instance, fault
-// point): policy → pattern/motif → load, in deterministic order.
-func (g *Grid) pointCells(ii int, faultName string, fraction float64, trial int, start int) []Cell {
+// pointCells appends the measurement cells of one (instance, fault
+// point) to cells: policy → pattern/motif → load, in deterministic
+// order. The group plan stamps their indices.
+func (g *Grid) pointCells(cells []Cell, ii int, faultName string, fraction float64, trial int) []Cell {
 	pols, pats, motifs, loads := g.axes()
-	inst := g.Instances[ii]
-	var cells []Cell
 	add := func(c Cell) {
-		c.Index = start + len(cells)
-		c.Topology = inst.Name
+		c.Topology = g.Instances[ii].Name
 		c.Instance = ii
 		c.Fault = faultName
 		c.Fraction = fraction
@@ -447,43 +468,77 @@ func (g *Grid) pointCells(ii int, faultName string, fraction float64, trial int,
 	return cells
 }
 
-// schedCells enumerates one schedule axis entry's cells for an
-// instance: the intact-topology cell block with the axis name stamped
-// on every cell.
-func (g *Grid) schedCells(ii int, s ScheduleAxis, trial, start int) []Cell {
-	cells := g.pointCells(ii, "none", 0, trial, start)
-	for i := range cells {
-		cells[i].Schedule = s.Name
-	}
-	return cells
+// group is one batch of cells that share an execution context: an
+// instance's intact cells (fault and sched nil), one fault axis
+// entry's damaged cells across its trials, or one schedule axis
+// entry's reconfiguration cells across its trials. inst is the
+// instance index, or -1 for the single all-instances batch of a grid
+// without fault or schedule axes.
+type group struct {
+	inst   int
+	fault  *FaultAxis
+	sched  *ScheduleAxis
+	trials int
+	cells  []Cell
 }
 
-// Cells returns the full expanded grid in execution order. A grid
-// without fault or schedule axes is one instance-major batch of intact
-// cells. Otherwise cells interleave per instance — intact cells first,
-// then each fault axis entry's damaged cells trial by trial, then each
-// schedule axis entry's reconfiguration cells — so an instance's
-// routing tables live only for its own section of the sweep (the
-// per-instance memory lifecycle Run documents). Result delivery
-// follows exactly this order.
-func (g *Grid) Cells() []Cell {
-	var out []Cell
+// groups returns the grid's execution plan — the one enumeration that
+// Cells, ContentKeys and Run all walk — and every cell in plan order
+// (each group's cells are a window of it). Without fault or schedule axes
+// the whole grid is one batch: every cell is independent, so
+// cross-instance parallelism is free. Otherwise groups interleave per
+// instance — intact cells first, then each fault axis entry's damaged
+// cells trial by trial, then each schedule axis entry's
+// reconfiguration cells — so an instance's routing tables live only
+// for its own section of the sweep (the per-instance memory lifecycle
+// Run documents).
+func (g *Grid) groups() (plan []group, all []Cell) {
+	add := func(gr group, faultName string, fraction float64) {
+		start := len(all)
+		for trial := 0; trial < gr.trials; trial++ {
+			all = g.pointCells(all, gr.inst, faultName, fraction, trial)
+		}
+		for i := start; i < len(all); i++ {
+			all[i].Index = i
+			if gr.sched != nil {
+				all[i].Schedule = gr.sched.Name
+			}
+		}
+		gr.cells = all[start:len(all):len(all)]
+		plan = append(plan, gr)
+	}
 	for ii := range g.Instances {
 		if !g.OmitIntact {
-			out = append(out, g.pointCells(ii, "none", 0, 0, len(out))...)
+			add(group{inst: ii, trials: 1}, "none", 0)
 		}
-		for _, f := range g.Faults {
-			for trial := 0; trial < f.trials(); trial++ {
-				out = append(out, g.pointCells(ii, f.Kind.String(), f.Fraction, trial, len(out))...)
-			}
+		for fi := range g.Faults {
+			f := &g.Faults[fi]
+			add(group{inst: ii, fault: f, trials: f.trials()}, f.Kind.String(), f.Fraction)
 		}
-		for _, s := range g.Schedules {
-			for trial := 0; trial < s.trials(); trial++ {
-				out = append(out, g.schedCells(ii, s, trial, len(out))...)
-			}
+		for si := range g.Schedules {
+			s := &g.Schedules[si]
+			add(group{inst: ii, sched: s, trials: s.trials()}, "none", 0)
 		}
 	}
-	return out
+	if len(g.Faults) == 0 && len(g.Schedules) == 0 {
+		return []group{{inst: -1, trials: 1, cells: all}}, all
+	}
+	// Re-slice the windows from the final array, so the plan does not
+	// pin the arrays append outgrew.
+	lo := 0
+	for i := range plan {
+		hi := lo + len(plan[i].cells)
+		plan[i].cells = all[lo:hi:hi]
+		lo = hi
+	}
+	return plan, all
+}
+
+// Cells returns the full expanded grid in execution order (see
+// groups). Result delivery follows exactly this order.
+func (g *Grid) Cells() []Cell {
+	_, all := g.groups()
+	return all
 }
 
 // seedOf resolves the simulation seed of a cell.
@@ -494,45 +549,104 @@ func (g *Grid) seedOf(c *Cell, key string) int64 {
 	return runner.DeriveSeed(g.Seed, key)
 }
 
-// job builds the runner job for one cell against the given (possibly
-// damaged) topology and dead-router mask.
-func (g *Grid) job(c *Cell, inst *topo.Instance, dead []bool) runner.Job {
-	key := g.Keys.cellKey(c)
-	job := runner.Job{
-		Key:           key,
-		Inst:          inst,
-		Concentration: g.Instances[c.Instance].Concentration,
-		Policy:        c.Policy,
-		Ranks:         g.Ranks,
-		MsgsPerRank:   g.MsgsPerRank,
-		MappingSeed:   g.Seed,
-		DeadRouters:   dead,
-		Seed:          g.seedOf(c, key),
-	}
-	switch g.Measure {
-	case MeasureMotif:
-		job.Kind = runner.Motif
-		job.Motif = c.Motif
-	case MeasureSaturation:
-		job.Kind = runner.Saturation
-		job.LatencyFactor = g.LatencyFactor
-		job.Tol = g.Tol
-	default:
-		job.Kind = runner.Load
-		job.Pattern = c.Pattern
-		job.Load = c.Load
-		job.ShiftPeriod = g.ShiftPeriod
-		job.ShiftPatterns = g.ShiftPatterns
-	}
-	return job
+// planSeed and schedSeed derive a group trial's fault-plan and
+// schedule sampling seeds from their stable keys.
+func (g *Grid) planSeed(ii int, f *FaultAxis, trial int) int64 {
+	return runner.DeriveSeed(g.Seed, g.Keys.planKey(g.Instances[ii].Name, *f, trial))
 }
 
-// damagedPoint is one sampled fault plan applied to an instance: the
-// damaged topology (vertex ids preserved) with its incrementally
-// repaired routing table already registered with the engine.
-type damagedPoint struct {
-	inst *topo.Instance
-	dead []bool
+func (g *Grid) schedSeed(ii int, s *ScheduleAxis, trial int) int64 {
+	return runner.DeriveSeed(g.Seed, g.Keys.scheduleKey(g.Instances[ii].Name, *s, trial))
+}
+
+// point is the execution context a group gives its cells: the graph
+// they run on (intact, or damaged with its dead routers), the timed
+// schedule of a reconfiguration trial, and the artifacts the Layout
+// and Tenants axes derive for that graph.
+type point struct {
+	g       *graph.Graph
+	dead    []bool
+	sched   fault.Schedule
+	lats    *simnet.LinkLatencies
+	tenants *traffic.Assignment
+}
+
+// task is one cell due for simulation, with its execution context and
+// identity resolved on the goroutine driving the run (the deriver and
+// the Keys and SeedOf funcs need not be safe for concurrent use), and
+// the measurement the worker that runs it writes back.
+type task struct {
+	c    *Cell
+	pt   point
+	key  string
+	seed int64
+
+	stats simnet.Stats
+	sat   float64
+	err   error
+}
+
+// measure runs one cell on a private clone of the engine's simulator
+// prototype for the cell's graph, per the grid's measure. validate has
+// already pinned the grid-level invariants (load range, shifting
+// traffic and tenants on Load grids only, schedules on Load grids
+// only), so only the simulator and the workload can fail here.
+func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats, sat float64, err error) {
+	c, pt := t.c, &t.pt
+	nw, err := r.Network(pt.g, g.Instances[c.Instance].Concentration)
+	if err != nil {
+		return st, 0, err
+	}
+	nw.SetPolicy(c.Policy)
+	nw.SetSeed(t.seed)
+	nw.SetWorkers(workers)
+	nw.SetDeadRouters(pt.dead)
+	if err := nw.SetSchedule(pt.sched); err != nil {
+		return st, 0, err
+	}
+	if err := nw.SetLinkLatencies(pt.lats); err != nil {
+		return st, 0, err
+	}
+	switch g.Measure {
+	case MeasureSaturation:
+		nep := nw.Endpoints()
+		uniform := func(_ int, rng *rand.Rand) int { return rng.Intn(nep) }
+		return st, nw.SaturationLoad(uniform, g.MsgsPerRank, g.LatencyFactor, g.Tol), nil
+	case MeasureMotif:
+		if err := traffic.Validate(c.Motif, g.Ranks); err != nil {
+			return st, 0, err
+		}
+		mp, err := r.Mapping(g.Ranks, nw.Endpoints(), g.Seed)
+		if err != nil {
+			return st, 0, err
+		}
+		st, err = nw.RunBatches(traffic.MapRounds(c.Motif, mp))
+		return st, 0, err
+	}
+	if pt.tenants != nil {
+		tc, err := pt.tenants.Config(c.Load)
+		if err == nil {
+			err = nw.SetTenants(tc)
+		}
+		if err != nil {
+			return st, 0, err
+		}
+		return nw.RunLoad(pt.tenants.Pattern(), c.Load, g.MsgsPerRank), 0, nil
+	}
+	mp, err := r.Mapping(g.Ranks, nw.Endpoints(), g.Seed)
+	if err != nil {
+		return st, 0, err
+	}
+	if g.ShiftPeriod > 0 {
+		funcs := make([]simnet.PatternFunc, len(g.ShiftPatterns))
+		for i, p := range g.ShiftPatterns {
+			funcs[i] = mp.PatternEndpoints(p, g.Ranks)
+		}
+		return nw.RunLoadTimed(func(srcEP int, now int64, rng *rand.Rand) int {
+			return funcs[int(now/g.ShiftPeriod)%len(funcs)](srcEP, rng)
+		}, c.Load, g.MsgsPerRank), 0, nil
+	}
+	return nw.RunLoad(mp.PatternEndpoints(c.Pattern, g.Ranks), c.Load, g.MsgsPerRank), 0, nil
 }
 
 // Run executes the grid and streams one Result per cell, in the order
@@ -554,6 +668,15 @@ func (g *Grid) RunRange(ctx context.Context, opts Options, lo, hi int, emit func
 	return g.run(ctx, opts, lo, hi, emit)
 }
 
+// pending is one group's cells in range, split into cache hits
+// (emitted in place) and misses (simulated).
+type pending struct {
+	gr     *group
+	sel    []Cell
+	cached []*Payload
+	misses []int // positions in sel
+}
+
 func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Result) error) error {
 	if err := g.validate(); err != nil {
 		return err
@@ -566,69 +689,90 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 			return err
 		}
 	}
-	if lo < 0 {
-		lo = 0
-	}
-	r := opts.Runner
-	if r == nil {
-		pool := opts.Parallel
-		if pool == 0 && opts.Workers > 1 {
-			// Split the machine between cell-level and intra-run
-			// parallelism rather than oversubscribing it.
-			if pool = runtime.GOMAXPROCS(0) / opts.Workers; pool < 1 {
-				pool = 1
-			}
-		}
-		r = runner.New(pool)
-		r.SetTableOptions(opts.Tables)
-	}
+	r := opts.Engine()
 	probe := func() {
 		if opts.OnTableBytes != nil {
 			opts.OnTableBytes(r.TableBytes())
 		}
 	}
 
-	inRange := func(i int) bool { return i >= lo && (hi < 0 || i < hi) }
-
-	// runBatch fans one batch of cells through the engine: the intact
-	// cells (prep nil), one fault group's cells across all its trials,
-	// or one schedule group's cells. prep supplies the group's execution
-	// context — points[c.Trial] is a fault cell's damaged instance,
-	// scheds[c.Trial] a reconfiguration cell's timed schedule — and runs
-	// lazily, only once a selected cell actually needs the engine, so
-	// ranges and warm caches skip a group's sampling and table repair
-	// along with its simulations. executed reports whether prep ran
-	// (the caller releases the group's tables only then).
-	runBatch := func(cells []Cell, prep func() ([]damagedPoint, []fault.Schedule, error)) (executed bool, err error) {
-		sel := cells[:0:0]
-		for _, c := range cells {
-			if inRange(c.Index) {
-				sel = append(sel, c)
+	// resolve selects a group's cells in range — a window, since a
+	// group's indices are contiguous — and looks them up in the cache; a
+	// corrupt or undecodable entry just demotes to a miss.
+	resolve := func(gr *group) pending {
+		n := len(gr.cells)
+		from, to := 0, n
+		if n > 0 {
+			first := gr.cells[0].Index
+			from = min(max(lo-first, 0), n)
+			if hi >= 0 {
+				to = min(max(hi-first, from), n)
 			}
 		}
-		if len(sel) == 0 {
-			return false, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		// Partition into cache hits and misses. Hits are emitted in
-		// place; a corrupt or undecodable entry just demotes to a miss.
-		cached := make([]*Payload, len(sel))
-		if opts.Cache != nil {
-			for i := range sel {
-				if b, ok := opts.Cache.Get(keys[sel[i].Index]); ok {
-					if p, err := DecodePayload(b); err == nil {
-						cached[i] = &p
+		p := pending{gr: gr, sel: gr.cells[from:to]}
+		p.cached = make([]*Payload, len(p.sel))
+		for i, c := range p.sel {
+			if opts.Cache != nil {
+				if b, ok := opts.Cache.Get(keys[c.Index]); ok {
+					if pl, err := DecodePayload(b); err == nil {
+						p.cached[i] = &pl
+						continue
 					}
 				}
 			}
+			p.misses = append(p.misses, i)
 		}
+		return p
+	}
+
+	// prepare resolves the per-trial execution contexts of a fault or
+	// schedule group. A fault trial samples its plan and repairs the
+	// intact table incrementally for it — never a full rebuild —
+	// registering the repaired table with the engine; a schedule trial
+	// samples its timed schedule for the intact graph. Like fault plans,
+	// a schedule is a pure value of (axis, instance, trial), so the
+	// grid's output is bit-identical for every worker count. The points
+	// built so far are returned even on error, so the caller can release
+	// their tables.
+	prepare := func(gr *group) ([]point, error) {
+		inst := g.Instances[gr.inst]
+		pts := make([]point, 0, gr.trials)
+		for trial := 0; trial < gr.trials; trial++ {
+			pt := point{g: inst.Inst.G}
+			if f := gr.fault; f != nil {
+				out := fault.Plan{
+					Kind:       f.Kind,
+					Fraction:   f.Fraction,
+					RegionSize: f.RegionSize,
+					Seed:       g.planSeed(gr.inst, f, trial),
+				}.Apply(inst.Inst.G)
+				repaired := r.Table(inst.Inst.G).Repair(out.Removed)
+				r.RegisterTable(repaired.G, repaired)
+				pt = point{g: repaired.G, dead: out.DeadRouters}
+			} else {
+				sched, err := gr.sched.sample(inst.Inst.G, g.schedSeed(gr.inst, gr.sched, trial))
+				if err != nil {
+					return pts, fmt.Errorf("sweep: schedule axis %q on %s: %w", gr.sched.Name, inst.Name, err)
+				}
+				pt.sched = sched
+			}
+			pts = append(pts, pt)
+			if err := d.resolve(gr.inst, &pts[trial]); err != nil {
+				return pts, err
+			}
+		}
+		return pts, nil
+	}
+
+	// execute emits a group's cells in range in cell order: hits from
+	// the cache, misses through the engine's ordered fan-out. pointOf
+	// supplies a miss's execution context.
+	execute := func(p *pending, pointOf func(c *Cell) (point, error)) error {
 		emitAt := 0
 		flushHits := func(upto int) error {
 			for ; emitAt < upto; emitAt++ {
-				p := cached[emitAt]
-				out := Result{Cell: sel[emitAt], Stats: p.Stats, Saturation: p.Saturation}
+				pl := p.cached[emitAt]
+				out := Result{Cell: p.sel[emitAt], Stats: pl.Stats, Saturation: pl.Saturation}
 				if opts.OnSimBytes != nil && out.Stats.MemoryBytes > 0 {
 					opts.OnSimBytes(out.Stats.MemoryBytes)
 				}
@@ -638,214 +782,123 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 			}
 			return nil
 		}
-		var missPos []int
-		for i := range sel {
-			if cached[i] == nil {
-				missPos = append(missPos, i)
-			}
-		}
-		if len(missPos) == 0 {
-			return false, flushHits(len(sel))
-		}
-		var points []damagedPoint
-		var scheds []fault.Schedule
-		if prep != nil {
-			if points, scheds, err = prep(); err != nil {
-				return true, err
-			}
-		}
-		jobs := make([]runner.Job, len(missPos))
-		for k, i := range missPos {
-			c := &sel[i]
-			inst, dead := g.Instances[c.Instance].Inst, []bool(nil)
-			if points != nil {
-				inst, dead = points[c.Trial].inst, points[c.Trial].dead
-			}
-			// Layout and tenant artifacts derive from the instance (and,
-			// for latency tables, the concrete — possibly damaged — graph);
-			// the deriver memoizes them across the grid's cells.
-			lats, err := d.latencies(c.Instance, inst.G)
+		// Each miss's context and identity resolve here, before the
+		// fan-out; the tasks then carry the measurements back.
+		tasks := make([]task, len(p.misses))
+		for k, i := range p.misses {
+			c := &p.sel[i]
+			pt, err := pointOf(c)
 			if err != nil {
-				return true, err
+				return err
 			}
-			ten, err := d.assignment(c.Instance)
-			if err != nil {
-				return true, err
-			}
-			jobs[k] = g.job(c, inst, dead)
-			jobs[k].Workers = opts.Workers
-			jobs[k].LinkLatencies = lats
-			jobs[k].Tenants = ten
-			if scheds != nil {
-				jobs[k].Schedule = scheds[c.Trial]
-			}
+			key := g.Keys.cellKey(c)
+			tasks[k] = task{c: c, pt: pt, key: key, seed: g.seedOf(c, key)}
 		}
-		err = r.RunStream(ctx, jobs, func(k int, res runner.Result) error {
-			i := missPos[k]
+		err := r.RunStream(ctx, len(p.misses), func(k int) {
+			t := &tasks[k]
+			t.stats, t.sat, t.err = g.measure(r, t, opts.Workers)
+		}, func(k int) error {
+			i, t := p.misses[k], &tasks[k]
 			if err := flushHits(i); err != nil {
 				return err
 			}
-			out := Result{Cell: sel[i], Err: res.Err}
-			out.Stats = res.Stats
-			out.Saturation = res.Saturation
-			if opts.OnSimBytes != nil && res.Err == nil && out.Stats.MemoryBytes > 0 {
+			out := Result{Cell: *t.c, Stats: t.stats, Saturation: t.sat}
+			if t.err != nil {
+				out.Err = fmt.Errorf("sweep: cell %q: %w", t.key, t.err)
+			}
+			if opts.OnSimBytes != nil && out.Err == nil && out.Stats.MemoryBytes > 0 {
 				opts.OnSimBytes(out.Stats.MemoryBytes)
 			}
 			// Store before emitting, so a run killed mid-emit still keeps
 			// the cell for its resume.
-			if opts.Cache != nil && res.Err == nil {
+			if opts.Cache != nil && out.Err == nil {
 				if b, err := EncodePayload(out); err == nil {
-					opts.Cache.Put(keys[sel[i].Index], b)
+					opts.Cache.Put(keys[out.Index], b)
 				}
 			}
 			emitAt = i + 1
 			return emit(out)
 		})
 		if err != nil {
-			return true, err
-		}
-		return true, flushHits(len(sel))
-	}
-
-	next := 0 // running cell index, mirroring Cells() order
-
-	// Without fault or schedule axes the whole grid is one batch: every
-	// cell is independent, so cross-instance parallelism is free.
-	if len(g.Faults) == 0 && len(g.Schedules) == 0 {
-		if g.OmitIntact {
-			return nil // validate() rejects this, but stay safe
-		}
-		var intact []Cell
-		for ii := range g.Instances {
-			cells := g.pointCells(ii, "none", 0, 0, next)
-			next += len(cells)
-			intact = append(intact, cells...)
-		}
-		executed, err := runBatch(intact, nil)
-		if err != nil {
 			return err
 		}
-		if executed {
-			probe()
-		}
-		return nil
+		return flushHits(len(p.sel))
+	}
+	intact := func(c *Cell) (point, error) {
+		pt := point{g: g.Instances[c.Instance].Inst.G}
+		return pt, d.resolve(c.Instance, &pt)
 	}
 
-	// With a fault or schedule axis, instances run one at a time —
-	// intact cells, then the fault groups, then the schedule groups — so
-	// at any moment the engine memoizes at most one instance's intact
-	// table plus one group's damaged tables.
-	for ii, inst := range g.Instances {
-		if !g.OmitIntact {
-			cells := g.pointCells(ii, "none", 0, 0, next)
-			next += len(cells)
-			executed, err := runBatch(cells, nil)
-			if err != nil {
-				return err
-			}
-			if executed {
-				probe()
+	// Sections run one at a time: the all-instances batch, or one
+	// instance's groups — so at any moment the engine memoizes at most
+	// one instance's intact table plus one group's damaged tables.
+	plan, _ := g.groups()
+	for start := 0; start < len(plan); {
+		end := start + 1
+		for end < len(plan) && plan[end].inst == plan[start].inst {
+			end++
+		}
+		section := make([]pending, end-start)
+		last := -1 // the section's last group that needs the engine
+		for k := range section {
+			if section[k] = resolve(&plan[start+k]); len(section[k].misses) > 0 {
+				last = k
 			}
 		}
-		for fi, f := range g.Faults {
+		for k := range section {
+			p := &section[k]
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			var points []damagedPoint
-			prep := func() ([]damagedPoint, []fault.Schedule, error) {
-				// Sample this group's plans and repair the intact table
-				// incrementally for each — never a full rebuild.
-				base := r.Table(inst.Inst.G)
-				points = make([]damagedPoint, f.trials())
-				for trial := range points {
-					plan := fault.Plan{
-						Kind:       f.Kind,
-						Fraction:   f.Fraction,
-						RegionSize: f.RegionSize,
-						Seed:       runner.DeriveSeed(g.Seed, g.Keys.planKey(inst.Name, f, trial)),
-					}
-					out := plan.Apply(inst.Inst.G)
-					repaired := base.Repair(out.Removed)
-					r.RegisterTable(repaired.G, repaired)
-					points[trial] = damagedPoint{
-						inst: &topo.Instance{Name: inst.Name, G: repaired.G},
-						dead: out.DeadRouters,
-					}
+			if len(p.misses) == 0 {
+				if err := execute(p, nil); err != nil {
+					return err
 				}
-				// The repair window — intact and repaired tables briefly
-				// memoized together — is where table memory peaks.
+				continue
+			}
+			if p.gr.fault == nil && p.gr.sched == nil {
+				if err := execute(p, intact); err != nil {
+					return err
+				}
 				probe()
-				if fi == len(g.Faults)-1 && len(g.Schedules) == 0 {
-					// The intact table has served its purpose (intact cells,
-					// repair source): drop it before the last group's cells
-					// run so only the damaged tables stay memoized. Schedule
-					// groups still need it, so with a schedule axis it lives
-					// until the instance's section ends.
-					r.Release(inst.Inst.G)
+				continue
+			}
+			pts, err := prepare(p.gr)
+			if err == nil {
+				if p.gr.fault != nil {
+					// The repair window — intact and repaired tables briefly
+					// memoized together — is where table memory peaks.
+					probe()
+					if k == last {
+						// The intact table has served its purpose (intact cells,
+						// repair source): drop it before the last group's cells
+						// run so only the damaged tables stay memoized.
+						r.Release(g.Instances[p.gr.inst].Inst.G)
+					}
 				}
-				return points, nil, nil
+				err = execute(p, func(c *Cell) (point, error) { return pts[c.Trial], nil })
 			}
-			var group []Cell
-			for trial := 0; trial < f.trials(); trial++ {
-				cells := g.pointCells(ii, f.Kind.String(), f.Fraction, trial, next)
-				next += len(cells)
-				group = append(group, cells...)
-			}
-			executed, err := runBatch(group, prep)
-			if executed {
+			if p.gr.fault != nil {
 				// Each trial's table and simulator prototype are only
 				// reachable through the engine's memo: release them as soon
 				// as the group's cells are done, so peak memory holds one
 				// fault group, not the whole sweep.
-				for _, p := range points {
-					r.Release(p.inst.G)
+				for _, pt := range pts {
+					r.Release(pt.g)
 				}
-				probe()
 			}
 			if err != nil {
 				return err
 			}
+			probe()
 		}
-		for _, s := range g.Schedules {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			prep := func() ([]damagedPoint, []fault.Schedule, error) {
-				// Sample this group's schedules deterministically from their
-				// stable keys — like fault plans, a schedule is a pure value
-				// of (axis, instance, trial), so the grid's output is
-				// bit-identical for every worker count.
-				scheds := make([]fault.Schedule, s.trials())
-				for trial := range scheds {
-					seed := runner.DeriveSeed(g.Seed, g.Keys.scheduleKey(inst.Name, s, trial))
-					sched, err := s.sample(inst.Inst.G, seed)
-					if err != nil {
-						return nil, nil, fmt.Errorf("sweep: schedule axis %q on %s: %w", s.Name, inst.Name, err)
-					}
-					scheds[trial] = sched
-				}
-				return nil, scheds, nil
-			}
-			var group []Cell
-			for trial := 0; trial < s.trials(); trial++ {
-				cells := g.schedCells(ii, s, trial, next)
-				next += len(cells)
-				group = append(group, cells...)
-			}
-			executed, err := runBatch(group, prep)
-			if err != nil {
-				return err
-			}
-			if executed {
-				probe()
-			}
+		if ii := plan[start].inst; ii >= 0 {
+			// However many of its groups ran, the intact table must not
+			// outlive the instance's section (a never-built or already
+			// released table makes this a no-op).
+			r.Release(g.Instances[ii].Inst.G)
 		}
-		if len(g.Schedules) > 0 && len(g.Faults) > 0 {
-			// With both axes the intact table was kept alive for the
-			// schedule groups (see above); the instance's section is over.
-			// Releasing a never-built table (all groups skipped) is a no-op.
-			r.Release(inst.Inst.G)
-		}
+		start = end
 	}
 	return nil
 }

@@ -118,6 +118,13 @@ func TestRunParallelIndependence(t *testing.T) {
 				if !reflect.DeepEqual(serial[i], parallel[i]) {
 					t.Errorf("cell %d diverges between worker counts", i)
 				}
+				// Region faults kill routers: their cells must lose traffic,
+				// or the plan's dead-router mask never reached the simulator.
+				if st := serial[i].Stats; serial[i].Fault == "regions" &&
+					(st.Dropped == 0 || st.Offered != st.Delivered+st.Dropped) {
+					t.Errorf("cell %d: region fault dropped %d of %d offered (delivered %d)",
+						i, st.Dropped, st.Offered, st.Delivered)
+				}
 			}
 		})
 	}
@@ -198,6 +205,9 @@ func TestRunMotifMeasure(t *testing.T) {
 		}
 		if r.Stats.Makespan <= 0 {
 			t.Errorf("motif %s produced no makespan", r.MotifTag)
+		}
+		if r.Stats.MeanLatency <= 0 || r.Stats.P99Latency <= 0 {
+			t.Errorf("motif %s latency aggregation missing: %+v", r.MotifTag, r.Stats)
 		}
 	}
 }
@@ -470,4 +480,99 @@ func TestValidateSchedule(t *testing.T) {
 	if err := run(g); err == nil {
 		t.Error("unsatisfiable churn timing ran")
 	}
+}
+
+// TestCellErrorsIsolated: cells that fail report Result.Err without
+// stopping the stream or perturbing any other cell. SF(9) at
+// concentration 2 has 324 endpoints, too few for 330 ranks, so every
+// one of its cells fails its rank mapping; the LPS(11,7) rows that
+// follow must equal those of a grid without the failing instance.
+func TestCellErrorsIsolated(t *testing.T) {
+	insts := testInstances(t)
+	mk := func(insts ...Instance) *Grid {
+		g := loadGrid(t)
+		g.Instances = insts
+		g.Ranks = 330
+		return g
+	}
+	mixed, err := mk(insts[1], insts[0]).Collect(context.Background(), Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := mk(insts[0]).Collect(context.Background(), Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mixed) != 2*len(alone) {
+		t.Fatalf("got %d results, want %d", len(mixed), 2*len(alone))
+	}
+	for _, res := range mixed[:len(alone)] {
+		if res.Err == nil {
+			t.Errorf("cell %d on %s: 330 ranks on 324 endpoints did not fail", res.Index, res.Topology)
+		}
+	}
+	for i, want := range alone {
+		got := mixed[len(alone)+i]
+		if want.Err != nil || got.Err != nil {
+			t.Fatalf("good cell %d failed: %v / %v", i, want.Err, got.Err)
+		}
+		got.Index, got.Instance = want.Index, want.Instance
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cell %d perturbed by the failing instance:\n got  %+v\n want %+v", i, got, want)
+		}
+	}
+}
+
+// TestIntactTableReleasedPerInstance pins the memory contract of grids
+// with a fault axis: an instance's intact table never outlives its
+// section of the sweep, whichever of its groups actually ran — so a
+// shared engine memoizes at most one instance's intact table, and none
+// once the grid is done.
+func TestIntactTableReleasedPerInstance(t *testing.T) {
+	ctx := context.Background()
+	discard := func(Result) error { return nil }
+	check := func(name string, r *runner.Runner) {
+		t.Helper()
+		if b := r.TableBytes(); b != 0 {
+			t.Errorf("%s: %d table bytes still memoized after the run", name, b)
+		}
+	}
+
+	r := runner.New(1)
+	if err := faultGrid(t).Run(ctx, Options{Runner: r}, discard); err != nil {
+		t.Fatal(err)
+	}
+	check("cold run", r)
+
+	// Warm only the fault cells: the intact cells then run cold and no
+	// fault group touches the engine.
+	cache := newMemCache()
+	damaged := faultGrid(t)
+	damaged.OmitIntact = true
+	if err := damaged.Run(ctx, Options{Cache: cache}, discard); err != nil {
+		t.Fatal(err)
+	}
+	r = runner.New(1)
+	var peak int64
+	opts := Options{Runner: r, Cache: cache, OnTableBytes: func(b int64) { peak = max(peak, b) }}
+	if err := faultGrid(t).Run(ctx, opts, discard); err != nil {
+		t.Fatal(err)
+	}
+	check("fault cells warm", r)
+	g := faultGrid(t)
+	var widest int64
+	for _, in := range g.Instances {
+		widest = max(widest, routing.NewTable(in.Inst.G).MemoryBytes())
+	}
+	if peak > widest {
+		t.Errorf("fault cells warm: peak %d table bytes, above one instance's intact table (%d)", peak, widest)
+	}
+
+	// A range ending inside instance 0's section: its later fault group
+	// never runs.
+	r = runner.New(1)
+	if err := g.RunRange(ctx, Options{Runner: r}, 0, 3, discard); err != nil {
+		t.Fatal(err)
+	}
+	check("RunRange(0,3)", r)
 }
