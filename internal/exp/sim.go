@@ -17,17 +17,6 @@ type SimInstance struct {
 	Name          string
 	Inst          *topo.Instance
 	Concentration int
-	table         *routing.Table
-}
-
-// Table lazily builds (and caches) the routing table. Sweeps executed
-// through internal/runner memoize tables per instance on their own;
-// this accessor serves direct (non-runner) callers.
-func (s *SimInstance) Table() *routing.Table {
-	if s.table == nil {
-		s.table = routing.NewTable(s.Inst.G)
-	}
-	return s.table
 }
 
 // Endpoints returns the endpoint count.

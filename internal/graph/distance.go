@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // DistanceHistogram counts ordered vertex pairs by hop distance:
 // hist[d] = #{(u,v) : dist(u,v) = d}, computed by parallel all-pairs
@@ -16,56 +13,44 @@ import (
 // larger — "most pairs are closer than the diameter" (Fig. 3).
 func (g *Graph) DistanceHistogram() (hist []int64, unreachable int64) {
 	n := g.N()
-	if n == 0 {
-		return nil, 0
+	type partial struct {
+		hist        []int64
+		unreachable int64
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	partials := make([][]int64, workers)
-	unr := make([]int64, workers)
-	work := make(chan int, n)
-	for s := 0; s < n; s++ {
-		work <- s
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dist := make([]int32, n)
-			queue := make([]int32, n)
-			local := make([]int64, 0, 16)
-			for s := range work {
-				g.BFS(s, dist, queue)
-				for v, d := range dist {
-					if v == s {
-						continue
-					}
-					if d < 0 {
-						unr[w]++
-						continue
-					}
-					for int(d) >= len(local) {
-						local = append(local, 0)
-					}
-					local[d]++
+	var mu sync.Mutex
+	var parts []*partial // one per worker
+	EachSource(n, func() func(int) {
+		dist := make([]int32, n)
+		queue := make([]int32, n)
+		p := &partial{hist: make([]int64, 0, 16)}
+		mu.Lock()
+		parts = append(parts, p)
+		mu.Unlock()
+		return func(s int) {
+			g.BFS(s, dist, queue)
+			for v, d := range dist {
+				if v == s {
+					continue
 				}
+				if d < 0 {
+					p.unreachable++
+					continue
+				}
+				for int(d) >= len(p.hist) {
+					p.hist = append(p.hist, 0)
+				}
+				p.hist[d]++
 			}
-			partials[w] = local
-		}(w)
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		for d, c := range partials[w] {
+		}
+	})
+	for _, p := range parts {
+		for d, c := range p.hist {
 			for d >= len(hist) {
 				hist = append(hist, 0)
 			}
 			hist[d] += c
 		}
-		unreachable += unr[w]
+		unreachable += p.unreachable
 	}
 	return hist, unreachable
 }

@@ -3,7 +3,8 @@
 // representation plus the structural measurements the paper reports —
 // diameter, average shortest-path length, girth, connectivity — and the
 // seeded random edge-failure sampling of §IV-A. All-pairs computations
-// fan out across a worker pool sized by GOMAXPROCS.
+// fan out across GOMAXPROCS workers through one per-source loop,
+// EachSource, which the routing and layout packages share.
 package graph
 
 import (
@@ -12,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Graph is an immutable simple undirected graph in CSR form. Vertices
@@ -239,6 +241,31 @@ type PathStats struct {
 	Ecc       []int32 // per-vertex eccentricity (-1 if vertex sees unreachable vertices)
 }
 
+// EachSource runs one job per source vertex s in 0..n-1 on up to
+// GOMAXPROCS goroutines, handing sources out dynamically. newWorker is
+// called once on each worker goroutine and returns that goroutine's
+// job, closed over private scratch; allocating the scratch there keeps
+// workers' hot state off each other's cache lines. Since any worker may
+// take any source, a job writes only its worker's private state or,
+// once per source, that source's slots; callers fold those after
+// EachSource returns, in source order wherever the fold is
+// floating-point, so results never depend on scheduling.
+func EachSource(n int, newWorker func() func(s int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			job := newWorker()
+			for s := int(next.Add(1)) - 1; s < n; s = int(next.Add(1)) - 1 {
+				job(s)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // AllPairsStats runs BFS from every vertex in parallel and aggregates
 // diameter, mean distance and eccentricities. For disconnected graphs
 // Connected=false and Diameter/AvgDist describe only reachable pairs.
@@ -248,70 +275,42 @@ func (g *Graph) AllPairsStats() PathStats {
 	if n <= 1 {
 		return st
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	type partial struct {
-		sum        float64
-		pairs      int64
-		diam       int32
-		disconnect bool
-	}
-	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for s := 0; s < n; s++ {
-		next <- s
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dist := make([]int32, n)
-			queue := make([]int32, n)
-			p := &parts[w]
-			for s := range next {
-				g.BFS(s, dist, queue)
-				var ecc int32
-				for v, d := range dist {
-					if v == s {
-						continue
-					}
-					if d < 0 {
-						p.disconnect = true
-						ecc = -1
-						continue
-					}
-					if ecc >= 0 && d > ecc {
-						ecc = d
-					}
-					p.sum += float64(d)
-					p.pairs++
+	sums := make([][2]int64, n) // per source: distance sum, reachable targets
+	EachSource(n, func() func(int) {
+		dist := make([]int32, n)
+		queue := make([]int32, n)
+		return func(s int) {
+			g.BFS(s, dist, queue)
+			var ecc int32
+			var sum, reached int64
+			for v, d := range dist {
+				if v == s {
+					continue
 				}
-				st.Ecc[s] = ecc
-				if ecc > p.diam {
-					p.diam = ecc
+				if d < 0 {
+					ecc = -1
+					continue
 				}
+				if ecc >= 0 && d > ecc {
+					ecc = d
+				}
+				sum += int64(d)
+				reached++
 			}
-		}(w)
-	}
-	wg.Wait()
-	var sum float64
-	var pairs int64
-	for _, p := range parts {
-		sum += p.sum
-		pairs += p.pairs
-		if int(p.diam) > st.Diameter {
-			st.Diameter = int(p.diam)
+			st.Ecc[s], sums[s] = ecc, [2]int64{sum, reached}
 		}
-		if p.disconnect {
+	})
+	var sum, pairs int64
+	for s, ecc := range st.Ecc {
+		sum += sums[s][0]
+		pairs += sums[s][1]
+		if ecc < 0 {
 			st.Connected = false
 		}
+		st.Diameter = max(st.Diameter, int(ecc))
 	}
 	if pairs > 0 {
-		st.AvgDist = sum / float64(pairs)
+		st.AvgDist = float64(sum) / float64(pairs)
 	}
 	return st
 }
@@ -323,44 +322,23 @@ func (g *Graph) AllPairsStats() PathStats {
 // over all roots is exact.
 func (g *Graph) Girth() int {
 	n := g.N()
-	if n == 0 {
-		return -1
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	best := make([]int32, workers)
-	for i := range best {
-		best[i] = int32(n + 1)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for s := 0; s < n; s++ {
-		next <- s
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dist := make([]int32, n)
-			parent := make([]int32, n)
-			queue := make([]int32, n)
-			for s := range next {
-				b := girthFromRoot(g, s, best[w], dist, parent, queue)
-				if b < best[w] {
-					best[w] = b
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	ans := int32(n + 1)
-	for _, b := range best {
-		if b < ans {
-			ans = b
+	var mu sync.Mutex
+	var bests []*int32 // one per worker: the shortest cycle it has seen
+	EachSource(n, func() func(int) {
+		dist := make([]int32, n)
+		parent := make([]int32, n)
+		queue := make([]int32, n)
+		best := int32(n + 1)
+		mu.Lock()
+		bests = append(bests, &best)
+		mu.Unlock()
+		return func(s int) {
+			best = girthFromRoot(g, s, best, dist, parent, queue)
 		}
+	})
+	ans := int32(n + 1)
+	for _, b := range bests {
+		ans = min(ans, *b)
 	}
 	if ans > int32(n) {
 		return -1

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -383,6 +385,31 @@ func TestBFSDistanceTriangleInequalityProperty(t *testing.T) {
 		du, dv := dist[e[0]], dist[e[1]]
 		if du-dv > 1 || dv-du > 1 {
 			t.Fatalf("BFS dist differs by >1 across edge %v", e)
+		}
+	}
+}
+
+// TestEachSourceRunsEverySourceOnce pins the shared per-source loop:
+// every source runs exactly once, on min(GOMAXPROCS, n) workers.
+func TestEachSourceRunsEverySourceOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 100} {
+			runs := make([]atomic.Int32, n)
+			var workers atomic.Int32
+			EachSource(n, func() func(int) {
+				workers.Add(1)
+				return func(s int) { runs[s].Add(1) }
+			})
+			if got := int(workers.Load()); got != min(procs, n) {
+				t.Errorf("GOMAXPROCS=%d n=%d: %d workers, want %d", procs, n, got, min(procs, n))
+			}
+			for s := range runs {
+				if c := runs[s].Load(); c != 1 {
+					t.Errorf("GOMAXPROCS=%d n=%d: source %d ran %d times", procs, n, s, c)
+				}
+			}
 		}
 	}
 }

@@ -372,66 +372,10 @@ type LatencyStats struct {
 // PathLatency computes average and maximum end-to-end latency across
 // all ordered router pairs. For each pair the wire length is minimized
 // over the hop-shortest paths (DP over the BFS DAG), matching how a
-// latency-aware minimal router would behave.
+// latency-aware minimal router would behave. It is Profile evaluated
+// at one switch latency.
 func PathLatency(g *graph.Graph, p *Placement, switchNs float64) LatencyStats {
-	n := g.N()
-	if n < 2 {
-		return LatencyStats{}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	type acc struct {
-		sum   float64
-		max   float64
-		pairs int64
-	}
-	parts := make([]acc, workers)
-	work := make(chan int, n)
-	for s := 0; s < n; s++ {
-		work <- s
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dist := make([]int32, n)
-			queue := make([]int32, n)
-			wire := make([]float64, n)
-			for s := range work {
-				g.BFS(s, dist, queue)
-				minWireDP(g, p, s, dist, wire)
-				a := &parts[w]
-				for v := 0; v < n; v++ {
-					if v == s || dist[v] < 0 {
-						continue
-					}
-					lat := float64(dist[v])*switchNs + CableDelayNsPerM*wire[v]
-					a.sum += lat
-					if lat > a.max {
-						a.max = lat
-					}
-					a.pairs++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	var total acc
-	for _, a := range parts {
-		total.sum += a.sum
-		total.pairs += a.pairs
-		if a.max > total.max {
-			total.max = a.max
-		}
-	}
-	if total.pairs == 0 {
-		return LatencyStats{}
-	}
-	return LatencyStats{AvgNs: total.sum / float64(total.pairs), MaxNs: total.max}
+	return Profile(g, p).Latency(switchNs)
 }
 
 // PathProfile captures per-pair (hops, wire) aggregates so latency can
@@ -461,61 +405,43 @@ func (pp *PathProfile) Latency(switchNs float64) LatencyStats {
 	return LatencyStats{AvgNs: avg, MaxNs: max}
 }
 
-// Profile runs the all-pairs hop/wire sweep once (same DP as
-// PathLatency) and returns a reusable profile.
+// Profile runs the all-pairs hop/wire sweep once and returns a
+// reusable profile. Sources run in parallel, but their sums fold in
+// source order, so every bit of the profile is the same for every call
+// and every GOMAXPROCS.
 func Profile(g *graph.Graph, p *Placement) *PathProfile {
 	n := g.N()
 	pp := &PathProfile{}
 	if n < 2 {
 		return pp
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	type part struct {
-		pairs    int64
-		hops     float64
-		wire     float64
-		envelope [][2]float64
-	}
-	parts := make([]part, workers)
-	work := make(chan int, n)
-	for s := 0; s < n; s++ {
-		work <- s
-	}
-	close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dist := make([]int32, n)
-			queue := make([]int32, n)
-			wire := make([]float64, n)
-			pt := &parts[w]
-			for s := range work {
-				g.BFS(s, dist, queue)
-				minWireDP(g, p, s, dist, wire)
-				for v := 0; v < n; v++ {
-					if v == s || dist[v] < 0 {
-						continue
-					}
-					pt.pairs++
-					h, wl := float64(dist[v]), wire[v]
-					pt.hops += h
-					pt.wire += wl
-					pt.envelope = addPareto(pt.envelope, h, wl)
+	per := make([]PathProfile, n) // per source, folded in order below
+	graph.EachSource(n, func() func(int) {
+		dist := make([]int32, n)
+		queue := make([]int32, n)
+		wire := make([]float64, n)
+		return func(s int) {
+			g.BFS(s, dist, queue)
+			minWireDP(g, p, s, dist, wire)
+			var ps PathProfile // local, stored once: no false sharing
+			for v := 0; v < n; v++ {
+				if v == s || dist[v] < 0 {
+					continue
 				}
+				h, wl := float64(dist[v]), wire[v]
+				ps.Pairs++
+				ps.SumHops += h
+				ps.SumWire += wl
+				ps.envelope = addPareto(ps.envelope, h, wl)
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, pt := range parts {
-		pp.Pairs += pt.pairs
-		pp.SumHops += pt.hops
-		pp.SumWire += pt.wire
-		for _, hw := range pt.envelope {
+			per[s] = ps
+		}
+	})
+	for _, ps := range per {
+		pp.Pairs += ps.Pairs
+		pp.SumHops += ps.SumHops
+		pp.SumWire += ps.SumWire
+		for _, hw := range ps.envelope {
 			pp.envelope = addPareto(pp.envelope, hw[0], hw[1])
 		}
 	}

@@ -2,6 +2,8 @@ package layout
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -190,19 +192,74 @@ func TestOptimizeDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// directLatency is the serial per-pair reference for Profile and
+// PathLatency: one BFS and wire DP per source, every pair's latency
+// summed in (source, target) order.
+func directLatency(g *graph.Graph, p *Placement, switchNs float64) LatencyStats {
+	n := g.N()
+	dist := make([]int32, n)
+	wire := make([]float64, n)
+	var sum, maxNs float64
+	var pairs int
+	for s := 0; s < n; s++ {
+		g.BFS(s, dist, nil)
+		minWireDP(g, p, s, dist, wire)
+		for v := 0; v < n; v++ {
+			if v == s || dist[v] < 0 {
+				continue
+			}
+			lat := float64(dist[v])*switchNs + CableDelayNsPerM*wire[v]
+			sum += lat
+			maxNs = math.Max(maxNs, lat)
+			pairs++
+		}
+	}
+	return LatencyStats{AvgNs: sum / float64(pairs), MaxNs: maxNs}
+}
+
+// TestProfileMatchesPathLatency checks the parallel profile, at every
+// switch latency, and PathLatency against the serial per-pair sum.
 func TestProfileMatchesPathLatency(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	g := inst.G
 	p := SequentialPlacement(g.N())
 	prof := Profile(g, p)
 	for _, s := range []float64{0, 33, 100, 250} {
-		direct := PathLatency(g, p, s)
-		viaProf := prof.Latency(s)
-		if math.Abs(direct.AvgNs-viaProf.AvgNs) > 1e-6 {
-			t.Errorf("s=%v: avg %v vs %v", s, direct.AvgNs, viaProf.AvgNs)
+		want := directLatency(g, p, s)
+		for name, got := range map[string]LatencyStats{"PathLatency": PathLatency(g, p, s), "Profile": prof.Latency(s)} {
+			if math.Abs(got.AvgNs-want.AvgNs) > 1e-6 {
+				t.Errorf("s=%v: %s avg %v vs direct %v", s, name, got.AvgNs, want.AvgNs)
+			}
+			if math.Abs(got.MaxNs-want.MaxNs) > 1e-6 {
+				t.Errorf("s=%v: %s max %v vs direct %v", s, name, got.MaxNs, want.MaxNs)
+			}
 		}
-		if math.Abs(direct.MaxNs-viaProf.MaxNs) > 1e-6 {
-			t.Errorf("s=%v: max %v vs %v", s, direct.MaxNs, viaProf.MaxNs)
+	}
+}
+
+// TestProfileBitIdenticalAcrossGOMAXPROCS: per-source sums fold in
+// source order, so Profile and PathLatency return the same bits on
+// every call and at every GOMAXPROCS (they feed Table II and Fig. 11).
+func TestProfileBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	g := topo.MustLPS(11, 7).G
+	p := SequentialPlacement(g.N())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []uint64
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for call := 0; call < 3; call++ {
+			pp := Profile(g, p)
+			lat, direct := pp.Latency(100), PathLatency(g, p, 100)
+			got := []uint64{uint64(pp.Pairs), math.Float64bits(pp.SumHops), math.Float64bits(pp.SumWire),
+				math.Float64bits(lat.AvgNs), math.Float64bits(lat.MaxNs),
+				math.Float64bits(direct.AvgNs), math.Float64bits(direct.MaxNs)}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS=%d call %d: profile bits %x, first call %x", procs, call, got, want)
+			}
 		}
 	}
 }

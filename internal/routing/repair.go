@@ -1,11 +1,6 @@
 package routing
 
-import (
-	"runtime"
-	"sync"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Repair returns the routing table for t's topology with the given
 // links removed, recomputing only what the damage invalidates. The
@@ -37,96 +32,62 @@ import (
 //     frontier (old distance + 1). Vertices that no longer reach d
 //     become -1.
 //
-// When the affected set is empty the old vector (or packed shard) is
-// shared with t outright (tables are immutable, so sharing is safe);
-// removed pairs that are not edges of t.G are tolerated (they can only
-// seed candidates that immediately prove unaffected, never corrupt the
-// table). Destinations are repaired in parallel across GOMAXPROCS
-// workers, like NewTable.
-//
-// The repaired table keeps the receiver's storage backend. Packed
-// shards are decoded into per-worker scratch, repaired, and re-encoded
-// at whatever width the repaired distances need (damage can push a
-// shard past the 4-bit range; the per-row width fallback absorbs
-// that). A lazy table short-circuits: its shards are always computed
-// on demand from its own graph, so "repair" is just a fresh lazy table
-// over the damaged graph — identical distances, zero up-front work.
+// When the affected set is empty the old row is shared with t outright
+// (tables are immutable, so sharing is safe); removed pairs that are
+// not edges of t.G are tolerated (they can only seed candidates that
+// immediately prove unaffected, never corrupt the table). Destinations
+// are repaired in parallel, and the repaired table keeps the
+// receiver's storage backend (see update).
 func (t *Table) Repair(removed [][2]int32) *Table {
+	return t.update(t.G.RemoveEdges(removed), removed, func(g *graph.Graph, norm [][2]int32) func([]int32) []int32 {
+		return newRepairer(g, norm).repairDest
+	})
+}
+
+// update is the one driver behind Repair and Restore: it returns the
+// table over g, the receiver's topology with edges removed or
+// inserted, in the receiver's store. newFix returns one worker's
+// per-destination update, given g and the edges normalized to u < v:
+// it maps a destination's old distance vector, which it must not
+// write, to the new one — old itself when nothing changed, a fresh
+// vector otherwise.
+//
+// Each old row is read through view: a 32-bit (dense) row in place,
+// uncopied, a narrower one decoded into per-worker scratch. An
+// unchanged row is copied, sharing its cells; a changed one is
+// re-encoded at whatever width its new distances need (damage can push
+// a packed row past the 4-bit range). A lazy table short-circuits: its rows are always computed on demand from its own
+// graph, so the update is just a fresh lazy table over g — identical
+// distances, zero up-front work.
+func (t *Table) update(g *graph.Graph, edges [][2]int32, newFix func(g *graph.Graph, norm [][2]int32) func(old []int32) []int32) *Table {
 	if t.lazy != nil {
-		return NewTableOpts(t.G.RemoveEdges(removed), TableOptions{
-			Store: StoreLazy, MaxResident: t.lazy.cap,
-		})
-	}
-	g := t.G.RemoveEdges(removed)
-	n := g.N()
-	nt := &Table{G: g}
-	pack := t.packed != nil
-	if pack {
-		nt.packed = make([]*packedRow, n)
-	} else {
-		nt.dense = make([][]int32, n)
+		return NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: t.lazy.cap})
 	}
 	// Normalize once so per-destination passes index directly.
-	norm := make([][2]int32, len(removed))
-	for i, e := range removed {
+	norm := make([][2]int32, len(edges))
+	for i, e := range edges {
 		u, v := e[0], e[1]
 		if u > v {
 			u, v = v, u
 		}
 		norm[i] = [2]int32{u, v}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	work := make(chan int, n)
-	for d := 0; d < n; d++ {
-		work <- d
-	}
-	close(work)
-	diams := make([]int32, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := newRepairer(g, norm)
-			var scratch []int32
-			for d := range work {
-				var old []int32
-				if pack {
-					scratch = t.packed[d].decode(scratch, n)
-					old = scratch
-				} else {
-					old = t.dense[d]
-				}
-				vec := r.repairDest(old)
-				if pack {
-					if len(vec) > 0 && &vec[0] == &old[0] {
-						nt.packed[d] = t.packed[d] // unchanged: share the shard
-					} else {
-						nt.packed[d] = encodeRow(vec)
-					}
-				} else {
-					nt.dense[d] = vec
-				}
-				for _, x := range vec {
-					if x > diams[w] {
-						diams[w] = x
-					}
-				}
+	n := g.N()
+	nt := &Table{G: g, store: t.store, rows: make([]packedRow, n)}
+	minBits := t.store.minBits()
+	graph.EachSource(n, func() func(int) {
+		fix := newFix(g, norm)
+		scratch := make([]int32, n)
+		return func(d int) {
+			old := t.rows[d].view(scratch)
+			if vec := fix(old); &vec[0] != &old[0] {
+				nt.rows[d] = encodeRow(vec, minBits)
+			} else {
+				nt.rows[d] = t.rows[d] // unchanged: share the row
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, d := range diams {
-		if d > nt.diam {
-			nt.diam = d
 		}
-	}
+	})
+	nt.diam = maxRowDist(nt.rows)
 	return nt
 }
 

@@ -175,10 +175,10 @@ func TestRepairMatchesRebuildProperty(t *testing.T) {
 	}
 }
 
-// TestRepairSharesUnaffectedVectors pins the perf contract: distance
-// vectors (dense) and shards (packed) the damage cannot touch must be
-// reused, not recomputed — that is what makes Repair cheaper than
-// NewTable.
+// TestRepairSharesUnaffectedVectors pins the perf contract: rows the
+// damage cannot touch must be reused (their cells shared), not
+// recomputed — that is what makes Repair cheaper than NewTable — for
+// dense and packed tables alike.
 func TestRepairSharesUnaffectedVectors(t *testing.T) {
 	// Path 0-1-2-3 plus a far triangle 4-5-6: cutting a triangle edge
 	// cannot affect destinations 0..3 (disconnected components).
@@ -191,32 +191,24 @@ func TestRepairSharesUnaffectedVectors(t *testing.T) {
 	b.AddEdge(4, 6)
 	g := b.Build()
 
-	tab := NewTable(g)
-	rep := tab.Repair([][2]int32{{4, 5}})
-	for d := 0; d <= 3; d++ {
-		if &rep.dense[d][0] != &tab.dense[d][0] {
-			t.Errorf("dest %d: dense vector was recomputed despite unaffected component", d)
+	for _, store := range []Store{StoreDense, StorePacked} {
+		tab := NewTableOpts(g, TableOptions{Store: store})
+		rep := tab.Repair([][2]int32{{4, 5}})
+		for d := 0; d <= 3; d++ {
+			if !sharesRow(rep, tab, d) {
+				t.Errorf("[%s] dest %d: row was recomputed despite unaffected component", store, d)
+			}
 		}
-	}
-	if rep.HopDist(4, 5) != 2 {
-		t.Fatalf("repair missed the cut: d(4,5)=%d want 2", rep.HopDist(4, 5))
-	}
-
-	ptab := NewTableOpts(g, TableOptions{Store: StorePacked})
-	prep := ptab.Repair([][2]int32{{4, 5}})
-	for d := 0; d <= 3; d++ {
-		if prep.packed[d] != ptab.packed[d] {
-			t.Errorf("dest %d: packed shard was recomputed despite unaffected component", d)
+		// Destinations 4 and 5 lose a tight edge (6 does not: the cut
+		// edge had slack toward it), so exactly those rows must be
+		// fresh.
+		for d := 4; d <= 6; d++ {
+			if fresh := !sharesRow(rep, tab, d); fresh != (d != 6) {
+				t.Errorf("[%s] dest %d: row fresh=%v, want %v", store, d, fresh, d != 6)
+			}
 		}
-	}
-	// Destinations 4 and 5 lose a tight edge (6 does not: the cut edge
-	// had slack toward it), so exactly those shards must be fresh.
-	for _, d := range []int{4, 5} {
-		if prep.packed[d] == ptab.packed[d] {
-			t.Errorf("dest %d: packed shard shared despite the cut edge", d)
+		if rep.HopDist(4, 5) != 2 {
+			t.Fatalf("[%s] repair missed the cut: d(4,5)=%d want 2", store, rep.HopDist(4, 5))
 		}
-	}
-	if prep.HopDist(4, 5) != 2 {
-		t.Fatalf("packed repair missed the cut: d(4,5)=%d want 2", prep.HopDist(4, 5))
 	}
 }

@@ -1,11 +1,6 @@
 package routing
 
-import (
-	"runtime"
-	"sync"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Restore returns the routing table for t's topology with the given
 // links inserted, recomputing only what the insertion improves — the
@@ -29,90 +24,14 @@ import (
 //     interior vertices were unreachable before). Vertices that do not
 //     improve keep their old distance exactly.
 //
-// When no seed fires the old vector (or packed shard) is shared with t
-// outright; inserted pairs already present in t.G are tolerated (they
-// can never improve a distance). Destinations are restored in parallel
-// across GOMAXPROCS workers, and the restored table keeps the
-// receiver's storage backend — packed shards are decoded, restored and
-// re-encoded only when they change; a lazy table short-circuits to a
-// fresh lazy table over the augmented graph, like Repair.
+// When no seed fires the old row is shared with t outright; inserted
+// pairs already present in t.G are tolerated (they can never improve a
+// distance). Destinations are restored in parallel, and the restored
+// table keeps the receiver's storage backend (see update).
 func (t *Table) Restore(added [][2]int32) *Table {
-	if t.lazy != nil {
-		return NewTableOpts(t.G.AddEdges(added), TableOptions{
-			Store: StoreLazy, MaxResident: t.lazy.cap,
-		})
-	}
-	g := t.G.AddEdges(added)
-	n := g.N()
-	nt := &Table{G: g}
-	pack := t.packed != nil
-	if pack {
-		nt.packed = make([]*packedRow, n)
-	} else {
-		nt.dense = make([][]int32, n)
-	}
-	// Normalize once so per-destination passes index directly.
-	norm := make([][2]int32, len(added))
-	for i, e := range added {
-		u, v := e[0], e[1]
-		if u > v {
-			u, v = v, u
-		}
-		norm[i] = [2]int32{u, v}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	work := make(chan int, n)
-	for d := 0; d < n; d++ {
-		work <- d
-	}
-	close(work)
-	diams := make([]int32, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := newRestorer(g, norm)
-			var scratch []int32
-			for d := range work {
-				var old []int32
-				if pack {
-					scratch = t.packed[d].decode(scratch, n)
-					old = scratch
-				} else {
-					old = t.dense[d]
-				}
-				vec := r.restoreDest(old)
-				if pack {
-					if len(vec) > 0 && &vec[0] == &old[0] {
-						nt.packed[d] = t.packed[d] // unchanged: share the shard
-					} else {
-						nt.packed[d] = encodeRow(vec)
-					}
-				} else {
-					nt.dense[d] = vec
-				}
-				for _, x := range vec {
-					if x > diams[w] {
-						diams[w] = x
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, d := range diams {
-		if d > nt.diam {
-			nt.diam = d
-		}
-	}
-	return nt
+	return t.update(t.G.AddEdges(added), added, func(g *graph.Graph, norm [][2]int32) func([]int32) []int32 {
+		return newRestorer(g, norm).restoreDest
+	})
 }
 
 // restorer holds the per-worker scratch state for incremental-insertion

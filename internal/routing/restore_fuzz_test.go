@@ -129,8 +129,9 @@ func TestRestoreMatchesRebuildProperty(t *testing.T) {
 }
 
 // TestRestoreSharesUnaffectedVectors pins the perf contract for the
-// insertion direction: vectors and shards an insertion cannot improve
-// must be reused, not recomputed.
+// insertion direction: rows an insertion cannot improve must be reused
+// (their cells shared), not recomputed, for dense and packed tables
+// alike.
 func TestRestoreSharesUnaffectedVectors(t *testing.T) {
 	// Path 0-1-2-3 plus a far path 4-5, 5-6: inserting 4-6 closes the
 	// triangle without touching destinations 0..3.
@@ -142,32 +143,24 @@ func TestRestoreSharesUnaffectedVectors(t *testing.T) {
 	b.AddEdge(5, 6)
 	g := b.Build()
 
-	tab := NewTable(g)
-	res := tab.Restore([][2]int32{{4, 6}})
-	for d := 0; d <= 3; d++ {
-		if &res.dense[d][0] != &tab.dense[d][0] {
-			t.Errorf("dest %d: dense vector was recomputed despite unaffected component", d)
+	for _, store := range []Store{StoreDense, StorePacked} {
+		tab := NewTableOpts(g, TableOptions{Store: store})
+		res := tab.Restore([][2]int32{{4, 6}})
+		for d := 0; d <= 3; d++ {
+			if !sharesRow(res, tab, d) {
+				t.Errorf("[%s] dest %d: row was recomputed despite unaffected component", store, d)
+			}
 		}
-	}
-	if res.HopDist(4, 6) != 1 {
-		t.Fatalf("restore missed the insertion: d(4,6)=%d want 1", res.HopDist(4, 6))
-	}
-
-	ptab := NewTableOpts(g, TableOptions{Store: StorePacked})
-	pres := ptab.Restore([][2]int32{{4, 6}})
-	for d := 0; d <= 3; d++ {
-		if pres.packed[d] != ptab.packed[d] {
-			t.Errorf("dest %d: packed shard was recomputed despite unaffected component", d)
+		// The insertion shortens 4-6 both ways, so those rows are
+		// fresh; destination 5's distances to 4 and 6 were already 1
+		// and stay 1, so its row is shared.
+		for d := 4; d <= 6; d++ {
+			if fresh := !sharesRow(res, tab, d); fresh != (d != 5) {
+				t.Errorf("[%s] dest %d: row fresh=%v, want %v", store, d, fresh, d != 5)
+			}
 		}
-	}
-	// The insertion shortens 4-6 both ways, so those shards are fresh;
-	// destination 5's distances to 4 and 6 were already 1 and stay 1.
-	for _, d := range []int{4, 6} {
-		if pres.packed[d] == ptab.packed[d] {
-			t.Errorf("dest %d: packed shard shared despite the insertion", d)
+		if res.HopDist(4, 6) != 1 {
+			t.Fatalf("[%s] restore missed the insertion: d(4,6)=%d want 1", store, res.HopDist(4, 6))
 		}
-	}
-	if pres.packed[5] != ptab.packed[5] {
-		t.Errorf("dest 5: packed shard recomputed though no distance toward it improved")
 	}
 }

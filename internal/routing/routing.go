@@ -5,22 +5,23 @@
 // discipline used for deadlock avoidance (d+1 VCs for minimal routing,
 // 2d+1 for Valiant/UGAL paths).
 //
-// The table stores one BFS distance vector per destination (computed in
+// The table stores one BFS distance row per destination (computed in
 // parallel); next-hop sets are derived on demand as the neighbors one
 // hop closer to the destination, so the storage cost is one distance
-// cell per (vertex, destination) pair rather than n²·k. Three storage
-// backends (Store) trade memory for lookup cost: dense int32 vectors,
-// 4-bit packed shards (8× smaller — low-diameter Ramanujan instances
-// fit hop counts in a nibble), and lazily materialized packed shards
-// under a bounded LRU working set. All three are bit-identical in
-// every distance they report.
+// cell per (vertex, destination) pair rather than n²·k. Every row has
+// one format: cells of 4, 8 or 32 bits, the narrowest that fits the
+// row's largest distance at or above a per-store width floor. The
+// three storage backends (Store) trade memory for lookup cost: dense
+// rows pinned at the 32-bit width, packed rows from 4 bits up (8×
+// smaller — low-diameter Ramanujan instances fit hop counts in a
+// nibble), and lazily materialized packed rows under a bounded LRU
+// working set. All three are bit-identical in every distance they
+// report.
 package routing
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -84,7 +85,7 @@ func (p *Policy) UnmarshalText(text []byte) error {
 // Table is an all-pairs shortest-path oracle over a fixed topology.
 //
 // A Table is immutable after NewTable returns: every method only reads
-// the distance vectors, so a single Table is safe for any number of
+// the distance rows, so a single Table is safe for any number of
 // concurrent readers (the parallel sweep engine in internal/runner
 // builds one Table per topology instance and shares it across all
 // workers). Methods that make randomized choices (NextHopRandom,
@@ -95,7 +96,7 @@ func (p *Policy) UnmarshalText(text []byte) error {
 //
 // Immutability is also what makes live-table swapping safe: Repair and
 // Restore never touch the receiver — they return a NEW table (sharing
-// unchanged per-destination vectors with the old one), so an engine
+// unchanged per-destination rows with the old one), so an engine
 // may publish the new pointer at a synchronization point while other
 // goroutines still read the old table. Readers that raced past the
 // swap keep a consistent pre-change snapshot; there is no state in
@@ -103,128 +104,83 @@ func (p *Policy) UnmarshalText(text []byte) error {
 // engine relies on this at its schedule barriers (DESIGN.md §10), and
 // TestTableSwapUnderConcurrentReaders pins it under -race.
 //
-// Exactly one of dense, packed and lazy is populated, per the Store
-// the table was built with; every distance they report is
-// bit-identical across backends.
+// Dense and packed tables hold one row per destination; a lazy table
+// holds rows on demand. Every distance they report is bit-identical
+// across backends.
 type Table struct {
-	G      *graph.Graph
-	dense  [][]int32    // StoreDense: dense[dest][v] = hop distance v→dest (-1 unreachable)
-	packed []*packedRow // StorePacked: one compact shard per destination
-	lazy   *lazyTable   // StoreLazy: on-demand shards under a bounded LRU
-	diam   int32        // largest finite distance (StoreLazy computes it on demand)
+	G     *graph.Graph
+	store Store
+	rows  []packedRow // StoreDense, StorePacked: rows[dest].at(v) = hop distance v→dest (-1 unreachable)
+	lazy  *lazyTable  // StoreLazy: on-demand rows under a bounded LRU
+	diam  int32       // largest finite distance (StoreLazy computes it on demand)
 }
 
-// NewTable computes dense BFS distance vectors toward every
-// destination, fanning out across GOMAXPROCS workers. The topology
-// must be connected for meaningful routing; disconnected pairs keep
-// distance -1 and have no next hops.
+// NewTable computes dense BFS distance rows toward every destination,
+// fanning out across GOMAXPROCS workers. The topology must be
+// connected for meaningful routing; disconnected pairs keep distance
+// -1 and have no next hops.
 func NewTable(g *graph.Graph) *Table {
 	return NewTableOpts(g, TableOptions{})
 }
 
 // NewTableOpts builds a table with the chosen storage backend. Dense
 // and packed tables pay the full all-pairs BFS up front; lazy tables
-// return immediately and compute shards on first touch.
+// return immediately and compute rows on first touch.
 func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
 	n := g.N()
-	t := &Table{G: g}
+	t := &Table{G: g, store: opts.Store}
 	if opts.Store == StoreLazy {
 		t.lazy = newLazyTable(g, opts.MaxResident)
 		return t
 	}
-	pack := opts.Store == StorePacked
-	if pack {
-		t.packed = make([]*packedRow, n)
-	} else {
-		t.dense = make([][]int32, n)
+	if opts.Store != StorePacked {
+		t.store = StoreDense
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	work := make(chan int, n)
-	for d := 0; d < n; d++ {
-		work <- d
-	}
-	close(work)
-	diams := make([]int32, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			queue := make([]int32, n)
-			var scratch []int32
-			if pack {
-				scratch = make([]int32, n)
+	t.rows = make([]packedRow, n)
+	minBits := t.store.minBits()
+	graph.EachSource(n, func() func(int) {
+		queue := make([]int32, n)
+		var dist []int32
+		return func(d int) {
+			if dist == nil {
+				dist = make([]int32, n)
 			}
-			for d := range work {
-				dist := scratch
-				if !pack {
-					dist = make([]int32, n)
-				}
-				g.BFS(d, dist, queue)
-				if pack {
-					t.packed[d] = encodeRow(dist)
-				} else {
-					t.dense[d] = dist
-				}
-				for _, x := range dist {
-					if x > diams[w] {
-						diams[w] = x
-					}
-				}
+			g.BFS(d, dist, queue)
+			t.rows[d] = encodeRow(dist, minBits)
+			if t.rows[d].bits == 32 {
+				dist = nil // the row adopted dist
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, d := range diams {
-		if d > t.diam {
-			t.diam = d
 		}
-	}
+	})
+	t.diam = maxRowDist(t.rows)
 	return t
 }
 
 // Store reports the storage backend the table was built with.
-func (t *Table) Store() Store {
-	switch {
-	case t.packed != nil:
-		return StorePacked
-	case t.lazy != nil:
-		return StoreLazy
-	}
-	return StoreDense
-}
+func (t *Table) Store() Store { return t.store }
 
 // MemoryBytes returns the approximate payload size of the distance
-// store. For lazy tables this counts only the resident working set
-// (plus fixed per-destination bookkeeping), so the value tracks actual
-// footprint as shards come and go.
+// store: 4 bytes per cell for dense tables, each row's payload plus 8
+// bytes of per-row overhead for packed ones. For lazy tables this counts
+// only the resident working set (plus fixed per-destination
+// bookkeeping), so the value tracks actual footprint as rows come and
+// go.
 func (t *Table) MemoryBytes() int64 {
-	switch {
-	case t.dense != nil:
-		var b int64
-		for _, row := range t.dense {
-			b += 4 * int64(len(row))
-		}
-		return b
-	case t.packed != nil:
-		var b int64
-		for _, r := range t.packed {
-			b += r.bytes() + 8 // row payload + slice-entry pointer
-		}
-		return b
-	default:
+	if t.lazy != nil {
 		return t.lazy.memoryBytes()
 	}
+	var b int64
+	for i := range t.rows {
+		b += t.rows[i].bytes()
+	}
+	if t.store == StorePacked {
+		b += 8 * int64(len(t.rows))
+	}
+	return b
 }
 
 // ResidentShards returns the number of materialized per-destination
-// shards: n for dense/packed tables, the current working-set size for
+// rows: n for dense/packed tables, the current working-set size for
 // lazy ones.
 func (t *Table) ResidentShards() int {
 	if t.lazy != nil {
@@ -243,43 +199,18 @@ func (t *Table) Diameter() int {
 	return int(t.diam)
 }
 
-// rowRef is a borrowed view of one destination's distance vector,
-// letting the per-neighbor loops below bind the row once instead of
-// re-resolving the backend per lookup.
-type rowRef struct {
-	dense []int32
-	pr    *packedRow
-}
-
-func (r rowRef) at(v int) int32 {
-	if r.dense != nil {
-		return r.dense[v]
-	}
-	return r.pr.at(v)
-}
-
-// row returns the distance view toward dest, materializing it first on
+// row returns the distance row toward dest, materializing it first on
 // lazy tables.
-func (t *Table) row(dest int) rowRef {
-	switch {
-	case t.dense != nil:
-		return rowRef{dense: t.dense[dest]}
-	case t.packed != nil:
-		return rowRef{pr: t.packed[dest]}
-	default:
-		return rowRef{pr: t.lazy.row(dest)}
+func (t *Table) row(dest int) *packedRow {
+	if t.lazy != nil {
+		return t.lazy.row(dest)
 	}
+	return &t.rows[dest]
 }
 
 // HopDist returns the hop distance from v to dest (-1 if unreachable).
 func (t *Table) HopDist(v, dest int) int32 {
-	if t.dense != nil {
-		return t.dense[dest][v]
-	}
-	if t.packed != nil {
-		return t.packed[dest].at(v)
-	}
-	return t.lazy.row(dest).at(v)
+	return t.row(dest).at(v)
 }
 
 // NextHops appends to buf the neighbors of v that lie on a shortest

@@ -2,24 +2,24 @@ package routing
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
-// Store selects the distance-storage backend of a Table. All three
-// backends expose bit-identical distances (and therefore identical
-// routes, sampled paths and simulation statistics); they trade memory
-// for per-lookup cost and build laziness. See DESIGN.md §7 for the
-// memory model.
+// Store selects the distance-storage backend of a Table. Every backend
+// stores the same row format (packedRow) and differs only in the row
+// width floor and in when rows are computed. All three expose
+// bit-identical distances (and therefore identical routes, sampled
+// paths and simulation statistics); they trade memory for per-lookup
+// cost and build laziness. See DESIGN.md §7 for the memory model.
 type Store int
 
 const (
-	// StoreDense keeps one []int32 vector per destination (n² · 4
-	// bytes). Fastest lookups; the default, and the only practical
-	// choice for tiny instances.
+	// StoreDense keeps every destination's row at the 32-bit width:
+	// int32 distances, n² · 4 bytes. Fastest lookups; the default, and
+	// the only practical choice for tiny instances.
 	StoreDense Store = iota
 	// StorePacked packs each destination's distances into 4-bit
 	// nibbles (n² / 2 bytes, an 8× cut over dense) — Ramanujan
@@ -72,83 +72,111 @@ type TableOptions struct {
 	MaxResident int
 }
 
-// Packed-row encoding: a distance d ∈ {-1, 0, 1, ...} is stored as
-// d+1, so 0 is the unreachable sentinel and the value range of a
-// width-w cell is [-1, 2^w-2].
+// minBits is the row width floor of the store: dense rows are pinned
+// at 32 bits, packed (and lazy) rows start at 4.
+func (s Store) minBits() uint8 {
+	if s == StoreDense {
+		return 32
+	}
+	return 4
+}
+
+// Row encoding: a distance d ∈ {-1, 0, 1, ...} is stored as d+1 in
+// 4- and 8-bit cells, so 0 is the unreachable sentinel and the value
+// range of a width-w cell is [-1, 2^w-2]; 32-bit cells hold d itself.
 const (
 	nibbleMaxDist = 14  // largest distance a 4-bit cell can hold
 	byteMaxDist   = 254 // largest distance an 8-bit cell can hold
 )
 
-// packedRow is one destination's distance vector in compact form. Rows
-// are immutable after encodeRow returns, so they may be shared between
-// tables (Repair reuses unaffected rows) and read concurrently.
+// packedRow is one destination's distance vector, the one row format
+// of every Table. Its cells are never written after encodeRow returns,
+// so tables may share them (Repair and Restore copy an unchanged row,
+// which shares its cells) and read them concurrently. Eager tables
+// hold rows by value, so a lookup reads the row header from one
+// contiguous slice before its cells.
 type packedRow struct {
 	bits uint8   // cell width: 4, 8 or 32
+	maxd int32   // largest finite distance in the row
 	nib  []uint8 // 4-bit cells packed two per byte (bits==4) or one byte per cell (bits==8)
-	wide []int32 // raw distances (bits==32 fallback)
+	wide []int32 // raw distances (bits==32)
 }
 
-// encodeRow packs a distance vector at the narrowest width that fits
-// its largest finite distance.
-func encodeRow(dist []int32) *packedRow {
-	maxd := int32(-1)
-	for _, d := range dist {
-		if d > maxd {
-			maxd = d
-		}
-	}
+// encodeRow stores a distance vector at the narrowest width, no
+// narrower than minBits, that fits its largest finite distance. A
+// 32-bit row adopts dist as its storage instead of copying it, so the
+// caller hands dist over and must not write it again; narrower rows
+// never retain dist.
+func encodeRow(dist []int32, minBits uint8) packedRow {
+	maxd := maxDist(dist)
 	switch {
-	case maxd <= nibbleMaxDist:
+	case minBits <= 4 && maxd <= nibbleMaxDist:
 		nib := make([]uint8, (len(dist)+1)/2)
 		for v, d := range dist {
 			nib[v>>1] |= uint8(d+1) << ((uint(v) & 1) << 2)
 		}
-		return &packedRow{bits: 4, nib: nib}
-	case maxd <= byteMaxDist:
+		return packedRow{bits: 4, maxd: maxd, nib: nib}
+	case minBits <= 8 && maxd <= byteMaxDist:
 		nib := make([]uint8, len(dist))
 		for v, d := range dist {
 			nib[v] = uint8(d + 1)
 		}
-		return &packedRow{bits: 8, nib: nib}
+		return packedRow{bits: 8, maxd: maxd, nib: nib}
 	default:
-		wide := make([]int32, len(dist))
-		copy(wide, dist)
-		return &packedRow{bits: 32, wide: wide}
+		return packedRow{bits: 32, maxd: maxd, wide: dist}
 	}
 }
 
-// at returns the stored distance of vertex v (-1 unreachable).
+// maxDist returns the largest entry of dist (-1 when every vertex is
+// unreachable).
+func maxDist(dist []int32) int32 {
+	maxd := int32(-1)
+	for _, d := range dist {
+		maxd = max(maxd, d)
+	}
+	return maxd
+}
+
+// maxRowDist returns the largest finite distance across rows (0 for
+// none).
+func maxRowDist(rows []packedRow) int32 {
+	var diam int32
+	for i := range rows {
+		diam = max(diam, rows[i].maxd)
+	}
+	return diam
+}
+
+// at returns the stored distance of vertex v (-1 unreachable). The
+// 32-bit test comes first (a switch would be reordered by value), so a
+// dense lookup costs one compare over a raw []int32 read.
 func (r *packedRow) at(v int) int32 {
-	switch r.bits {
-	case 4:
-		return int32(r.nib[v>>1]>>((uint(v)&1)<<2)&0xf) - 1
-	case 8:
-		return int32(r.nib[v]) - 1
-	default:
+	if r.bits == 32 {
 		return r.wide[v]
 	}
+	if r.bits == 4 {
+		return int32(r.nib[v>>1]>>((uint(v)&1)<<2)&0xf) - 1
+	}
+	return int32(r.nib[v]) - 1
 }
 
-// decode expands the row into dst (grown if needed) and returns it.
-func (r *packedRow) decode(dst []int32, n int) []int32 {
-	if cap(dst) < n {
-		dst = make([]int32, n)
-	}
-	dst = dst[:n]
+// view returns the row as a distance vector the caller must not
+// write: a 32-bit row's own storage, uncopied, or else the row decoded
+// into scratch, which must have the row's length.
+func (r *packedRow) view(scratch []int32) []int32 {
 	switch r.bits {
 	case 4:
-		for v := range dst {
-			dst[v] = int32(r.nib[v>>1]>>((uint(v)&1)<<2)&0xf) - 1
+		for v := range scratch {
+			scratch[v] = int32(r.nib[v>>1]>>((uint(v)&1)<<2)&0xf) - 1
 		}
 	case 8:
-		for v := range dst {
-			dst[v] = int32(r.nib[v]) - 1
+		for v := range scratch {
+			scratch[v] = int32(r.nib[v]) - 1
 		}
 	default:
-		copy(dst, r.wide)
+		return r.wide
 	}
-	return dst
+	return scratch
 }
 
 // bytes returns the payload size of the row.
@@ -213,7 +241,7 @@ func (lt *lazyTable) materialize(dest int) *packedRow {
 	}
 	dist := make([]int32, lt.g.N())
 	lt.g.BFS(dest, dist, nil)
-	pr := encodeRow(dist)
+	pr := encodeRow(dist, StoreLazy.minBits())
 	if len(lt.resident) >= lt.cap {
 		mi := 0
 		for i, d := range lt.resident {
@@ -227,9 +255,9 @@ func (lt *lazyTable) materialize(dest int) *packedRow {
 		lt.resident = lt.resident[:len(lt.resident)-1]
 	}
 	lt.lastUse[dest].Store(lt.epoch.Add(1))
-	lt.rows[dest].Store(pr)
+	lt.rows[dest].Store(&pr)
 	lt.resident = append(lt.resident, int32(dest))
-	return pr
+	return &pr
 }
 
 // residentRows returns the number of materialized rows.
@@ -244,41 +272,17 @@ func (lt *lazyTable) residentRows() int {
 func (lt *lazyTable) diameter() int32 {
 	lt.diamOnce.Do(func() {
 		n := lt.g.N()
-		workers := runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = n
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		work := make(chan int, n)
-		for d := 0; d < n; d++ {
-			work <- d
-		}
-		close(work)
-		diams := make([]int32, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				dist := make([]int32, n)
-				queue := make([]int32, n)
-				for d := range work {
-					lt.g.BFS(d, dist, queue)
-					for _, x := range dist {
-						if x > diams[w] {
-							diams[w] = x
-						}
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, d := range diams {
-			if d > lt.diam {
-				lt.diam = d
+		maxes := make([]int32, n) // per source
+		graph.EachSource(n, func() func(int) {
+			dist := make([]int32, n)
+			queue := make([]int32, n)
+			return func(d int) {
+				lt.g.BFS(d, dist, queue)
+				maxes[d] = maxDist(dist)
 			}
+		})
+		for _, d := range maxes {
+			lt.diam = max(lt.diam, d)
 		}
 	})
 	return lt.diam

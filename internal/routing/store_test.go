@@ -12,29 +12,47 @@ import (
 
 func TestPackedRowWidths(t *testing.T) {
 	cases := []struct {
-		name string
-		dist []int32
-		bits uint8
+		name    string
+		dist    []int32
+		minBits uint8
+		bits    uint8
 	}{
-		{"nibble", []int32{-1, 0, 1, 7, 14}, 4},
-		{"byte", []int32{-1, 0, 15, 200, 254}, 8},
-		{"wide", []int32{-1, 0, 255, 100000}, 32},
+		{"nibble", []int32{-1, 0, 1, 7, 14}, 4, 4},
+		{"byte", []int32{-1, 0, 15, 200, 254}, 4, 8},
+		{"wide", []int32{-1, 0, 255, 100000}, 4, 32},
+		{"byte floor", []int32{-1, 0, 1, 7, 14}, 8, 8},
+		{"dense floor", []int32{-1, 0, 1, 7, 14}, 32, 32},
 	}
 	for _, c := range cases {
-		r := encodeRow(c.dist)
+		dist := append([]int32(nil), c.dist...)
+		r := encodeRow(dist, c.minBits)
 		if r.bits != c.bits {
 			t.Errorf("%s: encoded at %d bits, want %d", c.name, r.bits, c.bits)
+		}
+		if want := maxDist(c.dist); r.maxd != want {
+			t.Errorf("%s: maxd = %d, want %d", c.name, r.maxd, want)
 		}
 		for v, want := range c.dist {
 			if got := r.at(v); got != want {
 				t.Errorf("%s: at(%d) = %d, want %d", c.name, v, got, want)
 			}
 		}
-		dec := r.decode(nil, len(c.dist))
+		scratch := make([]int32, len(c.dist))
+		view := r.view(scratch)
 		for v, want := range c.dist {
-			if dec[v] != want {
-				t.Errorf("%s: decode[%d] = %d, want %d", c.name, v, dec[v], want)
+			if view[v] != want {
+				t.Errorf("%s: view[%d] = %d, want %d", c.name, v, view[v], want)
 			}
+		}
+		// A 32-bit row adopts the vector it was given and views it
+		// uncopied (dense tables build and repair copy-free); narrower
+		// rows decode into the caller's scratch.
+		if c.bits == 32 {
+			if &r.wide[0] != &dist[0] || &view[0] != &dist[0] {
+				t.Errorf("%s: 32-bit row copied its vector", c.name)
+			}
+		} else if &view[0] != &scratch[0] {
+			t.Errorf("%s: view did not decode into scratch", c.name)
 		}
 	}
 }
@@ -193,6 +211,31 @@ func TestPackedMemoryFootprint(t *testing.T) {
 	}
 }
 
+// TestMemoryBytesPerBackend pins the exact MemoryBytes accounting on
+// LPS(11,7) (n=168, diameter 3): dense counts 4 bytes per cell, packed
+// each nibble row's payload plus 8 bytes per row, and lazy its
+// per-destination bookkeeping (16+8 bytes) plus the resident rows.
+func TestMemoryBytesPerBackend(t *testing.T) {
+	g := topo.MustLPS(11, 7).G
+	n := g.N()
+	if got := NewTable(g).MemoryBytes(); got != 112_896 {
+		t.Errorf("dense MemoryBytes = %d, want 112896 (168·168·4)", got)
+	}
+	if got := NewTableOpts(g, TableOptions{Store: StorePacked}).MemoryBytes(); got != 15_456 {
+		t.Errorf("packed MemoryBytes = %d, want 15456 (168·(84+8))", got)
+	}
+	lazy := NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: 16})
+	if got := lazy.MemoryBytes(); got != 4_032 {
+		t.Errorf("untouched lazy MemoryBytes = %d, want 4032 (168·24)", got)
+	}
+	for d := 0; d < 40; d++ {
+		lazy.HopDist(0, d*3%n)
+	}
+	if got := lazy.MemoryBytes(); got != 5_376 {
+		t.Errorf("lazy MemoryBytes after 40 touches = %d, want 5376 (168·24 + 16·84)", got)
+	}
+}
+
 func TestTableConcurrentReadersNonDense(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	n := inst.G.N()
@@ -270,10 +313,10 @@ func benchTable(b *testing.B, opts TableOptions) *Table {
 }
 
 // BenchmarkHopDist compares the per-lookup cost of the three backends
-// on the class-1 LPS instance — HopDist is the simulator's per-hop hot
-// path, and the packed backend is budgeted at ≤15% over dense there
-// (see BenchmarkRunLoadStore in internal/simnet for the in-situ
-// number).
+// on the class-1 LPS instance. HopDist is one row read, the primitive
+// under the simulator's per-hop next-hop choice; the packed backend is
+// budgeted at ≤15% over dense there (see BenchmarkRunLoadStore in
+// internal/simnet for the in-situ number).
 func BenchmarkHopDist(b *testing.B) {
 	for _, opts := range []TableOptions{
 		{Store: StoreDense},
@@ -338,4 +381,17 @@ func BenchmarkTableMemory(b *testing.B) {
 			}
 		})
 	}
+}
+
+// sharesRow reports whether tables a and b hold the same stored cells
+// toward dest, i.e. whether one shares the other's row.
+func sharesRow(a, b *Table, dest int) bool {
+	ra, rb := a.row(dest), b.row(dest)
+	if ra.bits != rb.bits {
+		return false
+	}
+	if ra.bits == 32 {
+		return &ra.wide[0] == &rb.wide[0]
+	}
+	return &ra.nib[0] == &rb.nib[0]
 }

@@ -31,15 +31,17 @@ const (
 )
 
 // TableOptions selects the storage backend of the all-pairs routing
-// oracle built for a simulation (or a sweep): dense int32 vectors,
-// packed 4-bit shards (~8× smaller), or lazy on-demand shards under a
-// bounded working set. All backends produce bit-identical routes; see
+// oracle built for a simulation (or a sweep): one distance row per
+// destination, either dense (rows at the 32-bit width), packed (rows
+// from 4 bits up, ~8× smaller), or lazy (packed rows on demand under a
+// bounded working set). All backends produce bit-identical routes; see
 // DESIGN.md §7 for the memory model.
 type TableOptions = routing.TableOptions
 
 // Routing-table storage backends (TableOptions.Store).
 const (
-	// StoreDense keeps one int32 vector per destination (the default).
+	// StoreDense keeps every row at the 32-bit width: int32 distances
+	// (the default).
 	StoreDense = routing.StoreDense
 	// StorePacked packs distances into 4-bit nibbles, ~8× smaller.
 	StorePacked = routing.StorePacked
