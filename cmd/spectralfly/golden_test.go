@@ -47,18 +47,31 @@ func goldenConfigs() map[string]appConfig {
 	interf.simOpts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
 	interf.loads = []float64{0.1, 0.5}
 
+	// fig4-normbw at maxPQ 12: seven LPS rows, each partitioned.
+	normbw := base
+	normbw.maxPQ = 12
+
 	return map[string]appConfig{
-		"fig6":         sim,
-		"fig7":         sim,
-		"fig8":         sim,
-		"fig9":         sim,
-		"fig10":        sim,
-		"saturation":   satur,
-		"resilience":   resil,
-		"reconfig":     recon,
-		"interference": interf,
-		"scale":        scale,
-		"ablations":    base,
+		"table1":        base,
+		"fig3":          base,
+		"fig4-feasible": base,
+		"fig4-sizes":    base,
+		"fig4-normbw":   normbw,
+		"fig4-rawbw":    base,
+		"fig5":          base,
+		"table2":        base,
+		"fig11":         base,
+		"fig6":          sim,
+		"fig7":          sim,
+		"fig8":          sim,
+		"fig9":          sim,
+		"fig10":         sim,
+		"saturation":    satur,
+		"resilience":    resil,
+		"reconfig":      recon,
+		"interference":  interf,
+		"scale":         scale,
+		"ablations":     base,
 	}
 }
 
