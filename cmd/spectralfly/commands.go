@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/routing"
+	"repro/internal/topo"
 	"repro/internal/version"
 )
 
@@ -32,147 +33,211 @@ type appConfig struct {
 	layout    string
 }
 
-// commands returns the exhibit table: every subcommand computes a
-// result value; printing (table vs JSON) is applied uniformly
-// afterwards.
-func commands(cfg appConfig) map[string]func() (any, error) {
-	scale := cfg.scale
-	simOpts := cfg.simOpts
-	return map[string]func() (any, error){
-		"table1": func() (any, error) {
-			return exp.Table1(cfg.classes, scale)
+// exhibit is one paper exhibit the CLI regenerates: its subcommand
+// name, one-line help, the driver computing its result from the
+// parsed flags, and the printer rendering that result as a table
+// (-json encodes the result instead).
+type exhibit struct {
+	name, help string
+	run        func(appConfig) (any, error)
+	print      func(io.Writer, any)
+	// explicit exhibits run only when named, never as part of `all`.
+	explicit bool
+}
+
+// newExhibit ties an exhibit's driver and printer to one result type.
+func newExhibit[T any](name, help string, run func(appConfig) (T, error), print func(io.Writer, T)) exhibit {
+	return exhibit{
+		name: name,
+		help: help,
+		run: func(cfg appConfig) (any, error) {
+			result, err := run(cfg)
+			return result, err
 		},
-		"fig4-feasible": func() (any, error) {
+		print: func(w io.Writer, result any) { print(w, result.(T)) },
+	}
+}
+
+// exhibits is the ordered exhibit table: dispatch, `all`, usage and
+// the golden tests all range over it.
+var exhibits = []exhibit{
+	newExhibit("table1", "structural properties of the Table I size classes",
+		func(cfg appConfig) ([]exp.Table1Row, error) { return exp.Table1(cfg.classes, cfg.scale) },
+		exp.FprintTable1),
+	newExhibit("fig3", "distance distribution and concentration of one size class",
+		func(cfg appConfig) ([]exp.Fig3Row, error) { return exp.Fig3(int(pick(cfg.scale, 0, 1))) },
+		exp.FprintFig3),
+	newExhibit("fig4-feasible", "feasible LPS (radix, size) points",
+		func(cfg appConfig) ([]topo.Feasible, error) {
 			bound := cfg.maxPQ
 			if bound == 0 {
-				bound = pick(scale, 100, 300)
+				bound = pick(cfg.scale, 100, 300)
 			}
 			return exp.Fig4Feasible(bound), nil
 		},
-		"fig4-sizes": func() (any, error) {
-			return exp.Fig4FeasibleSizes(
-				pick64(scale, 60, 300), pick64(scale, 60, 300),
-				int(pick64(scale, 60, 120)), pick64(scale, 60, 200), pick64(scale, 12, 16)), nil
+		func(w io.Writer, r []topo.Feasible) {
+			exp.FprintFeasible(w, r)
+			fmt.Fprintf(w, "(%d feasible instances)\n", len(r))
+		}),
+	newExhibit("fig4-sizes", "feasible sizes per radix for all four families",
+		func(cfg appConfig) (exp.Fig4Sizes, error) {
+			s := cfg.scale
+			return exp.Fig4FeasibleSizes(pick(s, 60, 300), pick(s, 60, 300),
+				int(pick(s, 60, 120)), pick(s, 60, 200), pick(s, 12, 16)), nil
 		},
-		"fig4-normbw": func() (any, error) {
+		func(w io.Writer, r exp.Fig4Sizes) {
+			fmt.Fprintln(w, "LPS:")
+			exp.FprintFeasible(w, r.LPS)
+			fmt.Fprintln(w, "SlimFly:")
+			exp.FprintFeasible(w, r.SlimFly)
+			fmt.Fprintln(w, "DragonFly:")
+			exp.FprintFeasible(w, r.DragonFly)
+			fmt.Fprintln(w, "BundleFly (max size per radix):")
+			exp.FprintFeasible(w, r.BundleFlyMax)
+		}),
+	newExhibit("fig4-normbw", "normalized bisection bandwidth of LPS instances",
+		func(cfg appConfig) ([]exp.BisectionRow, error) {
 			bound := cfg.maxPQ
 			if bound == 0 {
-				bound = pick(scale, 30, 100)
+				bound = pick(cfg.scale, 30, 100)
 			}
 			return exp.Fig4NormalizedBisection(bound, cfg.maxN)
 		},
-		"fig4-rawbw": func() (any, error) {
-			return exp.Fig4RawBisection(cfg.classes, scale)
+		exp.FprintBisection),
+	newExhibit("fig4-rawbw", "raw bisection bandwidth comparison",
+		func(cfg appConfig) ([]exp.BisectionRow, error) { return exp.Fig4RawBisection(cfg.classes, cfg.scale) },
+		exp.FprintBisection),
+	newExhibit("fig5", "structural properties under random link failures",
+		func(cfg appConfig) ([]exp.Fig5Point, error) {
+			return exp.Fig5(cfg.class, cfg.scale, exp.Fig5Options{Seed: cfg.seed})
 		},
-		"fig5": func() (any, error) {
-			return exp.Fig5(cfg.class, scale, exp.Fig5Options{Seed: cfg.seed})
+		exp.FprintFig5),
+	newExhibit("fig6", "UGAL-L synthetic-pattern sweep (speedup vs DragonFly)",
+		func(cfg appConfig) ([]exp.LoadPoint, error) { return exp.Fig6(cfg.scale, cfg.simOpts) },
+		exp.FprintLoadPoints),
+	newExhibit("fig7", "minimal-routing random-pattern sweep",
+		func(cfg appConfig) ([]exp.LoadPoint, error) { return exp.Fig7(cfg.scale, cfg.simOpts) },
+		exp.FprintLoadPoints),
+	newExhibit("fig8", "Valiant vs minimal on SpectralFly",
+		func(cfg appConfig) ([]exp.LoadPoint, error) { return exp.Fig8(cfg.scale, cfg.simOpts) },
+		exp.FprintLoadPoints),
+	newExhibit("fig9", "Ember motifs under minimal routing",
+		func(cfg appConfig) ([]exp.MotifPoint, error) {
+			return exp.RunMotifs(cfg.scale, routing.Minimal, cfg.simOpts)
 		},
-		"fig6": func() (any, error) {
-			return exp.Fig6(scale, simOpts)
+		exp.FprintMotifPoints),
+	newExhibit("fig10", "Ember motifs under UGAL-L routing",
+		func(cfg appConfig) ([]exp.MotifPoint, error) {
+			return exp.RunMotifs(cfg.scale, routing.UGALL, cfg.simOpts)
 		},
-		"fig7": func() (any, error) {
-			return exp.Fig7(scale, simOpts)
+		exp.FprintMotifPoints),
+	newExhibit("table2", "machine-room layout: wires, power, efficiency",
+		func(cfg appConfig) ([]exp.Table2Row, error) {
+			return exp.Table2(cfg.scale, exp.Table2Options{Seed: cfg.seed})
 		},
-		"fig8": func() (any, error) {
-			return exp.Fig8(scale, simOpts)
+		exp.FprintTable2),
+	newExhibit("fig11", "end-to-end latency vs switch latency (ratio to SkyWalk)",
+		func(cfg appConfig) ([]exp.Fig11Point, error) {
+			return exp.Fig11(cfg.scale, exp.Table2Options{Seed: cfg.seed})
 		},
-		"fig9": func() (any, error) {
-			return exp.RunMotifs(scale, routing.Minimal, simOpts)
-		},
-		"fig10": func() (any, error) {
-			return exp.RunMotifs(scale, routing.UGALL, simOpts)
-		},
-		"table2": func() (any, error) {
-			return exp.Table2(scale, exp.Table2Options{Seed: cfg.seed})
-		},
-		"fig11": func() (any, error) {
-			return exp.Fig11(scale, exp.Table2Options{Seed: cfg.seed})
-		},
-		"fig3": func() (any, error) {
-			cls := 0
-			if scale == exp.Full {
-				cls = 1
-			}
-			return exp.Fig3(cls)
-		},
-		"ablations": func() (any, error) {
+		exp.FprintFig11),
+	newExhibit("ablations", "design-choice ablation studies (arrangement, spectra, ...)",
+		func(cfg appConfig) (exp.Ablations, error) {
 			s := cfg.seed
 			if s == 0 {
 				s = exp.BaseSeed
 			}
-			return exp.RunAblations(s, simOpts.Parallel)
+			return exp.RunAblations(s, cfg.simOpts.Parallel)
 		},
-		"saturation": func() (any, error) {
-			return exp.Saturation(scale, simOpts)
-		},
-		"resilience": func() (any, error) {
-			return exp.Resilience(scale, exp.ResilienceOptions{
+		func(w io.Writer, a exp.Ablations) { a.Fprint(w) }),
+	newExhibit("saturation", "measured saturation load per simulated topology (§VI-C)",
+		func(cfg appConfig) ([]exp.SaturationRow, error) { return exp.Saturation(cfg.scale, cfg.simOpts) },
+		exp.FprintSaturation),
+	newExhibit("resilience", "performance under failure: traffic on damaged networks",
+		func(cfg appConfig) ([]exp.ResiliencePoint, error) {
+			return exp.Resilience(cfg.scale, exp.ResilienceOptions{
 				Fractions:   cfg.fractions,
 				Trials:      cfg.trials,
-				Ranks:       simOpts.Ranks,
-				MsgsPerRank: simOpts.MsgsPerRank,
+				Ranks:       cfg.simOpts.Ranks,
+				MsgsPerRank: cfg.simOpts.MsgsPerRank,
 				Seed:        cfg.seed,
-				Parallel:    simOpts.Parallel,
-				Workers:     simOpts.Workers,
+				Parallel:    cfg.simOpts.Parallel,
+				Workers:     cfg.simOpts.Workers,
 			})
 		},
-		"interference": func() (any, error) {
+		exp.FprintResilience),
+	newExhibit("reconfig", "live reconfiguration: static vs rewiring Jellyfish fabric",
+		func(cfg appConfig) (*exp.ReconfigReport, error) {
+			return exp.Reconfig(cfg.scale, exp.ReconfigOptions{
+				Period:      cfg.period,
+				Ranks:       cfg.simOpts.Ranks,
+				MsgsPerRank: cfg.simOpts.MsgsPerRank,
+				Seed:        cfg.seed,
+				Parallel:    cfg.simOpts.Parallel,
+				Workers:     cfg.simOpts.Workers,
+			})
+		},
+		exp.FprintReconfig),
+	newExhibit("interference", "multi-tenant victim tail latency vs aggressor load and placement",
+		func(cfg appConfig) (*exp.InterferenceReport, error) {
 			o := exp.InterferenceOptions{
 				AggressorLoads: cfg.loads,
 				LayoutMode:     cfg.layout,
-				MsgsPerRank:    simOpts.MsgsPerRank,
+				MsgsPerRank:    cfg.simOpts.MsgsPerRank,
 				Seed:           cfg.seed,
-				Parallel:       simOpts.Parallel,
-				Workers:        simOpts.Workers,
+				Parallel:       cfg.simOpts.Parallel,
+				Workers:        cfg.simOpts.Workers,
 			}
-			if simOpts.Ranks > 0 {
+			if cfg.simOpts.Ranks > 0 {
 				// -ranks sizes the aggressor; the victim stays a quarter of
 				// it, preserving the exhibit's big-vs-small shape.
-				o.AggressorRanks = simOpts.Ranks
-				o.VictimRanks = simOpts.Ranks / 4
+				o.AggressorRanks = cfg.simOpts.Ranks
+				o.VictimRanks = cfg.simOpts.Ranks / 4
 			}
-			return exp.Interference(scale, o)
+			return exp.Interference(cfg.scale, o)
 		},
-		"reconfig": func() (any, error) {
-			return exp.Reconfig(scale, exp.ReconfigOptions{
-				Period:      cfg.period,
-				Ranks:       simOpts.Ranks,
-				MsgsPerRank: simOpts.MsgsPerRank,
-				Seed:        cfg.seed,
-				Parallel:    simOpts.Parallel,
-				Workers:     simOpts.Workers,
-			})
-		},
-		"scale": func() (any, error) {
-			store, err := routing.ParseStore(cfg.store)
-			if err != nil {
-				return nil, err
-			}
-			opts := exp.ScaleOptions{
-				Store:       store,
-				MaxResident: cfg.resident,
-				Rungs:       cfg.rungs,
-				MsgsPerEP:   simOpts.MsgsPerRank,
-				Seed:        cfg.seed,
-				Parallel:    simOpts.Parallel,
-				Workers:     simOpts.Workers,
-			}
-			if fr := cfg.fractions; len(fr) == 1 {
-				if fr[0] <= 0 {
-					// Fraction 0 would silently become the 0.01 default;
-					// the intact baseline lives in the resilience exhibit.
-					return nil, fmt.Errorf("scale needs -fractions > 0 (for an intact baseline use the resilience exhibit)")
-				}
-				opts.Fraction = fr[0]
-			} else if len(fr) > 1 {
-				// Unlike resilience, scale runs one degraded point per
-				// rung; silently dropping the rest would under-run the
-				// grid the user asked for.
-				return nil, fmt.Errorf("scale takes a single -fractions value, got %d", len(fr))
-			}
-			return exp.ScaleSweep(scale, opts)
-		},
+		exp.FprintInterference),
+	// At -full, scale builds six 12K–40K router instances (minutes to
+	// hours of simulation each), a cost users must opt into explicitly
+	// rather than inherit from `all`.
+	optIn(newExhibit("scale", "large-n sweep (Table II ladder to ~40K routers), compact routing",
+		runScale, exp.FprintScale)),
+}
+
+// optIn marks an exhibit that `all` skips.
+func optIn(e exhibit) exhibit {
+	e.explicit = true
+	return e
+}
+
+func runScale(cfg appConfig) ([]exp.ScalePoint, error) {
+	store, err := routing.ParseStore(cfg.store)
+	if err != nil {
+		return nil, err
 	}
+	opts := exp.ScaleOptions{
+		Store:       store,
+		MaxResident: cfg.resident,
+		Rungs:       cfg.rungs,
+		MsgsPerEP:   cfg.simOpts.MsgsPerRank,
+		Seed:        cfg.seed,
+		Parallel:    cfg.simOpts.Parallel,
+		Workers:     cfg.simOpts.Workers,
+	}
+	if fr := cfg.fractions; len(fr) == 1 {
+		if fr[0] <= 0 {
+			// Fraction 0 would silently become the 0.01 default;
+			// the intact baseline lives in the resilience exhibit.
+			return nil, fmt.Errorf("scale needs -fractions > 0 (for an intact baseline use the resilience exhibit)")
+		}
+		opts.Fraction = fr[0]
+	} else if len(fr) > 1 {
+		// Unlike resilience, scale runs one degraded point per
+		// rung; silently dropping the rest would under-run the
+		// grid the user asked for.
+		return nil, fmt.Errorf("scale takes a single -fractions value, got %d", len(fr))
+	}
+	return exp.ScaleSweep(cfg.scale, opts)
 }
 
 // encodeJSON writes the one-document-per-exhibit JSON framing of the
@@ -193,5 +258,3 @@ func pick(scale exp.Scale, quick, full int64) int64 {
 	}
 	return quick
 }
-
-func pick64(scale exp.Scale, quick, full int64) int64 { return pick(scale, quick, full) }

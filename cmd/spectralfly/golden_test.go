@@ -10,20 +10,18 @@ import (
 	"repro/internal/exp"
 )
 
-// These golden tests pin the exact -json documents of every simulation
-// subcommand at a tiny fixed-seed configuration. They were generated
-// BEFORE the declarative-sweep rewire of the exp drivers and must stay
-// byte-identical after it: any change to a golden file here means the
-// sweep refactor altered a published result. Regenerate (only for a
-// deliberate numeric change) with
+// These golden tests pin the exact -json document of every exhibit at
+// a tiny fixed-seed configuration, so no refactor of the drivers, the
+// sweep engine or the simulator can change a published result
+// unnoticed. Regenerate (only for a deliberate numeric change) with
 //
 //	go test ./cmd/spectralfly -run Golden -update
 var update = flag.Bool("update", false, "rewrite the CLI golden files")
 
-// goldenConfigs lists every pinned subcommand with the (cheap) flag
-// configuration it is pinned at. Configurations mirror what a user
-// would pass on the command line; axes without flags use the drivers'
-// quick-scale defaults, exactly as the binary would.
+// goldenConfigs gives every exhibit the (cheap) flag configuration it
+// is pinned at. Configurations mirror what a user would pass on the
+// command line; axes without flags use the drivers' quick-scale
+// defaults, exactly as the binary would.
 func goldenConfigs() map[string]appConfig {
 	base := appConfig{scale: exp.Quick, class: 1, maxN: 4000, store: "packed"}
 	sim := base
@@ -76,22 +74,24 @@ func goldenConfigs() map[string]appConfig {
 }
 
 func TestCLIGoldenJSON(t *testing.T) {
-	for name, cfg := range goldenConfigs() {
-		t.Run(name, func(t *testing.T) {
+	configs := goldenConfigs()
+	for _, e := range exhibits {
+		cfg, ok := configs[e.name]
+		if !ok {
+			t.Errorf("exhibit %q has no golden configuration", e.name)
+			continue
+		}
+		t.Run(e.name, func(t *testing.T) {
 			t.Parallel()
-			f, ok := commands(cfg)[name]
-			if !ok {
-				t.Fatalf("no %q subcommand", name)
-			}
-			result, err := f()
+			result, err := e.run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := encodeJSON(&buf, name, cfg.scale, result); err != nil {
+			if err := encodeJSON(&buf, e.name, cfg.scale, result); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", name+".json")
+			path := filepath.Join("testdata", e.name+".json")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -106,8 +106,8 @@ func TestCLIGoldenJSON(t *testing.T) {
 				t.Fatalf("missing golden file (run with -update to create): %v", err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s -json drifted from its golden file.\n--- got ---\n%s\n--- want ---\n%s\n(the sweep rewire must keep subcommand output byte-identical)",
-					name, buf.Bytes(), want)
+				t.Errorf("%s -json drifted from its golden file.\n--- got ---\n%s\n--- want ---\n%s",
+					e.name, buf.Bytes(), want)
 			}
 		})
 	}

@@ -1,29 +1,11 @@
 // Command spectralfly regenerates every table and figure of the
-// SpectralFly paper's evaluation. Each subcommand corresponds to one
-// exhibit (see DESIGN.md §3 for the experiment index):
-//
-//	spectralfly table1        [-classes 0,1,2,3,4] [-full]
-//	spectralfly fig4-feasible [-maxpq 300]
-//	spectralfly fig4-sizes
-//	spectralfly fig4-normbw   [-maxpq 100] [-maxn 4000]
-//	spectralfly fig4-rawbw    [-classes ...] [-full]
-//	spectralfly fig5          [-class 1] [-full]
-//	spectralfly fig6          [-full] [-ranks N] [-msgs N] [-parallel N]
-//	spectralfly fig7          [-full] ...
-//	spectralfly fig8          [-full] ...
-//	spectralfly fig9          [-full]
-//	spectralfly fig10         [-full]
-//	spectralfly table2        [-full]
-//	spectralfly fig11         [-full]
-//	spectralfly resilience    [-full] [-fractions 0.05,0.1] [-trials N] [-parallel N]
-//	spectralfly reconfig      [-full] [-period N] [-parallel N]
-//	spectralfly interference  [-full] [-loads 0.1,0.4] [-layout qap]
-//	spectralfly scale         [-full] [-store packed|lazy|dense] [-resident N] [-rungs 0,1,2]
-//	spectralfly sweep         -topos lps(11,7),sf(9) [-measure load|motif|saturation] ...
-//	spectralfly serve         -topos ... [-addr host:port] [-cache-dir D] [-chunk N]
-//	spectralfly submit        -coord http://host:port [-parallel N] [-cache-dir D]
-//	spectralfly version
-//	spectralfly all           [-full]   (everything except scale, in order)
+// SpectralFly paper's evaluation. Each exhibit is one subcommand, listed
+// in order by the exhibits table in commands.go; running spectralfly
+// with no arguments prints that list with every flag (DESIGN.md §3 maps
+// the exhibits to the paper). Beyond the exhibits, `all` runs every
+// exhibit except scale, `sweep` runs a declarative grid over any
+// topology set, `serve` and `submit` distribute one grid across worker
+// processes, and `version` prints the code version stamp.
 //
 // Without -full each experiment runs a scaled-down configuration with
 // the same structure (seconds instead of minutes); -full reproduces the
@@ -38,7 +20,7 @@
 // document per exhibit, stamped with the code version) for scripted
 // sweeps.
 //
-// Sweeps are a distributed, resumable fabric (DESIGN.md §12): -cache
+// Sweeps are a distributed, resumable fabric (DESIGN.md §11): -cache
 // / -cache-dir answer cells from a content-addressed result store
 // (re-running an identical grid against a warm cache simulates
 // nothing and reproduces the output byte for byte), -resume journals
@@ -50,13 +32,13 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/topo"
 	"repro/internal/version"
 )
 
@@ -107,128 +89,64 @@ func dispatch(cmd string, fl cliFlags) int {
 		loads:     parseFractions(fl.loads),
 		layout:    fl.layout,
 	}
-	cmds := commands(cfg)
-
-	run := func(name string, f func() (any, error)) bool {
+	run := func(e exhibit) int {
 		start := time.Now()
 		if !fl.jsonOut {
-			fmt.Printf("== %s (%s scale) ==\n", name, scale)
+			fmt.Printf("== %s (%s scale) ==\n", e.name, scale)
 		}
-		result, err := f()
+		result, err := e.run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			return false
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			return 1
 		}
 		if fl.jsonOut {
-			if err := encodeJSON(os.Stdout, name, scale, result); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-				return false
+			if err := encodeJSON(os.Stdout, e.name, scale, result); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+				return 1
 			}
-			return true
+			return 0
 		}
-		printResult(result)
-		fmt.Printf("-- %s done in %v --\n\n", name, time.Since(start).Round(time.Millisecond))
-		return true
+		e.print(os.Stdout, result)
+		fmt.Printf("-- %s done in %v --\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		return 0
 	}
 
-	// "scale" is deliberately absent: at -full it builds six 12K–40K
-	// router instances (minutes to hours of simulation each), a cost
-	// users must opt into explicitly rather than inherit from `all`.
-	order := []string{
-		"table1", "fig3", "fig4-feasible", "fig4-sizes", "fig4-normbw",
-		"fig4-rawbw", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"table2", "fig11", "ablations", "saturation", "resilience",
-		"reconfig", "interference",
+	// serve emits the same "sweep" exhibit as a single-process run:
+	// with -json, a distributed grid's document is byte-identical to
+	// the sweep subcommand's.
+	sweepExhibit := func(f func(cliFlags) (any, error)) exhibit {
+		return exhibit{
+			name:  "sweep",
+			run:   func(appConfig) (any, error) { return f(fl) },
+			print: func(w io.Writer, rows any) { printSweep(w, rows.([]sweepRow)) },
+		}
 	}
-	if cmd == "all" {
-		for _, name := range order {
-			if !run(name, cmds[name]) {
+	switch cmd {
+	case "all":
+		for _, e := range exhibits {
+			if !e.explicit && run(e) != 0 {
 				return 1
 			}
 		}
 		return 0
-	}
-	if cmd == "sweep" {
-		if !run("sweep", func() (any, error) { return runSweep(fl) }) {
-			return 1
-		}
-		return 0
-	}
-	// serve emits the same "sweep" exhibit as a single-process run:
-	// with -json, a distributed grid's document is byte-identical to
-	// the sweep subcommand's.
-	if cmd == "serve" {
-		if !run("sweep", func() (any, error) { return runServe(fl) }) {
-			return 1
-		}
-		return 0
-	}
-	if cmd == "submit" {
+	case "sweep":
+		return run(sweepExhibit(runSweep))
+	case "serve":
+		return run(sweepExhibit(runServe))
+	case "submit":
 		if err := runSubmit(fl); err != nil {
 			fmt.Fprintf(os.Stderr, "submit: %v\n", err)
 			return 1
 		}
 		return 0
 	}
-	f, ok := cmds[cmd]
-	if !ok {
-		usage()
-		return 2
+	for _, e := range exhibits {
+		if e.name == cmd {
+			return run(e)
+		}
 	}
-	if !run(cmd, f) {
-		return 1
-	}
-	return 0
-}
-
-// printResult renders a command result in its table form.
-func printResult(v any) {
-	switch r := v.(type) {
-	case []exp.Table1Row:
-		exp.FprintTable1(os.Stdout, r)
-	case []topo.Feasible:
-		exp.FprintFeasible(os.Stdout, r)
-		fmt.Printf("(%d feasible instances)\n", len(r))
-	case exp.Fig4Sizes:
-		fmt.Println("LPS:")
-		exp.FprintFeasible(os.Stdout, r.LPS)
-		fmt.Println("SlimFly:")
-		exp.FprintFeasible(os.Stdout, r.SlimFly)
-		fmt.Println("DragonFly:")
-		exp.FprintFeasible(os.Stdout, r.DragonFly)
-		fmt.Println("BundleFly (max size per radix):")
-		exp.FprintFeasible(os.Stdout, r.BundleFlyMax)
-	case []exp.BisectionRow:
-		exp.FprintBisection(os.Stdout, r)
-	case []exp.Fig5Point:
-		exp.FprintFig5(os.Stdout, r)
-	case []exp.LoadPoint:
-		exp.FprintLoadPoints(os.Stdout, r)
-	case []exp.MotifPoint:
-		exp.FprintMotifPoints(os.Stdout, r)
-	case []exp.Table2Row:
-		exp.FprintTable2(os.Stdout, r)
-	case []exp.Fig11Point:
-		exp.FprintFig11(os.Stdout, r)
-	case []exp.Fig3Row:
-		exp.FprintFig3(os.Stdout, r)
-	case exp.Ablations:
-		r.Fprint(os.Stdout)
-	case []exp.SaturationRow:
-		exp.FprintSaturation(os.Stdout, r)
-	case []exp.ResiliencePoint:
-		exp.FprintResilience(os.Stdout, r)
-	case *exp.ReconfigReport:
-		exp.FprintReconfig(os.Stdout, r)
-	case *exp.InterferenceReport:
-		exp.FprintInterference(os.Stdout, r)
-	case []exp.ScalePoint:
-		exp.FprintScale(os.Stdout, r)
-	case []sweepRow:
-		printSweep(r)
-	default:
-		fmt.Printf("%+v\n", v)
-	}
+	usage()
+	return 2
 }
 
 func parseFractions(s string) []float64 {
@@ -264,34 +182,12 @@ func parseClasses(s string) []int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: spectralfly <command> [flags]
-
-commands:
-  table1         structural properties of the Table I size classes
-  fig4-feasible  feasible LPS (radix, size) points
-  fig4-sizes     feasible sizes per radix for all four families
-  fig4-normbw    normalized bisection bandwidth of LPS instances
-  fig4-rawbw     raw bisection bandwidth comparison
-  fig5           structural properties under random link failures
-  fig6           UGAL-L synthetic-pattern sweep (speedup vs DragonFly)
-  fig7           minimal-routing random-pattern sweep
-  fig8           Valiant vs minimal on SpectralFly
-  fig9           Ember motifs under minimal routing
-  fig10          Ember motifs under UGAL-L routing
-  table2         machine-room layout: wires, power, efficiency
-  fig11          end-to-end latency vs switch latency (ratio to SkyWalk)
-  ablations      design-choice ablation studies (arrangement, spectra, ...)
-  saturation     measured saturation load per simulated topology (§VI-C)
-  resilience     performance under failure: traffic on damaged networks
-  reconfig       live reconfiguration: static vs rewiring Jellyfish fabric
-                 under shifting traffic [-period N]
-  interference   multi-tenant interference: victim tail latency vs
-                 aggressor load across topology families × tenant
-                 placement policies, under layout-derived per-link wire
-                 latencies [-loads 0.1,0.4] [-layout qap|faq|sequential]
-  scale          large-n sweep (Table II ladder to ~40K routers) on the
-                 compact routing oracle; reports peak table memory
-  sweep          declarative cross-product grid over any topology set:
+	var b strings.Builder
+	b.WriteString("usage: spectralfly <command> [flags]\n\ncommands:\n")
+	for _, e := range exhibits {
+		fmt.Fprintf(&b, "  %-14s %s\n", e.name, e.help)
+	}
+	b.WriteString(`  sweep          declarative cross-product grid over any topology set:
                  -topos lps(11,7),sf(9),jf(512,12,s=1) [-conc N]
                  -measure load|motif|saturation [-policies minimal,ugal-l]
                  [-patterns random,transpose] [-loads 0.2,0.5]
@@ -306,15 +202,19 @@ commands:
                  [-parallel N] [-cache-dir D]; refuses on version or
                  grid-fingerprint skew
   version        print the code version stamp (also in -json documents)
-  all            run everything in order (except scale: opt in explicitly)
+  all            run every exhibit in order (except scale: opt in explicitly)
 
 flags: -full (paper-scale), -classes 0,1, -class N, -maxpq N, -maxn N,
        -ranks N, -msgs N, -seed N, -parallel N (0=GOMAXPROCS, 1=serial),
        -workers N (intra-run simulator shards; speed only, 0/1=one),
        -fractions 0.05,0.1 -trials N (resilience fault grid),
+       -period N (reconfig rewiring period),
+       -loads 0.1,0.4 -layout qap|faq|sequential (interference),
        -store packed|lazy|dense -resident N -rungs 0,1,2 (scale sweep),
        -cache -cache-dir D (content-addressed result cache),
        -resume (journal + replay a killed sweep's prefix),
        -cpuprofile f -memprofile f (write pprof profiles),
-       -json (emit JSON result documents)`)
+       -json (emit JSON result documents)
+`)
+	fmt.Fprint(os.Stderr, b.String())
 }

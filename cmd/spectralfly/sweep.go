@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -267,13 +268,13 @@ func parseFaults(s string, trials int) ([]spectralfly.FaultAxis, error) {
 }
 
 // printSweep renders sweep rows as a table.
-func printSweep(rows []sweepRow) {
-	fmt.Printf("%-22s %-8s %6s %3s %-8s %-16s %-11s %5s %10s %11s %11s %11s\n",
+func printSweep(w io.Writer, rows []sweepRow) {
+	fmt.Fprintf(w, "%-22s %-8s %6s %3s %-8s %-16s %-11s %5s %10s %11s %11s %11s\n",
 		"Topology", "Fault", "Frac", "Tr", "Policy", "Pattern/Motif", "Measure", "Load",
 		"Delivered", "MeanLat", "P99Lat", "Saturation")
 	for _, r := range rows {
 		if r.Error != "" {
-			fmt.Printf("%-22s %-8s %6.2f %3d  ERROR: %s\n", r.Topology, r.Fault, r.Fraction, r.Trial, r.Error)
+			fmt.Fprintf(w, "%-22s %-8s %6.2f %3d  ERROR: %s\n", r.Topology, r.Fault, r.Fraction, r.Trial, r.Error)
 			continue
 		}
 		work := r.Pattern.String()
@@ -283,7 +284,7 @@ func printSweep(rows []sweepRow) {
 		} else if r.Load == 0 {
 			work, measure = "-", "saturation"
 		}
-		fmt.Printf("%-22s %-8s %6.2f %3d %-8s %-16s %-11s %5.2f %10.4f %11.1f %11d %11.2f\n",
+		fmt.Fprintf(w, "%-22s %-8s %6.2f %3d %-8s %-16s %-11s %5.2f %10.4f %11.1f %11d %11.2f\n",
 			r.Topology, r.Fault, r.Fraction, r.Trial, r.Policy, work, measure, r.Load,
 			r.Stats.DeliveredFraction(), r.Stats.MeanLatency, r.Stats.P99Latency, r.Saturation)
 	}

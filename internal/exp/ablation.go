@@ -229,15 +229,3 @@ func (a Ablations) Fprint(w io.Writer) {
 	fprintf(w, "layout wire: sequential=%.0f m FAQ=%.0f m annealed=%.0f m (%.2fx over naive)\n",
 		lay.Sequential, lay.FAQ, lay.Optimized, lay.Gain)
 }
-
-// FprintAblations is a convenience shim running RunAblations with
-// default parallelism and printing the result set. The CLI routes
-// through RunAblations + Ablations.Fprint directly.
-func FprintAblations(w io.Writer, seed int64) error {
-	a, err := RunAblations(seed, 0)
-	if err != nil {
-		return err
-	}
-	a.Fprint(w)
-	return nil
-}

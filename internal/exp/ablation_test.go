@@ -102,11 +102,13 @@ func TestAblateLayoutGain(t *testing.T) {
 	}
 }
 
-func TestFprintAblations(t *testing.T) {
-	var buf bytes.Buffer
-	if err := FprintAblations(&buf, 11); err != nil {
+func TestAblationsFprint(t *testing.T) {
+	a, err := RunAblations(11, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	a.Fprint(&buf)
 	if buf.Len() == 0 {
 		t.Error("no output")
 	}

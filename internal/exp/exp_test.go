@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/routing"
@@ -127,6 +128,27 @@ func TestFig5QuickShape(t *testing.T) {
 		}
 		if ps[1].AvgHop < ps[0].AvgHop {
 			t.Errorf("%s: avg hops decreased under failures", name)
+		}
+	}
+}
+
+// TestSizeClassOutOfRange: every structural exhibit that takes Table I
+// size classes rejects one outside 0-4 with an error instead of
+// indexing past the class table.
+func TestSizeClassOutOfRange(t *testing.T) {
+	for name, run := range map[string]func(class int) error{
+		"table1": func(c int) error { _, err := Table1([]int{c}, Quick); return err },
+		"fig3":   func(c int) error { _, err := Fig3(c); return err },
+		"fig4-rawbw": func(c int) error {
+			_, err := Fig4RawBisection([]int{c}, Quick)
+			return err
+		},
+		"fig5": func(c int) error { _, err := Fig5(c, Quick, Fig5Options{}); return err },
+	} {
+		for _, class := range []int{-1, 5, 9} {
+			if err := run(class); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s class %d: err = %v, want out of range", name, class, err)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/topo"
 )
 
 // Fig3Row quantifies Figure 3 and §IV-b: the distance distribution of a
@@ -27,8 +26,12 @@ type Fig3Row struct {
 // the diameter" — its AtDiameter is small, while SlimFly's diameter-2
 // shell holds nearly all pairs.
 func Fig3(class int) ([]Fig3Row, error) {
+	specs, err := classSpecs([]int{class}, Quick)
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig3Row
-	for _, spec := range topo.TableISizeClasses[class] {
+	for _, spec := range specs {
 		inst, err := spec.Build()
 		if err != nil {
 			return nil, err

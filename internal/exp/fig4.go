@@ -106,24 +106,19 @@ func Fig4NormalizedBisection(maxPQ int64, maxVertices int) ([]BisectionRow, erro
 
 // Fig4RawBisection reproduces Figure 4 (lower right): raw bisection
 // bandwidth (upper/lower bracket) for the Table I instances of the
-// requested classes.
+// requested classes (see classSpecs).
 func Fig4RawBisection(classes []int, scale Scale) ([]BisectionRow, error) {
-	if classes == nil {
-		if scale == Full {
-			classes = []int{0, 1, 2, 3, 4}
-		} else {
-			classes = []int{0, 1}
-		}
+	specs, err := classSpecs(classes, scale)
+	if err != nil {
+		return nil, err
 	}
 	var rows []BisectionRow
-	for _, ci := range classes {
-		for _, spec := range topo.TableISizeClasses[ci] {
-			inst, err := spec.Build()
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, bisectionRow(inst, BaseSeed))
+	for _, spec := range specs {
+		inst, err := spec.Build()
+		if err != nil {
+			return nil, err
 		}
+		rows = append(rows, bisectionRow(inst, BaseSeed))
 	}
 	return rows, nil
 }

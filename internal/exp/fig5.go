@@ -4,8 +4,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -24,16 +22,18 @@ type Fig5Point struct {
 	Bisection    float64
 }
 
+// fig5CVTarget is the coefficient of variation at which a failure
+// point stops adding trials.
+const fig5CVTarget = 0.10
+
 // Fig5Options tunes the failure sweep.
 type Fig5Options struct {
 	// Proportions of edges to delete; defaults per scale.
 	Proportions []float64
 	// MinTrials/MaxTrials bound the adaptive trial count. The paper
 	// grows trials until the coefficient of variation of batch means is
-	// below 10%; we approximate with a CV target on trial values.
+	// below 10%; we approximate with fig5CVTarget on trial values.
 	MinTrials, MaxTrials int
-	// CVTarget is the stopping threshold (default 0.10).
-	CVTarget float64
 	// SkipBisection drops the (expensive) bisection measurement.
 	SkipBisection bool
 	Seed          int64
@@ -61,9 +61,6 @@ func (o Fig5Options) withDefaults(scale Scale) Fig5Options {
 			o.MaxTrials = 5
 		}
 	}
-	if o.CVTarget == 0 {
-		o.CVTarget = 0.10
-	}
 	if o.Seed == 0 {
 		o.Seed = BaseSeed
 	}
@@ -75,8 +72,12 @@ func (o Fig5Options) withDefaults(scale Scale) Fig5Options {
 // for the right). It returns one point per topology per proportion.
 func Fig5(class int, scale Scale, opts Fig5Options) ([]Fig5Point, error) {
 	opts = opts.withDefaults(scale)
+	specs, err := classSpecs([]int{class}, scale)
+	if err != nil {
+		return nil, err
+	}
 	var points []Fig5Point
-	for _, spec := range topo.TableISizeClasses[class] {
+	for _, spec := range specs {
 		inst, err := spec.Build()
 		if err != nil {
 			return nil, err
@@ -98,26 +99,19 @@ func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) Fig5Point
 	var vals []trialResult
 	runBatch := func(from, to int) {
 		results := make([]trialResult, to-from)
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for t := from; t < to; t++ {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				rng := rand.New(rand.NewSource(opts.Seed + int64(t)*31337))
-				results[t-from] = failureTrial(inst, prop, rng, opts)
-			}(t)
-		}
-		wg.Wait()
+		graph.EachSource(to-from, func() func(int) {
+			return func(i int) {
+				rng := rand.New(rand.NewSource(opts.Seed + int64(from+i)*31337))
+				results[i] = failureTrial(inst, prop, rng, opts)
+			}
+		})
 		vals = append(vals, results...)
 	}
 	runBatch(0, opts.MinTrials)
 	// Adaptive growth until the diameter CV is below target (diameter is
 	// the noisiest of the three measures).
 	for len(vals) < opts.MaxTrials && prop > 0 {
-		if cv(vals, func(r trialResult) float64 { return r.diam }) <= opts.CVTarget {
+		if cv(vals, func(r trialResult) float64 { return r.diam }) <= fig5CVTarget {
 			break
 		}
 		next := len(vals) * 2

@@ -14,8 +14,9 @@ import (
 // small fixed-load "victim" streaming random traffic and a large
 // "aggressor" streaming an adversarial pattern at a swept load — and
 // reads the victim's tail latency out of the per-tenant statistics.
-// The grid crosses topology families with tenant placement policies
-// (sequential packing, random fragmentation, partition-clustered), and
+// The grid crosses the SpectralFly and SlimFly families with all three
+// tenant placement policies (sequential packing, random fragmentation,
+// partition-clustered) under minimal routing, and
 // every cell runs under the §VII machine-room wire model, so what it
 // measures is exactly the question multi-tenant operators ask of a
 // low-diameter fabric: how much does someone else's job — and where
@@ -23,16 +24,9 @@ import (
 
 // InterferenceOptions tunes the multi-tenant interference exhibit.
 type InterferenceOptions struct {
-	// Families caps how many §VI-B topology families the grid crosses
-	// (<= 0 takes two: the SpectralFly and SlimFly instances).
-	Families int
-	// Placements is the tenant placement-policy axis; nil sweeps all
-	// three policies.
-	Placements []traffic.PlacementPolicy
 	// AggressorLoads is the aggressor's offered-load axis; the victim's
-	// load stays pinned at VictimLoad across the sweep.
+	// load stays pinned at interferenceVictimLoad across the sweep.
 	AggressorLoads []float64
-	VictimLoad     float64
 	// VictimRanks / AggressorRanks size the two jobs (the aggressor's
 	// transpose pattern needs a power of two).
 	VictimRanks    int
@@ -42,30 +36,21 @@ type InterferenceOptions struct {
 	// wire latencies ("qap", "faq", "sequential"); empty keeps the
 	// uniform wire model.
 	LayoutMode string
-	Policy     routing.Policy
 	Seed       int64
 	Parallel   int
 	Workers    int
 }
 
+// interferenceVictimLoad pins the victim job's offered load.
+const interferenceVictimLoad = 0.05
+
 func (o InterferenceOptions) withDefaults(scale Scale) InterferenceOptions {
-	if o.Families <= 0 {
-		o.Families = 2
-	}
-	if o.Placements == nil {
-		o.Placements = []traffic.PlacementPolicy{
-			traffic.PlaceSequential, traffic.PlaceRandom, traffic.PlaceClustered,
-		}
-	}
 	if o.AggressorLoads == nil {
 		if scale == Full {
 			o.AggressorLoads = []float64{0.1, 0.3, 0.5, 0.7}
 		} else {
 			o.AggressorLoads = []float64{0.1, 0.4, 0.7}
 		}
-	}
-	if o.VictimLoad == 0 {
-		o.VictimLoad = 0.05
 	}
 	if o.VictimRanks == 0 {
 		if scale == Full {
@@ -133,20 +118,17 @@ func Interference(scale Scale, opts InterferenceOptions) (*InterferenceReport, e
 	if err != nil {
 		return nil, err
 	}
-	if opts.Families < len(instances) {
-		instances = instances[:opts.Families]
-	}
+	instances = instances[:2] // the SpectralFly and SlimFly families
 	report := &InterferenceReport{
 		Layout:      opts.LayoutMode,
-		VictimLoad:  opts.VictimLoad,
+		VictimLoad:  interferenceVictimLoad,
 		VictimRanks: opts.VictimRanks,
 		Aggressor:   opts.AggressorRanks,
 	}
-	for _, placement := range opts.Placements {
-		placement := placement
+	for _, placement := range []traffic.PlacementPolicy{traffic.PlaceSequential, traffic.PlaceRandom, traffic.PlaceClustered} {
 		g := &sweep.Grid{
-			Instances:   sweepInstances(instances),
-			Policies:    []routing.Policy{opts.Policy},
+			Instances:   instances,
+			Policies:    []routing.Policy{routing.Minimal},
 			Patterns:    []traffic.Pattern{traffic.Random}, // label only: tenants drive traffic
 			Loads:       opts.AggressorLoads,
 			Measure:     sweep.MeasureLoad,
@@ -155,7 +137,7 @@ func Interference(scale Scale, opts InterferenceOptions) (*InterferenceReport, e
 			Layout:      sweep.Layout{Mode: opts.LayoutMode, Seed: opts.Seed},
 			Tenants: traffic.Tenants{
 				Specs: []traffic.TenantSpec{
-					{Name: "victim", Pattern: traffic.Random, Ranks: opts.VictimRanks, Load: opts.VictimLoad},
+					{Name: "victim", Pattern: traffic.Random, Ranks: opts.VictimRanks, Load: interferenceVictimLoad},
 					// Load 0 defers to the cell's Loads-axis value — the
 					// aggressor is what the sweep sweeps.
 					{Name: "aggressor", Pattern: traffic.Transpose, Ranks: opts.AggressorRanks},

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/routing"
+	"repro/internal/simnet"
 	"repro/internal/sweep"
 	"repro/internal/traffic"
 )
@@ -59,7 +60,7 @@ func RunMotifs(scale Scale, pol routing.Policy, opts SimOptions) ([]MotifPoint, 
 	}
 	motifs, ranks := MotifSet(scale)
 	g := &sweep.Grid{
-		Instances: sweepInstances(instances),
+		Instances: instances,
 		Policies:  []routing.Policy{pol},
 		Motifs:    motifs,
 		Measure:   sweep.MeasureMotif,
@@ -73,33 +74,24 @@ func RunMotifs(scale Scale, pol routing.Policy, opts SimOptions) ([]MotifPoint, 
 	if err != nil {
 		return nil, err
 	}
-	at := func(i, m int) *sweep.Result { return &results[i*len(motifs)+m] }
-	dfIdx := len(instances) - 1 // DragonFly is last = baseline
+	// DragonFly, the last instance, is the baseline: its motif cells
+	// close the instance-major stream.
+	base := results[len(results)-len(motifs):]
 	points := make([]MotifPoint, 0, len(results))
-	for i, si := range instances {
-		for m, motif := range motifs {
-			res := at(i, m)
-			if res.Err != nil {
-				return nil, res.Err // cell key already names the instance
-			}
-			baseRes := at(dfIdx, m)
-			if baseRes.Err != nil {
-				return nil, baseRes.Err
-			}
-			mk, base := res.Stats.Makespan, baseRes.Stats.Makespan
-			sp := 0.0
-			if mk > 0 {
-				sp = float64(base) / float64(mk)
-			}
-			points = append(points, MotifPoint{
-				Topology: si.Name,
-				Motif:    motif.Name(),
-				Makespan: mk,
-				MeanLat:  res.Stats.MeanLatency,
-				P99Lat:   res.Stats.P99Latency,
-				Speedup:  sp,
-			})
+	for k := range results {
+		res := &results[k]
+		sp, err := speedup(res, &base[k%len(base)], func(st *simnet.Stats) int64 { return st.Makespan })
+		if err != nil {
+			return nil, err
 		}
+		points = append(points, MotifPoint{
+			Topology: res.Topology,
+			Motif:    res.MotifTag,
+			Makespan: res.Stats.Makespan,
+			MeanLat:  res.Stats.MeanLatency,
+			P99Lat:   res.Stats.P99Latency,
+			Speedup:  sp,
+		})
 	}
 	return points, nil
 }

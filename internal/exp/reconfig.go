@@ -18,28 +18,13 @@ import (
 
 // ReconfigOptions tunes the live-reconfiguration exhibit.
 type ReconfigOptions struct {
-	// Routers / Degree size each Jellyfish configuration (n·k even,
-	// k < n, as in topo.Jellyfish).
-	Routers int
-	Degree  int
-	// Configs is the number of fabric configurations K the optical
-	// layer can switch between.
-	Configs       int
-	Concentration int
 	// Period is the cycle count between rewiring steps; the traffic
 	// pattern rotation shares it, so each fabric configuration faces a
 	// different workload phase.
-	Period int64
-	// Steps is the number of rewiring steps after the initial
-	// activation (the static leg always takes zero).
-	Steps int
-	// Policies / Loads / ShiftPatterns are the measurement axes.
-	Policies      []routing.Policy
-	Loads         []float64
-	ShiftPatterns []traffic.Pattern
-	Ranks         int
-	MsgsPerRank   int
-	Seed          int64
+	Period      int64
+	Ranks       int
+	MsgsPerRank int
+	Seed        int64
 	// Parallel sizes the sweep worker pool; Workers shards each
 	// reconfiguration run (a speed knob only; see
 	// sweep.Options.Workers).
@@ -48,60 +33,12 @@ type ReconfigOptions struct {
 }
 
 func (o ReconfigOptions) withDefaults(scale Scale) ReconfigOptions {
-	if o.Routers == 0 {
-		if scale == Full {
-			o.Routers = 512
-		} else {
-			o.Routers = 64
-		}
-	}
-	if o.Degree == 0 {
-		if scale == Full {
-			o.Degree = 8
-		} else {
-			o.Degree = 4
-		}
-	}
-	if o.Configs == 0 {
-		if scale == Full {
-			o.Configs = 4
-		} else {
-			o.Configs = 3
-		}
-	}
-	if o.Concentration == 0 {
-		if scale == Full {
-			o.Concentration = 4
-		} else {
-			o.Concentration = 2
-		}
-	}
 	if o.Period == 0 {
 		if scale == Full {
 			o.Period = 4000
 		} else {
 			o.Period = 1500
 		}
-	}
-	if o.Steps == 0 {
-		if scale == Full {
-			o.Steps = 10
-		} else {
-			o.Steps = 6
-		}
-	}
-	if o.Policies == nil {
-		o.Policies = []routing.Policy{routing.Minimal, routing.UGALL}
-	}
-	if o.Loads == nil {
-		if scale == Full {
-			o.Loads = []float64{0.2, 0.5}
-		} else {
-			o.Loads = []float64{0.3}
-		}
-	}
-	if o.ShiftPatterns == nil {
-		o.ShiftPatterns = []traffic.Pattern{traffic.Transpose, traffic.BitShuffle, traffic.BitReverse}
 	}
 	if o.Ranks == 0 {
 		if scale == Full {
@@ -180,17 +117,25 @@ type ReconfigReport struct {
 // and across every Workers value.
 func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 	opts = opts.withDefaults(scale)
-	n, k := opts.Routers, opts.Degree
+	// Each of the K fabric configurations the optical layer switches
+	// between is an n-router, k-regular Jellyfish; the rewiring leg
+	// takes `steps` steps after the initial activation.
+	n, k, nConfigs, conc, steps := 64, 4, 3, 2, 6
+	loads := []float64{0.3}
+	if scale == Full {
+		n, k, nConfigs, conc, steps = 512, 8, 4, 4, 10
+		loads = []float64{0.2, 0.5}
+	}
 
 	// Sample the K configurations and assemble the union fabric. Each
 	// configuration is connected and k-regular; the union keeps every
 	// vertex, so it is connected too.
-	configs := make([][][2]int32, opts.Configs)
+	configs := make([][][2]int32, nConfigs)
 	report := &ReconfigReport{
 		Routers: n,
 		Degree:  k,
 		Period:  opts.Period,
-		Steps:   opts.Steps,
+		Steps:   steps,
 	}
 	unionSet := make(map[[2]int32]struct{})
 	for i := range configs {
@@ -223,7 +168,7 @@ func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 		return unionEdges[i][1] < unionEdges[j][1]
 	})
 	union := graph.FromEdges(n, unionEdges)
-	report.Topology = fmt.Sprintf("JellyfishUnion(n=%d,k=%d,K=%d)", n, k, opts.Configs)
+	report.Topology = fmt.Sprintf("JellyfishUnion(n=%d,k=%d,K=%d)", n, k, nConfigs)
 	report.UnionLambda2 = spectral.Analyze(union, spectral.Options{Seed: opts.Seed}).SecondMax
 
 	// Both legs are planned rewiring sequences over the same union —
@@ -238,7 +183,7 @@ func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 		Instances: []sweep.Instance{{
 			Name:          report.Topology,
 			Inst:          &topo.Instance{Name: report.Topology, G: union},
-			Concentration: opts.Concentration,
+			Concentration: conc,
 		}},
 		// The intact union runs every configuration's links at once — a
 		// fabric no optical layer can realize — so only the scheduled
@@ -246,16 +191,16 @@ func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 		OmitIntact: true,
 		Schedules: []sweep.ScheduleAxis{
 			{Name: "static", Make: makeRewiring(0)},
-			{Name: "rewiring", Make: makeRewiring(opts.Steps)},
+			{Name: "rewiring", Make: makeRewiring(steps)},
 		},
-		Policies:      opts.Policies,
+		Policies:      []routing.Policy{routing.Minimal, routing.UGALL},
 		Patterns:      []traffic.Pattern{traffic.Random}, // label only: ShiftPatterns drives traffic
-		Loads:         opts.Loads,
+		Loads:         loads,
 		Measure:       sweep.MeasureLoad,
 		Ranks:         opts.Ranks,
 		MsgsPerRank:   opts.MsgsPerRank,
 		ShiftPeriod:   opts.Period,
-		ShiftPatterns: opts.ShiftPatterns,
+		ShiftPatterns: []traffic.Pattern{traffic.Transpose, traffic.BitShuffle, traffic.BitReverse},
 		Seed:          opts.Seed,
 		Keys: sweep.Keys{
 			CellKey: func(c *sweep.Cell) string {

@@ -49,8 +49,6 @@ type ResilienceOptions struct {
 	// Trials is the number of independent failure plans per
 	// (kind, fraction) cell.
 	Trials int
-	// RegionSize is the chassis size for region plans (default 8).
-	RegionSize int
 	// Ranks / MsgsPerRank shape the random workload, as in SimOptions.
 	Ranks       int
 	MsgsPerRank int
@@ -139,16 +137,12 @@ func Resilience(scale Scale, opts ResilienceOptions) ([]ResiliencePoint, error) 
 			if frac <= 0 {
 				continue // the baseline already covers fraction 0
 			}
-			axes = append(axes, sweep.FaultAxis{
-				Kind:       kind,
-				Fraction:   frac,
-				RegionSize: opts.RegionSize,
-				Trials:     opts.Trials,
-			})
+			// Region plans use the fault package's default chassis size.
+			axes = append(axes, sweep.FaultAxis{Kind: kind, Fraction: frac, Trials: opts.Trials})
 		}
 	}
 	g := &sweep.Grid{
-		Instances:   sweepInstances(instances),
+		Instances:   instances,
 		Faults:      axes,
 		Policies:    opts.Policies,
 		Patterns:    []traffic.Pattern{traffic.Random},

@@ -34,7 +34,7 @@ func Saturation(scale Scale, opts SimOptions) ([]SaturationRow, error) {
 		msgs = 40 // long enough for queues to reach steady state
 	}
 	g := &sweep.Grid{
-		Instances:     sweepInstances(instances),
+		Instances:     instances,
 		Measure:       sweep.MeasureSaturation,
 		MsgsPerRank:   msgs,
 		LatencyFactor: 3,

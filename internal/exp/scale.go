@@ -43,6 +43,9 @@ type ScalePoint struct {
 	PeakSimBytes int64
 }
 
+// scaleDegradedLoad is the offered load of the degraded point.
+const scaleDegradedLoad = 0.3
+
 // ScaleOptions tunes the large-n sweep.
 type ScaleOptions struct {
 	// Store selects the routing-oracle backend. The zero value is
@@ -60,9 +63,6 @@ type ScaleOptions struct {
 	// selects the default 0.01 and negative values are rejected (an
 	// intact baseline is the resilience exhibit's job, not this one's).
 	Fraction float64
-	// Load is the offered load of the degraded point; 0 selects the
-	// default 0.3.
-	Load float64
 	// MsgsPerEP shapes the workloads (default: 4 quick, 10 full).
 	MsgsPerEP int
 	Seed      int64
@@ -78,9 +78,6 @@ type ScaleOptions struct {
 func (o ScaleOptions) withDefaults(scale Scale) ScaleOptions {
 	if o.Fraction == 0 {
 		o.Fraction = 0.01
-	}
-	if o.Load == 0 {
-		o.Load = 0.3
 	}
 	if o.MsgsPerEP == 0 {
 		if scale == Full {
@@ -99,7 +96,7 @@ func (o ScaleOptions) withDefaults(scale Scale) ScaleOptions {
 // the selected rungs of topo.TableIIScaleSpecs (up to ~40K routers);
 // at Quick scale small stand-ins with the identical code path, so CI
 // exercises the driver in seconds.
-func scaleInstances(scale Scale, opts ScaleOptions) ([]*SimInstance, error) {
+func scaleInstances(scale Scale, opts ScaleOptions) ([]sweep.Instance, error) {
 	var specs []topo.ClassSpec
 	if scale == Full {
 		rungs := opts.Rungs
@@ -120,7 +117,7 @@ func scaleInstances(scale Scale, opts ScaleOptions) ([]*SimInstance, error) {
 			{Kind: "SF", Q: 9},
 		}
 	}
-	out := make([]*SimInstance, 0, len(specs))
+	out := make([]sweep.Instance, 0, len(specs))
 	for _, s := range specs {
 		inst, err := s.Build()
 		if err != nil {
@@ -128,7 +125,7 @@ func scaleInstances(scale Scale, opts ScaleOptions) ([]*SimInstance, error) {
 		}
 		// Concentration 1: the ladder scales the router count, and the
 		// routing table — not the NIC count — is what the sweep stresses.
-		out = append(out, &SimInstance{Name: inst.Name, Inst: inst, Concentration: 1})
+		out = append(out, sweep.Instance{Name: inst.Name, Inst: inst, Concentration: 1})
 	}
 	return out, nil
 }
@@ -190,11 +187,10 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 		// the rung share it, so the degraded grid repairs the saturation
 		// grid's memoized table instead of rebuilding.
 		runOpts.Runner = runOpts.Engine()
-		inst := sweep.Instance{Name: si.Name, Inst: si.Inst, Concentration: si.Concentration}
 
 		// Phase 1: the saturation knee on the intact instance.
 		sat := &sweep.Grid{
-			Instances:     []sweep.Instance{inst},
+			Instances:     []sweep.Instance{si},
 			Measure:       sweep.MeasureSaturation,
 			MsgsPerRank:   opts.MsgsPerEP,
 			LatencyFactor: 3,
@@ -221,12 +217,12 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 		// dense design's second multiplier), and releases the damaged
 		// table afterwards.
 		deg := &sweep.Grid{
-			Instances:   []sweep.Instance{inst},
+			Instances:   []sweep.Instance{si},
 			OmitIntact:  true,
 			Faults:      []sweep.FaultAxis{{Kind: fault.Links, Fraction: opts.Fraction}},
 			Policies:    []routing.Policy{routing.Minimal},
 			Patterns:    []traffic.Pattern{traffic.Random},
-			Loads:       []float64{opts.Load},
+			Loads:       []float64{scaleDegradedLoad},
 			Measure:     sweep.MeasureLoad,
 			Ranks:       si.Endpoints(),
 			MsgsPerRank: opts.MsgsPerEP,

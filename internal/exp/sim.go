@@ -6,21 +6,11 @@ import (
 	"io"
 
 	"repro/internal/routing"
+	"repro/internal/simnet"
 	"repro/internal/sweep"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
-
-// SimInstance is a topology prepared for simulation with its endpoint
-// concentration (§VI-B).
-type SimInstance struct {
-	Name          string
-	Inst          *topo.Instance
-	Concentration int
-}
-
-// Endpoints returns the endpoint count.
-func (s *SimInstance) Endpoints() int { return s.Inst.G.N() * s.Concentration }
 
 // SimInstances builds the §VI-B topology set. Full scale matches the
 // paper's "~8.7K network endpoints": LPS(23,13)+c8 (8736 EP), SF(27)+c6
@@ -29,7 +19,7 @@ func (s *SimInstance) Endpoints() int { return s.Inst.G.N() * s.Concentration }
 // contradicts the stated ~8.7K total; concentration 6 reconciles the
 // two and keeps the endpoint counts comparable.) Quick scale uses the
 // same families at class-1 size.
-func SimInstances(scale Scale) ([]*SimInstance, error) {
+func SimInstances(scale Scale) ([]sweep.Instance, error) {
 	type specT struct {
 		build func() (*topo.Instance, error)
 		conc  int
@@ -50,13 +40,13 @@ func SimInstances(scale Scale) ([]*SimInstance, error) {
 			{func() (*topo.Instance, error) { return topo.DragonFly(8, 4, 33, topo.Circulant) }, 4},
 		}
 	}
-	out := make([]*SimInstance, 0, len(specs))
+	out := make([]sweep.Instance, 0, len(specs))
 	for _, s := range specs {
 		inst, err := s.build()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, &SimInstance{Name: inst.Name, Inst: inst, Concentration: s.conc})
+		out = append(out, sweep.Instance{Name: inst.Name, Inst: inst, Concentration: s.conc})
 	}
 	return out, nil
 }
@@ -116,16 +106,6 @@ type LoadPoint struct {
 	Speedup    float64 // vs the DragonFly baseline at the same point
 }
 
-// sweepInstances adapts the §VI-B instance set to the sweep core's
-// topology axis.
-func sweepInstances(sis []*SimInstance) []sweep.Instance {
-	out := make([]sweep.Instance, len(sis))
-	for i, si := range sis {
-		out[i] = sweep.Instance{Name: si.Name, Inst: si.Inst, Concentration: si.Concentration}
-	}
-	return out
-}
-
 // loadCellKey is the historical open-loop point identity: the
 // simulation seed derives from it, so parallel and serial execution
 // produce identical results. %v keeps the full float precision so
@@ -157,7 +137,7 @@ func loadSweep(scale Scale, opts SimOptions, pol routing.Policy, pats []traffic.
 		return nil, err
 	}
 	g := &sweep.Grid{
-		Instances:   sweepInstances(instances),
+		Instances:   instances,
 		Policies:    []routing.Policy{pol},
 		Patterns:    pats,
 		Loads:       opts.Loads,
@@ -171,38 +151,9 @@ func loadSweep(scale Scale, opts SimOptions, pol routing.Policy, pats []traffic.
 	if err != nil {
 		return nil, err
 	}
-	nPats, nLoads := len(pats), len(opts.Loads)
-	at := func(i, p, l int) *sweep.Result { return &results[(i*nPats+p)*nLoads+l] }
-	dfIdx := len(instances) - 1 // DragonFly is last
-	points := make([]LoadPoint, 0, len(results))
-	for i, si := range instances {
-		for p, pat := range pats {
-			for l, load := range opts.Loads {
-				res := at(i, p, l)
-				if res.Err != nil {
-					return nil, res.Err // cell key already names the instance
-				}
-				baseRes := at(dfIdx, p, l)
-				if baseRes.Err != nil {
-					return nil, baseRes.Err
-				}
-				st, base := res.Stats, baseRes.Stats.MaxLatency
-				sp := 0.0
-				if st.MaxLatency > 0 {
-					sp = float64(base) / float64(st.MaxLatency)
-				}
-				points = append(points, LoadPoint{
-					Topology:   si.Name,
-					Pattern:    pat,
-					Load:       load,
-					MaxLatency: st.MaxLatency,
-					MeanLat:    st.MeanLatency,
-					Speedup:    sp,
-				})
-			}
-		}
-	}
-	return points, nil
+	// DragonFly, the last instance, is the baseline: its block of
+	// (pattern × load) cells closes the instance-major stream.
+	return loadPoints(results, results[len(results)-len(pats)*len(opts.Loads):])
 }
 
 // Fig8 compares Valiant to minimal routing on SpectralFly only: the
@@ -219,9 +170,8 @@ func Fig8(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	lps := instances[0]
 	g := &sweep.Grid{
-		Instances:   sweepInstances(instances[:1]),
+		Instances:   instances[:1],
 		Policies:    []routing.Policy{routing.Minimal, routing.Valiant},
 		Patterns:    traffic.SyntheticPatterns,
 		Loads:       opts.Loads,
@@ -240,35 +190,48 @@ func Fig8(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 		return nil, err
 	}
 	// Cell order is policy-major: the minimal leg fills the first half
-	// of the stream, the Valiant leg the second.
+	// of the stream and is the baseline of the Valiant leg's points.
 	half := len(results) / 2
-	var points []LoadPoint
-	i := 0
-	for _, pat := range traffic.SyntheticPatterns {
-		for _, load := range opts.Loads {
-			min, val := &results[i], &results[half+i]
-			i++
-			if min.Err != nil {
-				return nil, min.Err
-			}
-			if val.Err != nil {
-				return nil, val.Err
-			}
-			sp := 0.0
-			if val.Stats.MaxLatency > 0 {
-				sp = float64(min.Stats.MaxLatency) / float64(val.Stats.MaxLatency)
-			}
-			points = append(points, LoadPoint{
-				Topology:   lps.Name,
-				Pattern:    pat,
-				Load:       load,
-				MaxLatency: val.Stats.MaxLatency,
-				MeanLat:    val.Stats.MeanLatency,
-				Speedup:    sp,
-			})
+	return loadPoints(results[half:], results[:half])
+}
+
+// loadPoints reduces load cells against their baseline cells: cell k
+// is compared with base[k%len(base)] on max message time.
+func loadPoints(cells, base []sweep.Result) ([]LoadPoint, error) {
+	points := make([]LoadPoint, 0, len(cells))
+	for k := range cells {
+		c := &cells[k]
+		sp, err := speedup(c, &base[k%len(base)], func(st *simnet.Stats) int64 { return st.MaxLatency })
+		if err != nil {
+			return nil, err
 		}
+		points = append(points, LoadPoint{
+			Topology:   c.Topology,
+			Pattern:    c.Pattern,
+			Load:       c.Load,
+			MaxLatency: c.Stats.MaxLatency,
+			MeanLat:    c.Stats.MeanLatency,
+			Speedup:    sp,
+		})
 	}
 	return points, nil
+}
+
+// speedup is how many times faster cell ran than its baseline cell on
+// metric: base/cell, or 0 when cell measured nothing. A failed cell
+// returns its error, which its cell key already names.
+func speedup(cell, base *sweep.Result, metric func(*simnet.Stats) int64) (float64, error) {
+	if cell.Err != nil {
+		return 0, cell.Err
+	}
+	if base.Err != nil {
+		return 0, base.Err
+	}
+	v := metric(&cell.Stats)
+	if v <= 0 {
+		return 0, nil
+	}
+	return float64(metric(&base.Stats)) / float64(v), nil
 }
 
 // FprintLoadPoints renders sweep points grouped by pattern.

@@ -29,7 +29,7 @@ func handRolledFig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 		return nil, err
 	}
 	type cell struct {
-		si   *SimInstance
+		si   sweep.Instance
 		pat  traffic.Pattern
 		load float64
 	}

@@ -19,41 +19,52 @@ type Table1Row struct {
 	Mu1      float64
 }
 
-// Table1 computes the structural rows of Table I for the requested
-// size classes (0-4). Quick scale runs classes[0:2] unless classes are
-// given explicitly.
-func Table1(classes []int, scale Scale) ([]Table1Row, error) {
+// classSpecs lists the instances of the requested Table I size
+// classes (0-4) in class order. Nil classes select 0-1 at Quick scale
+// and all five at Full; a class out of range is an error.
+func classSpecs(classes []int, scale Scale) ([]topo.ClassSpec, error) {
 	if classes == nil {
+		classes = []int{0, 1}
 		if scale == Full {
 			classes = []int{0, 1, 2, 3, 4}
-		} else {
-			classes = []int{0, 1}
 		}
 	}
-	var rows []Table1Row
+	var specs []topo.ClassSpec
 	for _, ci := range classes {
 		if ci < 0 || ci >= len(topo.TableISizeClasses) {
 			return nil, fmt.Errorf("exp: size class %d out of range", ci)
 		}
-		for _, spec := range topo.TableISizeClasses[ci] {
-			inst, err := spec.Build()
-			if err != nil {
-				return nil, fmt.Errorf("exp: building %s: %w", spec.Name(), err)
-			}
-			g := inst.G
-			k, _ := g.Regularity()
-			st := g.AllPairsStats()
-			sp := spectral.Analyze(g, spectral.Options{Seed: BaseSeed})
-			rows = append(rows, Table1Row{
-				Name:     inst.Name,
-				Routers:  g.N(),
-				Radix:    k,
-				Diameter: st.Diameter,
-				Dist:     st.AvgDist,
-				Girth:    g.Girth(),
-				Mu1:      sp.Mu1(),
-			})
+		specs = append(specs, topo.TableISizeClasses[ci][:]...)
+	}
+	return specs, nil
+}
+
+// Table1 computes the structural rows of Table I for the requested
+// size classes (see classSpecs).
+func Table1(classes []int, scale Scale) ([]Table1Row, error) {
+	specs, err := classSpecs(classes, scale)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Table1Row
+	for _, spec := range specs {
+		inst, err := spec.Build()
+		if err != nil {
+			return nil, fmt.Errorf("exp: building %s: %w", spec.Name(), err)
 		}
+		g := inst.G
+		k, _ := g.Regularity()
+		st := g.AllPairsStats()
+		sp := spectral.Analyze(g, spectral.Options{Seed: BaseSeed})
+		rows = append(rows, Table1Row{
+			Name:     inst.Name,
+			Routers:  g.N(),
+			Radix:    k,
+			Diameter: st.Diameter,
+			Dist:     st.AvgDist,
+			Girth:    g.Girth(),
+			Mu1:      sp.Mu1(),
+		})
 	}
 	return rows, nil
 }

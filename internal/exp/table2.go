@@ -30,11 +30,9 @@ type Table2Row struct {
 
 // Table2Options tunes the layout study.
 type Table2Options struct {
-	Pairs        int // number of LPS/SF pairs (default: 2 quick, 4 full)
-	SkyWalkRuns  int // SkyWalk instantiations (default: 3 quick, 20 full)
-	LayoutOpts   layout.Options
-	BisectTrials int
-	Seed         int64
+	Pairs       int // number of LPS/SF pairs (default: 2 quick, 4 full)
+	SkyWalkRuns int // SkyWalk instantiations (default: 3 quick, 20 full)
+	Seed        int64
 }
 
 func (o Table2Options) withDefaults(scale Scale) Table2Options {
@@ -55,20 +53,6 @@ func (o Table2Options) withDefaults(scale Scale) Table2Options {
 	if o.Seed == 0 {
 		o.Seed = BaseSeed
 	}
-	if o.LayoutOpts.Seed == 0 {
-		o.LayoutOpts.Seed = o.Seed
-	}
-	if scale != Full && o.LayoutOpts.Sweeps == 0 {
-		o.LayoutOpts.Restarts = 2
-		o.LayoutOpts.Sweeps = 4
-	}
-	if o.BisectTrials == 0 {
-		if scale == Full {
-			o.BisectTrials = 8
-		} else {
-			o.BisectTrials = 4
-		}
-	}
 	return o
 }
 
@@ -76,70 +60,71 @@ func (o Table2Options) withDefaults(scale Scale) Table2Options {
 // Table II.
 func Table2(scale Scale, opts Table2Options) ([]Table2Row, error) {
 	opts = opts.withDefaults(scale)
+	bisectTrials := 4
+	if scale == Full {
+		bisectTrials = 8
+	}
 	var rows []Table2Row
-	for pi := 0; pi < opts.Pairs && pi < len(topo.TableIISpecs); pi++ {
-		for _, spec := range topo.TableIISpecs[pi] {
-			inst, err := spec.Build()
-			if err != nil {
-				return nil, err
-			}
-			row, err := table2Row(inst, opts)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+	err := eachLayout(scale, opts, func(inst *topo.Instance, p *layout.Placement, sky []*graph.Graph, skyPlace *layout.Placement) {
+		g := inst.G
+		k, _ := g.Regularity()
+		ws := layout.Stats(g, p, 0)
+		bisect := partition.BisectionBandwidth(g, partition.Options{Seed: opts.Seed, Trials: bisectTrials})
+		// The SkyWalk reference is the mean (avg, max) wire length over
+		// its instantiations in the same machine room.
+		var skyAvg, skyMax float64
+		for _, skg := range sky {
+			sws := layout.Stats(skg, skyPlace, 0)
+			skyAvg += sws.AvgWire
+			skyMax += sws.MaxWire
 		}
+		rows = append(rows, Table2Row{
+			Name:        inst.Name,
+			Routers:     g.N(),
+			Radix:       k,
+			AvgWire:     ws.AvgWire,
+			MaxWire:     ws.MaxWire,
+			SkyAvgWire:  skyAvg / float64(len(sky)),
+			SkyMaxWire:  skyMax / float64(len(sky)),
+			Electrical:  ws.Electrical,
+			Optical:     ws.Optical,
+			Bisection:   bisect,
+			PowerW:      ws.PowerW,
+			PowerPerBW:  layout.PowerPerBandwidth(ws.PowerW, bisect),
+			SkyWalkRuns: opts.SkyWalkRuns,
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
 
-func table2Row(inst *topo.Instance, opts Table2Options) (Table2Row, error) {
-	g := inst.G
-	k, _ := g.Regularity()
-	p := layout.Optimize(g, opts.LayoutOpts)
-	ws := layout.Stats(g, p, 0)
-	bisect := partition.BisectionBandwidth(g, partition.Options{
-		Seed: opts.Seed, Trials: opts.BisectTrials,
-	})
-	row := Table2Row{
-		Name:        inst.Name,
-		Routers:     g.N(),
-		Radix:       k,
-		AvgWire:     ws.AvgWire,
-		MaxWire:     ws.MaxWire,
-		Electrical:  ws.Electrical,
-		Optical:     ws.Optical,
-		Bisection:   bisect,
-		PowerW:      ws.PowerW,
-		PowerPerBW:  layout.PowerPerBandwidth(ws.PowerW, bisect),
-		SkyWalkRuns: opts.SkyWalkRuns,
+// eachLayout builds every Table II instance of the selected pairs, lays
+// it out in its machine room with the study's annealer (the layout
+// package defaults at Full scale, two restarts of four sweeps at
+// Quick), samples the SkyWalk references sized for it, and hands all
+// of them to f in table order.
+func eachLayout(scale Scale, opts Table2Options, f func(inst *topo.Instance, p *layout.Placement, sky []*graph.Graph, skyPlace *layout.Placement)) error {
+	lo := layout.Options{Seed: opts.Seed}
+	if scale != Full {
+		lo.Restarts, lo.Sweeps = 2, 4
 	}
-	sky, err := skyWalkWireStats(g.N(), k, opts)
-	if err != nil {
-		return row, err
-	}
-	row.SkyAvgWire = sky[0]
-	row.SkyMaxWire = sky[1]
-	return row, nil
-}
-
-// skyWalkWireStats averages (avg, max) wire length over SkyWalk
-// instantiations in the machine room sized for n routers.
-func skyWalkWireStats(n, k int, opts Table2Options) ([2]float64, error) {
-	place := layout.SequentialPlacement(n)
-	var sumAvg, sumMax float64
-	runs := 0
-	for s := 0; s < opts.SkyWalkRuns; s++ {
-		inst, err := topo.SkyWalk(n, k, place.RouterDistance, 0, opts.Seed+int64(s)*37)
-		if err != nil {
-			return [2]float64{}, err
+	for pi := 0; pi < opts.Pairs && pi < len(topo.TableIISpecs); pi++ {
+		for _, spec := range topo.TableIISpecs[pi] {
+			inst, err := spec.Build()
+			if err != nil {
+				return err
+			}
+			k, _ := inst.G.Regularity()
+			sky, skyPlace, err := skyWalkInstances(inst.G.N(), k, opts)
+			if err != nil {
+				return err
+			}
+			f(inst, layout.Optimize(inst.G, lo), sky, skyPlace)
 		}
-		ws := layout.Stats(inst.G, place, 0)
-		sumAvg += ws.AvgWire
-		sumMax += ws.MaxWire
-		runs++
 	}
-	return [2]float64{sumAvg / float64(runs), sumMax / float64(runs)}, nil
+	return nil
 }
 
 // FprintTable2 renders rows in the paper's Table II format (SkyWalk
@@ -173,47 +158,40 @@ func Fig11(scale Scale, opts Table2Options) ([]Fig11Point, error) {
 		switchLats = []float64{0, 100, 250}
 	}
 	var points []Fig11Point
-	for pi := 0; pi < opts.Pairs && pi < len(topo.TableIISpecs); pi++ {
-		for _, spec := range topo.TableIISpecs[pi] {
-			inst, err := spec.Build()
-			if err != nil {
-				return nil, err
-			}
-			g := inst.G
-			k, _ := g.Regularity()
-			p := layout.Optimize(g, opts.LayoutOpts)
-			sky, skyPlace, err := skyWalkInstances(g.N(), k, opts)
-			if err != nil {
-				return nil, err
-			}
-			// One all-pairs profile per graph serves every switch latency.
-			ownProf := layout.Profile(g, p)
-			skyProfs := make([]*layout.PathProfile, len(sky))
-			for i, skg := range sky {
-				skyProfs[i] = layout.Profile(skg, skyPlace)
-			}
-			for _, s := range switchLats {
-				own := ownProf.Latency(s)
-				var avgB, maxB float64
-				for _, sp := range skyProfs {
-					ls := sp.Latency(s)
-					avgB += ls.AvgNs
-					maxB += ls.MaxNs
-				}
-				avgB /= float64(len(skyProfs))
-				maxB /= float64(len(skyProfs))
-				points = append(points, Fig11Point{
-					Name:     inst.Name,
-					SwitchNs: s,
-					AvgRatio: own.AvgNs / avgB,
-					MaxRatio: own.MaxNs / maxB,
-				})
-			}
+	err := eachLayout(scale, opts, func(inst *topo.Instance, p *layout.Placement, sky []*graph.Graph, skyPlace *layout.Placement) {
+		// One all-pairs profile per graph serves every switch latency.
+		ownProf := layout.Profile(inst.G, p)
+		skyProfs := make([]*layout.PathProfile, len(sky))
+		for i, skg := range sky {
+			skyProfs[i] = layout.Profile(skg, skyPlace)
 		}
+		for _, s := range switchLats {
+			own := ownProf.Latency(s)
+			var avgB, maxB float64
+			for _, sp := range skyProfs {
+				ls := sp.Latency(s)
+				avgB += ls.AvgNs
+				maxB += ls.MaxNs
+			}
+			avgB /= float64(len(skyProfs))
+			maxB /= float64(len(skyProfs))
+			points = append(points, Fig11Point{
+				Name:     inst.Name,
+				SwitchNs: s,
+				AvgRatio: own.AvgNs / avgB,
+				MaxRatio: own.MaxNs / maxB,
+			})
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }
 
+// skyWalkInstances samples the SkyWalk references of one Table II
+// instance: SkyWalkRuns seeded instantiations in the machine room
+// sized for n routers, with that room's sequential placement.
 func skyWalkInstances(n, k int, opts Table2Options) ([]*graph.Graph, *layout.Placement, error) {
 	place := layout.SequentialPlacement(n)
 	var out []*graph.Graph

@@ -249,7 +249,9 @@ type PathStats struct {
 // take any source, a job writes only its worker's private state or,
 // once per source, that source's slots; callers fold those after
 // EachSource returns, in source order wherever the fold is
-// floating-point, so results never depend on scheduling.
+// floating-point, so results never depend on scheduling. The same loop
+// runs seeded trials (partition trials, layout restarts, Fig 5
+// failure trials): index s is then the trial number.
 func EachSource(n int, newWorker func() func(s int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -120,21 +118,14 @@ func Optimize(g *graph.Graph, opts Options) *Placement {
 		cost float64
 	}
 	results := make([]result, opts.Restarts)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for t := 0; t < opts.Restarts; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	graph.EachSource(opts.Restarts, func() func(int) {
+		return func(t int) {
 			rng := rand.New(rand.NewSource(opts.Seed + int64(t)*104729))
 			p := seedPlacement(g, room, rng)
 			cost := anneal(g, p, rng, opts)
 			results[t] = result{p, cost}
-		}(t)
-	}
-	wg.Wait()
+		}
+	})
 	best := results[0]
 	for _, r := range results[1:] {
 		if r.cost < best.cost {

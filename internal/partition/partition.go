@@ -14,9 +14,7 @@ package partition
 import (
 	"container/heap"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -86,22 +84,15 @@ func bisectW(w *wgraph, frac float64, opts Options) ([]uint8, int64) {
 		cut  int64
 	}
 	results := make([]trialOut, opts.Trials)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for t := 0; t < opts.Trials; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	graph.EachSource(opts.Trials, func() func(int) {
+		return func(t int) {
 			rng := rand.New(rand.NewSource(opts.Seed + int64(t)*7919))
 			side := multilevel(w, rng, opts, frac, bias)
 			exactBalance(w, side, target2)
 			fmRefine(w, side, exactOpts(opts), 3, bias)
 			results[t] = trialOut{side, cutOf(w, side)}
-		}(t)
-	}
-	wg.Wait()
+		}
+	})
 	best := results[0]
 	for _, r := range results[1:] {
 		if r.cut < best.cut {

@@ -66,10 +66,6 @@ type Config struct {
 	LinkLatency int64
 	// Policy is the routing algorithm. Default Minimal.
 	Policy routing.Policy
-	// UGALThreshold biases UGAL-L toward the minimal path (a packet
-	// takes the Valiant path only if its weighted backlog is smaller by
-	// more than this many cycles). Default 0.
-	UGALThreshold int64
 	// BufferPackets bounds each output queue to this many packets;
 	// 0 means unbounded. With finite buffers a full downstream queue
 	// holds the packet in its upstream buffer, propagating backpressure
@@ -773,7 +769,7 @@ func (nw *Network) decidePolicy(p *packet, r int32, now int64) {
 		hMin := int64(nw.tbl.HopDist(int(r), int(p.dstRouter)))
 		hVal := int64(nw.tbl.HopDist(int(r), int(interm))) +
 			int64(nw.tbl.HopDist(int(interm), int(p.dstRouter)))
-		if qVal*hVal+nw.cfg.UGALThreshold < qMin*hMin {
+		if qVal*hVal < qMin*hMin {
 			p.interm = interm
 			p.phase = 0
 			nw.stats.ValiantTaken++
@@ -801,7 +797,7 @@ func (nw *Network) decidePolicy(p *packet, r int32, now int64) {
 			p.phase = 1
 			return
 		}
-		if cVia+cRest+nw.cfg.UGALThreshold < cMin {
+		if cVia+cRest < cMin {
 			p.interm = interm
 			p.phase = 0
 			nw.stats.ValiantTaken++
