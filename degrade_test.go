@@ -52,7 +52,10 @@ func TestDegradeStacksPlans(t *testing.T) {
 	}
 
 	// FailEdges on a degraded network preserves the mask too.
-	d4 := d2.FailEdges(0.05, 4)
+	d4, err := d2.FailEdges(0.05, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if countDead(d4.failedRouters) != countDead(d2.failedRouters) {
 		t.Error("FailEdges dropped the dead-router mask")
 	}

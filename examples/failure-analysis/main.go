@@ -51,7 +51,9 @@ func run(w io.Writer, trials int) error {
 			for t := 0; t < trials; t++ {
 				failed := net
 				if prop > 0 {
-					failed = net.FailEdges(prop, int64(1000*prop)+int64(t))
+					if failed, err = net.FailEdges(prop, int64(1000*prop)+int64(t)); err != nil {
+						return err
+					}
 				}
 				m := failed.Analyze()
 				if !m.Connected {

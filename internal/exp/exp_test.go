@@ -153,6 +153,17 @@ func TestSizeClassOutOfRange(t *testing.T) {
 	}
 }
 
+// TestFig5RejectsBadProportion pins an error, not a panic, for edge
+// failure proportions outside [0, 1].
+func TestFig5RejectsBadProportion(t *testing.T) {
+	for _, prop := range []float64{-0.1, 1.5, math.NaN()} {
+		opts := Fig5Options{Proportions: []float64{0, prop}, MinTrials: 1, MaxTrials: 1, SkipBisection: true}
+		if _, err := Fig5(0, Quick, opts); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+			t.Errorf("proportion %v: err = %v, want out of [0,1]", prop, err)
+		}
+	}
+}
+
 func TestSimInstancesQuickShape(t *testing.T) {
 	instances, err := SimInstances(Quick)
 	if err != nil {

@@ -83,7 +83,11 @@ func Fig5(class int, scale Scale, opts Fig5Options) ([]Fig5Point, error) {
 			return nil, err
 		}
 		for _, prop := range opts.Proportions {
-			points = append(points, failurePoint(inst, prop, opts))
+			pt, err := failurePoint(inst, prop, opts)
+			if err != nil {
+				return nil, err
+			}
+			points = append(points, pt)
 		}
 	}
 	return points, nil
@@ -92,11 +96,13 @@ func Fig5(class int, scale Scale, opts Fig5Options) ([]Fig5Point, error) {
 type trialResult struct {
 	ok                      bool
 	diam, avgHop, bisection float64
+	err                     error // the failure proportion is out of range
 }
 
-func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) Fig5Point {
+func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) (Fig5Point, error) {
 	pt := Fig5Point{Name: inst.Name, Proportion: prop}
 	var vals []trialResult
+	var err error
 	runBatch := func(from, to int) {
 		results := make([]trialResult, to-from)
 		graph.EachSource(to-from, func() func(int) {
@@ -105,9 +111,17 @@ func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) Fig5Point
 				results[i] = failureTrial(inst, prop, rng, opts)
 			}
 		})
+		for _, r := range results {
+			if r.err != nil {
+				err = r.err
+			}
+		}
 		vals = append(vals, results...)
 	}
 	runBatch(0, opts.MinTrials)
+	if err != nil {
+		return pt, err
+	}
 	// Adaptive growth until the diameter CV is below target (diameter is
 	// the noisiest of the three measures).
 	for len(vals) < opts.MaxTrials && prop > 0 {
@@ -137,15 +151,16 @@ func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) Fig5Point
 		pt.AvgHop /= float64(nOK)
 		pt.Bisection /= float64(nOK)
 	}
-	return pt
+	return pt, nil
 }
 
 func failureTrial(inst *topo.Instance, prop float64, rng *rand.Rand, opts Fig5Options) trialResult {
-	var g *graph.Graph
-	if prop == 0 {
-		g = inst.G
-	} else {
-		g = inst.G.DeleteRandomEdges(prop, rng)
+	g := inst.G
+	if prop != 0 {
+		var err error
+		if g, err = inst.G.DeleteRandomEdges(prop, rng); err != nil {
+			return trialResult{err: err}
+		}
 	}
 	st := g.AllPairsStats()
 	if !st.Connected {

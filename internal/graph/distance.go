@@ -3,8 +3,9 @@ package graph
 import "sync"
 
 // DistanceHistogram counts ordered vertex pairs by hop distance:
-// hist[d] = #{(u,v) : dist(u,v) = d}, computed by parallel all-pairs
-// BFS. Unreachable pairs are counted in the second return value.
+// hist[d] = #{(u,v) : dist(u,v) = d}, computed by the all-pairs
+// kernel EachBFS. Unreachable pairs are counted in the second return
+// value.
 //
 // This quantifies §IV-b's observation (after Sardari) that in a
 // Ramanujan graph only a vanishing fraction of pairs sit at distance
@@ -12,22 +13,18 @@ import "sync"
 // point should carry almost no mass, even when the diameter itself is
 // larger — "most pairs are closer than the diameter" (Fig. 3).
 func (g *Graph) DistanceHistogram() (hist []int64, unreachable int64) {
-	n := g.N()
 	type partial struct {
 		hist        []int64
 		unreachable int64
 	}
 	var mu sync.Mutex
 	var parts []*partial // one per worker
-	EachSource(n, func() func(int) {
-		dist := make([]int32, n)
-		queue := make([]int32, n)
+	g.EachBFS(func() func(int, []int32) {
 		p := &partial{hist: make([]int64, 0, 16)}
 		mu.Lock()
 		parts = append(parts, p)
 		mu.Unlock()
-		return func(s int) {
-			g.BFS(s, dist, queue)
+		return func(s int, dist []int32) {
 			for v, d := range dist {
 				if v == s {
 					continue

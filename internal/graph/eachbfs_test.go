@@ -1,0 +1,109 @@
+package graph
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"testing"
+)
+
+// randomGraph returns a graph on n vertices with m random edge
+// proposals (duplicates and self-loops collapse) among the vertices
+// that keep[v] admits; keep == nil admits every vertex.
+func randomGraph(n, m int, rng *rand.Rand, keep func(v int) bool) *Graph {
+	b := NewBuilder(n)
+	var verts []int
+	for v := range n {
+		if keep == nil || keep(v) {
+			verts = append(verts, v)
+		}
+	}
+	if len(verts) < 2 {
+		return b.Build()
+	}
+	for range m {
+		b.AddEdge(verts[rng.Intn(len(verts))], verts[rng.Intn(len(verts))])
+	}
+	return b.Build()
+}
+
+// eachBFSCases returns named graphs on n vertices: connected ones (a
+// ring, which is deep, and a ring plus random chords, which is
+// shallow), one split into two components with no edge between them,
+// and one where every seventh vertex is isolated.
+func eachBFSCases(n int, rng *rand.Rand) map[string]*Graph {
+	chords := NewBuilder(n)
+	for v := range n {
+		chords.AddEdge(v, (v+1)%n)
+		chords.AddEdge(v, rng.Intn(n))
+	}
+	half := n / 2
+	low := randomGraph(n, 3*n, rng, func(v int) bool { return v < half })
+	high := randomGraph(n, 3*n, rng, func(v int) bool { return v >= half })
+	return map[string]*Graph{
+		"ring":     ring(n),
+		"chords":   chords.Build(),
+		"split":    low.AddEdges(high.Edges()),
+		"isolated": randomGraph(n, 2*n, rng, func(v int) bool { return v%7 != 3 }),
+	}
+}
+
+// checkEachBFS fails unless EachBFS hands every source exactly once a
+// distance vector equal to BFS's.
+func checkEachBFS(t *testing.T, g *Graph) {
+	t.Helper()
+	n := g.N()
+	got := make([][]int32, n)
+	calls := make([]atomic.Int32, n)
+	g.EachBFS(func() func(int, []int32) {
+		return func(s int, dist []int32) {
+			if calls[s].Add(1) == 1 {
+				got[s] = slices.Clone(dist)
+			}
+		}
+	})
+	want := make([]int32, n)
+	for s := range n {
+		if c := calls[s].Load(); c != 1 {
+			t.Fatalf("n=%d: source %d ran %d times", n, s, c)
+		}
+		g.BFS(s, want, nil)
+		if !slices.Equal(got[s], want) {
+			t.Fatalf("n=%d: source %d: EachBFS %v, BFS %v", n, s, got[s], want)
+		}
+	}
+}
+
+// TestEachBFSMatchesBFS pins the all-pairs kernel to single-source BFS
+// across empty, single-batch, exact-batch, partial-last-batch and
+// multi-batch sizes, on connected, disconnected and isolated-vertex
+// graphs, at one and three workers.
+func TestEachBFSMatchesBFS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 63, 64, 65, 128, 129, 300} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			for name, g := range eachBFSCases(n, rng) {
+				t.Run(fmt.Sprintf("procs=%d/n=%d/%s", procs, n, name), func(t *testing.T) {
+					checkEachBFS(t, g)
+				})
+			}
+		}
+	}
+}
+
+// FuzzEachBFS checks the kernel against BFS on random graphs of up to
+// 300 vertices, so multi-batch runs and partial last batches are
+// covered at every density from isolated vertices to dense.
+func FuzzEachBFS(f *testing.F) {
+	f.Add(uint16(65), uint16(130), int64(1))
+	f.Add(uint16(300), uint16(900), int64(2))
+	f.Add(uint16(129), uint16(20), int64(3))
+	f.Fuzz(func(t *testing.T, n, m uint16, seed int64) {
+		nv := int(n % 301)
+		checkEachBFS(t, randomGraph(nv, int(m%2048), rand.New(rand.NewSource(seed)), nil))
+	})
+}

@@ -2,13 +2,19 @@
 // the SpectralFly reproduction: a compact CSR (compressed sparse row)
 // representation plus the structural measurements the paper reports —
 // diameter, average shortest-path length, girth, connectivity — and the
-// seeded random edge-failure sampling of §IV-A. All-pairs computations
-// fan out across GOMAXPROCS workers through one per-source loop,
-// EachSource, which the routing and layout packages share.
+// seeded random edge-failure sampling of §IV-A. Every all-pairs
+// distance computation — routing tables, AllPairsStats,
+// DistanceHistogram, layout latency profiles — runs on one kernel,
+// EachBFS, a bit-parallel BFS that carries 64 sources per sweep.
+// EachBFS and the other per-source or per-trial work fan out across
+// GOMAXPROCS workers through one loop, EachSource. Single-source BFS
+// serves single-source callers; Girth and Betweenness keep their own
+// traversals, since they need parents and path counts.
 package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -250,8 +256,9 @@ type PathStats struct {
 // once per source, that source's slots; callers fold those after
 // EachSource returns, in source order wherever the fold is
 // floating-point, so results never depend on scheduling. The same loop
-// runs seeded trials (partition trials, layout restarts, Fig 5
-// failure trials): index s is then the trial number.
+// runs EachBFS's 64-source batches and seeded trials (partition
+// trials, layout restarts, Fig 5 failure trials): index s is then the
+// batch or trial number.
 func EachSource(n int, newWorker func() func(s int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -268,7 +275,84 @@ func EachSource(n int, newWorker func() func(s int)) {
 	wg.Wait()
 }
 
-// AllPairsStats runs BFS from every vertex in parallel and aggregates
+// EachBFS runs a BFS from every vertex and hands each source's
+// distance vector to a job: dist[v] is exactly what BFS(src) writes,
+// -1 for unreachable vertices. It is the one all-pairs kernel: a
+// level-synchronous multi-source sweep (Then et al., "The More the
+// Merrier", PVLDB 2014) that carries 64 sources in the bits of one
+// word per vertex. Each level sets next[v] to the OR of frontier[u]
+// over u ∈ N(v), minus seen[v], skipping vertices every lane has
+// already seen, so a batch costs O(levels · m) word operations and
+// finishes in about diameter+1 levels — few on the shallow Ramanujan
+// graphs this repository routes on.
+//
+// Batches of 64 sources fan out over EachSource, with newWorker's
+// contract: it is called once per worker goroutine and returns that
+// worker's job. dist is the worker's scratch, valid only during the
+// call: a job must not write it, nor keep it after returning. Per
+// worker the kernel holds 64 distance vectors and three bitmaps,
+// about 280·n bytes.
+func (g *Graph) EachBFS(newWorker func() func(src int, dist []int32)) {
+	n := g.N()
+	EachSource((n+63)/64, func() func(int) {
+		job := newWorker()
+		seen := make([]uint64, n)
+		frontier := make([]uint64, n)
+		next := make([]uint64, n)
+		var dist [64][]int32
+		for i := range dist {
+			dist[i] = make([]int32, n)
+		}
+		return func(b int) {
+			base := 64 * b
+			lanes := min(64, n-base)
+			full := ^uint64(0) >> (64 - lanes)
+			clear(seen)
+			clear(frontier)
+			for i := range lanes {
+				seen[base+i] = 1 << i
+				frontier[base+i] = 1 << i
+				dist[i][base+i] = 0
+			}
+			for level := int32(1); ; level++ {
+				grew := false
+				for v := range n {
+					if seen[v] == full {
+						next[v] = 0
+						continue
+					}
+					var x uint64
+					for _, u := range g.neigh[g.offsets[v]:g.offsets[v+1]] {
+						x |= frontier[u]
+					}
+					x &^= seen[v]
+					next[v] = x
+					if x != 0 {
+						grew = true
+						seen[v] |= x
+						for ; x != 0; x &= x - 1 {
+							dist[bits.TrailingZeros64(x)][v] = level
+						}
+					}
+				}
+				if !grew {
+					break
+				}
+				frontier, next = next, frontier
+			}
+			for v := range n {
+				for x := full &^ seen[v]; x != 0; x &= x - 1 {
+					dist[bits.TrailingZeros64(x)][v] = -1
+				}
+			}
+			for i := range lanes {
+				job(base+i, dist[i])
+			}
+		}
+	})
+}
+
+// AllPairsStats runs BFS from every vertex (EachBFS) and aggregates
 // diameter, mean distance and eccentricities. For disconnected graphs
 // Connected=false and Diameter/AvgDist describe only reachable pairs.
 func (g *Graph) AllPairsStats() PathStats {
@@ -278,11 +362,8 @@ func (g *Graph) AllPairsStats() PathStats {
 		return st
 	}
 	sums := make([][2]int64, n) // per source: distance sum, reachable targets
-	EachSource(n, func() func(int) {
-		dist := make([]int32, n)
-		queue := make([]int32, n)
-		return func(s int) {
-			g.BFS(s, dist, queue)
+	g.EachBFS(func() func(int, []int32) {
+		return func(s int, dist []int32) {
 			var ecc int32
 			var sum, reached int64
 			for v, d := range dist {
@@ -400,11 +481,11 @@ func girthFromRoot(g *Graph, s int, bound int32, dist, parent, queue []int32) in
 }
 
 // DeleteRandomEdges returns a copy of g with ⌊fraction·M⌋ edges removed,
-// chosen uniformly without replacement using rng. fraction must lie in
-// [0, 1].
-func (g *Graph) DeleteRandomEdges(fraction float64, rng *rand.Rand) *Graph {
-	if fraction < 0 || fraction > 1 {
-		panic(fmt.Sprintf("graph: fraction %v out of [0,1]", fraction))
+// chosen uniformly without replacement using rng. It returns an error
+// unless fraction lies in [0, 1] (NaN included).
+func (g *Graph) DeleteRandomEdges(fraction float64, rng *rand.Rand) (*Graph, error) {
+	if !(fraction >= 0 && fraction <= 1) {
+		return nil, fmt.Errorf("graph: edge fraction %v out of [0,1]", fraction)
 	}
 	edges := g.Edges()
 	k := int(fraction * float64(len(edges)))
@@ -413,7 +494,7 @@ func (g *Graph) DeleteRandomEdges(fraction float64, rng *rand.Rand) *Graph {
 		j := i + rng.Intn(len(edges)-i)
 		edges[i], edges[j] = edges[j], edges[i]
 	}
-	return FromEdges(g.N(), edges[k:])
+	return FromEdges(g.N(), edges[k:]), nil
 }
 
 // RemoveEdges returns a copy of g with the listed edges deleted. Edge

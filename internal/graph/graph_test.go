@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -251,7 +252,7 @@ func TestGirthFromVertexOnVertexTransitive(t *testing.T) {
 func TestDeleteRandomEdges(t *testing.T) {
 	g := complete(20) // 190 edges
 	rng := rand.New(rand.NewSource(42))
-	h := g.DeleteRandomEdges(0.3, rng)
+	h := mustDeleteRandomEdges(t, g, 0.3, rng)
 	want := g.M() - int(0.3*float64(g.M()))
 	if h.M() != want {
 		t.Fatalf("after deletion M=%d want %d", h.M(), want)
@@ -265,18 +266,38 @@ func TestDeleteRandomEdges(t *testing.T) {
 			t.Fatalf("edge %v not in original", e)
 		}
 	}
-	if x := g.DeleteRandomEdges(0, rng); x.M() != g.M() {
+	if x := mustDeleteRandomEdges(t, g, 0, rng); x.M() != g.M() {
 		t.Fatal("deleting 0% changed edge count")
 	}
-	if x := g.DeleteRandomEdges(1, rng); x.M() != 0 {
+	if x := mustDeleteRandomEdges(t, g, 1, rng); x.M() != 0 {
 		t.Fatal("deleting 100% left edges")
+	}
+}
+
+func mustDeleteRandomEdges(t *testing.T, g *Graph, fraction float64, rng *rand.Rand) *Graph {
+	t.Helper()
+	h, err := g.DeleteRandomEdges(fraction, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestDeleteRandomEdgesRejectsBadFraction pins the error, not a panic,
+// for fractions outside [0, 1], NaN included.
+func TestDeleteRandomEdgesRejectsBadFraction(t *testing.T) {
+	g := complete(6)
+	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
+		if h, err := g.DeleteRandomEdges(f, rand.New(rand.NewSource(1))); err == nil {
+			t.Errorf("fraction %v: got a graph with %d edges, want an error", f, h.M())
+		}
 	}
 }
 
 func TestDeleteRandomEdgesDeterministicPerSeed(t *testing.T) {
 	g := complete(12)
-	a := g.DeleteRandomEdges(0.5, rand.New(rand.NewSource(7)))
-	b := g.DeleteRandomEdges(0.5, rand.New(rand.NewSource(7)))
+	a := mustDeleteRandomEdges(t, g, 0.5, rand.New(rand.NewSource(7)))
+	b := mustDeleteRandomEdges(t, g, 0.5, rand.New(rand.NewSource(7)))
 	ae, be := a.Edges(), b.Edges()
 	if len(ae) != len(be) {
 		t.Fatal("different sizes for same seed")

@@ -407,12 +407,9 @@ func Profile(g *graph.Graph, p *Placement) *PathProfile {
 		return pp
 	}
 	per := make([]PathProfile, n) // per source, folded in order below
-	graph.EachSource(n, func() func(int) {
-		dist := make([]int32, n)
-		queue := make([]int32, n)
+	g.EachBFS(func() func(int, []int32) {
 		wire := make([]float64, n)
-		return func(s int) {
-			g.BFS(s, dist, queue)
+		return func(s int, dist []int32) {
 			minWireDP(g, p, s, dist, wire)
 			var ps PathProfile // local, stored once: no false sharing
 			for v := 0; v < n; v++ {

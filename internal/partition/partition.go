@@ -12,7 +12,6 @@
 package partition
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 
@@ -461,18 +460,59 @@ type gainEntry struct {
 	version int32
 }
 
+// gainHeap is a max-heap on gain. Its sift order replicates
+// container/heap's Init, Push and Pop step for step, so equal-gain
+// entries pop in the same order, and cuts match the interface-based
+// heap it replaces, without boxing each entry.
 type gainHeap []gainEntry
 
-func (h gainHeap) Len() int            { return len(h) }
-func (h gainHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h gainHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x interface{}) { *h = append(*h, x.(gainEntry)) }
-func (h *gainHeap) Pop() interface{} {
+// init heapifies h in place.
+func (h gainHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+func (h *gainHeap) push(e gainEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+func (h *gainHeap) pop() gainEntry {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h gainHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || h[j].gain <= h[i].gain {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h gainHeap) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].gain > h[j].gain {
+			j = j2 // right child
+		}
+		if h[j].gain <= h[i].gain {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // fmRefine runs up to maxPasses Fiduccia–Mattheyses passes in place.
@@ -493,7 +533,6 @@ func fmRefine(w *wgraph, side []uint8, opts Options, maxPasses int, bias int64) 
 	gain := make([]int64, n)
 	version := make([]int32, n)
 	locked := make([]bool, n)
-	inHeap := make([]bool, n)
 	moveOrder := make([]int32, 0, 256)
 	h := make(gainHeap, 0, 1024)
 
@@ -514,29 +553,22 @@ func fmRefine(w *wgraph, side []uint8, opts Options, maxPasses int, bias int64) 
 		return ext - internal, ext > 0
 	}
 
-	push := func(v int32) {
-		heap.Push(&h, gainEntry{gain[v], v, version[v]})
-		inHeap[v] = true
-	}
-
 	for pass := 0; pass < maxPasses; pass++ {
 		h = h[:0]
 		for v := 0; v < n; v++ {
 			locked[v] = false
-			inHeap[v] = false
 			version[v] = 0
 			g, boundary := computeGain(v)
 			gain[v] = g
 			if boundary {
-				push(int32(v))
+				h.push(gainEntry{gain[v], int32(v), version[v]})
 			}
 		}
-		heap.Init(&h)
 		moveOrder = moveOrder[:0]
 		var cum, bestCum int64
 		bestPrefix := 0
-		for h.Len() > 0 {
-			e := heap.Pop(&h).(gainEntry)
+		for len(h) > 0 {
+			e := h.pop()
 			v := e.v
 			if locked[v] || e.version != version[v] {
 				continue
@@ -570,7 +602,7 @@ func fmRefine(w *wgraph, side []uint8, opts Options, maxPasses int, bias int64) 
 					gain[u] += 2 * w.ewt[i]
 				}
 				version[u]++
-				push(u)
+				h.push(gainEntry{gain[u], u, version[u]})
 			}
 			if len(moveOrder) > n {
 				break
@@ -628,15 +660,15 @@ func exactBalance(w *wgraph, side []uint8, target2 int64) {
 		gain[v] = ext - internal
 		h = append(h, gainEntry{gain[v], int32(v), 0})
 	}
-	heap.Init(&h)
+	h.init()
 	over := func() int64 {
 		if heavy == 0 {
 			return 2*sideW[0] - target2
 		}
 		return target2 - 2*sideW[0]
 	}
-	for over() > 1 && h.Len() > 0 {
-		e := heap.Pop(&h).(gainEntry)
+	for over() > 1 && len(h) > 0 {
+		e := h.pop()
 		v := e.v
 		if side[v] != heavy || e.version != version[v] {
 			continue
@@ -651,7 +683,7 @@ func exactBalance(w *wgraph, side []uint8, target2 int64) {
 			}
 			gain[u] += 2 * w.ewt[i]
 			version[u]++
-			heap.Push(&h, gainEntry{gain[u], u, version[u]})
+			h.push(gainEntry{gain[u], u, version[u]})
 		}
 	}
 }

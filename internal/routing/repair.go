@@ -6,8 +6,13 @@ import "repro/internal/graph"
 // links removed, recomputing only what the damage invalidates. The
 // result is exactly what NewTable would compute on the damaged graph —
 // a property the fuzz targets and the 1200-case sweep in
-// repair_fuzz_test.go enforce — but a full rebuild pays n BFS runs,
-// while Repair's cost scales with the damage itself.
+// repair_fuzz_test.go enforce — and rows the damage leaves unchanged
+// share their cells with t, so a repaired table costs memory only
+// where distances changed. Repair's time scales with the damage, but
+// it no longer beats a rebuild on time alone: since NewTable runs on
+// the 64-source graph.EachBFS kernel, rebuilding LPS(23,11) with 2% of
+// its links cut takes 2.2–2.5 ms against Repair's 5.8–7.4 ms (2-vCPU
+// VM; DESIGN.md §6).
 //
 // High-girth topologies (the LPS graphs SpectralFly is built on) make
 // this harder than it sounds: below girth/2 hops shortest paths are

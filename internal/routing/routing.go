@@ -5,10 +5,11 @@
 // discipline used for deadlock avoidance (d+1 VCs for minimal routing,
 // 2d+1 for Valiant/UGAL paths).
 //
-// The table stores one BFS distance row per destination (computed in
-// parallel); next-hop sets are derived on demand as the neighbors one
-// hop closer to the destination, so the storage cost is one distance
-// cell per (vertex, destination) pair rather than n²·k. Every row has
+// The table stores one BFS distance row per destination, computed by
+// graph.EachBFS, which sweeps 64 destinations at a time in the bits of
+// one word per vertex. Next-hop sets are derived on demand as the
+// neighbors one hop closer to the destination, so the storage cost is
+// one distance cell per (vertex, destination) pair rather than n²·k. Every row has
 // one format: cells of 4, 8 or 32 bits, the narrowest that fits the
 // row's largest distance at or above a per-store width floor. The
 // three storage backends (Store) trade memory for lookup cost: dense
@@ -22,6 +23,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -115,17 +117,19 @@ type Table struct {
 	diam  int32       // largest finite distance (StoreLazy computes it on demand)
 }
 
-// NewTable computes dense BFS distance rows toward every destination,
-// fanning out across GOMAXPROCS workers. The topology must be
-// connected for meaningful routing; disconnected pairs keep distance
-// -1 and have no next hops.
+// NewTable computes dense BFS distance rows toward every destination
+// with the all-pairs kernel graph.EachBFS, fanning out across
+// GOMAXPROCS workers. The topology must be connected for meaningful
+// routing; disconnected pairs keep distance -1 and have no next hops.
 func NewTable(g *graph.Graph) *Table {
 	return NewTableOpts(g, TableOptions{})
 }
 
 // NewTableOpts builds a table with the chosen storage backend. Dense
-// and packed tables pay the full all-pairs BFS up front; lazy tables
-// return immediately and compute rows on first touch.
+// and packed tables pay the full all-pairs BFS (graph.EachBFS) up
+// front, encoding each row from the kernel's scratch vector: narrow
+// rows pack it, 32-bit rows copy it. Lazy tables return immediately
+// and compute rows on first touch.
 func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
 	n := g.N()
 	t := &Table{G: g, store: opts.Store}
@@ -138,18 +142,13 @@ func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
 	}
 	t.rows = make([]packedRow, n)
 	minBits := t.store.minBits()
-	graph.EachSource(n, func() func(int) {
-		queue := make([]int32, n)
-		var dist []int32
-		return func(d int) {
-			if dist == nil {
-				dist = make([]int32, n)
+	g.EachBFS(func() func(int, []int32) {
+		return func(d int, dist []int32) {
+			row := encodeRow(dist, minBits)
+			if row.bits == 32 {
+				row.wide = slices.Clone(dist) // dist is the kernel's scratch
 			}
-			g.BFS(d, dist, queue)
-			t.rows[d] = encodeRow(dist, minBits)
-			if t.rows[d].bits == 32 {
-				dist = nil // the row adopted dist
-			}
+			t.rows[d] = row
 		}
 	})
 	t.diam = maxRowDist(t.rows)
@@ -191,7 +190,8 @@ func (t *Table) ResidentShards() int {
 
 // Diameter returns the largest finite hop distance. Dense and packed
 // tables know it from construction; a lazy table computes it on first
-// call with a full BFS sweep (retaining nothing) and memoizes it.
+// call with a full graph.EachBFS sweep (retaining nothing) and
+// memoizes it.
 func (t *Table) Diameter() int {
 	if t.lazy != nil {
 		return int(t.lazy.diameter())

@@ -268,18 +268,13 @@ func (lt *lazyTable) residentRows() int {
 }
 
 // diameter computes the largest finite hop distance on first call (a
-// full BFS sweep that retains nothing) and memoizes it.
+// full graph.EachBFS sweep that retains nothing) and memoizes it.
 func (lt *lazyTable) diameter() int32 {
 	lt.diamOnce.Do(func() {
 		n := lt.g.N()
 		maxes := make([]int32, n) // per source
-		graph.EachSource(n, func() func(int) {
-			dist := make([]int32, n)
-			queue := make([]int32, n)
-			return func(d int) {
-				lt.g.BFS(d, dist, queue)
-				maxes[d] = maxDist(dist)
-			}
+		lt.g.EachBFS(func() func(int, []int32) {
+			return func(d int, dist []int32) { maxes[d] = maxDist(dist) }
 		})
 		for _, d := range maxes {
 			lt.diam = max(lt.diam, d)

@@ -38,7 +38,10 @@ func TestSimulationAfterEdgeFailures(t *testing.T) {
 	// all traffic must still be delivered over longer paths.
 	inst := topo.MustLPS(11, 7)
 	rng := rand.New(rand.NewSource(5))
-	damaged := inst.G.DeleteRandomEdges(0.2, rng)
+	damaged, err := inst.G.DeleteRandomEdges(0.2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !damaged.IsConnected() {
 		t.Skip("rare: sample disconnected")
 	}
@@ -135,7 +138,10 @@ func TestValiantOnDamagedTopologyRoutesAroundFailures(t *testing.T) {
 	// connected endpoints still arrives.
 	inst := topo.MustLPS(11, 7)
 	rng := rand.New(rand.NewSource(11))
-	damaged := inst.G.DeleteRandomEdges(0.3, rng)
+	damaged, err := inst.G.DeleteRandomEdges(0.3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tab := routing.NewTable(damaged)
 	nw, err := New(Config{Topo: damaged, Concentration: 1, Policy: routing.Valiant, Seed: 4}, tab)
 	if err != nil {

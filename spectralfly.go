@@ -170,15 +170,19 @@ func (n *Network) NormalizedBisection(seed int64) float64 {
 
 // FailEdges returns a copy of the network with the given fraction of
 // links removed uniformly at random (the §IV-A resilience experiment).
-// Routers already dead on a degraded network stay dead.
-func (n *Network) FailEdges(fraction float64, seed int64) *Network {
-	rng := rand.New(rand.NewSource(seed))
+// Routers already dead on a degraded network stay dead. It returns an
+// error unless fraction lies in [0, 1].
+func (n *Network) FailEdges(fraction float64, seed int64) (*Network, error) {
+	g, err := n.G.DeleteRandomEdges(fraction, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, err
+	}
 	return &Network{
 		Name:          n.Name + "-failed",
-		G:             n.G.DeleteRandomEdges(fraction, rng),
+		G:             g,
 		failedRouters: n.failedRouters,
 		degraded:      true,
-	}
+	}, nil
 }
 
 // FaultPlan is a deterministic failure specification: the same plan

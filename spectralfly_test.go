@@ -78,9 +78,23 @@ func TestPublicAPIBisectionBracket(t *testing.T) {
 	}
 }
 
+// TestPublicAPIFailEdgesRejectsBadFraction pins an error, not a panic,
+// for link fractions outside [0, 1], NaN included.
+func TestPublicAPIFailEdgesRejectsBadFraction(t *testing.T) {
+	net, _ := LPS(11, 7)
+	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
+		if failed, err := net.FailEdges(f, 1); err == nil || failed != nil {
+			t.Errorf("fraction %v: got (%v, %v), want an error", f, failed, err)
+		}
+	}
+}
+
 func TestPublicAPIFailEdges(t *testing.T) {
 	net, _ := LPS(11, 7)
-	failed := net.FailEdges(0.2, 3)
+	failed, err := net.FailEdges(0.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if failed.G.M() >= net.G.M() {
 		t.Error("no edges removed")
 	}
