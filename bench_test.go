@@ -222,11 +222,11 @@ func benchmarkSweep(b *testing.B, parallel int) {
 func BenchmarkSweepSerial(b *testing.B)   { benchmarkSweep(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchmarkSweep(b, 0) }
 
-// Resilience benchmarks: the incremental route-repair path versus the
-// full rebuild it replaces, at LPS(23,11) scale (660 routers, 7920
-// links), plus the damaged-network sweep end to end. The sweep sizes
-// of the resilience grid (one repaired table per failure plan) are
-// what make Repair-vs-NewTable the hot comparison.
+// Resilience benchmarks: Repair (a rebuild that shares every unchanged
+// row with the intact table) versus a plain NewTable on the damaged
+// graph, at LPS(23,11) scale (660 routers, 7920 links), plus the
+// damaged-network sweep end to end. The difference between the two is
+// the cost of comparing each new row with the old one.
 
 func damagedLPS2311(b *testing.B, frac float64) (*routing.Table, [][2]int32) {
 	b.Helper()

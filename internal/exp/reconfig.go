@@ -106,8 +106,9 @@ type ReconfigReport struct {
 // on the same period the fabric rewires on. The static leg activates
 // configuration 0 and keeps it for the whole run; the rewiring leg
 // steps to the next configuration every Period cycles
-// (fault.Rewiring), repairing the routing table incrementally at each
-// step (routing.Table.Repair / Restore) while traffic is in flight.
+// (fault.Rewiring), re-deriving the routing table at each step
+// (routing.Table.Repair / Restore, sharing every unchanged row) while
+// traffic is in flight.
 // Both legs run through the timed-schedule path of the simulator with
 // the same Workers setting, so their comparison isolates the rewiring
 // policy, not the engine.

@@ -111,15 +111,16 @@ func (o ResilienceOptions) withDefaults(scale Scale) ResilienceOptions {
 
 // Resilience runs the performance-under-failure sweep over the §VI-B
 // instance set, as a preset over the declarative sweep core: the fault
-// axis (kind × fraction, sampled Trials times) is declared on the
-// grid, and the core samples each deterministic fault.Plan, repairs
-// the memoized routing table incrementally (routing.Table.Repair —
-// never a full rebuild), fans the (policy × load) cells of each
-// damaged instance through the parallel engine, and releases the
-// damaged tables group by group so peak memory holds one fault group,
-// not the whole sweep (at -full scale the difference is gigabytes).
-// Unreachable pairs drop and are reported via the delivered fraction;
-// everything else is measured on delivered traffic only.
+// axis (kind × fraction, sampled Trials times) is declared on the grid,
+// and the core samples each deterministic fault.Plan, derives the
+// damaged routing table from the memoized intact one
+// (routing.Table.Repair, which shares every unchanged row), fans the
+// (policy × load) cells of each damaged instance through the parallel
+// engine, and releases the damaged tables group by group so peak memory
+// holds one fault group, not the whole sweep (at -full scale the
+// difference is gigabytes). Unreachable pairs drop and are reported via
+// the delivered fraction; everything else is measured on delivered
+// traffic only.
 //
 // Every simulation seed derives from the cell's stable key and every
 // plan seed from the plan's stable key, so the output is bit-identical

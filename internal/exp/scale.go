@@ -184,8 +184,9 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 		}
 		// A fresh engine per instance keeps the memo (and therefore the
 		// peak-bytes sample) scoped to one rung at a time. Both grids of
-		// the rung share it, so the degraded grid repairs the saturation
-		// grid's memoized table instead of rebuilding.
+		// the rung share it, so the degraded grid derives its table from
+		// the saturation grid's memoized one with Table.Repair, sharing
+		// every unchanged row, instead of building an unshared table.
 		runOpts.Runner = runOpts.Engine()
 
 		// Phase 1: the saturation knee on the intact instance.
@@ -210,7 +211,7 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 		pt.Saturation = res[0].Saturation
 
 		// Phase 2: the degraded point — the core samples the link-failure
-		// plan, repairs the intact table incrementally, releases the
+		// plan, repairs the intact table (Table.Repair), releases the
 		// intact table before the damaged cells run (only one table stays
 		// memoized while they execute — at the 40K rung each one is
 		// ~790 MB packed, and holding every plan's table at once was the

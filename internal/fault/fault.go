@@ -17,8 +17,8 @@
 // the same graph always yields the same Outcome, so sweep grids can be
 // keyed on (plan, graph) and remain bit-identical across worker counts.
 // Vertex ids are preserved under damage (killed routers become isolated
-// vertices, never renumbered), which is what lets routing tables be
-// repaired incrementally instead of rebuilt.
+// vertices, never renumbered), which is what lets a damaged routing
+// table share every unchanged per-destination row with the intact one.
 package fault
 
 import (
@@ -102,9 +102,9 @@ type Outcome struct {
 }
 
 // Apply samples the plan against g. It panics if Fraction is outside
-// [0, 1].
+// [0, 1] or NaN.
 func (p Plan) Apply(g *graph.Graph) Outcome {
-	if p.Fraction < 0 || p.Fraction > 1 {
+	if !(p.Fraction >= 0 && p.Fraction <= 1) { // NaN fails too
 		panic(fmt.Sprintf("fault: fraction %v out of [0,1]", p.Fraction))
 	}
 	rng := rand.New(rand.NewSource(p.Seed))

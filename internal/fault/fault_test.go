@@ -1,7 +1,10 @@
 package fault
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -98,6 +101,24 @@ func TestZeroPlanIsNoOp(t *testing.T) {
 	}
 	if g := out.Damage(inst.G); g.M() != inst.G.M() {
 		t.Fatal("no-op damage changed the graph")
+	}
+}
+
+// TestApplyRejectsBadFraction pins Apply's own range panic, NaN
+// included, rather than a failure deeper in the samplers.
+func TestApplyRejectsBadFraction(t *testing.T) {
+	inst := topo.MustLPS(11, 7)
+	for _, kind := range []Kind{Links, Routers, Regions} {
+		for _, frac := range []float64{-0.1, 1.5, math.NaN()} {
+			func() {
+				defer func() {
+					if r := recover(); !strings.Contains(fmt.Sprint(r), "out of [0,1]") {
+						t.Errorf("kind %d fraction %v: recovered %v, want the range panic", kind, frac, r)
+					}
+				}()
+				Plan{Kind: kind, Fraction: frac}.Apply(inst.G)
+			}()
+		}
 	}
 }
 

@@ -3,9 +3,9 @@
 // and planned rewiring) that happens *while traffic flows*. The
 // simulator applies each Change at its cycle — its run loop walks the
 // schedule with an EdgeCursor and applies changes between drains —
-// and repairs its routing table incrementally at
-// each one (routing.Table.Repair for the cut direction, Table.Restore
-// for the restore direction) — see simnet's Config.Schedule and
+// and re-derives its routing table at each one (routing.Table.Repair
+// for the cut direction, Table.Restore for the restore direction, each
+// sharing every unchanged row) — see simnet's Config.Schedule and
 // DESIGN.md §10.
 //
 // Like Plan, a Schedule built by the constructors here is a pure value
@@ -152,9 +152,9 @@ func (c ChurnSpec) repeats() int {
 }
 
 // Schedule samples the churn pattern against g. Router and region
-// churn includes every incident link in the Cut (so incremental repair
-// routes around the dead routers) and brings the same links back at
-// revival.
+// churn includes every incident link in the Cut (so the repaired
+// routing table routes around the dead routers) and brings the same
+// links back at revival.
 func (c ChurnSpec) Schedule(g *graph.Graph) (Schedule, error) {
 	if c.Period <= 0 {
 		return nil, fmt.Errorf("fault: churn period %d must be positive", c.Period)
@@ -162,7 +162,7 @@ func (c ChurnSpec) Schedule(g *graph.Graph) (Schedule, error) {
 	if c.Outage <= 0 || c.Outage >= c.Period {
 		return nil, fmt.Errorf("fault: churn outage %d must lie in (0, period %d)", c.Outage, c.Period)
 	}
-	if c.Fraction < 0 || c.Fraction > 1 {
+	if !(c.Fraction >= 0 && c.Fraction <= 1) {
 		return nil, fmt.Errorf("fault: churn fraction %v out of [0,1]", c.Fraction)
 	}
 	var s Schedule

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -63,6 +64,7 @@ func TestChurnSpecRejectsBadTiming(t *testing.T) {
 		{Kind: Links, Fraction: 0.1, Period: 10, Outage: 0},
 		{Kind: Links, Fraction: 0.1, Period: 10, Outage: 10},
 		{Kind: Links, Fraction: 1.5, Period: 10, Outage: 5},
+		{Kind: Links, Fraction: math.NaN(), Period: 10, Outage: 5},
 	} {
 		if _, err := spec.Schedule(g); err == nil {
 			t.Errorf("spec %+v: want error, got nil", spec)

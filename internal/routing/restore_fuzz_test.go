@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // sampleAdditions picks random non-edge pairs of g to insert,
 // occasionally salting in an already-present edge (Restore documents
-// tolerance for those — they can never improve a distance).
+// that it ignores those).
 func sampleAdditions(rng *rand.Rand, g *graph.Graph, count int) [][2]int32 {
 	var added [][2]int32
 	n := g.N()
@@ -32,39 +33,22 @@ func sampleAdditions(rng *rand.Rand, g *graph.Graph, count int) [][2]int32 {
 	return added
 }
 
-// checkRestoreEquals asserts the incremental insertion is
-// indistinguishable from a from-scratch dense build on the augmented
-// graph, for every storage backend.
+// checkRestoreEquals asserts Restore matches single-source BFS on the
+// augmented graph, for every storage backend.
 func checkRestoreEquals(t *testing.T, g *graph.Graph, added [][2]int32) {
 	t.Helper()
-	want := NewTable(g.AddEdges(added))
+	augmented := g.AddEdges(added)
 	for _, opts := range allStores {
-		restored := NewTableOpts(g, opts).Restore(added)
-		if restored.G.N() != want.G.N() || restored.G.M() != want.G.M() {
-			t.Fatalf("[%s] augmented graph mismatch: n=%d m=%d want n=%d m=%d",
-				opts.Store, restored.G.N(), restored.G.M(), want.G.N(), want.G.M())
-		}
-		n := g.N()
-		for d := 0; d < n; d++ {
-			for v := 0; v < n; v++ {
-				if got, exp := restored.HopDist(v, d), want.HopDist(v, d); got != exp {
-					t.Fatalf("[%s] dist[dest=%d][v=%d] = %d, rebuild says %d (added %v)",
-						opts.Store, d, v, got, exp, added)
-				}
-			}
-		}
-		if restored.Diameter() != want.Diameter() {
-			t.Fatalf("[%s] diameter %d want %d", opts.Store, restored.Diameter(), want.Diameter())
-		}
+		base := NewTableOpts(g, opts)
+		checkMatchesBFS(t, fmt.Sprintf("Restore(%v)", added), base.Restore(added), base, augmented)
 	}
 }
 
-// checkRepairRestoreRoundTrip is the satellite acceptance property: cut
-// links, Repair, bring exactly those links back, Restore — the result
-// must be distance-identical to a fresh table on the original graph,
-// for every storage backend. (Removal sets may salt in non-edge pairs,
-// which Repair tolerates but were never cut, so only the real edges
-// are restored.)
+// checkRepairRestoreRoundTrip is the round-trip property: cut links,
+// Repair, bring exactly those links back, Restore — the result must
+// match single-source BFS on the original graph, for every storage
+// backend. (Removal sets may salt in non-edge pairs, which Repair
+// ignores but were never cut, so only the real edges are restored.)
 func checkRepairRestoreRoundTrip(t *testing.T, g *graph.Graph, removed [][2]int32) {
 	t.Helper()
 	var realCut [][2]int32
@@ -73,32 +57,16 @@ func checkRepairRestoreRoundTrip(t *testing.T, g *graph.Graph, removed [][2]int3
 			realCut = append(realCut, e)
 		}
 	}
-	want := NewTable(g)
 	for _, opts := range allStores {
-		round := NewTableOpts(g, opts).Repair(removed).Restore(realCut)
-		if round.G.N() != want.G.N() || round.G.M() != want.G.M() {
-			t.Fatalf("[%s] round-trip graph mismatch: n=%d m=%d want n=%d m=%d",
-				opts.Store, round.G.N(), round.G.M(), want.G.N(), want.G.M())
-		}
-		n := g.N()
-		for d := 0; d < n; d++ {
-			for v := 0; v < n; v++ {
-				if got, exp := round.HopDist(v, d), want.HopDist(v, d); got != exp {
-					t.Fatalf("[%s] cut→restore dist[dest=%d][v=%d] = %d, original table says %d (cut %v)",
-						opts.Store, d, v, got, exp, realCut)
-				}
-			}
-		}
-		if round.Diameter() != want.Diameter() {
-			t.Fatalf("[%s] round-trip diameter %d want %d", opts.Store, round.Diameter(), want.Diameter())
-		}
+		repaired := NewTableOpts(g, opts).Repair(removed)
+		checkMatchesBFS(t, fmt.Sprintf("cut→Restore(%v)", realCut), repaired.Restore(realCut), repaired, g)
 	}
 }
 
 // FuzzRepairRestore is the restore-direction acceptance fuzz target:
-// Table.Restore must be byte-equivalent to a full rebuild on the
-// augmented graph, and a cut→Repair→restore→Restore round trip must
-// land exactly back on the original table.
+// Table.Restore must report exactly the distances single-source BFS
+// finds on the augmented graph, and a cut→Repair→restore→Restore round
+// trip must land exactly back on the original graph's distances.
 func FuzzRepairRestore(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(30), uint8(20))
 	f.Add(int64(7), uint8(5), uint8(0), uint8(90))
@@ -128,10 +96,10 @@ func TestRestoreMatchesRebuildProperty(t *testing.T) {
 	}
 }
 
-// TestRestoreSharesUnaffectedVectors pins the perf contract for the
-// insertion direction: rows an insertion cannot improve must be reused
-// (their cells shared), not recomputed, for dense and packed tables
-// alike.
+// TestRestoreSharesUnaffectedVectors pins the memory contract for the
+// insertion direction: rows the insertion leaves unchanged must be
+// shared with the old table (their cells reused), not encoded afresh,
+// for dense and packed tables alike.
 func TestRestoreSharesUnaffectedVectors(t *testing.T) {
 	// Path 0-1-2-3 plus a far path 4-5, 5-6: inserting 4-6 closes the
 	// triangle without touching destinations 0..3.

@@ -17,7 +17,9 @@
 // smaller — low-diameter Ramanujan instances fit hop counts in a
 // nibble), and lazily materialized packed rows under a bounded LRU
 // working set. All three are bit-identical in every distance they
-// report.
+// report. Repair and Restore derive the table of a damaged or
+// augmented topology by the same build, sharing with the old table
+// every row whose distances did not change.
 package routing
 
 import (
@@ -131,6 +133,35 @@ func NewTable(g *graph.Graph) *Table {
 // rows pack it, 32-bit rows copy it. Lazy tables return immediately
 // and compute rows on first touch.
 func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
+	return newTable(g, opts, nil)
+}
+
+// Repair returns the routing table for t's topology with the given
+// links removed: a rebuild over t.G.RemoveEdges(removed) in t's store
+// that shares every row the damage leaves unchanged (see newTable).
+// Pairs that are not edges of t.G are ignored.
+func (t *Table) Repair(removed [][2]int32) *Table {
+	return newTable(t.G.RemoveEdges(removed), t.options(), t)
+}
+
+// Restore returns the routing table for t's topology with the given
+// links inserted — links coming back up, or a planned rewiring step
+// activating edges: a rebuild over t.G.AddEdges(added) in t's store
+// that shares every row the insertion leaves unchanged (see newTable).
+// Pairs already present in t.G are ignored.
+func (t *Table) Restore(added [][2]int32) *Table {
+	return newTable(t.G.AddEdges(added), t.options(), t)
+}
+
+// newTable is the one build path behind NewTableOpts, Repair and
+// Restore. prev, when non-nil, is an eager table over the same vertex
+// set: a destination whose new distances all equal prev's row shares
+// that row (its cells) instead of encoding a fresh one, so a table
+// derived from a damaged or augmented graph costs memory only where
+// distances changed, exactly as if it had been updated in place. A
+// lazy table ignores prev: its rows are computed on demand from its
+// own graph.
+func newTable(g *graph.Graph, opts TableOptions, prev *Table) *Table {
 	n := g.N()
 	t := &Table{G: g, store: opts.Store}
 	if opts.Store == StoreLazy {
@@ -144,6 +175,10 @@ func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
 	minBits := t.store.minBits()
 	g.EachBFS(func() func(int, []int32) {
 		return func(d int, dist []int32) {
+			if prev != nil && prev.rows[d].equals(dist) {
+				t.rows[d] = prev.rows[d] // unchanged: share the row
+				return
+			}
 			row := encodeRow(dist, minBits)
 			if row.bits == 32 {
 				row.wide = slices.Clone(dist) // dist is the kernel's scratch
@@ -153,6 +188,15 @@ func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
 	})
 	t.diam = maxRowDist(t.rows)
 	return t
+}
+
+// options returns the options t was built with.
+func (t *Table) options() TableOptions {
+	opts := TableOptions{Store: t.store}
+	if t.lazy != nil {
+		opts.MaxResident = t.lazy.cap
+	}
+	return opts
 }
 
 // Store reports the storage backend the table was built with.

@@ -160,23 +160,14 @@ func (r *packedRow) at(v int) int32 {
 	return int32(r.nib[v]) - 1
 }
 
-// view returns the row as a distance vector the caller must not
-// write: a 32-bit row's own storage, uncopied, or else the row decoded
-// into scratch, which must have the row's length.
-func (r *packedRow) view(scratch []int32) []int32 {
-	switch r.bits {
-	case 4:
-		for v := range scratch {
-			scratch[v] = int32(r.nib[v>>1]>>((uint(v)&1)<<2)&0xf) - 1
+// equals reports whether the row holds exactly the distances in dist.
+func (r *packedRow) equals(dist []int32) bool {
+	for v, d := range dist {
+		if r.at(v) != d {
+			return false
 		}
-	case 8:
-		for v := range scratch {
-			scratch[v] = int32(r.nib[v]) - 1
-		}
-	default:
-		return r.wide
 	}
-	return scratch
+	return true
 }
 
 // bytes returns the payload size of the row.

@@ -37,22 +37,17 @@ func TestPackedRowWidths(t *testing.T) {
 				t.Errorf("%s: at(%d) = %d, want %d", c.name, v, got, want)
 			}
 		}
-		scratch := make([]int32, len(c.dist))
-		view := r.view(scratch)
-		for v, want := range c.dist {
-			if view[v] != want {
-				t.Errorf("%s: view[%d] = %d, want %d", c.name, v, view[v], want)
-			}
+		if !r.equals(c.dist) {
+			t.Errorf("%s: row does not equal the vector it encodes", c.name)
 		}
-		// A 32-bit row adopts the vector it was given and views it
-		// uncopied (dense tables build and repair copy-free); narrower
-		// rows decode into the caller's scratch.
-		if c.bits == 32 {
-			if &r.wide[0] != &dist[0] || &view[0] != &dist[0] {
-				t.Errorf("%s: 32-bit row copied its vector", c.name)
-			}
-		} else if &view[0] != &scratch[0] {
-			t.Errorf("%s: view did not decode into scratch", c.name)
+		changed := append([]int32(nil), c.dist...)
+		changed[len(changed)-1]--
+		if r.equals(changed) {
+			t.Errorf("%s: row equals a vector with a changed cell", c.name)
+		}
+		// A 32-bit row adopts the vector it was given, uncopied.
+		if c.bits == 32 && &r.wide[0] != &dist[0] {
+			t.Errorf("%s: 32-bit row copied its vector", c.name)
 		}
 	}
 }

@@ -118,11 +118,12 @@ func (r *Runner) Table(g *graph.Graph) *routing.Table {
 	return e.table.Load()
 }
 
-// RegisterTable seeds the table memo for g with a table built
-// elsewhere — the resilience sweep installs one incrementally repaired
-// table per failure plan here, so no cell ever pays for a full NewTable
-// rebuild of a damaged instance. Registering after a table for g has
-// already been built (or registered) is a no-op; t.G must be g.
+// RegisterTable seeds the table memo for g with a table built elsewhere
+// — the resilience sweep installs one repaired table per failure plan
+// here (Table.Repair, which shares every row the damage leaves
+// unchanged with the intact table), so no cell builds a second,
+// unshared table for a damaged instance. Registering after a table for
+// g has already been built (or registered) is a no-op; t.G must be g.
 func (r *Runner) RegisterTable(g *graph.Graph, t *routing.Table) {
 	if t == nil || t.G != g {
 		panic("runner: RegisterTable requires a table built for g")

@@ -77,8 +77,10 @@ func (lt *liveTopo) setLink(e [2]int32, up bool) {
 // and revivals (Change's contract), and each list is filtered to its
 // effective delta — cutting a down link or restoring an up one is a
 // documented no-op — so the live table's graph always equals the base
-// topology minus exactly the currently-down links, the precondition
-// Repair and Restore need.
+// topology minus exactly the currently-down links. A non-empty delta
+// replaces the live table: Repair for the cut links, then Restore for
+// the restored ones, each a rebuild over the changed graph that shares
+// every row the change leaves unchanged.
 func (lt *liveTopo) apply(ci int) {
 	ch := &lt.sched[ci]
 	var cut [][2]int32
@@ -111,9 +113,10 @@ func (lt *liveTopo) apply(ci int) {
 
 // memoryBytes is the live state's contribution to the run's working
 // set: the masks, plus the live table when a change has actually
-// replaced the pristine instance table (base), which Repair/Restore
-// build as a second run-local table the length-based accounting would
-// otherwise never see.
+// replaced the pristine instance table (base). Repair/Restore return
+// that table as a second run-local one, which the length-based
+// accounting would otherwise never see; its MemoryBytes counts every
+// row, including those it shares with base.
 func (lt *liveTopo) memoryBytes(base *routing.Table) int64 {
 	b := int64(len(lt.deadRun))
 	for _, dp := range lt.downPort {

@@ -78,20 +78,20 @@ type Config struct {
 	DeadRouters []bool
 	// Schedule lists timed topology events — link cuts/restores, router
 	// kills/revivals, planned rewiring steps — applied mid-run at their
-	// cycles (fault.Schedule; see DESIGN.md §10). At each event the run's
-	// routing table is repaired incrementally (Table.Repair for cuts,
-	// Table.Restore for restores) and subsequent hops route on the new
-	// table; a packet whose traversed link is down at its arrival
-	// instant, or that arrives at a dead router, is dropped and counted
-	// in Stats.SeveredInFlight. Every pair must be an edge of Topo
-	// (restores bring base-topology links back — the schedule can never
-	// grow the topology past Topo). Nil/empty means a static topology
-	// and changes nothing. The run loop ends its drain windows at change
-	// cycles and applies each change between drains, after every event
-	// before the change cycle and before any event at or after it
-	// (DESIGN.md §10). RunBatches returns an error on a scheduled
-	// instance: motif rounds have no global clock a schedule could be
-	// pinned to.
+	// cycles (fault.Schedule; see DESIGN.md §10). At each event the
+	// run's routing table is re-derived (Table.Repair for cuts,
+	// Table.Restore for restores, each sharing every unchanged row) and
+	// subsequent hops route on the new table; a packet whose traversed
+	// link is down at its arrival instant, or that arrives at a dead
+	// router, is dropped and counted in Stats.SeveredInFlight. Every
+	// pair must be an edge of Topo (restores bring base-topology links
+	// back — the schedule can never grow the topology past Topo).
+	// Nil/empty means a static topology and changes nothing. The run
+	// loop ends its drain windows at change cycles and applies each
+	// change between drains, after every event before the change cycle
+	// and before any event at or after it (DESIGN.md §10). RunBatches
+	// returns an error on a scheduled instance: motif rounds have no
+	// global clock a schedule could be pinned to.
 	Schedule fault.Schedule
 	// Seed drives all randomized choices.
 	Seed int64
@@ -1054,7 +1054,7 @@ func (nw *Network) RunLoadTimed(pattern TimedPatternFunc, load float64, msgsPerE
 // seeded and queued on the shard owning its router, then the run loop
 // drains the shards.
 func (nw *Network) runLoad(pattern PatternFunc, tpattern TimedPatternFunc, load float64, msgsPerEP int) Stats {
-	if load <= 0 || load > 1 {
+	if !(load > 0 && load <= 1) { // NaN fails too
 		panic(fmt.Sprintf("simnet: offered load %v out of (0,1]", load))
 	}
 	if nw.gens == nil {

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -243,10 +244,25 @@ func TestRunLoadInvalidLoadPanics(t *testing.T) {
 	g := lineGraph(2)
 	tab := routing.NewTable(g)
 	nw, _ := New(Config{Topo: g}, tab)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for load 0")
+	for _, load := range []float64{0, -0.1, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic for load %v", load)
+				}
+			}()
+			nw.RunLoad(func(int, *rand.Rand) int { return 0 }, load, 1)
+		}()
+	}
+}
+
+func TestSetTenantsRejectsBadLoad(t *testing.T) {
+	g := lineGraph(2)
+	nw, _ := New(Config{Topo: g}, routing.NewTable(g))
+	ofEP := make([]int32, nw.Endpoints())
+	for _, load := range []float64{0, 1.5, math.NaN()} {
+		if err := nw.SetTenants(&TenantConfig{OfEP: ofEP, Load: []float64{load}}); err == nil {
+			t.Errorf("SetTenants accepted tenant load %v", load)
 		}
-	}()
-	nw.RunLoad(func(int, *rand.Rand) int { return 0 }, 0, 1)
+	}
 }

@@ -54,7 +54,7 @@ func (nw *Network) SetTenants(tc *TenantConfig) error {
 			}
 		}
 		for t, l := range tc.Load {
-			if l <= 0 || l > 1 {
+			if !(l > 0 && l <= 1) {
 				return fmt.Errorf("simnet: tenant %d load %v out of (0,1]", t, l)
 			}
 		}

@@ -16,9 +16,10 @@
 //
 // Grids with a fault axis follow the performance-under-failure
 // lifecycle of the resilience study: per (instance, fault axis), the
-// sampled plans are applied, the instance's intact routing table is
-// repaired incrementally (never rebuilt) and registered with the
-// engine, the damaged cells run, and the damaged tables are released —
+// sampled plans are applied, a damaged routing table is derived from
+// the instance's intact one (Table.Repair, which shares every row the
+// damage leaves unchanged) and registered with the engine, the damaged
+// cells run, and the damaged tables are released —
 // so peak memory holds one fault group at a time, not the whole sweep.
 package sweep
 
@@ -374,7 +375,7 @@ func (g *Grid) validate() error {
 			return fmt.Errorf("sweep: load grid needs a Loads axis")
 		}
 		for _, l := range g.Loads {
-			if l <= 0 || l > 1 {
+			if !(l > 0 && l <= 1) { // NaN fails too
 				return fmt.Errorf("sweep: offered load %v out of (0,1]", l)
 			}
 		}
@@ -391,7 +392,7 @@ func (g *Grid) validate() error {
 		return fmt.Errorf("sweep: OmitIntact with no fault or schedule axis leaves an empty grid")
 	}
 	for _, f := range g.Faults {
-		if f.Fraction <= 0 || f.Fraction > 1 {
+		if !(f.Fraction > 0 && f.Fraction <= 1) {
 			return fmt.Errorf("sweep: fault fraction %v out of (0,1] (an intact baseline is the OmitIntact=false cells' job)", f.Fraction)
 		}
 	}
@@ -726,9 +727,9 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 	}
 
 	// prepare resolves the per-trial execution contexts of a fault or
-	// schedule group. A fault trial samples its plan and repairs the
-	// intact table incrementally for it — never a full rebuild —
-	// registering the repaired table with the engine; a schedule trial
+	// schedule group. A fault trial samples its plan and derives its
+	// table from the intact one with Table.Repair, registering the
+	// repaired table with the engine; a schedule trial
 	// samples its timed schedule for the intact graph. Like fault plans,
 	// a schedule is a pure value of (axis, instance, trial), so the
 	// grid's output is bit-identical for every worker count. The points

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -282,10 +283,13 @@ func TestValidate(t *testing.T) {
 		{},
 		{Instances: testInstances(t), Measure: MeasureLoad},
 		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{1.5}},
+		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{math.NaN()}},
 		{Instances: testInstances(t), Measure: MeasureMotif},
 		{Instances: testInstances(t), Measure: MeasureSaturation, OmitIntact: true},
 		{Instances: testInstances(t), Measure: MeasureSaturation,
 			Faults: []FaultAxis{{Kind: fault.Links, Fraction: 0}}},
+		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3},
+			Faults: []FaultAxis{{Kind: fault.Links, Fraction: math.NaN()}}},
 	}
 	for i, g := range bad {
 		if err := g.Run(context.Background(), Options{}, func(Result) error { return nil }); err == nil {

@@ -124,7 +124,7 @@ func (ts Tenants) Validate(totalEP int) error {
 		if sp.Motif == nil && sp.Pattern != Random && !PowerOfTwo(sp.Ranks) {
 			return fmt.Errorf("traffic: tenant %d (%s) pattern %s needs a power-of-two rank count, got %d", i, sp.Name, sp.Pattern, sp.Ranks)
 		}
-		if sp.Load < 0 || sp.Load > 1 {
+		if !(sp.Load >= 0 && sp.Load <= 1) {
 			return fmt.Errorf("traffic: tenant %d (%s) load %v out of [0,1]", i, sp.Name, sp.Load)
 		}
 		sum += sp.Ranks
@@ -276,7 +276,7 @@ func (a *Assignment) Config(defaultLoad float64) (*simnet.TenantConfig, error) {
 		if l == 0 {
 			l = defaultLoad
 		}
-		if l <= 0 || l > 1 {
+		if !(l > 0 && l <= 1) {
 			return nil, fmt.Errorf("traffic: tenant %d (%s) resolved load %v out of (0,1]", t, sp.Name, l)
 		}
 		loads[t] = l

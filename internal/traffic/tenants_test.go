@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -136,6 +137,23 @@ func TestTenantConfigResolvesDefaultLoad(t *testing.T) {
 	}
 	if len(tc.OfEP) != 32 {
 		t.Errorf("OfEP length %d, want 32", len(tc.OfEP))
+	}
+}
+
+// TestTenantLoadRejectsNaN pins that a NaN tenant load or default
+// load is an error, as out-of-range ones are.
+func TestTenantLoadRejectsNaN(t *testing.T) {
+	ts := testTenants(PlaceSequential)
+	ts.Specs[0].Load = math.NaN()
+	if err := ts.Validate(64); err == nil {
+		t.Error("Validate accepted a NaN tenant load")
+	}
+	a, err := testTenants(PlaceSequential).Place(ringGraph(16), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Config(math.NaN()); err == nil {
+		t.Error("Config accepted a NaN default load")
 	}
 }
 

@@ -186,6 +186,18 @@ func TestPublicAPISimulation(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRunPatternRejectsBadLoad pins an error, not a panic,
+// for offered loads outside (0, 1], NaN included.
+func TestPublicAPIRunPatternRejectsBadLoad(t *testing.T) {
+	net, _ := LPS(11, 7)
+	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
+	for _, load := range []float64{0, -0.1, 1.5, math.NaN()} {
+		if _, err := sim.RunPattern(PatternRandom, 64, load, 2); err == nil {
+			t.Errorf("load %v: RunPattern returned no error", load)
+		}
+	}
+}
+
 func TestPublicAPIWorkersExactP99(t *testing.T) {
 	net, _ := LPS(11, 7)
 	// More than 8,192 deliveries: the latency digest stays exact at any

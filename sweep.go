@@ -42,8 +42,9 @@ const (
 
 // FaultAxis is one damage model on a sweep's fault axis: a (kind,
 // fraction) pair sampled Trials times into independent deterministic
-// plans, each applied to a fresh copy of every topology (routing
-// tables are repaired incrementally, never rebuilt). Build axes with
+// plans, each applied to a fresh copy of every topology (each damaged
+// routing table is derived from the intact one, sharing every row the
+// damage leaves unchanged). Build axes with
 // FaultLinks, FaultRouters or FaultRegions.
 type FaultAxis = sweep.FaultAxis
 
@@ -67,8 +68,8 @@ func FaultRegions(fraction float64, regionSize, trials int) FaultAxis {
 // ScheduleAxis is one live-reconfiguration model on a sweep's schedule
 // axis: its cells run the intact topology with a timed topology-event
 // schedule (link cuts/restores, router kills/revivals, planned
-// rewiring steps) applied mid-run, the routing tables repaired
-// incrementally at each event. Build axes with ChurnLinks,
+// rewiring steps) applied mid-run, the routing table re-derived at
+// each event with every unchanged row shared. Build axes with ChurnLinks,
 // ChurnRouters, ChurnRegions or RewiringSchedule, or fill the struct
 // directly (Name is required; Make overrides the churn sampler).
 type ScheduleAxis = sweep.ScheduleAxis
