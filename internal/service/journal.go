@@ -20,8 +20,9 @@ import (
 // content-addressed cache (the cache, not the journal, holds the
 // payloads; the journal is the ordered table of contents).
 //
-// Each line is flushed as it is appended, so a crash loses at most the
-// cell in flight. A torn final line (crash mid-write) is dropped on
+// Each line is flushed to the OS as it is appended (there is no
+// fsync), so a killed process loses at most the cell in flight; a power
+// loss can lose more. A torn final line (crash mid-write) is dropped on
 // load.
 type Journal struct {
 	mu   sync.Mutex
@@ -102,7 +103,7 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Append records one completed cell and flushes it to disk.
+// Append records one completed cell and flushes it to the OS.
 func (j *Journal) Append(index int, key string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

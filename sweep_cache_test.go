@@ -229,30 +229,35 @@ func TestSweepCacheOpaqueScheduleRejected(t *testing.T) {
 }
 
 // TestSweepCacheDirLayout: the cache writes under the given directory
-// only (sharded two-level layout).
+// only, as append-only segment files directly under it.
 func TestSweepCacheDirLayout(t *testing.T) {
-	dir := t.TempDir()
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "cells")
 	if _, err := cachedSweep(dir).Collect(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(parent); err != nil || len(ents) != 1 || ents[0].Name() != "cells" {
+		t.Fatalf("cache wrote outside its directory: %v %v", ents, err)
 	}
 	found := 0
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if !d.IsDir() {
-			rel, _ := filepath.Rel(dir, path)
-			if parts := strings.Split(rel, string(os.PathSeparator)); len(parts) != 2 || len(parts[0]) != 2 {
-				t.Errorf("unexpected cache file layout: %s", rel)
-			}
-			found++
+		if path == dir {
+			return nil
 		}
+		rel, _ := filepath.Rel(dir, path)
+		if !d.Type().IsRegular() || strings.ContainsRune(rel, os.PathSeparator) || filepath.Ext(rel) != ".seg" {
+			t.Errorf("unexpected cache file layout: %s (mode %v)", rel, d.Type())
+		}
+		found++
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if found == 0 {
-		t.Fatal("cache wrote nothing")
+	if found != 1 {
+		t.Fatalf("one cache instance wrote %d files, want one segment", found)
 	}
 }
