@@ -47,7 +47,6 @@ type cliFlags struct {
 	coord     string
 	cacheOn   bool
 	cacheDir  string
-	resume    bool
 	chunk     int
 	heartbeat time.Duration
 }
@@ -89,7 +88,6 @@ func parseFlags(cmd string, args []string) cliFlags {
 	fs.StringVar(&fl.coord, "coord", "", "submit: coordinator base URL, e.g. http://127.0.0.1:8077")
 	fs.BoolVar(&fl.cacheOn, "cache", false, "enable the content-addressed result cache at its default directory")
 	fs.StringVar(&fl.cacheDir, "cache-dir", "", "result cache directory (implies -cache; default ~/.cache/spectralfly)")
-	fs.BoolVar(&fl.resume, "resume", false, "sweep: journal delivered cells and replay a killed run's prefix from the cache (implies -cache)")
 	fs.IntVar(&fl.chunk, "chunk", 0, "serve: cells per claimed worker range (0 = auto)")
 	fs.DurationVar(&fl.heartbeat, "heartbeat", 0, "serve: silence after which a worker's ranges are re-queued (0 = 10s)")
 	if err := fs.Parse(args); err != nil {

@@ -23,11 +23,12 @@
 // Sweeps are a distributed, resumable fabric (DESIGN.md §11): -cache
 // / -cache-dir answer cells from a content-addressed result store
 // (re-running an identical grid against a warm cache simulates
-// nothing and reproduces the output byte for byte), -resume journals
-// the delivered prefix so a killed sweep continues where it stopped,
-// and serve/submit shard one grid across worker processes over
-// HTTP/JSON with work stealing and heartbeat-based failover — with
-// output byte-identical to the single-process run.
+// nothing and reproduces the output byte for byte; every cell is
+// stored before it is emitted, so a killed sweep re-run with the same
+// cache continues where it stopped), and serve/submit shard one grid
+// across worker processes over HTTP/JSON with work stealing and
+// heartbeat-based failover — with output byte-identical to the
+// single-process run.
 package main
 
 import (
@@ -211,8 +212,8 @@ flags: -full (paper-scale), -classes 0,1, -class N, -maxpq N, -maxn N,
        -period N (reconfig rewiring period),
        -loads 0.1,0.4 -layout qap|faq|sequential (interference),
        -store packed|lazy|dense -resident N -rungs 0,1,2 (scale sweep),
-       -cache -cache-dir D (content-addressed result cache),
-       -resume (journal + replay a killed sweep's prefix),
+       -cache -cache-dir D (content-addressed result cache; a killed
+         sweep re-run with it replays every stored cell),
        -cpuprofile f -memprofile f (write pprof profiles),
        -json (emit JSON result documents)
 `)

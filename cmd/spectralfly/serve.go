@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -21,9 +20,9 @@ import (
 // sweepServer hosts one grid as a coordinator: an HTTP listener for
 // workers, the content-addressed cache (cells already stored are
 // prefilled and never handed out — a fully warm cache finishes with no
-// workers at all), and the delivered-prefix journal. Rows accumulate
-// in deterministic cell order, so the finished grid prints the exact
-// document a single-process `sweep` run would.
+// workers at all). Rows accumulate in deterministic cell order, so the
+// finished grid prints the exact document a single-process `sweep` run
+// would.
 type sweepServer struct {
 	spec  sweepSpec
 	cells []spectralfly.Cell
@@ -31,17 +30,16 @@ type sweepServer struct {
 	cache *service.Cache
 	coord *service.Coordinator
 
-	ln      net.Listener
-	srv     *http.Server
-	journal *service.Journal
-	stop    sync.Once
+	ln   net.Listener
+	srv  *http.Server
+	stop sync.Once
 
 	mu   sync.Mutex
 	rows []sweepRow
 }
 
 // newSweepServer builds the grid from the flags, prefills it from the
-// cache, opens the journal and starts serving workers on fl.addr.
+// cache and starts serving workers on fl.addr.
 func newSweepServer(fl cliFlags) (*sweepServer, error) {
 	sp := specFromFlags(fl)
 	sw, err := sp.sweep()
@@ -83,13 +81,14 @@ func newSweepServer(fl cliFlags) (*sweepServer, error) {
 		}
 	}
 
-	journal, err := service.OpenJournal(filepath.Join(cache.Dir(), "journals", fp+".journal"), false)
-	if err != nil {
-		return nil, err
-	}
-
-	s := &sweepServer{spec: sp, cells: cells, fp: fp, cache: cache, journal: journal}
+	s := &sweepServer{spec: sp, cells: cells, fp: fp, cache: cache}
 	emit := func(index int, key string, payload []byte, errMsg string) error {
+		// The coordinator's own key, not the worker's, names the cell
+		// in the cache: a post carrying another cell's key would
+		// otherwise store this cell's stats under that cell's name.
+		if key != keys[index] {
+			return fmt.Errorf("serve: cell %d posted under key %q, want %q", index, key, keys[index])
+		}
 		row := sweepRow{Cell: cells[index]}
 		if errMsg != "" {
 			row.Error = errMsg
@@ -100,13 +99,13 @@ func newSweepServer(fl cliFlags) (*sweepServer, error) {
 			}
 			row.Stats, row.Saturation = p.Stats, p.Saturation
 			if !preDone[index] {
-				cache.Put(key, payload)
+				cache.Put(keys[index], payload)
 			}
 		}
 		s.mu.Lock()
 		s.rows = append(s.rows, row)
 		s.mu.Unlock()
-		return journal.Append(index, key)
+		return nil
 	}
 
 	coord, err := service.NewCoordinator(service.CoordinatorConfig{
@@ -122,14 +121,12 @@ func newSweepServer(fl cliFlags) (*sweepServer, error) {
 		Prefilled:        prefilled,
 	})
 	if err != nil {
-		journal.Close()
 		return nil, err
 	}
 	s.coord = coord
 
 	ln, err := net.Listen("tcp", fl.addr)
 	if err != nil {
-		journal.Close()
 		return nil, err
 	}
 	s.ln = ln
@@ -148,7 +145,7 @@ func (s *sweepServer) snapshot() []sweepRow {
 	return append([]sweepRow(nil), s.rows...)
 }
 
-// close stops the listener and flushes the journal (idempotent).
+// close stops the listener (idempotent).
 // In-flight responses get a short drain so the worker that posted the
 // final result reads its acknowledgement instead of a reset socket.
 func (s *sweepServer) close() {
@@ -157,7 +154,6 @@ func (s *sweepServer) close() {
 		defer cancel()
 		s.srv.Shutdown(ctx)
 		s.srv.Close()
-		s.journal.Close()
 	})
 }
 

@@ -3,12 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	spectralfly "repro"
 	"repro/internal/exp"
 	"repro/internal/service"
+	"repro/internal/sweep"
 )
 
 // serveFlags is the tiny distributed-test grid: one topology, two
@@ -250,5 +256,58 @@ func TestServeCoordinatorRestart(t *testing.T) {
 	}
 	if got := encodeDoc(t, rows); !bytes.Equal(got, want) {
 		t.Error("restarted run diverges from single-process output")
+	}
+}
+
+// TestServeRejectsMismatchedKey: the coordinator caches every posted
+// cell under its own key for that index. A post for cell 0 carrying
+// cell 1's key aborts the grid and stores nothing under either key.
+func TestServeRejectsMismatchedKey(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	dir := t.TempDir()
+	fl := serveFlags(dir)
+	sw, err := specFromFlags(fl).sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := sw.CellKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload []byte
+	if err := sw.RunRange(ctx, 0, 1, func(res spectralfly.CellResult) error {
+		payload, err = sweep.EncodePayload(res)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := newSweepServer(fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	body, err := json.Marshal(service.ResultPost{Worker: "w", Index: 0, Key: keys[1], Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/result", bytes.NewReader(body)))
+
+	cache, err := service.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys[:2] {
+		if _, ok := cache.Get(k); ok {
+			t.Errorf("cache holds key %s after a mismatched post", k)
+		}
+	}
+	if rec.Code == http.StatusOK {
+		t.Fatalf("mismatched post acknowledged: %s", rec.Body)
+	}
+	if _, err := s.wait(ctx); err == nil || !strings.Contains(err.Error(), "cell 0") {
+		t.Fatalf("grid error = %v, want one naming cell 0", err)
 	}
 }

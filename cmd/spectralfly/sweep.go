@@ -144,8 +144,8 @@ func applyLocalKnobs(sw *spectralfly.Sweep, fl cliFlags) error {
 	}
 	sw.Parallel(fl.parallel).
 		Tables(spectralfly.TableOptions{Store: store, MaxResident: fl.resident})
-	if fl.cacheOn || fl.cacheDir != "" || fl.resume {
-		sw.Cache(fl.cacheDir).Resume(fl.resume)
+	if fl.cacheOn || fl.cacheDir != "" {
+		sw.Cache(fl.cacheDir)
 	}
 	return nil
 }
@@ -154,8 +154,8 @@ func applyLocalKnobs(sw *spectralfly.Sweep, fl cliFlags) error {
 // -policies / -patterns / -motifs / -loads / -faults / -measure flags
 // through the public Sweep API. ^C cancels the context; the sweep
 // stops promptly at cell granularity. With -cache/-cache-dir results
-// come from and go to the content-addressed cache; -resume adds the
-// delivered-prefix journal.
+// come from and go to the content-addressed cache, so a killed run
+// re-run with the same cache replays every stored cell.
 func runSweep(fl cliFlags) (any, error) {
 	sw, err := specFromFlags(fl).sweep()
 	if err != nil {

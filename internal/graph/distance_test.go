@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestDistanceHistogramCycle(t *testing.T) {
 	// C8: each vertex sees 2 vertices at distances 1..3 and one at 4.
@@ -68,51 +64,5 @@ func TestBallSizes(t *testing.T) {
 		if sizes[i] != want[i] {
 			t.Fatalf("ball sizes %v want %v", sizes, want)
 		}
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	var buf bytes.Buffer
-	if err := ring(3).WriteDOT(&buf, "C3"); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.Contains(s, `graph "C3"`) || !strings.Contains(s, "0 -- 1") {
-		t.Fatalf("DOT output malformed:\n%s", s)
-	}
-	if strings.Count(s, "--") != 3 {
-		t.Errorf("expected 3 edges in DOT, got:\n%s", s)
-	}
-}
-
-func TestEdgeListRoundTrip(t *testing.T) {
-	g := grid(3, 4)
-	var buf bytes.Buffer
-	if err := g.WriteEdgeList(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h, err := ReadEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.N() != g.N() || h.M() != g.M() {
-		t.Fatalf("round trip changed shape: %d/%d vs %d/%d", h.N(), h.M(), g.N(), g.M())
-	}
-	for _, e := range g.Edges() {
-		if !h.HasEdge(int(e[0]), int(e[1])) {
-			t.Fatalf("edge %v lost in round trip", e)
-		}
-	}
-}
-
-func TestReadEdgeListErrors(t *testing.T) {
-	if _, err := ReadEdgeList(strings.NewReader("")); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := ReadEdgeList(strings.NewReader("2 1\n")); err == nil {
-		t.Error("missing edges should fail")
-	}
-	if _, err := ReadEdgeList(strings.NewReader("2 1\nx y\n")); err == nil {
-		t.Error("garbage edge should fail")
 	}
 }

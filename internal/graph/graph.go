@@ -622,15 +622,6 @@ func (g *Graph) IsBipartite() bool {
 	return true
 }
 
-// DegreeHistogram returns a map from degree to vertex count.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for v := 0; v < g.N(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
-}
-
 // CutSize returns the number of edges crossing the bipartition defined
 // by side (side[v] ∈ {0,1}).
 func (g *Graph) CutSize(side []uint8) int {

@@ -341,16 +341,6 @@ func TestCutSize(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	h := b.Build().DegreeHistogram()
-	if h[0] != 1 || h[1] != 2 || h[2] != 1 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
 func TestEdgesRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

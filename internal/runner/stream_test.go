@@ -74,9 +74,9 @@ func TestRunStreamCancel(t *testing.T) {
 
 // TestRunStreamCancelEveryPrefix: for EVERY prefix length k, a stream
 // cancelled by its k-th emission has emitted exactly the indices 0..k-1
-// — the prefix guarantee the distributed fabric's resume journal is
-// built on (a killed sweep's journal is always a clean prefix of cell
-// order, so a restart can replay it from the cache and continue).
+// — the prefix guarantee sweep output is built on (a killed sweep has
+// emitted a clean prefix of cell order, each cell stored in the cache
+// before it was emitted, so a rerun replays it and continues).
 func TestRunStreamCancelEveryPrefix(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for k := 1; k <= streamN; k++ {

@@ -3,8 +3,8 @@
 // contract the declarative sweep core established: every cell of a
 // grid is a pure function of a stable content-addressed key, so cell
 // results can be cached on disk across runs (Cache, an append-only log
-// of digest-checked records), journaled for resumption (Journal), and
-// computed by any worker process that holds the same code version
+// of digest-checked records, which is also how a killed run resumes)
+// and computed by any worker process that holds the same code version
 // (Coordinator / RunWorker over HTTP/JSON).
 //
 // The package is deliberately grid-agnostic: it moves (index, key,

@@ -48,8 +48,8 @@ type CoordinatorConfig struct {
 	Prefilled []JournalEntryPayload
 }
 
-// JournalEntryPayload is one prefilled cell: its journal identity plus
-// the cached payload to re-emit.
+// JournalEntryPayload is one prefilled cell: its grid index, content
+// key and cached payload to re-emit.
 type JournalEntryPayload struct {
 	Index   int
 	Key     string

@@ -47,11 +47,11 @@ type ClaimResponse struct {
 }
 
 // ResultPost delivers one completed cell. Key is the cell's
-// content-addressed cache key (the coordinator journals and caches
-// under it); Payload is the encoded measurement (sweep.Payload), empty
-// when Err is set. Duplicate posts for an already-completed index are
-// acknowledged and dropped — results are deterministic, so duplicates
-// are identical by construction.
+// content-addressed cache key, which must match the coordinator's own
+// key for Index; Payload is the encoded measurement (sweep.Payload),
+// empty when Err is set. Duplicate posts for an already-completed
+// index are acknowledged and dropped — results are deterministic, so
+// duplicates are identical by construction.
 type ResultPost struct {
 	Worker  string
 	Index   int

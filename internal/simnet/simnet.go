@@ -723,89 +723,50 @@ func (p *packet) routeTarget() int32 {
 	return p.dstRouter
 }
 
-// decidePolicy fixes the packet's path shape at the source router.
+// decidePolicy fixes the packet's path shape at the source router:
+// minimal unless the policy takes a Valiant detour. Minimal packets
+// and packets already at their destination router draw nothing;
+// the others draw one intermediate, then whatever detour needs.
 func (nw *Network) decidePolicy(p *packet, r int32, now int64) {
-	switch nw.cfg.Policy {
-	case routing.Minimal:
-		p.interm = -1
-		p.phase = 1
-	case routing.Valiant:
-		if p.dstRouter == r {
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		interm := nw.chooseValiantIntermediate(r, p.dstRouter)
-		if interm < 0 {
-			// No viable detour (damaged topology): minimal or bust.
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		p.interm = interm
-		p.phase = 0
+	p.interm, p.phase = -1, 1
+	if nw.cfg.Policy == routing.Minimal || p.dstRouter == r {
+		return
+	}
+	interm := nw.chooseValiantIntermediate(r, p.dstRouter)
+	if interm < 0 {
+		return // no viable detour (damaged topology): minimal or bust
+	}
+	if nw.detour(r, interm, p.dstRouter, now) {
+		p.interm, p.phase = interm, 0
 		nw.stats.ValiantTaken++
+	}
+}
+
+// detour reports whether a packet at router r bound for dst goes via
+// interm. Valiant always does; UGAL-L compares local output-queue
+// backlog weighted by hop count, UGAL-G the backlog along sampled
+// paths. A missing hop or path keeps the packet minimal.
+func (nw *Network) detour(r, interm, dst int32, now int64) bool {
+	switch nw.cfg.Policy {
 	case routing.UGALL:
-		if p.dstRouter == r {
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		interm := nw.chooseValiantIntermediate(r, p.dstRouter)
-		if interm < 0 {
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		_, minHop := nw.nextHop(r, p.dstRouter)
+		_, minHop := nw.nextHop(r, dst)
 		_, valHop := nw.nextHop(r, interm)
 		if minHop < 0 || valHop < 0 {
-			p.interm = -1
-			p.phase = 1
-			return
+			return false
 		}
 		qMin := nw.portBacklog(r, minHop, now)
 		qVal := nw.portBacklog(r, valHop, now)
-		hMin := int64(nw.tbl.HopDist(int(r), int(p.dstRouter)))
+		hMin := int64(nw.tbl.HopDist(int(r), int(dst)))
 		hVal := int64(nw.tbl.HopDist(int(r), int(interm))) +
-			int64(nw.tbl.HopDist(int(interm), int(p.dstRouter)))
-		if qVal*hVal < qMin*hMin {
-			p.interm = interm
-			p.phase = 0
-			nw.stats.ValiantTaken++
-		} else {
-			p.interm = -1
-			p.phase = 1
-		}
+			int64(nw.tbl.HopDist(int(interm), int(dst)))
+		return qVal*hVal < qMin*hMin
 	case routing.UGALG:
-		if p.dstRouter == r {
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		interm := nw.chooseValiantIntermediate(r, p.dstRouter)
-		if interm < 0 {
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		cMin, okMin := nw.pathCost(int(r), int(p.dstRouter), now)
+		cMin, okMin := nw.pathCost(int(r), int(dst), now)
 		cVia, okVia := nw.pathCost(int(r), int(interm), now)
-		cRest, okRest := nw.pathCost(int(interm), int(p.dstRouter), now)
-		if !okMin || !okVia || !okRest {
-			p.interm = -1
-			p.phase = 1
-			return
-		}
-		if cVia+cRest < cMin {
-			p.interm = interm
-			p.phase = 0
-			nw.stats.ValiantTaken++
-		} else {
-			p.interm = -1
-			p.phase = 1
-		}
+		cRest, okRest := nw.pathCost(int(interm), int(dst), now)
+		return okMin && okVia && okRest && cVia+cRest < cMin
 	}
+	return true
 }
 
 // pathCost samples one shortest path and sums queueing backlog plus

@@ -254,9 +254,9 @@ func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 // version stamp, every axis (instances with their exact graphs,
 // faults, schedules, policies, patterns, motifs, loads) and every
 // shared knob. Distributed runs use it as the coordinator/worker
-// compatibility check and the journal name — unlike the per-cell keys
-// of ContentKeys, which deliberately exclude unrelated axes, the
-// fingerprint pins the whole grid. Like ContentKeys it takes the
+// compatibility check — unlike the per-cell keys of ContentKeys, which
+// deliberately exclude unrelated axes, the fingerprint pins the whole
+// grid. Like ContentKeys it takes the
 // caller's Options.Workers and ignores it.
 func (g *Grid) Fingerprint(workers int) (string, error) {
 	if err := g.validate(); err != nil {

@@ -3,7 +3,6 @@ package spectralfly
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -148,8 +147,7 @@ type Sweep struct {
 	workers  int
 	tables   TableOptions
 
-	cache  *service.Cache
-	resume bool
+	cache *service.Cache
 }
 
 // NewSweep starts a sweep over the given topology specs (see ParseSpec
@@ -385,9 +383,11 @@ func (s *Sweep) Tables(opts TableOptions) *Sweep {
 // computed cell is stored before it is emitted. Re-running an
 // identical sweep against a warm cache therefore runs zero
 // simulations and reproduces the previous output byte for byte, and
-// overlapping sweeps share the cells they have in common. Sweeps with
-// opaque schedule axes (RewiringSchedule and other Make funcs) reject
-// caching at Run time.
+// overlapping sweeps share the cells they have in common. The cache is
+// also the checkpoint: a killed run re-run against the same cache
+// replays every cell stored so far and simulates only the rest. Sweeps
+// with opaque schedule axes (RewiringSchedule and other Make funcs)
+// reject caching at Run time.
 func (s *Sweep) Cache(dir string) *Sweep {
 	if dir == "" {
 		var err error
@@ -409,19 +409,6 @@ func (s *Sweep) Cache(dir string) *Sweep {
 	return s
 }
 
-// Resume makes the sweep checkpointable: Run maintains a journal of
-// delivered cells — "<index> <content-key>" lines, one per result, in
-// delivery order — under the cache directory, named by the sweep's
-// Fingerprint. Because results stream as a prefix of cell order, a
-// killed run's journal records exactly how far it got; re-running the
-// same sweep replays that prefix from the cache (the journal is the
-// table of contents, the cache holds the payloads) and continues
-// seamlessly from the first unfinished cell. Requires Cache.
-func (s *Sweep) Resume(on bool) *Sweep {
-	s.resume = on
-	return s
-}
-
 // CacheStats reports the cache's traffic so far (zero-valued without
 // Cache). After a fully warm Run, Misses stays 0 — the signature of a
 // zero-simulation replay.
@@ -437,7 +424,7 @@ func (s *Sweep) CacheStats() CacheStats {
 // wiring, faults, schedules, policies, patterns, motifs, loads), every
 // workload knob (not Workers, which changes no result). Two sweeps with equal
 // fingerprints compute identical grids; the distributed fabric uses it
-// as the coordinator/worker compatibility check and the journal name.
+// as the coordinator/worker compatibility check.
 func (s *Sweep) Fingerprint() (string, error) {
 	g, err := s.build()
 	if err != nil {
@@ -532,15 +519,14 @@ func (s *Sweep) Cells() ([]Cell, error) {
 // the sweep the same way. Per-cell failures ride in CellResult.Err and
 // do not stop the stream.
 func (s *Sweep) Run(ctx context.Context, fn func(CellResult) error) error {
-	return s.runRange(ctx, 0, -1, fn)
+	return s.RunRange(ctx, 0, -1, fn)
 }
 
 // RunRange executes only the cells with index in [lo, hi) — the
 // distributed worker's unit of execution (hi < 0 means the end of the
 // grid). Results stream in cell order and are bit-identical to the
 // same cells' results from a full Run, for every partition of the
-// grid into ranges. The journal of Resume covers full runs only;
-// ranges honor Cache but skip journaling.
+// grid into ranges.
 func (s *Sweep) RunRange(ctx context.Context, lo, hi int, fn func(CellResult) error) error {
 	g, err := s.build()
 	if err != nil {
@@ -556,42 +542,6 @@ func (s *Sweep) options() sweep.Options {
 		opts.Cache = s.cache
 	}
 	return opts
-}
-
-func (s *Sweep) runRange(ctx context.Context, lo, hi int, fn func(CellResult) error) error {
-	g, err := s.build()
-	if err != nil {
-		return err
-	}
-	if s.resume {
-		if s.cache == nil {
-			return fmt.Errorf("spectralfly: Resume requires Cache")
-		}
-		fp, err := g.Fingerprint(s.workers)
-		if err != nil {
-			return err
-		}
-		keys, err := g.ContentKeys(s.workers)
-		if err != nil {
-			return err
-		}
-		// The journal always records THIS run's delivered prefix: the
-		// cache replays the previous run's cells, so truncating costs
-		// nothing and keeps the file a clean prefix of cell order.
-		j, err := service.OpenJournal(filepath.Join(s.cache.Dir(), "journals", fp+".journal"), false)
-		if err != nil {
-			return fmt.Errorf("spectralfly: open journal: %w", err)
-		}
-		defer j.Close()
-		inner := fn
-		fn = func(res CellResult) error {
-			if err := inner(res); err != nil {
-				return err
-			}
-			return j.Append(res.Index, keys[res.Index])
-		}
-	}
-	return g.RunRange(ctx, s.options(), lo, hi, fn)
 }
 
 // Collect runs the sweep and returns all results in cell order.

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/service"
 )
 
 func cachedSweep(dir string) *Sweep {
@@ -57,44 +55,20 @@ func TestSweepCacheWarmReplay(t *testing.T) {
 	}
 }
 
-// TestSweepResumeJournal: Resume writes a fingerprint-named journal
-// that is a prefix record of cell order, and an interrupted run's
-// journal stops exactly where the stream did.
-func TestSweepResumeJournal(t *testing.T) {
-	dir := t.TempDir()
-	sw := cachedSweep(dir).Resume(true)
-	res, err := sw.Collect(context.Background())
+// TestSweepKilledRunResumesFromCache: the cache is the checkpoint. A
+// cached run cancelled after 3 delivered cells, re-run on the same
+// directory, replays at least those cells from the store, simulates
+// only the rest and matches an uninterrupted run exactly.
+func TestSweepKilledRunResumesFromCache(t *testing.T) {
+	want, err := cachedSweep(t.TempDir()).Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	fp, err := cachedSweep(dir).Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := cachedSweep(dir).CellKeys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := service.LoadJournal(filepath.Join(dir, "journals", fp+".journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(res) {
-		t.Fatalf("journal has %d entries for %d cells", len(entries), len(res))
-	}
-	for i, e := range entries {
-		if e.Index != i || e.Key != keys[i] {
-			t.Fatalf("journal entry %d = %+v, want index %d key %s", i, e, i, keys[i])
-		}
 	}
 
-	// Interrupt a fresh run after 3 cells: the journal must hold
-	// exactly the delivered prefix.
-	dir2 := t.TempDir()
-	sw2 := cachedSweep(dir2).Resume(true)
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	err = sw2.Run(ctx, func(CellResult) error {
+	err = cachedSweep(dir).Run(ctx, func(CellResult) error {
 		if n++; n == 3 {
 			cancel()
 		}
@@ -103,36 +77,17 @@ func TestSweepResumeJournal(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled run returned nil")
 	}
-	fp2, _ := cachedSweep(dir2).Fingerprint()
-	partial, err := service.LoadJournal(filepath.Join(dir2, "journals", fp2+".journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(partial) != n {
-		t.Fatalf("journal has %d entries after %d deliveries", len(partial), n)
-	}
 
-	// Resuming completes the grid; the cells computed before the kill
-	// replay from the cache (hits >= the journaled prefix).
-	sw3 := cachedSweep(dir2).Resume(true)
-	resumed, err := sw3.Collect(context.Background())
+	rerun := cachedSweep(dir)
+	got, err := rerun.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, resumed) {
+	if !reflect.DeepEqual(want, got) {
 		t.Error("resumed run diverges from an uninterrupted one")
 	}
-	if st := sw3.CacheStats(); st.Hits < int64(len(partial)) {
-		t.Errorf("resume replayed only %d cells from cache, journal had %d", st.Hits, len(partial))
-	}
-}
-
-// TestSweepResumeRequiresCache: Resume without Cache is an error.
-func TestSweepResumeRequiresCache(t *testing.T) {
-	err := NewSweep("lps(11,7)").Loads(0.3).Resume(true).
-		Run(context.Background(), func(CellResult) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "Cache") {
-		t.Fatalf("err = %v, want a Resume-requires-Cache error", err)
+	if st := rerun.CacheStats(); st.Hits < 3 || st.Hits+st.Misses != int64(len(want)) {
+		t.Errorf("rerun stats %+v: want >= 3 hits and %d lookups", st, len(want))
 	}
 }
 
