@@ -68,12 +68,6 @@ func ExtGCD(a, b int64) (g, x, y int64) {
 	return g, y1, x1 - (a/b)*y1
 }
 
-// GCD returns the non-negative greatest common divisor of a and b.
-func GCD(a, b int64) int64 {
-	g, _, _ := ExtGCD(a, b)
-	return g
-}
-
 // InvMod returns the multiplicative inverse of a modulo m.
 // It panics if gcd(a, m) != 1.
 func InvMod(a, m int64) int64 {

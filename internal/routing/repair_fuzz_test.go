@@ -96,6 +96,7 @@ func checkMatchesBFS(t *testing.T, what string, tab, prev *Table, g *graph.Graph
 	if tab.Diameter() != int(diam) {
 		t.Fatalf("[%s] %s: diameter %d want %d", store, what, tab.Diameter(), diam)
 	}
+	checkNextHopInvariant(t, tab)
 }
 
 // checkRepairEquals asserts Repair matches single-source BFS on the
@@ -109,15 +110,43 @@ func checkRepairEquals(t *testing.T, g *graph.Graph, removed [][2]int32) {
 	}
 }
 
+// refNextHopSlot is the reference next-hop draw: a reservoir scan of
+// v's neighbours over HopDist, one Intn per candidate in slot order.
+func refNextHopSlot(tab *Table, v, d int, rng *rand.Rand) int {
+	dv := tab.HopDist(v, d)
+	if dv <= 0 {
+		return -1
+	}
+	chosen, count := -1, 0
+	for i, w := range tab.G.Neighbors(v) {
+		if tab.HopDist(int(w), d) == dv-1 {
+			count++
+			if rng.Intn(count) == 0 {
+				chosen = i
+			}
+		}
+	}
+	return chosen
+}
+
 // checkNextHopInvariant asserts every next hop is exactly one hop
-// closer to the destination, and that a reachable non-destination
-// vertex always has at least one.
+// closer to the destination, that a reachable non-destination vertex
+// always has at least one, and that NextHopSlot draws exactly as the
+// reference reservoir scan over HopDist: the same slot, and the same
+// generator state afterwards.
 func checkNextHopInvariant(t *testing.T, tab *Table) {
 	t.Helper()
 	n := tab.G.N()
 	var buf []int32
+	got, want := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
 	for d := 0; d < n; d++ {
 		for v := 0; v < n; v++ {
+			if s, ref := tab.NextHopSlot(v, d, got), refNextHopSlot(tab, v, d, want); s != ref {
+				t.Fatalf("[%s] v=%d d=%d: NextHopSlot = %d, reference scan %d", tab.Store(), v, d, s, ref)
+			}
+			if a, b := got.Int63(), want.Int63(); a != b {
+				t.Fatalf("[%s] v=%d d=%d: NextHopSlot consumed the RNG differently from the reference scan", tab.Store(), v, d)
+			}
 			dv := tab.HopDist(v, d)
 			buf = tab.NextHops(v, d, buf[:0])
 			if v == d || dv <= 0 {

@@ -16,7 +16,11 @@
 // rows pinned at the 32-bit width, packed rows from 4 bits up (8×
 // smaller — low-diameter Ramanujan instances fit hop counts in a
 // nibble), and lazily materialized packed rows under a bounded LRU
-// working set. All three are bit-identical in every distance they
+// working set. A 32-bit row also carries its distances mod 3 at 2 bits
+// per vertex: a neighbour of v is one hop closer to the destination
+// exactly when its code is (code(v)+2) mod 3, so the per-hop neighbour
+// scan of a dense row reads n/4 bytes instead of 4n. All three are
+// bit-identical in every distance, next-hop set and RNG draw they
 // report. Repair and Restore derive the table of a damaged or
 // augmented topology by the same build, sharing with the old table
 // every row whose distances did not change.
@@ -25,7 +29,6 @@ package routing
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/graph"
 )
@@ -130,8 +133,8 @@ func NewTable(g *graph.Graph) *Table {
 // NewTableOpts builds a table with the chosen storage backend. Dense
 // and packed tables pay the full all-pairs BFS (graph.EachBFS) up
 // front, encoding each row from the kernel's scratch vector: narrow
-// rows pack it, 32-bit rows copy it. Lazy tables return immediately
-// and compute rows on first touch.
+// rows pack it, 32-bit rows copy it and pack its mod-3 next-hop view.
+// Lazy tables return immediately and compute rows on first touch.
 func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
 	return newTable(g, opts, nil)
 }
@@ -179,11 +182,7 @@ func newTable(g *graph.Graph, opts TableOptions, prev *Table) *Table {
 				t.rows[d] = prev.rows[d] // unchanged: share the row
 				return
 			}
-			row := encodeRow(dist, minBits)
-			if row.bits == 32 {
-				row.wide = slices.Clone(dist) // dist is the kernel's scratch
-			}
-			t.rows[d] = row
+			t.rows[d] = encodeRow(dist, minBits) // copies the kernel's scratch
 		}
 	})
 	t.diam = maxRowDist(t.rows)
@@ -203,11 +202,11 @@ func (t *Table) options() TableOptions {
 func (t *Table) Store() Store { return t.store }
 
 // MemoryBytes returns the approximate payload size of the distance
-// store: 4 bytes per cell for dense tables, each row's payload plus 8
-// bytes of per-row overhead for packed ones. For lazy tables this counts
-// only the resident working set (plus fixed per-destination
-// bookkeeping), so the value tracks actual footprint as rows come and
-// go.
+// store: 4 bytes per cell plus the 2-bit next-hop view for dense tables
+// (n²·4 + n·⌈n/4⌉), each row's payload plus 8 bytes of per-row
+// overhead for packed ones. For lazy tables this counts only the
+// resident working set (plus fixed per-destination bookkeeping), so
+// the value tracks actual footprint as rows come and go.
 func (t *Table) MemoryBytes() int64 {
 	if t.lazy != nil {
 		return t.lazy.memoryBytes()
@@ -257,19 +256,52 @@ func (t *Table) HopDist(v, dest int) int32 {
 	return t.row(dest).at(v)
 }
 
+// nextHopSlots appends to slots, in slot order, the index in
+// G.Neighbors(v) of every neighbour of v one hop closer to dest, and
+// returns the extended slice; it appends nothing when v == dest or
+// dest is unreachable. A 32-bit row is scanned through its mod-3 view
+// (see packedRow), a narrower one through its cells; both find the
+// same slots.
+func (t *Table) nextHopSlots(v, dest int, slots []int32) []int32 {
+	row := t.row(dest)
+	nb := t.G.Neighbors(v)
+	if row.bits == 32 {
+		cv := row.code(v)
+		if v == dest || cv == codeUnreachable {
+			return slots
+		}
+		want := cv + 2 // code of distance d(v)-1
+		if want >= 3 {
+			want -= 3
+		}
+		for i, w := range nb {
+			if row.code(int(w)) == want {
+				slots = append(slots, int32(i))
+			}
+		}
+		return slots
+	}
+	dv := row.at(v)
+	if dv <= 0 {
+		return slots
+	}
+	for i, w := range nb {
+		if row.at(int(w)) == dv-1 {
+			slots = append(slots, int32(i))
+		}
+	}
+	return slots
+}
+
 // NextHops appends to buf the neighbors of v that lie on a shortest
 // path to dest and returns the extended slice. Empty when v == dest or
 // dest is unreachable.
 func (t *Table) NextHops(v, dest int, buf []int32) []int32 {
-	row := t.row(dest)
-	dv := row.at(v)
-	if dv <= 0 {
-		return buf
-	}
-	for _, w := range t.G.Neighbors(v) {
-		if row.at(int(w)) == dv-1 {
-			buf = append(buf, w)
-		}
+	nb := t.G.Neighbors(v)
+	start := len(buf)
+	buf = t.nextHopSlots(v, dest, buf)
+	for i := start; i < len(buf); i++ {
+		buf[i] = nb[buf[i]]
 	}
 	return buf
 }
@@ -288,22 +320,16 @@ func (t *Table) NextHopRandom(v, dest int, rng *rand.Rand) int32 {
 
 // NextHopSlot is NextHopRandom returning the chosen hop's index in
 // G.Neighbors(v) — the port slot — instead of its router id, or -1
-// when none exists. Both draw identically from rng.
+// when none exists. Both draw identically from rng: one Intn per
+// candidate, in slot order.
 func (t *Table) NextHopSlot(v, dest int, rng *rand.Rand) int {
-	row := t.row(dest)
-	dv := row.at(v)
-	if dv <= 0 {
-		return -1
-	}
+	var buf [64]int32 // the candidates stay on the stack up to 64
 	chosen := -1
-	count := 0
-	for i, w := range t.G.Neighbors(v) {
-		if row.at(int(w)) == dv-1 {
-			count++
-			// Reservoir sampling avoids allocating the candidate set.
-			if rng.Intn(count) == 0 {
-				chosen = i
-			}
+	for k, slot := range t.nextHopSlots(v, dest, buf[:0]) {
+		// Reservoir sampling: one Intn per candidate in slot order,
+		// the draw sequence every simulation golden pins.
+		if rng.Intn(k+1) == 0 {
+			chosen = int(slot)
 		}
 	}
 	return chosen
@@ -312,18 +338,8 @@ func (t *Table) NextHopSlot(v, dest int, rng *rand.Rand) int {
 // PathDiversity returns the number of equal-cost next hops at v toward
 // dest.
 func (t *Table) PathDiversity(v, dest int) int {
-	row := t.row(dest)
-	dv := row.at(v)
-	if dv <= 0 {
-		return 0
-	}
-	c := 0
-	for _, w := range t.G.Neighbors(v) {
-		if row.at(int(w)) == dv-1 {
-			c++
-		}
-	}
-	return c
+	var buf [64]int32
+	return len(t.nextHopSlots(v, dest, buf[:0]))
 }
 
 // SamplePath returns one uniformly-sampled shortest path from src to

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,8 +19,9 @@ type Store int
 
 const (
 	// StoreDense keeps every destination's row at the 32-bit width:
-	// int32 distances, n² · 4 bytes. Fastest lookups; the default, and
-	// the only practical choice for tiny instances.
+	// int32 distances plus a 2-bit distance-mod-3 view that the
+	// next-hop scan reads instead of the cells, n²·4 + n·⌈n/4⌉ bytes.
+	// The default.
 	StoreDense Store = iota
 	// StorePacked packs each destination's distances into 4-bit
 	// nibbles (n² / 2 bytes, an 8× cut over dense) — Ramanujan
@@ -89,42 +91,80 @@ const (
 	byteMaxDist   = 254 // largest distance an 8-bit cell can hold
 )
 
+// codeUnreachable is the 2-bit view code of an unreachable vertex; a
+// reachable vertex at distance d has code d mod 3.
+const codeUnreachable = 3
+
 // packedRow is one destination's distance vector, the one row format
 // of every Table. Its cells are never written after encodeRow returns,
 // so tables may share them (Repair and Restore copy an unchanged row,
-// which shares its cells) and read them concurrently. Eager tables
-// hold rows by value, so a lookup reads the row header from one
-// contiguous slice before its cells.
+// which shares its cells and its view) and read them concurrently.
+// Eager tables hold rows by value, so a lookup reads the row header
+// from one contiguous slice before its cells.
+//
+// A 32-bit row also carries its distances mod 3, four vertices per byte
+// (codeUnreachable marks unreachable), in nib: the next-hop view. A
+// neighbour w of a reachable vertex v has d(w) ∈ {d(v)-1, d(v),
+// d(v)+1}, three values distinct mod 3, so w is a next hop exactly when
+// its code is (code(v)+2) mod 3. The neighbour scan therefore reads n/4
+// bytes of the row instead of 4n (DESIGN.md §7).
 type packedRow struct {
 	bits uint8   // cell width: 4, 8 or 32
 	maxd int32   // largest finite distance in the row
-	nib  []uint8 // 4-bit cells packed two per byte (bits==4) or one byte per cell (bits==8)
+	nib  []uint8 // 4-bit cells packed two per byte (bits==4), one byte per cell (bits==8), or the 2-bit mod-3 view (bits==32)
 	wide []int32 // raw distances (bits==32)
 }
 
 // encodeRow stores a distance vector at the narrowest width, no
-// narrower than minBits, that fits its largest finite distance. A
-// 32-bit row adopts dist as its storage instead of copying it, so the
-// caller hands dist over and must not write it again; narrower rows
-// never retain dist.
+// narrower than minBits, that fits its largest finite distance. The
+// row never retains dist (the build hands it the kernel's scratch).
 func encodeRow(dist []int32, minBits uint8) packedRow {
-	maxd := maxDist(dist)
-	switch {
-	case minBits <= 4 && maxd <= nibbleMaxDist:
-		nib := make([]uint8, (len(dist)+1)/2)
-		for v, d := range dist {
-			nib[v>>1] |= uint8(d+1) << ((uint(v) & 1) << 2)
+	if minBits < 32 {
+		switch maxd := maxDist(dist); {
+		case minBits <= 4 && maxd <= nibbleMaxDist:
+			nib := make([]uint8, (len(dist)+1)/2)
+			for v, d := range dist {
+				nib[v>>1] |= uint8(d+1) << ((uint(v) & 1) << 2)
+			}
+			return packedRow{bits: 4, maxd: maxd, nib: nib}
+		case minBits <= 8 && maxd <= byteMaxDist:
+			nib := make([]uint8, len(dist))
+			for v, d := range dist {
+				nib[v] = uint8(d + 1)
+			}
+			return packedRow{bits: 8, maxd: maxd, nib: nib}
 		}
-		return packedRow{bits: 4, maxd: maxd, nib: nib}
-	case minBits <= 8 && maxd <= byteMaxDist:
-		nib := make([]uint8, len(dist))
-		for v, d := range dist {
-			nib[v] = uint8(d + 1)
-		}
-		return packedRow{bits: 8, maxd: maxd, nib: nib}
-	default:
-		return packedRow{bits: 32, maxd: maxd, wide: dist}
 	}
+	return wideRow(dist)
+}
+
+// wideRow returns the 32-bit row of dist: a copy of its cells (one
+// memmove, no zeroing pass) and, from one scan of the copy while it is
+// still in cache, the row's largest distance and its mod-3 view,
+// stored one whole byte (four vertices) at a time.
+func wideRow(dist []int32) packedRow {
+	n := len(dist)
+	wide := slices.Clone(dist)
+	view := make([]uint8, (n+3)/4)
+	maxd := int32(-1)
+	full := n &^ 3
+	for v := 0; v < full; v += 4 {
+		d := wide[v : v+4 : v+4]
+		maxd = max(maxd, d[0], d[1], d[2], d[3])
+		view[v>>2] = mod3(d[0]) | mod3(d[1])<<2 | mod3(d[2])<<4 | mod3(d[3])<<6
+	}
+	for v := full; v < n; v++ {
+		maxd = max(maxd, wide[v])
+		view[v>>2] |= mod3(wide[v]) << ((uint(v) & 3) << 1)
+	}
+	return packedRow{bits: 32, maxd: maxd, nib: view, wide: wide}
+}
+
+// mod3 returns the view code of a distance d ≥ -1: d mod 3, or
+// codeUnreachable for -1 (uint32(-1) = 2³²-1 is divisible by 3, and
+// the sign bit supplies the code).
+func mod3(d int32) uint8 {
+	return uint8(uint32(d)%3) | uint8(d>>31)&codeUnreachable
 }
 
 // maxDist returns the largest entry of dist (-1 when every vertex is
@@ -158,6 +198,11 @@ func (r *packedRow) at(v int) int32 {
 		return int32(r.nib[v>>1]>>((uint(v)&1)<<2)&0xf) - 1
 	}
 	return int32(r.nib[v]) - 1
+}
+
+// code returns the mod-3 view code of vertex v in a 32-bit row.
+func (r *packedRow) code(v int) uint8 {
+	return r.nib[v>>2] >> ((uint(v) & 3) << 1) & 3
 }
 
 // equals reports whether the row holds exactly the distances in dist.

@@ -3,6 +3,7 @@ package routing
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -45,16 +46,52 @@ func TestPackedRowWidths(t *testing.T) {
 		if r.equals(changed) {
 			t.Errorf("%s: row equals a vector with a changed cell", c.name)
 		}
-		// A 32-bit row adopts the vector it was given, uncopied.
-		if c.bits == 32 && &r.wide[0] != &dist[0] {
-			t.Errorf("%s: 32-bit row copied its vector", c.name)
+		// A 32-bit row copies the vector it was given: the build hands
+		// it the kernel's scratch.
+		if c.bits == 32 && &r.wide[0] == &dist[0] {
+			t.Errorf("%s: 32-bit row retained its vector", c.name)
+		}
+	}
+}
+
+// TestDenseRowView pins the 2-bit next-hop view of 32-bit rows: each
+// vertex's code is its distance mod 3, unreachable is 3, four codes
+// per byte from the low bits up, and a partial tail byte leaves its
+// unused bits zero.
+func TestDenseRowView(t *testing.T) {
+	for _, c := range []struct {
+		dist  []int32
+		codes []uint8
+	}{
+		{[]int32{-1, 0, 1, 2, 3, 4, -1, 5}, []uint8{3, 0, 1, 2, 0, 1, 3, 2}},
+		{[]int32{0, 1, 2, 3, 4, -1, 100000}, []uint8{0, 1, 2, 0, 1, 3, 1}}, // n % 4 == 3
+		{[]int32{4, -1, 0, 1, 2}, []uint8{1, 3, 0, 1, 2}},                  // n % 4 == 1
+		{[]int32{-1}, []uint8{3}},
+	} {
+		r := encodeRow(c.dist, StoreDense.minBits())
+		if r.bits != 32 || len(r.nib) != (len(c.dist)+3)/4 {
+			t.Fatalf("%v: %d-bit row with a %d-byte view", c.dist, r.bits, len(r.nib))
+		}
+		var want []uint8
+		for v, code := range c.codes {
+			if got := r.code(v); got != code {
+				t.Errorf("%v: code(%d) = %d, want %d", c.dist, v, got, code)
+			}
+			if v%4 == 0 {
+				want = append(want, 0)
+			}
+			want[v/4] |= code << (2 * (v % 4))
+		}
+		if string(r.nib) != string(want) {
+			t.Errorf("%v: view bytes %08b, want %08b", c.dist, r.nib, want)
 		}
 	}
 }
 
 // TestStoreWidthFallbackOnLongPath drives the byte and nibble
 // boundaries with real graphs: a 300-vertex path has distances up to
-// 299, overflowing both the nibble and the byte range.
+// 299, overflowing both the nibble and the byte range, and its next
+// hops must still follow the distances.
 func TestStoreWidthFallbackOnLongPath(t *testing.T) {
 	for _, n := range []int{20, 200, 300} {
 		b := graph.NewBuilder(n)
@@ -75,71 +112,103 @@ func TestStoreWidthFallbackOnLongPath(t *testing.T) {
 		if dense.Diameter() != packed.Diameter() {
 			t.Fatalf("n=%d: diameter %d vs %d", n, packed.Diameter(), dense.Diameter())
 		}
+		// Distances past 254 put packed rows at 32 bits too: both
+		// tables then scan the mod-3 view, with codes from large d.
+		checkNextHopInvariant(t, dense)
+		checkNextHopInvariant(t, packed)
 	}
 }
 
 // TestStoreModesBitIdentical is the cross-backend oracle: on random
-// graphs (connected and not), every read method of packed and lazy
-// tables must agree with the dense table — including the RNG draw
-// sequence of the randomized ones.
+// graphs (connected and not), and on two random graphs joined by a
+// bridge after a Repair cuts it (so the two sides become unreachable
+// from each other), every read method of packed and lazy tables must
+// agree with the dense table — including the RNG draw sequence of the
+// randomized ones.
 func TestStoreModesBitIdentical(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		rng := rand.New(rand.NewSource(int64(i) * 7919))
 		g := randomGraph(rng, 4+rng.Intn(40), rng.Intn(60))
-		n := g.N()
-		dense := NewTable(g)
-		others := []*Table{
+		checkStoresAgree(t, "intact", NewTable(g),
 			NewTableOpts(g, TableOptions{Store: StorePacked}),
-			NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: 8}),
+			NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: 8}))
+
+		g, bridge := bridgedGraph(rng)
+		cut := [][2]int32{bridge}
+		dense := NewTable(g).Repair(cut)
+		if dense.HopDist(int(bridge[0]), int(bridge[1])) != -1 {
+			t.Fatalf("case %d: cutting bridge %v left its ends connected", i, bridge)
 		}
-		for _, tab := range others {
-			var buf, wantBuf []int32
-			for d := 0; d < n; d++ {
-				for v := 0; v < n; v++ {
-					if tab.HopDist(v, d) != dense.HopDist(v, d) {
-						t.Fatalf("[%s] dist(%d,%d)=%d dense=%d", tab.Store(), v, d,
-							tab.HopDist(v, d), dense.HopDist(v, d))
-					}
-					wantBuf = dense.NextHops(v, d, wantBuf[:0])
-					buf = tab.NextHops(v, d, buf[:0])
-					if len(buf) != len(wantBuf) {
-						t.Fatalf("[%s] NextHops(%d,%d) = %v, dense %v", tab.Store(), v, d, buf, wantBuf)
-					}
-					for j := range buf {
-						if buf[j] != wantBuf[j] {
-							t.Fatalf("[%s] NextHops(%d,%d) = %v, dense %v", tab.Store(), v, d, buf, wantBuf)
-						}
-					}
-					if tab.PathDiversity(v, d) != dense.PathDiversity(v, d) {
-						t.Fatalf("[%s] PathDiversity(%d,%d) mismatch", tab.Store(), v, d)
-					}
+		checkStoresAgree(t, "bridge cut", dense,
+			NewTableOpts(g, TableOptions{Store: StorePacked}).Repair(cut),
+			NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: 8}).Repair(cut))
+	}
+}
+
+// bridgedGraph joins two random graphs by one edge and returns the
+// result and that edge, a bridge.
+func bridgedGraph(rng *rand.Rand) (*graph.Graph, [2]int32) {
+	a := randomGraph(rng, 2+rng.Intn(20), rng.Intn(30))
+	b := randomGraph(rng, 2+rng.Intn(20), rng.Intn(30))
+	na := a.N()
+	bld := graph.NewBuilder(na + b.N())
+	for _, e := range a.Edges() {
+		bld.AddEdge(int(e[0]), int(e[1]))
+	}
+	for _, e := range b.Edges() {
+		bld.AddEdge(na+int(e[0]), na+int(e[1]))
+	}
+	bridge := [2]int32{int32(rng.Intn(na)), int32(na + rng.Intn(b.N()))}
+	bld.AddEdge(int(bridge[0]), int(bridge[1]))
+	return bld.Build(), bridge
+}
+
+// checkStoresAgree asserts that every read method of each of others
+// agrees with dense over the same graph, RNG consumption included:
+// the generators must be in the same state after every NextHopRandom.
+func checkStoresAgree(t *testing.T, what string, dense *Table, others ...*Table) {
+	t.Helper()
+	n := dense.G.N()
+	for _, tab := range others {
+		var buf, wantBuf []int32
+		for d := 0; d < n; d++ {
+			for v := 0; v < n; v++ {
+				if tab.HopDist(v, d) != dense.HopDist(v, d) {
+					t.Fatalf("[%s %s] dist(%d,%d)=%d dense=%d", what, tab.Store(), v, d,
+						tab.HopDist(v, d), dense.HopDist(v, d))
+				}
+				wantBuf = dense.NextHops(v, d, wantBuf[:0])
+				buf = tab.NextHops(v, d, buf[:0])
+				if !slices.Equal(buf, wantBuf) {
+					t.Fatalf("[%s %s] NextHops(%d,%d) = %v, dense %v", what, tab.Store(), v, d, buf, wantBuf)
+				}
+				if tab.PathDiversity(v, d) != dense.PathDiversity(v, d) {
+					t.Fatalf("[%s %s] PathDiversity(%d,%d) mismatch", what, tab.Store(), v, d)
 				}
 			}
-			// Identical RNG consumption: same seeds must yield the same
-			// sampled hops and paths.
-			r1 := rand.New(rand.NewSource(99))
-			r2 := rand.New(rand.NewSource(99))
-			for k := 0; k < 50; k++ {
-				v, d := r1.Intn(n), r1.Intn(n)
-				r2.Intn(n)
-				r2.Intn(n)
-				if h1, h2 := dense.NextHopRandom(v, d, r1), tab.NextHopRandom(v, d, r2); h1 != h2 {
-					t.Fatalf("[%s] NextHopRandom(%d,%d) = %d, dense %d", tab.Store(), v, d, h2, h1)
-				}
-				p1 := dense.SamplePath(v, d, r1)
-				p2 := tab.SamplePath(v, d, r2)
-				if len(p1) != len(p2) {
-					t.Fatalf("[%s] SamplePath(%d,%d) length %d, dense %d", tab.Store(), v, d, len(p2), len(p1))
-				}
-				for j := range p1 {
-					if p1[j] != p2[j] {
-						t.Fatalf("[%s] SamplePath(%d,%d) = %v, dense %v", tab.Store(), v, d, p2, p1)
-					}
-				}
+		}
+		// Identical RNG consumption: same seeds must yield the same
+		// sampled hops and paths, and leave the same generator state.
+		r1 := rand.New(rand.NewSource(99))
+		r2 := rand.New(rand.NewSource(99))
+		for k := 0; k < 50; k++ {
+			v, d := r1.Intn(n), r1.Intn(n)
+			r2.Intn(n)
+			r2.Intn(n)
+			if h1, h2 := dense.NextHopRandom(v, d, r1), tab.NextHopRandom(v, d, r2); h1 != h2 {
+				t.Fatalf("[%s %s] NextHopRandom(%d,%d) = %d, dense %d", what, tab.Store(), v, d, h2, h1)
 			}
-			if tab.Diameter() != dense.Diameter() {
-				t.Fatalf("[%s] diameter %d, dense %d", tab.Store(), tab.Diameter(), dense.Diameter())
+			if a, b := r1.Int63(), r2.Int63(); a != b {
+				t.Fatalf("[%s %s] NextHopRandom(%d,%d) consumed the RNG differently from dense", what, tab.Store(), v, d)
 			}
+			p1 := dense.SamplePath(v, d, r1)
+			p2 := tab.SamplePath(v, d, r2)
+			if !slices.Equal(p1, p2) {
+				t.Fatalf("[%s %s] SamplePath(%d,%d) = %v, dense %v", what, tab.Store(), v, d, p2, p1)
+			}
+		}
+		if tab.Diameter() != dense.Diameter() {
+			t.Fatalf("[%s %s] diameter %d, dense %d", what, tab.Store(), tab.Diameter(), dense.Diameter())
 		}
 	}
 }
@@ -207,14 +276,15 @@ func TestPackedMemoryFootprint(t *testing.T) {
 }
 
 // TestMemoryBytesPerBackend pins the exact MemoryBytes accounting on
-// LPS(11,7) (n=168, diameter 3): dense counts 4 bytes per cell, packed
-// each nibble row's payload plus 8 bytes per row, and lazy its
-// per-destination bookkeeping (16+8 bytes) plus the resident rows.
+// LPS(11,7) (n=168, diameter 3): dense counts 4 bytes per cell plus
+// its 2-bit next-hop view (n·⌈n/4⌉ bytes), packed each nibble row's
+// payload plus 8 bytes per row, and lazy its per-destination
+// bookkeeping (16+8 bytes) plus the resident rows.
 func TestMemoryBytesPerBackend(t *testing.T) {
 	g := topo.MustLPS(11, 7).G
 	n := g.N()
-	if got := NewTable(g).MemoryBytes(); got != 112_896 {
-		t.Errorf("dense MemoryBytes = %d, want 112896 (168·168·4)", got)
+	if got := NewTable(g).MemoryBytes(); got != 119_952 {
+		t.Errorf("dense MemoryBytes = %d, want 119952 (168·168·4 + 168·42)", got)
 	}
 	if got := NewTableOpts(g, TableOptions{Store: StorePacked}).MemoryBytes(); got != 15_456 {
 		t.Errorf("packed MemoryBytes = %d, want 15456 (168·(84+8))", got)
@@ -307,11 +377,11 @@ func benchTable(b *testing.B, opts TableOptions) *Table {
 	return NewTableOpts(inst.G, opts)
 }
 
-// BenchmarkHopDist compares the per-lookup cost of the three backends
-// on the class-1 LPS instance. HopDist is one row read, the primitive
-// under the simulator's per-hop next-hop choice; the packed backend is
-// budgeted at ≤15% over dense there (see BenchmarkRunLoadStore in
-// internal/simnet for the in-situ number).
+// BenchmarkHopDist measures the per-lookup cost of HopDist, one cell
+// read, for each of the three backends on the class-1 LPS instance.
+// The simulator's per-hop next-hop choice is measured by
+// BenchmarkNextHopRandom here and, in situ, by BenchmarkRunLoadStore
+// in internal/simnet.
 func BenchmarkHopDist(b *testing.B) {
 	for _, opts := range []TableOptions{
 		{Store: StoreDense},

@@ -86,9 +86,10 @@ func TestPercentileEmpty(t *testing.T) {
 	}
 }
 
-// BenchmarkRunLoadStore measures the simulator's per-hop cost over
-// each table backend: HopDist/NextHopRandom are the per-hop hot path,
-// and the packed backend is budgeted at ≤15% over dense end to end.
+// BenchmarkRunLoadStore measures the simulator's end-to-end cost per
+// hop (ns/hop) of a UGAL-L load run on the class-1 LPS instance over
+// each table backend; the per-hop next-hop choice (NextHopSlot) reads
+// the backend's rows.
 func BenchmarkRunLoadStore(b *testing.B) {
 	inst := topo.MustLPS(23, 11)
 	for _, opts := range []routing.TableOptions{

@@ -148,10 +148,14 @@ func (s *Sim) SaturationLoad(msgsPerEP int, latencyFactor float64) float64 {
 
 // RunPattern injects one of the §VI-C synthetic patterns over a
 // power-of-two rank space mapped onto the endpoints. A load outside
-// (0, 1], NaN included, is an error.
+// (0, 1], NaN included, or a pattern that is none of the Pattern*
+// constants is an error.
 func (s *Sim) RunPattern(pat traffic.Pattern, ranks int, load float64, msgsPerRank int) (SimStats, error) {
 	if !(load > 0 && load <= 1) {
 		return SimStats{}, fmt.Errorf("spectralfly: offered load %v out of (0,1]", load)
+	}
+	if pat < PatternRandom || pat > PatternComplement {
+		return SimStats{}, fmt.Errorf("spectralfly: unknown traffic pattern %d", int(pat))
 	}
 	mp, err := traffic.NewMapping(ranks, s.nw.Endpoints(), s.cfg.Seed)
 	if err != nil {

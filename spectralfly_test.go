@@ -3,6 +3,8 @@ package spectralfly
 import (
 	"math"
 	"testing"
+
+	"repro/internal/traffic"
 )
 
 // mustSimulate fails the test on a Simulate error; the happy-path
@@ -194,6 +196,19 @@ func TestPublicAPIRunPatternRejectsBadLoad(t *testing.T) {
 	for _, load := range []float64{0, -0.1, 1.5, math.NaN()} {
 		if _, err := sim.RunPattern(PatternRandom, 64, load, 2); err == nil {
 			t.Errorf("load %v: RunPattern returned no error", load)
+		}
+	}
+}
+
+// TestPublicAPIRunPatternRejectsUnknownPattern pins an error, not a
+// panic from inside the run loop, for a pattern outside the Pattern*
+// constants.
+func TestPublicAPIRunPatternRejectsUnknownPattern(t *testing.T) {
+	net, _ := LPS(11, 7)
+	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
+	for _, pat := range []traffic.Pattern{PatternRandom - 1, PatternComplement + 1, PatternRandom + 99} {
+		if _, err := sim.RunPattern(pat, 64, 0.3, 2); err == nil {
+			t.Errorf("pattern %d: RunPattern returned no error", int(pat))
 		}
 	}
 }
