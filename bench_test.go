@@ -323,7 +323,7 @@ func BenchmarkSimulateUniformLoad(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := sim.RunUniform(0.3, 10)
+		st := mustRunUniform(b, sim, 0.3, 10)
 		if st.Delivered == 0 {
 			b.Fatal("idle run")
 		}
@@ -361,7 +361,7 @@ func BenchmarkRunLoadStream(b *testing.B) {
 	}
 	var st SimStats
 	for i := 0; i < b.N; i++ {
-		st = sim.RunUniform(0.35, 64)
+		st = mustRunUniform(b, sim, 0.35, 64)
 		if st.Delivered == 0 {
 			b.Fatal("idle run")
 		}

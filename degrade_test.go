@@ -62,8 +62,8 @@ func TestDegradeStacksPlans(t *testing.T) {
 
 	// End to end: traffic on the stacked network drops at least as much
 	// as on the singly-degraded one.
-	st1 := mustSimulate(t, d1, SimConfig{Concentration: 2, Seed: 9}).RunUniform(0.3, 5)
-	st2 := mustSimulate(t, d2, SimConfig{Concentration: 2, Seed: 9}).RunUniform(0.3, 5)
+	st1 := mustRunUniform(t, mustSimulate(t, d1, SimConfig{Concentration: 2, Seed: 9}), 0.3, 5)
+	st2 := mustRunUniform(t, mustSimulate(t, d2, SimConfig{Concentration: 2, Seed: 9}), 0.3, 5)
 	if st2.DeliveredFraction() > st1.DeliveredFraction() {
 		t.Errorf("stacked damage delivered %.3f, more than single damage %.3f",
 			st2.DeliveredFraction(), st1.DeliveredFraction())

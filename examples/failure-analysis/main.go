@@ -109,7 +109,10 @@ func run(w io.Writer, trials int) error {
 				if err != nil {
 					return err
 				}
-				st := sim.RunUniform(0.3, 3*trials)
+				st, err := sim.RunUniform(0.3, 3*trials)
+				if err != nil {
+					return err
+				}
 				fmt.Fprintf(w, "%-12s %-10s %6.0f %10.4f %10.1f %9d %9.3f\n",
 					net.Name, pl.name, prop*100, st.DeliveredFraction(),
 					st.MeanLatency, st.P99Latency, st.MeanHops)

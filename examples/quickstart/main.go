@@ -30,7 +30,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := sim.RunUniform(0.30, 50)
+	st, err := sim.RunUniform(0.30, 50)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("  simulated %d endpoints at 30%% load: delivered=%d mean latency=%.0f cycles (max %d)\n",
 		sim.Endpoints(), st.Delivered, st.MeanLatency, st.MaxLatency)
 

@@ -19,28 +19,37 @@ import (
 //
 // Ordering contract (identical to a global heap): events pop in
 // nondecreasing (time, seq) order, where seq is the event's canonical
-// key (see push in simnet.go). A non-empty bucket holds events of
-// exactly one absolute time (two times congruent mod wheelSize are
-// ≥ wheelSize apart, so they can never share the window), so ordering a
-// bucket is ordering its keys. Keys arrive out of order — a bucket
-// collects the events of one cycle pushed by many earlier events, and
-// on a shard also by cross-shard handoffs — so a push below the
-// bucket's largest key marks the bucket unsorted, and the bucket's
-// pending suffix is sorted once, when it is next popped from.
+// key (see push in simnet.go), unique among pending events and never
+// negative. A non-empty bucket holds events of exactly one absolute
+// time (two times congruent mod wheelSize are ≥ wheelSize apart, so
+// they can never share the window), so ordering a bucket is ordering
+// its keys — and a bucket entry need not store its time: the wheel
+// holds 16-byte slots, half an event, and popBefore rebuilds the event
+// from the bucket's time. Keys arrive out of order — a bucket collects
+// the events of one cycle pushed by many earlier events, and on a
+// shard also by cross-shard handoffs — so a push below the bucket's
+// largest key marks the bucket unsorted, and the bucket's pending
+// suffix is sorted once, when it is next popped from: by insertion
+// below a small cutoff, otherwise by an LSD radix sort over only as
+// many key bits as the bucket's largest key has. Since keys are unique,
+// every correct sort yields the same pop order.
 type scheduler struct {
 	// cur is the time cursor: every popped event had time ≤ cur, every
 	// queued event has time ≥ cur, and the wheel window is
 	// [cur, cur+wheelSize).
-	cur    int64
-	count  int // total queued events (wheel + overflow)
-	wcount int // events currently in the wheel
-	peak   int // high-water mark of count within the current run
+	cur      int64
+	count    int // total queued events (wheel + overflow)
+	wcount   int // events currently in the wheel
+	wpeak    int // high-water mark of wcount within the current run
+	opeak    int // high-water mark of len(overflow) within the current run
+	sortPeak int // largest suffix radix-sorted within the current run
 
-	buckets  [][]event // wheelSize buckets of one cycle each
-	bhead    []int32   // per-bucket FIFO head (consumed prefix)
-	top      []int64   // per-bucket largest key (compact: pushes read no bucket)
-	occ      []uint64  // occupancy bitmap over the buckets
-	unsorted []uint64  // bitmap: the bucket's pending suffix is out of key order
+	buckets  [][]slot // wheelSize buckets of one cycle each
+	bhead    []int32  // per-bucket FIFO head (consumed prefix)
+	top      []int64  // per-bucket largest key (compact: pushes read no bucket)
+	occ      []uint64 // occupancy bitmap over the buckets
+	unsorted []uint64 // bitmap: the bucket's pending suffix is out of key order
+	scratch  []slot   // radix sort ping-pong buffer, grown to the largest sort
 	overflow eventQueue
 }
 
@@ -49,13 +58,54 @@ const (
 	wheelSize  = 1 << wheelBits
 	wheelMask  = wheelSize - 1
 	wheelWords = wheelSize / 64
+
+	// insertionMax is the longest pending suffix sortBucket sorts by
+	// insertion; a radix pass costs a 2^digit count array on top of
+	// two sweeps of the suffix, which short suffixes do not repay.
+	insertionMax = 64
+	// radixBits is the widest radix digit. The count array of
+	// 2^radixBits int32 (8 KiB) lives on the stack.
+	radixBits = 11
 )
 
-// reset prepares the scheduler for a new run, retaining bucket and
-// heap capacity from earlier runs of the same Network.
+// slot is a wheel entry: an event without its time, which the bucket
+// implies. The kind rides in the sign bits of the two ids, which are
+// never negative: an injection stores ^pkt, a delivery ^at, an
+// arrival both as they are.
+type slot struct {
+	seq int64
+	at  int32
+	pkt int32
+}
+
+func toSlot(e event) slot {
+	sl := slot{seq: e.seq, at: e.at, pkt: e.pkt}
+	switch e.kind {
+	case evDeliver:
+		sl.at = ^e.at
+	case evInject:
+		sl.pkt = ^e.pkt
+	}
+	return sl
+}
+
+// event rebuilds the queued event of time t.
+func (sl slot) event(t int64) event {
+	e := event{time: t, seq: sl.seq, at: sl.at, pkt: sl.pkt, kind: evArrive}
+	switch {
+	case sl.pkt < 0:
+		e.pkt, e.kind = ^sl.pkt, evInject
+	case sl.at < 0:
+		e.at, e.kind = ^sl.at, evDeliver
+	}
+	return e
+}
+
+// reset prepares the scheduler for a new run, retaining bucket, heap
+// and scratch capacity from earlier runs of the same Network.
 func (s *scheduler) reset() {
 	if s.buckets == nil {
-		s.buckets = make([][]event, wheelSize)
+		s.buckets = make([][]slot, wheelSize)
 		s.bhead = make([]int32, wheelSize)
 		s.top = make([]int64, wheelSize)
 		s.occ = make([]uint64, wheelWords)
@@ -68,7 +118,8 @@ func (s *scheduler) reset() {
 	clear(s.occ)
 	clear(s.unsorted)
 	s.overflow = s.overflow[:0]
-	s.cur, s.count, s.wcount, s.peak = 0, 0, 0, 0
+	s.cur, s.count, s.wcount = 0, 0, 0
+	s.wpeak, s.opeak, s.sortPeak = 0, 0, 0
 }
 
 // push queues an event. The run loop never schedules into the past;
@@ -79,14 +130,12 @@ func (s *scheduler) push(e event) {
 		e.time = s.cur
 	}
 	s.count++
-	if s.count > s.peak {
-		s.peak = s.count
-	}
 	if e.time < s.cur+wheelSize {
 		s.bucketPush(e)
 		return
 	}
 	s.overflow.push(e)
+	s.opeak = max(s.opeak, len(s.overflow))
 }
 
 func (s *scheduler) bucketPush(e event) {
@@ -100,8 +149,11 @@ func (s *scheduler) bucketPush(e event) {
 	default:
 		s.top[b] = e.seq
 	}
-	s.buckets[b] = append(s.buckets[b], e)
+	s.buckets[b] = append(s.buckets[b], toSlot(e))
 	s.wcount++
+	if s.wcount > s.wpeak {
+		s.wpeak = s.wcount
+	}
 }
 
 // migrate drains overflow events that the advancing window now covers
@@ -159,19 +211,19 @@ func (s *scheduler) popBefore(end int64) (event, bool) {
 		s.cur = t
 		s.migrate()
 	}
-	return s.takeFrom(b), true
+	return s.takeFrom(b).event(t), true
 }
 
-// takeFrom extracts the next event of bucket b, which the caller has
+// takeFrom extracts the next slot of bucket b, which the caller has
 // established is the head bucket of the wheel, sorting the bucket's
 // pending suffix first if a push left it out of key order.
-func (s *scheduler) takeFrom(b int) event {
-	bk := s.buckets[b]
+func (s *scheduler) takeFrom(b int) slot {
 	if w, m := b>>6, uint64(1)<<uint(b&63); s.unsorted[w]&m != 0 {
-		sortBySeq(bk[s.bhead[b]:])
+		s.sortBucket(b)
 		s.unsorted[w] &^= m
 	}
-	e := bk[s.bhead[b]]
+	bk := s.buckets[b]
+	sl := bk[s.bhead[b]]
 	s.bhead[b]++
 	if int(s.bhead[b]) == len(bk) {
 		s.buckets[b] = bk[:0]
@@ -180,7 +232,7 @@ func (s *scheduler) takeFrom(b int) event {
 	}
 	s.count--
 	s.wcount--
-	return e
+	return sl
 }
 
 // peekTime returns the time of the earliest queued event without
@@ -197,62 +249,69 @@ func (s *scheduler) peekTime() int64 {
 	return s.cur + (int64(b)-s.cur)&wheelMask
 }
 
-// sortBySeq sorts one bucket's events by key: insertion sort for short
-// runs, otherwise a median-of-three quicksort that recurses into the
-// smaller half. Written out for the event type because this is the
-// run loop's hottest sort, and a comparator call per comparison would
-// cost more than the comparison.
-func sortBySeq(a []event) {
-	for len(a) > 12 {
-		m := len(a) / 2
-		if a[m].seq < a[0].seq {
-			a[m], a[0] = a[0], a[m]
-		}
-		if a[len(a)-1].seq < a[0].seq {
-			a[len(a)-1], a[0] = a[0], a[len(a)-1]
-		}
-		if a[len(a)-1].seq < a[m].seq {
-			a[len(a)-1], a[m] = a[m], a[len(a)-1]
-		}
-		pivot := a[m].seq
-		i, j := 0, len(a)-1
-		for i <= j {
-			for a[i].seq < pivot {
-				i++
-			}
-			for a[j].seq > pivot {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
+// sortBucket sorts bucket b's pending suffix by key. A comparison sort
+// mispredicts a branch on about every other comparison of these keys
+// (a bucket interleaves many ascending runs), so suffixes past
+// insertionMax take an LSD radix sort, whose passes cover just the bit
+// length of the bucket's largest key: one pass up to radixBits bits,
+// two up to twice that, and so on, with the bits split evenly.
+func (s *scheduler) sortBucket(b int) {
+	a := s.buckets[b][s.bhead[b]:]
+	if len(a) <= insertionMax {
+		for i := 1; i < len(a); i++ {
+			for j := i; j > 0 && a[j].seq < a[j-1].seq; j-- {
+				a[j], a[j-1] = a[j-1], a[j]
 			}
 		}
-		if j+1 < len(a)-i {
-			sortBySeq(a[:j+1])
-			a = a[i:]
-		} else {
-			sortBySeq(a[i:])
-			a = a[:j+1]
-		}
+		return
 	}
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j].seq < a[j-1].seq; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+	s.sortPeak = max(s.sortPeak, len(a))
+	if cap(s.scratch) < len(a) {
+		s.scratch = make([]slot, len(a))
+	}
+	// Unique keys make top ≥ len(a)-1 > 0, so there is at least one pass.
+	keyBits := uint(bits.Len64(uint64(s.top[b])))
+	passes := (keyBits + radixBits - 1) / radixBits
+	width := (keyBits + passes - 1) / passes
+	mask := int64(1)<<width - 1
+	src, dst := a, s.scratch[:len(a)]
+	var count [1 << radixBits]int32
+	for shift := uint(0); shift < keyBits; shift += width {
+		c := count[:1<<width]
+		clear(c)
+		for i := range src {
+			c[src[i].seq>>shift&mask]++
 		}
+		if int(c[src[0].seq>>shift&mask]) == len(src) {
+			continue // every key shares this digit
+		}
+		var sum int32
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		for _, sl := range src {
+			d := sl.seq >> shift & mask
+			dst[c[d]] = sl
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
 	}
 }
 
 // memoryBytes reports the scheduler's peak footprint for the current
-// run: the event high-water mark plus the fixed wheel structure. The
-// accounting is length-based, not capacity-based, so the value is a
-// pure function of the run — identical whether the Network is fresh,
-// cloned, or reused (retained capacity slack from earlier runs does
-// not leak in).
+// run: wheel slots and overflow events at their own high-water marks
+// and sizes, the radix scratch at the run's largest radix-sorted
+// suffix, plus the fixed wheel structure. The accounting is
+// length-based, not capacity-based, so the value is a pure function of
+// the run — identical whether the Network is fresh, cloned, or reused
+// (retained capacity slack from earlier runs does not leak in).
 func (s *scheduler) memoryBytes() int64 {
-	const eventBytes = int64(unsafe.Sizeof(event{}))
-	b := int64(s.peak) * eventBytes
+	const slotBytes, eventBytes = int64(unsafe.Sizeof(slot{})), int64(unsafe.Sizeof(event{}))
+	b := int64(s.wpeak+s.sortPeak)*slotBytes + int64(s.opeak)*eventBytes
 	// Bucket slice headers, FIFO heads, top keys and the two bitmaps.
 	b += int64(len(s.buckets))*24 + int64(len(s.bhead))*4 + int64(len(s.top))*8 + int64(len(s.occ)+len(s.unsorted))*8
 	return b

@@ -127,10 +127,26 @@ func (s *Sim) VirtualChannels() int {
 }
 
 // RunUniform injects uniform random traffic at the offered load with
-// msgsPerEP messages per endpoint and returns the run statistics.
-func (s *Sim) RunUniform(load float64, msgsPerEP int) SimStats {
-	nep := s.nw.Endpoints()
-	return s.nw.RunLoad(func(src int, rng *rand.Rand) int {
+// msgsPerEP messages per endpoint and returns the run statistics. A
+// load outside (0, 1], NaN included, is an error.
+func (s *Sim) RunUniform(load float64, msgsPerEP int) (SimStats, error) {
+	if err := checkLoad(load); err != nil {
+		return SimStats{}, err
+	}
+	return runUniform(s.nw, load, msgsPerEP), nil
+}
+
+// checkLoad rejects an offered load outside (0, 1]; NaN fails too.
+func checkLoad(load float64) error {
+	if !(load > 0 && load <= 1) {
+		return fmt.Errorf("spectralfly: offered load %v out of (0,1]", load)
+	}
+	return nil
+}
+
+func runUniform(nw *simnet.Network, load float64, msgsPerEP int) SimStats {
+	nep := nw.Endpoints()
+	return nw.RunLoad(func(src int, rng *rand.Rand) int {
 		return rng.Intn(nep)
 	}, load, msgsPerEP)
 }
@@ -151,8 +167,8 @@ func (s *Sim) SaturationLoad(msgsPerEP int, latencyFactor float64) float64 {
 // (0, 1], NaN included, or a pattern that is none of the Pattern*
 // constants is an error.
 func (s *Sim) RunPattern(pat traffic.Pattern, ranks int, load float64, msgsPerRank int) (SimStats, error) {
-	if !(load > 0 && load <= 1) {
-		return SimStats{}, fmt.Errorf("spectralfly: offered load %v out of (0,1]", load)
+	if err := checkLoad(load); err != nil {
+		return SimStats{}, err
 	}
 	if pat < PatternRandom || pat > PatternComplement {
 		return SimStats{}, fmt.Errorf("spectralfly: unknown traffic pattern %d", int(pat))
@@ -169,21 +185,24 @@ func (s *Sim) RunPattern(pat traffic.Pattern, ranks int, load float64, msgsPerRa
 // runs on its own clone of the simulator (sharing the routing table
 // and port maps read-only), and the stats come back in load order.
 // Results are identical to calling RunUniform serially for each load.
-func (s *Sim) RunUniformSweep(loads []float64, msgsPerEP int) []SimStats {
+// Every load is checked before any runs: one outside (0, 1], NaN
+// included, is an error.
+func (s *Sim) RunUniformSweep(loads []float64, msgsPerEP int) ([]SimStats, error) {
+	for _, load := range loads {
+		if err := checkLoad(load); err != nil {
+			return nil, err
+		}
+	}
 	out := make([]SimStats, len(loads))
 	tasks := make([]func() error, len(loads))
 	for i, load := range loads {
 		tasks[i] = func() error {
-			nw := s.nw.Clone()
-			nep := nw.Endpoints()
-			out[i] = nw.RunLoad(func(src int, rng *rand.Rand) int {
-				return rng.Intn(nep)
-			}, load, msgsPerEP)
+			out[i] = runUniform(s.nw.Clone(), load, msgsPerEP)
 			return nil
 		}
 	}
 	_ = runner.Do(0, tasks...) // tasks are infallible
-	return out
+	return out, nil
 }
 
 // RunMotif executes an Ember-style motif (§VI-D) over a rank space

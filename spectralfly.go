@@ -11,10 +11,10 @@
 //
 // Quick start:
 //
-//	net, err := spectralfly.LPS(11, 7)  // 168 routers, radix 12
-//	m := net.Analyze()                  // diameter 3, µ1 = 0.50, Ramanujan
+//	net, err := spectralfly.LPS(11, 7)    // 168 routers, radix 12
+//	m := net.Analyze()                    // diameter 3, µ1 = 0.50, Ramanujan
 //	sim, err := net.Simulate(spectralfly.SimConfig{Concentration: 4})
-//	stats := sim.RunUniform(0.3, 50)    // 30% offered load
+//	stats, err := sim.RunUniform(0.3, 50) // 30% offered load
 //
 // The heavy lifting lives in the internal packages; this package is the
 // stable façade. See DESIGN.md for the system inventory and

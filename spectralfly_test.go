@@ -18,6 +18,15 @@ func mustSimulate(t *testing.T, n *Network, cfg SimConfig) *Sim {
 	return sim
 }
 
+func mustRunUniform(tb testing.TB, s *Sim, load float64, msgsPerEP int) SimStats {
+	tb.Helper()
+	st, err := s.RunUniform(load, msgsPerEP)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
 func TestPublicAPILPSQuickstart(t *testing.T) {
 	net, err := LPS(11, 7)
 	if err != nil {
@@ -118,7 +127,7 @@ func TestPublicAPIFailEdges(t *testing.T) {
 
 func TestPublicAPIDegrade(t *testing.T) {
 	net, _ := LPS(11, 7)
-	intact := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9}).RunUniform(0.3, 5)
+	intact := mustRunUniform(t, mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9}), 0.3, 5)
 	if intact.Dropped != 0 || intact.DeliveredFraction() != 1 {
 		t.Fatalf("intact network lost traffic: %+v", intact)
 	}
@@ -129,7 +138,7 @@ func TestPublicAPIDegrade(t *testing.T) {
 	if links.G.M() >= net.G.M() || links.G.N() != net.G.N() {
 		t.Fatalf("link plan: m=%d n=%d", links.G.M(), links.G.N())
 	}
-	lst := mustSimulate(t, links, SimConfig{Concentration: 2, Seed: 9}).RunUniform(0.3, 5)
+	lst := mustRunUniform(t, mustSimulate(t, links, SimConfig{Concentration: 2, Seed: 9}), 0.3, 5)
 	if lst.Offered == 0 {
 		t.Fatal("degraded sim idle")
 	}
@@ -143,7 +152,7 @@ func TestPublicAPIDegrade(t *testing.T) {
 	// Router kills: the orphaned endpoints' traffic must be dropped and
 	// accounted, and the delivered fraction lands near (1-f)^2.
 	routers := net.Degrade(PlanRandomRouters(0.2, 4))
-	rst := mustSimulate(t, routers, SimConfig{Concentration: 2, Seed: 9}).RunUniform(0.3, 5)
+	rst := mustRunUniform(t, mustSimulate(t, routers, SimConfig{Concentration: 2, Seed: 9}), 0.3, 5)
 	if rst.Dropped == 0 {
 		t.Fatal("router kills lost no traffic")
 	}
@@ -153,7 +162,7 @@ func TestPublicAPIDegrade(t *testing.T) {
 
 	// Region outages behave like correlated router kills.
 	regions := net.Degrade(PlanRegionOutage(0.25, 8, 5))
-	gst := mustSimulate(t, regions, SimConfig{Concentration: 2, Seed: 9}).RunUniform(0.3, 5)
+	gst := mustRunUniform(t, mustSimulate(t, regions, SimConfig{Concentration: 2, Seed: 9}), 0.3, 5)
 	if gst.Dropped == 0 {
 		t.Fatal("region outage lost no traffic")
 	}
@@ -165,7 +174,7 @@ func TestPublicAPISimulation(t *testing.T) {
 	if sim.Endpoints() != 336 {
 		t.Fatalf("endpoints %d", sim.Endpoints())
 	}
-	st := sim.RunUniform(0.3, 10)
+	st := mustRunUniform(t, sim, 0.3, 10)
 	if st.Delivered == 0 || st.MaxLatency <= 0 {
 		t.Fatalf("no traffic: %+v", st)
 	}
@@ -200,6 +209,32 @@ func TestPublicAPIRunPatternRejectsBadLoad(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRunUniformRejectsBadLoad: RunUniform returns an error,
+// not a panic, for offered loads outside (0, 1], NaN included.
+func TestPublicAPIRunUniformRejectsBadLoad(t *testing.T) {
+	net, _ := LPS(11, 7)
+	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
+	for _, load := range []float64{0, -0.1, 1.5, math.NaN()} {
+		if _, err := sim.RunUniform(load, 2); err == nil {
+			t.Errorf("load %v: RunUniform returned no error", load)
+		}
+	}
+}
+
+// TestPublicAPIRunUniformSweepRejectsBadLoad: one bad load fails the
+// whole sweep with an error before any load runs, where it used to
+// panic on a worker goroutine no caller could recover.
+func TestPublicAPIRunUniformSweepRejectsBadLoad(t *testing.T) {
+	net, _ := LPS(11, 7)
+	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
+	for _, load := range []float64{0, -0.1, 1.5, math.NaN()} {
+		st, err := sim.RunUniformSweep([]float64{0.3, load, 0.5}, 2)
+		if err == nil || st != nil {
+			t.Errorf("load %v: RunUniformSweep returned %d stats, error %v", load, len(st), err)
+		}
+	}
+}
+
 // TestPublicAPIRunPatternRejectsUnknownPattern pins an error, not a
 // panic from inside the run loop, for a pattern outside the Pattern*
 // constants.
@@ -219,8 +254,8 @@ func TestPublicAPIWorkersExactP99(t *testing.T) {
 	// size, so sharding the run changes no statistic, P99 included.
 	one := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
 	four := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9, Workers: 4})
-	a := one.RunUniform(0.3, 30)
-	b := four.RunUniform(0.3, 30)
+	a := mustRunUniform(t, one, 0.3, 30)
+	b := mustRunUniform(t, four, 0.3, 30)
 	if a.Delivered <= 8192 {
 		t.Fatalf("run delivered %d messages, want > 8192", a.Delivered)
 	}
@@ -231,7 +266,7 @@ func TestPublicAPIWorkersExactP99(t *testing.T) {
 	if a.P99Latency <= 0 || a.P99Latency > a.MaxLatency {
 		t.Errorf("P99 %d out of range (max %d)", a.P99Latency, a.MaxLatency)
 	}
-	again := one.RunUniform(0.3, 30)
+	again := mustRunUniform(t, one, 0.3, 30)
 	again.MemoryBytes = 0
 	if !again.Equal(a) {
 		t.Errorf("run not deterministic:\n%+v\n%+v", again, a)
@@ -312,8 +347,8 @@ func TestPublicAPIValiantVsMinimalHops(t *testing.T) {
 	net, _ := SlimFly(7)
 	min := mustSimulate(t, net, SimConfig{Concentration: 2, Policy: RoutingMinimal, Seed: 1})
 	val := mustSimulate(t, net, SimConfig{Concentration: 2, Policy: RoutingValiant, Seed: 1})
-	stMin := min.RunUniform(0.2, 15)
-	stVal := val.RunUniform(0.2, 15)
+	stMin := mustRunUniform(t, min, 0.2, 15)
+	stVal := mustRunUniform(t, val, 0.2, 15)
 	if stVal.MeanHops <= stMin.MeanHops {
 		t.Errorf("Valiant hops %.2f should exceed minimal %.2f", stVal.MeanHops, stMin.MeanHops)
 	}
@@ -329,12 +364,15 @@ func TestPublicAPIUniformSweepMatchesSerial(t *testing.T) {
 	}
 	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
 	loads := []float64{0.1, 0.3, 0.5}
-	sweep := sim.RunUniformSweep(loads, 8)
+	sweep, err := sim.RunUniformSweep(loads, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sweep) != len(loads) {
 		t.Fatalf("sweep returned %d stats for %d loads", len(sweep), len(loads))
 	}
 	for i, load := range loads {
-		serial := sim.RunUniform(load, 8)
+		serial := mustRunUniform(t, sim, load, 8)
 		if !sweep[i].Equal(serial) {
 			t.Errorf("load %.1f: concurrent sweep diverged from serial run:\n%+v\n%+v",
 				load, sweep[i], serial)
