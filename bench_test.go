@@ -391,7 +391,7 @@ func BenchmarkRunLoadStream40K(b *testing.B) {
 		b.Fatal(err)
 	}
 	nep := nw.Endpoints()
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	const msgs = 32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -436,7 +436,7 @@ func BenchmarkRunLoadParallel40K(b *testing.B) {
 	}
 	serNet, parNet := mk(1), mk(4)
 	nep := serNet.Endpoints()
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	const msgs = 32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -489,7 +489,7 @@ func BenchmarkReconfigParallel40K(b *testing.B) {
 	}
 	serNet, parNet := mk(1), mk(4)
 	nep := serNet.Endpoints()
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	const msgs = 32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,13 +21,13 @@ func TestDegradeStacksPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := net.Degrade(PlanRandomRouters(0.15, 1))
+	d1 := mustDegrade(t, net, PlanRandomRouters(0.15, 1))
 	first := countDead(d1.failedRouters)
 	if first == 0 {
 		t.Fatal("first plan killed nobody")
 	}
 
-	d2 := d1.Degrade(PlanRandomRouters(0.15, 2))
+	d2 := mustDegrade(t, d1, PlanRandomRouters(0.15, 2))
 	for v, dead := range d1.failedRouters {
 		if dead && !d2.failedRouters[v] {
 			t.Fatalf("router %d died under plan 1 but was resurrected by plan 2", v)
@@ -43,7 +43,7 @@ func TestDegradeStacksPlans(t *testing.T) {
 
 	// A link plan on top of router kills must keep the routers dead
 	// (Outcome.DeadRouters is nil for pure link plans).
-	d3 := d2.Degrade(PlanRandomLinks(0.05, 3))
+	d3 := mustDegrade(t, d2, PlanRandomLinks(0.05, 3))
 	if countDead(d3.failedRouters) != countDead(d2.failedRouters) {
 		t.Error("link plan dropped the dead-router mask")
 	}

@@ -101,7 +101,10 @@ func run(w io.Writer, trials int) error {
 			for _, prop := range []float64{0, 0.1, 0.3} {
 				target := net
 				if prop > 0 {
-					target = net.Degrade(pl.mk(prop, int64(100*prop)+7))
+					var err error
+					if target, err = net.Degrade(pl.mk(prop, int64(100*prop)+7)); err != nil {
+						return err
+					}
 				} else if pl.name != "links" {
 					continue // one intact baseline row per topology
 				}

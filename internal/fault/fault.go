@@ -101,11 +101,24 @@ type Outcome struct {
 	NumDead int
 }
 
-// Apply samples the plan against g. It panics if Fraction is outside
-// [0, 1] or NaN.
+// Validate reports an error when the plan's Kind is not one of Links,
+// Routers or Regions, or its Fraction lies outside [0, 1] (NaN
+// included) — exactly the plans Apply panics on.
+func (p Plan) Validate() error {
+	if p.Kind < Links || p.Kind > Regions {
+		return fmt.Errorf("fault: unknown kind %d", int(p.Kind))
+	}
+	if !(p.Fraction >= 0 && p.Fraction <= 1) {
+		return fmt.Errorf("fault: fraction %v out of [0,1]", p.Fraction)
+	}
+	return nil
+}
+
+// Apply samples the plan against g. It panics on a plan Validate
+// rejects.
 func (p Plan) Apply(g *graph.Graph) Outcome {
-	if !(p.Fraction >= 0 && p.Fraction <= 1) { // NaN fails too
-		panic(fmt.Sprintf("fault: fraction %v out of [0,1]", p.Fraction))
+	if err := p.Validate(); err != nil {
+		panic(err.Error())
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	switch p.Kind {
@@ -116,7 +129,7 @@ func (p Plan) Apply(g *graph.Graph) Outcome {
 		k := int(p.Fraction * float64(n))
 		dead := pickK(n, k, rng)
 		return killRouters(g, dead)
-	case Regions:
+	default: // Regions
 		n := g.N()
 		size := p.regionSize()
 		regions := (n + size - 1) / size
@@ -129,7 +142,6 @@ func (p Plan) Apply(g *graph.Graph) Outcome {
 		}
 		return killRouters(g, dead)
 	}
-	panic(fmt.Sprintf("fault: unknown kind %d", int(p.Kind)))
 }
 
 // sampleEdges chooses ⌊fraction·M⌋ edges uniformly without replacement

@@ -162,8 +162,8 @@ func (c ChurnSpec) Schedule(g *graph.Graph) (Schedule, error) {
 	if c.Outage <= 0 || c.Outage >= c.Period {
 		return nil, fmt.Errorf("fault: churn outage %d must lie in (0, period %d)", c.Outage, c.Period)
 	}
-	if !(c.Fraction >= 0 && c.Fraction <= 1) {
-		return nil, fmt.Errorf("fault: churn fraction %v out of [0,1]", c.Fraction)
+	if err := (Plan{Kind: c.Kind, Fraction: c.Fraction}).Validate(); err != nil {
+		return nil, err
 	}
 	var s Schedule
 	for k := 0; k < c.repeats(); k++ {

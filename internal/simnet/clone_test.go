@@ -65,7 +65,7 @@ func TestRunBatchesAggregatesLatency(t *testing.T) {
 func TestCloneDeterminism(t *testing.T) {
 	nw, _ := lpsNetwork(t, Config{Concentration: 2, Policy: routing.UGALL, Seed: 42})
 	nep := nw.Endpoints()
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	a := nw.RunLoad(pattern, 0.4, 8)
 	b := nw.RunLoad(pattern, 0.4, 8) // reuse of the same instance
 	c := nw.Clone().RunLoad(pattern, 0.4, 8)
@@ -83,7 +83,7 @@ func TestCloneDeterminism(t *testing.T) {
 func TestCloneConcurrentRuns(t *testing.T) {
 	nw, _ := lpsNetwork(t, Config{Concentration: 2, Policy: routing.UGALL, Seed: 1})
 	nep := nw.Endpoints()
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	want := nw.Clone().RunLoad(pattern, 0.3, 5)
 	var wg sync.WaitGroup
 	got := make([]Stats, 8)
@@ -107,7 +107,7 @@ func TestCloneConcurrentRuns(t *testing.T) {
 func TestSetPolicySetSeed(t *testing.T) {
 	nw, table := lpsNetwork(t, Config{Concentration: 2, Policy: routing.Minimal, Seed: 3})
 	nep := nw.Endpoints()
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 
 	cl := nw.Clone()
 	cl.SetPolicy(routing.Valiant)

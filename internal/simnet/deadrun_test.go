@@ -28,7 +28,7 @@ func allDeadNet(t *testing.T) *Network {
 func TestRunLoadAllRoutersDead(t *testing.T) {
 	nw := allDeadNet(t)
 	nep := nw.Endpoints()
-	pattern := func(srcEP int, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := func(srcEP int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	st := nw.RunLoad(pattern, 0.3, 5)
 	if st.Delivered != 0 {
 		t.Fatalf("delivered %d on an all-dead network", st.Delivered)
@@ -65,7 +65,7 @@ func TestRunBatchesAllRoutersDead(t *testing.T) {
 func TestSaturationLoadAllRoutersDead(t *testing.T) {
 	nw := allDeadNet(t)
 	nep := nw.Endpoints()
-	pattern := func(srcEP int, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := func(srcEP int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	if sat := nw.SaturationLoad(pattern, 4, 3, 0.05); sat != 0 {
 		t.Fatalf("saturation %v on an all-dead network, want 0", sat)
 	}
@@ -104,7 +104,7 @@ func BenchmarkRunLoadStore(b *testing.B) {
 				b.Fatal(err)
 			}
 			nep := nw.Endpoints()
-			pattern := func(srcEP int, rng *rand.Rand) int { return rng.Intn(nep) }
+			pattern := func(srcEP int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 			var hops int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -15,7 +15,7 @@ func TestUGALGRoutesAndRespectsVCBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.4, 20)
 	if st.Delivered == 0 {
 		t.Fatal("idle")
@@ -32,7 +32,7 @@ func TestUGALGPrefersMinimalWhenIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.05, 8)
 	frac := float64(st.ValiantTaken) / float64(st.Delivered)
 	if frac > 0.05 {
@@ -47,7 +47,7 @@ func TestUGALGDivertsUnderHotspot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := func(src int, rng *rand.Rand) int { return rng.Intn(4) }
+	hot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(4) }
 	st := nw.RunLoad(hot, 0.7, 25)
 	if st.ValiantTaken == 0 {
 		t.Error("UGAL-G never diverted under a hotspot")
@@ -59,7 +59,7 @@ func TestFiniteBuffersSlowHotspotTraffic(t *testing.T) {
 	// and increase completion time versus unbounded queues.
 	inst := topo.MustSlimFly(5)
 	tab := routing.NewTable(inst.G)
-	hot := func(src int, rng *rand.Rand) int { return rng.Intn(2) }
+	hot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(2) }
 	run := func(buffers int) Stats {
 		nw, err := New(Config{
 			Topo: inst.G, Concentration: 2, Seed: 7, BufferPackets: buffers,
@@ -84,7 +84,7 @@ func TestFiniteBuffersHarmlessWhenLarge(t *testing.T) {
 	// Huge buffers behave like unbounded queues.
 	inst := topo.MustSlimFly(5)
 	tab := routing.NewTable(inst.G)
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
 	mk := func(buffers int) Stats {
 		nw, _ := New(Config{Topo: inst.G, Concentration: 2, Seed: 8, BufferPackets: buffers}, tab)
 		return nw.RunLoad(pattern, 0.3, 15)
@@ -104,11 +104,11 @@ func TestSaturationLoadOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	uniform := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	// Mild hotspot: a third of the endpoints receive all traffic, so the
 	// hot ejection ports saturate around 3× lower load than uniform —
 	// but are NOT already saturated at the 5% baseline.
-	hotspot := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints() / 3) }
+	hotspot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints() / 3) }
 	su := nw.SaturationLoad(uniform, 15, 3, 0.05)
 	sh := nw.SaturationLoad(hotspot, 15, 3, 0.05)
 	if su <= 0 || su > 1 || sh <= 0 || sh > 1 {

@@ -59,7 +59,7 @@ func TestTenantScheduleConservation(t *testing.T) {
 		}
 	}
 	// Tenant-internal traffic; unowned endpoints emit nothing.
-	pattern := func(src int, rng *rand.Rand) int {
+	pattern := func(src int, _ int64, rng *rand.Rand) int {
 		switch {
 		case src < 16:
 			return rng.Intn(16)

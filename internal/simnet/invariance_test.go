@@ -64,7 +64,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	// tie-free gate: unique shortest paths, no port contention.
 	neighbor := func(g *graph.Graph, msgs int) func(nw *Network) Stats {
 		return func(nw *Network) Stats {
-			return nw.RunLoad(func(src int, rng *rand.Rand) int {
+			return nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int {
 				nbs := g.Neighbors(src)
 				return int(nbs[rng.Intn(len(nbs))])
 			}, streamGateLoad, msgs)
@@ -101,7 +101,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	// Phase-shifting traffic under the churn schedule.
 	shifting := func(nw *Network) Stats {
 		nep := nw.Endpoints()
-		return nw.RunLoadTimed(func(src int, now int64, rng *rand.Rand) int {
+		return nw.RunLoad(func(src int, now int64, rng *rand.Rand) int {
 			if (now/1500)%2 == 0 {
 				return rng.Intn(nep)
 			}
@@ -199,7 +199,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			net: mk(Config{Topo: union, Concentration: 2, Seed: 21, Schedule: rewire}, unionTab),
 			run: func(nw *Network) Stats {
 				nep := nw.Endpoints()
-				return nw.RunLoadTimed(func(src int, now int64, rng *rand.Rand) int {
+				return nw.RunLoad(func(src int, now int64, rng *rand.Rand) int {
 					return (src + (int(now/period)%4+1)*3) % nep
 				}, 0.3, 20)
 			}},
@@ -210,7 +210,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{name: "tenants-schedule", shards: 4,
 			net: tenantNet,
 			run: func(nw *Network) Stats {
-				return nw.RunLoad(func(src int, rng *rand.Rand) int {
+				return nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int {
 					switch {
 					case src < 16:
 						return rng.Intn(16)

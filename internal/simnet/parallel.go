@@ -8,8 +8,8 @@ import (
 	"repro/internal/routing"
 )
 
-// This file is the run loop of every simulation: RunLoad, RunLoadTimed
-// and RunBatches all run here, on P = parWorkers() shards (DESIGN.md
+// This file is the run loop of every simulation: RunLoad and
+// RunBatches both run here, on P = parWorkers() shards (DESIGN.md
 // §10).
 //
 // One discipline makes a run's statistics a pure function of the
@@ -148,9 +148,9 @@ func (nw *Network) shardAssign(workers int) []int32 {
 // begin resets the run state and returns the run's shards: the
 // Network itself when parWorkers is 1, otherwise views kept across
 // runs, each reset to alias the shared run state.
-func (nw *Network) begin(pattern PatternFunc, tpattern TimedPatternFunc, meanGap float64, msgsPerEP int) []*Network {
+func (nw *Network) begin(pattern PatternFunc, meanGap float64, msgsPerEP int) []*Network {
 	nw.reset()
-	nw.pattern, nw.tpattern, nw.meanGap = pattern, tpattern, meanGap
+	nw.pattern, nw.meanGap = pattern, meanGap
 	nw.msgs = int64(msgsPerEP)
 	nw.injBase = int64(nw.nep) * nw.msgs
 	p := nw.parWorkers()
@@ -169,7 +169,7 @@ func (nw *Network) begin(pattern PatternFunc, tpattern TimedPatternFunc, meanGap
 		sh.cfg, sh.table, sh.tbl, sh.live = nw.cfg, nw.table, nw.tbl, nw.live
 		sh.n, sh.nep, sh.dead, sh.lats, sh.tenants = nw.n, nw.nep, nw.dead, nw.lats, nw.tenants
 		sh.portFree, sh.injFree, sh.ejFree, sh.gens = nw.portFree, nw.injFree, nw.ejFree, nw.gens
-		sh.pattern, sh.tpattern, sh.meanGap = pattern, tpattern, meanGap
+		sh.pattern, sh.meanGap = pattern, meanGap
 		sh.msgs, sh.injBase = nw.msgs, nw.injBase
 		sh.shardOf, sh.shardID = shardOf, int32(s)
 		sh.resetShard()

@@ -56,9 +56,12 @@ func hookConservation(t *testing.T, nw *Network) (atEnd func()) {
 // runChurnConservation is the shared body of the property test and the
 // fuzz target: sample a churn schedule from the raw parameters, run a
 // loaded simulation over it on one shard and on four, and require
-// conservation at every change boundary and at the end.
+// conservation at every change boundary and at the end. patRaw picks
+// the destination rule: static uniform, or one of two that read the
+// injection cycle — uniform/neighbor phases alternating every churn
+// period, or a hot spot rotating every half period.
 // (TestWorkerCountInvariance asserts the shard counts agree.)
-func runChurnConservation(t *testing.T, seed int64, kindRaw, periodRaw, outageRaw, fracRaw uint8) {
+func runChurnConservation(t *testing.T, seed int64, kindRaw, periodRaw, outageRaw, fracRaw, patRaw uint8) {
 	g := chordRing(16)
 	spec := fault.ChurnSpec{
 		Kind:       []fault.Kind{fault.Links, fault.Routers, fault.Regions}[int(kindRaw)%3],
@@ -79,12 +82,25 @@ func runChurnConservation(t *testing.T, seed int64, kindRaw, periodRaw, outageRa
 	if err != nil {
 		t.Fatal(err)
 	}
+	nep, period := nw.Endpoints(), spec.Period
+	pattern := []PatternFunc{
+		func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) },
+		func(src int, now int64, rng *rand.Rand) int {
+			if (now/period)%2 == 0 {
+				return rng.Intn(nep)
+			}
+			return (src + 1) % nep
+		},
+		func(src int, now int64, _ *rand.Rand) int {
+			return (src + int(now/(period/2))%(nep-1) + 1) % nep
+		},
+	}[int(patRaw)%3]
 	for _, workers := range []int{0, 4} {
 		nw.SetWorkers(workers)
 		for _, policy := range []routing.Policy{routing.Minimal, routing.UGALL} {
 			nw.SetPolicy(policy)
 			atEnd := hookConservation(t, nw)
-			st := nw.RunLoad(func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.3, 8)
+			st := nw.RunLoad(pattern, 0.3, 8)
 			atEnd()
 			if st.Offered == 0 {
 				t.Fatalf("workers=%d policy %v: run offered no traffic", workers, policy)
@@ -96,16 +112,17 @@ func runChurnConservation(t *testing.T, seed int64, kindRaw, periodRaw, outageRa
 func TestScheduleConservationProperty(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		seed := int64(i)*2_654_435_761 + 11
-		runChurnConservation(t, seed, uint8(i), uint8(i*13), uint8(i*29), uint8(i*37))
+		runChurnConservation(t, seed, uint8(i), uint8(i*13), uint8(i*29), uint8(i*37), uint8(i/3))
 	}
 }
 
 // FuzzScheduleConservation is the tentpole acceptance fuzz target:
-// conservation must hold under arbitrary churn schedules.
+// conservation must hold under arbitrary churn schedules, for static
+// and time-varying traffic alike.
 func FuzzScheduleConservation(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(50), uint8(10), uint8(25))
-	f.Add(int64(7), uint8(1), uint8(200), uint8(199), uint8(80))
-	f.Add(int64(-3), uint8(2), uint8(0), uint8(0), uint8(100))
+	f.Add(int64(1), uint8(0), uint8(50), uint8(10), uint8(25), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(200), uint8(199), uint8(80), uint8(1))
+	f.Add(int64(-3), uint8(2), uint8(0), uint8(0), uint8(100), uint8(2))
 	f.Fuzz(runChurnConservation)
 }
 
@@ -115,7 +132,7 @@ func TestScheduleEmptyMatchesNil(t *testing.T) {
 	// (golden files pin the same for the CLI surface).
 	inst := topo.MustSlimFly(5)
 	tab := routing.NewTable(inst.G)
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
 	var got [2]Stats
 	for i, sched := range []fault.Schedule{nil, {}} {
 		nw, err := New(Config{Topo: inst.G, Concentration: 2, Seed: 9, Schedule: sched}, tab)
@@ -144,7 +161,7 @@ func TestScheduleRoundTripBeforeTrafficIsLossless(t *testing.T) {
 		t.Fatal(err)
 	}
 	atEnd := hookConservation(t, nw)
-	st := nw.RunLoad(func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.3, 10)
+	st := nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.3, 10)
 	atEnd()
 	if st.Dropped != 0 || st.SeveredInFlight != 0 {
 		t.Fatalf("lossless round trip dropped %d (severed %d)", st.Dropped, st.SeveredInFlight)
@@ -179,7 +196,7 @@ func TestSeveredInFlightAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	atEnd := hookConservation(t, nw)
-	st := nw.RunLoad(func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.8, 30)
+	st := nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.8, 30)
 	atEnd()
 	if st.SeveredInFlight == 0 {
 		t.Fatal("mass mid-run kill severed no packets (timing or accounting broken)")
@@ -195,8 +212,9 @@ func TestSeveredInFlightAccounting(t *testing.T) {
 func TestRewiringScheduleUnderShiftingTraffic(t *testing.T) {
 	// The exhibit's mechanics in miniature: the base topology is the
 	// union of two fabric configurations, the schedule steps between
-	// them, and the workload shifts phase on the same period via
-	// RunLoadTimed. Conservation must hold through every rewiring step.
+	// them, and the workload shifts phase on the same period (the
+	// pattern reads the injection cycle). Conservation must hold
+	// through every rewiring step.
 	const n = 16
 	ring := make([][2]int32, 0, n)
 	for v := int32(0); v < n; v++ {
@@ -225,7 +243,7 @@ func TestRewiringScheduleUnderShiftingTraffic(t *testing.T) {
 		nw.SetWorkers(workers)
 		atEnd := hookConservation(t, nw)
 		nep := nw.Endpoints()
-		st := nw.RunLoadTimed(func(src int, now int64, rng *rand.Rand) int {
+		st := nw.RunLoad(func(src int, now int64, rng *rand.Rand) int {
 			// The hot spot rotates with the rewiring phase.
 			shift := int(now/period)%4 + 1
 			return (src + shift*3) % nep

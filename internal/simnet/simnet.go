@@ -26,7 +26,9 @@
 //
 // The run loop streams its workload: RunLoad keeps one injection
 // cursor per endpoint (epGen) that schedules only that endpoint's next
-// arrival, delivered packets recycle arena slots through a freelist,
+// arrival and draws its destination from a PatternFunc that sees the
+// injection cycle (so static and time-varying traffic share one path),
+// delivered packets recycle arena slots through a freelist,
 // and latency statistics fold into an exact histogram (latDigest) — so
 // steady-state memory is O(active packets + endpoints + max latency),
 // not O(total offered traffic). Events dispatch through a
@@ -190,10 +192,9 @@ type Network struct {
 
 	// gens holds the per-endpoint streaming injection cursors of
 	// RunLoad (allocated once per instance, reseeded per run).
-	gens     []epGen
-	pattern  PatternFunc
-	tpattern TimedPatternFunc
-	meanGap  float64
+	gens    []epGen
+	pattern PatternFunc
+	meanGap float64
 
 	// lat folds per-message end-to-end latencies of one run (RunBatches
 	// pools its rounds here).
@@ -665,12 +666,7 @@ func (nw *Network) newMessage(src, dst int32, created, uid int64) int32 {
 func (nw *Network) fireInjection(ep int32, now int64) {
 	g := &nw.gens[ep]
 	g.left--
-	var dst int
-	if nw.tpattern != nil {
-		dst = nw.tpattern(int(ep), now, g.rng)
-	} else {
-		dst = nw.pattern(int(ep), g.rng)
-	}
+	dst := nw.pattern(int(ep), now, g.rng)
 	if g.left > 0 {
 		nw.push(event{time: g.next(nw.gapOf(ep)), at: ep, kind: evInject})
 	}
@@ -953,7 +949,7 @@ func (nw *Network) MemoryBytes() int64 {
 		b += sh.lat.memoryBytes()
 		b += sh.memoryBytesTenants()
 	}
-	if nw.pattern != nil || nw.tpattern != nil {
+	if nw.pattern != nil {
 		// Streaming (RunLoad) runs use the injection generators: each
 		// carries a two-word source plus one heap-allocated rand.Rand
 		// wrapper (~48 B). Batch runs don't, so generators retained from
@@ -978,50 +974,35 @@ func (nw *Network) MemoryBytes() int64 {
 }
 
 // PatternFunc maps a source endpoint to a destination endpoint for one
-// message. It is called once per generated message.
-type PatternFunc func(srcEP int, rng *rand.Rand) int
+// message. It is called once per generated message, at the cycle now
+// the message is injected: a static pattern ignores now, a
+// time-varying one (traffic that shifts phase every P cycles while the
+// fabric rewires underneath it) reads it.
+type PatternFunc func(srcEP int, now int64, rng *rand.Rand) int
 
 // RunLoad drives the open-loop experiment of §VI-C: every endpoint
 // generates msgsPerEP messages with exponential inter-arrival times
 // realizing the given offered load (fraction of endpoint injection
 // bandwidth), destinations drawn from pattern. It returns the run
-// statistics; the paper's headline metric is Stats.MaxLatency.
+// statistics; the paper's headline metric is Stats.MaxLatency. It
+// panics on a load outside (0, 1]: every façade and sweep entry checks
+// the load first.
 //
 // Injection streams: each endpoint's cursor schedules only its next
 // arrival, so the event queue holds one pending injection per endpoint
 // instead of the whole run's message list, and memory scales with the
 // in-flight packet population rather than total offered traffic. Every
 // endpoint draws gaps and destinations from its own seeded RNG, so
-// results are deterministic per seed.
+// results are deterministic per seed. Each cursor is seeded and queued
+// on the shard owning its router, then the run loop drains the shards.
 func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Stats {
-	return nw.runLoad(pattern, nil, load, msgsPerEP)
-}
-
-// TimedPatternFunc maps a source endpoint to a destination endpoint for
-// one message, like PatternFunc, but also sees the injection cycle —
-// the workload analogue of a timed topology schedule (e.g. traffic that
-// shifts phase every P cycles while the fabric rewires underneath it).
-type TimedPatternFunc func(srcEP int, now int64, rng *rand.Rand) int
-
-// RunLoadTimed is RunLoad for a time-varying traffic pattern. Every
-// destination draw comes from the endpoint's private stream at the
-// injection's cycle.
-func (nw *Network) RunLoadTimed(pattern TimedPatternFunc, load float64, msgsPerEP int) Stats {
-	return nw.runLoad(nil, pattern, load, msgsPerEP)
-}
-
-// runLoad is the shared body of RunLoad and RunLoadTimed: exactly one
-// of pattern/tpattern is non-nil. Each endpoint's injection cursor is
-// seeded and queued on the shard owning its router, then the run loop
-// drains the shards.
-func (nw *Network) runLoad(pattern PatternFunc, tpattern TimedPatternFunc, load float64, msgsPerEP int) Stats {
 	if !(load > 0 && load <= 1) { // NaN fails too
 		panic(fmt.Sprintf("simnet: offered load %v out of (0,1]", load))
 	}
 	if nw.gens == nil {
 		nw.gens = make([]epGen, nw.nep)
 	}
-	nw.begin(pattern, tpattern, float64(nw.cfg.PacketFlits)/load, msgsPerEP)
+	nw.begin(pattern, float64(nw.cfg.PacketFlits)/load, msgsPerEP)
 	for ep := range nw.gens {
 		g := &nw.gens[ep]
 		g.src.state = mixSeed(nw.cfg.Seed, int64(ep))
@@ -1101,7 +1082,7 @@ func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
 	if len(nw.cfg.Schedule) > 0 {
 		return Stats{}, fmt.Errorf("simnet: RunBatches does not support a topology-event schedule")
 	}
-	shards := nw.begin(nil, nil, 0, 0)
+	shards := nw.begin(nil, 0, 0)
 	var clock, uid int64
 	for _, round := range rounds {
 		for _, m := range round {

@@ -50,7 +50,7 @@ func TestSimulationAfterEdgeFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.2, 10)
 	if st.Delivered == 0 {
 		t.Fatal("no deliveries on damaged topology")
@@ -176,7 +176,7 @@ func TestUGALUnderHotspotSheddsToValiant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot := func(src int, rng *rand.Rand) int { return rng.Intn(4) } // 4 hot endpoints
+	hot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(4) } // 4 hot endpoints
 	st := nw.RunLoad(hot, 0.6, 20)
 	if st.Delivered == 0 {
 		t.Fatal("idle")

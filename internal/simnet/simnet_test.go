@@ -126,7 +126,7 @@ func TestVCBudgetMinimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.3, 20)
 	if st.Delivered == 0 {
 		t.Fatal("nothing delivered")
@@ -144,7 +144,7 @@ func TestVCBudgetValiant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.3, 20)
 	if int(st.MaxVC) > 2*tab.Diameter() {
 		t.Errorf("valiant used %d hops > 2·diameter %d", st.MaxVC, 2*tab.Diameter())
@@ -169,7 +169,7 @@ func TestUGALPrefersMinimalWhenUncongested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.05, 10) // very light load
 	frac := float64(st.ValiantTaken) / float64(st.Delivered)
 	if frac > 0.2 {
@@ -185,7 +185,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	low := nw.RunLoad(pattern, 0.1, 40)
 	high := nw.RunLoad(pattern, 0.7, 40)
 	if high.MeanLatency <= low.MeanLatency {
@@ -197,7 +197,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 func TestRunLoadDeterministicPerSeed(t *testing.T) {
 	inst := topo.MustSlimFly(5)
 	tab := routing.NewTable(inst.G)
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
 	mk := func() Stats {
 		cfg := Config{Topo: inst.G, Concentration: 2, Seed: 42}
 		nw, _ := New(cfg, tab)
@@ -251,7 +251,7 @@ func TestRunLoadInvalidLoadPanics(t *testing.T) {
 					t.Errorf("expected panic for load %v", load)
 				}
 			}()
-			nw.RunLoad(func(int, *rand.Rand) int { return 0 }, load, 1)
+			nw.RunLoad(func(int, int64, *rand.Rand) int { return 0 }, load, 1)
 		}()
 	}
 }

@@ -28,7 +28,7 @@ const (
 )
 
 func uniformPattern(nep int) PatternFunc {
-	return func(src int, rng *rand.Rand) int { return rng.Intn(nep) }
+	return func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 }
 
 // streamMemoryGrowth bounds how much the class-1 working set may grow

@@ -102,7 +102,7 @@ func TestRunLoadPatternSkips(t *testing.T) {
 	cfg := Config{Concentration: 2, Seed: 3} // endpoints 0..3
 	nw := mustNet(t, g, cfg)
 	const msgs = 5
-	pattern := func(src int, rng *rand.Rand) int {
+	pattern := func(src int, _ int64, rng *rand.Rand) int {
 		switch src {
 		case 0:
 			return 0 // fixed point: self-send
@@ -286,7 +286,7 @@ func TestRunLoadStreamBacklogBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	nep := nw.Endpoints()
-	pattern := func(src int, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	const msgs = 40
 	st := nw.RunLoad(pattern, 0.2, msgs)
 	if st.Delivered == 0 {

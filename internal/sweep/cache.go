@@ -130,11 +130,7 @@ func (g *Grid) sharedKeyHeader() string {
 	if len(g.Tenants.Specs) > 0 {
 		fmt.Fprintf(&b, "tenants=%s:%d\n", g.Tenants.Policy, g.Tenants.Seed)
 		for _, sp := range g.Tenants.Specs {
-			if sp.Motif != nil {
-				fmt.Fprintf(&b, "tenant=%s:motif:%s:%d:%v\n", sp.Name, motifDigest(sp.Motif), sp.Ranks, sp.Load)
-			} else {
-				fmt.Fprintf(&b, "tenant=%s:%s:%d:%v\n", sp.Name, sp.Pattern, sp.Ranks, sp.Load)
-			}
+			fmt.Fprintf(&b, "tenant=%s:%s:%d:%v\n", sp.Name, sp.Pattern, sp.Ranks, sp.Load)
 		}
 	}
 	return b.String()

@@ -241,10 +241,11 @@ type Grid struct {
 	Ranks       int
 	MsgsPerRank int
 	// ShiftPeriod and ShiftPatterns make every Load cell's workload
-	// time-varying (simnet's RunLoadTimed): the traffic rotates through
-	// ShiftPatterns every ShiftPeriod cycles, and the Patterns axis'
-	// value is ignored by the simulation (it still labels cells). Zero
-	// means the usual static patterns.
+	// time-varying (a simnet.PatternFunc that reads the injection
+	// cycle): the traffic rotates through ShiftPatterns every
+	// ShiftPeriod cycles, and the Patterns axis' value is ignored by
+	// the simulation (it still labels cells). Zero means the usual
+	// static patterns.
 	ShiftPeriod   int64
 	ShiftPatterns []traffic.Pattern
 	// LatencyFactor and Tol parameterize saturation cells.
@@ -395,6 +396,9 @@ func (g *Grid) validate() error {
 		if !(f.Fraction > 0 && f.Fraction <= 1) {
 			return fmt.Errorf("sweep: fault fraction %v out of (0,1] (an intact baseline is the OmitIntact=false cells' job)", f.Fraction)
 		}
+		if err := (fault.Plan{Kind: f.Kind, Fraction: f.Fraction}).Validate(); err != nil {
+			return fmt.Errorf("sweep: fault axis: %w", err)
+		}
 	}
 	if len(g.Schedules) > 0 && g.Measure != MeasureLoad {
 		return fmt.Errorf("sweep: schedule axis requires MeasureLoad (motif runs have no global clock; saturation would replay the schedule per probe)")
@@ -408,6 +412,13 @@ func (g *Grid) validate() error {
 			return fmt.Errorf("sweep: duplicate schedule axis name %q", s.Name)
 		}
 		seen[s.Name] = true
+	}
+	for _, ps := range [][]traffic.Pattern{g.Patterns, g.ShiftPatterns} {
+		for _, p := range ps {
+			if !p.Valid() {
+				return fmt.Errorf("sweep: unknown traffic pattern %d", int(p))
+			}
+		}
 	}
 	if g.ShiftPeriod > 0 {
 		if g.Measure != MeasureLoad {
@@ -611,7 +622,7 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 	switch g.Measure {
 	case MeasureSaturation:
 		nep := nw.Endpoints()
-		uniform := func(_ int, rng *rand.Rand) int { return rng.Intn(nep) }
+		uniform := func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 		return st, nw.SaturationLoad(uniform, g.MsgsPerRank, g.LatencyFactor, g.Tol), nil
 	case MeasureMotif:
 		if err := traffic.Validate(c.Motif, g.Ranks); err != nil {
@@ -624,6 +635,9 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 		st, err = nw.RunBatches(traffic.MapRounds(c.Motif, mp))
 		return st, 0, err
 	}
+	// A Load cell's workload — tenants, shifting or one mapped
+	// pattern — resolves to one PatternFunc for one RunLoad.
+	var pattern simnet.PatternFunc
 	if pt.tenants != nil {
 		tc, err := pt.tenants.Config(c.Load)
 		if err == nil {
@@ -632,22 +646,25 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 		if err != nil {
 			return st, 0, err
 		}
-		return nw.RunLoad(pt.tenants.Pattern(), c.Load, g.MsgsPerRank), 0, nil
-	}
-	mp, err := r.Mapping(g.Ranks, nw.Endpoints(), g.Seed)
-	if err != nil {
-		return st, 0, err
-	}
-	if g.ShiftPeriod > 0 {
-		funcs := make([]simnet.PatternFunc, len(g.ShiftPatterns))
-		for i, p := range g.ShiftPatterns {
-			funcs[i] = mp.PatternEndpoints(p, g.Ranks)
+		pattern = pt.tenants.Pattern()
+	} else {
+		mp, err := r.Mapping(g.Ranks, nw.Endpoints(), g.Seed)
+		if err != nil {
+			return st, 0, err
 		}
-		return nw.RunLoadTimed(func(srcEP int, now int64, rng *rand.Rand) int {
-			return funcs[int(now/g.ShiftPeriod)%len(funcs)](srcEP, rng)
-		}, c.Load, g.MsgsPerRank), 0, nil
+		if g.ShiftPeriod > 0 {
+			funcs := make([]simnet.PatternFunc, len(g.ShiftPatterns))
+			for i, p := range g.ShiftPatterns {
+				funcs[i] = mp.PatternEndpoints(p, g.Ranks)
+			}
+			pattern = func(srcEP int, now int64, rng *rand.Rand) int {
+				return funcs[int(now/g.ShiftPeriod)%len(funcs)](srcEP, now, rng)
+			}
+		} else {
+			pattern = mp.PatternEndpoints(c.Pattern, g.Ranks)
+		}
 	}
-	return nw.RunLoad(mp.PatternEndpoints(c.Pattern, g.Ranks), c.Load, g.MsgsPerRank), 0, nil
+	return nw.RunLoad(pattern, c.Load, g.MsgsPerRank), 0, nil
 }
 
 // Run executes the grid and streams one Result per cell, in the order

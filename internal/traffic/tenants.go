@@ -12,12 +12,12 @@ import (
 )
 
 // Multi-tenant workloads: a Tenants value describes several
-// co-scheduled jobs — each a synthetic pattern or a motif over its own
-// rank space — placed on disjoint endpoint sets by a placement policy.
+// co-scheduled jobs — each a synthetic pattern over its own rank
+// space — placed on disjoint endpoint sets by a placement policy.
 // Place materializes the allocation for a concrete topology; the
 // resulting Assignment translates to the simulator's combined pattern
-// function, per-tenant load table (simnet.TenantConfig) and merged
-// motif rounds. See DESIGN.md §12.
+// function and per-tenant load table (simnet.TenantConfig). See
+// DESIGN.md §12.
 
 // PlacementPolicy selects how tenants' endpoint allocations are carved
 // out of the machine.
@@ -73,11 +73,8 @@ type TenantSpec struct {
 	// Name labels the tenant in reports ("victim", "aggressor", ...).
 	Name string
 	// Pattern is the tenant's synthetic workload over its own rank
-	// space (used by the streaming RunLoad path).
+	// space.
 	Pattern Pattern
-	// Motif, when non-nil, makes this a motif job contributing rounds
-	// to Assignment.Rounds instead of streamed pattern traffic.
-	Motif Motif
 	// Ranks is the tenant's job size in ranks (= endpoints allocated).
 	Ranks int
 	// Load is the tenant's offered load as a fraction of endpoint
@@ -121,7 +118,10 @@ func (ts Tenants) Validate(totalEP int) error {
 		if sp.Ranks <= 0 {
 			return fmt.Errorf("traffic: tenant %d (%s) has %d ranks", i, sp.Name, sp.Ranks)
 		}
-		if sp.Motif == nil && sp.Pattern != Random && !PowerOfTwo(sp.Ranks) {
+		if !sp.Pattern.Valid() {
+			return fmt.Errorf("traffic: tenant %d (%s) has unknown pattern %d", i, sp.Name, int(sp.Pattern))
+		}
+		if sp.Pattern != Random && !PowerOfTwo(sp.Ranks) {
 			return fmt.Errorf("traffic: tenant %d (%s) pattern %s needs a power-of-two rank count, got %d", i, sp.Name, sp.Pattern, sp.Ranks)
 		}
 		if !(sp.Load >= 0 && sp.Load <= 1) {
@@ -252,12 +252,11 @@ func (ts Tenants) Place(g *graph.Graph, concentration int) (*Assignment, error) 
 // Pattern returns the combined simnet.PatternFunc of the tenant set:
 // each source endpoint draws a destination rank from its own tenant's
 // pattern over that tenant's rank space and sends to the endpoint
-// holding it; endpoints no tenant owns — and endpoints of motif
-// tenants, whose traffic goes through Rounds — emit nothing (-1).
+// holding it; endpoints no tenant owns emit nothing (-1).
 func (a *Assignment) Pattern() simnet.PatternFunc {
-	return func(srcEP int, rng *rand.Rand) int {
+	return func(srcEP int, _ int64, rng *rand.Rand) int {
 		t := a.OfEP[srcEP]
-		if t < 0 || a.Specs[t].Motif != nil {
+		if t < 0 {
 			return -1
 		}
 		eps := a.EPOf[t]
@@ -282,31 +281,4 @@ func (a *Assignment) Config(defaultLoad float64) (*simnet.TenantConfig, error) {
 		loads[t] = l
 	}
 	return &simnet.TenantConfig{OfEP: a.OfEP, Load: loads}, nil
-}
-
-// Rounds merges the motif tenants' communication rounds into one
-// batch schedule: round i is the concatenation, in tenant order, of
-// every motif tenant's round i mapped onto its endpoint allocation
-// (shorter motifs simply finish early). Pattern tenants contribute
-// nothing here — their traffic streams through Pattern.
-func (a *Assignment) Rounds() [][]simnet.Message {
-	var out [][]simnet.Message
-	for t, sp := range a.Specs {
-		if sp.Motif == nil {
-			continue
-		}
-		eps := a.EPOf[t]
-		for i, round := range sp.Motif.Rounds() {
-			for len(out) <= i {
-				out = append(out, nil)
-			}
-			for _, m := range round {
-				if int(m[0]) >= len(eps) || int(m[1]) >= len(eps) || m[0] < 0 || m[1] < 0 {
-					continue // rank outside the tenant's job size
-				}
-				out[i] = append(out[i], simnet.Message{SrcEP: int(eps[m[0]]), DstEP: int(eps[m[1]])})
-			}
-		}
-	}
-	return out
 }

@@ -103,7 +103,7 @@ func TestTenantPatternStaysInTenant(t *testing.T) {
 	owned := 0
 	for ep := 0; ep < 32; ep++ {
 		for i := 0; i < 20; i++ {
-			dst := pat(ep, rng)
+			dst := pat(ep, 0, rng)
 			src := a.OfEP[ep]
 			if src < 0 {
 				if dst != -1 {
@@ -154,38 +154,5 @@ func TestTenantLoadRejectsNaN(t *testing.T) {
 	}
 	if _, err := a.Config(math.NaN()); err == nil {
 		t.Error("Config accepted a NaN default load")
-	}
-}
-
-func TestTenantMotifRounds(t *testing.T) {
-	g := ringGraph(16)
-	ts := Tenants{
-		Specs: []TenantSpec{
-			{Name: "fft", Motif: FFT{NX: 2, NY: 2, NZ: 2, Iters: 1}, Ranks: 8},
-			{Name: "bg", Pattern: Random, Ranks: 8, Load: 0.1},
-		},
-		Policy: PlaceSequential,
-		Seed:   3,
-	}
-	a, err := ts.Place(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := a.Rounds()
-	if len(rounds) == 0 {
-		t.Fatal("motif tenant produced no rounds")
-	}
-	for _, round := range rounds {
-		for _, m := range round {
-			if a.OfEP[m.SrcEP] != 0 || a.OfEP[m.DstEP] != 0 {
-				t.Fatalf("motif message %v escaped tenant 0", m)
-			}
-		}
-	}
-	// The pattern path must skip the motif tenant's endpoints.
-	pat := a.Pattern()
-	rng := rand.New(rand.NewSource(1))
-	if dst := pat(int(a.EPOf[0][0]), rng); dst != -1 {
-		t.Errorf("motif tenant's endpoint streamed pattern traffic to %d", dst)
 	}
 }

@@ -81,6 +81,11 @@ func (p *Pattern) UnmarshalText(text []byte) error {
 // SyntheticPatterns lists the four patterns evaluated in Figure 6.
 var SyntheticPatterns = []Pattern{Random, BitShuffle, BitReverse, Transpose}
 
+// Valid reports whether p is one of the named patterns (Random through
+// BitComplement). Dest panics on any other value, so every entry that
+// accepts a Pattern from a caller checks it first.
+func (p Pattern) Valid() bool { return p >= Random && p <= BitComplement }
+
 // Dest returns the destination rank for a message from src under the
 // pattern, over a rank space of size ranks (a power of two for the bit
 // patterns). Random consults rng; the others are deterministic
@@ -162,7 +167,7 @@ func (m Mapping) Ranks() int { return len(m.EPOf) }
 // source endpoints outside the job emit no traffic (-1). It is the
 // single translation used by both the sweep engine and the façade.
 func (m Mapping) PatternEndpoints(p Pattern, ranks int) simnet.PatternFunc {
-	return func(srcEP int, rng *rand.Rand) int {
+	return func(srcEP int, _ int64, rng *rand.Rand) int {
 		r := m.RankOf[srcEP]
 		if r < 0 {
 			return -1

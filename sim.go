@@ -146,7 +146,7 @@ func checkLoad(load float64) error {
 
 func runUniform(nw *simnet.Network, load float64, msgsPerEP int) SimStats {
 	nep := nw.Endpoints()
-	return nw.RunLoad(func(src int, rng *rand.Rand) int {
+	return nw.RunLoad(func(_ int, _ int64, rng *rand.Rand) int {
 		return rng.Intn(nep)
 	}, load, msgsPerEP)
 }
@@ -157,7 +157,7 @@ func runUniform(nw *simnet.Network, load float64, msgsPerEP int) SimStats {
 // observation.
 func (s *Sim) SaturationLoad(msgsPerEP int, latencyFactor float64) float64 {
 	nep := s.nw.Endpoints()
-	return s.nw.SaturationLoad(func(src int, rng *rand.Rand) int {
+	return s.nw.SaturationLoad(func(_ int, _ int64, rng *rand.Rand) int {
 		return rng.Intn(nep)
 	}, msgsPerEP, latencyFactor, 0)
 }
@@ -170,7 +170,7 @@ func (s *Sim) RunPattern(pat traffic.Pattern, ranks int, load float64, msgsPerRa
 	if err := checkLoad(load); err != nil {
 		return SimStats{}, err
 	}
-	if pat < PatternRandom || pat > PatternComplement {
+	if !pat.Valid() {
 		return SimStats{}, fmt.Errorf("spectralfly: unknown traffic pattern %d", int(pat))
 	}
 	mp, err := traffic.NewMapping(ranks, s.nw.Endpoints(), s.cfg.Seed)

@@ -219,15 +219,19 @@ func PlanRegionOutage(fraction float64, regionSize int, seed int64) FaultPlan {
 //
 // Degrade composes: applying a plan to an already-degraded network
 // stacks the damage, merging the new plan's dead routers with the ones
-// already down rather than forgetting them.
-func (n *Network) Degrade(p FaultPlan) *Network {
+// already down rather than forgetting them. A plan with an unknown
+// kind or a fraction outside [0, 1] is an error.
+func (n *Network) Degrade(p FaultPlan) (*Network, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	out := p.Apply(n.G)
 	return &Network{
 		Name:          n.Name + "-degraded",
 		G:             n.G.RemoveEdges(out.Removed),
 		failedRouters: mergeFailed(n.failedRouters, out.DeadRouters),
 		degraded:      true,
-	}
+	}, nil
 }
 
 // mergeFailed unions two dead-router masks; either may be nil (no

@@ -18,6 +18,15 @@ func mustSimulate(t *testing.T, n *Network, cfg SimConfig) *Sim {
 	return sim
 }
 
+func mustDegrade(t *testing.T, n *Network, p FaultPlan) *Network {
+	t.Helper()
+	d, err := n.Degrade(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func mustRunUniform(tb testing.TB, s *Sim, load float64, msgsPerEP int) SimStats {
 	tb.Helper()
 	st, err := s.RunUniform(load, msgsPerEP)
@@ -100,6 +109,21 @@ func TestPublicAPIFailEdgesRejectsBadFraction(t *testing.T) {
 	}
 }
 
+// TestPublicAPIDegradeRejectsBadPlan pins an error, not a panic, for
+// a fault plan of unknown kind or with a fraction outside [0, 1].
+func TestPublicAPIDegradeRejectsBadPlan(t *testing.T) {
+	net, _ := LPS(11, 7)
+	for _, p := range []FaultPlan{
+		PlanRandomLinks(1.5, 1),
+		PlanRandomRouters(math.NaN(), 1),
+		{Kind: 7, Fraction: 0.1},
+	} {
+		if hurt, err := net.Degrade(p); err == nil || hurt != nil {
+			t.Errorf("plan %v: got (%v, %v), want an error", p, hurt, err)
+		}
+	}
+}
+
 func TestPublicAPIFailEdges(t *testing.T) {
 	net, _ := LPS(11, 7)
 	failed, err := net.FailEdges(0.2, 3)
@@ -134,7 +158,7 @@ func TestPublicAPIDegrade(t *testing.T) {
 
 	// Link cuts: structure degrades but (while connected) no traffic is
 	// lost; latency is paid in extra hops.
-	links := net.Degrade(PlanRandomLinks(0.15, 3))
+	links := mustDegrade(t, net, PlanRandomLinks(0.15, 3))
 	if links.G.M() >= net.G.M() || links.G.N() != net.G.N() {
 		t.Fatalf("link plan: m=%d n=%d", links.G.M(), links.G.N())
 	}
@@ -151,7 +175,7 @@ func TestPublicAPIDegrade(t *testing.T) {
 
 	// Router kills: the orphaned endpoints' traffic must be dropped and
 	// accounted, and the delivered fraction lands near (1-f)^2.
-	routers := net.Degrade(PlanRandomRouters(0.2, 4))
+	routers := mustDegrade(t, net, PlanRandomRouters(0.2, 4))
 	rst := mustRunUniform(t, mustSimulate(t, routers, SimConfig{Concentration: 2, Seed: 9}), 0.3, 5)
 	if rst.Dropped == 0 {
 		t.Fatal("router kills lost no traffic")
@@ -161,7 +185,7 @@ func TestPublicAPIDegrade(t *testing.T) {
 	}
 
 	// Region outages behave like correlated router kills.
-	regions := net.Degrade(PlanRegionOutage(0.25, 8, 5))
+	regions := mustDegrade(t, net, PlanRegionOutage(0.25, 8, 5))
 	gst := mustRunUniform(t, mustSimulate(t, regions, SimConfig{Concentration: 2, Seed: 9}), 0.3, 5)
 	if gst.Dropped == 0 {
 		t.Fatal("region outage lost no traffic")

@@ -271,10 +271,9 @@ func (s *Sweep) Schedules(axes ...ScheduleAxis) *Sweep {
 }
 
 // TenantSpec describes one co-scheduled job of a multi-tenant sweep:
-// a name for reports, a synthetic Pattern (or a Motif), its size in
-// Ranks, and its offered Load — 0 defers to the cell's Loads-axis
-// value, which is how an aggressor sweeps load while a victim stays
-// pinned.
+// a name for reports, a synthetic Pattern, its size in Ranks, and its
+// offered Load — 0 defers to the cell's Loads-axis value, which is how
+// an aggressor sweeps load while a victim stays pinned.
 type TenantSpec = traffic.TenantSpec
 
 // Tenants declares a multi-tenant workload for every load cell: the

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/traffic"
 )
 
 func testSweep() *Sweep {
@@ -236,12 +238,12 @@ func TestSweepErrors(t *testing.T) {
 		t.Error("bad spec did not surface at Collect")
 	}
 	net, _ := LPS(11, 7)
-	degraded := net.Degrade(PlanRandomRouters(0.1, 1))
+	degraded := mustDegrade(t, net, PlanRandomRouters(0.1, 1))
 	if _, err := NewSweep().Networks(degraded).Loads(0.3).Collect(context.Background()); err == nil {
 		t.Error("degraded network accepted as a sweep topology")
 	}
 	// Pure link damage leaves failedRouters nil but must be rejected too.
-	linkHurt := net.Degrade(PlanRandomLinks(0.1, 1))
+	linkHurt := mustDegrade(t, net, PlanRandomLinks(0.1, 1))
 	if _, err := NewSweep().Networks(linkHurt).Loads(0.3).Collect(context.Background()); err == nil {
 		t.Error("link-degraded network accepted as a sweep topology")
 	}
@@ -264,6 +266,28 @@ func TestSweepErrors(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("re-running a sweep changed its results")
+	}
+}
+
+// TestSweepRejectsUnknownKinds pins an error, not a panic, for a
+// traffic pattern or fault kind outside the named ones on any axis
+// that takes one. Parallel(2) puts the cells on worker goroutines,
+// where a panic would take the process down.
+func TestSweepRejectsUnknownKinds(t *testing.T) {
+	base := func() *Sweep {
+		return NewSweep("lps(11,7)").Concentration(2).Loads(0.3).Ranks(64).MsgsPerRank(2).Parallel(2)
+	}
+	for name, sw := range map[string]*Sweep{
+		"pattern axis":   base().Patterns(traffic.Pattern(9)),
+		"shift traffic":  base().ShiftTraffic(500, traffic.Pattern(9), PatternRandom),
+		"tenant pattern": base().Tenants("sequential", TenantSpec{Name: "t", Pattern: 9, Ranks: 32}),
+		"fault kind":     base().Faults(FaultAxis{Kind: 7, Fraction: 0.1}),
+		"churn kind": base().Schedules(ScheduleAxis{Name: "bad-churn", Kind: 7, Fraction: 0.1,
+			Period: 1000, Outage: 100}),
+	} {
+		if _, err := sw.Collect(context.Background()); err == nil {
+			t.Errorf("%s: sweep ran, want an error", name)
+		}
 	}
 }
 
