@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,6 +15,19 @@ func TestSplitSpecs(t *testing.T) {
 	}
 	if got := splitSpecs("sf(9)"); !reflect.DeepEqual(got, []string{"sf(9)"}) {
 		t.Errorf("single spec: %q", got)
+	}
+}
+
+// TestSweepSpecOmitsWorkers: the shard count is a per-process knob, so
+// the wire spec a coordinator hands to submit workers must not carry
+// it — each worker applies its own -workers.
+func TestSweepSpecOmitsWorkers(t *testing.T) {
+	b, err := json.Marshal(specFromFlags(cliFlags{topos: "lps(11,7)", workers: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), `"workers"`) {
+		t.Errorf("wire spec carries the shard count: %s", b)
 	}
 }
 

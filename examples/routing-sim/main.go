@@ -24,28 +24,25 @@ func main() {
 	msgs := flag.Int("msgs", 40, "messages per rank")
 	flag.Parse()
 
-	var net *spectralfly.Network
-	var conc int
-	var err error
-	switch *topoName {
-	case "lps":
-		net, err = spectralfly.LPS(11, 7)
-		conc = 4
-	case "sf":
-		net, err = spectralfly.SlimFly(9)
-		conc = 4
-	case "bf":
-		net, err = spectralfly.BundleFly(13, 3)
-		conc = 3
-	case "df":
-		net, err = spectralfly.DragonFlyCustom(8, 4, 33)
-		conc = 4
-	default:
+	// The Quick-scale §VI-B instance of each family and its endpoint
+	// concentration.
+	preset, ok := map[string]struct {
+		spec string
+		conc int
+	}{
+		"lps": {"lps(11,7)", 4},
+		"sf":  {"sf(9)", 4},
+		"bf":  {"bf(13,3)", 3},
+		"df":  {"dfc(8,4,33)", 4},
+	}[*topoName]
+	if !ok {
 		log.Fatalf("unknown topology %q", *topoName)
 	}
+	net, err := spectralfly.BuildSpec(preset.spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	conc := preset.conc
 
 	var pat traffic.Pattern
 	switch *patName {

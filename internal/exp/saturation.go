@@ -34,12 +34,10 @@ func Saturation(scale Scale, opts SimOptions) ([]SaturationRow, error) {
 		msgs = 40 // long enough for queues to reach steady state
 	}
 	g := &sweep.Grid{
-		Instances:     instances,
-		Measure:       sweep.MeasureSaturation,
-		MsgsPerRank:   msgs,
-		LatencyFactor: 3,
-		Tol:           0.02,
-		Seed:          opts.Seed,
+		Instances:   instances,
+		Measure:     sweep.MeasureSaturation,
+		MsgsPerRank: msgs,
+		Seed:        opts.Seed,
 		Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
 			return fmt.Sprintf("saturation/%s", c.Topology)
 		}},

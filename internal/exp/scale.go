@@ -97,37 +97,30 @@ func (o ScaleOptions) withDefaults(scale Scale) ScaleOptions {
 // at Quick scale small stand-ins with the identical code path, so CI
 // exercises the driver in seconds.
 func scaleInstances(scale Scale, opts ScaleOptions) ([]sweep.Instance, error) {
-	var specs []topo.ClassSpec
-	if scale == Full {
-		rungs := opts.Rungs
-		if rungs == nil {
-			for i := range topo.TableIIScaleSpecs {
-				rungs = append(rungs, i)
-			}
-		}
-		for _, r := range rungs {
-			if r < 0 || r >= len(topo.TableIIScaleSpecs) {
-				return nil, fmt.Errorf("exp: scale rung %d out of range [0,%d)", r, len(topo.TableIIScaleSpecs))
-			}
-			specs = append(specs, topo.TableIIScaleSpecs[r][0], topo.TableIIScaleSpecs[r][1])
-		}
-	} else {
-		specs = []topo.ClassSpec{
-			{Kind: "LPS", P: 11, Q: 7},
-			{Kind: "SF", Q: 9},
+	// Concentration 1: the ladder scales the router count, and the
+	// routing table — not the NIC count — is what the sweep stresses.
+	if scale != Full {
+		return buildInstances([]instanceSpec{
+			{topo.Spec{Kind: "lps", Args: []int64{11, 7}}, 1},
+			{topo.Spec{Kind: "sf", Args: []int64{9}}, 1},
+		})
+	}
+	rungs := opts.Rungs
+	if rungs == nil {
+		for i := range topo.TableIIScaleSpecs {
+			rungs = append(rungs, i)
 		}
 	}
-	out := make([]sweep.Instance, 0, len(specs))
-	for _, s := range specs {
-		inst, err := s.Build()
-		if err != nil {
-			return nil, err
+	var specs []instanceSpec
+	for _, r := range rungs {
+		if r < 0 || r >= len(topo.TableIIScaleSpecs) {
+			return nil, fmt.Errorf("exp: scale rung %d out of range [0,%d)", r, len(topo.TableIIScaleSpecs))
 		}
-		// Concentration 1: the ladder scales the router count, and the
-		// routing table — not the NIC count — is what the sweep stresses.
-		out = append(out, sweep.Instance{Name: inst.Name, Inst: inst, Concentration: 1})
+		for _, s := range topo.TableIIScaleSpecs[r] {
+			specs = append(specs, instanceSpec{s, 1})
+		}
 	}
-	return out, nil
+	return buildInstances(specs)
 }
 
 // ScaleSweep runs the large-n end of Table II: for every selected
@@ -191,12 +184,10 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 
 		// Phase 1: the saturation knee on the intact instance.
 		sat := &sweep.Grid{
-			Instances:     []sweep.Instance{si},
-			Measure:       sweep.MeasureSaturation,
-			MsgsPerRank:   opts.MsgsPerEP,
-			LatencyFactor: 3,
-			Tol:           0.02,
-			Seed:          opts.Seed,
+			Instances:   []sweep.Instance{si},
+			Measure:     sweep.MeasureSaturation,
+			MsgsPerRank: opts.MsgsPerEP,
+			Seed:        opts.Seed,
 			Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
 				return fmt.Sprintf("scale/%s/saturation", c.Topology)
 			}},

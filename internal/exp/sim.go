@@ -20,29 +20,35 @@ import (
 // two and keeps the endpoint counts comparable.) Quick scale uses the
 // same families at class-1 size.
 func SimInstances(scale Scale) ([]sweep.Instance, error) {
-	type specT struct {
-		build func() (*topo.Instance, error)
-		conc  int
+	specs := []instanceSpec{
+		{topo.Spec{Kind: "lps", Args: []int64{11, 7}}, 4},
+		{topo.Spec{Kind: "sf", Args: []int64{9}}, 4},
+		{topo.Spec{Kind: "bf", Args: []int64{13, 3}}, 3},
+		{topo.Spec{Kind: "dfc", Args: []int64{8, 4, 33}}, 4},
 	}
-	var specs []specT
 	if scale == Full {
-		specs = []specT{
-			{func() (*topo.Instance, error) { return topo.LPS(23, 13) }, 8},
-			{func() (*topo.Instance, error) { return topo.SlimFly(27) }, 6},
-			{func() (*topo.Instance, error) { return topo.BundleFly(9, 9) }, 6},
-			{func() (*topo.Instance, error) { return topo.DragonFly(16, 8, 69, topo.Circulant) }, 8},
-		}
-	} else {
-		specs = []specT{
-			{func() (*topo.Instance, error) { return topo.LPS(11, 7) }, 4},
-			{func() (*topo.Instance, error) { return topo.SlimFly(9) }, 4},
-			{func() (*topo.Instance, error) { return topo.BundleFly(13, 3) }, 3},
-			{func() (*topo.Instance, error) { return topo.DragonFly(8, 4, 33, topo.Circulant) }, 4},
+		specs = []instanceSpec{
+			{topo.Spec{Kind: "lps", Args: []int64{23, 13}}, 8},
+			{topo.Spec{Kind: "sf", Args: []int64{27}}, 6},
+			{topo.Spec{Kind: "bf", Args: []int64{9, 9}}, 6},
+			{topo.Spec{Kind: "dfc", Args: []int64{16, 8, 69}}, 8},
 		}
 	}
+	return buildInstances(specs)
+}
+
+// instanceSpec is one topology of an exhibit's instance set: its spec
+// and endpoint concentration.
+type instanceSpec struct {
+	spec topo.Spec
+	conc int
+}
+
+// buildInstances constructs specs, in order, as sweep instances.
+func buildInstances(specs []instanceSpec) ([]sweep.Instance, error) {
 	out := make([]sweep.Instance, 0, len(specs))
 	for _, s := range specs {
-		inst, err := s.build()
+		inst, err := s.spec.Build()
 		if err != nil {
 			return nil, err
 		}

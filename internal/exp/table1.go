@@ -22,14 +22,14 @@ type Table1Row struct {
 // classSpecs lists the instances of the requested Table I size
 // classes (0-4) in class order. Nil classes select 0-1 at Quick scale
 // and all five at Full; a class out of range is an error.
-func classSpecs(classes []int, scale Scale) ([]topo.ClassSpec, error) {
+func classSpecs(classes []int, scale Scale) ([]topo.Spec, error) {
 	if classes == nil {
 		classes = []int{0, 1}
 		if scale == Full {
 			classes = []int{0, 1, 2, 3, 4}
 		}
 	}
-	var specs []topo.ClassSpec
+	var specs []topo.Spec
 	for _, ci := range classes {
 		if ci < 0 || ci >= len(topo.TableISizeClasses) {
 			return nil, fmt.Errorf("exp: size class %d out of range", ci)
@@ -50,7 +50,7 @@ func Table1(classes []int, scale Scale) ([]Table1Row, error) {
 	for _, spec := range specs {
 		inst, err := spec.Build()
 		if err != nil {
-			return nil, fmt.Errorf("exp: building %s: %w", spec.Name(), err)
+			return nil, fmt.Errorf("exp: building %s: %w", spec, err)
 		}
 		g := inst.G
 		k, _ := g.Regularity()

@@ -151,18 +151,26 @@ func (c ChurnSpec) repeats() int {
 	return c.Repeats
 }
 
+// Validate reports an error when the pattern cannot be sampled: a
+// Period that is not positive, an Outage outside (0, Period), or a
+// damage model (Kind, Fraction) that Plan.Validate rejects.
+func (c ChurnSpec) Validate() error {
+	if c.Period <= 0 {
+		return fmt.Errorf("fault: churn period %d must be positive", c.Period)
+	}
+	if c.Outage <= 0 || c.Outage >= c.Period {
+		return fmt.Errorf("fault: churn outage %d must lie in (0, period %d)", c.Outage, c.Period)
+	}
+	return Plan{Kind: c.Kind, Fraction: c.Fraction}.Validate()
+}
+
 // Schedule samples the churn pattern against g. Router and region
 // churn includes every incident link in the Cut (so the repaired
 // routing table routes around the dead routers) and brings the same
-// links back at revival.
+// links back at revival. It returns Validate's error on a malformed
+// pattern.
 func (c ChurnSpec) Schedule(g *graph.Graph) (Schedule, error) {
-	if c.Period <= 0 {
-		return nil, fmt.Errorf("fault: churn period %d must be positive", c.Period)
-	}
-	if c.Outage <= 0 || c.Outage >= c.Period {
-		return nil, fmt.Errorf("fault: churn outage %d must lie in (0, period %d)", c.Outage, c.Period)
-	}
-	if err := (Plan{Kind: c.Kind, Fraction: c.Fraction}).Validate(); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	var s Schedule

@@ -11,48 +11,45 @@ import (
 // This file closes the loop between the §VII machine-room model and
 // the simulator: a placement's per-edge cable lengths become the
 // simulator's per-port wire latencies (5 ns/m of cable ×
-// a cycles-per-ns conversion), so placement quality — QAP heuristic
+// DefaultCyclesPerNs), so placement quality — QAP heuristic
 // vs. FAQ vs. no optimization at all — is measurable in delivered
 // packet latency instead of only in meters of wire. See DESIGN.md §12.
 
 // DefaultCyclesPerNs converts wire propagation delay to simulator
 // cycles. At 1 cycle/ns the 2 m intra-cabinet wire costs
 // 2 × 5 ns/m = 10 cycles — exactly the historical uniform
-// Config.LinkLatency default, so a table derived at the default knob
-// reduces to the uniform model for intra-cabinet links and only
-// stretches the ones the layout actually made longer.
+// Config.LinkLatency default, so a derived table reduces to the
+// uniform model for intra-cabinet links and only stretches the ones
+// the layout actually made longer.
 const DefaultCyclesPerNs = 1.0
 
 // LinkLatencies converts a placement into the simulator's per-port
 // wire-latency table: each topology edge's §VII cable length ×
-// CableDelayNsPerM × cyclesPerNs, rounded to nearest and floored at
-// one cycle (cyclesPerNs <= 0 selects DefaultCyclesPerNs). NIC links
-// stay inside the cabinet, so endpoints see the intra-cabinet wire.
-// WireLength is symmetric, so the table is too — both directions of a
-// cable have its one physical length.
-func LinkLatencies(g *graph.Graph, p *Placement, cyclesPerNs float64) *simnet.LinkLatencies {
-	if cyclesPerNs <= 0 {
-		cyclesPerNs = DefaultCyclesPerNs
-	}
+// CableDelayNsPerM × DefaultCyclesPerNs, rounded to nearest and
+// floored at one cycle. NIC links stay inside the cabinet, so
+// endpoints see the intra-cabinet wire. WireLength is symmetric, so
+// the table is too — both directions of a cable have its one physical
+// length.
+func LinkLatencies(g *graph.Graph, p *Placement) *simnet.LinkLatencies {
 	n := g.N()
 	port := make([][]int64, n)
 	for r := 0; r < n; r++ {
 		nb := g.Neighbors(r)
 		row := make([]int64, len(nb))
 		for i, w := range nb {
-			row[i] = cableCycles(p.WireLength(r, int(w)), cyclesPerNs)
+			row[i] = cableCycles(p.WireLength(r, int(w)))
 		}
 		port[r] = row
 	}
 	return &simnet.LinkLatencies{
 		Port: port,
-		NIC:  cableCycles(IntraCabinetWire, cyclesPerNs),
+		NIC:  cableCycles(IntraCabinetWire),
 	}
 }
 
 // cableCycles converts a cable length to whole simulator cycles.
-func cableCycles(meters, cyclesPerNs float64) int64 {
-	c := int64(math.Round(meters * CableDelayNsPerM * cyclesPerNs))
+func cableCycles(meters float64) int64 {
+	c := int64(math.Round(meters * CableDelayNsPerM * DefaultCyclesPerNs))
 	if c < 1 {
 		c = 1
 	}

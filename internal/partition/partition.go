@@ -24,27 +24,26 @@ type Options struct {
 	Seed int64
 	// Trials is the number of independent multilevel runs (default 8).
 	Trials int
-	// BalanceTol is the allowed imbalance as a fraction of total vertex
-	// weight (default 0.02). The heaviest coarse vertex is always
-	// tolerated to keep refinement feasible.
-	BalanceTol float64
-	// CoarsenTo stops coarsening once the graph is at most this size
-	// (default 48).
-	CoarsenTo int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Trials == 0 {
 		o.Trials = 8
 	}
-	if o.BalanceTol == 0 {
-		o.BalanceTol = 0.02
-	}
-	if o.CoarsenTo == 0 {
-		o.CoarsenTo = 48
-	}
 	return o
 }
+
+const (
+	// balanceTol is the imbalance refinement allows, as a fraction of
+	// total vertex weight. The heaviest coarse vertex is always
+	// tolerated to keep refinement feasible.
+	balanceTol = 0.02
+	// exactTol forces near-exact balance for the final polish at the
+	// finest, unit-weight level: the imbalance clamps to maxVwt = 1.
+	exactTol = 1e-12
+	// coarsenTo stops coarsening once the graph is at most this size.
+	coarsenTo = 48
+)
 
 // Result is a bisection of a graph.
 type Result struct {
@@ -86,9 +85,9 @@ func bisectW(w *wgraph, frac float64, opts Options) ([]uint8, int64) {
 	graph.EachSource(opts.Trials, func() func(int) {
 		return func(t int) {
 			rng := rand.New(rand.NewSource(opts.Seed + int64(t)*7919))
-			side := multilevel(w, rng, opts, frac, bias)
+			side := multilevel(w, rng, frac, bias)
 			exactBalance(w, side, target2)
-			fmRefine(w, side, exactOpts(opts), 3, bias)
+			fmRefine(w, side, exactTol, 3, bias)
 			results[t] = trialOut{side, cutOf(w, side)}
 		}
 	})
@@ -252,11 +251,11 @@ func cutOf(w *wgraph, side []uint8) int64 {
 	return cut
 }
 
-func multilevel(w *wgraph, rng *rand.Rand, opts Options, frac float64, bias int64) []uint8 {
+func multilevel(w *wgraph, rng *rand.Rand, frac float64, bias int64) []uint8 {
 	// Coarsening phase.
 	levels := []*wgraph{w}
 	maps := [][]int32{} // maps[i]: vertex of levels[i] -> vertex of levels[i+1]
-	for levels[len(levels)-1].n() > opts.CoarsenTo {
+	for levels[len(levels)-1].n() > coarsenTo {
 		cur := levels[len(levels)-1]
 		coarse, cmap := coarsen(cur, rng)
 		if coarse.n() >= cur.n()*9/10 {
@@ -272,7 +271,7 @@ func multilevel(w *wgraph, rng *rand.Rand, opts Options, frac float64, bias int6
 	bestCut := int64(1) << 62
 	for attempt := 0; attempt < 6; attempt++ {
 		cand := initialPartition(coarsest, rng, frac)
-		fmRefine(coarsest, cand, opts, 6, bias)
+		fmRefine(coarsest, cand, balanceTol, 6, bias)
 		if c := cutOf(coarsest, cand); c < bestCut {
 			bestCut = c
 			side = cand
@@ -287,7 +286,7 @@ func multilevel(w *wgraph, rng *rand.Rand, opts Options, frac float64, bias int6
 			fineSide[v] = side[cmap[v]]
 		}
 		side = fineSide
-		fmRefine(fine, side, opts, 4, bias)
+		fmRefine(fine, side, balanceTol, 4, bias)
 	}
 	return side
 }
@@ -445,13 +444,6 @@ func initialPartition(w *wgraph, rng *rand.Rand, frac float64) []uint8 {
 	return side
 }
 
-// exactOpts derives options that force near-exact balance (used for the
-// final polish at the finest, unit-weight level).
-func exactOpts(opts Options) Options {
-	opts.BalanceTol = 1e-12 // imbal clamps to maxVwt = 1
-	return opts
-}
-
 // gainEntry is a lazy max-heap element; stale entries (version
 // mismatch) are skipped on pop.
 type gainEntry struct {
@@ -518,15 +510,16 @@ func (h gainHeap) down(i, n int) {
 // fmRefine runs up to maxPasses Fiduccia–Mattheyses passes in place.
 // Each pass tentatively moves boundary vertices in best-gain order
 // (subject to balance) and keeps the best prefix. Candidates live in a
-// lazy max-heap keyed by gain, so passes cost O(moves · log n).
+// lazy max-heap keyed by gain, so passes cost O(moves · log n). tol is
+// the allowed imbalance (balanceTol or exactTol).
 //
 // bias shifts the balance constraint for fractional targets: it is the
 // intended weight lead of side 0 over side 1 (target0 - target1, zero
 // for a bisection), so the skip rule compares each side's deviation
 // from its own target rather than raw weights.
-func fmRefine(w *wgraph, side []uint8, opts Options, maxPasses int, bias int64) {
+func fmRefine(w *wgraph, side []uint8, tol float64, maxPasses int, bias int64) {
 	n := w.n()
-	imbal := int64(float64(w.totW) * opts.BalanceTol)
+	imbal := int64(float64(w.totW) * tol)
 	if imbal < w.maxVwt {
 		imbal = w.maxVwt
 	}

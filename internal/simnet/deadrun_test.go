@@ -66,7 +66,7 @@ func TestSaturationLoadAllRoutersDead(t *testing.T) {
 	nw := allDeadNet(t)
 	nep := nw.Endpoints()
 	pattern := func(srcEP int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
-	if sat := nw.SaturationLoad(pattern, 4, 3, 0.05); sat != 0 {
+	if sat := nw.SaturationLoad(pattern, 4); sat != 0 {
 		t.Fatalf("saturation %v on an all-dead network, want 0", sat)
 	}
 }

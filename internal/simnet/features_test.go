@@ -109,8 +109,8 @@ func TestSaturationLoadOrdering(t *testing.T) {
 	// hot ejection ports saturate around 3× lower load than uniform —
 	// but are NOT already saturated at the 5% baseline.
 	hotspot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints() / 3) }
-	su := nw.SaturationLoad(uniform, 15, 3, 0.05)
-	sh := nw.SaturationLoad(hotspot, 15, 3, 0.05)
+	su := nw.SaturationLoad(uniform, 15)
+	sh := nw.SaturationLoad(hotspot, 15)
 	if su <= 0 || su > 1 || sh <= 0 || sh > 1 {
 		t.Fatalf("saturation loads out of range: %v %v", su, sh)
 	}

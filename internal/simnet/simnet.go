@@ -1020,26 +1020,29 @@ func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Sta
 	return nw.fold()
 }
 
+// The saturation search's knee criterion and bisection resolution: a
+// load saturates once its tail latency exceeds SaturationLatencyFactor
+// × the light-load tail, located to within SaturationTol.
+const (
+	SaturationLatencyFactor float64 = 3
+	SaturationTol           float64 = 0.02
+)
+
 // SaturationLoad estimates the saturation point of the network under a
 // traffic pattern: the largest offered load whose tail (P99) latency
-// stays below latencyFactor × the light-load (5%) tail latency, found
-// by bisection to within tol. §VI-C observes saturation "at or beyond
-// 70% of network capacity" for the studied topologies; this utility
-// lets callers measure that knee directly. The tail statistic is used
-// because over a finite horizon the mean lags the congestion collapse
-// that the paper's max-time metric reflects.
-func (nw *Network) SaturationLoad(pattern PatternFunc, msgsPerEP int, latencyFactor, tol float64) float64 {
-	if latencyFactor <= 1 {
-		latencyFactor = 3
-	}
-	if tol <= 0 {
-		tol = 0.02
-	}
+// stays below SaturationLatencyFactor × the light-load (5%) tail
+// latency, found by bisection to within SaturationTol. §VI-C observes
+// saturation "at or beyond 70% of network capacity" for the studied
+// topologies; this utility lets callers measure that knee directly.
+// The tail statistic is used because over a finite horizon the mean
+// lags the congestion collapse that the paper's max-time metric
+// reflects.
+func (nw *Network) SaturationLoad(pattern PatternFunc, msgsPerEP int) float64 {
 	base := nw.RunLoad(pattern, 0.05, msgsPerEP).P99Latency
 	if base <= 0 {
 		return 0
 	}
-	limit := float64(base) * latencyFactor
+	limit := float64(base) * SaturationLatencyFactor
 	lo, hi := 0.05, 1.0
 	probe := nw.RunLoad(pattern, hi, msgsPerEP)
 	if probe.Delivered == 0 {
@@ -1051,7 +1054,7 @@ func (nw *Network) SaturationLoad(pattern PatternFunc, msgsPerEP int, latencyFac
 	if float64(probe.P99Latency) <= limit {
 		return hi // never saturates in the modeled range
 	}
-	for hi-lo > tol {
+	for hi-lo > SaturationTol {
 		mid := (lo + hi) / 2
 		if float64(nw.RunLoad(pattern, mid, msgsPerEP).P99Latency) <= limit {
 			lo = mid

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/layout"
 	"repro/internal/simnet"
 	"repro/internal/traffic"
 	"repro/internal/version"
@@ -113,7 +114,7 @@ func (g *Grid) sharedKeyHeader() string {
 		version.Stamp(), g.Measure, g.Seed, g.Ranks, g.MsgsPerRank)
 	switch g.Measure {
 	case MeasureSaturation:
-		fmt.Fprintf(&b, "latf=%v\ntol=%v\n", g.LatencyFactor, g.Tol)
+		fmt.Fprintf(&b, "latf=%v\ntol=%v\n", simnet.SaturationLatencyFactor, simnet.SaturationTol)
 	case MeasureLoad:
 		if g.ShiftPeriod > 0 {
 			fmt.Fprintf(&b, "shift=%d", g.ShiftPeriod)
@@ -125,7 +126,7 @@ func (g *Grid) sharedKeyHeader() string {
 	}
 	// The layout and tenant axes append only when active.
 	if g.Layout.enabled() {
-		fmt.Fprintf(&b, "layout=%s:%v:%d\n", g.Layout.Mode, g.Layout.cyclesPerNs(), g.Layout.Seed)
+		fmt.Fprintf(&b, "layout=%s:%v:%d\n", g.Layout.Mode, layout.DefaultCyclesPerNs, g.Layout.Seed)
 	}
 	if len(g.Tenants.Specs) > 0 {
 		fmt.Fprintf(&b, "tenants=%s:%d\n", g.Tenants.Policy, g.Tenants.Seed)
@@ -268,7 +269,7 @@ func (g *Grid) Fingerprint(workers int) (string, error) {
 	for _, p := range g.ShiftPatterns {
 		fmt.Fprintf(h, ":%s", p)
 	}
-	fmt.Fprintf(h, "\nlatf=%v\ntol=%v\n", g.LatencyFactor, g.Tol)
+	h.Write([]byte{'\n'})
 	d := g.deriver()
 	for i := range g.Instances {
 		inst := g.Instances[i]

@@ -307,6 +307,37 @@ func TestContentKeyDiscrimination(t *testing.T) {
 	}
 }
 
+// TestContentKeysPinned pins the exact content-key bytes of one
+// saturation grid and one layout grid under a fixed version stamp. The
+// key headers spell out the saturation criterion and the wire model's
+// cycles-per-ns; printing them any differently would orphan every
+// cached cell of such grids.
+func TestContentKeysPinned(t *testing.T) {
+	old := version.Stamp()
+	version.Override("pinned")
+	defer version.Override(old)
+	sat := &Grid{Instances: testInstances(t)[:1], Measure: MeasureSaturation, MsgsPerRank: 4, Seed: 7}
+	lay := loadGrid(t)
+	lay.Instances = lay.Instances[:1]
+	lay.Layout = Layout{Mode: "sequential", Seed: 11}
+	for _, c := range []struct {
+		name string
+		g    *Grid
+		want string
+	}{
+		{"saturation", sat, "b5c9e6f6a7a0ad452be2e8af1bf0407d9ba7def0dd50c79aff27af57d012c667"},
+		{"layout", lay, "4170340468252294575998b5cdb928e2326df3a75c07d7eabee31c823a36bc6a"},
+	} {
+		keys, err := c.g.ContentKeys(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[0] != c.want {
+			t.Errorf("%s grid: first content key %s, want %s", c.name, keys[0], c.want)
+		}
+	}
+}
+
 // TestFingerprint pins the full-grid identity: stable for identical
 // grids, moved by any axis change, blind to the shard count.
 func TestFingerprint(t *testing.T) {

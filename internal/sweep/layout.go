@@ -12,7 +12,7 @@ import (
 // Layout is the grid-wide wire-model knob: when Mode is set, every
 // cell's simulator runs with a per-port latency table derived from a
 // §VII machine-room placement of its instance — cable length per edge
-// × CableDelayNsPerM × CyclesPerNs — instead of the uniform
+// × CableDelayNsPerM × layout.DefaultCyclesPerNs — instead of the uniform
 // Config.LinkLatency scalar. Placement quality (QAP vs. FAQ vs. none)
 // then shows up in delivered latency, not just meters of wire.
 type Layout struct {
@@ -21,21 +21,11 @@ type Layout struct {
 	// order, no optimization). Empty disables the table entirely, which
 	// keeps every cell byte-identical to the uniform-wire model.
 	Mode string
-	// CyclesPerNs converts cable propagation delay to simulator cycles;
-	// <= 0 selects layout.DefaultCyclesPerNs.
-	CyclesPerNs float64
 	// Seed drives the randomized placement optimizers.
 	Seed int64
 }
 
 func (l Layout) enabled() bool { return l.Mode != "" }
-
-func (l Layout) cyclesPerNs() float64 {
-	if l.CyclesPerNs <= 0 {
-		return layout.DefaultCyclesPerNs
-	}
-	return l.CyclesPerNs
-}
 
 // deriver memoizes the artifacts the Layout and Tenants axes derive
 // per instance for one Run or ContentKeys invocation: the machine-room
@@ -90,7 +80,7 @@ func (d *deriver) latencies(ii int, gr *graph.Graph) (*simnet.LinkLatencies, err
 	if err != nil {
 		return nil, err
 	}
-	t := layout.LinkLatencies(gr, p, d.g.Layout.CyclesPerNs)
+	t := layout.LinkLatencies(gr, p)
 	d.tables[gr] = t
 	return t, nil
 }

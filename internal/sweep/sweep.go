@@ -121,10 +121,8 @@ func (s ScheduleAxis) trials() int {
 	return s.Trials
 }
 
-func (s ScheduleAxis) sample(g *graph.Graph, seed int64) (fault.Schedule, error) {
-	if s.Make != nil {
-		return s.Make(g, seed)
-	}
+// churn is the axis's churn pattern with the given sampling seed.
+func (s ScheduleAxis) churn(seed int64) fault.ChurnSpec {
 	return fault.ChurnSpec{
 		Kind:       s.Kind,
 		Fraction:   s.Fraction,
@@ -133,7 +131,14 @@ func (s ScheduleAxis) sample(g *graph.Graph, seed int64) (fault.Schedule, error)
 		Outage:     s.Outage,
 		Repeats:    s.Repeats,
 		Seed:       seed,
-	}.Schedule(g)
+	}
+}
+
+func (s ScheduleAxis) sample(g *graph.Graph, seed int64) (fault.Schedule, error) {
+	if s.Make != nil {
+		return s.Make(g, seed)
+	}
+	return s.churn(seed).Schedule(g)
 }
 
 // Cell is one point of the expanded grid. Fault is "none" on intact
@@ -248,9 +253,6 @@ type Grid struct {
 	// static patterns.
 	ShiftPeriod   int64
 	ShiftPatterns []traffic.Pattern
-	// LatencyFactor and Tol parameterize saturation cells.
-	LatencyFactor float64
-	Tol           float64
 	// Layout, when its Mode is set, runs every cell with a per-port
 	// wire-latency table derived from a machine-room placement of its
 	// instance (see the Layout type); the zero value keeps the uniform
@@ -412,6 +414,11 @@ func (g *Grid) validate() error {
 			return fmt.Errorf("sweep: duplicate schedule axis name %q", s.Name)
 		}
 		seen[s.Name] = true
+		if s.Make == nil {
+			if err := s.churn(0).Validate(); err != nil {
+				return fmt.Errorf("sweep: schedule axis %q: %w", s.Name, err)
+			}
+		}
 	}
 	for _, ps := range [][]traffic.Pattern{g.Patterns, g.ShiftPatterns} {
 		for _, p := range ps {
@@ -623,7 +630,7 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 	case MeasureSaturation:
 		nep := nw.Endpoints()
 		uniform := func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
-		return st, nw.SaturationLoad(uniform, g.MsgsPerRank, g.LatencyFactor, g.Tol), nil
+		return st, nw.SaturationLoad(uniform, g.MsgsPerRank), nil
 	case MeasureMotif:
 		if err := traffic.Validate(c.Motif, g.Ranks); err != nil {
 			return st, 0, err

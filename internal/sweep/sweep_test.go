@@ -216,12 +216,10 @@ func TestRunMotifMeasure(t *testing.T) {
 // TestRunSaturationMeasure runs a saturation grid end to end.
 func TestRunSaturationMeasure(t *testing.T) {
 	g := &Grid{
-		Instances:     testInstances(t)[:1],
-		Measure:       MeasureSaturation,
-		MsgsPerRank:   4,
-		LatencyFactor: 3,
-		Tol:           0.05,
-		Seed:          7,
+		Instances:   testInstances(t)[:1],
+		Measure:     MeasureSaturation,
+		MsgsPerRank: 4,
+		Seed:        7,
 	}
 	res, err := g.Collect(context.Background(), Options{})
 	if err != nil {
@@ -303,8 +301,7 @@ func TestValidate(t *testing.T) {
 func TestSharedRunnerMemoizes(t *testing.T) {
 	insts := testInstances(t)[:1]
 	r := runner.New(1)
-	sat := &Grid{Instances: insts, Measure: MeasureSaturation, MsgsPerRank: 4,
-		LatencyFactor: 3, Tol: 0.05, Seed: 7}
+	sat := &Grid{Instances: insts, Measure: MeasureSaturation, MsgsPerRank: 4, Seed: 7}
 	var peak int64
 	track := func(b int64) {
 		if b > peak {
@@ -478,11 +475,32 @@ func TestValidateSchedule(t *testing.T) {
 	if err := run(g); err == nil {
 		t.Error("ShiftPeriod without ShiftPatterns validated")
 	}
-	// A bad churn spec surfaces at sample time with the axis name.
+	// A bad churn spec is rejected with the axis name.
 	g = scheduleGrid(t)
 	g.Schedules = []ScheduleAxis{{Name: "bad", Kind: fault.Links, Fraction: 0.1, Period: 10, Outage: 20}}
 	if err := run(g); err == nil {
 		t.Error("unsatisfiable churn timing ran")
+	}
+}
+
+// TestValidateChurnAxisUpFront: a malformed churn axis fails the whole
+// grid before any cell runs — the intact cells ahead of it are not
+// simulated and emitted first.
+func TestValidateChurnAxisUpFront(t *testing.T) {
+	for name, axis := range map[string]ScheduleAxis{
+		"bad kind":       {Kind: 7, Fraction: 0.1, Period: 10, Outage: 5},
+		"outage>=period": {Kind: fault.Links, Fraction: 0.1, Period: 10, Outage: 10},
+		"period 0":       {Kind: fault.Links, Fraction: 0.1, Outage: 5},
+		"NaN fraction":   {Kind: fault.Links, Fraction: math.NaN(), Period: 10, Outage: 5},
+	} {
+		g := scheduleGrid(t)
+		axis.Name = "bad"
+		g.Schedules = []ScheduleAxis{axis}
+		emitted := 0
+		err := g.Run(context.Background(), Options{}, func(Result) error { emitted++; return nil })
+		if err == nil || emitted != 0 {
+			t.Errorf("%s: err %v after %d cells, want an error and no cells", name, err, emitted)
+		}
 	}
 }
 

@@ -3,26 +3,136 @@ package topo
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/numtheory"
+	"repro/internal/pgl"
 )
 
 // LPSInfo reports the algebraic shape of an LPS graph without building
-// it. It aliases the core package's Info; the construction itself (the
-// paper's primary contribution) lives in internal/core.
-type LPSInfo = core.Info
+// it.
+type LPSInfo struct {
+	P, Q     int64
+	Kind     pgl.Kind // PSL when (p|q) = 1, PGL when (p|q) = -1
+	Vertices int64
+	Radix    int
+	// Bipartite is true exactly in the PGL case.
+	Bipartite bool
+	// Ramanujan reports whether q > 2√p, the precondition of Definition 3
+	// under which LPS(p,q) is guaranteed Ramanujan. The paper also uses
+	// instances outside this regime (e.g. LPS(19,7) in Table II), which
+	// are still well-defined Cayley graphs.
+	Ramanujan bool
+}
 
 // LPSParams validates (p, q) and returns the derived parameters of
-// LPS(p, q) per Definition 3. See core.Params.
-func LPSParams(p, q int64) (LPSInfo, error) { return core.Params(p, q) }
+// LPS(p, q) per Definition 3: p, q distinct odd primes. When q > 2√p
+// the graph is guaranteed Ramanujan (LPSInfo.Ramanujan).
+func LPSParams(p, q int64) (LPSInfo, error) {
+	if p == q {
+		return LPSInfo{}, fmt.Errorf("topo: LPS requires distinct primes, got p = q = %d", p)
+	}
+	if p < 3 || !numtheory.IsPrime(p) {
+		return LPSInfo{}, fmt.Errorf("topo: LPS p must be an odd prime, got %d", p)
+	}
+	if q < 3 || !numtheory.IsPrime(q) {
+		return LPSInfo{}, fmt.Errorf("topo: LPS q must be an odd prime, got %d", q)
+	}
+	info := LPSInfo{P: p, Q: q, Radix: int(p + 1), Ramanujan: q*q > 4*p}
+	if numtheory.Legendre(p, q) == 1 {
+		info.Kind = pgl.PSL
+		info.Vertices = (q*q*q - q) / 2
+	} else {
+		info.Kind = pgl.PGL
+		info.Vertices = q*q*q - q
+		info.Bipartite = true
+	}
+	return info, nil
+}
 
-// LPS constructs the LPS(p, q) Ramanujan graph of Definition 3 as a
-// named topology Instance. See core.Build.
+// generatorMatrices returns the p+1 generator matrices of LPS(p, q):
+// for each constrained four-square solution (α0,α1,α2,α3) of p, the
+// matrix
+//
+//	[ α0+α1x+α3y   -α1y+α2+α3x ]
+//	[ -α1y-α2+α3x   α0-α1x-α3y ]
+//
+// over F_q, where (x, y) solves x²+y²+1 ≡ 0 (mod q). Each matrix has
+// determinant ≡ p (mod q) before canonicalization, so in the PSL case
+// ((p|q) = 1) right-multiplication stays inside PSL.
+func generatorMatrices(p, q int64) []pgl.Mat {
+	x, y := numtheory.SolveXY(q)
+	sols := numtheory.LPSGenerators(p)
+	mats := make([]pgl.Mat, len(sols))
+	for i, s := range sols {
+		mats[i] = pgl.NewMat(
+			s.A0+s.A1*x+s.A3*y,
+			-s.A1*y+s.A2+s.A3*x,
+			-s.A1*y-s.A2+s.A3*x,
+			s.A0-s.A1*x-s.A3*y,
+			q,
+		).Canon(q)
+	}
+	return mats
+}
+
+// nondegenerate reports whether the LPS(p,q) generator matrices are
+// pairwise projectively distinct and none is the identity coset, i.e.
+// whether the Cayley graph is simple and exactly (p+1)-regular.
+func nondegenerate(p, q int64) bool {
+	mats := generatorMatrices(p, q)
+	id := pgl.Mat{A: 1, B: 0, C: 0, D: 1}
+	seen := make(map[int64]bool, len(mats))
+	for _, m := range mats {
+		if m == id {
+			return false
+		}
+		k := m.Pack(q)
+		if seen[k] {
+			return false
+		}
+		seen[k] = true
+	}
+	return true
+}
+
+// LPS constructs the LPS(p, q) Ramanujan graph of Definition 3 — the
+// SpectralFly topology, the paper's primary contribution — as a named
+// topology Instance. For distinct odd primes p, q it is the Cayley
+// graph of PSL(2, F_q) (when the Legendre symbol (p|q) = 1) or
+// PGL(2, F_q) (when (p|q) = -1) under the p+1 generators derived from
+// the constrained four-square representations of p: a connected
+// (p+1)-regular graph on (3-(p|q))(q³-q)/4 vertices. When q > 2√p its
+// nontrivial adjacency eigenvalues satisfy |λ| ≤ 2√p, the optimal
+// spectral expansion permitted by the Alon–Boppana bound (§II).
+// Construction fails if the generator set degenerates (possible only
+// far outside the Ramanujan regime).
 func LPS(p, q int64) (*Instance, error) {
-	g, _, err := core.Build(p, q)
+	info, err := LPSParams(p, q)
 	if err != nil {
 		return nil, err
 	}
-	return &Instance{Name: fmt.Sprintf("LPS(%d,%d)", p, q), G: g}, nil
+	group, err := pgl.NewGroup(q, info.Kind)
+	if err != nil {
+		return nil, err
+	}
+	name := fmt.Sprintf("LPS(%d,%d)", p, q)
+	gens := generatorMatrices(p, q)
+	b := graph.NewBuilder(group.Order())
+	for i := 0; i < group.Order(); i++ {
+		u := group.Element(i)
+		for _, s := range gens {
+			j := group.IndexOf(u.Mul(s, q))
+			if j < 0 {
+				return nil, fmt.Errorf("topo: %s generator left the group at element %d", name, i)
+			}
+			b.AddEdge(i, j)
+		}
+	}
+	g := b.Build()
+	if err := checkRegular(g, int(info.Vertices), info.Radix, name); err != nil {
+		return nil, err
+	}
+	return &Instance{Name: name, G: g}, nil
 }
 
 // MustLPS is LPS but panics on error, for known-good parameters.
@@ -35,15 +145,29 @@ func MustLPS(p, q int64) *Instance {
 }
 
 // LPSFeasible enumerates all valid LPS(p, q) parameter pairs with
-// p, q < maxPQ, as plotted in Figure 4 (upper left). See core.Feasible.
+// p, q < maxPQ in the Ramanujan regime (q > 2√p) whose generator sets
+// are nondegenerate — the point set of Figure 4 (upper left). Only the
+// generator sets are materialized; no graphs are built.
 func LPSFeasible(maxPQ int64) []Feasible {
-	points := core.Feasible(maxPQ)
-	out := make([]Feasible, len(points))
-	for i, f := range points {
-		out[i] = Feasible{
-			Name:     fmt.Sprintf("LPS(%d,%d)", f.P, f.Q),
-			Radix:    f.Radix,
-			Vertices: f.Vertices,
+	primes := numtheory.PrimesUpTo(maxPQ - 1)
+	out := []Feasible{} // an empty set renders as [] in JSON, not null
+	for _, p := range primes {
+		if p < 3 {
+			continue
+		}
+		for _, q := range primes {
+			if q < 3 || q == p {
+				continue
+			}
+			info, err := LPSParams(p, q)
+			if err != nil || !info.Ramanujan || !nondegenerate(p, q) {
+				continue
+			}
+			out = append(out, Feasible{
+				Name:     fmt.Sprintf("LPS(%d,%d)", p, q),
+				Radix:    info.Radix,
+				Vertices: info.Vertices,
+			})
 		}
 	}
 	return out

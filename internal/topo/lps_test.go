@@ -1,10 +1,11 @@
 package topo
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/numtheory"
 	"repro/internal/pgl"
 	"repro/internal/spectral"
@@ -76,7 +77,7 @@ func TestLPSParamsGroupSelection(t *testing.T) {
 
 func TestLPSGeneratorMatricesDistinct(t *testing.T) {
 	for _, c := range [][2]int64{{3, 5}, {5, 13}, {11, 7}, {23, 11}} {
-		mats := core.GeneratorMatrices(c[0], c[1])
+		mats := generatorMatrices(c[0], c[1])
 		if int64(len(mats)) != c[0]+1 {
 			t.Errorf("LPS(%d,%d): %d generators, want %d", c[0], c[1], len(mats), c[0]+1)
 		}
@@ -103,7 +104,7 @@ func TestLPSGeneratorSetSymmetric(t *testing.T) {
 	// Cayley graph is undirected.
 	for _, c := range [][2]int64{{3, 5}, {11, 7}, {13, 17}} {
 		q := c[1]
-		mats := core.GeneratorMatrices(c[0], q)
+		mats := generatorMatrices(c[0], q)
 		set := map[int64]bool{}
 		for _, m := range mats {
 			set[m.Pack(q)] = true
@@ -227,5 +228,186 @@ func TestLPSPaperExampleNeighborhood(t *testing.T) {
 	v0 := 0
 	if d := inst.G.Degree(v0); d != 4 {
 		t.Fatalf("degree %d want 4", d)
+	}
+}
+
+func TestBuildSmallestRamanujan(t *testing.T) {
+	inst, err := LPS(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _ := LPSParams(3, 5)
+	if info.Kind != pgl.PGL || info.Vertices != 120 || !info.Bipartite {
+		t.Fatalf("info %+v", info)
+	}
+	sp := spectral.Analyze(inst.G, spectral.Options{Seed: 1})
+	if !sp.IsRamanujan(1e-8) {
+		t.Fatalf("LPS(3,5) not Ramanujan: λ=%v", sp.LambdaG())
+	}
+}
+
+func TestBuildPSLCase(t *testing.T) {
+	inst, err := LPS(13, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := inst.G
+	info, _ := LPSParams(13, 17)
+	if info.Kind != pgl.PSL {
+		t.Fatalf("(13|17) is a square; expected PSL, got %v", info.Kind)
+	}
+	if info.Vertices != (17*17*17-17)/2 || g.N() != int(info.Vertices) {
+		t.Fatalf("vertex count %d", g.N())
+	}
+	if info.Bipartite || g.IsBipartite() {
+		t.Error("PSL-case LPS graphs are non-bipartite")
+	}
+	sp := spectral.Analyze(g, spectral.Options{Seed: 2})
+	if !sp.IsRamanujan(1e-6) {
+		t.Errorf("LPS(13,17) must be Ramanujan: λ=%v bound=%v",
+			sp.LambdaG(), spectral.RamanujanBound(14))
+	}
+}
+
+func TestRamanujanPropertyAcrossInstances(t *testing.T) {
+	// Property: every in-regime instance passes the spectral test.
+	cases := [][2]int64{{3, 7}, {3, 11}, {5, 7}, {5, 11}, {7, 13}, {11, 7}, {13, 7}}
+	for _, c := range cases {
+		info, err := LPSParams(c[0], c[1])
+		if err != nil {
+			t.Fatalf("LPSParams(%v): %v", c, err)
+		}
+		if !info.Ramanujan {
+			continue
+		}
+		inst, err := LPS(c[0], c[1])
+		if err != nil {
+			t.Errorf("LPS(%v): %v", c, err)
+			continue
+		}
+		g := inst.G
+		sp := spectral.Analyze(g, spectral.Options{Seed: 3})
+		if !sp.IsRamanujan(1e-6) {
+			t.Errorf("LPS(%d,%d): λ(G)=%.4f exceeds bound %.4f",
+				c[0], c[1], sp.LambdaG(), spectral.RamanujanBound(int(c[0]+1)))
+		}
+		if info.Bipartite != g.IsBipartite() {
+			t.Errorf("LPS(%d,%d): bipartite flag %v but graph says %v",
+				c[0], c[1], info.Bipartite, g.IsBipartite())
+		}
+	}
+}
+
+func TestGeneratorDeterminant(t *testing.T) {
+	// Pre-canonicalization determinant is p mod q: verify via the raw
+	// matrix (recompute without Canon).
+	p, q := int64(11), int64(7)
+	x, y := numtheory.SolveXY(q)
+	for _, s := range numtheory.LPSGenerators(p) {
+		m := pgl.NewMat(
+			s.A0+s.A1*x+s.A3*y,
+			-s.A1*y+s.A2+s.A3*x,
+			-s.A1*y-s.A2+s.A3*x,
+			s.A0-s.A1*x-s.A3*y,
+			q,
+		)
+		if m.Det(q) != p%q {
+			t.Fatalf("raw generator det %d want %d", m.Det(q), p%q)
+		}
+	}
+}
+
+func TestNondegenerate(t *testing.T) {
+	if !nondegenerate(11, 7) {
+		t.Error("LPS(11,7) generators must be nondegenerate")
+	}
+	if !nondegenerate(3, 5) {
+		t.Error("LPS(3,5) generators must be nondegenerate")
+	}
+}
+
+func TestFeasibleMatchesParams(t *testing.T) {
+	f := func(idx uint8) bool {
+		points := LPSFeasible(60)
+		if len(points) == 0 {
+			return false
+		}
+		pt := points[int(idx)%len(points)]
+		var p, q int64
+		if _, err := fmt.Sscanf(pt.Name, "LPS(%d,%d)", &p, &q); err != nil {
+			return false
+		}
+		info, err := LPSParams(p, q)
+		if err != nil {
+			return false
+		}
+		return info.Radix == pt.Radix && info.Vertices == pt.Vertices && info.Ramanujan
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestVertexCountFormula(t *testing.T) {
+	// n = (3 - (p|q))(q³-q)/4 from §IV.
+	for _, c := range [][2]int64{{11, 7}, {23, 11}, {3, 5}, {19, 7}} {
+		info, err := LPSParams(c[0], c[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		leg := int64(numtheory.Legendre(c[0], c[1]))
+		want := (3 - leg) * (c[1]*c[1]*c[1] - c[1]) / 4
+		if info.Vertices != want {
+			t.Errorf("LPS(%d,%d): n=%d formula=%d", c[0], c[1], info.Vertices, want)
+		}
+	}
+}
+
+func TestCayleyAutomorphismVertexTransitivity(t *testing.T) {
+	// Left multiplication by any group element g (u ↦ g·u) is a graph
+	// automorphism of a Cayley graph: edges {u, u·s} map to
+	// {g·u, (g·u)·s}. Verify directly for LPS(3,5): pick several g and
+	// check edge preservation — this certifies vertex-transitivity,
+	// which the paper leans on for routing simplifications (§III).
+	p, q := int64(3), int64(5)
+	inst, err := LPS(p, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grf := inst.G
+	info, _ := LPSParams(p, q)
+	group, err := pgl.NewGroup(q, info.Kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gi := range []int{1, 7, 42, 99} {
+		gm := group.Element(gi)
+		perm := make([]int, group.Order())
+		for u := 0; u < group.Order(); u++ {
+			perm[u] = group.IndexOf(gm.Mul(group.Element(u), q))
+			if perm[u] < 0 {
+				t.Fatalf("left translation left the group at %d", u)
+			}
+		}
+		for _, e := range grf.Edges() {
+			if !grf.HasEdge(perm[e[0]], perm[e[1]]) {
+				t.Fatalf("left multiplication by element %d is not an automorphism: edge %v broke", gi, e)
+			}
+		}
+	}
+}
+
+func TestBuildDiameterAsymptotic(t *testing.T) {
+	// §IV-b: LPS diameter ≈ (4/3)·log_p(n) — sanity check it is within
+	// [log_p(n), 2·(4/3)·log_p(n)] for a mid-size instance.
+	inst, err := LPS(11, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := inst.G.AllPairsStats()
+	logN := math.Log(float64(inst.G.N())) / math.Log(11)
+	if float64(st.Diameter) < logN-1 || float64(st.Diameter) > 3*logN {
+		t.Errorf("diameter %d outside plausible band around (4/3)log_p n = %.2f",
+			st.Diameter, 4.0/3.0*logN)
 	}
 }

@@ -17,14 +17,14 @@ func TestTableIIScaleSpecsBuild(t *testing.T) {
 		for j, spec := range pair {
 			inst, err := spec.Build()
 			if err != nil {
-				t.Fatalf("%s: %v", spec.Name(), err)
+				t.Fatalf("%s: %v", spec, err)
 			}
 			n := inst.G.N()
 			ns[j] = n
 			if _, ok := inst.G.Regularity(); !ok {
-				t.Errorf("%s is not regular", spec.Name())
+				t.Errorf("%s is not regular", spec)
 			}
-			t.Logf("%s: n=%d m=%d", spec.Name(), n, inst.G.M())
+			t.Logf("%s: n=%d m=%d", spec, n, inst.G.M())
 		}
 		if ns[0] < 10000 {
 			t.Errorf("rung %d LPS has %d routers; the ladder starts at ~12K", i, ns[0])

@@ -1,78 +1,37 @@
 package topo
 
-import "fmt"
-
-// ClassSpec identifies one topology instance inside a Table I size
-// class. Exactly one of the parameter groups is used, per Kind.
-type ClassSpec struct {
-	Kind string // "LPS", "SF", "BF", "DF"
-	P, Q int64  // LPS(p,q) or BF(p,s) (s stored in Q)
-	A    int    // DF(a)
-}
-
-// Build constructs the specified instance (canonical DragonFly uses the
-// circulant arrangement, as in §VI-B).
-func (s ClassSpec) Build() (*Instance, error) {
-	switch s.Kind {
-	case "LPS":
-		return LPS(s.P, s.Q)
-	case "SF":
-		return SlimFly(s.Q)
-	case "BF":
-		return BundleFly(s.P, s.Q)
-	case "DF":
-		return CanonicalDragonFly(s.A, Circulant)
-	}
-	return nil, fmt.Errorf("topo: unknown class spec kind %q", s.Kind)
-}
-
-// Name renders the paper's notation for the spec.
-func (s ClassSpec) Name() string {
-	switch s.Kind {
-	case "LPS":
-		return fmt.Sprintf("LPS(%d,%d)", s.P, s.Q)
-	case "SF":
-		return fmt.Sprintf("SF(%d)", s.Q)
-	case "BF":
-		return fmt.Sprintf("BF(%d,%d)", s.P, s.Q)
-	case "DF":
-		return fmt.Sprintf("DF(%d)", s.A)
-	}
-	return "?"
-}
-
 // TableISizeClasses lists the five size classes of Table I, in paper
 // order (LPS, SF, BF, DF within each class).
-var TableISizeClasses = [5][4]ClassSpec{
+var TableISizeClasses = [5][4]Spec{
 	{
-		{Kind: "LPS", P: 11, Q: 7},
-		{Kind: "SF", Q: 7},
-		{Kind: "BF", P: 13, Q: 3},
-		{Kind: "DF", A: 12},
+		{Kind: "lps", Args: []int64{11, 7}},
+		{Kind: "sf", Args: []int64{7}},
+		{Kind: "bf", Args: []int64{13, 3}},
+		{Kind: "df", Args: []int64{12}},
 	},
 	{
-		{Kind: "LPS", P: 23, Q: 11},
-		{Kind: "SF", Q: 17},
-		{Kind: "BF", P: 37, Q: 3},
-		{Kind: "DF", A: 24},
+		{Kind: "lps", Args: []int64{23, 11}},
+		{Kind: "sf", Args: []int64{17}},
+		{Kind: "bf", Args: []int64{37, 3}},
+		{Kind: "df", Args: []int64{24}},
 	},
 	{
-		{Kind: "LPS", P: 53, Q: 17},
-		{Kind: "SF", Q: 37},
-		{Kind: "BF", P: 97, Q: 4},
-		{Kind: "DF", A: 53},
+		{Kind: "lps", Args: []int64{53, 17}},
+		{Kind: "sf", Args: []int64{37}},
+		{Kind: "bf", Args: []int64{97, 4}},
+		{Kind: "df", Args: []int64{53}},
 	},
 	{
-		{Kind: "LPS", P: 71, Q: 17},
-		{Kind: "SF", Q: 47},
-		{Kind: "BF", P: 137, Q: 4},
-		{Kind: "DF", A: 69},
+		{Kind: "lps", Args: []int64{71, 17}},
+		{Kind: "sf", Args: []int64{47}},
+		{Kind: "bf", Args: []int64{137, 4}},
+		{Kind: "df", Args: []int64{69}},
 	},
 	{
-		{Kind: "LPS", P: 89, Q: 19},
-		{Kind: "SF", Q: 59},
-		{Kind: "BF", P: 157, Q: 5},
-		{Kind: "DF", A: 85},
+		{Kind: "lps", Args: []int64{89, 19}},
+		{Kind: "sf", Args: []int64{59}},
+		{Kind: "bf", Args: []int64{157, 5}},
+		{Kind: "df", Args: []int64{85}},
 	},
 }
 
@@ -123,11 +82,11 @@ var TableIPaperValues = [5][4]TableIExpected{
 }
 
 // TableIISpecs lists the SpectralFly/SlimFly pairs of Table II (§VII).
-var TableIISpecs = [4][2]ClassSpec{
-	{{Kind: "LPS", P: 11, Q: 7}, {Kind: "SF", Q: 9}},
-	{{Kind: "LPS", P: 19, Q: 7}, {Kind: "SF", Q: 13}},
-	{{Kind: "LPS", P: 23, Q: 11}, {Kind: "SF", Q: 17}},
-	{{Kind: "LPS", P: 29, Q: 13}, {Kind: "SF", Q: 23}},
+var TableIISpecs = [4][2]Spec{
+	{{Kind: "lps", Args: []int64{11, 7}}, {Kind: "sf", Args: []int64{9}}},
+	{{Kind: "lps", Args: []int64{19, 7}}, {Kind: "sf", Args: []int64{13}}},
+	{{Kind: "lps", Args: []int64{23, 11}}, {Kind: "sf", Args: []int64{17}}},
+	{{Kind: "lps", Args: []int64{29, 13}}, {Kind: "sf", Args: []int64{23}}},
 }
 
 // TableIIScaleSpecs extends the Table II ladder to the sizes the
@@ -137,8 +96,8 @@ var TableIISpecs = [4][2]ClassSpec{
 // routers. A dense n² routing table for the last rung costs ~6.3 GB;
 // these classes exist to exercise the packed/lazy routing oracles,
 // which is what exp.ScaleSweep does with them.
-var TableIIScaleSpecs = [3][2]ClassSpec{
-	{{Kind: "LPS", P: 13, Q: 29}, {Kind: "SF", Q: 79}},  // 12,180 / 12,482 routers
-	{{Kind: "LPS", P: 11, Q: 31}, {Kind: "SF", Q: 109}}, // 29,760 / 23,762 routers
-	{{Kind: "LPS", P: 13, Q: 43}, {Kind: "SF", Q: 139}}, // 39,732 / 38,642 routers
+var TableIIScaleSpecs = [3][2]Spec{
+	{{Kind: "lps", Args: []int64{13, 29}}, {Kind: "sf", Args: []int64{79}}},  // 12,180 / 12,482 routers
+	{{Kind: "lps", Args: []int64{11, 31}}, {Kind: "sf", Args: []int64{109}}}, // 29,760 / 23,762 routers
+	{{Kind: "lps", Args: []int64{13, 43}}, {Kind: "sf", Args: []int64{139}}}, // 39,732 / 38,642 routers
 }

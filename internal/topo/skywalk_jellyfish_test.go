@@ -162,32 +162,30 @@ func TestTableISizeClassShapes(t *testing.T) {
 	for ci, class := range TableISizeClasses {
 		for ti, spec := range class {
 			want := TableIPaperValues[ci][ti]
-			if spec.Name() != want.Name {
-				t.Errorf("class %d slot %d: name %s want %s", ci, ti, spec.Name(), want.Name)
-			}
+			a := spec.Args
 			var n int64
 			var k int
 			switch spec.Kind {
-			case "LPS":
-				info, err := LPSParams(spec.P, spec.Q)
+			case "lps":
+				info, err := LPSParams(a[0], a[1])
 				if err != nil {
 					t.Fatal(err)
 				}
 				n, k = info.Vertices, info.Radix
-			case "SF":
-				info, err := SlimFlyParams(spec.Q)
+			case "sf":
+				info, err := SlimFlyParams(a[0])
 				if err != nil {
 					t.Fatal(err)
 				}
 				n, k = info.Vertices, info.Radix
-			case "BF":
-				info, err := BundleFlyParams(spec.P, spec.Q)
+			case "bf":
+				info, err := BundleFlyParams(a[0], a[1])
 				if err != nil {
 					t.Fatal(err)
 				}
 				n, k = info.Vertices, info.Radix
-			case "DF":
-				info, err := DragonFlyParams(spec.A, 1, spec.A+1)
+			case "df":
+				info, err := DragonFlyParams(int(a[0]), 1, int(a[0])+1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,15 +198,23 @@ func TestTableISizeClassShapes(t *testing.T) {
 	}
 }
 
+// TestClassSpecBuildSmallest builds the two smallest size classes:
+// every instance is connected and carries Table I's notation as its
+// name.
 func TestClassSpecBuildSmallest(t *testing.T) {
-	for _, spec := range TableISizeClasses[0] {
-		inst, err := spec.Build()
-		if err != nil {
-			t.Errorf("%s: %v", spec.Name(), err)
-			continue
-		}
-		if !inst.G.IsConnected() {
-			t.Errorf("%s disconnected", spec.Name())
+	for ci := 0; ci < 2; ci++ {
+		for ti, spec := range TableISizeClasses[ci] {
+			inst, err := spec.Build()
+			if err != nil {
+				t.Errorf("%s: %v", spec, err)
+				continue
+			}
+			if want := TableIPaperValues[ci][ti].Name; inst.Name != want {
+				t.Errorf("%s: name %s want %s", spec, inst.Name, want)
+			}
+			if !inst.G.IsConnected() {
+				t.Errorf("%s disconnected", spec)
+			}
 		}
 	}
 }

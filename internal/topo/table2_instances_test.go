@@ -33,22 +33,27 @@ func TestLPS197OutsideRamanujanRegime(t *testing.T) {
 }
 
 func TestTableIISpecsBuildable(t *testing.T) {
-	// Every Table II instance must build with the expected router count.
-	want := map[string]int{
-		"LPS(11,7)": 168, "SF(9)": 162,
-		"LPS(19,7)": 336, "SF(13)": 338,
-		"LPS(23,11)": 660, "SF(17)": 578,
-		"LPS(29,13)": 1092, "SF(23)": 1058,
+	// Every Table II instance must build under its paper name with the
+	// expected router count.
+	type row struct {
+		name    string
+		routers int
 	}
-	for _, pair := range TableIISpecs {
-		for _, spec := range pair {
+	want := [4][2]row{
+		{{"LPS(11,7)", 168}, {"SF(9)", 162}},
+		{{"LPS(19,7)", 336}, {"SF(13)", 338}},
+		{{"LPS(23,11)", 660}, {"SF(17)", 578}},
+		{{"LPS(29,13)", 1092}, {"SF(23)", 1058}},
+	}
+	for pi, pair := range TableIISpecs {
+		for si, spec := range pair {
 			inst, err := spec.Build()
 			if err != nil {
-				t.Errorf("%s: %v", spec.Name(), err)
+				t.Errorf("%s: %v", spec, err)
 				continue
 			}
-			if inst.G.N() != want[inst.Name] {
-				t.Errorf("%s: %d routers want %d", inst.Name, inst.G.N(), want[inst.Name])
+			if w := want[pi][si]; inst.Name != w.name || inst.G.N() != w.routers {
+				t.Errorf("%s: built %s with %d routers, want %s with %d", spec, inst.Name, inst.G.N(), w.name, w.routers)
 			}
 		}
 	}

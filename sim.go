@@ -152,14 +152,13 @@ func runUniform(nw *simnet.Network, load float64, msgsPerEP int) SimStats {
 }
 
 // SaturationLoad estimates the offered load at which uniform traffic
-// saturates (mean latency exceeding latencyFactor × the light-load
-// baseline), per §VI-C's "at or beyond 70% of network capacity"
+// saturates (tail latency exceeding 3 × the light-load baseline), per §VI-C's "at or beyond 70% of network capacity"
 // observation.
-func (s *Sim) SaturationLoad(msgsPerEP int, latencyFactor float64) float64 {
+func (s *Sim) SaturationLoad(msgsPerEP int) float64 {
 	nep := s.nw.Endpoints()
 	return s.nw.SaturationLoad(func(_ int, _ int64, rng *rand.Rand) int {
 		return rng.Intn(nep)
-	}, msgsPerEP, latencyFactor, 0)
+	}, msgsPerEP)
 }
 
 // RunPattern injects one of the §VI-C synthetic patterns over a

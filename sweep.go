@@ -240,16 +240,10 @@ func (s *Sweep) Motifs(motifs ...traffic.Motif) *Sweep {
 }
 
 // Saturation selects MeasureSaturation: one bisection search per
-// (topology, fault) point for the offered load where mean latency
-// exceeds latencyFactor × the light-load baseline (latencyFactor <= 0
-// defaults to 3).
-func (s *Sweep) Saturation(latencyFactor float64) *Sweep {
-	if latencyFactor <= 0 {
-		latencyFactor = 3
-	}
+// (topology, fault) point for the offered load where tail latency
+// exceeds 3 × the light-load baseline, to within 0.02 of full load.
+func (s *Sweep) Saturation() *Sweep {
 	s.grid.Measure = sweep.MeasureSaturation
-	s.grid.LatencyFactor = latencyFactor
-	s.grid.Tol = 0.02
 	return s
 }
 
@@ -300,12 +294,11 @@ func (s *Sweep) Tenants(policy string, specs ...TenantSpec) *Sweep {
 // topology is placed on the cabinet floor by the given mode ("qap" —
 // the paper's annealed heuristic, "faq", or "sequential" for no
 // optimization) and every link's latency becomes its cable length ×
-// 5 ns/m × cyclesPerNs (<= 0 selects the default 1 cycle/ns, at which
-// intra-cabinet wires cost exactly the uniform default). Without this
-// call the sweep keeps the uniform wire model and byte-identical
-// historical outputs.
-func (s *Sweep) Layout(mode string, cyclesPerNs float64) *Sweep {
-	s.grid.Layout = sweep.Layout{Mode: mode, CyclesPerNs: cyclesPerNs}
+// 5 ns/m × 1 cycle/ns, at which intra-cabinet wires cost exactly the
+// uniform default. Without this call the sweep keeps the uniform wire
+// model and byte-identical historical outputs.
+func (s *Sweep) Layout(mode string) *Sweep {
+	s.grid.Layout = sweep.Layout{Mode: mode}
 	return s
 }
 
@@ -461,10 +454,6 @@ func (s *Sweep) build() (*sweep.Grid, error) {
 	}
 	if len(g.Loads) == 0 && g.Measure == sweep.MeasureLoad && len(g.Motifs) == 0 {
 		g.Loads = []float64{0.3}
-	}
-	if g.Measure == sweep.MeasureSaturation && g.LatencyFactor == 0 {
-		g.LatencyFactor = 3
-		g.Tol = 0.02
 	}
 	// The layout and tenant axes default their private seeds to the
 	// sweep seed, resolved here so cache keys see the concrete value.

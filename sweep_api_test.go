@@ -156,7 +156,7 @@ func TestSweepStreamChannel(t *testing.T) {
 
 func TestSweepSaturationMeasure(t *testing.T) {
 	res, err := NewSweep("lps(11,7)").Concentration(2).
-		Saturation(3).MsgsPerRank(4).Seed(7).
+		Saturation().MsgsPerRank(4).Seed(7).
 		Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -381,7 +381,7 @@ func TestSweepTenantsLayout(t *testing.T) {
 				TenantSpec{Name: "victim", Pattern: PatternRandom, Ranks: 32, Load: 0.05},
 				TenantSpec{Name: "aggressor", Pattern: PatternTranspose, Ranks: 128},
 			).
-			Layout("qap", 0)
+			Layout("qap")
 	}
 	serial, err := build().Parallel(1).Collect(context.Background())
 	if err != nil {
@@ -418,7 +418,7 @@ func TestSweepTenantsLayout(t *testing.T) {
 	if _, err := build().Tenants("scatter").Collect(context.Background()); err == nil {
 		t.Error("unknown placement policy accepted")
 	}
-	if _, err := build().Layout("grid", 0).Collect(context.Background()); err == nil {
+	if _, err := build().Layout("grid").Collect(context.Background()); err == nil {
 		t.Error("unknown layout mode accepted")
 	}
 }
