@@ -51,15 +51,6 @@ func TestDegradeStacksPlans(t *testing.T) {
 		t.Error("link plan cut no links")
 	}
 
-	// FailEdges on a degraded network preserves the mask too.
-	d4, err := d2.FailEdges(0.05, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if countDead(d4.failedRouters) != countDead(d2.failedRouters) {
-		t.Error("FailEdges dropped the dead-router mask")
-	}
-
 	// End to end: traffic on the stacked network drops at least as much
 	// as on the singly-degraded one.
 	st1 := mustRunUniform(t, mustSimulate(t, d1, SimConfig{Concentration: 2, Seed: 9}), 0.3, 5)

@@ -51,7 +51,7 @@ func run(w io.Writer, trials int) error {
 			for t := 0; t < trials; t++ {
 				failed := net
 				if prop > 0 {
-					if failed, err = net.FailEdges(prop, int64(1000*prop)+int64(t)); err != nil {
+					if failed, err = net.Degrade(spectralfly.PlanRandomLinks(prop, int64(1000*prop)+int64(t))); err != nil {
 						return err
 					}
 				}

@@ -144,12 +144,13 @@ func AblateBetweenness() (BetweennessAblation, error) {
 	if err != nil {
 		return out, err
 	}
-	out.LPS = lps.G.Betweenness()
-	out.SlimFly = sf.G.Betweenness()
-	out.DragonFly = df.G.Betweenness()
-	out.LPSEdge = lps.G.EdgeBetweenness()
-	out.SlimFlyEdge = sf.G.EdgeBetweenness()
-	out.DragonEdge = df.G.EdgeBetweenness()
+	profiles := func(g *graph.Graph) (vertex, edge graph.BetweennessProfile) {
+		v, e := g.Centrality()
+		return graph.Summarize(v), graph.Summarize(e)
+	}
+	out.LPS, out.LPSEdge = profiles(lps.G)
+	out.SlimFly, out.SlimFlyEdge = profiles(sf.G)
+	out.DragonFly, out.DragonEdge = profiles(df.G)
 	return out, nil
 }
 

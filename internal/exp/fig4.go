@@ -55,7 +55,7 @@ type BisectionRow struct {
 	Radix      int
 	CutUpper   int     // partitioner result (METIS-substitute upper bound)
 	CutLower   float64 // Fiedler spectral lower bound µ1·k·n/4
-	Normalized float64 // CutUpper / (nk/2)
+	Normalized float64 // CutUpper / links (nk/2 on a k-regular graph); 0 with no links
 }
 
 func bisectionRow(inst *topo.Instance, seed int64) BisectionRow {
@@ -64,14 +64,17 @@ func bisectionRow(inst *topo.Instance, seed int64) BisectionRow {
 	cut := partition.BisectionBandwidth(g, partition.Options{Seed: seed})
 	sp := spectral.Analyze(g, spectral.Options{Seed: seed})
 	lower := spectral.FiedlerBisectionLowerBound(g.N(), k, sp.Mu1())
-	return BisectionRow{
-		Name:       inst.Name,
-		Vertices:   g.N(),
-		Radix:      k,
-		CutUpper:   cut,
-		CutLower:   lower,
-		Normalized: float64(cut) / (float64(g.N()) * float64(k) / 2),
+	row := BisectionRow{
+		Name:     inst.Name,
+		Vertices: g.N(),
+		Radix:    k,
+		CutUpper: cut,
+		CutLower: lower,
 	}
+	if g.M() > 0 {
+		row.Normalized = float64(cut) / float64(g.M())
+	}
+	return row
 }
 
 // Fig4NormalizedBisection reproduces Figure 4 (upper right): the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/topo"
@@ -69,9 +70,15 @@ func (o Fig5Options) withDefaults(scale Scale) Fig5Options {
 
 // Fig5 runs the §IV-A edge-failure study on one size class (the paper
 // uses class 1 (~600 vertices) for the left column and class 3 (~5K)
-// for the right). It returns one point per topology per proportion.
+// for the right). It returns one point per topology per proportion,
+// or an error if a proportion lies outside [0, 1].
 func Fig5(class int, scale Scale, opts Fig5Options) ([]Fig5Point, error) {
 	opts = opts.withDefaults(scale)
+	for _, prop := range opts.Proportions {
+		if err := (fault.Plan{Kind: fault.Links, Fraction: prop}).Validate(); err != nil {
+			return nil, err
+		}
+	}
 	specs, err := classSpecs([]int{class}, scale)
 	if err != nil {
 		return nil, err
@@ -83,11 +90,7 @@ func Fig5(class int, scale Scale, opts Fig5Options) ([]Fig5Point, error) {
 			return nil, err
 		}
 		for _, prop := range opts.Proportions {
-			pt, err := failurePoint(inst, prop, opts)
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, pt)
+			points = append(points, failurePoint(inst, prop, opts))
 		}
 	}
 	return points, nil
@@ -96,13 +99,11 @@ func Fig5(class int, scale Scale, opts Fig5Options) ([]Fig5Point, error) {
 type trialResult struct {
 	ok                      bool
 	diam, avgHop, bisection float64
-	err                     error // the failure proportion is out of range
 }
 
-func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) (Fig5Point, error) {
+func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) Fig5Point {
 	pt := Fig5Point{Name: inst.Name, Proportion: prop}
 	var vals []trialResult
-	var err error
 	runBatch := func(from, to int) {
 		results := make([]trialResult, to-from)
 		graph.EachSource(to-from, func() func(int) {
@@ -111,17 +112,9 @@ func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) (Fig5Poin
 				results[i] = failureTrial(inst, prop, rng, opts)
 			}
 		})
-		for _, r := range results {
-			if r.err != nil {
-				err = r.err
-			}
-		}
 		vals = append(vals, results...)
 	}
 	runBatch(0, opts.MinTrials)
-	if err != nil {
-		return pt, err
-	}
 	// Adaptive growth until the diameter CV is below target (diameter is
 	// the noisiest of the three measures).
 	for len(vals) < opts.MaxTrials && prop > 0 {
@@ -151,16 +144,13 @@ func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) (Fig5Poin
 		pt.AvgHop /= float64(nOK)
 		pt.Bisection /= float64(nOK)
 	}
-	return pt, nil
+	return pt
 }
 
 func failureTrial(inst *topo.Instance, prop float64, rng *rand.Rand, opts Fig5Options) trialResult {
 	g := inst.G
 	if prop != 0 {
-		var err error
-		if g, err = inst.G.DeleteRandomEdges(prop, rng); err != nil {
-			return trialResult{err: err}
-		}
+		g = g.RemoveEdges(fault.SampleLinks(g, prop, rng))
 	}
 	st := g.AllPairsStats()
 	if !st.Connected {

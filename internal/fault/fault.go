@@ -108,8 +108,12 @@ func (p Plan) Validate() error {
 	if p.Kind < Links || p.Kind > Regions {
 		return fmt.Errorf("fault: unknown kind %d", int(p.Kind))
 	}
-	if !(p.Fraction >= 0 && p.Fraction <= 1) {
-		return fmt.Errorf("fault: fraction %v out of [0,1]", p.Fraction)
+	return checkFraction(p.Fraction)
+}
+
+func checkFraction(f float64) error {
+	if !(f >= 0 && f <= 1) {
+		return fmt.Errorf("fault: fraction %v out of [0,1]", f)
 	}
 	return nil
 }
@@ -123,7 +127,7 @@ func (p Plan) Apply(g *graph.Graph) Outcome {
 	rng := rand.New(rand.NewSource(p.Seed))
 	switch p.Kind {
 	case Links:
-		return Outcome{Removed: sampleEdges(g, p.Fraction, rng)}
+		return Outcome{Removed: SampleLinks(g, p.Fraction, rng)}
 	case Routers:
 		n := g.N()
 		k := int(p.Fraction * float64(n))
@@ -144,10 +148,16 @@ func (p Plan) Apply(g *graph.Graph) Outcome {
 	}
 }
 
-// sampleEdges chooses ⌊fraction·M⌋ edges uniformly without replacement
-// via partial Fisher–Yates, matching graph.DeleteRandomEdges' sampling
-// scheme.
-func sampleEdges(g *graph.Graph, fraction float64, rng *rand.Rand) [][2]int32 {
+// SampleLinks chooses ⌊fraction·M⌋ links of g uniformly without
+// replacement — the §IV-A random link failure — by a partial
+// Fisher–Yates shuffle of g.Edges() drawing from rng. Links plans and
+// the Fig 5 failure trials both sample through it, so the same rng
+// state removes the same links in either. It panics unless fraction
+// lies in [0, 1].
+func SampleLinks(g *graph.Graph, fraction float64, rng *rand.Rand) [][2]int32 {
+	if err := checkFraction(fraction); err != nil {
+		panic(err.Error())
+	}
 	edges := g.Edges()
 	k := int(fraction * float64(len(edges)))
 	for i := 0; i < k; i++ {
@@ -195,10 +205,4 @@ func killRouters(g *graph.Graph, dead []int) Outcome {
 		}
 	}
 	return out
-}
-
-// Damage applies the outcome's link failures to g, preserving the
-// vertex set.
-func (o Outcome) Damage(g *graph.Graph) *graph.Graph {
-	return g.RemoveEdges(o.Removed)
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,7 +38,7 @@ func TestLinksPlanCounts(t *testing.T) {
 	if out.DeadRouters != nil || out.NumDead != 0 {
 		t.Fatal("link plan must not kill routers")
 	}
-	g := out.Damage(inst.G)
+	g := inst.G.RemoveEdges(out.Removed)
 	if g.N() != inst.G.N() {
 		t.Fatalf("vertex set changed: %d -> %d", inst.G.N(), g.N())
 	}
@@ -53,7 +54,7 @@ func TestRoutersPlanIsolatesDeadRouters(t *testing.T) {
 	if out.NumDead != wantDead {
 		t.Fatalf("killed %d routers, want %d", out.NumDead, wantDead)
 	}
-	g := out.Damage(inst.G)
+	g := inst.G.RemoveEdges(out.Removed)
 	for v, dead := range out.DeadRouters {
 		if dead && g.Degree(v) != 0 {
 			t.Fatalf("dead router %d still has %d links", v, g.Degree(v))
@@ -99,7 +100,7 @@ func TestZeroPlanIsNoOp(t *testing.T) {
 	if len(out.Removed) != 0 || out.NumDead != 0 {
 		t.Fatalf("zero plan did damage: %+v", out)
 	}
-	if g := out.Damage(inst.G); g.M() != inst.G.M() {
+	if g := inst.G.RemoveEdges(out.Removed); g.M() != inst.G.M() {
 		t.Fatal("no-op damage changed the graph")
 	}
 }
@@ -130,5 +131,59 @@ func TestRemoveEdgesIgnoresNonEdges(t *testing.T) {
 	out := g.RemoveEdges([][2]int32{{2, 1}, {0, 3}}) // one real (reversed), one non-edge
 	if out.M() != 1 || !out.HasEdge(0, 1) || out.HasEdge(1, 2) {
 		t.Fatalf("unexpected damaged graph: m=%d", out.M())
+	}
+}
+
+// TestSampleLinks: the sampler removes exactly ⌊fraction·M⌋ distinct
+// links of the graph, from none at 0 to all at 1.
+func TestSampleLinks(t *testing.T) {
+	g := topo.MustLPS(11, 7).G
+	rng := rand.New(rand.NewSource(42))
+	for _, f := range []float64{0, 0.3, 1} {
+		removed := SampleLinks(g, f, rng)
+		if want := int(f * float64(g.M())); len(removed) != want {
+			t.Fatalf("fraction %v: sampled %d links, want %d", f, len(removed), want)
+		}
+		seen := map[[2]int32]bool{}
+		for _, e := range removed {
+			if seen[e] || !g.HasEdge(int(e[0]), int(e[1])) {
+				t.Fatalf("fraction %v: %v is repeated or not a link", f, e)
+			}
+			seen[e] = true
+		}
+		if h := g.RemoveEdges(removed); h.N() != g.N() || h.M() != g.M()-len(removed) {
+			t.Fatalf("fraction %v: damaged graph n=%d m=%d", f, h.N(), h.M())
+		}
+	}
+}
+
+// TestSampleLinksDeterministicPerSeed: the sample is a function of the
+// rng state alone, and a Links plan draws the same sample from its
+// seed.
+func TestSampleLinksDeterministicPerSeed(t *testing.T) {
+	g := topo.MustLPS(11, 7).G
+	a := SampleLinks(g, 0.5, rand.New(rand.NewSource(7)))
+	b := SampleLinks(g, 0.5, rand.New(rand.NewSource(7)))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed sampled different links")
+	}
+	if out := (Plan{Kind: Links, Fraction: 0.5, Seed: 7}).Apply(g); !reflect.DeepEqual(out.Removed, a) {
+		t.Fatal("Links plan sampled differently from SampleLinks on its seed")
+	}
+}
+
+// TestSampleLinksRejectsBadFraction pins the sampler's own range
+// panic, NaN included.
+func TestSampleLinksRejectsBadFraction(t *testing.T) {
+	g := topo.MustLPS(11, 7).G
+	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "out of [0,1]") {
+					t.Errorf("fraction %v: recovered %v, want the range panic", f, r)
+				}
+			}()
+			SampleLinks(g, f, rand.New(rand.NewSource(1)))
+		}()
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -63,180 +64,82 @@ func foldSources(n, width int, newSource func() func(s int, part []float64)) []f
 	return out
 }
 
-// BetweennessCentrality computes exact unweighted vertex betweenness
-// via Brandes' algorithm, parallelized over source vertices. §V of the
-// SpectralFly paper motivates non-minimal routing by exactly this
-// quantity: routers with high betweenness sit on many shortest paths
-// and become bottlenecks in saturated networks, so a topology with a
-// flatter betweenness profile (like an expander) suffers less.
+// Centrality computes exact unweighted vertex and edge betweenness
+// in one pass of Brandes' algorithm per source, parallelized over
+// sources. §V of the SpectralFly paper motivates non-minimal routing
+// by exactly these quantities: routers with high betweenness sit on
+// many shortest paths and become bottlenecks in saturated networks,
+// and in group-structured topologies like DragonFly the global links
+// concentrate shortest paths while expander links stay near-uniform.
 //
-// The returned scores count ordered source-target pairs (the
-// conventional unnormalized definition halves this for undirected
-// graphs; callers comparing topologies can use either consistently).
-// They are bit-identical for every GOMAXPROCS (see foldSources).
-func (g *Graph) BetweennessCentrality() []float64 {
+// vertex[v] counts ordered source-target pairs (the conventional
+// unnormalized definition halves this for undirected graphs; callers
+// comparing topologies can use either consistently). edge is aligned
+// with Edges(). Both are bit-identical for every GOMAXPROCS (see
+// foldSources).
+func (g *Graph) Centrality() (vertex, edge []float64) {
 	n := g.N()
-	return foldSources(n, n, func() func(int, []float64) {
-		// Brandes working state, reused across sources.
-		stack := make([]int32, 0, n)
-		preds := make([][]int32, n)
+	// One fold vector: the n vertex scores, then one score per directed
+	// CSR slot, folded onto undirected edges below.
+	sums := foldSources(n, n+len(g.neigh), func() func(int, []float64) {
 		sigma := make([]float64, n)
 		dist := make([]int32, n)
 		delta := make([]float64, n)
-		queue := make([]int32, n)
-		return func(s int, bc []float64) {
-			stack = stack[:0]
-			for i := 0; i < n; i++ {
-				preds[i] = preds[i][:0]
+		order := make([]int32, n) // BFS queue; read backwards, Brandes' stack
+		return func(s int, part []float64) {
+			bc, eb := part[:n], part[n:]
+			for i := range n {
 				sigma[i] = 0
 				dist[i] = -1
 				delta[i] = 0
 			}
 			sigma[s] = 1
 			dist[s] = 0
-			queue[0] = int32(s)
+			order[0] = int32(s)
 			head, tail := 0, 1
 			for head < tail {
-				v := queue[head]
+				v := order[head]
 				head++
-				stack = append(stack, v)
 				for _, u := range g.Neighbors(int(v)) {
 					if dist[u] < 0 {
 						dist[u] = dist[v] + 1
-						queue[tail] = u
+						order[tail] = u
 						tail++
 					}
 					if dist[u] == dist[v]+1 {
 						sigma[u] += sigma[v]
-						preds[u] = append(preds[u], v)
 					}
 				}
 			}
-			for i := len(stack) - 1; i >= 0; i-- {
-				v := stack[i]
-				for _, u := range preds[v] {
-					delta[u] += sigma[u] / sigma[v] * (1 + delta[v])
+			// Back-propagate dependencies in reverse BFS order; the
+			// source, at order[0], has no predecessors and scores
+			// nothing. v's predecessors are its neighbors one level
+			// up, so scanning v's own slots finds each predecessor
+			// link once, as the slot v→u.
+			for i := tail - 1; i > 0; i-- {
+				v := order[i]
+				for j := g.offsets[v]; j < g.offsets[v+1]; j++ {
+					if u := g.neigh[j]; dist[u] == dist[v]-1 {
+						c := sigma[u] / sigma[v] * (1 + delta[v])
+						delta[u] += c
+						eb[j] += c
+					}
 				}
-				if int(v) != s {
-					bc[v] += delta[v]
-				}
+				bc[v] += delta[v]
 			}
 		}
 	})
-}
-
-// EdgeBetweennessCentrality computes exact unweighted edge betweenness
-// (Brandes' accumulation applied to edges), returned aligned with
-// Edges(). For group-structured topologies like DragonFly the global
-// links concentrate shortest paths — the §V bottleneck — while
-// expander links stay near-uniform. Like BetweennessCentrality it is
-// bit-identical for every GOMAXPROCS.
-func (g *Graph) EdgeBetweennessCentrality() []float64 {
-	n := g.N()
-	// Accumulate per directed CSR slot, then fold to undirected edges.
-	folded := foldSources(n, len(g.neigh), func() func(int, []float64) {
-		stack := make([]int32, 0, n)
-		preds := make([][]int32, n) // positions in neigh (directed slots into v)
-		sigma := make([]float64, n)
-		dist := make([]int32, n)
-		delta := make([]float64, n)
-		queue := make([]int32, n)
-		return func(s int, eb []float64) {
-			stack = stack[:0]
-			for i := 0; i < n; i++ {
-				preds[i] = preds[i][:0]
-				sigma[i] = 0
-				dist[i] = -1
-				delta[i] = 0
-			}
-			sigma[s] = 1
-			dist[s] = 0
-			queue[0] = int32(s)
-			head, tail := 0, 1
-			for head < tail {
-				v := queue[head]
-				head++
-				stack = append(stack, v)
-				for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-					u := g.neigh[i]
-					if dist[u] < 0 {
-						dist[u] = dist[v] + 1
-						queue[tail] = u
-						tail++
-					}
-					if dist[u] == dist[v]+1 {
-						sigma[u] += sigma[v]
-						// Slot i is the directed edge v→u.
-						preds[u] = append(preds[u], i)
-					}
-				}
-			}
-			for i := len(stack) - 1; i >= 0; i-- {
-				v := stack[i]
-				for _, slot := range preds[v] {
-					// slot is directed u→v; recover u by ownership.
-					u := slotOwner(g, slot)
-					c := sigma[u] / sigma[v] * (1 + delta[v])
-					delta[u] += c
-					eb[slot] += c
-				}
+	// An undirected edge's score is the sum of its two directed slots.
+	edge = make([]float64, 0, g.m)
+	for v := range n {
+		for j := g.offsets[v]; j < g.offsets[v+1]; j++ {
+			if u := g.neigh[j]; int32(v) < u {
+				i, _ := slices.BinarySearch(g.Neighbors(int(u)), int32(v))
+				edge = append(edge, sums[n+int(j)]+sums[n+int(g.offsets[u])+i])
 			}
 		}
-	})
-	// Fold directed slots onto the undirected edge list (u < v order).
-	edges := g.Edges()
-	index := make(map[[2]int32]int, len(edges))
-	for i, e := range edges {
-		index[e] = i
 	}
-	out := make([]float64, len(edges))
-	for v := 0; v < n; v++ {
-		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-			u := g.neigh[i]
-			key := [2]int32{int32(v), u}
-			if key[0] > key[1] {
-				key[0], key[1] = key[1], key[0]
-			}
-			out[index[key]] += folded[i]
-		}
-	}
-	return out
-}
-
-// slotOwner returns the vertex that owns CSR slot i (binary search over
-// offsets).
-func slotOwner(g *Graph, slot int32) int32 {
-	lo, hi := 0, g.N()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.offsets[mid+1] <= slot {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo)
-}
-
-// EdgeBetweenness returns the max/mean/ratio profile of edge
-// betweenness.
-func (g *Graph) EdgeBetweenness() BetweennessProfile {
-	eb := g.EdgeBetweennessCentrality()
-	var p BetweennessProfile
-	if len(eb) == 0 {
-		return p
-	}
-	for _, x := range eb {
-		if x > p.Max {
-			p.Max = x
-		}
-		p.Mean += x
-	}
-	p.Mean /= float64(len(eb))
-	if p.Mean > 0 {
-		p.Ratio = p.Max / p.Mean
-	}
-	return p
+	return sums[:n:n], edge
 }
 
 // BetweennessProfile summarizes a centrality vector for topology
@@ -246,20 +149,20 @@ type BetweennessProfile struct {
 	Max, Mean, Ratio float64
 }
 
-// Betweenness computes the profile directly.
-func (g *Graph) Betweenness() BetweennessProfile {
-	bc := g.BetweennessCentrality()
+// Summarize returns the profile of a vertex or edge centrality vector;
+// an empty vector gives the zero profile.
+func Summarize(scores []float64) BetweennessProfile {
 	var p BetweennessProfile
-	if len(bc) == 0 {
+	if len(scores) == 0 {
 		return p
 	}
-	for _, x := range bc {
+	for _, x := range scores {
 		if x > p.Max {
 			p.Max = x
 		}
 		p.Mean += x
 	}
-	p.Mean /= float64(len(bc))
+	p.Mean /= float64(len(scores))
 	if p.Mean > 0 {
 		p.Ratio = p.Max / p.Mean
 	}

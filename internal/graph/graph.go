@@ -1,21 +1,21 @@
 // Package graph provides the undirected-graph substrate used throughout
 // the SpectralFly reproduction: a compact CSR (compressed sparse row)
 // representation plus the structural measurements the paper reports —
-// diameter, average shortest-path length, girth, connectivity — and the
-// seeded random edge-failure sampling of §IV-A. Every all-pairs
-// distance computation — routing tables, AllPairsStats,
-// DistanceHistogram, layout latency profiles — runs on one kernel,
+// diameter, average shortest-path length, girth, connectivity,
+// betweenness. Every all-pairs distance computation — routing tables,
+// AllPairsStats, DistanceHistogram, layout latency profiles — runs on
+// one kernel,
 // EachBFS, a bit-parallel BFS that carries 64 sources per sweep.
 // EachBFS and the other per-source or per-trial work fan out across
 // GOMAXPROCS workers through one loop, EachSource. Single-source BFS
-// serves single-source callers; Girth and Betweenness keep their own
-// traversals, since they need parents and path counts.
+// serves single-source callers; Girth and Centrality keep their own
+// traversals, since they need parents and path counts. Centrality is
+// one Brandes pass per source that scores vertices and edges together.
 package graph
 
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -480,23 +480,6 @@ func girthFromRoot(g *Graph, s int, bound int32, dist, parent, queue []int32) in
 	return best
 }
 
-// DeleteRandomEdges returns a copy of g with ⌊fraction·M⌋ edges removed,
-// chosen uniformly without replacement using rng. It returns an error
-// unless fraction lies in [0, 1] (NaN included).
-func (g *Graph) DeleteRandomEdges(fraction float64, rng *rand.Rand) (*Graph, error) {
-	if !(fraction >= 0 && fraction <= 1) {
-		return nil, fmt.Errorf("graph: edge fraction %v out of [0,1]", fraction)
-	}
-	edges := g.Edges()
-	k := int(fraction * float64(len(edges)))
-	// Partial Fisher–Yates: move k randomly chosen edges to the front.
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(edges)-i)
-		edges[i], edges[j] = edges[j], edges[i]
-	}
-	return FromEdges(g.N(), edges[k:]), nil
-}
-
 // RemoveEdges returns a copy of g with the listed edges deleted. Edge
 // endpoint order does not matter; pairs that are not edges of g are
 // ignored. The vertex set is preserved (a router whose links all fail
@@ -554,27 +537,6 @@ func (g *Graph) AddEdges(added [][2]int32) *Graph {
 		edges = append(edges, [2]int32{u, v})
 	}
 	return FromEdges(g.N(), edges)
-}
-
-// Subgraph returns the induced subgraph on keep (a vertex subset), along
-// with the mapping old→new (-1 for dropped vertices).
-func (g *Graph) Subgraph(keep []int) (*Graph, []int32) {
-	remap := make([]int32, g.N())
-	for i := range remap {
-		remap[i] = -1
-	}
-	for i, v := range keep {
-		remap[v] = int32(i)
-	}
-	b := NewBuilder(len(keep))
-	for _, v := range keep {
-		for _, w := range g.Neighbors(v) {
-			if remap[w] >= 0 && int32(v) < w {
-				b.AddEdge(int(remap[v]), int(remap[w]))
-			}
-		}
-	}
-	return b.Build(), remap
 }
 
 // MulVec computes dst = A·src where A is the adjacency matrix. dst and

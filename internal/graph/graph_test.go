@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -246,77 +245,6 @@ func TestGirthFromVertexOnVertexTransitive(t *testing.T) {
 		if got := g.GirthFromVertex(v); got != 9 {
 			t.Fatalf("GirthFromVertex(%d)=%d want 9", v, got)
 		}
-	}
-}
-
-func TestDeleteRandomEdges(t *testing.T) {
-	g := complete(20) // 190 edges
-	rng := rand.New(rand.NewSource(42))
-	h := mustDeleteRandomEdges(t, g, 0.3, rng)
-	want := g.M() - int(0.3*float64(g.M()))
-	if h.M() != want {
-		t.Fatalf("after deletion M=%d want %d", h.M(), want)
-	}
-	if h.N() != g.N() {
-		t.Fatal("vertex count changed")
-	}
-	// Every surviving edge must be an original edge.
-	for _, e := range h.Edges() {
-		if !g.HasEdge(int(e[0]), int(e[1])) {
-			t.Fatalf("edge %v not in original", e)
-		}
-	}
-	if x := mustDeleteRandomEdges(t, g, 0, rng); x.M() != g.M() {
-		t.Fatal("deleting 0% changed edge count")
-	}
-	if x := mustDeleteRandomEdges(t, g, 1, rng); x.M() != 0 {
-		t.Fatal("deleting 100% left edges")
-	}
-}
-
-func mustDeleteRandomEdges(t *testing.T, g *Graph, fraction float64, rng *rand.Rand) *Graph {
-	t.Helper()
-	h, err := g.DeleteRandomEdges(fraction, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
-}
-
-// TestDeleteRandomEdgesRejectsBadFraction pins the error, not a panic,
-// for fractions outside [0, 1], NaN included.
-func TestDeleteRandomEdgesRejectsBadFraction(t *testing.T) {
-	g := complete(6)
-	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
-		if h, err := g.DeleteRandomEdges(f, rand.New(rand.NewSource(1))); err == nil {
-			t.Errorf("fraction %v: got a graph with %d edges, want an error", f, h.M())
-		}
-	}
-}
-
-func TestDeleteRandomEdgesDeterministicPerSeed(t *testing.T) {
-	g := complete(12)
-	a := mustDeleteRandomEdges(t, g, 0.5, rand.New(rand.NewSource(7)))
-	b := mustDeleteRandomEdges(t, g, 0.5, rand.New(rand.NewSource(7)))
-	ae, be := a.Edges(), b.Edges()
-	if len(ae) != len(be) {
-		t.Fatal("different sizes for same seed")
-	}
-	for i := range ae {
-		if ae[i] != be[i] {
-			t.Fatal("different edges for same seed")
-		}
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := complete(6)
-	sub, remap := g.Subgraph([]int{1, 3, 5})
-	if sub.N() != 3 || sub.M() != 3 {
-		t.Fatalf("K6 induced on 3 vertices: n=%d m=%d", sub.N(), sub.M())
-	}
-	if remap[0] != -1 || remap[1] != 0 || remap[3] != 1 || remap[5] != 2 {
-		t.Fatalf("remap wrong: %v", remap)
 	}
 }
 

@@ -360,15 +360,6 @@ type LatencyStats struct {
 	MaxNs float64
 }
 
-// PathLatency computes average and maximum end-to-end latency across
-// all ordered router pairs. For each pair the wire length is minimized
-// over the hop-shortest paths (DP over the BFS DAG), matching how a
-// latency-aware minimal router would behave. It is Profile evaluated
-// at one switch latency.
-func PathLatency(g *graph.Graph, p *Placement, switchNs float64) LatencyStats {
-	return Profile(g, p).Latency(switchNs)
-}
-
 // PathProfile captures per-pair (hops, wire) aggregates so latency can
 // be evaluated at any switch latency without repeating the all-pairs
 // sweep: latency(s) = hops·s + 5·wire, so the average is linear in s

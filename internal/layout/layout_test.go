@@ -142,8 +142,8 @@ func TestPathLatencyRing(t *testing.T) {
 	// include cable delay.
 	g := ring(4)
 	p := SequentialPlacement(4)
-	l0 := PathLatency(g, p, 0)
-	l100 := PathLatency(g, p, 100)
+	prof := Profile(g, p)
+	l0, l100 := prof.Latency(0), prof.Latency(100)
 	if l0.AvgNs <= 0 || l0.MaxNs < l0.AvgNs {
 		t.Fatalf("degenerate latency stats %+v", l0)
 	}
@@ -170,7 +170,7 @@ func TestPathLatencyPicksShortWirePath(t *testing.T) {
 	// Cabinets: {0,1}, {2,3}, {4,5}. Path 0-1-3: wire 2 + 4.6 = 6.6.
 	// Path 0-2-3: 4.6 + 2 = 6.6. Equal here; just verify DP result ≤
 	// either option.
-	st := PathLatency(g, p, 0)
+	st := Profile(g, p).Latency(0)
 	if st.MaxNs > 5*6.61 {
 		t.Errorf("max latency %v exceeds best-path bound", st.MaxNs)
 	}
@@ -192,9 +192,9 @@ func TestOptimizeDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// directLatency is the serial per-pair reference for Profile and
-// PathLatency: one BFS and wire DP per source, every pair's latency
-// summed in (source, target) order.
+// directLatency is the serial per-pair reference for Profile: one BFS
+// and wire DP per source, every pair's latency summed in (source,
+// target) order.
 func directLatency(g *graph.Graph, p *Placement, switchNs float64) LatencyStats {
 	n := g.N()
 	dist := make([]int32, n)
@@ -217,29 +217,27 @@ func directLatency(g *graph.Graph, p *Placement, switchNs float64) LatencyStats 
 	return LatencyStats{AvgNs: sum / float64(pairs), MaxNs: maxNs}
 }
 
-// TestProfileMatchesPathLatency checks the parallel profile, at every
-// switch latency, and PathLatency against the serial per-pair sum.
+// TestProfileMatchesPathLatency checks the parallel profile's path
+// latency, at every switch latency, against the serial per-pair sum.
 func TestProfileMatchesPathLatency(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	g := inst.G
 	p := SequentialPlacement(g.N())
 	prof := Profile(g, p)
 	for _, s := range []float64{0, 33, 100, 250} {
-		want := directLatency(g, p, s)
-		for name, got := range map[string]LatencyStats{"PathLatency": PathLatency(g, p, s), "Profile": prof.Latency(s)} {
-			if math.Abs(got.AvgNs-want.AvgNs) > 1e-6 {
-				t.Errorf("s=%v: %s avg %v vs direct %v", s, name, got.AvgNs, want.AvgNs)
-			}
-			if math.Abs(got.MaxNs-want.MaxNs) > 1e-6 {
-				t.Errorf("s=%v: %s max %v vs direct %v", s, name, got.MaxNs, want.MaxNs)
-			}
+		got, want := prof.Latency(s), directLatency(g, p, s)
+		if math.Abs(got.AvgNs-want.AvgNs) > 1e-6 {
+			t.Errorf("s=%v: avg %v vs direct %v", s, got.AvgNs, want.AvgNs)
+		}
+		if math.Abs(got.MaxNs-want.MaxNs) > 1e-6 {
+			t.Errorf("s=%v: max %v vs direct %v", s, got.MaxNs, want.MaxNs)
 		}
 	}
 }
 
 // TestProfileBitIdenticalAcrossGOMAXPROCS: per-source sums fold in
-// source order, so Profile and PathLatency return the same bits on
-// every call and at every GOMAXPROCS (they feed Table II and Fig. 11).
+// source order, so Profile returns the same bits on every call and at
+// every GOMAXPROCS (it feeds Table II and Fig. 11).
 func TestProfileBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	g := topo.MustLPS(11, 7).G
 	p := SequentialPlacement(g.N())
@@ -249,10 +247,9 @@ func TestProfileBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for call := 0; call < 3; call++ {
 			pp := Profile(g, p)
-			lat, direct := pp.Latency(100), PathLatency(g, p, 100)
+			lat := pp.Latency(100)
 			got := []uint64{uint64(pp.Pairs), math.Float64bits(pp.SumHops), math.Float64bits(pp.SumWire),
-				math.Float64bits(lat.AvgNs), math.Float64bits(lat.MaxNs),
-				math.Float64bits(direct.AvgNs), math.Float64bits(direct.MaxNs)}
+				math.Float64bits(lat.AvgNs), math.Float64bits(lat.MaxNs)}
 			if want == nil {
 				want = got
 				continue

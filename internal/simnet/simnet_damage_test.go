@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/topo"
@@ -38,10 +39,7 @@ func TestSimulationAfterEdgeFailures(t *testing.T) {
 	// all traffic must still be delivered over longer paths.
 	inst := topo.MustLPS(11, 7)
 	rng := rand.New(rand.NewSource(5))
-	damaged, err := inst.G.DeleteRandomEdges(0.2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	damaged := inst.G.RemoveEdges(fault.SampleLinks(inst.G, 0.2, rng))
 	if !damaged.IsConnected() {
 		t.Skip("rare: sample disconnected")
 	}
@@ -138,10 +136,7 @@ func TestValiantOnDamagedTopologyRoutesAroundFailures(t *testing.T) {
 	// connected endpoints still arrives.
 	inst := topo.MustLPS(11, 7)
 	rng := rand.New(rand.NewSource(11))
-	damaged, err := inst.G.DeleteRandomEdges(0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	damaged := inst.G.RemoveEdges(fault.SampleLinks(inst.G, 0.3, rng))
 	tab := routing.NewTable(damaged)
 	nw, err := New(Config{Topo: damaged, Concentration: 1, Policy: routing.Valiant, Seed: 4}, tab)
 	if err != nil {

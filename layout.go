@@ -1,6 +1,8 @@
 package spectralfly
 
 import (
+	"sync"
+
 	"repro/internal/layout"
 	"repro/internal/topo"
 )
@@ -11,6 +13,11 @@ import (
 type FloorPlan struct {
 	net   *Network
 	place *layout.Placement
+
+	// profile is the all-pairs hop/wire sweep behind Latency, run on
+	// the first call and shared by every switch latency after it.
+	profileOnce sync.Once
+	profile     *layout.PathProfile
 }
 
 // WireStats re-exports the §VII cost summary (Table II columns).
@@ -58,7 +65,8 @@ func (f *FloorPlan) PowerPerBandwidth(bisectionLinks int) float64 {
 // router pairs) at a given switch latency in nanoseconds, using 5 ns/m
 // cable delay over hop-optimal paths (Figure 11's model).
 func (f *FloorPlan) Latency(switchNs float64) LatencyStats {
-	return layout.PathLatency(f.net.G, f.place, switchNs)
+	f.profileOnce.Do(func() { f.profile = layout.Profile(f.net.G, f.place) })
+	return f.profile.Latency(switchNs)
 }
 
 // WireLength returns the modeled cable length between two routers.

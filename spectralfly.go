@@ -22,8 +22,6 @@
 package spectralfly
 
 import (
-	"math/rand"
-
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -120,12 +118,12 @@ type Metrics struct {
 }
 
 // Analyze computes the full structural profile of the network. The
-// Ramanujan diagnostics apply to regular graphs; for irregular graphs
-// (e.g. after FailEdges) they are left zero and Regular is false.
+// Ramanujan diagnostics apply to regular graphs, and the eigen-solve
+// behind them runs only there; for irregular graphs (e.g. after
+// Degrade) they are left zero and Regular is false.
 func (n *Network) Analyze() Metrics {
 	k, regular := n.G.Regularity()
 	st := n.G.AllPairsStats()
-	sp := spectral.Analyze(n.G, spectral.Options{})
 	m := Metrics{
 		Routers:     n.G.N(),
 		Regular:     regular,
@@ -134,9 +132,10 @@ func (n *Network) Analyze() Metrics {
 		Diameter:    st.Diameter,
 		AvgDistance: st.AvgDist,
 		Girth:       n.G.Girth(),
-		Bipartite:   sp.Bipartite,
+		Bipartite:   n.G.IsBipartite(),
 	}
 	if regular && k > 0 {
+		sp := spectral.Analyze(n.G, spectral.Options{})
 		m.Radix = k
 		m.LambdaG = sp.LambdaG()
 		m.RamanujanBound = spectral.RamanujanBound(k)
@@ -150,7 +149,7 @@ func (n *Network) Analyze() Metrics {
 // from multilevel FM partitioning (the paper's METIS role) and the
 // Fiedler spectral lower bound µ1·k·n/4 (§IV-d). The lower bound is
 // only defined for regular graphs; for irregular graphs (e.g. after
-// FailEdges) it is reported as 0.
+// Degrade) it is reported as 0.
 func (n *Network) Bisection(seed int64) (upper int, lower float64) {
 	upper = partition.BisectionBandwidth(n.G, partition.Options{Seed: seed})
 	if k, regular := n.G.Regularity(); regular && k > 0 {
@@ -160,29 +159,15 @@ func (n *Network) Bisection(seed int64) (upper int, lower float64) {
 	return upper, lower
 }
 
-// NormalizedBisection returns bisection cut / (nk/2), the size-agnostic
-// measure of Figure 4.
+// NormalizedBisection returns the bisection cut as a fraction of all
+// links, the size-agnostic measure of Figure 4 (on a k-regular
+// network the link count is nk/2). A network with no links reports 0.
 func (n *Network) NormalizedBisection(seed int64) float64 {
 	upper, _ := n.Bisection(seed)
-	k, _ := n.G.Regularity()
-	return float64(upper) / (float64(n.G.N()) * float64(k) / 2)
-}
-
-// FailEdges returns a copy of the network with the given fraction of
-// links removed uniformly at random (the §IV-A resilience experiment).
-// Routers already dead on a degraded network stay dead. It returns an
-// error unless fraction lies in [0, 1].
-func (n *Network) FailEdges(fraction float64, seed int64) (*Network, error) {
-	g, err := n.G.DeleteRandomEdges(fraction, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return nil, err
+	if n.G.M() == 0 {
+		return 0
 	}
-	return &Network{
-		Name:          n.Name + "-failed",
-		G:             g,
-		failedRouters: n.failedRouters,
-		degraded:      true,
-	}, nil
+	return float64(upper) / float64(n.G.M())
 }
 
 // FaultPlan is a deterministic failure specification: the same plan
@@ -268,17 +253,25 @@ func (n *Network) Discrepancy(samples int, seed int64) spectral.DiscrepancyStats
 // Betweenness returns the vertex-betweenness profile (max, mean,
 // max/mean ratio); flat profiles mean no router-level bottlenecks (§V).
 func (n *Network) Betweenness() graph.BetweennessProfile {
-	return n.G.Betweenness()
+	vertex, _ := n.G.Centrality()
+	return graph.Summarize(vertex)
 }
 
 // EdgeBetweenness returns the link-level betweenness profile; a high
 // max/mean ratio identifies bottleneck links (DragonFly global links).
 func (n *Network) EdgeBetweenness() graph.BetweennessProfile {
-	return n.G.EdgeBetweenness()
+	_, edge := n.G.Centrality()
+	return graph.Summarize(edge)
 }
 
 // CheegerBounds brackets the edge expansion h(G) of the network via the
-// discrete Cheeger inequality (§II): (k−λ₂)/2 ≤ h ≤ √(2k(k−λ₂)).
+// discrete Cheeger inequality (§II): (k−λ₂)/2 ≤ h ≤ √(2k(k−λ₂)). The
+// inequality is stated for k-regular graphs; for irregular graphs
+// (e.g. after Degrade) both bounds are reported as 0, as Bisection's
+// lower bound is.
 func (n *Network) CheegerBounds() (lower, upper float64) {
+	if k, regular := n.G.Regularity(); !regular || k == 0 {
+		return 0, 0
+	}
 	return spectral.Analyze(n.G, spectral.Options{}).CheegerBounds()
 }

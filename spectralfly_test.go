@@ -2,8 +2,12 @@ package spectralfly
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/traffic"
 )
 
@@ -99,11 +103,11 @@ func TestPublicAPIBisectionBracket(t *testing.T) {
 }
 
 // TestPublicAPIFailEdgesRejectsBadFraction pins an error, not a panic,
-// for link fractions outside [0, 1], NaN included.
+// for link-failure fractions outside [0, 1], NaN included.
 func TestPublicAPIFailEdgesRejectsBadFraction(t *testing.T) {
 	net, _ := LPS(11, 7)
 	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
-		if failed, err := net.FailEdges(f, 1); err == nil || failed != nil {
+		if failed, err := net.Degrade(PlanRandomLinks(f, 1)); err == nil || failed != nil {
 			t.Errorf("fraction %v: got (%v, %v), want an error", f, failed, err)
 		}
 	}
@@ -124,11 +128,15 @@ func TestPublicAPIDegradeRejectsBadPlan(t *testing.T) {
 	}
 }
 
+// TestPublicAPIFailEdges fails random links through Degrade: the
+// plan's seed drives fault.SampleLinks' shuffle of the link list, so
+// the damage is exactly the sample that seed draws.
 func TestPublicAPIFailEdges(t *testing.T) {
 	net, _ := LPS(11, 7)
-	failed, err := net.FailEdges(0.2, 3)
-	if err != nil {
-		t.Fatal(err)
+	failed := mustDegrade(t, net, PlanRandomLinks(0.2, 3))
+	want := net.G.RemoveEdges(fault.SampleLinks(net.G, 0.2, rand.New(rand.NewSource(3))))
+	if !slices.Equal(failed.G.Edges(), want.Edges()) {
+		t.Error("Degrade removed different links than the seed's sample")
 	}
 	if failed.G.M() >= net.G.M() {
 		t.Error("no edges removed")
@@ -146,6 +154,47 @@ func TestPublicAPIFailEdges(t *testing.T) {
 	}
 	if lower != 0 {
 		t.Errorf("irregular graph lower bound should be 0, got %v", lower)
+	}
+}
+
+// degradedPlans damage LPS(11,7) into irregular networks.
+var degradedPlans = []FaultPlan{PlanRandomLinks(0.1, 1), PlanRandomRouters(0.1, 1)}
+
+// TestPublicAPINormalizedBisectionDegraded: on an irregular network
+// the cut is normalized by the surviving link count (nk/2 only holds
+// for k-regular graphs), and a network with no links reports 0.
+func TestPublicAPINormalizedBisectionDegraded(t *testing.T) {
+	net, _ := LPS(11, 7)
+	for _, p := range degradedPlans {
+		hurt := mustDegrade(t, net, p)
+		if _, regular := hurt.G.Regularity(); regular {
+			t.Fatalf("plan %v left the network regular", p)
+		}
+		upper, _ := hurt.Bisection(1)
+		if nb := hurt.NormalizedBisection(1); nb != float64(upper)/float64(hurt.G.M()) || nb <= 0 || nb > 0.5 {
+			t.Errorf("plan %v: normalized bisection %v, cut %d of %d links", p, nb, upper, hurt.G.M())
+		}
+	}
+	bare := mustDegrade(t, net, PlanRandomLinks(1, 1))
+	if nb := bare.NormalizedBisection(1); nb != 0 {
+		t.Errorf("network with no links: normalized bisection %v, want 0", nb)
+	}
+}
+
+// TestPublicAPICheegerBoundsDegraded: the Cheeger bounds are stated
+// for regular graphs, so an irregular network reports [0, 0] — as
+// Bisection's lower bound and Analyze's spectral fields do — instead
+// of panicking.
+func TestPublicAPICheegerBoundsDegraded(t *testing.T) {
+	net, _ := LPS(11, 7)
+	for _, p := range degradedPlans {
+		hurt := mustDegrade(t, net, p)
+		if lo, hi := hurt.CheegerBounds(); lo != 0 || hi != 0 {
+			t.Errorf("plan %v: Cheeger bounds [%v, %v], want [0, 0]", p, lo, hi)
+		}
+		if m := hurt.Analyze(); m.Regular || m.Radix != 0 || m.Mu1 != 0 || m.Bipartite {
+			t.Errorf("plan %v: irregular metrics %+v", p, m)
+		}
 	}
 }
 
@@ -318,6 +367,29 @@ func TestPublicAPILayout(t *testing.T) {
 	lat := fp.Latency(100)
 	if lat.AvgNs <= 0 || lat.MaxNs < lat.AvgNs {
 		t.Errorf("latency stats %+v", lat)
+	}
+	// Latency sweeps all pairs once per plan: concurrent first calls on
+	// a fresh plan of the same placement share that sweep and agree
+	// with the first plan, and a later call at another switch latency
+	// reads the same sweep.
+	fresh := &FloorPlan{net: net, place: fp.place}
+	got := make([]LatencyStats, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = fresh.Latency(100)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != lat {
+			t.Errorf("concurrent call %d: latency %+v, want %+v", i, g, lat)
+		}
+	}
+	if l0 := fresh.Latency(0); l0 != fp.Latency(0) || l0.AvgNs >= lat.AvgNs {
+		t.Errorf("latency at 0 ns switch %+v, at 100 ns %+v", l0, lat)
 	}
 }
 

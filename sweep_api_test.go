@@ -247,13 +247,6 @@ func TestSweepErrors(t *testing.T) {
 	if _, err := NewSweep().Networks(linkHurt).Loads(0.3).Collect(context.Background()); err == nil {
 		t.Error("link-degraded network accepted as a sweep topology")
 	}
-	failed, err := net.FailEdges(0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSweep().Networks(failed).Loads(0.3).Collect(context.Background()); err == nil {
-		t.Error("FailEdges network accepted as a sweep topology")
-	}
 	// A sweep is re-runnable: Collect twice gives identical results.
 	sw := testSweep()
 	a, err := sw.Collect(context.Background())
