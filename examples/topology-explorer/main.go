@@ -53,11 +53,7 @@ func main() {
 	}
 
 	// Build and fully analyze the best hit.
-	var p, q int64
-	if _, err := fmt.Sscanf(show[0].f.Name, "LPS(%d,%d)", &p, &q); err != nil {
-		log.Fatal(err)
-	}
-	net, err := spectralfly.LPS(p, q)
+	net, err := spectralfly.BuildSpec(show[0].f.Name)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -62,14 +61,12 @@ func bisectionRow(inst *topo.Instance, seed int64) BisectionRow {
 	g := inst.G
 	k, _ := g.Regularity()
 	cut := partition.BisectionBandwidth(g, partition.Options{Seed: seed})
-	sp := spectral.Analyze(g, spectral.Options{Seed: seed})
-	lower := spectral.FiedlerBisectionLowerBound(g.N(), k, sp.Mu1())
 	row := BisectionRow{
 		Name:     inst.Name,
 		Vertices: g.N(),
 		Radix:    k,
 		CutUpper: cut,
-		CutLower: lower,
+		CutLower: spectral.FiedlerBisectionLowerBound(g, seed),
 	}
 	if g.M() > 0 {
 		row.Normalized = float64(cut) / float64(g.M())
@@ -88,11 +85,11 @@ func Fig4NormalizedBisection(maxPQ int64, maxVertices int) ([]BisectionRow, erro
 		if f.Vertices > int64(maxVertices) {
 			continue
 		}
-		var p, q int64
-		if _, err := fmt.Sscanf(f.Name, "LPS(%d,%d)", &p, &q); err != nil {
+		spec, err := topo.ParseSpec(f.Name)
+		if err != nil {
 			return nil, err
 		}
-		inst, err := topo.LPS(p, q)
+		inst, err := spec.Build()
 		if err != nil {
 			return nil, err
 		}

@@ -52,18 +52,15 @@ func Table1(classes []int, scale Scale) ([]Table1Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: building %s: %w", spec, err)
 		}
-		g := inst.G
-		k, _ := g.Regularity()
-		st := g.AllPairsStats()
-		sp := spectral.Analyze(g, spectral.Options{Seed: BaseSeed})
+		m := spectral.Profile(inst.G, BaseSeed)
 		rows = append(rows, Table1Row{
 			Name:     inst.Name,
-			Routers:  g.N(),
-			Radix:    k,
-			Diameter: st.Diameter,
-			Dist:     st.AvgDist,
-			Girth:    g.Girth(),
-			Mu1:      sp.Mu1(),
+			Routers:  m.Routers,
+			Radix:    m.Radix,
+			Diameter: m.Diameter,
+			Dist:     m.AvgDistance,
+			Girth:    m.Girth,
+			Mu1:      m.Mu1,
 		})
 	}
 	return rows, nil

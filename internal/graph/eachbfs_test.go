@@ -51,7 +51,8 @@ func eachBFSCases(n int, rng *rand.Rand) map[string]*Graph {
 }
 
 // checkEachBFS fails unless EachBFS hands every source exactly once a
-// distance vector equal to BFS's.
+// distance vector equal to BFS's, and DistanceHistogram and
+// AllPairsStats agree with folds of those BFS vectors.
 func checkEachBFS(t *testing.T, g *Graph) {
 	t.Helper()
 	n := g.N()
@@ -65,6 +66,9 @@ func checkEachBFS(t *testing.T, g *Graph) {
 		}
 	})
 	want := make([]int32, n)
+	var wantHist []int64
+	var wantUnreach, sum int64
+	var diam int
 	for s := range n {
 		if c := calls[s].Load(); c != 1 {
 			t.Fatalf("n=%d: source %d ran %d times", n, s, c)
@@ -73,6 +77,31 @@ func checkEachBFS(t *testing.T, g *Graph) {
 		if !slices.Equal(got[s], want) {
 			t.Fatalf("n=%d: source %d: EachBFS %v, BFS %v", n, s, got[s], want)
 		}
+		for v, d := range want {
+			switch {
+			case v == s:
+			case d < 0:
+				wantUnreach++
+			default:
+				for int(d) >= len(wantHist) {
+					wantHist = append(wantHist, 0)
+				}
+				wantHist[d]++
+				sum += int64(d)
+				diam = max(diam, int(d))
+			}
+		}
+	}
+	hist, unreach := g.DistanceHistogram()
+	if !slices.Equal(hist, wantHist) || unreach != wantUnreach {
+		t.Fatalf("n=%d: DistanceHistogram %v (%d unreachable), BFS %v (%d)", n, hist, unreach, wantHist, wantUnreach)
+	}
+	wantStats := PathStats{Connected: wantUnreach == 0, Diameter: diam}
+	if pairs := int64(n)*int64(n-1) - wantUnreach; pairs > 0 {
+		wantStats.AvgDist = float64(sum) / float64(pairs)
+	}
+	if st := g.AllPairsStats(); st != wantStats {
+		t.Fatalf("n=%d: AllPairsStats %+v, BFS %+v", n, st, wantStats)
 	}
 }
 

@@ -242,9 +242,8 @@ func (g *Graph) Components() (labels []int32, count int) {
 // PathStats holds all-pairs shortest-path summary statistics.
 type PathStats struct {
 	Connected bool
-	Diameter  int     // max finite distance (undefined if !Connected)
-	AvgDist   float64 // mean distance over ordered pairs of distinct vertices
-	Ecc       []int32 // per-vertex eccentricity (-1 if vertex sees unreachable vertices)
+	Diameter  int     // max finite distance (over reachable pairs if !Connected)
+	AvgDist   float64 // mean distance over reachable ordered pairs of distinct vertices
 }
 
 // EachSource runs one job per source vertex s in 0..n-1 on up to
@@ -352,45 +351,19 @@ func (g *Graph) EachBFS(newWorker func() func(src int, dist []int32)) {
 	})
 }
 
-// AllPairsStats runs BFS from every vertex (EachBFS) and aggregates
-// diameter, mean distance and eccentricities. For disconnected graphs
-// Connected=false and Diameter/AvgDist describe only reachable pairs.
+// AllPairsStats folds DistanceHistogram into diameter and mean
+// distance. For disconnected graphs Connected=false and
+// Diameter/AvgDist describe only reachable pairs.
 func (g *Graph) AllPairsStats() PathStats {
-	n := g.N()
-	st := PathStats{Connected: true, Ecc: make([]int32, n)}
-	if n <= 1 {
-		return st
+	if g.N() <= 1 {
+		return PathStats{Connected: true}
 	}
-	sums := make([][2]int64, n) // per source: distance sum, reachable targets
-	g.EachBFS(func() func(int, []int32) {
-		return func(s int, dist []int32) {
-			var ecc int32
-			var sum, reached int64
-			for v, d := range dist {
-				if v == s {
-					continue
-				}
-				if d < 0 {
-					ecc = -1
-					continue
-				}
-				if ecc >= 0 && d > ecc {
-					ecc = d
-				}
-				sum += int64(d)
-				reached++
-			}
-			st.Ecc[s], sums[s] = ecc, [2]int64{sum, reached}
-		}
-	})
+	hist, unreachable := g.DistanceHistogram()
+	st := PathStats{Connected: unreachable == 0, Diameter: max(len(hist)-1, 0)}
 	var sum, pairs int64
-	for s, ecc := range st.Ecc {
-		sum += sums[s][0]
-		pairs += sums[s][1]
-		if ecc < 0 {
-			st.Connected = false
-		}
-		st.Diameter = max(st.Diameter, int(ecc))
+	for d, c := range hist {
+		sum += int64(d) * c
+		pairs += c
 	}
 	if pairs > 0 {
 		st.AvgDist = float64(sum) / float64(pairs)

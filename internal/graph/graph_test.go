@@ -162,11 +162,6 @@ func TestAllPairsStatsCycle(t *testing.T) {
 	if diff := st.AvgDist - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("C10 avg dist=%v want %v", st.AvgDist, want)
 	}
-	for _, e := range st.Ecc {
-		if e != 5 {
-			t.Fatalf("C10 eccentricity %d want 5", e)
-		}
-	}
 }
 
 func TestAllPairsStatsComplete(t *testing.T) {
@@ -176,13 +171,20 @@ func TestAllPairsStatsComplete(t *testing.T) {
 	}
 }
 
+// TestAllPairsStatsDisconnected: on the path 0–1–2 plus the edge 3–4
+// the diameter is the largest finite distance (2), and the mean runs
+// over the 8 reachable ordered pairs: (2·(1+2+1) + 2·1)/8 = 1.25.
 func TestAllPairsStatsDisconnected(t *testing.T) {
-	b := NewBuilder(4)
+	b := NewBuilder(5)
 	b.AddEdge(0, 1)
-	b.AddEdge(2, 3)
+	b.AddEdge(1, 2)
+	b.AddEdge(3, 4)
 	st := b.Build().AllPairsStats()
 	if st.Connected {
 		t.Fatal("should report disconnected")
+	}
+	if st.Diameter != 2 || st.AvgDist != 1.25 {
+		t.Fatalf("stats %+v, want diameter 2 and average distance 1.25", st)
 	}
 }
 

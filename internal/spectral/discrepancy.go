@@ -21,25 +21,26 @@ type DiscrepancyStats struct {
 	MaxDeviation float64
 	// MeanDeviation is the average of the same ratio.
 	MeanDeviation float64
-	// MixingBound is λ(G) for reference (0 if unavailable).
+	// MixingBound is λ(G) for reference.
 	MixingBound float64
 }
 
 // Discrepancy samples random disjoint vertex-set pairs of varying sizes
-// and measures normalized edge-count deviations. The graph must be
-// k-regular. Lower values mean the topology is closer to an ideal
+// and measures normalized edge-count deviations. The mixing lemma is
+// stated for k-regular graphs, so an irregular graph (e.g. after
+// failures) reports zero stats, as do fewer than 4 vertices or no
+// samples. Lower values mean the topology is closer to an ideal
 // "bottleneck-free" network.
 func Discrepancy(g *graph.Graph, samples int, seed int64) DiscrepancyStats {
 	n := g.N()
 	k, regular := g.Regularity()
-	if n < 4 || samples <= 0 {
+	if n < 4 || samples <= 0 || !regular {
 		return DiscrepancyStats{}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	st := DiscrepancyStats{Samples: samples}
-	if regular {
-		sp := Analyze(g, Options{Seed: seed})
-		st.MixingBound = sp.LambdaG()
+	st := DiscrepancyStats{
+		Samples:     samples,
+		MixingBound: Analyze(g, Options{Seed: seed}).LambdaG(),
 	}
 	inS := make([]bool, n)
 	inT := make([]bool, n)

@@ -333,6 +333,57 @@ func Analyze(g *graph.Graph, opts Options) Spectrum {
 	return sp
 }
 
+// Metrics are the structural properties reported in Table I, plus the
+// Ramanujan and Cheeger diagnostics of §II.
+type Metrics struct {
+	Routers     int
+	Radix       int // 0 when the graph is irregular (e.g. after failures)
+	Regular     bool
+	Links       int
+	Connected   bool
+	Diameter    int // largest finite distance (over reachable pairs if !Connected)
+	AvgDistance float64
+	Girth       int
+	Bipartite   bool
+	// Spectral quantities are populated only for regular graphs.
+	LambdaG        float64 // λ(G): largest |eigenvalue| ≠ ±k
+	RamanujanBound float64 // 2√(k-1)
+	Ramanujan      bool    // λ(G) ≤ 2√(k-1)
+	Mu1            float64 // (k - λ(G))/k, Table I's spectral gap column
+	// CheegerLower and CheegerUpper bracket the edge expansion h(G);
+	// see Spectrum.CheegerBounds.
+	CheegerLower, CheegerUpper float64
+}
+
+// Profile computes the full structural profile of g: all-pairs
+// distances, girth, and, on regular graphs of positive degree only,
+// one seeded eigen-solve for the Ramanujan, µ1 and Cheeger fields.
+// Irregular graphs (e.g. after failures) leave those fields zero.
+func Profile(g *graph.Graph, seed int64) Metrics {
+	k, regular := g.Regularity()
+	st := g.AllPairsStats()
+	m := Metrics{
+		Routers:     g.N(),
+		Regular:     regular,
+		Links:       g.M(),
+		Connected:   st.Connected,
+		Diameter:    st.Diameter,
+		AvgDistance: st.AvgDist,
+		Girth:       g.Girth(),
+		Bipartite:   g.IsBipartite(),
+	}
+	if regular && k > 0 {
+		sp := Analyze(g, Options{Seed: seed})
+		m.Radix = k
+		m.LambdaG = sp.LambdaG()
+		m.RamanujanBound = RamanujanBound(k)
+		m.Ramanujan = sp.IsRamanujan(1e-8)
+		m.Mu1 = sp.Mu1()
+		m.CheegerLower, m.CheegerUpper = sp.CheegerBounds()
+	}
+	return m
+}
+
 // LambdaG returns λ(G) of Definition 1: the largest-magnitude adjacency
 // eigenvalue not equal to ±k. The graph must be k-regular.
 func (s Spectrum) LambdaG() float64 {
@@ -371,9 +422,16 @@ func (s Spectrum) Mu1() float64 {
 }
 
 // FiedlerBisectionLowerBound returns the spectral lower bound on
-// bisection bandwidth used in §IV-d: BW(G) ≥ µ₁·k·n/4.
-func FiedlerBisectionLowerBound(n, k int, mu1 float64) float64 {
-	return mu1 * float64(k) * float64(n) / 4
+// bisection bandwidth used in §IV-d, BW(G) ≥ µ₁·k·n/4, from one seeded
+// eigen-solve. The bound is stated for k-regular graphs; an irregular
+// graph (or one with no links) reports 0.
+func FiedlerBisectionLowerBound(g *graph.Graph, seed int64) float64 {
+	k, regular := g.Regularity()
+	if !regular || k == 0 {
+		return 0
+	}
+	mu1 := Analyze(g, Options{Seed: seed}).Mu1()
+	return mu1 * float64(k) * float64(g.N()) / 4
 }
 
 // CheegerBounds brackets the edge expansion (conductance-style

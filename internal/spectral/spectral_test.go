@@ -228,10 +228,18 @@ func TestNonRamanujanDetected(t *testing.T) {
 }
 
 func TestFiedlerBisectionLowerBound(t *testing.T) {
-	// Paper sanity check (§IV-d): LPS(23,11) with n=660, k=24, µ1=0.65
-	// gives ≈ 2574.
-	got := FiedlerBisectionLowerBound(660, 24, 0.65)
-	approx(t, got, 2574, 1e-9, "Fiedler LB")
+	// Q3: n=8, k=3, λ(G) = 1 (−3 is excluded), µ1 = 2/3, so
+	// µ1·k·n/4 = 4 — exactly the cube's bisection width.
+	approx(t, FiedlerBisectionLowerBound(hypercube(3), 1), 4, 1e-9, "Q3 Fiedler LB")
+	// K8: µ1 = 6/7, so 6/7·7·8/4 = 12, half of K8's bisection width 16.
+	approx(t, FiedlerBisectionLowerBound(complete(8), 1), 12, 1e-9, "K8 Fiedler LB")
+	// The bound is stated for regular graphs: a path reports 0.
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	if lb := FiedlerBisectionLowerBound(b.Build(), 1); lb != 0 {
+		t.Errorf("irregular graph Fiedler LB %v, want 0", lb)
+	}
 }
 
 func TestLanczosDeflation(t *testing.T) {

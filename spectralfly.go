@@ -16,6 +16,12 @@
 //	sim, err := net.Simulate(spectralfly.SimConfig{Concentration: 4})
 //	stats, err := sim.RunUniform(0.3, 50) // 30% offered load
 //
+// Analyze returns the whole Table I profile from one eigen-solve,
+// including the Cheeger bracket on edge expansion (Metrics.CheegerLower
+// and CheegerUpper); Bisection brackets the bisection bandwidth; and
+// Centrality returns the vertex and link betweenness profiles from one
+// Brandes pass.
+//
 // The heavy lifting lives in the internal packages; this package is the
 // stable façade. See DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-reproduction index.
@@ -99,51 +105,14 @@ func Xpander(k, lifts int, seed int64) (*Network, error) {
 }
 
 // Metrics are the structural properties reported in Table I, plus the
-// Ramanujan diagnostics of §II.
-type Metrics struct {
-	Routers     int
-	Radix       int // 0 when the graph is irregular (e.g. after failures)
-	Regular     bool
-	Links       int
-	Connected   bool
-	Diameter    int
-	AvgDistance float64
-	Girth       int
-	Bipartite   bool
-	// Spectral quantities are populated only for regular graphs.
-	LambdaG        float64 // λ(G): largest |eigenvalue| ≠ ±k
-	RamanujanBound float64 // 2√(k-1)
-	Ramanujan      bool    // λ(G) ≤ 2√(k-1)
-	Mu1            float64 // (k - λ(G))/k, Table I's spectral gap column
-}
+// Ramanujan and Cheeger diagnostics of §II; see spectral.Metrics.
+type Metrics = spectral.Metrics
 
 // Analyze computes the full structural profile of the network. The
-// Ramanujan diagnostics apply to regular graphs, and the eigen-solve
-// behind them runs only there; for irregular graphs (e.g. after
-// Degrade) they are left zero and Regular is false.
-func (n *Network) Analyze() Metrics {
-	k, regular := n.G.Regularity()
-	st := n.G.AllPairsStats()
-	m := Metrics{
-		Routers:     n.G.N(),
-		Regular:     regular,
-		Links:       n.G.M(),
-		Connected:   st.Connected,
-		Diameter:    st.Diameter,
-		AvgDistance: st.AvgDist,
-		Girth:       n.G.Girth(),
-		Bipartite:   n.G.IsBipartite(),
-	}
-	if regular && k > 0 {
-		sp := spectral.Analyze(n.G, spectral.Options{})
-		m.Radix = k
-		m.LambdaG = sp.LambdaG()
-		m.RamanujanBound = spectral.RamanujanBound(k)
-		m.Ramanujan = sp.IsRamanujan(1e-8)
-		m.Mu1 = sp.Mu1()
-	}
-	return m
-}
+// Ramanujan and Cheeger diagnostics apply to regular graphs, and the
+// one eigen-solve behind them runs only there; for irregular graphs
+// (e.g. after Degrade) they are left zero and Regular is false.
+func (n *Network) Analyze() Metrics { return spectral.Profile(n.G, 0) }
 
 // Bisection brackets the bisection bandwidth: a heuristic upper bound
 // from multilevel FM partitioning (the paper's METIS role) and the
@@ -152,21 +121,17 @@ func (n *Network) Analyze() Metrics {
 // Degrade) it is reported as 0.
 func (n *Network) Bisection(seed int64) (upper int, lower float64) {
 	upper = partition.BisectionBandwidth(n.G, partition.Options{Seed: seed})
-	if k, regular := n.G.Regularity(); regular && k > 0 {
-		sp := spectral.Analyze(n.G, spectral.Options{Seed: seed})
-		lower = spectral.FiedlerBisectionLowerBound(n.G.N(), k, sp.Mu1())
-	}
-	return upper, lower
+	return upper, spectral.FiedlerBisectionLowerBound(n.G, seed)
 }
 
 // NormalizedBisection returns the bisection cut as a fraction of all
 // links, the size-agnostic measure of Figure 4 (on a k-regular
 // network the link count is nk/2). A network with no links reports 0.
 func (n *Network) NormalizedBisection(seed int64) float64 {
-	upper, _ := n.Bisection(seed)
 	if n.G.M() == 0 {
 		return 0
 	}
+	upper := partition.BisectionBandwidth(n.G, partition.Options{Seed: seed})
 	return float64(upper) / float64(n.G.M())
 }
 
@@ -250,28 +215,11 @@ func (n *Network) Discrepancy(samples int, seed int64) spectral.DiscrepancyStats
 	return spectral.Discrepancy(n.G, samples, seed)
 }
 
-// Betweenness returns the vertex-betweenness profile (max, mean,
-// max/mean ratio); flat profiles mean no router-level bottlenecks (§V).
-func (n *Network) Betweenness() graph.BetweennessProfile {
-	vertex, _ := n.G.Centrality()
-	return graph.Summarize(vertex)
-}
-
-// EdgeBetweenness returns the link-level betweenness profile; a high
-// max/mean ratio identifies bottleneck links (DragonFly global links).
-func (n *Network) EdgeBetweenness() graph.BetweennessProfile {
-	_, edge := n.G.Centrality()
-	return graph.Summarize(edge)
-}
-
-// CheegerBounds brackets the edge expansion h(G) of the network via the
-// discrete Cheeger inequality (§II): (k−λ₂)/2 ≤ h ≤ √(2k(k−λ₂)). The
-// inequality is stated for k-regular graphs; for irregular graphs
-// (e.g. after Degrade) both bounds are reported as 0, as Bisection's
-// lower bound is.
-func (n *Network) CheegerBounds() (lower, upper float64) {
-	if k, regular := n.G.Regularity(); !regular || k == 0 {
-		return 0, 0
-	}
-	return spectral.Analyze(n.G, spectral.Options{}).CheegerBounds()
+// Centrality returns the vertex- and link-betweenness profiles (max,
+// mean, max/mean ratio) from one Brandes pass. A flat vertex profile
+// means no router-level bottlenecks (§V); a high link ratio identifies
+// bottleneck links (DragonFly global links).
+func (n *Network) Centrality() (vertex, edge graph.BetweennessProfile) {
+	v, e := n.G.Centrality()
+	return graph.Summarize(v), graph.Summarize(e)
 }

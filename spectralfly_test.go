@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/spectral"
 	"repro/internal/traffic"
 )
 
@@ -181,20 +182,36 @@ func TestPublicAPINormalizedBisectionDegraded(t *testing.T) {
 	}
 }
 
-// TestPublicAPICheegerBoundsDegraded: the Cheeger bounds are stated
-// for regular graphs, so an irregular network reports [0, 0] — as
-// Bisection's lower bound and Analyze's spectral fields do — instead
-// of panicking.
+// TestPublicAPICheegerBoundsDegraded: the Cheeger bounds and the
+// mixing lemma are stated for regular graphs, so an irregular network
+// reports zero Cheeger bounds and zero discrepancy stats — as
+// Bisection's lower bound and Analyze's other spectral fields do —
+// instead of panicking or comparing against a bound of 0. The
+// distance fields still describe the reachable pairs: the router kill
+// disconnects the network, and its diameter is the largest finite
+// distance, not 0.
 func TestPublicAPICheegerBoundsDegraded(t *testing.T) {
 	net, _ := LPS(11, 7)
+	disconnected := false
 	for _, p := range degradedPlans {
 		hurt := mustDegrade(t, net, p)
-		if lo, hi := hurt.CheegerBounds(); lo != 0 || hi != 0 {
-			t.Errorf("plan %v: Cheeger bounds [%v, %v], want [0, 0]", p, lo, hi)
+		m := hurt.Analyze()
+		if m.CheegerLower != 0 || m.CheegerUpper != 0 {
+			t.Errorf("plan %v: Cheeger bounds [%v, %v], want [0, 0]", p, m.CheegerLower, m.CheegerUpper)
 		}
-		if m := hurt.Analyze(); m.Regular || m.Radix != 0 || m.Mu1 != 0 || m.Bipartite {
+		if m.Regular || m.Radix != 0 || m.Mu1 != 0 || m.Bipartite {
 			t.Errorf("plan %v: irregular metrics %+v", p, m)
 		}
+		if m.Diameter <= 0 || m.AvgDistance <= 0 {
+			t.Errorf("plan %v: diameter %d, average distance %v", p, m.Diameter, m.AvgDistance)
+		}
+		disconnected = disconnected || !m.Connected
+		if d := hurt.Discrepancy(50, 1); d != (spectral.DiscrepancyStats{}) {
+			t.Errorf("plan %v: irregular discrepancy %+v, want zero stats", p, d)
+		}
+	}
+	if !disconnected {
+		t.Error("no plan disconnected the network")
 	}
 }
 
@@ -414,14 +431,14 @@ func TestPublicAPIDiagnostics(t *testing.T) {
 	if d := net.Discrepancy(50, 1); d.MaxDeviation <= 0 || d.MaxDeviation > d.MixingBound+1e-9 {
 		t.Errorf("discrepancy stats out of range: %+v", d)
 	}
-	lo, hi := net.CheegerBounds()
-	if lo <= 0 || hi < lo {
-		t.Errorf("Cheeger bounds degenerate: [%v, %v]", lo, hi)
+	if m := net.Analyze(); m.CheegerLower <= 0 || m.CheegerUpper < m.CheegerLower {
+		t.Errorf("Cheeger bounds degenerate: [%v, %v]", m.CheegerLower, m.CheegerUpper)
 	}
-	if r := net.Betweenness().Ratio; r < 0.99 || r > 1.01 {
+	vertex, edge := net.Centrality()
+	if r := vertex.Ratio; r < 0.99 || r > 1.01 {
 		t.Errorf("LPS vertex betweenness ratio %v should be 1 (vertex-transitive)", r)
 	}
-	if r := net.EdgeBetweenness().Ratio; r < 0.99 {
+	if r := edge.Ratio; r < 0.99 {
 		t.Errorf("edge betweenness ratio %v", r)
 	}
 }
