@@ -1,15 +1,15 @@
 // Ember motifs: run the §VI-D communication motifs (Halo3D-26, Sweep3D,
 // FFT) on a SpectralFly network and a DragonFly of comparable size,
 // under both minimal and UGAL-L routing — the workflow behind
-// Figures 9-10, sized to finish in seconds.
+// Figures 9-10, sized to finish in seconds. Every motif below is built
+// for a 512-rank job, so the example runs at 512 ranks.
 //
 // Usage:
 //
-//	go run ./examples/ember-motifs [-ranks 512]
+//	go run ./examples/ember-motifs
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -18,10 +18,10 @@ import (
 	"repro/internal/traffic"
 )
 
-func main() {
-	ranks := flag.Int("ranks", 512, "job size")
-	flag.Parse()
+// ranks is the job size every motif below is built for.
+const ranks = 512
 
+func main() {
 	lps, err := spectralfly.LPS(11, 7) // 168 routers × 4 = 672 endpoints
 	if err != nil {
 		log.Fatal(err)
@@ -53,11 +53,11 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, m := range motifs {
-			a, err := lpsSim.RunMotif(m, *ranks)
+			a, err := lpsSim.RunMotif(m, ranks)
 			if err != nil {
 				log.Fatal(err)
 			}
-			b, err := dfSim.RunMotif(m, *ranks)
+			b, err := dfSim.RunMotif(m, ranks)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -17,10 +17,9 @@ import (
 
 // DefaultCyclesPerNs converts wire propagation delay to simulator
 // cycles. At 1 cycle/ns the 2 m intra-cabinet wire costs
-// 2 × 5 ns/m = 10 cycles — exactly the historical uniform
-// Config.LinkLatency default, so a derived table reduces to the
-// uniform model for intra-cabinet links and only stretches the ones
-// the layout actually made longer.
+// 2 × 5 ns/m = 10 cycles — exactly the uniform simnet.LinkLatency, so
+// a derived table reduces to the uniform model for intra-cabinet links
+// and only stretches the ones the layout actually made longer.
 const DefaultCyclesPerNs = 1.0
 
 // LinkLatencies converts a placement into the simulator's per-port

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/simnet"
 	"repro/internal/topo"
 )
 
@@ -100,6 +101,34 @@ func TestOptimizePinsMatchingIntraCabinet(t *testing.T) {
 	}
 	if intra < g.N()/3 {
 		t.Errorf("only %d intra-cabinet edges; matching not exploited", intra)
+	}
+}
+
+// TestIntraCabinetCableCostsLinkLatency pins the reduction DESIGN §12
+// relies on: a derived latency table charges the intra-cabinet cable,
+// and the NIC wire, exactly the simulator's uniform LinkLatency, so
+// only the links a placement made longer differ from the uniform model.
+func TestIntraCabinetCableCostsLinkLatency(t *testing.T) {
+	g := topo.MustLPS(11, 7).G
+	p := Optimize(g, Options{Seed: 2, Restarts: 1, Sweeps: 2})
+	lat := LinkLatencies(g, p)
+	if lat.NIC != simnet.LinkLatency {
+		t.Errorf("NIC wire costs %d cycles, want %d", lat.NIC, simnet.LinkLatency)
+	}
+	intra := 0
+	for r := 0; r < g.N(); r++ {
+		for i, w := range g.Neighbors(r) {
+			if p.CabOf[r] != p.CabOf[w] {
+				continue
+			}
+			intra++
+			if lat.Port[r][i] != simnet.LinkLatency {
+				t.Fatalf("intra-cabinet link %d-%d costs %d cycles, want %d", r, w, lat.Port[r][i], simnet.LinkLatency)
+			}
+		}
+	}
+	if intra == 0 {
+		t.Fatal("placement has no intra-cabinet link to check")
 	}
 }
 

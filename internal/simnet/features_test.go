@@ -54,47 +54,6 @@ func TestUGALGDivertsUnderHotspot(t *testing.T) {
 	}
 }
 
-func TestFiniteBuffersSlowHotspotTraffic(t *testing.T) {
-	// With a hot destination, finite buffers must propagate backpressure
-	// and increase completion time versus unbounded queues.
-	inst := topo.MustSlimFly(5)
-	tab := routing.NewTable(inst.G)
-	hot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(2) }
-	run := func(buffers int) Stats {
-		nw, err := New(Config{
-			Topo: inst.G, Concentration: 2, Seed: 7, BufferPackets: buffers,
-		}, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw.RunLoad(hot, 0.8, 20)
-	}
-	unbounded := run(0)
-	tight := run(1)
-	if tight.Delivered != unbounded.Delivered {
-		t.Fatalf("delivery counts differ: %d vs %d", tight.Delivered, unbounded.Delivered)
-	}
-	if tight.Makespan < unbounded.Makespan {
-		t.Errorf("finite buffers should not finish earlier: %d vs %d",
-			tight.Makespan, unbounded.Makespan)
-	}
-}
-
-func TestFiniteBuffersHarmlessWhenLarge(t *testing.T) {
-	// Huge buffers behave like unbounded queues.
-	inst := topo.MustSlimFly(5)
-	tab := routing.NewTable(inst.G)
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
-	mk := func(buffers int) Stats {
-		nw, _ := New(Config{Topo: inst.G, Concentration: 2, Seed: 8, BufferPackets: buffers}, tab)
-		return nw.RunLoad(pattern, 0.3, 15)
-	}
-	a, b := mk(0), mk(1_000_000)
-	if !a.Equal(b) {
-		t.Errorf("large finite buffers diverge from unbounded:\n%+v\n%+v", a, b)
-	}
-}
-
 func TestSaturationLoadOrdering(t *testing.T) {
 	// The saturation knee must lie in (0, 1] and light patterns saturate
 	// later than hotspots.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/routing"
+	"repro/internal/topo"
 )
 
 // testLatTable builds a deterministic non-uniform per-port latency
@@ -124,6 +125,45 @@ func TestTenantScheduleConservation(t *testing.T) {
 		a.MemoryBytes, b.MemoryBytes = 0, 0
 		if !a.Equal(b) {
 			t.Errorf("workers=%d tenant stats differ from workers=1:\n%+v\n%+v", w, b, a)
+		}
+	}
+}
+
+// TestUniformLatencyTableMatchesNil pins the reduction DESIGN §12
+// relies on: a per-port table whose every entry is LinkLatency (NIC
+// included) reproduces the nil-table run exactly, statistics and
+// footprint, under minimal and UGAL-L routing at 1 and 4 shards.
+func TestUniformLatencyTableMatchesNil(t *testing.T) {
+	g := topo.MustLPS(11, 7).G
+	tab := routing.NewTable(g)
+	port := make([][]int64, g.N())
+	for r := range port {
+		port[r] = make([]int64, g.Degree(r))
+		for i := range port[r] {
+			port[r][i] = LinkLatency
+		}
+	}
+	uniform := &LinkLatencies{Port: port, NIC: LinkLatency}
+	for _, pol := range []routing.Policy{routing.Minimal, routing.UGALL} {
+		for _, workers := range []int{1, 4} {
+			run := func(lat *LinkLatencies) Stats {
+				nw, err := New(Config{Topo: g, Concentration: 2, Policy: pol, Seed: 3, Workers: workers}, tab)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := nw.SetLinkLatencies(lat); err != nil {
+					t.Fatal(err)
+				}
+				nep := nw.Endpoints()
+				return nw.RunLoad(func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }, 0.5, 16)
+			}
+			want, got := run(nil), run(uniform)
+			if want.Delivered == 0 {
+				t.Fatalf("%v workers=%d: idle run", pol, workers)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%v workers=%d: uniform table diverged from nil table:\n%+v\n%+v", pol, workers, got, want)
+			}
 		}
 	}
 }

@@ -186,8 +186,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 			net: mk(Config{Topo: lps, Concentration: 4, Policy: routing.UGALL}, lpsTab), run: uniform(streamGateLoad, streamGateMsgs), exercised: bigRun},
 		{name: "ugal-g", shards: 1,
 			net: mk(Config{Topo: lps, Concentration: 2, Policy: routing.UGALG}, lpsTab), run: uniform(0.2, 8)},
-		{name: "finite-buffers", shards: 1,
-			net: mk(Config{Topo: lps, Concentration: 2, BufferPackets: 4}, lpsTab), run: uniform(0.2, 8)},
 		{name: "damaged", shards: 4,
 			net: mk(Config{Topo: lps, Concentration: 2, DeadRouters: dead, Policy: routing.Valiant}, lpsTab), run: uniform(0.2, 16),
 			exercised: func(st Stats) bool { return st.Dropped > 0 }},

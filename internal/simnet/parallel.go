@@ -74,17 +74,13 @@ type kwayCache struct {
 // few routers (the barrier overhead would swamp the win long before).
 const minShardRouters = 4
 
-// parWorkers resolves Config.Workers to the run's shard count.
-// Configurations shards cannot express run on one: UGAL-G samples
-// backlog along whole paths (remote shards' port state), and finite
-// buffers write backpressure into the upstream shard's ports. Either
-// way the run takes the same code path and gives the same statistics.
+// parWorkers resolves Config.Workers to the run's shard count. UGAL-G
+// runs on one shard, because it samples backlog along whole paths
+// (remote shards' port state); it still takes the same code path and
+// gives the same statistics.
 func (nw *Network) parWorkers() int {
 	w := nw.cfg.Workers
-	if w <= 1 {
-		return 1
-	}
-	if nw.cfg.Policy == routing.UGALG || nw.cfg.BufferPackets > 0 {
+	if w <= 1 || nw.cfg.Policy == routing.UGALG {
 		return 1
 	}
 	if most := nw.n / minShardRouters; w > most {
@@ -100,13 +96,13 @@ func (nw *Network) parWorkers() int {
 // endpoints live in different shards — the link term of the PDES
 // lookahead. Only router-to-router hops cross shards (injections and
 // deliveries are shard-local by construction), so this is the tight
-// safe bound; with a uniform latency it is exactly cfg.LinkLatency.
+// safe bound; with a uniform latency it is exactly LinkLatency.
 // The bound depends on the shard map, but results do not: windows only
 // decide where barriers fall, and each router's event order is
 // (time, canonical key) regardless of barrier placement.
 func (nw *Network) minCutLatency(shardOf []int32) int64 {
 	if nw.lats == nil {
-		return nw.cfg.LinkLatency
+		return LinkLatency
 	}
 	min := int64(math.MaxInt64)
 	for r := 0; r < nw.n; r++ {
@@ -119,7 +115,7 @@ func (nw *Network) minCutLatency(shardOf []int32) int64 {
 	if min == math.MaxInt64 {
 		// No cross-shard link at all: no handoff ever crosses a window,
 		// so any positive bound is safe.
-		return nw.cfg.LinkLatency
+		return LinkLatency
 	}
 	return min
 }
@@ -225,7 +221,7 @@ func (nw *Network) drive() {
 	drain := nw.drainUntil
 	var lookahead int64
 	if len(shards) > 1 {
-		lookahead = nw.cfg.RouterLatency + nw.cfg.PacketFlits + nw.minCutLatency(nw.shardOf)
+		lookahead = RouterLatency + PacketFlits + nw.minCutLatency(nw.shardOf)
 		var stop func()
 		drain, stop = nw.startShards()
 		defer stop()

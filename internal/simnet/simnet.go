@@ -56,23 +56,11 @@ import (
 type Config struct {
 	// Topo is the router-level topology.
 	Topo *graph.Graph
-	// Concentration is the number of endpoints attached to each router.
+	// Concentration is the number of endpoints attached to each router
+	// (0 means 1; negative is an error).
 	Concentration int
-	// PacketFlits is the serialization time of one packet in cycles
-	// (one flit per cycle per port). Default 16.
-	PacketFlits int64
-	// RouterLatency is the per-hop pipeline latency in cycles. Default 5.
-	RouterLatency int64
-	// LinkLatency is the router-to-router wire latency in cycles.
-	// Default 10.
-	LinkLatency int64
 	// Policy is the routing algorithm. Default Minimal.
 	Policy routing.Policy
-	// BufferPackets bounds each output queue to this many packets;
-	// 0 means unbounded. With finite buffers a full downstream queue
-	// holds the packet in its upstream buffer, propagating backpressure
-	// (the coarse analogue of the paper's 64 KB router buffers).
-	BufferPackets int
 	// DeadRouters marks failed routers (nil = none). A dead router
 	// cannot source, sink or switch traffic: messages to or from its
 	// endpoints are dropped at the NIC and counted in Stats.Dropped.
@@ -100,24 +88,26 @@ type Config struct {
 	// Workers is the number of shards a run is split into (0 and 1
 	// mean one). It is a speed knob only: every run's statistics are
 	// identical for every value (MemoryBytes aside, which counts the
-	// shards' real memory). Runs the shards cannot express — UGAL-G,
-	// finite buffers, topologies under 4 routers per shard — use fewer
-	// shards, down to one (see parWorkers).
+	// shards' real memory). Runs the shards cannot express — UGAL-G and
+	// topologies under 4 routers per shard — use fewer shards, down to
+	// one (see parWorkers).
 	Workers int
 }
 
+// The model's fixed timing, in cycles: a packet serializes through a
+// port in PacketFlits cycles (one flit per cycle), each router hop adds
+// RouterLatency of pipeline delay, and each wire — router to router and
+// NIC to router — adds LinkLatency unless a LinkLatencies table
+// overrides it.
+const (
+	PacketFlits   int64 = 16
+	RouterLatency int64 = 5
+	LinkLatency   int64 = 10
+)
+
 func (c Config) withDefaults() Config {
-	if c.Concentration <= 0 {
+	if c.Concentration == 0 {
 		c.Concentration = 1
-	}
-	if c.PacketFlits <= 0 {
-		c.PacketFlits = 16
-	}
-	if c.RouterLatency <= 0 {
-		c.RouterLatency = 5
-	}
-	if c.LinkLatency <= 0 {
-		c.LinkLatency = 10
 	}
 	return c
 }
@@ -136,7 +126,7 @@ type Network struct {
 	dead []bool
 
 	// lats is the optional per-link wire-latency table (read-only once
-	// set; nil = the uniform Config.LinkLatency scalar, preserving the
+	// set; nil = the uniform LinkLatency constant, preserving the
 	// historical arithmetic bit for bit). Set per clone like dead.
 	lats *LinkLatencies
 
@@ -243,8 +233,8 @@ type packet struct {
 	hops         int32 // network hops taken so far (= VC index)
 	// Upstream position of the pending arrival: the router/slot (or
 	// NIC injection port of endpoint fromSlot when fromR = -1) the
-	// packet came through, for severing and finite-buffer
-	// backpressure.
+	// packet came through, so a scheduled run can sever it when that
+	// link goes down while it is in flight.
 	fromR, fromSlot int32
 	created         int64  // cycle the message entered the injection queue
 	uid             int64  // canonical message id: the event key
@@ -387,6 +377,9 @@ func New(cfg Config, table *routing.Table) (*Network, error) {
 	if cfg.Topo == nil || table == nil {
 		return nil, fmt.Errorf("simnet: nil topology or table")
 	}
+	if cfg.Concentration < 0 {
+		return nil, fmt.Errorf("simnet: Concentration %d, want >= 1 (0 means 1)", cfg.Concentration)
+	}
 	if table.G != cfg.Topo {
 		return nil, fmt.Errorf("simnet: routing table built for a different graph")
 	}
@@ -448,26 +441,24 @@ func (nw *Network) SetDeadRouters(mask []bool) {
 }
 
 // LinkLatencies is an optional per-link wire-latency model replacing
-// the uniform Config.LinkLatency scalar (layout.LinkLatencies derives
-// one from a physical machine-room placement). Port[r][slot] is the
+// the uniform LinkLatency constant (layout.LinkLatencies derives one
+// from a physical machine-room placement). Port[r][slot] is the
 // latency in cycles of the link leaving router r through port slot
 // (slot i feeds Topo.Neighbors(r)[i], the same indexing as the port
-// state); NIC is the endpoint↔router wire latency (0 keeps
-// Config.LinkLatency for NIC hops). A physical cable has one length,
-// so callers normally build symmetric tables, but symmetry is not
-// required by the model.
+// state); NIC is the endpoint↔router wire latency (0 keeps LinkLatency
+// for NIC hops). A physical cable has one length, so callers normally
+// build symmetric tables, but symmetry is not required by the model.
 type LinkLatencies struct {
 	Port [][]int64
 	NIC  int64
 }
 
 // SetLinkLatencies overrides the wire-latency model for subsequent
-// runs (nil = the uniform Config.LinkLatency scalar; see
-// LinkLatencies). The table is read-only and must cover every port of
-// every router with a non-negative latency. Like SetSchedule it
-// returns an error — leaving the previous table in place — rather
-// than panicking, so a sweep can fail one cell instead of the
-// process.
+// runs (nil = the uniform LinkLatency constant; see LinkLatencies).
+// The table is read-only and must cover every port of every router
+// with a non-negative latency. Like SetSchedule it returns an error —
+// leaving the previous table in place — rather than panicking, so a
+// sweep can fail one cell instead of the process.
 func (nw *Network) SetLinkLatencies(lat *LinkLatencies) error {
 	if lat != nil {
 		if len(lat.Port) != nw.n {
@@ -493,13 +484,13 @@ func (nw *Network) SetLinkLatencies(lat *LinkLatencies) error {
 
 // linkLat returns the wire latency of the link leaving router r
 // through port slot: the per-port table when one is set, the uniform
-// scalar otherwise. This is the hot-path lookup behind every
+// constant otherwise. This is the hot-path lookup behind every
 // router-to-router hop.
 func (nw *Network) linkLat(r int32, slot int) int64 {
 	if nw.lats != nil {
 		return nw.lats.Port[r][slot]
 	}
-	return nw.cfg.LinkLatency
+	return LinkLatency
 }
 
 // nicLat returns the NIC↔router wire latency (injection and ejection
@@ -508,7 +499,7 @@ func (nw *Network) nicLat() int64 {
 	if nw.lats != nil && nw.lats.NIC > 0 {
 		return nw.lats.NIC
 	}
-	return nw.cfg.LinkLatency
+	return LinkLatency
 }
 
 // SetSchedule overrides the timed topology-event schedule for
@@ -638,8 +629,8 @@ func (nw *Network) inject(pi int32, now int64) {
 	if nw.injFree[ep] > start {
 		start = nw.injFree[ep]
 	}
-	nw.injFree[ep] = start + nw.cfg.PacketFlits
-	arrive := start + nw.cfg.PacketFlits + nw.nicLat()
+	nw.injFree[ep] = start + PacketFlits
+	arrive := start + PacketFlits + nw.nicLat()
 	nw.push(event{time: arrive, at: nw.routerOf(ep), kind: evArrive, pkt: pi})
 }
 
@@ -779,7 +770,7 @@ func (nw *Network) pathCost(src, dst int, now int64) (int64, bool) {
 		if slot < 0 {
 			return 0, false
 		}
-		cost += nw.portBacklog(int32(v), slot, now) + nw.cfg.PacketFlits
+		cost += nw.portBacklog(int32(v), slot, now) + PacketFlits
 		v = int(next)
 	}
 	return cost, true
@@ -814,9 +805,8 @@ func (nw *Network) portBacklog(r int32, slot int, now int64) int64 {
 	return b
 }
 
-// arriveAtRouter routes a packet one hop further. The packet's
-// fromR/fromSlot identify the upstream buffer it occupies until it is
-// admitted downstream (finite-buffer backpressure).
+// arriveAtRouter routes a packet one hop further: it ejects at its
+// destination router, else queues on the output port of its next hop.
 func (nw *Network) arriveAtRouter(r int32, pi int32, now int64) {
 	p := &nw.packets[pi]
 	// Phase handoff at the Valiant intermediate.
@@ -825,12 +815,12 @@ func (nw *Network) arriveAtRouter(r int32, pi int32, now int64) {
 	}
 	if r == p.dstRouter {
 		// Eject to the endpoint (consumption is never blocked).
-		start := now + nw.cfg.RouterLatency
+		start := now + RouterLatency
 		if nw.ejFree[p.dstEP] > start {
 			start = nw.ejFree[p.dstEP]
 		}
-		nw.ejFree[p.dstEP] = start + nw.cfg.PacketFlits
-		deliver := start + nw.cfg.PacketFlits + nw.nicLat()
+		nw.ejFree[p.dstEP] = start + PacketFlits
+		deliver := start + PacketFlits + nw.nicLat()
 		if nw.live == nil {
 			// Nothing can sever a packet in a static run's ejection
 			// pipeline: account the delivery now instead of queueing it.
@@ -848,30 +838,14 @@ func (nw *Network) arriveAtRouter(r int32, pi int32, now int64) {
 		nw.dropRun++
 		return
 	}
-	admit := now
-	if nw.cfg.BufferPackets > 0 {
-		// Queue admission: wait until the output queue drains below its
-		// capacity; meanwhile the packet occupies the upstream buffer,
-		// holding that port busy (backpressure).
-		if earliest := nw.portFree[r][slot] - int64(nw.cfg.BufferPackets)*nw.cfg.PacketFlits; earliest > admit {
-			admit = earliest
-			if p.fromR >= 0 {
-				if nw.portFree[p.fromR][p.fromSlot] < admit {
-					nw.portFree[p.fromR][p.fromSlot] = admit
-				}
-			} else if nw.injFree[p.fromSlot] < admit {
-				nw.injFree[p.fromSlot] = admit
-			}
-		}
-	}
-	start := admit + nw.cfg.RouterLatency
+	start := now + RouterLatency
 	if nw.portFree[r][slot] > start {
 		start = nw.portFree[r][slot]
 	}
-	nw.portFree[r][slot] = start + nw.cfg.PacketFlits
+	nw.portFree[r][slot] = start + PacketFlits
 	p.hops++
 	p.fromR, p.fromSlot = r, int32(slot)
-	arrive := start + nw.cfg.PacketFlits + nw.linkLat(r, slot)
+	arrive := start + PacketFlits + nw.linkLat(r, slot)
 	nw.push(event{time: arrive, at: next, kind: evArrive, pkt: pi})
 }
 
@@ -1002,7 +976,7 @@ func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Sta
 	if nw.gens == nil {
 		nw.gens = make([]epGen, nw.nep)
 	}
-	nw.begin(pattern, float64(nw.cfg.PacketFlits)/load, msgsPerEP)
+	nw.begin(pattern, float64(PacketFlits)/load, msgsPerEP)
 	for ep := range nw.gens {
 		g := &nw.gens[ep]
 		g.src.state = mixSeed(nw.cfg.Seed, int64(ep))

@@ -46,13 +46,12 @@ func TestSingleMessageLatency(t *testing.T) {
 	// port serialize S + link L, router latency R (at dest), eject
 	// serialize S + link L.
 	g := lineGraph(2)
-	cfg := Config{Concentration: 1, PacketFlits: 8, RouterLatency: 3, LinkLatency: 5, Seed: 1}
-	nw := mustNet(t, g, cfg)
+	nw := mustNet(t, g, Config{Concentration: 1, Seed: 1})
 	st := mustBatches(t, nw, [][]Message{{{SrcEP: 0, DstEP: 1}}})
 	if st.Delivered != 1 {
 		t.Fatalf("delivered %d", st.Delivered)
 	}
-	S, R, L := int64(8), int64(3), int64(5)
+	S, R, L := PacketFlits, RouterLatency, LinkLatency
 	want := (S + L) + R + (S + L) + R + (S + L)
 	if st.MaxLatency != want {
 		t.Fatalf("latency %d want %d", st.MaxLatency, want)
@@ -63,12 +62,13 @@ func TestSingleMessageLatency(t *testing.T) {
 }
 
 func TestSameRouterDelivery(t *testing.T) {
-	// Two endpoints on one router: no network hop at all.
+	// Two endpoints on one router: no network hop at all, so the
+	// latency is injection (S + L), one router pass R and ejection
+	// (S + L).
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1)
 	g := b.Build()
-	cfg := Config{Concentration: 2, PacketFlits: 4, RouterLatency: 2, LinkLatency: 3, Seed: 1}
-	nw := mustNet(t, g, cfg)
+	nw := mustNet(t, g, Config{Concentration: 2, Seed: 1})
 	st := mustBatches(t, nw, [][]Message{{{SrcEP: 0, DstEP: 1}}})
 	if st.Delivered != 1 {
 		t.Fatalf("delivered %d", st.Delivered)
@@ -76,14 +76,17 @@ func TestSameRouterDelivery(t *testing.T) {
 	if st.MaxVC != 0 {
 		t.Fatalf("hops %d want 0", st.MaxVC)
 	}
+	S, R, L := PacketFlits, RouterLatency, LinkLatency
+	if want := (S + L) + R + (S + L); st.MaxLatency != want {
+		t.Fatalf("latency %d want %d", st.MaxLatency, want)
+	}
 }
 
 func TestSerializationContention(t *testing.T) {
 	// Two messages from the same endpoint must serialize through the
 	// injection port: the second is delayed by exactly PacketFlits.
 	g := lineGraph(2)
-	cfg := Config{Concentration: 1, PacketFlits: 10, RouterLatency: 1, LinkLatency: 1, Seed: 1}
-	nw := mustNet(t, g, cfg)
+	nw := mustNet(t, g, Config{Concentration: 1, Seed: 1})
 	st := mustBatches(t, nw, [][]Message{{
 		{SrcEP: 0, DstEP: 1},
 		{SrcEP: 0, DstEP: 1},
@@ -91,10 +94,10 @@ func TestSerializationContention(t *testing.T) {
 	if st.Delivered != 2 {
 		t.Fatalf("delivered %d", st.Delivered)
 	}
-	// First message latency X; second waits 10 at injection AND 10 at
+	// First message latency X; second waits S at injection AND S at
 	// every shared port... but pipelining means it follows right behind:
-	// its latency is X + 10.
-	S, R, L := int64(10), int64(1), int64(1)
+	// its latency is X + S.
+	S, R, L := PacketFlits, RouterLatency, LinkLatency
 	first := (S + L) + R + (S + L) + R + (S + L)
 	if st.MaxLatency != first+S {
 		t.Fatalf("second message latency %d want %d", st.MaxLatency, first+S)
@@ -237,6 +240,15 @@ func TestNewRejectsMismatchedTable(t *testing.T) {
 	}
 	if _, err := New(Config{}, nil); err == nil {
 		t.Error("nil topo should be rejected")
+	}
+	// A negative concentration is an error, not a silent default.
+	for _, c := range []int{-1, -3} {
+		if _, err := New(Config{Topo: g2, Concentration: c}, tab); err == nil {
+			t.Errorf("concentration %d should be rejected", c)
+		}
+	}
+	if nw, err := New(Config{Topo: g2}, tab); err != nil || nw.Endpoints() != 3 {
+		t.Errorf("concentration 0 should default to 1: %v", err)
 	}
 }
 

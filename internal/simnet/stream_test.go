@@ -68,7 +68,7 @@ func TestPercentileNearestRank(t *testing.T) {
 // inter-arrival gap matches PacketFlits/load.
 func TestArrivalClockMeanGap(t *testing.T) {
 	const (
-		meanGap = 16.0 / 0.3 // PacketFlits 16 at 30% load
+		meanGap = float64(PacketFlits) / 0.3 // 30% load
 		n       = 200_000
 	)
 	g := epGen{}

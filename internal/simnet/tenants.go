@@ -68,7 +68,7 @@ func (nw *Network) SetTenants(tc *TenantConfig) error {
 func (nw *Network) gapOf(ep int32) float64 {
 	if nw.tenants != nil {
 		if t := nw.tenants.OfEP[ep]; t >= 0 {
-			return float64(nw.cfg.PacketFlits) / nw.tenants.Load[t]
+			return float64(PacketFlits) / nw.tenants.Load[t]
 		}
 	}
 	return nw.meanGap

@@ -13,8 +13,8 @@ import (
 // cell's simulator runs with a per-port latency table derived from a
 // §VII machine-room placement of its instance — cable length per edge
 // × CableDelayNsPerM × layout.DefaultCyclesPerNs — instead of the uniform
-// Config.LinkLatency scalar. Placement quality (QAP vs. FAQ vs. none)
-// then shows up in delivered latency, not just meters of wire.
+// simnet.LinkLatency. Placement quality (QAP vs. FAQ vs. none) then
+// shows up in delivered latency, not just meters of wire.
 type Layout struct {
 	// Mode selects the placement optimizer: "qap" (the paper's annealed
 	// heuristic), "faq" (Frank–Wolfe/Hungarian) or "sequential" (index

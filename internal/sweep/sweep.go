@@ -361,8 +361,9 @@ func (g *Grid) axes() (pols []routing.Policy, pats []traffic.Pattern, motifs []t
 	return pols, pats, motifs, loads
 }
 
-// validate rejects grids whose live axes are empty or whose fault axis
-// is malformed.
+// validate rejects grids whose live axes are empty, whose instances
+// or message count cannot be simulated, or whose fault axis is
+// malformed.
 func (g *Grid) validate() error {
 	if len(g.Instances) == 0 {
 		return fmt.Errorf("sweep: grid has no instances")
@@ -371,6 +372,12 @@ func (g *Grid) validate() error {
 		if inst.Inst == nil || inst.Inst.G == nil {
 			return fmt.Errorf("sweep: instance %d (%s) has no graph", i, inst.Name)
 		}
+		if inst.Concentration < 1 {
+			return fmt.Errorf("sweep: instance %d (%s) has concentration %d, want >= 1", i, inst.Name, inst.Concentration)
+		}
+	}
+	if g.MsgsPerRank < 0 {
+		return fmt.Errorf("sweep: MsgsPerRank %d, want >= 0", g.MsgsPerRank)
 	}
 	switch g.Measure {
 	case MeasureLoad:

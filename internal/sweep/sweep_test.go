@@ -288,12 +288,21 @@ func TestValidate(t *testing.T) {
 			Faults: []FaultAxis{{Kind: fault.Links, Fraction: 0}}},
 		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3},
 			Faults: []FaultAxis{{Kind: fault.Links, Fraction: math.NaN()}}},
+		{Instances: withConcentration(testInstances(t), 0), Measure: MeasureLoad, Loads: []float64{0.3}},
+		{Instances: withConcentration(testInstances(t), -2), Measure: MeasureSaturation},
+		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3}, MsgsPerRank: -5},
 	}
 	for i, g := range bad {
 		if err := g.Run(context.Background(), Options{}, func(Result) error { return nil }); err == nil {
 			t.Errorf("grid %d validated, want error", i)
 		}
 	}
+}
+
+// withConcentration sets the last instance's concentration to c.
+func withConcentration(insts []Instance, c int) []Instance {
+	insts[len(insts)-1].Concentration = c
+	return insts
 }
 
 // TestSharedRunnerMemoizes: two grids on one injected engine reuse the

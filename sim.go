@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/routing"
-	"repro/internal/runner"
 	"repro/internal/simnet"
 	"repro/internal/traffic"
 )
@@ -50,21 +49,16 @@ const (
 	StoreLazy = routing.StoreLazy
 )
 
-// SimConfig configures a simulation of a Network.
+// SimConfig configures a simulation of a Network. The model's timing
+// is fixed (simnet.PacketFlits, RouterLatency and LinkLatency: 16-flit
+// packets, 5-cycle routers, 10-cycle wires) and its queues are
+// unbounded.
 type SimConfig struct {
-	// Concentration is the number of endpoints per router (default 1).
+	// Concentration is the number of endpoints per router (0 means 1;
+	// negative is an error).
 	Concentration int
 	// Policy is the routing algorithm (default RoutingMinimal).
 	Policy routing.Policy
-	// PacketFlits, RouterLatency, LinkLatency override the model
-	// defaults (16 / 5 / 10 cycles).
-	PacketFlits   int64
-	RouterLatency int64
-	LinkLatency   int64
-	// BufferPackets bounds every output queue (0 = unbounded); finite
-	// buffers propagate backpressure upstream like the paper's 64 KB
-	// router buffers.
-	BufferPackets int
 	// Seed drives all randomness.
 	Seed int64
 	// Table selects the routing-table storage backend (the zero value
@@ -73,8 +67,8 @@ type SimConfig struct {
 	// Workers is the number of router shards a run is split into and
 	// simulated in parallel (0 and 1 mean one). It is a speed knob
 	// only: statistics are identical for every value, MemoryBytes
-	// aside. Runs shards cannot express (UGAL-G, finite buffers, tiny
-	// topologies) use fewer shards. See DESIGN.md §10.
+	// aside. Runs shards cannot express (UGAL-G, tiny topologies) use
+	// fewer shards. See DESIGN.md §10.
 	Workers int
 }
 
@@ -91,18 +85,14 @@ type Sim struct {
 
 // Simulate prepares a simulator for the network, building the routing
 // table once with the storage backend selected by cfg.Table; reuse the
-// Sim for multiple runs. Invalid configurations (bad concentration,
-// latencies, or a dead-router mask that does not match the graph)
+// Sim for multiple runs. Invalid configurations (a negative
+// concentration, or a dead-router mask that does not match the graph)
 // surface as errors.
 func (n *Network) Simulate(cfg SimConfig) (*Sim, error) {
 	table := routing.NewTableOpts(n.G, cfg.Table)
 	nw, err := simnet.New(simnet.Config{
 		Topo:          n.G,
 		Concentration: cfg.Concentration,
-		PacketFlits:   cfg.PacketFlits,
-		RouterLatency: cfg.RouterLatency,
-		LinkLatency:   cfg.LinkLatency,
-		BufferPackets: cfg.BufferPackets,
 		DeadRouters:   n.failedRouters,
 		Policy:        cfg.Policy,
 		Seed:          cfg.Seed,
@@ -128,45 +118,36 @@ func (s *Sim) VirtualChannels() int {
 
 // RunUniform injects uniform random traffic at the offered load with
 // msgsPerEP messages per endpoint and returns the run statistics. A
-// load outside (0, 1], NaN included, is an error.
+// load outside (0, 1], NaN included, or a negative message count is
+// an error. For a load sweep or a saturation search, use NewSweep.
 func (s *Sim) RunUniform(load float64, msgsPerEP int) (SimStats, error) {
-	if err := checkLoad(load); err != nil {
+	if err := checkRun(load, msgsPerEP); err != nil {
 		return SimStats{}, err
 	}
-	return runUniform(s.nw, load, msgsPerEP), nil
+	nep := s.nw.Endpoints()
+	return s.nw.RunLoad(func(_ int, _ int64, rng *rand.Rand) int {
+		return rng.Intn(nep)
+	}, load, msgsPerEP), nil
 }
 
-// checkLoad rejects an offered load outside (0, 1]; NaN fails too.
-func checkLoad(load float64) error {
+// checkRun rejects an offered load outside (0, 1] (NaN fails too) and
+// a negative message count.
+func checkRun(load float64, msgs int) error {
 	if !(load > 0 && load <= 1) {
 		return fmt.Errorf("spectralfly: offered load %v out of (0,1]", load)
+	}
+	if msgs < 0 {
+		return fmt.Errorf("spectralfly: message count %d, want >= 0", msgs)
 	}
 	return nil
 }
 
-func runUniform(nw *simnet.Network, load float64, msgsPerEP int) SimStats {
-	nep := nw.Endpoints()
-	return nw.RunLoad(func(_ int, _ int64, rng *rand.Rand) int {
-		return rng.Intn(nep)
-	}, load, msgsPerEP)
-}
-
-// SaturationLoad estimates the offered load at which uniform traffic
-// saturates (tail latency exceeding 3 × the light-load baseline), per §VI-C's "at or beyond 70% of network capacity"
-// observation.
-func (s *Sim) SaturationLoad(msgsPerEP int) float64 {
-	nep := s.nw.Endpoints()
-	return s.nw.SaturationLoad(func(_ int, _ int64, rng *rand.Rand) int {
-		return rng.Intn(nep)
-	}, msgsPerEP)
-}
-
 // RunPattern injects one of the §VI-C synthetic patterns over a
 // power-of-two rank space mapped onto the endpoints. A load outside
-// (0, 1], NaN included, or a pattern that is none of the Pattern*
-// constants is an error.
+// (0, 1], NaN included, a negative message count, or a pattern that
+// is none of the Pattern* constants is an error.
 func (s *Sim) RunPattern(pat traffic.Pattern, ranks int, load float64, msgsPerRank int) (SimStats, error) {
-	if err := checkLoad(load); err != nil {
+	if err := checkRun(load, msgsPerRank); err != nil {
 		return SimStats{}, err
 	}
 	if !pat.Valid() {
@@ -177,31 +158,6 @@ func (s *Sim) RunPattern(pat traffic.Pattern, ranks int, load float64, msgsPerRa
 		return SimStats{}, err
 	}
 	return s.nw.RunLoad(mp.PatternEndpoints(pat, ranks), load, msgsPerRank), nil
-}
-
-// RunUniformSweep measures uniform random traffic at every offered
-// load concurrently over a GOMAXPROCS-bounded worker pool: each load
-// runs on its own clone of the simulator (sharing the routing table
-// and port maps read-only), and the stats come back in load order.
-// Results are identical to calling RunUniform serially for each load.
-// Every load is checked before any runs: one outside (0, 1], NaN
-// included, is an error.
-func (s *Sim) RunUniformSweep(loads []float64, msgsPerEP int) ([]SimStats, error) {
-	for _, load := range loads {
-		if err := checkLoad(load); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]SimStats, len(loads))
-	tasks := make([]func() error, len(loads))
-	for i, load := range loads {
-		tasks[i] = func() error {
-			out[i] = runUniform(s.nw.Clone(), load, msgsPerEP)
-			return nil
-		}
-	}
-	_ = runner.Do(0, tasks...) // tasks are infallible
-	return out, nil
 }
 
 // RunMotif executes an Ember-style motif (§VI-D) over a rank space

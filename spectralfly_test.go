@@ -288,7 +288,8 @@ func TestPublicAPISimulation(t *testing.T) {
 }
 
 // TestPublicAPIRunPatternRejectsBadLoad pins an error, not a panic,
-// for offered loads outside (0, 1], NaN included.
+// for offered loads outside (0, 1], NaN included, and an error, not an
+// empty run, for a negative message count.
 func TestPublicAPIRunPatternRejectsBadLoad(t *testing.T) {
 	net, _ := LPS(11, 7)
 	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
@@ -297,10 +298,14 @@ func TestPublicAPIRunPatternRejectsBadLoad(t *testing.T) {
 			t.Errorf("load %v: RunPattern returned no error", load)
 		}
 	}
+	if st, err := sim.RunPattern(PatternRandom, 64, 0.3, -4); err == nil {
+		t.Errorf("msgs -4: RunPattern returned no error (offered %d)", st.Offered)
+	}
 }
 
 // TestPublicAPIRunUniformRejectsBadLoad: RunUniform returns an error,
-// not a panic, for offered loads outside (0, 1], NaN included.
+// not a panic, for offered loads outside (0, 1], NaN included, and an
+// error, not an empty run, for a negative message count.
 func TestPublicAPIRunUniformRejectsBadLoad(t *testing.T) {
 	net, _ := LPS(11, 7)
 	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
@@ -309,18 +314,18 @@ func TestPublicAPIRunUniformRejectsBadLoad(t *testing.T) {
 			t.Errorf("load %v: RunUniform returned no error", load)
 		}
 	}
+	if st, err := sim.RunUniform(0.3, -4); err == nil {
+		t.Errorf("msgs -4: RunUniform returned no error (offered %d)", st.Offered)
+	}
 }
 
-// TestPublicAPIRunUniformSweepRejectsBadLoad: one bad load fails the
-// whole sweep with an error before any load runs, where it used to
-// panic on a worker goroutine no caller could recover.
-func TestPublicAPIRunUniformSweepRejectsBadLoad(t *testing.T) {
+// TestPublicAPISimulateRejectsBadConcentration: a negative
+// concentration is an error, not a silent one endpoint per router.
+func TestPublicAPISimulateRejectsBadConcentration(t *testing.T) {
 	net, _ := LPS(11, 7)
-	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
-	for _, load := range []float64{0, -0.1, 1.5, math.NaN()} {
-		st, err := sim.RunUniformSweep([]float64{0.3, load, 0.5}, 2)
-		if err == nil || st != nil {
-			t.Errorf("load %v: RunUniformSweep returned %d stats, error %v", load, len(st), err)
+	for _, c := range []int{-1, -3} {
+		if sim, err := net.Simulate(SimConfig{Concentration: c}); err == nil {
+			t.Errorf("concentration %d: Simulate gave %d endpoints, want an error", c, sim.Endpoints())
 		}
 	}
 }
@@ -467,28 +472,5 @@ func TestPublicAPIValiantVsMinimalHops(t *testing.T) {
 	}
 	if val.VirtualChannels() != 2*val.Diameter()+1 {
 		t.Error("valiant VC budget")
-	}
-}
-
-func TestPublicAPIUniformSweepMatchesSerial(t *testing.T) {
-	net, err := LPS(11, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
-	loads := []float64{0.1, 0.3, 0.5}
-	sweep, err := sim.RunUniformSweep(loads, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sweep) != len(loads) {
-		t.Fatalf("sweep returned %d stats for %d loads", len(sweep), len(loads))
-	}
-	for i, load := range loads {
-		serial := mustRunUniform(t, sim, load, 8)
-		if !sweep[i].Equal(serial) {
-			t.Errorf("load %.1f: concurrent sweep diverged from serial run:\n%+v\n%+v",
-				load, sweep[i], serial)
-		}
 	}
 }

@@ -158,15 +158,21 @@ func NewSweep(specs ...string) *Sweep {
 	return new(Sweep).Topologies(specs...)
 }
 
+// fail records the builder's first error; Run, Collect and Cells
+// surface it.
+func (s *Sweep) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+}
+
 // Topologies appends parsed topology specs to the topology axis, at
 // the current Concentration.
 func (s *Sweep) Topologies(specs ...string) *Sweep {
 	for _, text := range specs {
 		net, err := BuildSpec(text)
 		if err != nil {
-			if s.err == nil {
-				s.err = err
-			}
+			s.fail(err)
 			continue
 		}
 		s.Networks(net)
@@ -175,12 +181,16 @@ func (s *Sweep) Topologies(specs ...string) *Sweep {
 }
 
 // Networks appends already-built networks to the topology axis, at the
-// current Concentration. Degraded networks are rejected — damage is a
-// sweep axis (Faults), not a topology property.
+// current Concentration. Nil and degraded networks are rejected —
+// damage is a sweep axis (Faults), not a topology property.
 func (s *Sweep) Networks(nets ...*Network) *Sweep {
 	for _, net := range nets {
-		if net.degraded && s.err == nil {
-			s.err = fmt.Errorf("spectralfly: sweep topology %s is degraded; declare damage with Faults instead", net.Name)
+		if net == nil {
+			s.fail(fmt.Errorf("spectralfly: sweep network is nil"))
+			continue
+		}
+		if net.degraded {
+			s.fail(fmt.Errorf("spectralfly: sweep topology %s is degraded; declare damage with Faults instead", net.Name))
 		}
 		if s.conc == 0 {
 			s.defaulted = append(s.defaulted, len(s.topos))
@@ -202,8 +212,13 @@ func (s *Sweep) Networks(nets ...*Network) *Sweep {
 // topologies added after this call — and for topologies added earlier
 // that were never given one, so NewSweep("lps(11,7)").Concentration(2)
 // does what it reads. Interleave Concentration and Topologies calls to
-// declare mixed-concentration axes like the paper's §VI-B set.
+// declare mixed-concentration axes like the paper's §VI-B set. A
+// concentration below 1 is an error.
 func (s *Sweep) Concentration(c int) *Sweep {
+	if c < 1 {
+		s.fail(fmt.Errorf("spectralfly: sweep concentration %d, want >= 1", c))
+		return s
+	}
 	s.conc = c
 	for _, i := range s.defaulted {
 		s.topos[i].Concentration = c
@@ -281,9 +296,7 @@ type TenantSpec = traffic.TenantSpec
 func (s *Sweep) Tenants(policy string, specs ...TenantSpec) *Sweep {
 	var p traffic.PlacementPolicy
 	if err := p.UnmarshalText([]byte(policy)); err != nil {
-		if s.err == nil {
-			s.err = fmt.Errorf("spectralfly: %w", err)
-		}
+		s.fail(fmt.Errorf("spectralfly: %w", err))
 		return s
 	}
 	s.grid.Tenants = traffic.Tenants{Specs: specs, Policy: p}
@@ -384,17 +397,13 @@ func (s *Sweep) Cache(dir string) *Sweep {
 	if dir == "" {
 		var err error
 		if dir, err = service.DefaultCacheDir(); err != nil {
-			if s.err == nil {
-				s.err = fmt.Errorf("spectralfly: no default cache dir: %w", err)
-			}
+			s.fail(fmt.Errorf("spectralfly: no default cache dir: %w", err))
 			return s
 		}
 	}
 	c, err := service.OpenCache(dir)
 	if err != nil {
-		if s.err == nil {
-			s.err = fmt.Errorf("spectralfly: open cache: %w", err)
-		}
+		s.fail(fmt.Errorf("spectralfly: open cache: %w", err))
 		return s
 	}
 	s.cache = c

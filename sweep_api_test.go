@@ -247,6 +247,24 @@ func TestSweepErrors(t *testing.T) {
 	if _, err := NewSweep().Networks(linkHurt).Loads(0.3).Collect(context.Background()); err == nil {
 		t.Error("link-degraded network accepted as a sweep topology")
 	}
+	if _, err := NewSweep().Networks(nil).Loads(0.3).Collect(context.Background()); err == nil {
+		t.Error("nil network accepted as a sweep topology")
+	}
+	// A concentration below 1 or a negative message count would
+	// measure nothing: every cell would offer 0 messages, and CellKeys
+	// would key the empty results for the cache.
+	for name, sw := range map[string]*Sweep{
+		"concentration 0":  NewSweep("lps(11,7)").Concentration(0).Loads(0.3),
+		"concentration -2": NewSweep("lps(11,7)").Concentration(-2).Loads(0.3),
+		"msgs -5":          NewSweep("lps(11,7)").Concentration(2).MsgsPerRank(-5).Loads(0.3),
+	} {
+		if _, err := sw.CellKeys(); err == nil {
+			t.Errorf("%s: CellKeys gave keys, want an error", name)
+		}
+		if _, err := sw.Collect(context.Background()); err == nil {
+			t.Errorf("%s: sweep ran, want an error", name)
+		}
+	}
 	// A sweep is re-runnable: Collect twice gives identical results.
 	sw := testSweep()
 	a, err := sw.Collect(context.Background())
