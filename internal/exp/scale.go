@@ -32,8 +32,11 @@ type ScalePoint struct {
 	// runner's memo held at any cell boundary of this instance's runs.
 	// The maximum lands in the repair window, where the intact and the
 	// freshly repaired table are briefly memoized together (the intact
-	// one is released before the degraded point's cells run). This is
-	// the number the 1.5 GB budget of the 40K class is checked against.
+	// one is released before the degraded point's cells run). With the
+	// packed store an intact LPS table is its Cayley view (a few MB at
+	// 40K routers), so on LPS rungs the window holds one packed table
+	// of rows, the repaired one, plus that view. This is the number the
+	// 1.5 GB budget of the 40K class is checked against.
 	PeakTableBytes int64
 	// PeakSimBytes is the largest simulator working set any cell of
 	// this instance reported (Stats.MemoryBytes: event scheduler +
@@ -161,9 +164,11 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 			// maximum lands in the repair window, where the intact and
 			// the freshly repaired table are briefly memoized together
 			// (1% cuts on an expander leave few shards shareable, so
-			// that is close to 2× one table) — the honest per-instance
-			// peak, and the number the 1.5 GB budget of the 40K class is
-			// checked against.
+			// with row tables that is close to 2× one table; a packed
+			// LPS table is its Cayley view, so there it is one table of
+			// rows plus the view) — the honest per-instance peak, and
+			// the number the 1.5 GB budget of the 40K class is checked
+			// against.
 			OnTableBytes: func(b int64) {
 				if b > pt.PeakTableBytes {
 					pt.PeakTableBytes = b
@@ -204,8 +209,8 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 		// Phase 2: the degraded point — the core samples the link-failure
 		// plan, repairs the intact table (Table.Repair), releases the
 		// intact table before the damaged cells run (only one table stays
-		// memoized while they execute — at the 40K rung each one is
-		// ~790 MB packed, and holding every plan's table at once was the
+		// memoized while they execute — at the 40K rung a packed table of
+		// rows is ~790 MB, and holding every plan's table at once was the
 		// dense design's second multiplier), and releases the damaged
 		// table afterwards.
 		deg := &sweep.Grid{

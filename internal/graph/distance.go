@@ -5,7 +5,10 @@ import "sync"
 // DistanceHistogram counts ordered vertex pairs by hop distance:
 // hist[d] = #{(u,v) : dist(u,v) = d}, computed by the all-pairs
 // kernel EachBFS. Unreachable pairs are counted in the second return
-// value.
+// value. On a graph with a Cayley view every vertex sees the same
+// distance profile as the identity (left multiplication is an
+// automorphism), so the histogram is n times the identity's, from one
+// BFS: the same integer counts as the all-pairs pass.
 //
 // This quantifies §IV-b's observation (after Sardari) that in a
 // Ramanujan graph only a vanishing fraction of pairs sit at distance
@@ -13,6 +16,24 @@ import "sync"
 // point should carry almost no mass, even when the diameter itself is
 // larger — "most pairs are closer than the diameter" (Fig. 3).
 func (g *Graph) DistanceHistogram() (hist []int64, unreachable int64) {
+	if c := g.cayley; c != nil {
+		n := int64(g.N())
+		dist := make([]int32, n)
+		g.BFS(c.Identity, dist, nil)
+		for v, d := range dist {
+			switch {
+			case v == c.Identity:
+			case d < 0:
+				unreachable += n
+			default:
+				for int(d) >= len(hist) {
+					hist = append(hist, 0)
+				}
+				hist[d] += n
+			}
+		}
+		return hist, unreachable
+	}
 	type partial struct {
 		hist        []int64
 		unreachable int64

@@ -29,10 +29,46 @@ func randomGraph(n, m int, rng *rand.Rand, keep func(v int) bool) *Graph {
 	return b.Build()
 }
 
+// circulant returns the Cayley graph of the cyclic group Z_n under the
+// generators ±s for s in steps, with its Cayley view: x is joined to
+// x ± s, the identity is 0, s·x is x + s and the quotient v⁻¹·w is
+// w - v. The steps and their negatives must be distinct and nonzero
+// mod n.
+func circulant(n int, steps ...int) *Graph {
+	var gens []int
+	for _, s := range steps {
+		gens = append(gens, s, n-s)
+	}
+	b := NewBuilder(n)
+	for x := range n {
+		for _, s := range gens {
+			b.AddEdge(x, (x+s)%n)
+		}
+	}
+	g := b.Build()
+	view := &Cayley{Inv: make([]uint8, len(gens)), Left: make([][]int32, len(gens)),
+		Quot: func(v, w int) int { return (w - v + n) % n }}
+	for j, s := range gens {
+		view.Inv[j] = uint8(j ^ 1)
+		view.Left[j] = make([]int32, n)
+		for x := range n {
+			view.Left[j][x] = int32((x + s) % n)
+		}
+	}
+	for x := range n {
+		for _, w := range g.Neighbors(x) {
+			view.Gen = append(view.Gen, uint8(slices.Index(gens, (int(w)-x+n)%n)))
+		}
+	}
+	return g.WithCayley(view)
+}
+
 // eachBFSCases returns named graphs on n vertices: connected ones (a
 // ring, which is deep, and a ring plus random chords, which is
 // shallow), one split into two components with no edge between them,
-// and one where every seventh vertex is isolated.
+// one where every seventh vertex is isolated, and from 15 vertices a
+// circulant carrying its Cayley view, whose distance folds take the
+// one-BFS shortcut.
 func eachBFSCases(n int, rng *rand.Rand) map[string]*Graph {
 	chords := NewBuilder(n)
 	for v := range n {
@@ -42,12 +78,16 @@ func eachBFSCases(n int, rng *rand.Rand) map[string]*Graph {
 	half := n / 2
 	low := randomGraph(n, 3*n, rng, func(v int) bool { return v < half })
 	high := randomGraph(n, 3*n, rng, func(v int) bool { return v >= half })
-	return map[string]*Graph{
+	cases := map[string]*Graph{
 		"ring":     ring(n),
 		"chords":   chords.Build(),
 		"split":    low.AddEdges(high.Edges()),
 		"isolated": randomGraph(n, 2*n, rng, func(v int) bool { return v%7 != 3 }),
 	}
+	if n >= 15 {
+		cases["cayley"] = circulant(n, 1, 7)
+	}
+	return cases
 }
 
 // checkEachBFS fails unless EachBFS hands every source exactly once a
@@ -102,6 +142,50 @@ func checkEachBFS(t *testing.T, g *Graph) {
 	}
 	if st := g.AllPairsStats(); st != wantStats {
 		t.Fatalf("n=%d: AllPairsStats %+v, BFS %+v", n, st, wantStats)
+	}
+}
+
+// TestCayleyHistogramMatchesKernel compares the Cayley shortcut of
+// DistanceHistogram and AllPairsStats with the all-pairs kernel on the
+// same edges without the view.
+func TestCayleyHistogramMatchesKernel(t *testing.T) {
+	for _, n := range []int{15, 64, 129, 300} {
+		g := circulant(n, 1, 7)
+		plain := FromEdges(n, g.Edges())
+		if g.Cayley() == nil || plain.Cayley() != nil {
+			t.Fatal("view attached to the wrong graph")
+		}
+		h, u := g.DistanceHistogram()
+		wantH, wantU := plain.DistanceHistogram()
+		if !slices.Equal(h, wantH) || u != wantU {
+			t.Fatalf("n=%d: shortcut %v (%d unreachable), kernel %v (%d)", n, h, u, wantH, wantU)
+		}
+		if st, want := g.AllPairsStats(), plain.AllPairsStats(); st != want {
+			t.Fatalf("n=%d: shortcut stats %+v, kernel %+v", n, st, want)
+		}
+	}
+}
+
+// TestWithCayleyRejectsMisfit: a view whose arrays do not fit the
+// graph is a construction bug, caught when it is attached.
+func TestWithCayleyRejectsMisfit(t *testing.T) {
+	g := circulant(20, 1, 3)
+	good, plain := g.Cayley(), FromEdges(20, g.Edges())
+	for name, c := range map[string]Cayley{
+		"short Gen":   {Identity: 0, Gen: good.Gen[1:], Inv: good.Inv, Left: good.Left, Quot: good.Quot},
+		"identity":    {Identity: 20, Gen: good.Gen, Inv: good.Inv, Left: good.Left, Quot: good.Quot},
+		"missing Inv": {Identity: 0, Gen: good.Gen, Inv: good.Inv[1:], Left: good.Left, Quot: good.Quot},
+		"short Left":  {Identity: 0, Gen: good.Gen, Inv: good.Inv, Left: [][]int32{good.Left[0][1:], good.Left[1], good.Left[2], good.Left[3]}, Quot: good.Quot},
+		"no quotient": {Identity: 0, Gen: good.Gen, Inv: good.Inv, Left: good.Left},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: WithCayley accepted the view", name)
+				}
+			}()
+			plain.WithCayley(&c)
+		}()
 	}
 }
 

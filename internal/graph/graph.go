@@ -28,6 +28,7 @@ type Graph struct {
 	offsets []int32 // len n+1
 	neigh   []int32 // len 2m, sorted within each vertex's slice
 	m       int     // number of undirected edges
+	cayley  *Cayley // group structure, on graphs built as Cayley graphs (WithCayley)
 }
 
 // Builder accumulates edges for a Graph. Self-loops are rejected and

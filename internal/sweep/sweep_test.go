@@ -291,6 +291,8 @@ func TestValidate(t *testing.T) {
 		{Instances: withConcentration(testInstances(t), 0), Measure: MeasureLoad, Loads: []float64{0.3}},
 		{Instances: withConcentration(testInstances(t), -2), Measure: MeasureSaturation},
 		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3}, MsgsPerRank: -5},
+		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3}, Ranks: -3},
+		{Instances: testInstances(t), Measure: MeasureSaturation, Ranks: -3},
 	}
 	for i, g := range bad {
 		if err := g.Run(context.Background(), Options{}, func(Result) error { return nil }); err == nil {

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/numtheory"
@@ -106,6 +107,12 @@ func nondegenerate(p, q int64) bool {
 // spectral expansion permitted by the Alon–Boppana bound (§II).
 // Construction fails if the generator set degenerates (possible only
 // far outside the Ramanujan regime).
+//
+// Vertex u is joined to u·s for each generator s, so the graph carries
+// its graph.Cayley view: the identity, each CSR slot's generator, the
+// left-multiplication table s·x and the group quotient u⁻¹·v. Routing
+// and the distance folds answer every distance from one BFS through
+// it.
 func LPS(p, q int64) (*Instance, error) {
 	info, err := LPSParams(p, q)
 	if err != nil {
@@ -117,22 +124,67 @@ func LPS(p, q int64) (*Instance, error) {
 	}
 	name := fmt.Sprintf("LPS(%d,%d)", p, q)
 	gens := generatorMatrices(p, q)
-	b := graph.NewBuilder(group.Order())
-	for i := 0; i < group.Order(); i++ {
+	n := group.Order()
+	// right[u·k+j] = u·s_j, left[j][x] = s_j·x.
+	right := make([]int32, n*len(gens))
+	left := make([][]int32, len(gens))
+	for j := range left {
+		left[j] = make([]int32, n)
+	}
+	b := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
 		u := group.Element(i)
-		for _, s := range gens {
-			j := group.IndexOf(u.Mul(s, q))
-			if j < 0 {
+		for j, s := range gens {
+			r, l := group.IndexOf(u.Mul(s, q)), group.IndexOf(s.Mul(u, q))
+			if r < 0 || l < 0 {
 				return nil, fmt.Errorf("topo: %s generator left the group at element %d", name, i)
 			}
-			b.AddEdge(i, j)
+			right[i*len(gens)+j], left[j][i] = int32(r), int32(l)
+			b.AddEdge(i, r)
 		}
 	}
 	g := b.Build()
 	if err := checkRegular(g, int(info.Vertices), info.Radix, name); err != nil {
 		return nil, err
 	}
-	return &Instance{Name: name, G: g}, nil
+	if len(gens) > 256 { // past graph.Cayley's generator limit (p > 255)
+		return &Instance{Name: name, G: g}, nil
+	}
+	view, err := cayleyView(g, group, gens, right, left)
+	if err != nil {
+		return nil, fmt.Errorf("topo: %s: %w", name, err)
+	}
+	return &Instance{Name: name, G: g.WithCayley(view)}, nil
+}
+
+// cayleyView assembles the graph.Cayley view of an LPS graph g from
+// its right- and left-multiplication tables. It fails if the generator
+// set is not closed under inverses or a slot's neighbour is not u·s
+// for exactly one generator s, which nondegenerate generator sets rule
+// out.
+func cayleyView(g *graph.Graph, group *pgl.Group, gens []pgl.Mat, right []int32, left [][]int32) (*graph.Cayley, error) {
+	k := len(gens)
+	id := group.Identity()
+	inv := make([]uint8, k)
+	for j, s := range gens { // the identity's row lists the generators
+		i := slices.Index(right[id*k:(id+1)*k], int32(group.IndexOf(s.Adj(group.Q))))
+		if i < 0 {
+			return nil, fmt.Errorf("generator %v has no inverse in the generator set", s)
+		}
+		inv[j] = uint8(i)
+	}
+	gen := make([]uint8, 0, 2*g.M())
+	for u := 0; u < g.N(); u++ {
+		for _, w := range g.Neighbors(u) {
+			j := slices.Index(right[u*k:(u+1)*k], w)
+			if j < 0 {
+				return nil, fmt.Errorf("edge %d-%d is not a generator step", u, w)
+			}
+			gen = append(gen, uint8(j))
+		}
+	}
+	return &graph.Cayley{Identity: id, Gen: gen, Inv: inv, Left: left,
+		Quot: group.Quot, QuotBytes: group.Bytes()}, nil
 }
 
 // MustLPS is LPS but panics on error, for known-good parameters.

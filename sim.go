@@ -33,9 +33,10 @@ const (
 // TableOptions selects the storage backend of the all-pairs routing
 // oracle built for a simulation (or a sweep): one distance row per
 // destination, either dense (rows at the 32-bit width), packed (rows
-// from 4 bits up, ~8× smaller), or lazy (packed rows on demand under a
-// bounded working set). All backends produce bit-identical routes; see
-// DESIGN.md §7 for the memory model.
+// from 4 bits up, ~8× smaller; on an intact LPS network, no rows but
+// the group's Cayley view, a few MB at 40K routers), or lazy (packed
+// rows on demand under a bounded working set). All backends produce
+// bit-identical routes; see DESIGN.md §7 for the memory model.
 type TableOptions = routing.TableOptions
 
 // Routing-table storage backends (TableOptions.Store).
@@ -43,7 +44,9 @@ const (
 	// StoreDense keeps every row at the 32-bit width: int32 distances
 	// (the default).
 	StoreDense = routing.StoreDense
-	// StorePacked packs distances into 4-bit nibbles, ~8× smaller.
+	// StorePacked packs distances into 4-bit nibbles, ~8× smaller; an
+	// intact LPS network routes through its Cayley view instead, with
+	// O(n·k) state.
 	StorePacked = routing.StorePacked
 	// StoreLazy materializes packed rows on demand under an LRU bound.
 	StoreLazy = routing.StoreLazy

@@ -252,11 +252,13 @@ func TestSweepErrors(t *testing.T) {
 	}
 	// A concentration below 1 or a negative message count would
 	// measure nothing: every cell would offer 0 messages, and CellKeys
-	// would key the empty results for the cache.
+	// would key the empty results for the cache. A negative rank count
+	// would fail every cell at run time instead of the sweep up front.
 	for name, sw := range map[string]*Sweep{
 		"concentration 0":  NewSweep("lps(11,7)").Concentration(0).Loads(0.3),
 		"concentration -2": NewSweep("lps(11,7)").Concentration(-2).Loads(0.3),
 		"msgs -5":          NewSweep("lps(11,7)").Concentration(2).MsgsPerRank(-5).Loads(0.3),
+		"ranks -3":         NewSweep("lps(11,7)").Concentration(2).Ranks(-3).Loads(0.3),
 	} {
 		if _, err := sw.CellKeys(); err == nil {
 			t.Errorf("%s: CellKeys gave keys, want an error", name)
