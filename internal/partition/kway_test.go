@@ -93,3 +93,16 @@ func TestKWayEdgeCases(t *testing.T) {
 		t.Fatalf("empty graph: got %v", got)
 	}
 }
+
+// BenchmarkKWay times the sharded simulator's partition of its largest
+// benchmark instance: LPS(13,29), 12,180 routers, with simnet's
+// options.
+func BenchmarkKWay(b *testing.B) {
+	lps, err := topo.LPS(13, 29)
+	if err != nil {
+		b.Fatalf("LPS(13,29): %v", err)
+	}
+	for b.Loop() {
+		KWay(lps.G, 2, Options{Seed: 0x5f3759df, Trials: 2})
+	}
+}

@@ -13,7 +13,7 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -317,76 +317,65 @@ func coarsen(w *wgraph, rng *rand.Rand) (*wgraph, []int32) {
 			match[v] = int32(v)
 		}
 	}
-	// Assign coarse ids.
+	// Assign coarse ids in order of each pair's lower vertex; rep[c]
+	// is that vertex and match[rep[c]] its partner (itself if unmatched).
 	cmap := make([]int32, n)
 	for i := range cmap {
 		cmap[i] = -1
 	}
-	var cn int32
+	rep := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
 		if cmap[v] >= 0 {
 			continue
 		}
-		cmap[v] = cn
-		if int(match[v]) != v {
-			cmap[match[v]] = cn
-		}
-		cn++
+		cmap[v] = int32(len(rep))
+		cmap[match[v]] = int32(len(rep))
+		rep = append(rep, int32(v))
 	}
-	// Build coarse graph, merging parallel edges.
-	cvwt := make([]int64, cn)
-	for v := 0; v < n; v++ {
-		cvwt[cmap[v]] += w.vwt[v]
-	}
-	adj := make([]map[int32]int64, cn)
-	for v := 0; v < n; v++ {
-		cv := cmap[v]
-		for i := w.offsets[v]; i < w.offsets[v+1]; i++ {
-			cu := cmap[w.neigh[i]]
-			if cu == cv {
-				continue
-			}
-			if adj[cv] == nil {
-				adj[cv] = make(map[int32]int64, 8)
-			}
-			adj[cv][cu] += w.ewt[i]
-		}
-	}
+	cn := len(rep)
+	// Build the coarse graph, merging parallel edges in a dense
+	// accumulator that is cleared after each coarse vertex (edge
+	// weights are positive, so acc[u] == 0 means u is unseen). Neighbours
+	// are emitted in increasing id order, so the coarse graph — and the
+	// whole seeded bisection — is deterministic.
 	coarse := &wgraph{
 		offsets: make([]int32, cn+1),
-		vwt:     cvwt,
+		neigh:   make([]int32, 0, len(w.neigh)),
+		ewt:     make([]int64, 0, len(w.neigh)),
+		vwt:     make([]int64, cn),
 		totW:    w.totW,
+		maxVwt:  1,
 	}
-	var pos int32
-	for v := int32(0); v < cn; v++ {
-		pos += int32(len(adj[v]))
-		coarse.offsets[v+1] = pos
-	}
-	coarse.neigh = make([]int32, pos)
-	coarse.ewt = make([]int64, pos)
-	cursor := make([]int32, cn)
-	copy(cursor, coarse.offsets[:cn])
+	acc := make([]int64, cn)
 	var keys []int32
-	for v := int32(0); v < cn; v++ {
-		// Emit neighbors in sorted order: Go map iteration order is
-		// randomized and would make coarse graphs — and therefore the
-		// whole seeded bisection — nondeterministic.
+	for c, v := range rep {
 		keys = keys[:0]
-		for u := range adj[v] {
-			keys = append(keys, u)
+		pair := [2]int32{v, match[v]}
+		members := pair[:1]
+		if match[v] != v {
+			members = pair[:]
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		for _, f := range members {
+			coarse.vwt[c] += w.vwt[f]
+			for i := w.offsets[f]; i < w.offsets[f+1]; i++ {
+				cu := cmap[w.neigh[i]]
+				if int(cu) == c {
+					continue
+				}
+				if acc[cu] == 0 {
+					keys = append(keys, cu)
+				}
+				acc[cu] += w.ewt[i]
+			}
+		}
+		slices.Sort(keys)
 		for _, u := range keys {
-			coarse.neigh[cursor[v]] = u
-			coarse.ewt[cursor[v]] = adj[v][u]
-			cursor[v]++
+			coarse.neigh = append(coarse.neigh, u)
+			coarse.ewt = append(coarse.ewt, acc[u])
+			acc[u] = 0
 		}
-	}
-	coarse.maxVwt = 1
-	for _, x := range cvwt {
-		if x > coarse.maxVwt {
-			coarse.maxVwt = x
-		}
+		coarse.offsets[c+1] = int32(len(coarse.neigh))
+		coarse.maxVwt = max(coarse.maxVwt, coarse.vwt[c])
 	}
 	return coarse, cmap
 }
