@@ -433,74 +433,117 @@ func initialPartition(w *wgraph, rng *rand.Rand, frac float64) []uint8 {
 	return side
 }
 
-// gainEntry is a lazy max-heap element; stale entries (version
-// mismatch) are skipped on pop.
-type gainEntry struct {
-	gain    int64
-	v       int32
-	version int32
+// gainBuckets is a max-priority queue of vertices keyed by FM gain, in
+// the bucket form of Fiduccia and Mattheyses. A vertex's gain is
+// bounded in magnitude by its weighted degree, so with d the largest
+// weighted degree of the graph, bucket g+d lists every queued vertex of
+// gain g in a doubly linked list, and top falls to the highest
+// nonempty bucket as vertices pop. A vertex is queued at most once and
+// moves between buckets when its gain changes, so the queue holds no
+// stale entries. Ties pop last in, first out: of the vertices sharing
+// the highest gain, the one that entered its bucket last pops first.
+type gainBuckets struct {
+	off        int64   // d: the bucket of gain 0
+	head       []int32 // first vertex of each bucket, -1 if empty
+	next, prev []int32 // list links of each queued vertex, -1 at the ends
+	at         []int32 // bucket of each vertex, -1 if not queued
+	top        int     // every bucket above top is empty
 }
 
-// gainHeap is a max-heap on gain. Its sift order replicates
-// container/heap's Init, Push and Pop step for step, so equal-gain
-// entries pop in the same order, and cuts match the interface-based
-// heap it replaces, without boxing each entry.
-type gainHeap []gainEntry
-
-// init heapifies h in place.
-func (h gainHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i, len(h))
+func newGainBuckets(n int, d int64) *gainBuckets {
+	q := &gainBuckets{
+		off:  d,
+		head: make([]int32, 2*d+1),
+		next: make([]int32, n),
+		prev: make([]int32, n),
+		at:   make([]int32, n),
+		top:  -1,
 	}
-}
-
-func (h *gainHeap) push(e gainEntry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *gainHeap) pop() gainEntry {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	*h = old[:n]
-	return old[n]
-}
-
-func (h gainHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || h[j].gain <= h[i].gain {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+	for i := range q.head {
+		q.head[i] = -1
 	}
+	for i := range q.at {
+		q.at[i] = -1
+	}
+	return q
 }
 
-func (h gainHeap) down(i, n int) {
-	for {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
+// maxWeightedDegree is the largest total edge weight at one vertex of
+// w, the bound on any gain's magnitude.
+func maxWeightedDegree(w *wgraph) int64 {
+	var d int64
+	for v := 0; v < w.n(); v++ {
+		var wd int64
+		for i := w.offsets[v]; i < w.offsets[v+1]; i++ {
+			wd += w.ewt[i]
 		}
-		if j2 := j + 1; j2 < n && h[j2].gain > h[j].gain {
-			j = j2 // right child
-		}
-		if h[j].gain <= h[i].gain {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+		d = max(d, wd)
 	}
+	return d
+}
+
+// set queues v at gain g, moving it if it is already queued.
+func (q *gainBuckets) set(v int32, g int64) {
+	if q.at[v] >= 0 {
+		q.remove(v)
+	}
+	b := int(g + q.off)
+	h := q.head[b]
+	q.next[v], q.prev[v] = h, -1
+	if h >= 0 {
+		q.prev[h] = v
+	}
+	q.head[b] = v
+	q.at[v] = int32(b)
+	q.top = max(q.top, b)
+}
+
+func (q *gainBuckets) remove(v int32) {
+	p, nx := q.prev[v], q.next[v]
+	if p >= 0 {
+		q.next[p] = nx
+	} else {
+		q.head[q.at[v]] = nx
+	}
+	if nx >= 0 {
+		q.prev[nx] = p
+	}
+	q.at[v] = -1
+}
+
+// best returns the highest queued gain; ok is false if q is empty.
+func (q *gainBuckets) best() (g int64, ok bool) {
+	for ; q.top >= 0; q.top-- {
+		if q.head[q.top] >= 0 {
+			return int64(q.top) - q.off, true
+		}
+	}
+	return 0, false
+}
+
+// pop removes and returns a vertex of the highest gain, or -1 if q is
+// empty.
+func (q *gainBuckets) pop() int32 {
+	if _, ok := q.best(); !ok {
+		return -1
+	}
+	v := q.head[q.top]
+	q.remove(v)
+	return v
 }
 
 // fmRefine runs up to maxPasses Fiduccia–Mattheyses passes in place.
 // Each pass tentatively moves boundary vertices in best-gain order
-// (subject to balance) and keeps the best prefix. Candidates live in a
-// lazy max-heap keyed by gain, so passes cost O(moves · log n). tol is
-// the allowed imbalance (balanceTol or exactTol).
+// (subject to balance) and keeps the best prefix. Each side's
+// candidates live in its own gain buckets, so a pass costs O(m) plus
+// the top cursors' fall. Each step takes the higher of the two sides'
+// best gains; on a tie, the side heavier relative to its target gives
+// up the vertex, and within a bucket the last vertex in moves first. A
+// vertex that would overbalance the other side leaves the queue
+// unmoved and re-enters when a neighbour's move changes its gain;
+// moved vertices are locked for the rest of the pass, so a pass moves
+// each vertex at most once. tol is the allowed imbalance (balanceTol
+// or exactTol).
 //
 // bias shifts the balance constraint for fractional targets: it is the
 // intended weight lead of side 0 over side 1 (target0 - target1, zero
@@ -513,10 +556,10 @@ func fmRefine(w *wgraph, side []uint8, tol float64, maxPasses int, bias int64) {
 		imbal = w.maxVwt
 	}
 	gain := make([]int64, n)
-	version := make([]int32, n)
 	locked := make([]bool, n)
 	moveOrder := make([]int32, 0, 256)
-	h := make(gainHeap, 0, 1024)
+	d := maxWeightedDegree(w)
+	qs := [2]*gainBuckets{newGainBuckets(n, d), newGainBuckets(n, d)}
 
 	sideW := [2]int64{}
 	for v := 0; v < n; v++ {
@@ -536,25 +579,28 @@ func fmRefine(w *wgraph, side []uint8, tol float64, maxPasses int, bias int64) {
 	}
 
 	for pass := 0; pass < maxPasses; pass++ {
-		h = h[:0]
 		for v := 0; v < n; v++ {
 			locked[v] = false
-			version[v] = 0
 			g, boundary := computeGain(v)
 			gain[v] = g
 			if boundary {
-				h.push(gainEntry{gain[v], int32(v), version[v]})
+				qs[side[v]].set(int32(v), g)
 			}
 		}
 		moveOrder = moveOrder[:0]
 		var cum, bestCum int64
 		bestPrefix := 0
-		for len(h) > 0 {
-			e := h.pop()
-			v := e.v
-			if locked[v] || e.version != version[v] {
-				continue
+		for {
+			g0, ok0 := qs[0].best()
+			g1, ok1 := qs[1].best()
+			if !ok0 && !ok1 {
+				break
 			}
+			src := 0
+			if !ok0 || ok1 && (g1 > g0 || g1 == g0 && sideW[1]+bias > sideW[0]) {
+				src = 1
+			}
+			v := qs[src].pop()
 			from := side[v]
 			lean := bias
 			if from == 1 {
@@ -583,11 +629,7 @@ func fmRefine(w *wgraph, side []uint8, tol float64, maxPasses int, bias int64) {
 				} else {
 					gain[u] += 2 * w.ewt[i]
 				}
-				version[u]++
-				h.push(gainEntry{gain[u], u, version[u]})
-			}
-			if len(moveOrder) > n {
-				break
+				qs[side[u]].set(u, gain[u])
 			}
 		}
 		// Roll back moves beyond the best prefix.
@@ -604,8 +646,9 @@ func fmRefine(w *wgraph, side []uint8, tol float64, maxPasses int, bias int64) {
 	}
 }
 
-// exactBalance moves lowest-loss vertices from the overweight side
-// until side 0 is within one weight unit of its target. target2 is the
+// exactBalance moves lowest-loss vertices from the overweight side,
+// taken from gain buckets of that side's vertices, until side 0 is
+// within one weight unit of its target. target2 is the
 // doubled side-0 target (2 · target0); doubling keeps the arithmetic in
 // integers for fractional targets. Passing w.totW (= 2 · totW/2) gives
 // the historical exact bisection, matching the definition of bisection
@@ -625,8 +668,7 @@ func exactBalance(w *wgraph, side []uint8, target2 int64) {
 		heavy = 1
 	}
 	gain := make([]int64, n)
-	version := make([]int32, n)
-	h := make(gainHeap, 0, n/2)
+	q := newGainBuckets(n, maxWeightedDegree(w))
 	for v := 0; v < n; v++ {
 		if side[v] != heavy {
 			continue
@@ -640,20 +682,18 @@ func exactBalance(w *wgraph, side []uint8, target2 int64) {
 			}
 		}
 		gain[v] = ext - internal
-		h = append(h, gainEntry{gain[v], int32(v), 0})
+		q.set(int32(v), gain[v])
 	}
-	h.init()
 	over := func() int64 {
 		if heavy == 0 {
 			return 2*sideW[0] - target2
 		}
 		return target2 - 2*sideW[0]
 	}
-	for over() > 1 && len(h) > 0 {
-		e := h.pop()
-		v := e.v
-		if side[v] != heavy || e.version != version[v] {
-			continue
+	for over() > 1 {
+		v := q.pop()
+		if v < 0 {
+			break
 		}
 		side[v] = 1 - heavy
 		sideW[heavy] -= w.vwt[v]
@@ -664,8 +704,7 @@ func exactBalance(w *wgraph, side []uint8, target2 int64) {
 				continue
 			}
 			gain[u] += 2 * w.ewt[i]
-			version[u]++
-			h.push(gainEntry{gain[u], u, version[u]})
+			q.set(u, gain[u])
 		}
 	}
 }
