@@ -376,8 +376,13 @@ func (g *Graph) AllPairsStats() PathStats {
 // It runs a truncated BFS from every root (in parallel), using the
 // classical bound: a non-tree edge seen at BFS levels (d_u, d_w) closes
 // a cycle of length <= d_u + d_w + 1 through the root, and the minimum
-// over all roots is exact.
+// over all roots is exact. A graph with a Cayley view is
+// vertex-transitive, so every vertex lies on a shortest cycle and the
+// BFS from the identity alone is exact.
 func (g *Graph) Girth() int {
+	if c := g.cayley; c != nil {
+		return g.GirthFromVertex(c.Identity)
+	}
 	n := g.N()
 	var mu sync.Mutex
 	var bests []*int32 // one per worker: the shortest cycle it has seen

@@ -524,27 +524,39 @@ func BenchmarkNextHopRandom(b *testing.B) {
 }
 
 // BenchmarkTableMemory is the memory-regression gate: it reports the
-// distance-store bytes of each backend on the class-1 LPS instance and
-// fails outright if the packed store loses its ≥6× advantage over
-// dense (nibble packing is nominally 8×; the slack absorbs row
-// headers). CI runs it with -benchtime=1x.
+// distance-store bytes of dense and packed rows on SF(17), a family
+// with no Cayley view, and fails outright if packed rows lose their
+// ≥6× advantage over dense (nibble packing is nominally 8×; the slack
+// absorbs row headers). The cayley sub-benchmark reports the packed
+// store of the class-1 LPS instance, which is the Cayley table (one
+// identity BFS plus the group view) and holds no rows. CI runs it with
+// -benchtime=1x.
 func BenchmarkTableMemory(b *testing.B) {
+	sf := topo.MustSlimFly(17).G
+	lps := topo.MustLPS(23, 11).G
 	var denseBytes int64
-	for _, opts := range []TableOptions{
-		{Store: StoreDense},
-		{Store: StorePacked},
+	for _, c := range []struct {
+		name  string
+		g     *graph.Graph
+		store Store
+	}{
+		{"dense", sf, StoreDense},
+		{"packed", sf, StorePacked},
+		{"cayley", lps, StorePacked},
 	} {
-		b.Run(opts.Store.String(), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			var bytes int64
 			for i := 0; i < b.N; i++ {
-				tab := benchTable(b, opts)
-				bytes = tab.MemoryBytes()
+				bytes = NewTableOpts(c.g, TableOptions{Store: c.store}).MemoryBytes()
 			}
 			b.ReportMetric(float64(bytes), "table-bytes")
-			if opts.Store == StoreDense {
+			switch c.name {
+			case "dense":
 				denseBytes = bytes
-			} else if denseBytes > 0 && bytes*6 > denseBytes {
-				b.Fatalf("memory regression: packed store %d bytes vs dense %d (< 6x cut)", bytes, denseBytes)
+			case "packed":
+				if denseBytes > 0 && bytes*6 > denseBytes {
+					b.Fatalf("memory regression: packed store %d bytes vs dense %d (< 6x cut)", bytes, denseBytes)
+				}
 			}
 		})
 	}

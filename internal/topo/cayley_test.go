@@ -101,6 +101,19 @@ func TestLPSDistanceHistogramShortcut(t *testing.T) {
 	}
 }
 
+// TestLPSGirthShortcut: Girth on a graph with the Cayley view is one
+// BFS from the identity; it must equal the all-sources girth of the
+// same edges without the view.
+func TestLPSGirthShortcut(t *testing.T) {
+	for _, pq := range [][2]int64{{11, 7}, {23, 13}} {
+		g := MustLPS(pq[0], pq[1]).G
+		plain := graph.FromEdges(g.N(), g.Edges())
+		if got, want := g.Girth(), plain.Girth(); got != want || got < 3 {
+			t.Errorf("LPS(%d,%d): shortcut girth %d, all-sources %d", pq[0], pq[1], got, want)
+		}
+	}
+}
+
 // TestDerivedGraphsDropCayleyView: a graph derived from an LPS graph by
 // damage or insertion is no longer a Cayley graph, so it must not
 // carry the view.
