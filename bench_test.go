@@ -514,7 +514,7 @@ func BenchmarkReconfigParallel40K(b *testing.B) {
 
 func BenchmarkScaleSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := exp.ScaleSweep(exp.Quick, exp.ScaleOptions{Store: routing.StorePacked})
+		points, err := exp.ScaleSweep(exp.Quick, exp.ScaleOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -537,7 +537,6 @@ func BenchmarkScaleSweep40K(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		points, err := exp.ScaleSweep(exp.Full, exp.ScaleOptions{
-			Store: routing.StorePacked,
 			Rungs: []int{2}, // LPS(13,43) / SF(139), ~40K routers each
 		})
 		if err != nil {

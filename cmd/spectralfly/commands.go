@@ -26,8 +26,6 @@ type appConfig struct {
 	fractions []float64
 	trials    int
 	period    int64
-	store     string
-	resident  int
 	rungs     []int
 	loads     []float64
 	layout    string
@@ -211,18 +209,12 @@ func optIn(e exhibit) exhibit {
 }
 
 func runScale(cfg appConfig) ([]exp.ScalePoint, error) {
-	store, err := routing.ParseStore(cfg.store)
-	if err != nil {
-		return nil, err
-	}
 	opts := exp.ScaleOptions{
-		Store:       store,
-		MaxResident: cfg.resident,
-		Rungs:       cfg.rungs,
-		MsgsPerEP:   cfg.simOpts.MsgsPerRank,
-		Seed:        cfg.seed,
-		Parallel:    cfg.simOpts.Parallel,
-		Workers:     cfg.simOpts.Workers,
+		Rungs:     cfg.rungs,
+		MsgsPerEP: cfg.simOpts.MsgsPerRank,
+		Seed:      cfg.seed,
+		Parallel:  cfg.simOpts.Parallel,
+		Workers:   cfg.simOpts.Workers,
 	}
 	if fr := cfg.fractions; len(fr) == 1 {
 		if fr[0] <= 0 {

@@ -26,8 +26,6 @@ type cliFlags struct {
 	fractions  string
 	trials     int
 	period     int64
-	store      string
-	resident   int
 	rungs      string
 
 	// Generic sweep grid flags.
@@ -71,8 +69,6 @@ func parseFlags(cmd string, args []string) cliFlags {
 	fs.StringVar(&fl.fractions, "fractions", "", "comma-separated failure fractions for resilience (e.g. 0.05,0.1,0.2)")
 	fs.IntVar(&fl.trials, "trials", 0, "failure plans per (fault,fraction) cell for resilience")
 	fs.Int64Var(&fl.period, "period", 0, "rewiring / traffic-shift period in cycles for reconfig (0 = scale default)")
-	fs.StringVar(&fl.store, "store", "packed", "routing-table backend for scale: packed, lazy or dense")
-	fs.IntVar(&fl.resident, "resident", 0, "max resident shards for the lazy routing store (0 = default)")
 	fs.StringVar(&fl.rungs, "rungs", "", "comma-separated scale-ladder rungs for scale (0-2; default all)")
 	fs.StringVar(&fl.topos, "topos", "", "sweep topology axis, e.g. lps(11,7),sf(9),jf(512,12,s=1)")
 	fs.IntVar(&fl.conc, "conc", 1, "endpoints per router for sweep topologies")

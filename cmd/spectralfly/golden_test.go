@@ -23,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite the CLI golden files")
 // command line; axes without flags use the drivers' quick-scale
 // defaults, exactly as the binary would.
 func goldenConfigs() map[string]appConfig {
-	base := appConfig{scale: exp.Quick, class: 1, maxN: 4000, store: "packed"}
+	base := appConfig{scale: exp.Quick, class: 1, maxN: 4000}
 	sim := base
 	sim.simOpts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
 

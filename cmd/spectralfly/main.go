@@ -84,8 +84,6 @@ func dispatch(cmd string, fl cliFlags) int {
 		fractions: parseFractions(fl.fractions),
 		trials:    fl.trials,
 		period:    fl.period,
-		store:     fl.store,
-		resident:  fl.resident,
 		rungs:     parseClasses(fl.rungs),
 		loads:     parseFractions(fl.loads),
 		layout:    fl.layout,
@@ -193,7 +191,7 @@ func usage() {
                  -measure load|motif|saturation [-policies minimal,ugal-l]
                  [-patterns random,transpose] [-loads 0.2,0.5]
                  [-motifs halo3d,fft] [-faults links:0.05,regions:0.1:16]
-                 [-trials N] [-intact=false] [-store packed]
+                 [-trials N] [-intact=false]
   serve          coordinate a sweep grid for submit workers: same grid
                  flags as sweep, plus [-addr host:port] [-chunk N]
                  [-heartbeat D]; cells already in the cache are served
@@ -211,7 +209,7 @@ flags: -full (paper-scale), -classes 0,1, -class N, -maxpq N, -maxn N,
        -fractions 0.05,0.1 -trials N (resilience fault grid),
        -period N (reconfig rewiring period),
        -loads 0.1,0.4 -layout qap|faq|sequential (interference),
-       -store packed|lazy|dense -resident N -rungs 0,1,2 (scale sweep),
+       -rungs 0,1,2 (scale sweep; packed routing tables),
        -cache -cache-dir D (content-addressed result cache; a killed
          sweep re-run with it replays every stored cell),
        -cpuprofile f -memprofile f (write pprof profiles),

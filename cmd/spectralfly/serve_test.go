@@ -23,7 +23,7 @@ import (
 func serveFlags(dir string) cliFlags {
 	return cliFlags{
 		topos: "lps(11,7)", conc: 2, loads: "0.2,0.5", faults: "links:0.1",
-		trials: 2, ranks: 64, msgs: 4, seed: 11, store: "packed", intact: true,
+		trials: 2, ranks: 64, msgs: 4, seed: 11, intact: true,
 		addr: "127.0.0.1:0", cacheDir: dir, chunk: 1,
 	}
 }
@@ -53,8 +53,10 @@ func encodeDoc(t *testing.T, rows any) []byte {
 
 // startWorker joins the coordinator like `spectralfly submit` (grid
 // rebuild, version + fingerprint verification, ranged execution) with
-// test-friendly poll/heartbeat intervals.
-func startWorker(ctx context.Context, t *testing.T, url, name string) <-chan error {
+// test-friendly poll/heartbeat intervals. With maxPosts > 0 the worker
+// posts at most that many cells; its next computed cell then blocks
+// until ctx is cancelled, so the grid stops at a known point.
+func startWorker(ctx context.Context, t *testing.T, url, name string, maxPosts int32) <-chan error {
 	t.Helper()
 	errc := make(chan error, 1)
 	go func() {
@@ -63,14 +65,21 @@ func startWorker(ctx context.Context, t *testing.T, url, name string) <-chan err
 			errc <- err
 			return
 		}
-		if err := applyLocalKnobs(sw, cliFlags{store: "packed"}); err != nil {
-			errc <- err
-			return
-		}
+		applyLocalKnobs(sw, cliFlags{})
+		exec := sweepExec(sw, keys)
+		var posted atomic.Int32
 		errc <- service.RunWorker(ctx, service.WorkerConfig{
-			Coordinator:       url,
-			Name:              name,
-			Exec:              sweepExec(sw, keys),
+			Coordinator: url,
+			Name:        name,
+			Exec: func(ctx context.Context, lo, hi int, post func(int, string, []byte, string) error) error {
+				return exec(ctx, lo, hi, func(i int, k string, p []byte, e string) error {
+					if maxPosts > 0 && posted.Add(1) > maxPosts {
+						<-ctx.Done()
+						return ctx.Err()
+					}
+					return post(i, k, p, e)
+				})
+			},
 			PollInterval:      20 * time.Millisecond,
 			HeartbeatInterval: 50 * time.Millisecond,
 		})
@@ -93,8 +102,8 @@ func TestServeSubmitByteIdentical(t *testing.T) {
 	}
 	defer s.close()
 	url := "http://" + s.addr()
-	w1 := startWorker(ctx, t, url, "w1")
-	w2 := startWorker(ctx, t, url, "w2")
+	w1 := startWorker(ctx, t, url, "w1", 0)
+	w2 := startWorker(ctx, t, url, "w2", 0)
 	rows, err := s.wait(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +171,7 @@ func TestServeWorkerFailover(t *testing.T) {
 			dying <- err
 			return
 		}
-		if err := applyLocalKnobs(sw, cliFlags{store: "packed"}); err != nil {
-			dying <- err
-			return
-		}
+		applyLocalKnobs(sw, cliFlags{})
 		exec := sweepExec(sw, keys)
 		var posted atomic.Int32
 		dying <- service.RunWorker(dieCtx, service.WorkerConfig{
@@ -190,7 +196,7 @@ func TestServeWorkerFailover(t *testing.T) {
 		t.Error("dying worker exited cleanly; expected a cancellation error")
 	}
 
-	survivor := startWorker(ctx, t, url, "survivor")
+	survivor := startWorker(ctx, t, url, "survivor", 0)
 	rows, err := s.wait(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -220,11 +226,13 @@ func TestServeCoordinatorRestart(t *testing.T) {
 	}
 	url := "http://" + s1.addr()
 	w1Ctx, stopW1 := context.WithCancel(ctx)
-	w1 := startWorker(w1Ctx, t, url, "w1")
+	const posts = 2
+	w1 := startWorker(w1Ctx, t, url, "w1", posts)
 
-	// Kill the coordinator once part of the grid has been emitted.
+	// Kill the coordinator once w1 has posted its cells and stalled on
+	// the next: 2 of the 6 cells are emitted, and the rest are not.
 	deadline := time.Now().Add(time.Minute)
-	for len(s1.snapshot()) < 2 {
+	for len(s1.snapshot()) < posts {
 		if time.Now().After(deadline) {
 			t.Fatal("no progress before the kill")
 		}
@@ -246,7 +254,7 @@ func TestServeCoordinatorRestart(t *testing.T) {
 	if s2.coord.Remaining() == 0 {
 		t.Fatal("grid unexpectedly complete before the kill point; pick an earlier kill")
 	}
-	w2 := startWorker(ctx, t, "http://"+s2.addr(), "w2")
+	w2 := startWorker(ctx, t, "http://"+s2.addr(), "w2", 0)
 	rows, err := s2.wait(ctx)
 	if err != nil {
 		t.Fatal(err)

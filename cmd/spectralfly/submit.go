@@ -76,7 +76,7 @@ func joinGrid(ctx context.Context, coord string) (*spectralfly.Sweep, []string, 
 
 // runSubmit joins the coordinator at -coord as a worker and computes
 // claimed cell ranges until the grid is done or ^C. Results go to the
-// coordinator, not stdout. -parallel, -store/-resident and a local
+// coordinator, not stdout. -parallel, -workers and a local
 // -cache/-cache-dir apply per worker.
 func runSubmit(fl cliFlags) error {
 	if fl.coord == "" {
@@ -89,9 +89,7 @@ func runSubmit(fl cliFlags) error {
 	if err != nil {
 		return err
 	}
-	if err := applyLocalKnobs(sw, fl); err != nil {
-		return err
-	}
+	applyLocalKnobs(sw, fl)
 	fmt.Fprintf(os.Stderr, "submit: joined %s (%d cells)\n", fl.coord, len(keys))
 	return service.RunWorker(ctx, service.WorkerConfig{
 		Coordinator: fl.coord,

@@ -29,8 +29,8 @@ type sweepRow struct {
 // exact grid-identity subset of the sweep flag surface, so a submit
 // worker rebuilds the identical grid from the coordinator's copy and
 // verifies it by Fingerprint. Per-process execution knobs (-parallel,
-// -workers, -store, -resident, -cache-dir) deliberately stay out — they
-// change how fast a process computes, never what it computes.
+// -workers, -cache-dir) deliberately stay out — they change how fast a
+// process computes, never what it computes.
 type sweepSpec struct {
 	Topos    string `json:"topos"`
 	Conc     int    `json:"conc,omitempty"`
@@ -134,20 +134,12 @@ func (sp sweepSpec) sweep() (*spectralfly.Sweep, error) {
 }
 
 // applyLocalKnobs wires the per-process execution flags — worker pool,
-// shard count, table backend and the optional result cache — onto a
-// built sweep.
-func applyLocalKnobs(sw *spectralfly.Sweep, fl cliFlags) error {
-	store, err := routing.ParseStore(fl.store)
-	if err != nil {
-		return err
-	}
-	sw.Parallel(fl.parallel).
-		Workers(fl.workers).
-		Tables(spectralfly.TableOptions{Store: store, MaxResident: fl.resident})
+// shard count and the optional result cache — onto a built sweep.
+func applyLocalKnobs(sw *spectralfly.Sweep, fl cliFlags) {
+	sw.Parallel(fl.parallel).Workers(fl.workers)
 	if fl.cacheOn || fl.cacheDir != "" {
 		sw.Cache(fl.cacheDir)
 	}
-	return nil
 }
 
 // runSweep executes the declarative grid described by the -topos /
@@ -161,9 +153,7 @@ func runSweep(fl cliFlags) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := applyLocalKnobs(sw, fl); err != nil {
-		return nil, err
-	}
+	applyLocalKnobs(sw, fl)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -68,7 +68,6 @@ func TestRunSweepSubcommand(t *testing.T) {
 		ranks:  64,
 		msgs:   4,
 		seed:   11,
-		store:  "packed",
 		intact: true,
 	}
 	res, err := runSweep(fl)
@@ -108,13 +107,13 @@ func TestRunSweepSubcommand(t *testing.T) {
 	}
 
 	// Error surfaces: no topologies, bad measure, bad spec.
-	if _, err := runSweep(cliFlags{store: "packed"}); err == nil || !strings.Contains(err.Error(), "-topos") {
+	if _, err := runSweep(cliFlags{}); err == nil || !strings.Contains(err.Error(), "-topos") {
 		t.Errorf("missing -topos error: %v", err)
 	}
-	if _, err := runSweep(cliFlags{topos: "lps(11,7)", measure: "latency", store: "packed"}); err == nil {
+	if _, err := runSweep(cliFlags{topos: "lps(11,7)", measure: "latency"}); err == nil {
 		t.Error("bad -measure accepted")
 	}
-	if _, err := runSweep(cliFlags{topos: "torus(4,4)", store: "packed"}); err == nil {
+	if _, err := runSweep(cliFlags{topos: "torus(4,4)"}); err == nil {
 		t.Error("bad spec accepted")
 	}
 }

@@ -20,7 +20,8 @@ type ScalePoint struct {
 	Topology  string
 	Routers   int
 	Endpoints int
-	// Store names the routing-table backend ("packed", "lazy", "dense").
+	// Store names the routing-table backend: always "packed", the
+	// compact oracle the sweep exists to exercise.
 	Store string
 	// Saturation is the measured knee under uniform traffic.
 	Saturation float64
@@ -51,14 +52,6 @@ const scaleDegradedLoad = 0.3
 
 // ScaleOptions tunes the large-n sweep.
 type ScaleOptions struct {
-	// Store selects the routing-oracle backend. The zero value is
-	// routing.StoreDense (matching routing.TableOptions); pass
-	// StorePacked — the CLI's default, and the point of the exercise —
-	// for the big rungs, where dense tables need tens of GB.
-	Store routing.Store
-	// MaxResident bounds the lazy working set (rows) when Store is
-	// StoreLazy; 0 selects the routing package default.
-	MaxResident int
 	// Rungs selects scale-ladder rungs by index (default: all at Full
 	// scale; Quick scale ignores this and runs small stand-ins).
 	Rungs []int
@@ -128,17 +121,18 @@ func scaleInstances(scale Scale, opts ScaleOptions) ([]sweep.Instance, error) {
 
 // ScaleSweep runs the large-n end of Table II: for every selected
 // scale-ladder instance it measures the saturation knee and one
-// degraded (random link failure) load point, using the compact routing
-// oracle selected by opts.Store so the biggest rungs fit in memory at
-// all — a 40K-router dense table alone is ~6.3 GB, and the PR 2
-// resilience design holds one repaired table per fault plan on top.
+// degraded (random link failure) load point on packed routing tables
+// (on an intact LPS rung, the Cayley table), so the biggest rungs fit
+// in memory at all — a 40K-router dense table alone is ~6.3 GB, and
+// the resilience design holds one repaired table per fault plan on
+// top. The packed store is pinned, not left to the size rule, even for
+// the Quick stand-ins: the compact oracle is what the sweep measures.
 // Instances run strictly one at a time and are Released before the
 // next begins, so PeakTableBytes reflects the per-instance working
 // set, which the packed oracle keeps under the 1.5 GB class budget.
 //
 // Like every simulation driver, cell seeds derive from stable keys:
-// results are bit-identical across Parallel settings and across
-// storage backends (the oracles report identical distances).
+// results are bit-identical across Parallel settings.
 func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 	if opts.Fraction < 0 {
 		return nil, fmt.Errorf("exp: scale fraction %v must be positive (0 selects the default)", opts.Fraction)
@@ -154,12 +148,12 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 			Topology:  si.Name,
 			Routers:   si.Inst.G.N(),
 			Endpoints: si.Endpoints(),
-			Store:     opts.Store.String(),
+			Store:     routing.StorePacked.String(),
 		}
 		runOpts := sweep.Options{
 			Parallel: opts.Parallel,
 			Workers:  opts.Workers,
-			Tables:   routing.TableOptions{Store: opts.Store, MaxResident: opts.MaxResident},
+			Tables:   routing.TableOptions{Store: routing.StorePacked},
 			// Track the peak across every batch and repair boundary; the
 			// maximum lands in the repair window, where the intact and
 			// the freshly repaired table are briefly memoized together

@@ -3,12 +3,10 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/routing"
 )
 
 func TestScaleSweepQuick(t *testing.T) {
-	points, err := ScaleSweep(Quick, ScaleOptions{Store: routing.StorePacked, Parallel: 2})
+	points, err := ScaleSweep(Quick, ScaleOptions{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,42 +35,5 @@ func TestScaleSweepQuick(t *testing.T) {
 	FprintScale(&sb, points)
 	if !strings.Contains(sb.String(), "PeakTableMB") || !strings.Contains(sb.String(), points[0].Topology) {
 		t.Errorf("rendered table missing expected content:\n%s", sb.String())
-	}
-}
-
-// TestScaleSweepStoresBitIdentical is the driver-level equivalence
-// oracle: the same sweep over dense, packed and lazy routing oracles
-// must produce identical saturation knees and degraded-point
-// statistics — only the reported footprint may differ.
-func TestScaleSweepStoresBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the sweep three times")
-	}
-	base, err := ScaleSweep(Quick, ScaleOptions{Store: routing.StoreDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, store := range []routing.Store{routing.StorePacked, routing.StoreLazy} {
-		got, err := ScaleSweep(Quick, ScaleOptions{Store: store, Parallel: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(base) {
-			t.Fatalf("[%s] %d points, dense has %d", store, len(got), len(base))
-		}
-		for i := range got {
-			g, b := got[i], base[i]
-			if g.Saturation != b.Saturation {
-				t.Errorf("[%s] %s saturation %v, dense %v", store, g.Topology, g.Saturation, b.Saturation)
-			}
-			if g.DegradedDelivered != b.DegradedDelivered || g.DegradedP99 != b.DegradedP99 {
-				t.Errorf("[%s] %s degraded point (%v, %v), dense (%v, %v)", store,
-					g.Topology, g.DegradedDelivered, g.DegradedP99, b.DegradedDelivered, b.DegradedP99)
-			}
-		}
-		if store == routing.StorePacked && got[0].PeakTableBytes*4 > base[0].PeakTableBytes {
-			t.Errorf("packed peak %d bytes not well below dense %d",
-				got[0].PeakTableBytes, base[0].PeakTableBytes)
-		}
 	}
 }

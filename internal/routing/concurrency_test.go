@@ -26,7 +26,6 @@ func TestTableConcurrentReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			buf := make([]int32, 0, 16)
 			for i := 0; i < 2000; i++ {
 				src, dst := rng.Intn(n), rng.Intn(n)
 				d := table.HopDist(src, dst)
@@ -39,15 +38,10 @@ func TestTableConcurrentReaders(t *testing.T) {
 						t.Errorf("no next hop %d->%d", src, dst)
 						return
 					}
-					if path := table.SamplePath(src, dst, rng); len(path) != int(d)+1 {
+					if path := samplePath(table, src, dst, rng); len(path) != int(d)+1 {
 						t.Errorf("path length %d want %d", len(path)-1, d)
 						return
 					}
-				}
-				buf = table.NextHops(src, dst, buf[:0])
-				if table.PathDiversity(src, dst) != len(buf) {
-					t.Error("PathDiversity disagrees with NextHops")
-					return
 				}
 			}
 		}(w)
@@ -87,7 +81,7 @@ func TestTableSwapUnderConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			buf := make([]int32, 0, 16)
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
@@ -99,7 +93,9 @@ func TestTableSwapUnderConcurrentReaders(t *testing.T) {
 				if src == dst || d < 0 {
 					continue
 				}
-				for _, h := range snap.NextHops(src, dst, buf[:0]) {
+				buf = snap.nextHopSlots(src, dst, buf[:0])
+				for _, s := range buf {
+					h := snap.G.Neighbors(src)[s]
 					if hd := snap.HopDist(int(h), dst); hd != d-1 {
 						t.Errorf("snapshot inconsistent: hop %d->%d via %d at distance %d, want %d",
 							src, dst, h, hd, d-1)

@@ -22,12 +22,12 @@ func randomConnectedGraph(seed int64) *graph.Graph {
 func TestPropertySamplePathLengthMatchesDistance(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomConnectedGraph(seed)
-		for _, opts := range allStores {
-			tab := NewTableOpts(g, opts)
+		for _, store := range allStores {
+			tab := newTestTable(g, store)
 			rng := rand.New(rand.NewSource(seed ^ 0x5f5f))
 			for i := 0; i < 10; i++ {
 				s, d := rng.Intn(g.N()), rng.Intn(g.N())
-				path := tab.SamplePath(s, d, rng)
+				path := samplePath(tab, s, d, rng)
 				if int32(len(path)-1) != tab.HopDist(s, d) {
 					return false
 				}
@@ -48,12 +48,12 @@ func TestPropertySamplePathLengthMatchesDistance(t *testing.T) {
 func TestPropertyNextHopsStrictlyDecreaseDistance(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomConnectedGraph(seed)
-		for _, opts := range allStores {
-			tab := NewTableOpts(g, opts)
+		for _, store := range allStores {
+			tab := newTestTable(g, store)
 			rng := rand.New(rand.NewSource(seed ^ 0x2222))
 			for i := 0; i < 10; i++ {
 				v, d := rng.Intn(g.N()), rng.Intn(g.N())
-				for _, h := range tab.NextHops(v, d, nil) {
+				for _, h := range nextHops(tab, v, d) {
 					if tab.HopDist(int(h), d) != tab.HopDist(v, d)-1 {
 						return false
 					}
@@ -70,8 +70,8 @@ func TestPropertyNextHopsStrictlyDecreaseDistance(t *testing.T) {
 func TestPropertyTableDiameterEqualsMaxDistance(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomConnectedGraph(seed)
-		for _, opts := range allStores {
-			tab := NewTableOpts(g, opts)
+		for _, store := range allStores {
+			tab := newTestTable(g, store)
 			max := int32(0)
 			for v := 0; v < g.N(); v++ {
 				for d := 0; d < g.N(); d++ {

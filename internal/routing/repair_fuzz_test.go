@@ -52,10 +52,22 @@ func sampleRemovals(rng *rand.Rand, g *graph.Graph, frac float64) [][2]int32 {
 
 // allStores lists every storage backend; the equivalence checks below
 // run the BFS oracle against each one.
-var allStores = []TableOptions{
-	{Store: StoreDense},
-	{Store: StorePacked},
-	{Store: StoreLazy, MaxResident: 8}, // tiny cap so eviction is exercised too
+var allStores = []Store{StoreDense, StorePacked, StoreLazy}
+
+// newTestTable builds g's table in store. A lazy table holds at most 8
+// rows, so eviction is exercised too.
+func newTestTable(g *graph.Graph, store Store) *Table {
+	if store == StoreLazy {
+		return newLazy(g, 8)
+	}
+	return NewTableOpts(g, TableOptions{Store: store})
+}
+
+// newLazy builds g's lazy table with a working set of limit rows.
+func newLazy(g *graph.Graph, limit int) *Table {
+	t := NewTableOpts(g, TableOptions{Store: StoreLazy})
+	t.lazy.cap = limit
+	return t
 }
 
 // checkMatchesBFS asserts that tab, which Repair or Restore derived
@@ -63,13 +75,17 @@ var allStores = []TableOptions{
 // single-source graph.BFS computes on g — an oracle independent of the
 // graph.EachBFS kernel every table is built on. For dense and packed
 // tables it also pins row sharing: tab shares prev's row toward d
-// exactly when that row's distances are unchanged. what names the
-// operation and its edge list in failure messages.
+// exactly when that row's distances are unchanged; for lazy ones, that
+// tab keeps prev's working-set cap. what names the operation and its
+// edge list in failure messages.
 func checkMatchesBFS(t *testing.T, what string, tab, prev *Table, g *graph.Graph) {
 	t.Helper()
 	store := prev.Store()
 	if tab.Store() != store {
 		t.Fatalf("[%s] %s: result has store %s", store, what, tab.Store())
+	}
+	if store == StoreLazy && tab.lazy.cap != prev.lazy.cap {
+		t.Fatalf("[%s] %s: working-set cap %d, want %d", store, what, tab.lazy.cap, prev.lazy.cap)
 	}
 	if tab.G.N() != g.N() || tab.G.M() != g.M() {
 		t.Fatalf("[%s] %s: graph mismatch: n=%d m=%d want n=%d m=%d",
@@ -104,8 +120,8 @@ func checkMatchesBFS(t *testing.T, what string, tab, prev *Table, g *graph.Graph
 func checkRepairEquals(t *testing.T, g *graph.Graph, removed [][2]int32) {
 	t.Helper()
 	damaged := g.RemoveEdges(removed)
-	for _, opts := range allStores {
-		base := NewTableOpts(g, opts)
+	for _, store := range allStores {
+		base := newTestTable(g, store)
 		checkMatchesBFS(t, fmt.Sprintf("Repair(%v)", removed), base.Repair(removed), base, damaged)
 	}
 }
@@ -137,7 +153,7 @@ func refNextHopSlot(tab *Table, v, d int, rng *rand.Rand) int {
 func checkNextHopInvariant(t *testing.T, tab *Table) {
 	t.Helper()
 	n := tab.G.N()
-	var buf []int32
+	var slots []int32
 	got, want := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
 	for d := 0; d < n; d++ {
 		for v := 0; v < n; v++ {
@@ -148,21 +164,18 @@ func checkNextHopInvariant(t *testing.T, tab *Table) {
 				t.Fatalf("[%s] v=%d d=%d: NextHopSlot consumed the RNG differently from the reference scan", tab.Store(), v, d)
 			}
 			dv := tab.HopDist(v, d)
-			buf = tab.NextHops(v, d, buf[:0])
+			slots = tab.nextHopSlots(v, d, slots[:0])
 			if v == d || dv <= 0 {
-				if len(buf) != 0 {
-					t.Fatalf("v=%d d=%d dist=%d: unexpected next hops %v", v, d, dv, buf)
+				if len(slots) != 0 {
+					t.Fatalf("v=%d d=%d dist=%d: unexpected next-hop slots %v", v, d, dv, slots)
 				}
 				continue
 			}
-			if len(buf) == 0 {
+			if len(slots) == 0 {
 				t.Fatalf("v=%d d=%d dist=%d: no next hop", v, d, dv)
 			}
-			if len(buf) != tab.PathDiversity(v, d) {
-				t.Fatalf("v=%d d=%d: diversity %d but %d next hops", v, d, tab.PathDiversity(v, d), len(buf))
-			}
-			for _, w := range buf {
-				if tab.HopDist(int(w), d) != dv-1 {
+			for _, s := range slots {
+				if w := tab.G.Neighbors(v)[s]; tab.HopDist(int(w), d) != dv-1 {
 					t.Fatalf("v=%d d=%d: next hop %d at dist %d, want %d",
 						v, d, w, tab.HopDist(int(w), d), dv-1)
 				}
@@ -207,9 +220,9 @@ func FuzzNewTable(f *testing.F) {
 	f.Add(int64(9), uint8(25), uint8(10), uint8(40))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, extraRaw, fracRaw uint8) {
 		g, removed := fuzzCase(t, seed, nRaw, extraRaw, fracRaw)
-		for _, opts := range allStores {
-			checkNextHopInvariant(t, NewTableOpts(g, opts))
-			checkNextHopInvariant(t, NewTableOpts(g, opts).Repair(removed))
+		for _, store := range allStores {
+			checkNextHopInvariant(t, newTestTable(g, store))
+			checkNextHopInvariant(t, newTestTable(g, store).Repair(removed))
 		}
 	})
 }

@@ -38,8 +38,8 @@ func sampleAdditions(rng *rand.Rand, g *graph.Graph, count int) [][2]int32 {
 func checkRestoreEquals(t *testing.T, g *graph.Graph, added [][2]int32) {
 	t.Helper()
 	augmented := g.AddEdges(added)
-	for _, opts := range allStores {
-		base := NewTableOpts(g, opts)
+	for _, store := range allStores {
+		base := newTestTable(g, store)
 		checkMatchesBFS(t, fmt.Sprintf("Restore(%v)", added), base.Restore(added), base, augmented)
 	}
 }
@@ -57,8 +57,8 @@ func checkRepairRestoreRoundTrip(t *testing.T, g *graph.Graph, removed [][2]int3
 			realCut = append(realCut, e)
 		}
 	}
-	for _, opts := range allStores {
-		repaired := NewTableOpts(g, opts).Repair(removed)
+	for _, store := range allStores {
+		repaired := newTestTable(g, store).Repair(removed)
 		checkMatchesBFS(t, fmt.Sprintf("cut→Restore(%v)", realCut), repaired.Restore(realCut), repaired, g)
 	}
 }

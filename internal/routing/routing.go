@@ -16,10 +16,12 @@
 // rows pinned at the 32-bit width, packed rows from 4 bits up (8×
 // smaller — low-diameter Ramanujan instances fit hop counts in a
 // nibble), and lazily materialized packed rows under a bounded LRU
-// working set. A 32-bit row also carries its distances mod 3 at 2 bits
-// per vertex: a neighbour of v is one hop closer to the destination
-// exactly when its code is (code(v)+2) mod 3, so the per-hop neighbour
-// scan of a dense row reads n/4 bytes instead of 4n.
+// working set. Unless told otherwise a table picks its store from the
+// graph's size: dense up to 4,096 routers, packed above. A 32-bit row
+// also carries its distances mod 3 at 2 bits per vertex: a neighbour
+// of v is one hop closer to the destination exactly when its code is
+// (code(v)+2) mod 3, so the per-hop neighbour scan of a dense row reads
+// n/4 bytes instead of 4n.
 //
 // On an intact Cayley graph (a graph carrying a graph.Cayley view, as
 // every topo.LPS graph does) the packed store keeps no rows at all: it
@@ -106,7 +108,7 @@ func (p *Policy) UnmarshalText(text []byte) error {
 // concurrent readers (the parallel sweep engine in internal/runner
 // builds one Table per topology instance and shares it across all
 // workers). Methods that make randomized choices (NextHopRandom,
-// SamplePath) take the caller's *rand.Rand, which is NOT safe for
+// NextHopSlot) take the caller's *rand.Rand, which is NOT safe for
 // concurrent use — each goroutine must supply its own. (The lazy
 // backend mutates internal caches behind atomics and a mutex, so the
 // concurrent-reader contract holds for every Store.)
@@ -134,10 +136,12 @@ type Table struct {
 	diam  int32        // largest finite distance (StoreLazy computes it on demand)
 }
 
-// NewTable computes dense BFS distance rows toward every destination
-// with the all-pairs kernel graph.EachBFS, fanning out across
-// GOMAXPROCS workers. The topology must be connected for meaningful
-// routing; disconnected pairs keep distance -1 and have no next hops.
+// NewTable builds the table of g in the store its size selects (dense
+// up to 4,096 routers, packed above), computing distance rows toward
+// every destination with the all-pairs kernel graph.EachBFS, fanned
+// out across GOMAXPROCS workers. The topology must be connected for
+// meaningful routing; disconnected pairs keep distance -1 and have no
+// next hops.
 func NewTable(g *graph.Graph) *Table {
 	return NewTableOpts(g, TableOptions{})
 }
@@ -150,7 +154,7 @@ func NewTable(g *graph.Graph) *Table {
 // identity instead and routes through the view. Lazy tables return
 // immediately and compute rows on first touch.
 func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
-	return newTable(g, opts, nil)
+	return newTable(g, opts.Store, nil)
 }
 
 // Repair returns the routing table for t's topology with the given
@@ -158,7 +162,7 @@ func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
 // that shares every row the damage leaves unchanged (see newTable).
 // Pairs that are not edges of t.G are ignored.
 func (t *Table) Repair(removed [][2]int32) *Table {
-	return newTable(t.G.RemoveEdges(removed), t.options(), t)
+	return newTable(t.G.RemoveEdges(removed), t.store, t)
 }
 
 // Restore returns the routing table for t's topology with the given
@@ -167,32 +171,39 @@ func (t *Table) Repair(removed [][2]int32) *Table {
 // that shares every row the insertion leaves unchanged (see newTable).
 // Pairs already present in t.G are ignored.
 func (t *Table) Restore(added [][2]int32) *Table {
-	return newTable(t.G.AddEdges(added), t.options(), t)
+	return newTable(t.G.AddEdges(added), t.store, t)
 }
 
 // newTable is the one build path behind NewTableOpts, Repair and
-// Restore. prev, when non-nil, is an eager table over the same vertex
-// set: a destination whose new distances all equal prev's row shares
-// that row (its cells) instead of encoding a fresh one, so a table
-// derived from a damaged or augmented graph costs memory only where
-// distances changed, exactly as if it had been updated in place. A
-// lazy table ignores prev: its rows are computed on demand from its
-// own graph. A packed table of a graph with a Cayley view builds no
-// rows (newCayleyTable), and a Cayley prev has none to share. Graphs
-// derived by RemoveEdges and AddEdges carry no view, so Repair and
-// Restore always build rows.
-func newTable(g *graph.Graph, opts TableOptions, prev *Table) *Table {
+// Restore; it resolves store from g's size. prev, when non-nil, is the
+// table over the same vertex set that Repair or Restore derives from.
+// An eager table shares prev's row toward a destination whose new
+// distances all equal that row (its cells) instead of encoding a fresh
+// one, so a table derived from a damaged or augmented graph costs
+// memory only where distances changed, exactly as if it had been
+// updated in place. A lazy table takes only prev's working-set cap:
+// its rows are computed on demand from its own graph. A packed table
+// of a graph with a Cayley view builds no rows (newCayleyTable), and a
+// Cayley prev has none to share. Graphs derived by RemoveEdges and
+// AddEdges carry no view, so Repair and Restore always build rows.
+func newTable(g *graph.Graph, store Store, prev *Table) *Table {
 	n := g.N()
-	t := &Table{G: g, store: opts.Store}
-	if opts.Store == StoreLazy {
-		t.lazy = newLazyTable(g, opts.MaxResident)
+	t := &Table{G: g, store: store.resolve(n)}
+	switch t.store {
+	case StoreLazy:
+		var limit int
+		if prev != nil && prev.lazy != nil {
+			limit = prev.lazy.cap
+		}
+		t.lazy = newLazyTable(g, limit)
 		return t
-	}
-	if opts.Store != StorePacked {
+	case StorePacked:
+		if t.cay = newCayleyTable(g); t.cay != nil {
+			t.diam = int32(slices.Max(t.cay.dist))
+			return t
+		}
+	default:
 		t.store = StoreDense
-	} else if t.cay = newCayleyTable(g); t.cay != nil {
-		t.diam = int32(slices.Max(t.cay.dist))
-		return t
 	}
 	if prev != nil && prev.rows == nil {
 		prev = nil // a Cayley table has no rows to share
@@ -210,15 +221,6 @@ func newTable(g *graph.Graph, opts TableOptions, prev *Table) *Table {
 	})
 	t.diam = maxRowDist(t.rows)
 	return t
-}
-
-// options returns the options t was built with.
-func (t *Table) options() TableOptions {
-	opts := TableOptions{Store: t.store}
-	if t.lazy != nil {
-		opts.MaxResident = t.lazy.cap
-	}
-	return opts
 }
 
 // Store reports the storage backend the table was built with.
@@ -247,17 +249,6 @@ func (t *Table) MemoryBytes() int64 {
 		b += 8 * int64(len(t.rows))
 	}
 	return b
-}
-
-// ResidentShards returns the number of destinations answerable
-// without a BFS: n for dense and packed tables (a Cayley table answers
-// every destination from its view), the current working-set size for
-// lazy ones.
-func (t *Table) ResidentShards() int {
-	if t.lazy != nil {
-		return t.lazy.residentRows()
-	}
-	return t.G.N()
 }
 
 // Diameter returns the largest finite hop distance. Dense and packed
@@ -328,19 +319,6 @@ func (t *Table) nextHopSlots(v, dest int, slots []int32) []int32 {
 	return slots
 }
 
-// NextHops appends to buf the neighbors of v that lie on a shortest
-// path to dest and returns the extended slice. Empty when v == dest or
-// dest is unreachable.
-func (t *Table) NextHops(v, dest int, buf []int32) []int32 {
-	nb := t.G.Neighbors(v)
-	start := len(buf)
-	buf = t.nextHopSlots(v, dest, buf)
-	for i := start; i < len(buf); i++ {
-		buf[i] = nb[buf[i]]
-	}
-	return buf
-}
-
 // NextHopRandom returns a uniformly random next hop from v toward dest,
 // or -1 when none exists. Random selection over the equal-cost set is
 // the path-diversity mechanism the paper credits for SpectralFly's
@@ -368,32 +346,6 @@ func (t *Table) NextHopSlot(v, dest int, rng *rand.Rand) int {
 		}
 	}
 	return chosen
-}
-
-// PathDiversity returns the number of equal-cost next hops at v toward
-// dest.
-func (t *Table) PathDiversity(v, dest int) int {
-	var buf [64]int32
-	return len(t.nextHopSlots(v, dest, buf[:0]))
-}
-
-// SamplePath returns one uniformly-sampled shortest path from src to
-// dest (inclusive of both endpoints), or nil if unreachable.
-func (t *Table) SamplePath(src, dest int, rng *rand.Rand) []int32 {
-	if t.HopDist(src, dest) < 0 {
-		return nil
-	}
-	path := []int32{int32(src)}
-	v := src
-	for v != dest {
-		next := t.NextHopRandom(v, dest, rng)
-		if next < 0 {
-			return nil
-		}
-		path = append(path, next)
-		v = int(next)
-	}
-	return path
 }
 
 // VirtualChannels returns the VC count required for deadlock freedom

@@ -9,11 +9,48 @@ import (
 )
 
 func ring(n int) *graph.Graph {
+	return circulant(n, 1)
+}
+
+// circulant returns the circulant graph on n vertices joining each i
+// to i±j for every jump j.
+func circulant(n int, jumps ...int) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for i := 0; i < n; i++ {
-		b.AddEdge(i, (i+1)%n)
+		for _, j := range jumps {
+			b.AddEdge(i, (i+j)%n)
+		}
 	}
 	return b.Build()
+}
+
+// nextHops returns the neighbours of v one hop closer to dest, in slot
+// order.
+func nextHops(tab *Table, v, dest int) []int32 {
+	hops := tab.nextHopSlots(v, dest, nil)
+	for i, s := range hops {
+		hops[i] = tab.G.Neighbors(v)[s]
+	}
+	return hops
+}
+
+// samplePath walks from src to dest by NextHopSlot draws, as the
+// simulator forwards a minimal-routed packet, and returns the routers
+// it visits, both ends included, or nil when dest is unreachable.
+func samplePath(tab *Table, src, dest int, rng *rand.Rand) []int32 {
+	if tab.HopDist(src, dest) < 0 {
+		return nil
+	}
+	path := []int32{int32(src)}
+	for v := src; v != dest; {
+		slot := tab.NextHopSlot(v, dest, rng)
+		if slot < 0 {
+			return nil
+		}
+		v = int(tab.G.Neighbors(v)[slot])
+		path = append(path, int32(v))
+	}
+	return path
 }
 
 func TestTableDistancesOnCycle(t *testing.T) {
@@ -34,14 +71,11 @@ func TestNextHopsEqualCost(t *testing.T) {
 	// On C_10, the antipodal destination has two equal-cost next hops.
 	g := ring(10)
 	tab := NewTable(g)
-	hops := tab.NextHops(0, 5, nil)
+	hops := nextHops(tab, 0, 5)
 	if len(hops) != 2 {
 		t.Fatalf("next hops to antipode: %v, want 2 options", hops)
 	}
-	if tab.PathDiversity(0, 5) != 2 {
-		t.Error("PathDiversity mismatch")
-	}
-	hops = tab.NextHops(0, 3, nil)
+	hops = nextHops(tab, 0, 3)
 	if len(hops) != 1 || hops[0] != 1 {
 		t.Fatalf("next hops to 3: %v, want [1]", hops)
 	}
@@ -71,8 +105,8 @@ func TestNextHopAtDestination(t *testing.T) {
 	if hop := tab.NextHopRandom(2, 2, rand.New(rand.NewSource(1))); hop != -1 {
 		t.Errorf("next hop at destination should be -1, got %d", hop)
 	}
-	if hops := tab.NextHops(2, 2, nil); len(hops) != 0 {
-		t.Errorf("NextHops at destination should be empty: %v", hops)
+	if hops := nextHops(tab, 2, 2); len(hops) != 0 {
+		t.Errorf("next hops at destination should be empty: %v", hops)
 	}
 }
 
@@ -95,7 +129,7 @@ func TestSamplePathValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		src, dst := rng.Intn(inst.G.N()), rng.Intn(inst.G.N())
-		path := tab.SamplePath(src, dst, rng)
+		path := samplePath(tab, src, dst, rng)
 		if src == dst {
 			if len(path) != 1 {
 				t.Fatalf("self path %v", path)
@@ -127,7 +161,7 @@ func TestSamplePathDiversityOnLPS(t *testing.T) {
 			continue
 		}
 		total++
-		if inst.tab.PathDiversity(src, dst) > 1 {
+		if len(nextHops(inst.tab, src, dst)) > 1 {
 			diverse++
 		}
 	}

@@ -13,17 +13,21 @@ import (
 // stores the same row format (packedRow) and differs only in the row
 // width floor and in when rows are computed; the packed store of an
 // intact Cayley graph stores no rows (cayleyTable). All three expose
-// bit-identical distances (and therefore identical routes, sampled
-// paths and simulation statistics); they trade memory for per-lookup
-// cost and build laziness. See DESIGN.md §7 for the memory model.
+// bit-identical distances (and therefore identical routes and
+// simulation statistics); they trade memory for per-lookup cost and
+// build laziness. The zero value leaves the choice to the table, which
+// makes it from the graph's size (see denseMaxRouters). See DESIGN.md
+// §7 for the memory model.
 type Store int
 
 const (
+	// storeBySize, the zero value, is dense rows up to denseMaxRouters
+	// routers and packed above.
+	storeBySize Store = iota
 	// StoreDense keeps every destination's row at the 32-bit width:
 	// int32 distances plus a 2-bit distance-mod-3 view that the
 	// next-hop scan reads instead of the cells, n²·4 + n·⌈n/4⌉ bytes.
-	// The default.
-	StoreDense Store = iota
+	StoreDense
 	// StorePacked packs each destination's distances into 4-bit
 	// nibbles (n² / 2 bytes, an 8× cut over dense) — Ramanujan
 	// instances have diameter ≤ ~7, so hop distances plus the
@@ -36,12 +40,22 @@ const (
 	// graph.Cayley arrays, O(n·k) instead of n²/2 (cayleyTable).
 	StorePacked
 	// StoreLazy materializes packed rows on demand (one BFS per first
-	// touch of a destination) and keeps at most MaxResident of them
+	// touch of a destination) and keeps at most max(n/8, 64) of them
 	// under an LRU discipline. Sweeps that only touch a subset of
 	// destinations never pay for the rest; memory is bounded by the
 	// working set, not n².
 	StoreLazy
 )
+
+// denseMaxRouters is the largest graph the zero Store builds dense
+// rows for; larger graphs get packed rows (on an intact LPS graph, the
+// Cayley table). Dense rows route faster but cost 4.25·n² bytes, about
+// 71 MB at 4,096 routers. Every instance of the paper's load sweeps
+// (§VI-B, at most 1,458 routers) is therefore dense, where dense beat
+// packed on wall time in every measured pair; every Table II scale
+// rung (12,180 to 39,732 routers, where dense would take 0.6 to 6.7
+// GB) is packed.
+const denseMaxRouters = 4096
 
 func (s Store) String() string {
 	switch s {
@@ -55,27 +69,25 @@ func (s Store) String() string {
 	return fmt.Sprintf("store(%d)", int(s))
 }
 
-// ParseStore maps a backend name ("dense", "packed", "lazy") to its
-// Store value.
-func ParseStore(name string) (Store, error) {
-	switch name {
-	case "dense":
-		return StoreDense, nil
-	case "packed":
-		return StorePacked, nil
-	case "lazy":
-		return StoreLazy, nil
+// resolve returns the store a table over n routers is built in: s
+// itself when chosen, otherwise dense up to denseMaxRouters and packed
+// above.
+func (s Store) resolve(n int) Store {
+	switch {
+	case s != storeBySize:
+		return s
+	case n <= denseMaxRouters:
+		return StoreDense
 	}
-	return 0, fmt.Errorf("routing: unknown store %q (want dense, packed or lazy)", name)
+	return StorePacked
 }
 
 // TableOptions configures NewTableOpts.
 type TableOptions struct {
-	// Store selects the distance-storage backend (default StoreDense).
+	// Store overrides the distance-storage backend; the zero value
+	// picks it from the graph's size (dense up to 4,096 routers,
+	// packed above).
 	Store Store
-	// MaxResident bounds the StoreLazy working set in rows; 0 selects
-	// max(n/8, 64). Ignored by the other backends.
-	MaxResident int
 }
 
 // minBits is the row width floor of the store: dense rows are pinned
@@ -303,17 +315,16 @@ type lazyTable struct {
 	diam     int32
 }
 
-func newLazyTable(g *graph.Graph, maxResident int) *lazyTable {
+// newLazyTable returns an empty lazy table over g holding at most
+// limit rows; 0 selects max(n/8, 64).
+func newLazyTable(g *graph.Graph, limit int) *lazyTable {
 	n := g.N()
-	if maxResident <= 0 {
-		maxResident = n / 8
-		if maxResident < 64 {
-			maxResident = 64
-		}
+	if limit <= 0 {
+		limit = max(n/8, 64)
 	}
 	return &lazyTable{
 		g:       g,
-		cap:     maxResident,
+		cap:     limit,
 		rows:    make([]atomic.Pointer[packedRow], n),
 		lastUse: make([]atomic.Int64, n),
 	}

@@ -131,8 +131,7 @@ func TestStoreModesBitIdentical(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(i) * 7919))
 		g := randomGraph(rng, 4+rng.Intn(40), rng.Intn(60))
 		checkStoresAgree(t, "intact", NewTable(g),
-			NewTableOpts(g, TableOptions{Store: StorePacked}),
-			NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: 8}))
+			NewTableOpts(g, TableOptions{Store: StorePacked}), newLazy(g, 8))
 
 		g, bridge := bridgedGraph(rng)
 		cut := [][2]int32{bridge}
@@ -142,7 +141,7 @@ func TestStoreModesBitIdentical(t *testing.T) {
 		}
 		checkStoresAgree(t, "bridge cut", dense,
 			NewTableOpts(g, TableOptions{Store: StorePacked}).Repair(cut),
-			NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: 8}).Repair(cut))
+			newLazy(g, 8).Repair(cut))
 	}
 }
 
@@ -257,25 +256,23 @@ func bridgedGraph(rng *rand.Rand) (*graph.Graph, [2]int32) {
 
 // checkStoresAgree asserts that every read method of each of others
 // agrees with dense over the same graph, RNG consumption included:
-// the generators must be in the same state after every NextHopRandom.
+// the generators must be in the same state after every NextHopRandom,
+// and walks of NextHopSlot draws must visit the same routers.
 func checkStoresAgree(t *testing.T, what string, dense *Table, others ...*Table) {
 	t.Helper()
 	n := dense.G.N()
 	for _, tab := range others {
-		var buf, wantBuf []int32
+		var slots, wantSlots []int32
 		for d := 0; d < n; d++ {
 			for v := 0; v < n; v++ {
 				if tab.HopDist(v, d) != dense.HopDist(v, d) {
 					t.Fatalf("[%s %s] dist(%d,%d)=%d dense=%d", what, tab.Store(), v, d,
 						tab.HopDist(v, d), dense.HopDist(v, d))
 				}
-				wantBuf = dense.NextHops(v, d, wantBuf[:0])
-				buf = tab.NextHops(v, d, buf[:0])
-				if !slices.Equal(buf, wantBuf) {
-					t.Fatalf("[%s %s] NextHops(%d,%d) = %v, dense %v", what, tab.Store(), v, d, buf, wantBuf)
-				}
-				if tab.PathDiversity(v, d) != dense.PathDiversity(v, d) {
-					t.Fatalf("[%s %s] PathDiversity(%d,%d) mismatch", what, tab.Store(), v, d)
+				wantSlots = dense.nextHopSlots(v, d, wantSlots[:0])
+				slots = tab.nextHopSlots(v, d, slots[:0])
+				if !slices.Equal(slots, wantSlots) {
+					t.Fatalf("[%s %s] next-hop slots (%d,%d) = %v, dense %v", what, tab.Store(), v, d, slots, wantSlots)
 				}
 			}
 		}
@@ -293,10 +290,10 @@ func checkStoresAgree(t *testing.T, what string, dense *Table, others ...*Table)
 			if a, b := r1.Int63(), r2.Int63(); a != b {
 				t.Fatalf("[%s %s] NextHopRandom(%d,%d) consumed the RNG differently from dense", what, tab.Store(), v, d)
 			}
-			p1 := dense.SamplePath(v, d, r1)
-			p2 := tab.SamplePath(v, d, r2)
+			p1 := samplePath(dense, v, d, r1)
+			p2 := samplePath(tab, v, d, r2)
 			if !slices.Equal(p1, p2) {
-				t.Fatalf("[%s %s] SamplePath(%d,%d) = %v, dense %v", what, tab.Store(), v, d, p2, p1)
+				t.Fatalf("[%s %s] sampled path (%d,%d) = %v, dense %v", what, tab.Store(), v, d, p2, p1)
 			}
 		}
 		if tab.Diameter() != dense.Diameter() {
@@ -309,9 +306,9 @@ func TestLazyWorkingSetBounded(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	n := inst.G.N()
 	const wsCap = 16
-	tab := NewTableOpts(inst.G, TableOptions{Store: StoreLazy, MaxResident: wsCap})
-	if got := tab.ResidentShards(); got != 0 {
-		t.Fatalf("fresh lazy table has %d resident shards, want 0", got)
+	tab := newLazy(inst.G, wsCap)
+	if got := tab.lazy.residentRows(); got != 0 {
+		t.Fatalf("fresh lazy table has %d resident rows, want 0", got)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 4*n; i++ {
@@ -319,11 +316,11 @@ func TestLazyWorkingSetBounded(t *testing.T) {
 		if tab.HopDist(v, d) < 0 {
 			t.Fatalf("unreachable pair in connected graph")
 		}
-		if got := tab.ResidentShards(); got > wsCap {
+		if got := tab.lazy.residentRows(); got > wsCap {
 			t.Fatalf("working set %d exceeds cap %d", got, wsCap)
 		}
 	}
-	if got := tab.ResidentShards(); got != wsCap {
+	if got := tab.lazy.residentRows(); got != wsCap {
 		t.Fatalf("working set %d after touching all destinations, want full cap %d", got, wsCap)
 	}
 	// Memory accounting follows the working set, not n².
@@ -342,7 +339,7 @@ func TestLazyRecencyKeepsHotRow(t *testing.T) {
 		b.AddEdge(v, (v+1)%n)
 	}
 	g := b.Build()
-	tab := NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: 4})
+	tab := newLazy(g, 4)
 	const hot = 0
 	tab.HopDist(1, hot)
 	for d := 1; d < n; d++ {
@@ -391,7 +388,7 @@ func TestMemoryBytesPerBackend(t *testing.T) {
 	if got := NewTableOpts(g, TableOptions{Store: StorePacked}).MemoryBytes(); got != 13_200 {
 		t.Errorf("Cayley packed MemoryBytes = %d, want 13200 (168 + 2016 + 12 + 8064 + 1344+1568+28)", got)
 	}
-	lazy := NewTableOpts(g, TableOptions{Store: StoreLazy, MaxResident: 16})
+	lazy := newLazy(g, 16)
 	if got := lazy.MemoryBytes(); got != 4_032 {
 		t.Errorf("untouched lazy MemoryBytes = %d, want 4032 (168·24)", got)
 	}
@@ -406,11 +403,10 @@ func TestMemoryBytesPerBackend(t *testing.T) {
 func TestTableConcurrentReadersNonDense(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	n := inst.G.N()
-	for _, opts := range []TableOptions{
-		{Store: StorePacked},
-		{Store: StoreLazy, MaxResident: 12}, // far below n: concurrent miss + evict churn
+	for _, table := range []*Table{
+		NewTableOpts(inst.G, TableOptions{Store: StorePacked}),
+		newLazy(inst.G, 12), // far below n: concurrent miss + evict churn
 	} {
-		table := NewTableOpts(inst.G, opts)
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -434,15 +430,44 @@ func TestTableConcurrentReadersNonDense(t *testing.T) {
 	}
 }
 
-func TestParseStoreRoundTrip(t *testing.T) {
-	for _, s := range []Store{StoreDense, StorePacked, StoreLazy} {
-		got, err := ParseStore(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseStore(%q) = %v, %v", s.String(), got, err)
+// TestStoreBySize pins the store a zero TableOptions picks: dense rows
+// up to denseMaxRouters routers, byte for byte the explicit dense
+// table, and packed above — on an intact LPS graph the Cayley table.
+// Repair and Restore keep the resolved store.
+func TestStoreBySize(t *testing.T) {
+	g := circulant(denseMaxRouters, 1, 64)
+	store, bytes := func() (Store, int64) { // one 71 MB table alive at a time
+		tab := NewTable(g)
+		return tab.Store(), tab.MemoryBytes()
+	}()
+	if store != StoreDense {
+		t.Fatalf("n=%d: store %s, want dense", g.N(), store)
+	}
+	if dense := NewTableOpts(g, TableOptions{Store: StoreDense}).MemoryBytes(); bytes != dense {
+		t.Fatalf("n=%d: %d bytes, the explicit dense table %d", g.N(), bytes, dense)
+	}
+
+	for _, g := range []*graph.Graph{
+		circulant(denseMaxRouters+1, 1, 64),
+		topo.MustLPS(5, 17).G, // PGL(2,F_17): 4,896 routers
+	} {
+		tab := NewTable(g)
+		if tab.Store() != StorePacked {
+			t.Fatalf("n=%d: store %s, want packed", g.N(), tab.Store())
+		}
+		if cay := g.Cayley() != nil; (tab.cay != nil) != cay {
+			t.Fatalf("n=%d: Cayley table %v, graph has a view %v", g.N(), tab.cay != nil, cay)
+		}
+		cut := [][2]int32{{0, g.Neighbors(0)[0]}}
+		rep := tab.Repair(cut)
+		if rep.Store() != StorePacked || rep.Restore(cut).Store() != StorePacked {
+			t.Fatalf("n=%d: Repair gave %s, Restore %s, want packed",
+				g.N(), rep.Store(), rep.Restore(cut).Store())
 		}
 	}
-	if _, err := ParseStore("bogus"); err == nil {
-		t.Error("ParseStore accepted a bogus name")
+	small := NewTable(ring(64)).Repair([][2]int32{{0, 1}})
+	if small.Store() != StoreDense || small.Restore([][2]int32{{0, 1}}).Store() != StoreDense {
+		t.Fatal("Repair or Restore of a small table left the dense store")
 	}
 }
 
@@ -473,10 +498,17 @@ func TestPolicyJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func benchTable(b *testing.B, opts TableOptions) *Table {
+// benchTable builds the class-1 LPS instance's table in store; a lazy
+// table's cap is at least n, so it measures the steady-state (hit-path)
+// cost: a sweep cycling more destinations than the cap pays a BFS per
+// miss instead, which is the documented trade.
+func benchTable(b *testing.B, store Store) *Table {
 	b.Helper()
-	inst := topo.MustLPS(23, 11)
-	return NewTableOpts(inst.G, opts)
+	g := topo.MustLPS(23, 11).G
+	if store == StoreLazy {
+		return newLazy(g, g.N())
+	}
+	return NewTableOpts(g, TableOptions{Store: store})
 }
 
 // BenchmarkHopDist measures the per-lookup cost of HopDist, one cell
@@ -485,16 +517,9 @@ func benchTable(b *testing.B, opts TableOptions) *Table {
 // BenchmarkNextHopRandom here and, in situ, by BenchmarkRunLoadStore
 // in internal/simnet.
 func BenchmarkHopDist(b *testing.B) {
-	for _, opts := range []TableOptions{
-		{Store: StoreDense},
-		{Store: StorePacked},
-		// Cap ≥ n: measures the steady-state (hit-path) cost; a sweep
-		// cycling more destinations than the cap pays a BFS per miss
-		// instead, which is the documented trade.
-		{Store: StoreLazy, MaxResident: 1 << 20},
-	} {
-		b.Run(opts.Store.String(), func(b *testing.B) {
-			tab := benchTable(b, opts)
+	for _, store := range allStores {
+		b.Run(store.String(), func(b *testing.B) {
+			tab := benchTable(b, store)
 			n := tab.G.N()
 			var sink int32
 			b.ResetTimer()
@@ -507,12 +532,9 @@ func BenchmarkHopDist(b *testing.B) {
 }
 
 func BenchmarkNextHopRandom(b *testing.B) {
-	for _, opts := range []TableOptions{
-		{Store: StoreDense},
-		{Store: StorePacked},
-	} {
-		b.Run(opts.Store.String(), func(b *testing.B) {
-			tab := benchTable(b, opts)
+	for _, store := range []Store{StoreDense, StorePacked} {
+		b.Run(store.String(), func(b *testing.B) {
+			tab := benchTable(b, store)
 			n := tab.G.N()
 			rng := rand.New(rand.NewSource(1))
 			b.ResetTimer()

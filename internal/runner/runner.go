@@ -92,10 +92,11 @@ func New(workers int) *Runner {
 	}
 }
 
-// SetTableOptions selects the storage backend for routing tables the
-// Runner builds from here on (default: dense). Tables already memoized
+// SetTableOptions overrides the storage backend for routing tables the
+// Runner builds from here on; by default each table picks its own from
+// the graph's size (routing.TableOptions). Tables already memoized
 // keep their backend; scale sweeps set this once, before running any
-// cell, so every table of the sweep is packed or lazy.
+// cell, so every table of the sweep is packed.
 func (r *Runner) SetTableOptions(opts routing.TableOptions) {
 	r.mu.Lock()
 	r.tableOpts = opts

@@ -288,8 +288,9 @@ type Options struct {
 	// Parallel is 0, the cell pool is sized GOMAXPROCS / Workers (at
 	// least 1) so cells × shards never oversubscribe the machine.
 	Workers int
-	// Tables selects the routing-table storage backend for tables the
-	// engine builds.
+	// Tables overrides the routing-table storage backend for tables the
+	// engine builds; the zero value lets each table pick its own from
+	// the graph's size (routing.TableOptions).
 	Tables routing.TableOptions
 	// Runner injects a shared engine (so consecutive grids reuse
 	// memoized tables); nil builds a fresh one (see Engine), in which

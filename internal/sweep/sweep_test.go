@@ -162,21 +162,40 @@ func TestRunWorkersPlumbing(t *testing.T) {
 	}
 }
 
-// TestRunStoreIndependence: the packed backend must reproduce the
-// dense results bit for bit, through the whole grid lifecycle
-// including incremental repair of damaged instances.
+// TestRunStoreIndependence: the packed and lazy backends must
+// reproduce the dense results bit for bit, through the whole grid
+// lifecycle: minimal and UGAL-L load cells, saturation searches, and
+// load cells on damaged instances whose tables are repaired
+// incrementally. Only the footprint may
+// differ, and packed tables (the Cayley table on LPS) must peak at
+// under a quarter of dense's bytes.
 func TestRunStoreIndependence(t *testing.T) {
-	dense, err := faultGrid(t).Collect(context.Background(), Options{})
-	if err != nil {
-		t.Fatal(err)
+	run := func(store routing.Store) ([]Result, int64) {
+		var peak int64
+		opts := Options{
+			Tables:       routing.TableOptions{Store: store},
+			OnTableBytes: func(b int64) { peak = max(peak, b) },
+		}
+		sat := &Grid{Instances: testInstances(t), Measure: MeasureSaturation, MsgsPerRank: 4, Seed: 7}
+		var res []Result
+		for _, g := range []*Grid{loadGrid(t), faultGrid(t), sat} {
+			rows, err := g.Collect(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = append(res, rows...)
+		}
+		return res, peak
 	}
-	packed, err := faultGrid(t).Collect(context.Background(),
-		Options{Tables: routing.TableOptions{Store: routing.StorePacked}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dense, packed) {
-		t.Error("packed store diverges from dense on the same grid")
+	dense, denseBytes := run(routing.StoreDense)
+	for _, store := range []routing.Store{routing.StorePacked, routing.StoreLazy} {
+		got, bytes := run(store)
+		if !reflect.DeepEqual(dense, got) {
+			t.Errorf("%s store diverges from dense on the same grids", store)
+		}
+		if store == routing.StorePacked && bytes*4 > denseBytes {
+			t.Errorf("packed peak %d table bytes not under a quarter of dense %d", bytes, denseBytes)
+		}
 	}
 }
 

@@ -30,28 +30,6 @@ const (
 	PatternComplement = traffic.BitComplement
 )
 
-// TableOptions selects the storage backend of the all-pairs routing
-// oracle built for a simulation (or a sweep): one distance row per
-// destination, either dense (rows at the 32-bit width), packed (rows
-// from 4 bits up, ~8× smaller; on an intact LPS network, no rows but
-// the group's Cayley view, a few MB at 40K routers), or lazy (packed
-// rows on demand under a bounded working set). All backends produce
-// bit-identical routes; see DESIGN.md §7 for the memory model.
-type TableOptions = routing.TableOptions
-
-// Routing-table storage backends (TableOptions.Store).
-const (
-	// StoreDense keeps every row at the 32-bit width: int32 distances
-	// (the default).
-	StoreDense = routing.StoreDense
-	// StorePacked packs distances into 4-bit nibbles, ~8× smaller; an
-	// intact LPS network routes through its Cayley view instead, with
-	// O(n·k) state.
-	StorePacked = routing.StorePacked
-	// StoreLazy materializes packed rows on demand under an LRU bound.
-	StoreLazy = routing.StoreLazy
-)
-
 // SimConfig configures a simulation of a Network. The model's timing
 // is fixed (simnet.PacketFlits, RouterLatency and LinkLatency: 16-flit
 // packets, 5-cycle routers, 10-cycle wires) and its queues are
@@ -64,9 +42,6 @@ type SimConfig struct {
 	Policy routing.Policy
 	// Seed drives all randomness.
 	Seed int64
-	// Table selects the routing-table storage backend (the zero value
-	// is the dense store, matching routing.TableOptions).
-	Table TableOptions
 	// Workers is the number of router shards a run is split into and
 	// simulated in parallel (0 and 1 mean one). It is a speed knob
 	// only: statistics are identical for every value, MemoryBytes
@@ -87,12 +62,12 @@ type Sim struct {
 }
 
 // Simulate prepares a simulator for the network, building the routing
-// table once with the storage backend selected by cfg.Table; reuse the
-// Sim for multiple runs. Invalid configurations (a negative
+// table once (dense rows up to 4,096 routers, packed above; see
+// DESIGN.md §7); reuse the Sim for multiple runs. Invalid configurations (a negative
 // concentration, or a dead-router mask that does not match the graph)
 // surface as errors.
 func (n *Network) Simulate(cfg SimConfig) (*Sim, error) {
-	table := routing.NewTableOpts(n.G, cfg.Table)
+	table := routing.NewTable(n.G)
 	nw, err := simnet.New(simnet.Config{
 		Topo:          n.G,
 		Concentration: cfg.Concentration,

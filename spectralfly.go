@@ -22,6 +22,12 @@
 // Centrality returns the vertex and link betweenness profiles from one
 // Brandes pass.
 //
+// Simulate and NewSweep route over an all-pairs shortest-path table
+// whose storage follows from the network's size: dense rows up to
+// 4,096 routers, where they route fastest, and packed rows above (on
+// an intact LPS network, its Cayley view), so the 12K–40K-router
+// Table II rungs fit in memory (DESIGN.md §7).
+//
 // The heavy lifting lives in the internal packages; this package is the
 // stable façade. See DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-reproduction index.

@@ -145,7 +145,6 @@ type Sweep struct {
 
 	parallel int
 	workers  int
-	tables   TableOptions
 
 	cache *service.Cache
 }
@@ -372,14 +371,6 @@ func (s *Sweep) Workers(n int) *Sweep {
 	return s
 }
 
-// Tables selects the routing-table storage backend the sweep's
-// memoized tables use (dense, packed or lazy); repaired tables of
-// damaged topologies keep the backend.
-func (s *Sweep) Tables(opts TableOptions) *Sweep {
-	s.tables = opts
-	return s
-}
-
 // Cache enables the content-addressed result cache at dir ("" = the
 // user cache directory, ~/.cache/spectralfly on Linux). Every cell
 // whose content key — a digest of the cell identity, seed, workload
@@ -534,7 +525,7 @@ func (s *Sweep) RunRange(ctx context.Context, lo, hi int, fn func(CellResult) er
 
 // options assembles the grid execution options from the builder state.
 func (s *Sweep) options() sweep.Options {
-	opts := sweep.Options{Parallel: s.parallel, Workers: s.workers, Tables: s.tables}
+	opts := sweep.Options{Parallel: s.parallel, Workers: s.workers}
 	if s.cache != nil {
 		opts.Cache = s.cache
 	}

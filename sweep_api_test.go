@@ -216,20 +216,6 @@ func TestSweepSeededSpecIdentity(t *testing.T) {
 	}
 }
 
-func TestSweepTableBackendsAgree(t *testing.T) {
-	dense, err := testSweep().Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := testSweep().Tables(TableOptions{Store: StorePacked}).Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dense, packed) {
-		t.Error("packed table backend changes sweep results")
-	}
-}
-
 func TestSweepErrors(t *testing.T) {
 	if _, err := NewSweep().Collect(context.Background()); err == nil {
 		t.Error("empty sweep ran")
