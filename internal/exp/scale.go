@@ -134,6 +134,12 @@ func scaleInstances(scale Scale, opts ScaleOptions) ([]sweep.Instance, error) {
 // Like every simulation driver, cell seeds derive from stable keys:
 // results are bit-identical across Parallel settings.
 func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
+	return scaleSweep(scale, opts, routing.StorePacked)
+}
+
+// scaleSweep is ScaleSweep on the given routing-table store; only the
+// cross-store tests pass anything but packed.
+func scaleSweep(scale Scale, opts ScaleOptions, store routing.Store) ([]ScalePoint, error) {
 	if opts.Fraction < 0 {
 		return nil, fmt.Errorf("exp: scale fraction %v must be positive (0 selects the default)", opts.Fraction)
 	}
@@ -148,12 +154,12 @@ func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
 			Topology:  si.Name,
 			Routers:   si.Inst.G.N(),
 			Endpoints: si.Endpoints(),
-			Store:     routing.StorePacked.String(),
+			Store:     store.String(),
 		}
 		runOpts := sweep.Options{
 			Parallel: opts.Parallel,
 			Workers:  opts.Workers,
-			Tables:   routing.TableOptions{Store: routing.StorePacked},
+			Tables:   routing.TableOptions{Store: store},
 			// Track the peak across every batch and repair boundary; the
 			// maximum lands in the repair window, where the intact and
 			// the freshly repaired table are briefly memoized together

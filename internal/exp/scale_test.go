@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/routing"
 )
 
 func TestScaleSweepQuick(t *testing.T) {
@@ -35,5 +37,48 @@ func TestScaleSweepQuick(t *testing.T) {
 	FprintScale(&sb, points)
 	if !strings.Contains(sb.String(), "PeakTableMB") || !strings.Contains(sb.String(), points[0].Topology) {
 		t.Errorf("rendered table missing expected content:\n%s", sb.String())
+	}
+}
+
+// TestScaleSweepStoresBitIdentical is the driver-level equivalence
+// oracle: the scale sweep's two phases on one shared engine (the
+// degraded grid repairs the saturation grid's memoized table) must
+// produce identical saturation knees and degraded-point statistics on
+// dense and lazy tables as on the packed ones ScaleSweep pins — only
+// the reported footprint may differ, and packed must peak at under a
+// quarter of dense's table bytes.
+func TestScaleSweepStoresBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the sweep three times")
+	}
+	base, err := ScaleSweep(Quick, ScaleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, store := range []routing.Store{routing.StoreDense, routing.StoreLazy} {
+		got, err := scaleSweep(Quick, ScaleOptions{Parallel: 1}, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(base) {
+			t.Fatalf("[%s] %d points, packed has %d", store, len(got), len(base))
+		}
+		for i := range got {
+			g, b := got[i], base[i]
+			if g.Store != store.String() {
+				t.Errorf("[%s] %s reports store %q", store, g.Topology, g.Store)
+			}
+			if g.Saturation != b.Saturation {
+				t.Errorf("[%s] %s saturation %v, packed %v", store, g.Topology, g.Saturation, b.Saturation)
+			}
+			if g.DegradedDelivered != b.DegradedDelivered || g.DegradedP99 != b.DegradedP99 {
+				t.Errorf("[%s] %s degraded point (%v, %v), packed (%v, %v)", store,
+					g.Topology, g.DegradedDelivered, g.DegradedP99, b.DegradedDelivered, b.DegradedP99)
+			}
+		}
+		if store == routing.StoreDense && base[0].PeakTableBytes*4 > got[0].PeakTableBytes {
+			t.Errorf("packed peak %d bytes not well below dense %d",
+				base[0].PeakTableBytes, got[0].PeakTableBytes)
+		}
 	}
 }

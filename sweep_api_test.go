@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/routing"
 	"repro/internal/traffic"
 )
 
@@ -213,6 +214,33 @@ func TestSweepSeededSpecIdentity(t *testing.T) {
 	}
 	if cells[0].Topology != "jf(128,5,s=1)" {
 		t.Errorf("spec-built name %q, want canonical spec", cells[0].Topology)
+	}
+}
+
+// TestSweepTableBackendsAgree: the façade leaves the store to the
+// size rule (dense on these small instances); the same grid on packed
+// and lazy tables, forced through the engine's Options.Tables, must
+// reproduce its results exactly.
+func TestSweepTableBackendsAgree(t *testing.T) {
+	auto, err := testSweep().Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, store := range []routing.Store{routing.StorePacked, routing.StoreLazy} {
+		sw := testSweep()
+		g, err := sw.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := sw.options()
+		opts.Tables = routing.TableOptions{Store: store}
+		got, err := g.Collect(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(auto, got) {
+			t.Errorf("%s table backend changes sweep results", store)
+		}
 	}
 }
 
