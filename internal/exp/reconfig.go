@@ -175,10 +175,13 @@ func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 	// Both legs are planned rewiring sequences over the same union —
 	// the static leg simply never takes a step — so both run the
 	// timed-schedule path and differ only in the schedule.
-	makeRewiring := func(steps int) func(*graph.Graph, int64) (fault.Schedule, error) {
-		return func(*graph.Graph, int64) (fault.Schedule, error) {
-			return fault.Rewiring(configs, opts.Period, steps)
-		}
+	static, err := fault.Rewiring(configs, opts.Period, 0)
+	if err != nil {
+		return nil, err
+	}
+	rewiring, err := fault.Rewiring(configs, opts.Period, steps)
+	if err != nil {
+		return nil, err
 	}
 	g := &sweep.Grid{
 		Instances: []sweep.Instance{{
@@ -191,8 +194,8 @@ func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 		// legs are measured.
 		OmitIntact: true,
 		Schedules: []sweep.ScheduleAxis{
-			{Name: "static", Make: makeRewiring(0)},
-			{Name: "rewiring", Make: makeRewiring(steps)},
+			{Name: "static", Schedule: static},
+			{Name: "rewiring", Schedule: rewiring},
 		},
 		Policies:      []routing.Policy{routing.Minimal, routing.UGALL},
 		Patterns:      []traffic.Pattern{traffic.Random}, // label only: ShiftPatterns drives traffic
@@ -203,17 +206,12 @@ func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
 		ShiftPeriod:   opts.Period,
 		ShiftPatterns: []traffic.Pattern{traffic.Transpose, traffic.BitShuffle, traffic.BitReverse},
 		Seed:          opts.Seed,
-		Keys: sweep.Keys{
-			CellKey: func(c *sweep.Cell) string {
-				return fmt.Sprintf("reconfig/%s/%s/%d/%s/%v",
-					c.Topology, c.Schedule, c.Trial, c.Policy, c.Load)
-			},
-			ScheduleKey: func(topology string, s sweep.ScheduleAxis, trial int) string {
-				return fmt.Sprintf("reconfig/schedule/%s/%s/%d", topology, s.Name, trial)
-			},
-		},
+		Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
+			return fmt.Sprintf("reconfig/%s/%s/%d/%s/%v",
+				c.Topology, c.Schedule, c.Trial, c.Policy, c.Load)
+		}},
 	}
-	err := g.Run(context.Background(), sweep.Options{Parallel: opts.Parallel, Workers: opts.Workers}, func(res sweep.Result) error {
+	err = g.Run(context.Background(), sweep.Options{Parallel: opts.Parallel, Workers: opts.Workers}, func(res sweep.Result) error {
 		if res.Err != nil {
 			return res.Err
 		}

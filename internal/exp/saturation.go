@@ -41,9 +41,6 @@ func Saturation(scale Scale, opts SimOptions) ([]SaturationRow, error) {
 		Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
 			return fmt.Sprintf("saturation/%s", c.Topology)
 		}},
-		// The historical driver seeded the bisection searches with the
-		// base seed directly rather than deriving per-cell.
-		SeedOf: func(*sweep.Cell, string) int64 { return opts.Seed },
 	}
 	results, err := g.Collect(context.Background(), sweep.Options{Parallel: opts.Parallel, Workers: opts.Workers})
 	if err != nil {

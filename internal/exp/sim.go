@@ -165,11 +165,11 @@ func loadSweep(scale Scale, opts SimOptions, pol routing.Policy, pats []traffic.
 // Fig8 compares Valiant to minimal routing on SpectralFly only: the
 // value is max-time(minimal) / max-time(Valiant) per pattern and load
 // (>1 means Valiant helps). Both policy legs of every point run as
-// independent cells on the shared runner, but both legs run with
-// Seed = opts.Seed (matching the old serial driver): they replay the
-// same traffic realization (identical arrival times and
-// destinations), so the ratio isolates the routing-policy effect
-// rather than workload-sampling noise.
+// independent cells on the shared runner, but their cell key leaves
+// out the policy, so both derive one seed from the (pattern, load)
+// point: they replay the same traffic realization (identical arrival
+// times and destinations), and the ratio isolates the routing-policy
+// effect rather than workload-sampling noise.
 func Fig8(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 	opts = opts.withDefaults(scale)
 	instances, err := SimInstances(scale)
@@ -185,11 +185,9 @@ func Fig8(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 		Ranks:       opts.Ranks,
 		MsgsPerRank: opts.MsgsPerRank,
 		Seed:        opts.Seed,
-		Keys:        sweep.Keys{CellKey: loadCellKey},
-		// Both legs run with Seed = opts.Seed, as the serial driver
-		// did: they replay the same traffic realization, so the ratio
-		// isolates the routing-policy effect.
-		SeedOf: func(*sweep.Cell, string) int64 { return opts.Seed },
+		Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
+			return fmt.Sprintf("fig8/%s/%s/%v", c.Topology, c.Pattern, c.Load)
+		}},
 	}
 	results, err := g.Collect(context.Background(), sweep.Options{Parallel: opts.Parallel, Workers: opts.Workers})
 	if err != nil {

@@ -432,12 +432,14 @@ func (nw *Network) SetWorkers(w int) { nw.cfg.Workers = w }
 // SetDeadRouters overrides the failed-router mask for subsequent runs
 // (nil = none). The mask is read-only and must have length Topo.N();
 // the sweep engine applies one plan's mask to each clone of a damaged
-// prototype.
-func (nw *Network) SetDeadRouters(mask []bool) {
+// prototype. Like SetSchedule it returns an error — leaving the
+// previous mask in place — rather than panicking.
+func (nw *Network) SetDeadRouters(mask []bool) error {
 	if mask != nil && len(mask) != nw.n {
-		panic(fmt.Sprintf("simnet: DeadRouters length %d, want %d", len(mask), nw.n))
+		return fmt.Errorf("simnet: DeadRouters length %d, want %d", len(mask), nw.n)
 	}
 	nw.dead = mask
+	return nil
 }
 
 // LinkLatencies is an optional per-link wire-latency model replacing

@@ -113,21 +113,23 @@ func TestDeadRoutersDropAtNIC(t *testing.T) {
 	}
 	// The mask is per-clone overridable and length-checked.
 	clone := nw.Clone()
-	clone.SetDeadRouters(nil)
+	if err := clone.SetDeadRouters(nil); err != nil {
+		t.Fatal(err)
+	}
 	st = mustBatches(t, clone, [][]Message{{{SrcEP: 0, DstEP: 2}}})
 	if st.Delivered != 0 {
 		// Router 2 has no links, so traffic to it still cannot arrive —
 		// but with the mask cleared it is offered and dropped in-network.
 		t.Fatalf("isolated router unexpectedly reachable: %+v", st)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetDeadRouters accepted a wrong-length mask")
-			}
-		}()
-		clone.SetDeadRouters([]bool{true})
-	}()
+	// A wrong-length mask is an error that keeps the previous mask.
+	if err := nw.SetDeadRouters([]bool{true}); err == nil {
+		t.Error("SetDeadRouters accepted a wrong-length mask")
+	}
+	st = mustBatches(t, nw, [][]Message{{{SrcEP: 0, DstEP: 1}, {SrcEP: 0, DstEP: 2}}})
+	if st.Delivered != 1 || st.Dropped != 1 {
+		t.Errorf("rejected mask replaced the dead-router mask: delivered/dropped = %d/%d, want 1/1", st.Delivered, st.Dropped)
+	}
 }
 
 func TestValiantOnDamagedTopologyRoutesAroundFailures(t *testing.T) {

@@ -9,8 +9,10 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/layout"
+	"repro/internal/runner"
 	"repro/internal/simnet"
 	"repro/internal/traffic"
 	"repro/internal/version"
@@ -54,20 +56,6 @@ func DecodePayload(b []byte) (Payload, error) {
 	return p, err
 }
 
-// cacheable reports whether the grid's results are a pure function of
-// its serializable description. Schedule axes with an opaque Make
-// func are not: the closure's behavior cannot enter a content key, so
-// caching such a grid could replay stale results after the closure
-// changes.
-func (g *Grid) cacheable() error {
-	for _, s := range g.Schedules {
-		if s.Make != nil {
-			return fmt.Errorf("sweep: schedule axis %q has an opaque Make func; content-addressed caching needs value-derived (ChurnSpec) schedules", s.Name)
-		}
-	}
-	return nil
-}
-
 // graphDigest hashes a topology instance's exact structure: vertex
 // count plus the edge list in its canonical order. Two instances with
 // the same name but different wiring (a regenerated random topology,
@@ -100,6 +88,17 @@ func motifDigest(m traffic.Motif) string {
 			binary.LittleEndian.PutUint32(buf[4:], uint32(msg[1]))
 			h.Write(buf[:])
 		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// scheduleDigest hashes a fixed schedule change by change. Every list
+// prints bracketed, so the text of a change is unambiguous; axis names
+// are labels, so only the changes identify the schedule.
+func scheduleDigest(s fault.Schedule) string {
+	h := sha256.New()
+	for _, ch := range s {
+		fmt.Fprintf(h, "%d:%v:%v:%v:%v\n", ch.Cycle, ch.Cut, ch.Restore, ch.Kill, ch.Revive)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -171,7 +170,7 @@ func (g *Grid) contentKey(shared string, digests []string, c *Cell, extra string
 	// The cell identity string, plus the fields it derives from spelled
 	// out explicitly — custom Keys.CellKey formats may elide an axis, and
 	// a key collision must cost a cache miss, never a wrong result.
-	fmt.Fprintf(h, "cell=%s\nsimseed=%d\npolicy=%s\n", ck, g.seedOf(c, ck), c.Policy)
+	fmt.Fprintf(h, "cell=%s\nsimseed=%d\npolicy=%s\n", ck, runner.DeriveSeed(g.Seed, ck), c.Policy)
 	switch g.Measure {
 	case MeasureMotif:
 		fmt.Fprintf(h, "motif=%s:%s\n", c.MotifTag, motifDigest(c.Motif))
@@ -206,9 +205,6 @@ func (g *Grid) ContentKeys(workers int) ([]string, error) {
 // shares one set of memoized placements between key computation and
 // cell execution instead of optimizing every placement twice.
 func (g *Grid) contentKeys(d *deriver) ([]string, error) {
-	if err := g.cacheable(); err != nil {
-		return nil, err
-	}
 	shared := g.sharedKeyHeader()
 	digests := make([]string, len(g.Instances))
 	for i := range g.Instances {
@@ -235,6 +231,8 @@ func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 			case f != nil:
 				extra[trial] = fmt.Sprintf("fault=%s:%v:%d:%d",
 					f.Kind, f.Fraction, f.RegionSize, g.planSeed(gr.inst, f, trial))
+			case s != nil && len(s.Schedule) > 0:
+				extra[trial] = "sched=fixed:" + scheduleDigest(s.Schedule)
 			case s != nil:
 				extra[trial] = fmt.Sprintf("sched=%s:%v:%d:%d:%d:%d:%d",
 					s.Kind, s.Fraction, s.RegionSize, s.Period, s.Outage, s.Repeats, g.schedSeed(gr.inst, s, trial))
@@ -257,9 +255,6 @@ func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 // caller's Options.Workers and ignores it.
 func (g *Grid) Fingerprint(workers int) (string, error) {
 	if err := g.validate(); err != nil {
-		return "", err
-	}
-	if err := g.cacheable(); err != nil {
 		return "", err
 	}
 	h := sha256.New()
@@ -287,8 +282,12 @@ func (g *Grid) Fingerprint(workers int) (string, error) {
 		fmt.Fprintf(h, "fault=%s:%v:%d:%d\n", f.Kind, f.Fraction, f.RegionSize, f.trials())
 	}
 	for _, s := range g.Schedules {
-		fmt.Fprintf(h, "sched=%s:%s:%v:%d:%d:%d:%d:%d\n",
+		fmt.Fprintf(h, "sched=%s:%s:%v:%d:%d:%d:%d:%d",
 			s.Name, s.Kind, s.Fraction, s.RegionSize, s.Period, s.Outage, s.Repeats, s.trials())
+		if len(s.Schedule) > 0 {
+			fmt.Fprintf(h, ":fixed=%s", scheduleDigest(s.Schedule))
+		}
+		h.Write([]byte{'\n'})
 	}
 	for _, p := range g.Policies {
 		fmt.Fprintf(h, "policy=%s\n", p)

@@ -4,11 +4,12 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -133,29 +134,126 @@ func TestPartialCacheInterleavesInOrder(t *testing.T) {
 	}
 }
 
-// TestCacheRejectsOpaqueSchedules: a Make-func schedule axis cannot be
-// content-addressed.
-func TestCacheRejectsOpaqueSchedules(t *testing.T) {
+// fixedGrid is cacheGrid with scheduleAxes' schedule axes: the same
+// churn axis plus "rewire", a fixed schedule that cuts four links at
+// cycle 200 and restores them at 700. edit, when set, changes the
+// fixed schedule before the grid is returned.
+func fixedGrid(t testing.TB, edit func(s fault.Schedule)) *Grid {
 	g := cacheGrid(t)
-	g.Schedules = append(g.Schedules, ScheduleAxis{
-		Name: "rewire",
-		Make: func(gr *graph.Graph, seed int64) (fault.Schedule, error) { return nil, nil },
-	})
-	err := g.Run(context.Background(), Options{Cache: newMemCache()}, func(Result) error { return nil })
-	if err == nil {
-		t.Fatal("opaque schedule cached without error")
+	g.Schedules = scheduleAxes(t, g)
+	if edit != nil {
+		edit(g.Schedules[1].Schedule)
 	}
-	if _, err := g.ContentKeys(0); err == nil {
-		t.Fatal("ContentKeys accepted an opaque schedule")
+	return g
+}
+
+// TestCacheFixedSchedule: a grid with a fixed-schedule axis is content
+// addressed like any other — a second run through the same cache
+// simulates nothing and reproduces the first run and its fingerprint.
+func TestCacheFixedSchedule(t *testing.T) {
+	cache := newMemCache()
+	fp, err := fixedGrid(t, nil).Fingerprint(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := g.Fingerprint(0); err == nil {
-		t.Fatal("Fingerprint accepted an opaque schedule")
+	cold, err := fixedGrid(t, nil).Collect(context.Background(), Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Without the cache the same grid still runs (sampled per trial).
-	g2 := cacheGrid(t)
-	g2.Schedules = g2.Schedules[:1]
-	if err := g2.Run(context.Background(), Options{}, func(Result) error { return nil }); err != nil {
-		t.Fatalf("cacheless run of a churn grid: %v", err)
+	fixed := 0
+	for _, res := range cold {
+		if res.Err != nil {
+			t.Fatalf("cell %d: %v", res.Index, res.Err)
+		}
+		if res.Schedule == "rewire" {
+			fixed++
+		}
+	}
+	if fixed == 0 {
+		t.Fatal("grid has no fixed-schedule cells")
+	}
+	cache.misses = 0
+	warm, err := fixedGrid(t, nil).Collect(context.Background(), Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.misses != 0 {
+		t.Errorf("warm pass missed %d times", cache.misses)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Error("warm replay diverges from the cold run")
+	}
+	if again, err := fixedGrid(t, nil).Fingerprint(0); err != nil || again != fp {
+		t.Errorf("fingerprint %s (%v) after the runs, want %s", again, err, fp)
+	}
+}
+
+// TestFixedScheduleKeys: the content keys and the fingerprint commit
+// to a fixed schedule change by change. Moving one change's cycle or
+// one cut edge moves the keys of that axis's cells and the fingerprint,
+// and leaves every other cell's key alone.
+func TestFixedScheduleKeys(t *testing.T) {
+	g := fixedGrid(t, nil)
+	cells := g.Cells()
+	base, err := g.ContentKeys(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := g.Fingerprint(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := g.Instances[0].Inst.G.Edges()[4]
+	for name, edit := range map[string]func(fault.Schedule){
+		"cycle": func(s fault.Schedule) { s[0].Cycle++ },
+		"cut edge": func(s fault.Schedule) {
+			s[0].Cut = append([][2]int32{other}, s[0].Cut[1:]...)
+		},
+	} {
+		mod := fixedGrid(t, edit)
+		keys, err := mod.ContentKeys(0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, c := range cells {
+			if moved := keys[i] != base[i]; moved != (c.Schedule == "rewire") {
+				t.Errorf("%s: cell %d (schedule %q) key moved = %v", name, i, c.Schedule, moved)
+			}
+		}
+		if mfp, err := mod.Fingerprint(0); err != nil || mfp == fp {
+			t.Errorf("%s: fingerprint %s (%v) did not move", name, mfp, err)
+		}
+	}
+}
+
+// TestFixedScheduleValidated: a fixed schedule that names a non-edge
+// or a negative cycle fails Run, ContentKeys and Fingerprint before
+// any cell runs, and the error names the axis.
+func TestFixedScheduleValidated(t *testing.T) {
+	gr := cacheGrid(t).Instances[0].Inst.G
+	nonEdge := [2]int32{0, 1}
+	for gr.HasEdge(0, int(nonEdge[1])) {
+		nonEdge[1]++
+	}
+	for name, edit := range map[string]func(fault.Schedule){
+		"non-edge":       func(s fault.Schedule) { s[0].Cut = [][2]int32{nonEdge} },
+		"negative cycle": func(s fault.Schedule) { s[0].Cycle = -1 },
+	} {
+		g := fixedGrid(t, edit)
+		emitted := 0
+		errs := map[string]error{
+			"Run": g.Run(context.Background(), Options{}, func(Result) error { emitted++; return nil }),
+		}
+		_, errs["ContentKeys"] = g.ContentKeys(0)
+		_, errs["Fingerprint"] = g.Fingerprint(0)
+		for call, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), `"rewire"`) {
+				t.Errorf("%s: %s error %v, want one naming axis \"rewire\"", name, call, err)
+			}
+		}
+		if emitted != 0 {
+			t.Errorf("%s: %d cells ran before the error", name, emitted)
+		}
 	}
 }
 
@@ -377,16 +475,43 @@ var fuzzInstOnce = sync.OnceValues(func() ([]Instance, error) {
 	return []Instance{{Name: lps.Name, Inst: lps, Concentration: 2}}, nil
 })
 
+// fuzzSchedule decodes bits into a small fixed schedule over edges:
+// one to three changes at nondecreasing cycles, each cutting or
+// restoring one edge.
+func fuzzSchedule(edges [][2]int32, bits uint64) fault.Schedule {
+	take := func(n int) int {
+		v := int(bits % uint64(n))
+		bits /= uint64(n)
+		return v
+	}
+	s := make(fault.Schedule, take(3)+1)
+	var cycle int64
+	for i := range s {
+		cycle += int64(take(512))
+		e := [][2]int32{edges[take(len(edges))]}
+		if s[i].Cycle = cycle; take(2) == 0 {
+			s[i].Cut = e
+		} else {
+			s[i].Restore = e
+		}
+	}
+	return s
+}
+
 // FuzzCellKeyInjective generates grids across the axis space and
 // checks that both identity schemes discriminate: the default cell
 // key strings are pairwise distinct (they feed per-cell seed
 // derivation — a collision would correlate cells), and so are the
 // content-addressed keys (a collision would alias cache entries).
+// Every grid carries a fixed-schedule axis decoded from fixedA; the
+// same grid with fixedB's schedule on that axis must give its cells
+// keys no cell of the first grid has whenever the schedules differ,
+// and must leave every other cell's key unchanged.
 func FuzzCellKeyInjective(f *testing.F) {
-	f.Add(int64(1), uint8(2), uint8(2), uint8(2), uint8(2), uint8(2), uint8(1))
-	f.Add(int64(42), uint8(1), uint8(3), uint8(1), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(-7), uint8(3), uint8(1), uint8(3), uint8(1), uint8(2), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, nPol, nPat, nLoad, nFault, nTrial, nSched uint8) {
+	f.Add(int64(1), uint8(2), uint8(2), uint8(2), uint8(2), uint8(2), uint8(1), uint64(0), uint64(1))
+	f.Add(int64(42), uint8(1), uint8(3), uint8(1), uint8(0), uint8(0), uint8(0), uint64(12345), uint64(12345))
+	f.Add(int64(-7), uint8(3), uint8(1), uint8(3), uint8(1), uint8(2), uint8(2), uint64(1<<40), uint64(1<<40+3))
+	f.Fuzz(func(t *testing.T, seed int64, nPol, nPat, nLoad, nFault, nTrial, nSched uint8, fixedA, fixedB uint64) {
 		insts, err := fuzzInstOnce()
 		if err != nil {
 			t.Skip(err)
@@ -423,6 +548,10 @@ func FuzzCellKeyInjective(f *testing.F) {
 				Repeats: 1, Trials: int(nTrial)%2 + 1,
 			})
 		}
+		edges := insts[0].Inst.G.Edges()
+		g.Schedules = append(g.Schedules, ScheduleAxis{
+			Name: "fixed", Schedule: fuzzSchedule(edges, fixedA), Trials: int(nTrial)%2 + 1,
+		})
 		cells := g.Cells()
 		seen := make(map[string]int, len(cells))
 		for i := range cells {
@@ -445,6 +574,26 @@ func FuzzCellKeyInjective(f *testing.F) {
 				t.Fatalf("content key collision: cells %d and %d", j, i)
 			}
 			ck[k] = i
+		}
+
+		g2 := *g
+		g2.Schedules = slices.Clone(g.Schedules)
+		g2.Schedules[len(g2.Schedules)-1].Schedule = fuzzSchedule(edges, fixedB)
+		same := reflect.DeepEqual(g.Schedules, g2.Schedules)
+		keys2, err := g2.ContentKeys(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cells {
+			_, seen := ck[keys2[i]]
+			switch {
+			case c.Schedule != "fixed" || same:
+				if keys2[i] != keys[i] {
+					t.Fatalf("cell %d (schedule %q) key moved with an unchanged axis", i, c.Schedule)
+				}
+			case seen:
+				t.Fatalf("distinct fixed schedules share a content key at cell %d", i)
+			}
 		}
 	})
 }

@@ -95,23 +95,25 @@ func (f FaultAxis) trials() int {
 // ScheduleAxis is one live-reconfiguration model on the schedule axis:
 // cells run with a timed topology-event schedule (fault.Schedule)
 // applied mid-run on the intact instance. By default the schedule is a
-// churn pattern sampled per trial (the ChurnSpec fields below); Make
-// overrides the sampler entirely — e.g. a planned fault.Rewiring
-// sequence — receiving the instance graph and the trial's derived seed.
+// churn pattern sampled per trial (the ChurnSpec fields below); a
+// nonempty Schedule replaces the sampler with one fixed schedule —
+// e.g. a planned fault.Rewiring sequence — that every trial runs.
 type ScheduleAxis struct {
 	// Name identifies the axis entry in cells and keys (required).
 	Name string
-	// ChurnSpec sampling parameters, used when Make is nil.
+	// ChurnSpec sampling parameters, used when Schedule is empty.
 	Kind       fault.Kind
 	Fraction   float64
 	RegionSize int
 	Period     int64
 	Outage     int64
 	Repeats    int
-	// Trials samples independent schedules; <= 0 defaults to 1.
+	// Trials runs independent trials, each sampling its own churn
+	// schedule; <= 0 defaults to 1.
 	Trials int
-	// Make overrides the churn sampler.
-	Make func(g *graph.Graph, seed int64) (fault.Schedule, error)
+	// Schedule is a fixed schedule for every trial, validated against
+	// every instance's graph; empty means sample churn.
+	Schedule fault.Schedule
 }
 
 func (s ScheduleAxis) trials() int {
@@ -135,8 +137,8 @@ func (s ScheduleAxis) churn(seed int64) fault.ChurnSpec {
 }
 
 func (s ScheduleAxis) sample(g *graph.Graph, seed int64) (fault.Schedule, error) {
-	if s.Make != nil {
-		return s.Make(g, seed)
+	if len(s.Schedule) > 0 {
+		return s.Schedule, nil
 	}
 	return s.churn(seed).Schedule(g)
 }
@@ -269,12 +271,10 @@ type Grid struct {
 	// Seed is the base seed: rank→endpoint mappings use it directly;
 	// cells and fault plans derive theirs from it via their keys.
 	Seed int64
-	// Keys overrides the stable identity formats.
+	// Keys overrides the stable identity formats. A cell's simulation
+	// seed is always runner.DeriveSeed(Seed, cell key), so cells that
+	// share a key replay the same traffic.
 	Keys Keys
-	// SeedOf overrides the per-cell simulation seed (default:
-	// runner.DeriveSeed(Seed, key)). The Fig8 preset pins both policy
-	// legs to the same seed so the ratio isolates the routing effect.
-	SeedOf func(c *Cell, key string) int64
 }
 
 // Options tunes one execution of a Grid.
@@ -314,8 +314,7 @@ type Options struct {
 	// its completed cells. A group whose selected cells all hit skips
 	// its fault-plan sampling and table repair entirely: a fully warm
 	// grid runs zero simulations and builds zero tables. Failed cells
-	// (Result.Err != nil) are never cached. Grids with opaque schedule
-	// Make funcs reject caching (see ContentKeys).
+	// (Result.Err != nil) are never cached.
 	Cache CellCache
 }
 
@@ -425,9 +424,15 @@ func (g *Grid) validate() error {
 			return fmt.Errorf("sweep: duplicate schedule axis name %q", s.Name)
 		}
 		seen[s.Name] = true
-		if s.Make == nil {
+		if len(s.Schedule) == 0 {
 			if err := s.churn(0).Validate(); err != nil {
 				return fmt.Errorf("sweep: schedule axis %q: %w", s.Name, err)
+			}
+			continue
+		}
+		for _, inst := range g.Instances {
+			if err := s.Schedule.Validate(inst.Inst.G); err != nil {
+				return fmt.Errorf("sweep: schedule axis %q on %s: %w", s.Name, inst.Name, err)
 			}
 		}
 	}
@@ -571,14 +576,6 @@ func (g *Grid) Cells() []Cell {
 	return all
 }
 
-// seedOf resolves the simulation seed of a cell.
-func (g *Grid) seedOf(c *Cell, key string) int64 {
-	if g.SeedOf != nil {
-		return g.SeedOf(c, key)
-	}
-	return runner.DeriveSeed(g.Seed, key)
-}
-
 // planSeed and schedSeed derive a group trial's fault-plan and
 // schedule sampling seeds from their stable keys.
 func (g *Grid) planSeed(ii int, f *FaultAxis, trial int) int64 {
@@ -603,7 +600,7 @@ type point struct {
 
 // task is one cell due for simulation, with its execution context and
 // identity resolved on the goroutine driving the run (the deriver and
-// the Keys and SeedOf funcs need not be safe for concurrent use), and
+// the Keys funcs need not be safe for concurrent use), and
 // the measurement the worker that runs it writes back.
 type task struct {
 	c    *Cell
@@ -630,7 +627,9 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 	nw.SetPolicy(c.Policy)
 	nw.SetSeed(t.seed)
 	nw.SetWorkers(workers)
-	nw.SetDeadRouters(pt.dead)
+	if err := nw.SetDeadRouters(pt.dead); err != nil {
+		return st, 0, err
+	}
 	if err := nw.SetSchedule(pt.sched); err != nil {
 		return st, 0, err
 	}
@@ -764,12 +763,12 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 	// prepare resolves the per-trial execution contexts of a fault or
 	// schedule group. A fault trial samples its plan and derives its
 	// table from the intact one with Table.Repair, registering the
-	// repaired table with the engine; a schedule trial
-	// samples its timed schedule for the intact graph. Like fault plans,
-	// a schedule is a pure value of (axis, instance, trial), so the
-	// grid's output is bit-identical for every worker count. The points
-	// built so far are returned even on error, so the caller can release
-	// their tables.
+	// repaired table with the engine; a schedule trial samples its timed
+	// schedule for the intact graph, or takes the axis's fixed one. Like
+	// fault plans, a schedule is a pure value of (axis, instance, trial),
+	// so the grid's output is bit-identical for every worker count. The
+	// points built so far are returned even on error, so the caller can
+	// release their tables.
 	prepare := func(gr *group) ([]point, error) {
 		inst := g.Instances[gr.inst]
 		pts := make([]point, 0, gr.trials)
@@ -828,7 +827,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 				return err
 			}
 			key := g.Keys.cellKey(c)
-			tasks[k] = task{c: c, pt: pt, key: key, seed: g.seedOf(c, key)}
+			tasks[k] = task{c: c, pt: pt, key: key, seed: runner.DeriveSeed(g.Seed, key)}
 		}
 		err := r.RunStream(ctx, len(p.misses), func(k int) {
 			t := &tasks[k]

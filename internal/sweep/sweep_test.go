@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/runner"
 	"repro/internal/topo"
@@ -197,6 +196,39 @@ func TestRunStoreIndependence(t *testing.T) {
 			t.Errorf("packed peak %d table bytes not under a quarter of dense %d", bytes, denseBytes)
 		}
 	}
+
+	// The grids above saturate at load 1, so their saturation rows
+	// compare 1 with 1. BF(13,3) at concentration 3 and 50 messages per
+	// endpoint has a knee below 1, which the bisection must find on
+	// dense and packed rows alike. (Lazy rows are left out: its
+	// working-set cap makes this search take seconds.)
+	bf, err := topo.BundleFly(13, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	knee := func(store routing.Store) float64 {
+		sat := &Grid{
+			Instances:   []Instance{{Name: bf.Name, Inst: bf, Concentration: 3}},
+			Measure:     MeasureSaturation,
+			MsgsPerRank: 50,
+			Seed:        7,
+		}
+		rows, err := sat.Collect(context.Background(), Options{Tables: routing.TableOptions{Store: store}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[0].Err != nil {
+			t.Fatalf("%s saturation: %v", store, rows[0].Err)
+		}
+		return rows[0].Saturation
+	}
+	d, p := knee(routing.StoreDense), knee(routing.StorePacked)
+	if !(d < 1) {
+		t.Errorf("BF(13,3) dense knee %v, want below 1", d)
+	}
+	if p != d {
+		t.Errorf("BF(13,3) packed knee %v, dense %v", p, d)
+	}
 }
 
 // TestRunMotifMeasure runs a motif grid end to end.
@@ -359,8 +391,8 @@ func TestSharedRunnerMemoizes(t *testing.T) {
 	}
 }
 
-// scheduleGrid is a one-instance load grid with a churn schedule axis,
-// a planned-rewiring axis (Make override), and a shifting workload.
+// scheduleGrid is a one-instance load grid with a shifting workload;
+// scheduleAxes gives it a churn axis and a fixed-schedule axis.
 func scheduleGrid(t testing.TB) *Grid {
 	g := loadGrid(t)
 	g.Instances = g.Instances[:1]
@@ -376,11 +408,9 @@ func scheduleAxes(t testing.TB, g *Grid) []ScheduleAxis {
 	edges := g.Instances[0].Inst.G.Edges()[:4]
 	return []ScheduleAxis{
 		{Name: "churn", Kind: fault.Links, Fraction: 0.05, Period: 400, Outage: 150, Repeats: 2, Trials: 2},
-		{Name: "rewire", Make: func(gr *graph.Graph, seed int64) (fault.Schedule, error) {
-			return fault.Schedule{
-				{Cycle: 200, Cut: edges},
-				{Cycle: 700, Restore: edges},
-			}, nil
+		{Name: "rewire", Schedule: fault.Schedule{
+			{Cycle: 200, Cut: edges},
+			{Cycle: 700, Restore: edges},
 		}},
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/service"
 	"repro/internal/sweep"
@@ -70,7 +69,8 @@ func FaultRegions(fraction float64, regionSize, trials int) FaultAxis {
 // rewiring steps) applied mid-run, the routing table re-derived at
 // each event with every unchanged row shared. Build axes with ChurnLinks,
 // ChurnRouters, ChurnRegions or RewiringSchedule, or fill the struct
-// directly (Name is required; Make overrides the churn sampler).
+// directly (Name is required; a nonempty Schedule replaces the churn
+// sampler with one fixed schedule that every trial runs).
 type ScheduleAxis = sweep.ScheduleAxis
 
 // ChurnLinks sweeps repeating link churn: every period cycles a fresh
@@ -98,12 +98,14 @@ func ChurnRegions(fraction float64, regionSize int, period, outage int64, repeat
 // RewiringSchedule sweeps a planned reconfiguration: the topology (the
 // union of every configuration's edges — the swept network must BE
 // that union) steps between the configurations every period cycles,
-// steps times, wrapping around. See fault.Rewiring for the exact
-// semantics.
-func RewiringSchedule(name string, period int64, steps int, configs ...[][2]int32) ScheduleAxis {
-	return ScheduleAxis{Name: name, Make: func(g *graph.Graph, seed int64) (fault.Schedule, error) {
-		return fault.Rewiring(configs, period, steps)
-	}}
+// steps times, wrapping around. The schedule is built here, once, as a
+// fixed value (so it enters cache keys like any other axis); its
+// errors are fault.Rewiring's, and an edge outside a swept topology
+// fails the sweep before any cell runs. See fault.Rewiring for the
+// exact semantics.
+func RewiringSchedule(name string, period int64, steps int, configs ...[][2]int32) (ScheduleAxis, error) {
+	sched, err := fault.Rewiring(configs, period, steps)
+	return ScheduleAxis{Name: name, Schedule: sched}, err
 }
 
 // Cell identifies one point of a sweep's cross-product grid; see
@@ -331,10 +333,10 @@ func (s *Sweep) IntactBaseline(on bool) *Sweep {
 	return s
 }
 
-// Ranks sets the MPI rank count mapped onto the endpoints (default:
-// the endpoint count of each topology is NOT implied — ranks must be a
-// power of two for the bit patterns; 0 lets the engine size it to the
-// largest power of two ≤ the smallest endpoint count).
+// Ranks sets the MPI rank count mapped onto the endpoints. The bit
+// patterns need a power of two; the default, 0, sizes it to the
+// largest power of two ≤ the smallest topology's endpoint count (on
+// motif sweeps, to the largest motif's rank count).
 func (s *Sweep) Ranks(ranks int) *Sweep {
 	s.grid.Ranks = ranks
 	return s
@@ -381,9 +383,7 @@ func (s *Sweep) Workers(n int) *Sweep {
 // simulations and reproduces the previous output byte for byte, and
 // overlapping sweeps share the cells they have in common. The cache is
 // also the checkpoint: a killed run re-run against the same cache
-// replays every cell stored so far and simulates only the rest. Sweeps
-// with opaque schedule axes (RewiringSchedule and other Make funcs)
-// reject caching at Run time.
+// replays every cell stored so far and simulates only the rest.
 func (s *Sweep) Cache(dir string) *Sweep {
 	if dir == "" {
 		var err error

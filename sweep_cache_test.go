@@ -166,20 +166,55 @@ func TestSweepFingerprintAndKeys(t *testing.T) {
 	}
 }
 
-// TestSweepCacheOpaqueScheduleRejected: RewiringSchedule axes cannot
-// be cached (opaque Make closure).
-func TestSweepCacheOpaqueScheduleRejected(t *testing.T) {
+// TestSweepCacheRewiringSchedule: a RewiringSchedule axis is a fixed
+// schedule value, so its sweep caches like any other — a warm re-run
+// simulates nothing and reproduces the cold run — and a configuration
+// edge outside the swept topology fails CellKeys and Run up front,
+// naming the axis.
+func TestSweepCacheRewiringSchedule(t *testing.T) {
 	net, err := BuildSpec("lps(11,7)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := net.G.Edges()[:2]
-	err = NewSweep("lps(11,7)").Loads(0.3).
-		Schedules(RewiringSchedule("rw", 300, 2, edges, edges)).
-		Cache(t.TempDir()).
-		Run(context.Background(), func(CellResult) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "opaque") {
-		t.Fatalf("err = %v, want an opaque-schedule cache error", err)
+	edges := net.G.Edges()
+	sweepOf := func(configs ...[][2]int32) *Sweep {
+		rw, err := RewiringSchedule("rw", 300, 2, configs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSweep("lps(11,7)").Concentration(2).Loads(0.3).Ranks(64).MsgsPerRank(4).
+			IntactBaseline(false).Schedules(rw)
+	}
+	dir := t.TempDir()
+	cold, err := sweepOf(edges, edges[2:]).Cache(dir).Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold) == 0 || cold[0].Err != nil || cold[0].Schedule != "rw" {
+		t.Fatalf("cold rewiring run: %+v", cold)
+	}
+	sw := sweepOf(edges, edges[2:]).Cache(dir)
+	warm, err := sw.Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sw.CacheStats(); st.Misses != 0 {
+		t.Errorf("warm rewiring run missed %d cells", st.Misses)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Error("warm rewiring run diverges from the cold run")
+	}
+
+	nonEdge := [2]int32{0, 1}
+	for net.G.HasEdge(0, int(nonEdge[1])) {
+		nonEdge[1]++
+	}
+	bad := sweepOf(edges, [][2]int32{nonEdge})
+	if _, err := bad.CellKeys(); err == nil || !strings.Contains(err.Error(), `"rw"`) {
+		t.Errorf("CellKeys err = %v, want one naming axis \"rw\"", err)
+	}
+	if _, err := bad.Collect(context.Background()); err == nil || !strings.Contains(err.Error(), `"rw"`) {
+		t.Errorf("Collect err = %v, want one naming axis \"rw\"", err)
 	}
 }
 
