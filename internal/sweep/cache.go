@@ -231,7 +231,7 @@ func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 			case f != nil:
 				extra[trial] = fmt.Sprintf("fault=%s:%v:%d:%d",
 					f.Kind, f.Fraction, f.RegionSize, g.planSeed(gr.inst, f, trial))
-			case s != nil && len(s.Schedule) > 0:
+			case s != nil && s.fixed():
 				extra[trial] = "sched=fixed:" + scheduleDigest(s.Schedule)
 			case s != nil:
 				extra[trial] = fmt.Sprintf("sched=%s:%v:%d:%d:%d:%d:%d",
@@ -284,7 +284,7 @@ func (g *Grid) Fingerprint(workers int) (string, error) {
 	for _, s := range g.Schedules {
 		fmt.Fprintf(h, "sched=%s:%s:%v:%d:%d:%d:%d:%d",
 			s.Name, s.Kind, s.Fraction, s.RegionSize, s.Period, s.Outage, s.Repeats, s.trials())
-		if len(s.Schedule) > 0 {
+		if s.fixed() {
 			fmt.Fprintf(h, ":fixed=%s", scheduleDigest(s.Schedule))
 		}
 		h.Write([]byte{'\n'})

@@ -257,6 +257,40 @@ func TestFixedScheduleValidated(t *testing.T) {
 	}
 }
 
+// TestEmptyFixedSchedule: an empty non-nil Schedule is a fixed
+// schedule that changes nothing — a static leg, as fault.Rewiring
+// returns for identical configurations. It validates without any churn
+// parameter, runs every cell without loss, and keys apart from a fixed
+// schedule that does change the network.
+func TestEmptyFixedSchedule(t *testing.T) {
+	g := fixedGrid(t, nil)
+	g.Schedules = append(g.Schedules, ScheduleAxis{Name: "static", Schedule: fault.Schedule{}})
+	res, err := g.Collect(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := g.ContentKeys(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byAxis := map[string]string{}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("cell %d (%q): %v", i, r.Schedule, r.Err)
+		}
+		if r.Schedule == "static" && (r.Stats.Dropped != 0 || r.Stats.SeveredInFlight != 0) {
+			t.Errorf("static cell %d dropped %d, severed %d", i, r.Stats.Dropped, r.Stats.SeveredInFlight)
+		}
+		byAxis[r.Schedule] = keys[i]
+	}
+	if byAxis["static"] == "" {
+		t.Fatal("grid has no static-leg cells")
+	}
+	if byAxis["static"] == byAxis["rewire"] {
+		t.Error("empty and nonempty fixed schedules share a content key")
+	}
+}
+
 // TestRunRangeMatchesRun: any partition of [0, n) into RunRange calls
 // reproduces the full run's results cell for cell.
 func TestRunRangeMatchesRun(t *testing.T) {

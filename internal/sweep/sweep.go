@@ -96,12 +96,12 @@ func (f FaultAxis) trials() int {
 // cells run with a timed topology-event schedule (fault.Schedule)
 // applied mid-run on the intact instance. By default the schedule is a
 // churn pattern sampled per trial (the ChurnSpec fields below); a
-// nonempty Schedule replaces the sampler with one fixed schedule —
-// e.g. a planned fault.Rewiring sequence — that every trial runs.
+// non-nil Schedule, even an empty one (a static leg), replaces the
+// sampler with one fixed schedule that every trial runs.
 type ScheduleAxis struct {
 	// Name identifies the axis entry in cells and keys (required).
 	Name string
-	// ChurnSpec sampling parameters, used when Schedule is empty.
+	// ChurnSpec sampling parameters, used when Schedule is nil.
 	Kind       fault.Kind
 	Fraction   float64
 	RegionSize int
@@ -112,9 +112,12 @@ type ScheduleAxis struct {
 	// schedule; <= 0 defaults to 1.
 	Trials int
 	// Schedule is a fixed schedule for every trial, validated against
-	// every instance's graph; empty means sample churn.
+	// every instance's graph; nil means sample churn.
 	Schedule fault.Schedule
 }
+
+// fixed tests nil-ness, not length: fault.Rewiring's static leg is empty.
+func (s ScheduleAxis) fixed() bool { return s.Schedule != nil }
 
 func (s ScheduleAxis) trials() int {
 	if s.Trials <= 0 {
@@ -137,7 +140,7 @@ func (s ScheduleAxis) churn(seed int64) fault.ChurnSpec {
 }
 
 func (s ScheduleAxis) sample(g *graph.Graph, seed int64) (fault.Schedule, error) {
-	if len(s.Schedule) > 0 {
+	if s.fixed() {
 		return s.Schedule, nil
 	}
 	return s.churn(seed).Schedule(g)
@@ -424,7 +427,7 @@ func (g *Grid) validate() error {
 			return fmt.Errorf("sweep: duplicate schedule axis name %q", s.Name)
 		}
 		seen[s.Name] = true
-		if len(s.Schedule) == 0 {
+		if !s.fixed() {
 			if err := s.churn(0).Validate(); err != nil {
 				return fmt.Errorf("sweep: schedule axis %q: %w", s.Name, err)
 			}

@@ -69,8 +69,8 @@ func FaultRegions(fraction float64, regionSize, trials int) FaultAxis {
 // rewiring steps) applied mid-run, the routing table re-derived at
 // each event with every unchanged row shared. Build axes with ChurnLinks,
 // ChurnRouters, ChurnRegions or RewiringSchedule, or fill the struct
-// directly (Name is required; a nonempty Schedule replaces the churn
-// sampler with one fixed schedule that every trial runs).
+// directly (Name is required; a non-nil Schedule, even an empty static
+// one, replaces the churn sampler with one fixed schedule for all trials).
 type ScheduleAxis = sweep.ScheduleAxis
 
 // ChurnLinks sweeps repeating link churn: every period cycles a fresh

@@ -170,7 +170,8 @@ func TestSweepFingerprintAndKeys(t *testing.T) {
 // schedule value, so its sweep caches like any other — a warm re-run
 // simulates nothing and reproduces the cold run — and a configuration
 // edge outside the swept topology fails CellKeys and Run up front,
-// naming the axis.
+// naming the axis. Identical configurations give an empty schedule,
+// which runs the network static rather than being read as churn.
 func TestSweepCacheRewiringSchedule(t *testing.T) {
 	net, err := BuildSpec("lps(11,7)")
 	if err != nil {
@@ -185,24 +186,41 @@ func TestSweepCacheRewiringSchedule(t *testing.T) {
 		return NewSweep("lps(11,7)").Concentration(2).Loads(0.3).Ranks(64).MsgsPerRank(4).
 			IntactBaseline(false).Schedules(rw)
 	}
-	dir := t.TempDir()
-	cold, err := sweepOf(edges, edges[2:]).Cache(dir).Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	keys := map[string]string{}
+	for name, second := range map[string][][2]int32{
+		"identical": edges,
+		"drop two":  edges[2:],
+	} {
+		dir := t.TempDir()
+		cold, err := sweepOf(edges, second).Cache(dir).Collect(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(cold) == 0 || cold[0].Err != nil || cold[0].Schedule != "rw" {
+			t.Fatalf("%s: cold rewiring run: %+v", name, cold)
+		}
+		if st := cold[0].Stats; name == "identical" && (st.Dropped != 0 || st.SeveredInFlight != 0) {
+			t.Errorf("%s: static leg dropped %d, severed %d", name, st.Dropped, st.SeveredInFlight)
+		}
+		sw := sweepOf(edges, second).Cache(dir)
+		warm, err := sw.Collect(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := sw.CacheStats(); st.Misses != 0 {
+			t.Errorf("%s: warm rewiring run missed %d cells", name, st.Misses)
+		}
+		if !reflect.DeepEqual(cold, warm) {
+			t.Errorf("%s: warm rewiring run diverges from the cold run", name)
+		}
+		ks, err := sw.CellKeys()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		keys[name] = ks[0]
 	}
-	if len(cold) == 0 || cold[0].Err != nil || cold[0].Schedule != "rw" {
-		t.Fatalf("cold rewiring run: %+v", cold)
-	}
-	sw := sweepOf(edges, edges[2:]).Cache(dir)
-	warm, err := sw.Collect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := sw.CacheStats(); st.Misses != 0 {
-		t.Errorf("warm rewiring run missed %d cells", st.Misses)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Error("warm rewiring run diverges from the cold run")
+	if keys["identical"] == keys["drop two"] {
+		t.Error("empty and nonempty rewiring schedules share a content key")
 	}
 
 	nonEdge := [2]int32{0, 1}
