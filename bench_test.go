@@ -260,10 +260,8 @@ func BenchmarkTableRebuild(b *testing.B) {
 }
 
 func BenchmarkResilienceSweep(b *testing.B) {
-	opts := exp.ResilienceOptions{
-		Kinds:       []fault.Kind{fault.Links, fault.Routers},
+	opts := exp.SimOptions{
 		Fractions:   []float64{0.1},
-		Policies:    []routing.Policy{routing.Minimal},
 		Loads:       []float64{0.3},
 		Trials:      2,
 		Ranks:       128,
@@ -274,8 +272,9 @@ func BenchmarkResilienceSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(points) != 4*3 {
-			b.Fatalf("points %d want 12", len(points))
+		// 4 topologies × (intact + 3 kinds) × 2 policies.
+		if len(points) != 4*4*2 {
+			b.Fatalf("points %d want 32", len(points))
 		}
 	}
 }
@@ -514,7 +513,7 @@ func BenchmarkReconfigParallel40K(b *testing.B) {
 
 func BenchmarkScaleSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := exp.ScaleSweep(exp.Quick, exp.ScaleOptions{})
+		points, err := exp.ScaleSweep(exp.Quick, exp.SimOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -536,7 +535,7 @@ func BenchmarkScaleSweep40K(b *testing.B) {
 		b.Skip("set SPECTRALFLY_LARGE_BENCH=1 to run the 40K-router acceptance bench")
 	}
 	for i := 0; i < b.N; i++ {
-		points, err := exp.ScaleSweep(exp.Full, exp.ScaleOptions{
+		points, err := exp.ScaleSweep(exp.Full, exp.SimOptions{
 			Rungs: []int{2}, // LPS(13,43) / SF(139), ~40K routers each
 		})
 		if err != nil {

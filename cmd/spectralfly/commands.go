@@ -14,21 +14,16 @@ import (
 // appConfig carries every flag a subcommand can consume. The CLI
 // parses flags into one of these; the golden tests build tiny ones by
 // hand — both go through the same command table, so the tests pin the
-// exact JSON documents the binary emits.
+// exact JSON documents the binary emits. Every simulation exhibit
+// takes opts as is; each driver resolves its zero fields to its own
+// defaults.
 type appConfig struct {
-	scale     exp.Scale
-	classes   []int
-	class     int
-	maxPQ     int64
-	maxN      int
-	seed      int64
-	simOpts   exp.SimOptions
-	fractions []float64
-	trials    int
-	period    int64
-	rungs     []int
-	loads     []float64
-	layout    string
+	scale   exp.Scale
+	classes []int
+	class   int
+	maxPQ   int64
+	maxN    int
+	opts    exp.SimOptions
 }
 
 // exhibit is one paper exhibit the CLI regenerates: its subcommand
@@ -107,129 +102,65 @@ var exhibits = []exhibit{
 		exp.FprintBisection),
 	newExhibit("fig5", "structural properties under random link failures",
 		func(cfg appConfig) ([]exp.Fig5Point, error) {
-			return exp.Fig5(cfg.class, cfg.scale, exp.Fig5Options{Seed: cfg.seed})
+			return exp.Fig5(cfg.class, cfg.scale, exp.Fig5Options{Seed: cfg.opts.Seed})
 		},
 		exp.FprintFig5),
 	newExhibit("fig6", "UGAL-L synthetic-pattern sweep (speedup vs DragonFly)",
-		func(cfg appConfig) ([]exp.LoadPoint, error) { return exp.Fig6(cfg.scale, cfg.simOpts) },
+		func(cfg appConfig) ([]exp.LoadPoint, error) { return exp.Fig6(cfg.scale, cfg.opts) },
 		exp.FprintLoadPoints),
 	newExhibit("fig7", "minimal-routing random-pattern sweep",
-		func(cfg appConfig) ([]exp.LoadPoint, error) { return exp.Fig7(cfg.scale, cfg.simOpts) },
+		func(cfg appConfig) ([]exp.LoadPoint, error) { return exp.Fig7(cfg.scale, cfg.opts) },
 		exp.FprintLoadPoints),
 	newExhibit("fig8", "Valiant vs minimal on SpectralFly",
-		func(cfg appConfig) ([]exp.LoadPoint, error) { return exp.Fig8(cfg.scale, cfg.simOpts) },
+		func(cfg appConfig) ([]exp.LoadPoint, error) { return exp.Fig8(cfg.scale, cfg.opts) },
 		exp.FprintLoadPoints),
 	newExhibit("fig9", "Ember motifs under minimal routing",
 		func(cfg appConfig) ([]exp.MotifPoint, error) {
-			return exp.RunMotifs(cfg.scale, routing.Minimal, cfg.simOpts)
+			return exp.RunMotifs(cfg.scale, routing.Minimal, cfg.opts)
 		},
 		exp.FprintMotifPoints),
 	newExhibit("fig10", "Ember motifs under UGAL-L routing",
 		func(cfg appConfig) ([]exp.MotifPoint, error) {
-			return exp.RunMotifs(cfg.scale, routing.UGALL, cfg.simOpts)
+			return exp.RunMotifs(cfg.scale, routing.UGALL, cfg.opts)
 		},
 		exp.FprintMotifPoints),
 	newExhibit("table2", "machine-room layout: wires, power, efficiency",
 		func(cfg appConfig) ([]exp.Table2Row, error) {
-			return exp.Table2(cfg.scale, exp.Table2Options{Seed: cfg.seed})
+			return exp.Table2(cfg.scale, exp.Table2Options{Seed: cfg.opts.Seed})
 		},
 		exp.FprintTable2),
 	newExhibit("fig11", "end-to-end latency vs switch latency (ratio to SkyWalk)",
 		func(cfg appConfig) ([]exp.Fig11Point, error) {
-			return exp.Fig11(cfg.scale, exp.Table2Options{Seed: cfg.seed})
+			return exp.Fig11(cfg.scale, exp.Table2Options{Seed: cfg.opts.Seed})
 		},
 		exp.FprintFig11),
 	newExhibit("ablations", "design-choice ablation studies (arrangement, spectra, ...)",
-		func(cfg appConfig) (exp.Ablations, error) {
-			s := cfg.seed
-			if s == 0 {
-				s = exp.BaseSeed
-			}
-			return exp.RunAblations(s, cfg.simOpts.Parallel)
-		},
+		func(cfg appConfig) (exp.Ablations, error) { return exp.RunAblations(cfg.opts) },
 		func(w io.Writer, a exp.Ablations) { a.Fprint(w) }),
 	newExhibit("saturation", "measured saturation load per simulated topology (§VI-C)",
-		func(cfg appConfig) ([]exp.SaturationRow, error) { return exp.Saturation(cfg.scale, cfg.simOpts) },
+		func(cfg appConfig) ([]exp.SaturationRow, error) { return exp.Saturation(cfg.scale, cfg.opts) },
 		exp.FprintSaturation),
 	newExhibit("resilience", "performance under failure: traffic on damaged networks",
-		func(cfg appConfig) ([]exp.ResiliencePoint, error) {
-			return exp.Resilience(cfg.scale, exp.ResilienceOptions{
-				Fractions:   cfg.fractions,
-				Trials:      cfg.trials,
-				Ranks:       cfg.simOpts.Ranks,
-				MsgsPerRank: cfg.simOpts.MsgsPerRank,
-				Seed:        cfg.seed,
-				Parallel:    cfg.simOpts.Parallel,
-				Workers:     cfg.simOpts.Workers,
-			})
-		},
+		func(cfg appConfig) ([]exp.ResiliencePoint, error) { return exp.Resilience(cfg.scale, cfg.opts) },
 		exp.FprintResilience),
 	newExhibit("reconfig", "live reconfiguration: static vs rewiring Jellyfish fabric",
-		func(cfg appConfig) (*exp.ReconfigReport, error) {
-			return exp.Reconfig(cfg.scale, exp.ReconfigOptions{
-				Period:      cfg.period,
-				Ranks:       cfg.simOpts.Ranks,
-				MsgsPerRank: cfg.simOpts.MsgsPerRank,
-				Seed:        cfg.seed,
-				Parallel:    cfg.simOpts.Parallel,
-				Workers:     cfg.simOpts.Workers,
-			})
-		},
+		func(cfg appConfig) (*exp.ReconfigReport, error) { return exp.Reconfig(cfg.scale, cfg.opts) },
 		exp.FprintReconfig),
 	newExhibit("interference", "multi-tenant victim tail latency vs aggressor load and placement",
-		func(cfg appConfig) (*exp.InterferenceReport, error) {
-			o := exp.InterferenceOptions{
-				AggressorLoads: cfg.loads,
-				LayoutMode:     cfg.layout,
-				MsgsPerRank:    cfg.simOpts.MsgsPerRank,
-				Seed:           cfg.seed,
-				Parallel:       cfg.simOpts.Parallel,
-				Workers:        cfg.simOpts.Workers,
-			}
-			if cfg.simOpts.Ranks > 0 {
-				// -ranks sizes the aggressor; the victim stays a quarter of
-				// it, preserving the exhibit's big-vs-small shape.
-				o.AggressorRanks = cfg.simOpts.Ranks
-				o.VictimRanks = cfg.simOpts.Ranks / 4
-			}
-			return exp.Interference(cfg.scale, o)
-		},
+		func(cfg appConfig) (*exp.InterferenceReport, error) { return exp.Interference(cfg.scale, cfg.opts) },
 		exp.FprintInterference),
 	// At -full, scale builds six 12K–40K router instances (minutes to
 	// hours of simulation each), a cost users must opt into explicitly
 	// rather than inherit from `all`.
 	optIn(newExhibit("scale", "large-n sweep (Table II ladder to ~40K routers), compact routing",
-		runScale, exp.FprintScale)),
+		func(cfg appConfig) ([]exp.ScalePoint, error) { return exp.ScaleSweep(cfg.scale, cfg.opts) },
+		exp.FprintScale)),
 }
 
 // optIn marks an exhibit that `all` skips.
 func optIn(e exhibit) exhibit {
 	e.explicit = true
 	return e
-}
-
-func runScale(cfg appConfig) ([]exp.ScalePoint, error) {
-	opts := exp.ScaleOptions{
-		Rungs:     cfg.rungs,
-		MsgsPerEP: cfg.simOpts.MsgsPerRank,
-		Seed:      cfg.seed,
-		Parallel:  cfg.simOpts.Parallel,
-		Workers:   cfg.simOpts.Workers,
-	}
-	if fr := cfg.fractions; len(fr) == 1 {
-		if fr[0] <= 0 {
-			// Fraction 0 would silently become the 0.01 default;
-			// the intact baseline lives in the resilience exhibit.
-			return nil, fmt.Errorf("scale needs -fractions > 0 (for an intact baseline use the resilience exhibit)")
-		}
-		opts.Fraction = fr[0]
-	} else if len(fr) > 1 {
-		// Unlike resilience, scale runs one degraded point per
-		// rung; silently dropping the rest would under-run the
-		// grid the user asked for.
-		return nil, fmt.Errorf("scale takes a single -fractions value, got %d", len(fr))
-	}
-	return exp.ScaleSweep(cfg.scale, opts)
 }
 
 // encodeJSON writes the one-document-per-exhibit JSON framing of the

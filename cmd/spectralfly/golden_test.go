@@ -25,25 +25,24 @@ var update = flag.Bool("update", false, "rewrite the CLI golden files")
 func goldenConfigs() map[string]appConfig {
 	base := appConfig{scale: exp.Quick, class: 1, maxN: 4000}
 	sim := base
-	sim.simOpts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
+	sim.opts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
 
 	satur := base
-	satur.simOpts = exp.SimOptions{MsgsPerRank: 6}
+	satur.opts = exp.SimOptions{MsgsPerRank: 6}
 
 	resil := base
-	resil.simOpts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
+	resil.opts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
 
 	scale := base
-	scale.simOpts = exp.SimOptions{MsgsPerRank: 4}
+	scale.opts = exp.SimOptions{MsgsPerRank: 4}
 
 	recon := base
-	recon.simOpts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
+	recon.opts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
 
 	// interference: 64-rank aggressor (victim 16), two aggressor loads,
 	// both quick-scale topology families, all three placement policies.
 	interf := base
-	interf.simOpts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
-	interf.loads = []float64{0.1, 0.5}
+	interf.opts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4, Loads: []float64{0.1, 0.5}}
 
 	// fig4-normbw at maxPQ 12: seven LPS rows, each partitioned.
 	normbw := base

@@ -73,20 +73,17 @@ func dispatch(cmd string, fl cliFlags) int {
 	if fl.full {
 		scale = exp.Full
 	}
+	opts := fl.sim
+	opts.Loads = parseFractions(fl.loads)
+	opts.Fractions = parseFractions(fl.fractions)
+	opts.Rungs = parseClasses(fl.rungs)
 	cfg := appConfig{
-		scale:     scale,
-		classes:   parseClasses(fl.classes),
-		class:     fl.class,
-		maxPQ:     fl.maxPQ,
-		maxN:      fl.maxN,
-		seed:      fl.seed,
-		simOpts:   exp.SimOptions{Ranks: fl.ranks, MsgsPerRank: fl.msgs, Seed: fl.seed, Parallel: fl.parallel, Workers: fl.workers},
-		fractions: parseFractions(fl.fractions),
-		trials:    fl.trials,
-		period:    fl.period,
-		rungs:     parseClasses(fl.rungs),
-		loads:     parseFractions(fl.loads),
-		layout:    fl.layout,
+		scale:   scale,
+		classes: parseClasses(fl.classes),
+		class:   fl.class,
+		maxPQ:   fl.maxPQ,
+		maxN:    fl.maxN,
+		opts:    opts,
 	}
 	run := func(e exhibit) int {
 		start := time.Now()
@@ -180,7 +177,10 @@ func parseClasses(s string) []int {
 	return out
 }
 
-func usage() {
+func usage() { fmt.Fprint(os.Stderr, usageText()) }
+
+// usageText lists every subcommand and every flag parseFlags registers.
+func usageText() string {
 	var b strings.Builder
 	b.WriteString("usage: spectralfly <command> [flags]\n\ncommands:\n")
 	for _, e := range exhibits {
@@ -204,16 +204,19 @@ func usage() {
   all            run every exhibit in order (except scale: opt in explicitly)
 
 flags: -full (paper-scale), -classes 0,1, -class N, -maxpq N, -maxn N,
-       -ranks N, -msgs N, -seed N, -parallel N (0=GOMAXPROCS, 1=serial),
+       -ranks N (interference: the aggressor, victim a quarter of it),
+       -msgs N, -seed N, -parallel N (0=GOMAXPROCS, 1=serial),
        -workers N (intra-run simulator shards; speed only, 0/1=one),
-       -fractions 0.05,0.1 -trials N (resilience fault grid),
+       -loads 0.2,0.5 (load axis of fig6/7/8, resilience, interference),
+       -fractions 0.05,0.1 -trials N (resilience fault grid; scale
+         takes a single fraction),
        -period N (reconfig rewiring period),
-       -loads 0.1,0.4 -layout qap|faq|sequential (interference),
+       -layout qap|faq|sequential (interference wire model),
        -rungs 0,1,2 (scale sweep; packed routing tables),
        -cache -cache-dir D (content-addressed result cache; a killed
          sweep re-run with it replays every stored cell),
        -cpuprofile f -memprofile f (write pprof profiles),
        -json (emit JSON result documents)
 `)
-	fmt.Fprint(os.Stderr, b.String())
+	return b.String()
 }

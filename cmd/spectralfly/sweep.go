@@ -52,9 +52,9 @@ func specFromFlags(fl cliFlags) sweepSpec {
 	return sweepSpec{
 		Topos: fl.topos, Conc: fl.conc, Measure: fl.measure,
 		Policies: fl.policies, Patterns: fl.patterns, Motifs: fl.motifs,
-		Loads: fl.loads, Faults: fl.faults, Trials: fl.trials,
-		Intact: fl.intact, Ranks: fl.ranks, Msgs: fl.msgs,
-		Seed: fl.seed,
+		Loads: fl.loads, Faults: fl.faults, Trials: fl.sim.Trials,
+		Intact: fl.intact, Ranks: fl.sim.Ranks, Msgs: fl.sim.MsgsPerRank,
+		Seed: fl.sim.Seed,
 	}
 }
 
@@ -136,7 +136,7 @@ func (sp sweepSpec) sweep() (*spectralfly.Sweep, error) {
 // applyLocalKnobs wires the per-process execution flags — worker pool,
 // shard count and the optional result cache — onto a built sweep.
 func applyLocalKnobs(sw *spectralfly.Sweep, fl cliFlags) {
-	sw.Parallel(fl.parallel).Workers(fl.workers)
+	sw.Parallel(fl.sim.Parallel).Workers(fl.sim.Workers)
 	if fl.cacheOn || fl.cacheDir != "" {
 		sw.Cache(fl.cacheDir)
 	}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
 )
 
 func TestSplitSpecs(t *testing.T) {
@@ -22,7 +24,7 @@ func TestSplitSpecs(t *testing.T) {
 // the wire spec a coordinator hands to submit workers must not carry
 // it — each worker applies its own -workers.
 func TestSweepSpecOmitsWorkers(t *testing.T) {
-	b, err := json.Marshal(specFromFlags(cliFlags{topos: "lps(11,7)", workers: 4}))
+	b, err := json.Marshal(specFromFlags(cliFlags{topos: "lps(11,7)", sim: exp.SimOptions{Workers: 4}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +66,7 @@ func TestRunSweepSubcommand(t *testing.T) {
 		conc:   2,
 		loads:  "0.3",
 		faults: "links:0.1",
-		trials: 1,
-		ranks:  64,
-		msgs:   4,
-		seed:   11,
+		sim:    exp.SimOptions{Trials: 1, Ranks: 64, MsgsPerRank: 4, Seed: 11},
 		intact: true,
 	}
 	res, err := runSweep(fl)
@@ -101,7 +100,7 @@ func TestRunSweepSubcommand(t *testing.T) {
 	if _, err := runSweep(fl); err != nil {
 		t.Fatal(err)
 	}
-	fl.measure, fl.motifs, fl.ranks = "motif", "fft", 0
+	fl.measure, fl.motifs, fl.sim.Ranks = "motif", "fft", 0
 	if _, err := runSweep(fl); err != nil {
 		t.Fatal(err)
 	}

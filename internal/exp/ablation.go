@@ -194,13 +194,17 @@ type Ablations struct {
 }
 
 // RunAblations executes the five independent ablation studies
-// concurrently over the fan-out helper of the sweep engine (parallel
-// follows the SimOptions.Parallel convention: 0 = GOMAXPROCS,
-// 1 = serial). Each study is deterministic given the seed, so the
-// result set does not depend on the worker count.
-func RunAblations(seed int64, parallel int) (Ablations, error) {
+// concurrently over the fan-out helper of the sweep engine. It reads
+// Seed (default BaseSeed) and Parallel (0 = GOMAXPROCS, 1 = serial).
+// Each study is deterministic given the seed, so the result set does
+// not depend on the worker count.
+func RunAblations(opts SimOptions) (Ablations, error) {
+	seed := opts.Seed
+	if seed == 0 {
+		seed = BaseSeed
+	}
 	var a Ablations
-	err := runner.Do(parallel,
+	err := runner.Do(opts.Parallel,
 		func() (err error) { a.Arrangement, err = AblateDragonFlyArrangement(8, 4, 33, seed); return },
 		func() (err error) { a.Spectral, err = AblateLPSvsJellyfish(11, 7, seed); return },
 		func() (err error) { a.Discrepancy, err = AblateDiscrepancy(200, seed); return },

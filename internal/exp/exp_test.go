@@ -379,9 +379,19 @@ func TestPatternsFitRankSpace(t *testing.T) {
 	// Guard: the sim options produce power-of-two rank counts for bit
 	// patterns.
 	for _, scale := range []Scale{Quick, Full} {
-		opts := SimOptions{}.withDefaults(scale)
+		opts := SimOptions{}.withDefaults(scale, paperQuick, paperFull)
 		if !traffic.PowerOfTwo(opts.Ranks) {
 			t.Errorf("%v scale rank count %d not a power of two", scale, opts.Ranks)
 		}
+	}
+}
+
+// TestFig6RejectsNonPowerOfTwoRanks: the bit patterns of Fig 6 are
+// permutations only on a power-of-two rank space, so 100 ranks is an
+// error, not a silent run of a non-permutation.
+func TestFig6RejectsNonPowerOfTwoRanks(t *testing.T) {
+	_, err := Fig6(Quick, SimOptions{Ranks: 100, MsgsPerRank: 2})
+	if err == nil || !strings.Contains(err.Error(), "power-of-two") {
+		t.Fatalf("fig6 on 100 ranks: err %v, want a power-of-two error", err)
 	}
 }

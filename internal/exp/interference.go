@@ -22,65 +22,8 @@ import (
 // low-diameter fabric: how much does someone else's job — and where
 // the scheduler put it — cost my P99?
 
-// InterferenceOptions tunes the multi-tenant interference exhibit.
-type InterferenceOptions struct {
-	// AggressorLoads is the aggressor's offered-load axis; the victim's
-	// load stays pinned at interferenceVictimLoad across the sweep.
-	AggressorLoads []float64
-	// VictimRanks / AggressorRanks size the two jobs (the aggressor's
-	// transpose pattern needs a power of two).
-	VictimRanks    int
-	AggressorRanks int
-	MsgsPerRank    int
-	// LayoutMode selects the machine-room placement driving per-link
-	// wire latencies ("qap", "faq", "sequential"); empty keeps the
-	// uniform wire model.
-	LayoutMode string
-	Seed       int64
-	Parallel   int
-	Workers    int
-}
-
 // interferenceVictimLoad pins the victim job's offered load.
 const interferenceVictimLoad = 0.05
-
-func (o InterferenceOptions) withDefaults(scale Scale) InterferenceOptions {
-	if o.AggressorLoads == nil {
-		if scale == Full {
-			o.AggressorLoads = []float64{0.1, 0.3, 0.5, 0.7}
-		} else {
-			o.AggressorLoads = []float64{0.1, 0.4, 0.7}
-		}
-	}
-	if o.VictimRanks == 0 {
-		if scale == Full {
-			o.VictimRanks = 512
-		} else {
-			o.VictimRanks = 64
-		}
-	}
-	if o.AggressorRanks == 0 {
-		if scale == Full {
-			o.AggressorRanks = 2048
-		} else {
-			o.AggressorRanks = 256
-		}
-	}
-	if o.MsgsPerRank == 0 {
-		if scale == Full {
-			o.MsgsPerRank = 20
-		} else {
-			o.MsgsPerRank = 8
-		}
-	}
-	if o.LayoutMode == "" {
-		o.LayoutMode = "qap"
-	}
-	if o.Seed == 0 {
-		o.Seed = BaseSeed
-	}
-	return o
-}
 
 // InterferencePoint is one (topology, placement policy, aggressor
 // load) measurement, reduced from the cell's per-tenant statistics.
@@ -112,35 +55,44 @@ type InterferenceReport struct {
 // latencies. Placement policy is a grid-wide tenant property, so the
 // exhibit runs one grid per policy; cell seeds derive from stable
 // keys, so the report is bit-identical for every Parallel value.
-func Interference(scale Scale, opts InterferenceOptions) (*InterferenceReport, error) {
-	opts = opts.withDefaults(scale)
+//
+// It reads Loads, the aggressor's offered-load axis (0.1, 0.4, 0.7
+// quick; 0.1 to 0.7 full), Ranks, the aggressor's job size (256, 2048;
+// its transpose pattern needs a power of two), MsgsPerRank (8, 20),
+// Layout (qap), Seed, Parallel and Workers. The victim is a quarter of
+// the aggressor's size.
+func Interference(scale Scale, opts SimOptions) (*InterferenceReport, error) {
+	opts = opts.withDefaults(scale,
+		SimOptions{Ranks: 256, MsgsPerRank: 8, Loads: []float64{0.1, 0.4, 0.7}, Layout: "qap"},
+		SimOptions{Ranks: 2048, MsgsPerRank: 20, Loads: []float64{0.1, 0.3, 0.5, 0.7}, Layout: "qap"})
+	victimRanks := opts.Ranks / 4
 	instances, err := SimInstances(scale)
 	if err != nil {
 		return nil, err
 	}
 	instances = instances[:2] // the SpectralFly and SlimFly families
 	report := &InterferenceReport{
-		Layout:      opts.LayoutMode,
+		Layout:      opts.Layout,
 		VictimLoad:  interferenceVictimLoad,
-		VictimRanks: opts.VictimRanks,
-		Aggressor:   opts.AggressorRanks,
+		VictimRanks: victimRanks,
+		Aggressor:   opts.Ranks,
 	}
 	for _, placement := range []traffic.PlacementPolicy{traffic.PlaceSequential, traffic.PlaceRandom, traffic.PlaceClustered} {
 		g := &sweep.Grid{
 			Instances:   instances,
 			Policies:    []routing.Policy{routing.Minimal},
 			Patterns:    []traffic.Pattern{traffic.Random}, // label only: tenants drive traffic
-			Loads:       opts.AggressorLoads,
+			Loads:       opts.Loads,
 			Measure:     sweep.MeasureLoad,
 			MsgsPerRank: opts.MsgsPerRank,
 			Seed:        opts.Seed,
-			Layout:      sweep.Layout{Mode: opts.LayoutMode, Seed: opts.Seed},
+			Layout:      sweep.Layout{Mode: opts.Layout, Seed: opts.Seed},
 			Tenants: traffic.Tenants{
 				Specs: []traffic.TenantSpec{
-					{Name: "victim", Pattern: traffic.Random, Ranks: opts.VictimRanks, Load: interferenceVictimLoad},
+					{Name: "victim", Pattern: traffic.Random, Ranks: victimRanks, Load: interferenceVictimLoad},
 					// Load 0 defers to the cell's Loads-axis value — the
 					// aggressor is what the sweep sweeps.
-					{Name: "aggressor", Pattern: traffic.Transpose, Ranks: opts.AggressorRanks},
+					{Name: "aggressor", Pattern: traffic.Transpose, Ranks: opts.Ranks},
 				},
 				Policy: placement,
 				Seed:   opts.Seed,

@@ -47,8 +47,8 @@ func MotifSet(scale Scale) ([]traffic.Motif, int) {
 // RunMotifs executes the Ember motifs of §VI-D on the §VI-B topology
 // set under the given routing policy; Figure 9 uses Minimal, Figure 10
 // UGAL-L. Speedups are relative to the DragonFly makespan. The
-// (topology × motif) grid runs through the parallel engine; only
-// opts.Seed and opts.Parallel are consulted.
+// (topology × motif) grid runs through the parallel engine. It reads
+// Seed, Parallel and Workers; MotifSet sizes the job.
 func RunMotifs(scale Scale, pol routing.Policy, opts SimOptions) ([]MotifPoint, error) {
 	seed := opts.Seed
 	if seed == 0 {

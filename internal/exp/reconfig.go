@@ -16,50 +16,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// ReconfigOptions tunes the live-reconfiguration exhibit.
-type ReconfigOptions struct {
-	// Period is the cycle count between rewiring steps; the traffic
-	// pattern rotation shares it, so each fabric configuration faces a
-	// different workload phase.
-	Period      int64
-	Ranks       int
-	MsgsPerRank int
-	Seed        int64
-	// Parallel sizes the sweep worker pool; Workers shards each
-	// reconfiguration run (a speed knob only; see
-	// sweep.Options.Workers).
-	Parallel int
-	Workers  int
-}
-
-func (o ReconfigOptions) withDefaults(scale Scale) ReconfigOptions {
-	if o.Period == 0 {
-		if scale == Full {
-			o.Period = 4000
-		} else {
-			o.Period = 1500
-		}
-	}
-	if o.Ranks == 0 {
-		if scale == Full {
-			o.Ranks = 2048
-		} else {
-			o.Ranks = 128
-		}
-	}
-	if o.MsgsPerRank == 0 {
-		if scale == Full {
-			o.MsgsPerRank = 20
-		} else {
-			o.MsgsPerRank = 8
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = BaseSeed
-	}
-	return o
-}
-
 // ReconfigConfig summarizes one fabric configuration's structure.
 type ReconfigConfig struct {
 	Index   int
@@ -113,11 +69,18 @@ type ReconfigReport struct {
 // the same Workers setting, so their comparison isolates the rewiring
 // policy, not the engine.
 //
+// It reads Period, the cycle count between rewiring steps that the
+// traffic rotation shares (1500 quick, 4000 full), Ranks (128, 2048),
+// MsgsPerRank (8, 20), Seed, Parallel and Workers (a speed knob only;
+// see sweep.Options.Workers).
+//
 // Every schedule is a pure value and every cell seed derives from a
 // stable key, so the report is bit-identical across Parallel values
 // and across every Workers value.
-func Reconfig(scale Scale, opts ReconfigOptions) (*ReconfigReport, error) {
-	opts = opts.withDefaults(scale)
+func Reconfig(scale Scale, opts SimOptions) (*ReconfigReport, error) {
+	opts = opts.withDefaults(scale,
+		SimOptions{Ranks: 128, MsgsPerRank: 8, Period: 1500},
+		SimOptions{Ranks: 2048, MsgsPerRank: 20, Period: 4000})
 	// Each of the K fabric configurations the optical layer switches
 	// between is an n-router, k-regular Jellyfish; the rewiring leg
 	// takes `steps` steps after the initial activation.

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-var reconfigTestOpts = ReconfigOptions{
+var reconfigTestOpts = SimOptions{
 	Ranks:       64,
 	MsgsPerRank: 3,
 }

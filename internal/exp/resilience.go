@@ -34,80 +34,12 @@ type ResiliencePoint struct {
 	MeanHops    float64
 }
 
-// ResilienceOptions tunes the performance-under-failure sweep.
-type ResilienceOptions struct {
-	// Kinds are the damage models to sweep; defaults to all three
-	// (links, routers, regions).
-	Kinds []fault.Kind
-	// Fractions is the nonzero failure-fraction axis; an intact
-	// baseline point (fault "none", fraction 0) is always included.
-	Fractions []float64
-	// Policies is the routing-policy axis (default minimal + UGAL-L).
-	Policies []routing.Policy
-	// Loads is the offered-load axis.
-	Loads []float64
-	// Trials is the number of independent failure plans per
-	// (kind, fraction) cell.
-	Trials int
-	// Ranks / MsgsPerRank shape the random workload, as in SimOptions.
-	Ranks       int
-	MsgsPerRank int
-	Seed        int64
-	// Parallel sizes the worker pool (0 = GOMAXPROCS, 1 = serial);
-	// results are bit-identical for every value.
-	Parallel int
-	// Workers selects each cell's intra-run simulator engine, as in
-	// sweep.Options.Workers.
-	Workers int
-}
-
-func (o ResilienceOptions) withDefaults(scale Scale) ResilienceOptions {
-	if o.Kinds == nil {
-		o.Kinds = []fault.Kind{fault.Links, fault.Routers, fault.Regions}
-	}
-	if o.Fractions == nil {
-		if scale == Full {
-			o.Fractions = []float64{0.05, 0.1, 0.2, 0.3}
-		} else {
-			o.Fractions = []float64{0.05, 0.15}
-		}
-	}
-	if o.Policies == nil {
-		o.Policies = []routing.Policy{routing.Minimal, routing.UGALL}
-	}
-	if o.Loads == nil {
-		if scale == Full {
-			o.Loads = []float64{0.2, 0.5}
-		} else {
-			o.Loads = []float64{0.3}
-		}
-	}
-	if o.Trials == 0 {
-		if scale == Full {
-			o.Trials = 5
-		} else {
-			o.Trials = 2
-		}
-	}
-	if o.Ranks == 0 {
-		if scale == Full {
-			o.Ranks = 4096
-		} else {
-			o.Ranks = 256
-		}
-	}
-	if o.MsgsPerRank == 0 {
-		if scale == Full {
-			o.MsgsPerRank = 20
-		} else {
-			o.MsgsPerRank = 8
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = BaseSeed
-	}
-	return o
-}
+// resilienceKinds and resiliencePolicies are the damage models and
+// routing policies the performance-under-failure grid crosses.
+var (
+	resilienceKinds    = []fault.Kind{fault.Links, fault.Routers, fault.Regions}
+	resiliencePolicies = []routing.Policy{routing.Minimal, routing.UGALL}
+)
 
 // Resilience runs the performance-under-failure sweep over the §VI-B
 // instance set, as a preset over the declarative sweep core: the fault
@@ -122,18 +54,30 @@ func (o ResilienceOptions) withDefaults(scale Scale) ResilienceOptions {
 // the delivered fraction; everything else is measured on delivered
 // traffic only.
 //
+// It reads Fractions, the nonzero failure-fraction axis (0.05, 0.15
+// quick; 0.05 to 0.3 full; an intact baseline point, fault "none" at
+// fraction 0, is always included), Trials (2, 5; negative is an
+// error), Loads (0.3; 0.2, 0.5), Ranks (256, 4096), MsgsPerRank (8,
+// 20), Seed, Parallel and Workers. Every fraction is crossed with all
+// three fault kinds and with minimal and UGAL-L routing.
+//
 // Every simulation seed derives from the cell's stable key and every
 // plan seed from the plan's stable key, so the output is bit-identical
 // between Parallel=1 and Parallel=N.
-func Resilience(scale Scale, opts ResilienceOptions) ([]ResiliencePoint, error) {
-	opts = opts.withDefaults(scale)
+func Resilience(scale Scale, opts SimOptions) ([]ResiliencePoint, error) {
+	if opts.Trials < 0 {
+		return nil, fmt.Errorf("exp: resilience trials %d, want >= 0 (0 selects the default)", opts.Trials)
+	}
+	opts = opts.withDefaults(scale,
+		SimOptions{Ranks: 256, MsgsPerRank: 8, Loads: []float64{0.3}, Fractions: []float64{0.05, 0.15}, Trials: 2},
+		SimOptions{Ranks: 4096, MsgsPerRank: 20, Loads: []float64{0.2, 0.5}, Fractions: []float64{0.05, 0.1, 0.2, 0.3}, Trials: 5})
 	instances, err := SimInstances(scale)
 	if err != nil {
 		return nil, err
 	}
 
 	var axes []sweep.FaultAxis
-	for _, kind := range opts.Kinds {
+	for _, kind := range resilienceKinds {
 		for _, frac := range opts.Fractions {
 			if frac <= 0 {
 				continue // the baseline already covers fraction 0
@@ -145,7 +89,7 @@ func Resilience(scale Scale, opts ResilienceOptions) ([]ResiliencePoint, error) 
 	g := &sweep.Grid{
 		Instances:   instances,
 		Faults:      axes,
-		Policies:    opts.Policies,
+		Policies:    resiliencePolicies,
 		Patterns:    []traffic.Pattern{traffic.Random},
 		Loads:       opts.Loads,
 		Measure:     sweep.MeasureLoad,
@@ -181,7 +125,7 @@ func Resilience(scale Scale, opts ResilienceOptions) ([]ResiliencePoint, error) 
 		groupOf = make(map[groupKey]int)
 	)
 	addGroups := func(topology, fault string, fraction float64) {
-		for _, pol := range opts.Policies {
+		for _, pol := range resiliencePolicies {
 			for _, load := range opts.Loads {
 				gk := groupKey{topology, fault, fraction, pol.String(), load}
 				if _, ok := groupOf[gk]; !ok {

@@ -3,16 +3,14 @@ package exp
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/routing"
 )
 
-var resilienceTestOpts = ResilienceOptions{
-	Kinds:       []fault.Kind{fault.Links, fault.Routers},
+var resilienceTestOpts = SimOptions{
 	Fractions:   []float64{0.1},
-	Policies:    []routing.Policy{routing.Minimal, routing.UGALL},
 	Loads:       []float64{0.3},
 	Trials:      2,
 	Ranks:       64,
@@ -38,8 +36,8 @@ func TestResilienceParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("resilience sweep diverged between worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
-	// 4 instances × (baseline + 2 kinds) × 2 policies × 1 load.
-	if want := 4 * 3 * 2; len(serial) != want {
+	// 4 instances × (baseline + 3 kinds) × 2 policies × 1 load.
+	if want := 4 * 4 * 2; len(serial) != want {
 		t.Fatalf("points %d want %d", len(serial), want)
 	}
 }
@@ -84,5 +82,15 @@ func TestResilienceDegradesSensibly(t *testing.T) {
 	FprintResilience(&buf, points)
 	if buf.Len() == 0 {
 		t.Error("no rendered output")
+	}
+}
+
+// TestResilienceRejectsNegativeTrials: zero trials selects the scale
+// default, but a negative count is an error, not a silent single plan.
+func TestResilienceRejectsNegativeTrials(t *testing.T) {
+	opts := resilienceTestOpts
+	opts.Trials = -2
+	if _, err := Resilience(Quick, opts); err == nil || !strings.Contains(err.Error(), "trials -2") {
+		t.Fatalf("negative trials: err %v, want a trials error", err)
 	}
 }

@@ -20,9 +20,11 @@ type SaturationRow struct {
 
 // Saturation measures the saturation load of every §VI-B topology at
 // the given scale; the per-topology bisection searches run as
-// independent cells on the parallel engine.
+// independent cells on the parallel engine. It reads MsgsPerRank
+// (Fig6's default, bounded to 60 and at full scale raised to 40), Seed,
+// Parallel and Workers.
 func Saturation(scale Scale, opts SimOptions) ([]SaturationRow, error) {
-	opts = opts.withDefaults(scale)
+	opts = opts.withDefaults(scale, paperQuick, paperFull)
 	instances, err := SimInstances(scale)
 	if err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ type ScalePoint struct {
 	// Saturation is the measured knee under uniform traffic.
 	Saturation float64
 	// Degraded* report the link-failure resilience point: delivered
-	// fraction and tail latency at DegradedFraction random link cuts.
+	// fraction and tail latency at the sweep's fraction of random link cuts.
 	DegradedDelivered float64
 	DegradedP99       float64
 	// PeakTableBytes is the largest distance-store footprint the
@@ -50,49 +50,11 @@ type ScalePoint struct {
 // scaleDegradedLoad is the offered load of the degraded point.
 const scaleDegradedLoad = 0.3
 
-// ScaleOptions tunes the large-n sweep.
-type ScaleOptions struct {
-	// Rungs selects scale-ladder rungs by index (default: all at Full
-	// scale; Quick scale ignores this and runs small stand-ins).
-	Rungs []int
-	// Fraction is the link-failure fraction of the degraded point; 0
-	// selects the default 0.01 and negative values are rejected (an
-	// intact baseline is the resilience exhibit's job, not this one's).
-	Fraction float64
-	// MsgsPerEP shapes the workloads (default: 4 quick, 10 full).
-	MsgsPerEP int
-	Seed      int64
-	// Parallel sizes the worker pool (0 = GOMAXPROCS, 1 = serial);
-	// results are bit-identical for every value.
-	Parallel int
-	// Workers is each cell's intra-run simulator shard count, as in
-	// sweep.Options.Workers. With Workers >= 2 and Parallel unset, the
-	// pool is sized GOMAXPROCS / Workers.
-	Workers int
-}
-
-func (o ScaleOptions) withDefaults(scale Scale) ScaleOptions {
-	if o.Fraction == 0 {
-		o.Fraction = 0.01
-	}
-	if o.MsgsPerEP == 0 {
-		if scale == Full {
-			o.MsgsPerEP = 10
-		} else {
-			o.MsgsPerEP = 4
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = BaseSeed
-	}
-	return o
-}
-
 // scaleInstances returns the instance set of the sweep: at Full scale
 // the selected rungs of topo.TableIIScaleSpecs (up to ~40K routers);
 // at Quick scale small stand-ins with the identical code path, so CI
 // exercises the driver in seconds.
-func scaleInstances(scale Scale, opts ScaleOptions) ([]sweep.Instance, error) {
+func scaleInstances(scale Scale, rungs []int) ([]sweep.Instance, error) {
 	// Concentration 1: the ladder scales the router count, and the
 	// routing table — not the NIC count — is what the sweep stresses.
 	if scale != Full {
@@ -101,7 +63,6 @@ func scaleInstances(scale Scale, opts ScaleOptions) ([]sweep.Instance, error) {
 			{topo.Spec{Kind: "sf", Args: []int64{9}}, 1},
 		})
 	}
-	rungs := opts.Rungs
 	if rungs == nil {
 		for i := range topo.TableIIScaleSpecs {
 			rungs = append(rungs, i)
@@ -131,20 +92,35 @@ func scaleInstances(scale Scale, opts ScaleOptions) ([]sweep.Instance, error) {
 // next begins, so PeakTableBytes reflects the per-instance working
 // set, which the packed oracle keeps under the 1.5 GB class budget.
 //
+// It reads Rungs (default all at Full scale; Quick scale ignores it and
+// runs small stand-ins), Fractions, the single link-failure fraction
+// of the degraded point (default 0.01; an intact baseline is the
+// resilience exhibit's job, not this one's), MsgsPerRank (4 quick, 10
+// full), Seed, Parallel and Workers (with Workers >= 2 and Parallel
+// unset, the pool is sized GOMAXPROCS / Workers).
+//
 // Like every simulation driver, cell seeds derive from stable keys:
 // results are bit-identical across Parallel settings.
-func ScaleSweep(scale Scale, opts ScaleOptions) ([]ScalePoint, error) {
+func ScaleSweep(scale Scale, opts SimOptions) ([]ScalePoint, error) {
 	return scaleSweep(scale, opts, routing.StorePacked)
 }
 
 // scaleSweep is ScaleSweep on the given routing-table store; only the
 // cross-store tests pass anything but packed.
-func scaleSweep(scale Scale, opts ScaleOptions, store routing.Store) ([]ScalePoint, error) {
-	if opts.Fraction < 0 {
-		return nil, fmt.Errorf("exp: scale fraction %v must be positive (0 selects the default)", opts.Fraction)
+func scaleSweep(scale Scale, opts SimOptions, store routing.Store) ([]ScalePoint, error) {
+	fraction := 0.01
+	switch fr := opts.Fractions; {
+	case len(fr) > 1:
+		// One degraded point per rung: silently dropping the rest would
+		// under-run the grid the caller asked for.
+		return nil, fmt.Errorf("exp: scale takes a single fraction, got %d", len(fr))
+	case len(fr) == 1 && fr[0] <= 0:
+		return nil, fmt.Errorf("exp: scale needs a fraction > 0 (for an intact baseline use the resilience exhibit)")
+	case len(fr) == 1:
+		fraction = fr[0]
 	}
-	opts = opts.withDefaults(scale)
-	instances, err := scaleInstances(scale, opts)
+	opts = opts.withDefaults(scale, SimOptions{MsgsPerRank: 4}, SimOptions{MsgsPerRank: 10})
+	instances, err := scaleInstances(scale, opts.Rungs)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +167,7 @@ func scaleSweep(scale Scale, opts ScaleOptions, store routing.Store) ([]ScalePoi
 		sat := &sweep.Grid{
 			Instances:   []sweep.Instance{si},
 			Measure:     sweep.MeasureSaturation,
-			MsgsPerRank: opts.MsgsPerEP,
+			MsgsPerRank: opts.MsgsPerRank,
 			Seed:        opts.Seed,
 			Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
 				return fmt.Sprintf("scale/%s/saturation", c.Topology)
@@ -216,13 +192,13 @@ func scaleSweep(scale Scale, opts ScaleOptions, store routing.Store) ([]ScalePoi
 		deg := &sweep.Grid{
 			Instances:   []sweep.Instance{si},
 			OmitIntact:  true,
-			Faults:      []sweep.FaultAxis{{Kind: fault.Links, Fraction: opts.Fraction}},
+			Faults:      []sweep.FaultAxis{{Kind: fault.Links, Fraction: fraction}},
 			Policies:    []routing.Policy{routing.Minimal},
 			Patterns:    []traffic.Pattern{traffic.Random},
 			Loads:       []float64{scaleDegradedLoad},
 			Measure:     sweep.MeasureLoad,
 			Ranks:       si.Endpoints(),
-			MsgsPerRank: opts.MsgsPerEP,
+			MsgsPerRank: opts.MsgsPerRank,
 			Seed:        opts.Seed,
 			Keys: sweep.Keys{
 				CellKey: func(c *sweep.Cell) string {

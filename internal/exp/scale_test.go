@@ -8,7 +8,7 @@ import (
 )
 
 func TestScaleSweepQuick(t *testing.T) {
-	points, err := ScaleSweep(Quick, ScaleOptions{Parallel: 2})
+	points, err := ScaleSweep(Quick, SimOptions{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestScaleSweepStoresBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sweep three times")
 	}
-	base, err := ScaleSweep(Quick, ScaleOptions{})
+	base, err := ScaleSweep(Quick, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, store := range []routing.Store{routing.StoreDense, routing.StoreLazy} {
-		got, err := scaleSweep(Quick, ScaleOptions{Parallel: 1}, store)
+		got, err := scaleSweep(Quick, SimOptions{Parallel: 1}, store)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +79,25 @@ func TestScaleSweepStoresBitIdentical(t *testing.T) {
 		if store == routing.StoreDense && base[0].PeakTableBytes*4 > got[0].PeakTableBytes {
 			t.Errorf("packed peak %d bytes not well below dense %d",
 				base[0].PeakTableBytes, got[0].PeakTableBytes)
+		}
+	}
+}
+
+// TestScaleSweepFractionChecks: the degraded point takes one positive
+// link-failure fraction; zero, negative and several are errors before
+// any cell runs.
+func TestScaleSweepFractionChecks(t *testing.T) {
+	for _, tc := range []struct {
+		fractions []float64
+		want      string
+	}{
+		{[]float64{0}, "fraction > 0"},
+		{[]float64{-0.1}, "fraction > 0"},
+		{[]float64{0.01, 0.02}, "single fraction, got 2"},
+	} {
+		_, err := ScaleSweep(Quick, SimOptions{Fractions: tc.fractions})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("fractions %v: err %v, want %q", tc.fractions, err, tc.want)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // below hold the generic core to within 5% of it.
 func handRolledFig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 	pol, pats := routing.UGALL, traffic.SyntheticPatterns
-	opts = opts.withDefaults(scale)
+	opts = opts.withDefaults(scale, paperQuick, paperFull)
 	instances, err := SimInstances(scale)
 	if err != nil {
 		return nil, err

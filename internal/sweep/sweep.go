@@ -454,6 +454,21 @@ func (g *Grid) validate() error {
 			return fmt.Errorf("sweep: ShiftPeriod needs a ShiftPatterns rotation")
 		}
 	}
+	if g.Measure == MeasureLoad && len(g.Tenants.Specs) == 0 && g.Ranks > 0 && !traffic.PowerOfTwo(g.Ranks) {
+		// The bit patterns mask with Ranks-1: on any other rank count
+		// they are not permutations. Tenant specs are checked by
+		// Tenants.Validate; under ShiftPeriod only ShiftPatterns drive
+		// traffic.
+		live := g.Patterns
+		if g.ShiftPeriod > 0 {
+			live = g.ShiftPatterns
+		}
+		for _, p := range live {
+			if p != traffic.Random {
+				return fmt.Errorf("sweep: pattern %s needs a power-of-two rank count, got %d", p, g.Ranks)
+			}
+		}
+	}
 	if g.Layout.enabled() {
 		switch g.Layout.Mode {
 		case "qap", "faq", "sequential":

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -352,6 +353,49 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateBitPatternRanks: a bit pattern that drives traffic needs
+// a power-of-two Ranks (it masks with Ranks-1), on the Patterns axis or,
+// under ShiftPeriod, in ShiftPatterns. Random runs on any rank count,
+// labels that drive nothing are not checked, and tenant grids check
+// their own specs.
+func TestValidateBitPatternRanks(t *testing.T) {
+	run := func(g *Grid) error {
+		return g.Run(context.Background(), Options{Parallel: 1}, func(Result) error { return nil })
+	}
+	grid := func() *Grid {
+		return &Grid{Instances: testInstances(t)[:1], Measure: MeasureLoad, Loads: []float64{0.3},
+			Patterns: []traffic.Pattern{traffic.Random, traffic.BitComplement}, Ranks: 100, MsgsPerRank: 1, Seed: 3}
+	}
+	if err := run(grid()); err == nil || !strings.Contains(err.Error(), "power-of-two") {
+		t.Errorf("bit-complement on 100 ranks: err %v, want a power-of-two error", err)
+	}
+	if _, err := grid().ContentKeys(0); err == nil {
+		t.Error("ContentKeys accepted bit-complement on 100 ranks")
+	}
+	shift := grid()
+	shift.Patterns = []traffic.Pattern{traffic.Random}
+	shift.ShiftPeriod, shift.ShiftPatterns = 500, []traffic.Pattern{traffic.Random, traffic.Transpose}
+	if err := run(shift); err == nil {
+		t.Error("shifting to transpose on 100 ranks validated")
+	}
+
+	random := grid()
+	random.Patterns = []traffic.Pattern{traffic.Random}
+	if err := run(random); err != nil {
+		t.Errorf("random on 100 ranks: %v", err)
+	}
+	label := grid()
+	label.ShiftPeriod, label.ShiftPatterns = 500, []traffic.Pattern{traffic.Random}
+	if err := run(label); err != nil {
+		t.Errorf("bit-complement as a label under random shifting traffic: %v", err)
+	}
+	pow2 := grid()
+	pow2.Ranks = 128
+	if err := run(pow2); err != nil {
+		t.Errorf("bit-complement on 128 ranks: %v", err)
+	}
+}
+
 // withConcentration sets the last instance's concentration to c.
 func withConcentration(insts []Instance, c int) []Instance {
 	insts[len(insts)-1].Concentration = c
@@ -566,15 +610,18 @@ func TestValidateChurnAxisUpFront(t *testing.T) {
 
 // TestCellErrorsIsolated: cells that fail report Result.Err without
 // stopping the stream or perturbing any other cell. SF(9) at
-// concentration 2 has 324 endpoints, too few for 330 ranks, so every
+// concentration 1 has 162 endpoints, too few for 256 ranks, so every
 // one of its cells fails its rank mapping; the LPS(11,7) rows that
-// follow must equal those of a grid without the failing instance.
+// follow (336 endpoints) must equal those of a grid without the
+// failing instance. The rank count is a power of two, as the grid's
+// bit-shuffle pattern requires.
 func TestCellErrorsIsolated(t *testing.T) {
 	insts := testInstances(t)
+	insts[1].Concentration = 1
 	mk := func(insts ...Instance) *Grid {
 		g := loadGrid(t)
 		g.Instances = insts
-		g.Ranks = 330
+		g.Ranks = 256
 		return g
 	}
 	mixed, err := mk(insts[1], insts[0]).Collect(context.Background(), Options{Parallel: 2})
@@ -590,7 +637,7 @@ func TestCellErrorsIsolated(t *testing.T) {
 	}
 	for _, res := range mixed[:len(alone)] {
 		if res.Err == nil {
-			t.Errorf("cell %d on %s: 330 ranks on 324 endpoints did not fail", res.Index, res.Topology)
+			t.Errorf("cell %d on %s: 256 ranks on 162 endpoints did not fail", res.Index, res.Topology)
 		}
 	}
 	for i, want := range alone {

@@ -122,14 +122,18 @@ func checkRun(load float64, msgs int) error {
 
 // RunPattern injects one of the §VI-C synthetic patterns over a
 // power-of-two rank space mapped onto the endpoints. A load outside
-// (0, 1], NaN included, a negative message count, or a pattern that
-// is none of the Pattern* constants is an error.
+// (0, 1], NaN included, a negative message count, a pattern that is
+// none of the Pattern* constants, or a bit pattern on a rank count
+// that is not a power of two is an error.
 func (s *Sim) RunPattern(pat traffic.Pattern, ranks int, load float64, msgsPerRank int) (SimStats, error) {
 	if err := checkRun(load, msgsPerRank); err != nil {
 		return SimStats{}, err
 	}
 	if !pat.Valid() {
 		return SimStats{}, fmt.Errorf("spectralfly: unknown traffic pattern %d", int(pat))
+	}
+	if pat != traffic.Random && !traffic.PowerOfTwo(ranks) {
+		return SimStats{}, fmt.Errorf("spectralfly: pattern %s needs a power-of-two rank count, got %d", pat, ranks)
 	}
 	mp, err := traffic.NewMapping(ranks, s.nw.Endpoints(), s.cfg.Seed)
 	if err != nil {

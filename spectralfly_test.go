@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -340,6 +341,22 @@ func TestPublicAPIRunPatternRejectsUnknownPattern(t *testing.T) {
 		if _, err := sim.RunPattern(pat, 64, 0.3, 2); err == nil {
 			t.Errorf("pattern %d: RunPattern returned no error", int(pat))
 		}
+	}
+}
+
+// TestPublicAPIRunPatternRejectsNonPowerOfTwoRanks: the bit patterns
+// mask with ranks-1, so on 100 ranks BitComplement would send ranks 0
+// and 4 both to rank 99. That is an error; Random runs on any count.
+func TestPublicAPIRunPatternRejectsNonPowerOfTwoRanks(t *testing.T) {
+	net, _ := LPS(11, 7)
+	sim := mustSimulate(t, net, SimConfig{Concentration: 2, Seed: 9})
+	for _, pat := range []traffic.Pattern{PatternShuffle, PatternComplement} {
+		if _, err := sim.RunPattern(pat, 100, 0.3, 2); err == nil || !strings.Contains(err.Error(), "power-of-two") {
+			t.Errorf("%s on 100 ranks: err %v, want a power-of-two error", pat, err)
+		}
+	}
+	if st, err := sim.RunPattern(PatternRandom, 100, 0.3, 2); err != nil || st.Delivered == 0 {
+		t.Errorf("random on 100 ranks: delivered %d, err %v", st.Delivered, err)
 	}
 }
 
