@@ -385,10 +385,11 @@ func BenchmarkRunLoadStream40K(b *testing.B) {
 		b.Fatal(err)
 	}
 	tab := routing.NewTableOpts(inst.G, routing.TableOptions{Store: routing.StorePacked})
-	nw, err := simnet.New(simnet.Config{Topo: inst.G, Concentration: 1, Seed: 17}, tab)
+	nw, err := simnet.New(simnet.Config{Topo: inst.G, Concentration: 1}, tab)
 	if err != nil {
 		b.Fatal(err)
 	}
+	nw.SetSeed(17)
 	nep := nw.Endpoints()
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	const msgs = 32
@@ -427,10 +428,12 @@ func BenchmarkRunLoadParallel40K(b *testing.B) {
 	}
 	tab := routing.NewTableOpts(inst.G, routing.TableOptions{Store: routing.StorePacked})
 	mk := func(workers int) *simnet.Network {
-		nw, err := simnet.New(simnet.Config{Topo: inst.G, Concentration: 1, Seed: 17, Workers: workers}, tab)
+		nw, err := simnet.New(simnet.Config{Topo: inst.G, Concentration: 1}, tab)
 		if err != nil {
 			b.Fatal(err)
 		}
+		nw.SetSeed(17)
+		nw.SetWorkers(workers)
 		return nw
 	}
 	serNet, parNet := mk(1), mk(4)
@@ -477,11 +480,13 @@ func BenchmarkReconfigParallel40K(b *testing.B) {
 	}
 	tab := routing.NewTableOpts(inst.G, routing.TableOptions{Store: routing.StorePacked})
 	mk := func(workers int) *simnet.Network {
-		nw, err := simnet.New(simnet.Config{
-			Topo: inst.G, Concentration: 1, Seed: 17,
-			Schedule: sched, Workers: workers,
-		}, tab)
+		nw, err := simnet.New(simnet.Config{Topo: inst.G, Concentration: 1}, tab)
 		if err != nil {
+			b.Fatal(err)
+		}
+		nw.SetSeed(17)
+		nw.SetWorkers(workers)
+		if err := nw.SetSchedule(sched); err != nil {
 			b.Fatal(err)
 		}
 		return nw

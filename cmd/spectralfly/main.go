@@ -92,12 +92,12 @@ func dispatch(cmd string, fl cliFlags) int {
 		}
 		result, err := e.run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			report(e.name, err)
 			return 1
 		}
 		if fl.jsonOut {
 			if err := encodeJSON(os.Stdout, e.name, scale, result); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+				report(e.name, err)
 				return 1
 			}
 			return 0
@@ -143,6 +143,18 @@ func dispatch(cmd string, fl cliFlags) int {
 	}
 	usage()
 	return 2
+}
+
+// report prints an exhibit's error to stderr under the exhibit name,
+// unless the message already starts with it: the sweep and serve
+// exhibits are named "sweep", like the prefix of internal/sweep's own
+// errors.
+func report(name string, err error) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, name+":") {
+		msg = name + ": " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 }
 
 func parseFractions(s string) []float64 {

@@ -150,11 +150,6 @@ func scaleSweep(scale Scale, opts SimOptions, store routing.Store) ([]ScalePoint
 					pt.PeakTableBytes = b
 				}
 			},
-			OnSimBytes: func(b int64) {
-				if b > pt.PeakSimBytes {
-					pt.PeakSimBytes = b
-				}
-			},
 		}
 		// A fresh engine per instance keeps the memo (and therefore the
 		// peak-bytes sample) scoped to one rung at a time. Both grids of
@@ -218,6 +213,9 @@ func scaleSweep(scale Scale, opts SimOptions, store routing.Store) ([]ScalePoint
 		}
 		pt.DegradedDelivered = res[0].Stats.DeliveredFraction()
 		pt.DegradedP99 = float64(res[0].Stats.P99Latency)
+		// The one degraded cell is the rung's only simulation with a
+		// working set: saturation cells carry empty Stats.
+		pt.PeakSimBytes = res[0].Stats.MemoryBytes
 		points = append(points, pt)
 	}
 	return points, nil

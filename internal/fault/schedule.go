@@ -5,7 +5,7 @@
 // schedule with an EdgeCursor and applies changes between drains —
 // and re-derives its routing table at each one (routing.Table.Repair
 // for the cut direction, Table.Restore for the restore direction, each
-// sharing every unchanged row) — see simnet's Config.Schedule and
+// sharing every unchanged row) — see simnet's SetSchedule and
 // DESIGN.md §10.
 //
 // Like Plan, a Schedule built by the constructors here is a pure value

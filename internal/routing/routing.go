@@ -78,6 +78,11 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
+// Valid reports whether p is one of the named policies (Minimal
+// through UGALG). simnet's SetPolicy panics on any other value, so
+// every entry that accepts a Policy from a caller checks it first.
+func (p Policy) Valid() bool { return p >= Minimal && p <= UGALG }
+
 // MarshalText renders the policy name, so JSON experiment output
 // carries "ugal-l" rather than an enum value.
 func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }

@@ -5,23 +5,20 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/topo"
 )
 
-func lpsNetwork(t testing.TB, cfg Config) (*Network, *routing.Table) {
+// lpsNetwork builds a Network over LPS(11,7) at concentration 2 with
+// the per-run settings rc.
+func lpsNetwork(t testing.TB, rc runConfig) *Network {
 	t.Helper()
 	inst, err := topo.LPS(11, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Topo = inst.G
-	table := routing.NewTable(inst.G)
-	nw, err := New(cfg, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nw, table
+	return build(t, Config{Topo: inst.G, Concentration: 2}, routing.NewTable(inst.G), rc)
 }
 
 // TestRunBatchesAggregatesLatency is the regression test for the motif
@@ -29,7 +26,7 @@ func lpsNetwork(t testing.TB, cfg Config) (*Network, *routing.Table) {
 // before the fix they were never folded into the aggregate Stats, so
 // every motif run reported 0 for both.
 func TestRunBatchesAggregatesLatency(t *testing.T) {
-	nw, _ := lpsNetwork(t, Config{Concentration: 2, Seed: 5})
+	nw := lpsNetwork(t, runConfig{seed: 5})
 	nep := nw.Endpoints()
 	rounds := make([][]Message, 3)
 	for r := range rounds {
@@ -63,7 +60,7 @@ func TestRunBatchesAggregatesLatency(t *testing.T) {
 // TestCloneDeterminism: a clone with the same seed reproduces the
 // original's statistics exactly, and identical runs are identical.
 func TestCloneDeterminism(t *testing.T) {
-	nw, _ := lpsNetwork(t, Config{Concentration: 2, Policy: routing.UGALL, Seed: 42})
+	nw := lpsNetwork(t, runConfig{policy: routing.UGALL, seed: 42})
 	nep := nw.Endpoints()
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	a := nw.RunLoad(pattern, 0.4, 8)
@@ -81,7 +78,7 @@ func TestCloneDeterminism(t *testing.T) {
 // routing table and port maps) concurrently; under -race this verifies
 // the immutable/mutable state split.
 func TestCloneConcurrentRuns(t *testing.T) {
-	nw, _ := lpsNetwork(t, Config{Concentration: 2, Policy: routing.UGALL, Seed: 1})
+	nw := lpsNetwork(t, runConfig{policy: routing.UGALL, seed: 1})
 	nep := nw.Endpoints()
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	want := nw.Clone().RunLoad(pattern, 0.3, 5)
@@ -102,27 +99,45 @@ func TestCloneConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestSetPolicySetSeed: clone overrides change results the way a fresh
-// New with that config would.
-func TestSetPolicySetSeed(t *testing.T) {
-	nw, table := lpsNetwork(t, Config{Concentration: 2, Policy: routing.Minimal, Seed: 3})
-	nep := nw.Endpoints()
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
-
-	cl := nw.Clone()
-	cl.SetPolicy(routing.Valiant)
-	cl.SetSeed(9)
-	got := cl.RunLoad(pattern, 0.3, 5)
-
-	fresh, err := New(Config{Topo: table.G, Concentration: 2, Policy: routing.Valiant, Seed: 9}, table)
-	if err != nil {
-		t.Fatal(err)
+// TestCloneCopiesRunSettings: a clone carries every per-run setting of
+// the Network it was cloned from. For each setting, a Network with
+// only that setting changed runs differently from a default one, and
+// its clone reproduces its statistics exactly. The shard count changes
+// only MemoryBytes, which counts the shards.
+func TestCloneCopiesRunSettings(t *testing.T) {
+	g := topo.MustLPS(11, 7).G
+	dead := make([]bool, g.N())
+	dead[3] = true
+	ofEP := make([]int32, 2*g.N())
+	for ep := range ofEP {
+		ofEP[ep] = int32(ep % 2)
 	}
-	want := fresh.RunLoad(pattern, 0.3, 5)
-	if !got.Equal(want) {
-		t.Errorf("clone with overrides diverged from fresh instance:\n%+v\n%+v", got, want)
-	}
-	if got.ValiantTaken == 0 {
-		t.Error("Valiant policy override not applied (no Valiant paths)")
+	run := func(nw *Network) Stats { return nw.RunLoad(uniformPattern(nw.Endpoints()), 0.3, 5) }
+	base := run(lpsNetwork(t, runConfig{}))
+	for _, tc := range []struct {
+		name string
+		rc   runConfig
+	}{
+		{"policy", runConfig{policy: routing.Valiant}},
+		{"seed", runConfig{seed: 9}},
+		{"workers", runConfig{workers: 4}},
+		{"dead", runConfig{dead: dead}},
+		{"schedule", runConfig{sched: fault.Schedule{{Cycle: 100, Kill: []int32{0}}}}},
+		{"latencies", runConfig{lats: testLatTable(g)}},
+		{"tenants", runConfig{tenants: &TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}}},
+	} {
+		nw := lpsNetwork(t, tc.rc)
+		cl := nw.Clone()
+		st := run(nw)
+		if got := run(cl); !got.Equal(st) {
+			t.Errorf("%s: clone diverged from original:\n%+v\n%+v", tc.name, got, st)
+		}
+		if tc.name == "workers" {
+			if st.MemoryBytes == base.MemoryBytes {
+				t.Errorf("workers: MemoryBytes %d unchanged from one shard", st.MemoryBytes)
+			}
+		} else if st.Equal(base) {
+			t.Errorf("%s: the setting did not change the run", tc.name)
+		}
 	}
 }

@@ -17,8 +17,7 @@ func allDeadNet(t *testing.T) *Network {
 	for i := range dead {
 		dead[i] = true
 	}
-	cfg := Config{Concentration: 2, Seed: 7, DeadRouters: dead}
-	return mustNet(t, g, cfg)
+	return mustNet(t, g, 2, runConfig{seed: 7, dead: dead})
 }
 
 // TestRunLoadAllRoutersDead is the regression test for the empty-run
@@ -99,10 +98,7 @@ func BenchmarkRunLoadStore(b *testing.B) {
 	} {
 		b.Run(opts.Store.String(), func(b *testing.B) {
 			tab := routing.NewTableOpts(inst.G, opts)
-			nw, err := New(Config{Topo: inst.G, Concentration: 2, Seed: 11, Policy: routing.UGALL}, tab)
-			if err != nil {
-				b.Fatal(err)
-			}
+			nw := build(b, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 11, policy: routing.UGALL})
 			nep := nw.Endpoints()
 			pattern := func(srcEP int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 			var hops int64

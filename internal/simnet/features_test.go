@@ -11,10 +11,7 @@ import (
 func TestUGALGRoutesAndRespectsVCBudget(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
-	nw, err := New(Config{Topo: inst.G, Concentration: 2, Policy: routing.UGALG, Seed: 4}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALG, seed: 4})
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.4, 20)
 	if st.Delivered == 0 {
@@ -28,10 +25,7 @@ func TestUGALGRoutesAndRespectsVCBudget(t *testing.T) {
 func TestUGALGPrefersMinimalWhenIdle(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
-	nw, err := New(Config{Topo: inst.G, Concentration: 2, Policy: routing.UGALG, Seed: 5}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALG, seed: 5})
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.05, 8)
 	frac := float64(st.ValiantTaken) / float64(st.Delivered)
@@ -43,10 +37,7 @@ func TestUGALGPrefersMinimalWhenIdle(t *testing.T) {
 func TestUGALGDivertsUnderHotspot(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
-	nw, err := New(Config{Topo: inst.G, Concentration: 2, Policy: routing.UGALG, Seed: 6}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALG, seed: 6})
 	hot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(4) }
 	st := nw.RunLoad(hot, 0.7, 25)
 	if st.ValiantTaken == 0 {
@@ -59,10 +50,7 @@ func TestSaturationLoadOrdering(t *testing.T) {
 	// later than hotspots.
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
-	nw, err := New(Config{Topo: inst.G, Concentration: 2, Seed: 9}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 9})
 	uniform := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	// Mild hotspot: a third of the endpoints receive all traffic, so the
 	// hot ejection ports saturate around 3× lower load than uniform —

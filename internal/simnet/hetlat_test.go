@@ -70,18 +70,8 @@ func TestTenantScheduleConservation(t *testing.T) {
 		return -1
 	}
 	run := func(workers int) Stats {
-		nw, err := New(Config{
-			Topo: g, Concentration: 2, Seed: 4, Schedule: sched, Workers: workers,
-		}, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.SetLinkLatencies(lats); err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.SetTenants(&TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}); err != nil {
-			t.Fatal(err)
-		}
+		nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 4, sched: sched, workers: workers,
+			lats: lats, tenants: &TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}})
 		return nw.RunLoad(pattern, 0.4, 12)
 	}
 	check := func(workers int, st Stats) {
@@ -147,13 +137,7 @@ func TestUniformLatencyTableMatchesNil(t *testing.T) {
 	for _, pol := range []routing.Policy{routing.Minimal, routing.UGALL} {
 		for _, workers := range []int{1, 4} {
 			run := func(lat *LinkLatencies) Stats {
-				nw, err := New(Config{Topo: g, Concentration: 2, Policy: pol, Seed: 3, Workers: workers}, tab)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := nw.SetLinkLatencies(lat); err != nil {
-					t.Fatal(err)
-				}
+				nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{policy: pol, seed: 3, workers: workers, lats: lat})
 				nep := nw.Endpoints()
 				return nw.RunLoad(func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }, 0.5, 16)
 			}

@@ -36,25 +36,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 	lpsTab := routing.NewTable(lps)
 	ring := chordRing(24)
 	ringTab := routing.NewTable(ring)
-	mk := func(cfg Config, tab *routing.Table) func(t *testing.T) *Network {
+	mk := func(cfg Config, tab *routing.Table, rc runConfig) func(t *testing.T) *Network {
 		return func(t *testing.T) *Network {
-			if cfg.Seed == 0 {
-				cfg.Seed = 11
+			if rc.seed == 0 {
+				rc.seed = 11
 			}
-			nw, err := New(cfg, tab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return nw
-		}
-	}
-	withLats := func(f func(t *testing.T) *Network, lats *LinkLatencies) func(t *testing.T) *Network {
-		return func(t *testing.T) *Network {
-			nw := f(t)
-			if err := nw.SetLinkLatencies(lats); err != nil {
-				t.Fatal(err)
-			}
-			return nw
+			return build(t, cfg, tab, rc)
 		}
 	}
 	uniform := func(load float64, msgs int) func(nw *Network) Stats {
@@ -149,13 +136,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{Cycle: 300, Cut: [][2]int32{{0, 1}, {5, 6}}, Kill: []int32{9}},
 		{Cycle: 900, Restore: [][2]int32{{0, 1}, {5, 6}}, Revive: []int32{9}},
 	}
-	tenantNet := func(t *testing.T) *Network {
-		nw := withLats(mk(Config{Topo: ring, Concentration: 2, Seed: 4, Schedule: ringSched}, ringTab), testLatTable(ring))(t)
-		if err := nw.SetTenants(&TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}); err != nil {
-			t.Fatal(err)
-		}
-		return nw
-	}
+	tenantNet := mk(Config{Topo: ring, Concentration: 2}, ringTab, runConfig{seed: 4, sched: ringSched,
+		lats: testLatTable(ring), tenants: &TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}})
 
 	// RunBatches: 16 rounds of 600 random messages.
 	batches := func(nw *Network) Stats {
@@ -177,24 +159,24 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 	cases := []invarianceCase{
 		{name: "tie-free-neighbor", shards: 4,
-			net: mk(Config{Topo: lps, Concentration: 1}, lpsTab), run: neighbor(lps, 64)},
+			net: mk(Config{Topo: lps, Concentration: 1}, lpsTab, runConfig{}), run: neighbor(lps, 64)},
 		{name: "minimal-past-8192", shards: 4,
-			net: mk(Config{Topo: lps, Concentration: 4}, lpsTab), run: uniform(0.5, 64), exercised: bigRun},
+			net: mk(Config{Topo: lps, Concentration: 4}, lpsTab, runConfig{}), run: uniform(0.5, 64), exercised: bigRun},
 		{name: "valiant", shards: 4,
-			net: mk(Config{Topo: lps, Concentration: 2, Policy: routing.Valiant}, lpsTab), run: uniform(0.35, 16)},
+			net: mk(Config{Topo: lps, Concentration: 2}, lpsTab, runConfig{policy: routing.Valiant}), run: uniform(0.35, 16)},
 		{name: "ugal-l-past-8192", shards: 4,
-			net: mk(Config{Topo: lps, Concentration: 4, Policy: routing.UGALL}, lpsTab), run: uniform(streamGateLoad, streamGateMsgs), exercised: bigRun},
+			net: mk(Config{Topo: lps, Concentration: 4}, lpsTab, runConfig{policy: routing.UGALL}), run: uniform(streamGateLoad, streamGateMsgs), exercised: bigRun},
 		{name: "ugal-g", shards: 1,
-			net: mk(Config{Topo: lps, Concentration: 2, Policy: routing.UGALG}, lpsTab), run: uniform(0.2, 8)},
+			net: mk(Config{Topo: lps, Concentration: 2}, lpsTab, runConfig{policy: routing.UGALG}), run: uniform(0.2, 8)},
 		{name: "damaged", shards: 4,
-			net: mk(Config{Topo: lps, Concentration: 2, DeadRouters: dead, Policy: routing.Valiant}, lpsTab), run: uniform(0.2, 16),
+			net: mk(Config{Topo: lps, Concentration: 2}, lpsTab, runConfig{dead: dead, policy: routing.Valiant}), run: uniform(0.2, 16),
 			exercised: func(st Stats) bool { return st.Dropped > 0 }},
 		{name: "kill-revive-schedule", shards: 4,
-			net: mk(Config{Topo: lps, Concentration: 1, Schedule: killRevive}, lpsTab), run: neighbor(lps, 48), exercised: severed},
+			net: mk(Config{Topo: lps, Concentration: 1}, lpsTab, runConfig{sched: killRevive}), run: neighbor(lps, 48), exercised: severed},
 		{name: "churn-timed-pattern", shards: 4,
-			net: mk(Config{Topo: lps, Concentration: 4, Schedule: churn}, lpsTab), run: shifting},
+			net: mk(Config{Topo: lps, Concentration: 4}, lpsTab, runConfig{sched: churn}), run: shifting},
 		{name: "rewiring-timed-pattern", shards: 4,
-			net: mk(Config{Topo: union, Concentration: 2, Seed: 21, Schedule: rewire}, unionTab),
+			net: mk(Config{Topo: union, Concentration: 2}, unionTab, runConfig{seed: 21, sched: rewire}),
 			run: func(nw *Network) Stats {
 				nep := nw.Endpoints()
 				return nw.RunLoad(func(src int, now int64, rng *rand.Rand) int {
@@ -202,9 +184,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 				}, 0.3, 20)
 			}},
 		{name: "het-latencies", shards: 4,
-			net: withLats(mk(Config{Topo: lps, Concentration: 4}, lpsTab), testLatTable(lps)), run: uniform(streamGateLoad, 16)},
+			net: mk(Config{Topo: lps, Concentration: 4}, lpsTab, runConfig{lats: testLatTable(lps)}), run: uniform(streamGateLoad, 16)},
 		{name: "het-latencies-tie-free", shards: 4,
-			net: withLats(mk(Config{Topo: lps, Concentration: 1}, lpsTab), testLatTable(lps)), run: neighbor(lps, 64)},
+			net: mk(Config{Topo: lps, Concentration: 1}, lpsTab, runConfig{lats: testLatTable(lps)}), run: neighbor(lps, 64)},
 		{name: "tenants-schedule", shards: 4,
 			net: tenantNet,
 			run: func(nw *Network) Stats {
@@ -220,9 +202,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 			},
 			exercised: func(st Stats) bool { return len(st.Tenants) == 2 && st.SeveredInFlight > 0 }},
 		{name: "batches-past-8192", shards: 4,
-			net: mk(Config{Topo: lps, Concentration: 2, Policy: routing.UGALL}, lpsTab), run: batches, exercised: bigRun},
+			net: mk(Config{Topo: lps, Concentration: 2}, lpsTab, runConfig{policy: routing.UGALL}), run: batches, exercised: bigRun},
 		{name: "tiny-topology", shards: 1,
-			net: mk(Config{Topo: tiny, Concentration: 2}, routing.NewTable(tiny)), run: uniform(0.3, 8)},
+			net: mk(Config{Topo: tiny, Concentration: 2}, routing.NewTable(tiny), runConfig{}), run: uniform(0.3, 8)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

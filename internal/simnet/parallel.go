@@ -44,7 +44,7 @@ import (
 // absorbs the arrivals other shards queued for it (their keys, not the
 // merge order, decide where they pop).
 //
-// A timed topology schedule (Config.Schedule) rides on the same loop
+// A timed topology schedule (SetSchedule) rides on the same loop
 // for every P: a fault.EdgeCursor ends every drain at the next change
 // cycle (for P = 1 that is the only window end), and a change at cycle
 // C applies between drains once the earliest pending event has reached
@@ -74,13 +74,13 @@ type kwayCache struct {
 // few routers (the barrier overhead would swamp the win long before).
 const minShardRouters = 4
 
-// parWorkers resolves Config.Workers to the run's shard count. UGAL-G
-// runs on one shard, because it samples backlog along whole paths
-// (remote shards' port state); it still takes the same code path and
-// gives the same statistics.
+// parWorkers resolves the SetWorkers count to the run's shard count.
+// UGAL-G runs on one shard, because it samples backlog along whole
+// paths (remote shards' port state); it still takes the same code path
+// and gives the same statistics.
 func (nw *Network) parWorkers() int {
-	w := nw.cfg.Workers
-	if w <= 1 || nw.cfg.Policy == routing.UGALG {
+	w := nw.run.workers
+	if w <= 1 || nw.run.policy == routing.UGALG {
 		return 1
 	}
 	if most := nw.n / minShardRouters; w > most {
@@ -101,14 +101,14 @@ func (nw *Network) parWorkers() int {
 // decide where barriers fall, and each router's event order is
 // (time, canonical key) regardless of barrier placement.
 func (nw *Network) minCutLatency(shardOf []int32) int64 {
-	if nw.lats == nil {
+	if nw.run.lats == nil {
 		return LinkLatency
 	}
 	min := int64(math.MaxInt64)
 	for r := 0; r < nw.n; r++ {
 		for slot, w := range nw.cfg.Topo.Neighbors(r) {
-			if shardOf[r] != shardOf[w] && nw.lats.Port[r][slot] < min {
-				min = nw.lats.Port[r][slot]
+			if shardOf[r] != shardOf[w] && nw.run.lats.Port[r][slot] < min {
+				min = nw.run.lats.Port[r][slot]
 			}
 		}
 	}
@@ -162,8 +162,8 @@ func (nw *Network) begin(pattern PatternFunc, meanGap float64, msgsPerEP int) []
 		}
 	}
 	for s, sh := range nw.views {
-		sh.cfg, sh.table, sh.tbl, sh.live = nw.cfg, nw.table, nw.tbl, nw.live
-		sh.n, sh.nep, sh.dead, sh.lats, sh.tenants = nw.n, nw.nep, nw.dead, nw.lats, nw.tenants
+		sh.cfg, sh.run, sh.table, sh.tbl, sh.live = nw.cfg, nw.run, nw.table, nw.tbl, nw.live
+		sh.n, sh.nep = nw.n, nw.nep
 		sh.portFree, sh.injFree, sh.ejFree, sh.gens = nw.portFree, nw.injFree, nw.ejFree, nw.gens
 		sh.pattern, sh.meanGap = pattern, meanGap
 		sh.msgs, sh.injBase = nw.msgs, nw.injBase
@@ -226,7 +226,7 @@ func (nw *Network) drive() {
 		drain, stop = nw.startShards()
 		defer stop()
 	}
-	edges := nw.cfg.Schedule.Cursor()
+	edges := nw.run.sched.Cursor()
 	for {
 		next := int64(math.MaxInt64)
 		for _, sh := range shards {
@@ -241,7 +241,7 @@ func (nw *Network) drive() {
 			if !ok {
 				break
 			}
-			nw.applyTopo(ci, nw.cfg.Schedule[ci].Cycle)
+			nw.applyTopo(ci, nw.run.sched[ci].Cycle)
 			for _, sh := range shards {
 				sh.tbl = nw.tbl
 			}

@@ -78,13 +78,7 @@ func TestScheduleParallelSpeedupGate(t *testing.T) {
 	}
 	mk := func(workers int) *Network {
 		tab := routing.NewTable(inst.G)
-		nw, err := New(Config{
-			Topo: inst.G, Concentration: 4, Seed: 11,
-			Schedule: sched, Workers: workers,
-		}, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nw := build(t, Config{Topo: inst.G, Concentration: 4}, tab, runConfig{seed: 11, sched: sched, workers: workers})
 		return nw
 	}
 	serialNet, parNet := mk(0), mk(4)
@@ -125,13 +119,7 @@ func TestParallelDamagedConservation(t *testing.T) {
 	}
 	for _, pol := range []routing.Policy{routing.Minimal, routing.Valiant} {
 		run := func(workers int) Stats {
-			nw, err := New(Config{
-				Topo: inst.G, Concentration: 2, Seed: 11,
-				DeadRouters: dead, Policy: pol, Workers: workers,
-			}, tab)
-			if err != nil {
-				t.Fatal(err)
-			}
+			nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 11, dead: dead, policy: pol, workers: workers})
 			return nw.RunLoad(uniformPattern(nw.Endpoints()), 0.2, 16)
 		}
 		serial, par := run(1), run(4)

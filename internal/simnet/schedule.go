@@ -8,7 +8,7 @@ import (
 	"repro/internal/routing"
 )
 
-// Timed topology events (Config.Schedule): the live-topology half of
+// Timed topology events (SetSchedule): the live-topology half of
 // the simulator. A scheduled run owns one liveTopo — the link/router
 // masks plus the live routing table — and applies each fault.Change to
 // it exactly once, in schedule order, between drains of the run loop
@@ -39,16 +39,16 @@ type liveTopo struct {
 // newLiveTopo builds the live state of a fresh scheduled run: masks
 // start from the static configuration, the table from the pristine
 // instance table.
-func newLiveTopo(sched fault.Schedule, nw *Network) *liveTopo {
+func newLiveTopo(nw *Network) *liveTopo {
 	lt := &liveTopo{
-		sched:    sched,
+		sched:    nw.run.sched,
 		g:        nw.cfg.Topo,
 		deadRun:  make([]bool, nw.n),
 		downPort: make([][]bool, nw.n),
 		tbl:      nw.table,
 	}
-	if nw.dead != nil {
-		copy(lt.deadRun, nw.dead)
+	if nw.run.dead != nil {
+		copy(lt.deadRun, nw.run.dead)
 	}
 	for r := 0; r < nw.n; r++ {
 		lt.downPort[r] = make([]bool, nw.cfg.Topo.Degree(r))
@@ -135,7 +135,7 @@ func (nw *Network) deadNow(r int32) bool {
 	if nw.live != nil {
 		return nw.live.deadRun[r]
 	}
-	return nw.isDead(r)
+	return nw.run.dead != nil && nw.run.dead[r]
 }
 
 // applyTopo applies schedule change ci at cycle now: mutate the live

@@ -78,10 +78,7 @@ func runChurnConservation(t *testing.T, seed int64, kindRaw, periodRaw, outageRa
 		t.Fatalf("churn spec rejected valid-by-construction params: %v", err)
 	}
 	tab := routing.NewTable(g)
-	nw, err := New(Config{Topo: g, Concentration: 2, Seed: seed, Schedule: sched}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: seed, sched: sched})
 	nep, period := nw.Endpoints(), spec.Period
 	pattern := []PatternFunc{
 		func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) },
@@ -135,10 +132,7 @@ func TestScheduleEmptyMatchesNil(t *testing.T) {
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
 	var got [2]Stats
 	for i, sched := range []fault.Schedule{nil, {}} {
-		nw, err := New(Config{Topo: inst.G, Concentration: 2, Seed: 9, Schedule: sched}, tab)
-		if err != nil {
-			t.Fatal(err)
-		}
+		nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 9, sched: sched})
 		got[i] = nw.RunLoad(pattern, 0.4, 12)
 	}
 	if !reflect.DeepEqual(got[0], got[1]) {
@@ -156,10 +150,7 @@ func TestScheduleRoundTripBeforeTrafficIsLossless(t *testing.T) {
 	cut := [][2]int32{{0, 1}, {3, 5}, {7, 8}}
 	sched := fault.Schedule{{Cycle: 0, Cut: cut, Restore: cut}}
 	tab := routing.NewTable(g)
-	nw, err := New(Config{Topo: g, Concentration: 2, Seed: 3, Schedule: sched}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 3, sched: sched})
 	atEnd := hookConservation(t, nw)
 	st := nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.3, 10)
 	atEnd()
@@ -191,10 +182,7 @@ func TestSeveredInFlightAccounting(t *testing.T) {
 	}
 	sched := fault.Schedule{{Cycle: 400, Cut: cut, Kill: kill}}
 	tab := routing.NewTable(g)
-	nw, err := New(Config{Topo: g, Concentration: 2, Seed: 12, Schedule: sched}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 12, sched: sched})
 	atEnd := hookConservation(t, nw)
 	st := nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.8, 30)
 	atEnd()
@@ -234,10 +222,7 @@ func TestRewiringScheduleUnderShiftingTraffic(t *testing.T) {
 	}
 	union := graph.FromEdges(n, append(append([][2]int32{}, cfgA...), cfgB...))
 	tab := routing.NewTable(union)
-	nw, err := New(Config{Topo: union, Concentration: 2, Seed: 21, Schedule: sched}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: union, Concentration: 2}, tab, runConfig{seed: 21, sched: sched})
 	// One shard, then four (n=16 routers caps at 4 shards).
 	for _, workers := range []int{0, 4} {
 		nw.SetWorkers(workers)
@@ -255,21 +240,14 @@ func TestRewiringScheduleUnderShiftingTraffic(t *testing.T) {
 	}
 }
 
-func TestNewRejectsInvalidSchedule(t *testing.T) {
+func TestSetScheduleRejectsInvalid(t *testing.T) {
 	g := chordRing(8)
-	tab := routing.NewTable(g)
+	nw := build(t, Config{Topo: g}, routing.NewTable(g), runConfig{})
 	bad := fault.Schedule{{Cycle: 5, Cut: [][2]int32{{0, 4}}}} // not an edge
-	if _, err := New(Config{Topo: g, Schedule: bad}, tab); err == nil {
-		t.Fatal("New accepted a schedule cutting a non-edge")
-	}
-	nw, err := New(Config{Topo: g}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := nw.SetSchedule(bad); err == nil {
-		t.Error("SetSchedule accepted an invalid schedule")
+		t.Error("SetSchedule accepted a schedule cutting a non-edge")
 	}
-	if len(nw.cfg.Schedule) != 0 {
+	if len(nw.run.sched) != 0 {
 		t.Error("rejected schedule was installed anyway")
 	}
 	good := fault.Schedule{{Cycle: 5, Cut: [][2]int32{{0, 1}}}}
@@ -281,10 +259,7 @@ func TestNewRejectsInvalidSchedule(t *testing.T) {
 func TestRunBatchesRejectsSchedule(t *testing.T) {
 	g := chordRing(8)
 	tab := routing.NewTable(g)
-	nw, err := New(Config{Topo: g, Schedule: fault.Schedule{{Cycle: 1, Kill: []int32{0}}}}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: g}, tab, runConfig{sched: fault.Schedule{{Cycle: 1, Kill: []int32{0}}}})
 	if _, err := nw.RunBatches([][]Message{{{SrcEP: 0, DstEP: 1}}}); err == nil {
 		t.Error("RunBatches accepted a topology-event schedule")
 	}

@@ -52,46 +52,14 @@ import (
 	"repro/internal/routing"
 )
 
-// Config describes a simulated network instance.
+// Config describes a simulated network instance. Every per-run setting
+// has its own setter on the Network (SetPolicy, SetSeed, ...).
 type Config struct {
 	// Topo is the router-level topology.
 	Topo *graph.Graph
 	// Concentration is the number of endpoints attached to each router
 	// (0 means 1; negative is an error).
 	Concentration int
-	// Policy is the routing algorithm. Default Minimal.
-	Policy routing.Policy
-	// DeadRouters marks failed routers (nil = none). A dead router
-	// cannot source, sink or switch traffic: messages to or from its
-	// endpoints are dropped at the NIC and counted in Stats.Dropped.
-	// Length must equal Topo.N() when non-nil.
-	DeadRouters []bool
-	// Schedule lists timed topology events — link cuts/restores, router
-	// kills/revivals, planned rewiring steps — applied mid-run at their
-	// cycles (fault.Schedule; see DESIGN.md §10). At each event the
-	// run's routing table is re-derived (Table.Repair for cuts,
-	// Table.Restore for restores, each sharing every unchanged row) and
-	// subsequent hops route on the new table; a packet whose traversed
-	// link is down at its arrival instant, or that arrives at a dead
-	// router, is dropped and counted in Stats.SeveredInFlight. Every
-	// pair must be an edge of Topo (restores bring base-topology links
-	// back — the schedule can never grow the topology past Topo).
-	// Nil/empty means a static topology and changes nothing. The run
-	// loop ends its drain windows at change cycles and applies each
-	// change between drains, after every event before the change cycle
-	// and before any event at or after it (DESIGN.md §10). RunBatches
-	// returns an error on a scheduled instance: motif rounds have no
-	// global clock a schedule could be pinned to.
-	Schedule fault.Schedule
-	// Seed drives all randomized choices.
-	Seed int64
-	// Workers is the number of shards a run is split into (0 and 1
-	// mean one). It is a speed knob only: every run's statistics are
-	// identical for every value (MemoryBytes aside, which counts the
-	// shards' real memory). Runs the shards cannot express — UGAL-G and
-	// topologies under 4 routers per shard — use fewer shards, down to
-	// one (see parWorkers).
-	Workers int
 }
 
 // The model's fixed timing, in cycles: a packet serializes through a
@@ -105,13 +73,6 @@ const (
 	LinkLatency   int64 = 10
 )
 
-func (c Config) withDefaults() Config {
-	if c.Concentration == 0 {
-		c.Concentration = 1
-	}
-	return c
-}
-
 // Network is a simulation instance. It may be reused across runs; each
 // run resets all port and statistics state. The topology, routing
 // table and port maps are immutable after New and shared by Clone.
@@ -121,18 +82,9 @@ type Network struct {
 	n     int // routers
 	nep   int // endpoints
 
-	// dead marks failed routers (shared read-only across clones; nil
-	// when the instance is undamaged).
-	dead []bool
-
-	// lats is the optional per-link wire-latency table (read-only once
-	// set; nil = the uniform LinkLatency constant, preserving the
-	// historical arithmetic bit for bit). Set per clone like dead.
-	lats *LinkLatencies
-
-	// tenants is the optional multi-tenant workload configuration
-	// (read-only once set; nil = single-tenant run). Set per clone.
-	tenants *TenantConfig
+	// run is the per-run configuration the setters write. Clone and
+	// the shard views of a run copy it whole.
+	run runConfig
 
 	// ---- mutable per-run state (private to each clone) ----
 
@@ -222,6 +174,20 @@ type Network struct {
 	// kways memoizes KWay shard assignments per worker count (shared
 	// across clones of an instance, like the routing table).
 	kways *kwayCache
+}
+
+// runConfig holds a Network's per-run settings, each written only by
+// its setter. What its fields point at is read-only once set, so
+// clones and shard views share it. The zero value is a Minimal,
+// one-shard, undamaged, static, uniform-wire, single-tenant run.
+type runConfig struct {
+	policy  routing.Policy
+	seed    int64
+	workers int
+	dead    []bool
+	sched   fault.Schedule
+	lats    *LinkLatencies
+	tenants *TenantConfig
 }
 
 // packet is an in-flight message.
@@ -373,7 +339,9 @@ func (s Stats) DeliveredFraction() float64 {
 
 // New builds a simulation instance over the given routing table.
 func New(cfg Config, table *routing.Table) (*Network, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Concentration == 0 {
+		cfg.Concentration = 1
+	}
 	if cfg.Topo == nil || table == nil {
 		return nil, fmt.Errorf("simnet: nil topology or table")
 	}
@@ -384,61 +352,66 @@ func New(cfg Config, table *routing.Table) (*Network, error) {
 		return nil, fmt.Errorf("simnet: routing table built for a different graph")
 	}
 	n := cfg.Topo.N()
-	if cfg.DeadRouters != nil && len(cfg.DeadRouters) != n {
-		return nil, fmt.Errorf("simnet: DeadRouters length %d, want %d", len(cfg.DeadRouters), n)
-	}
-	if err := cfg.Schedule.Validate(cfg.Topo); err != nil {
-		return nil, fmt.Errorf("simnet: %w", err)
-	}
 	nw := &Network{
 		cfg:   cfg,
 		table: table,
 		n:     n,
 		nep:   n * cfg.Concentration,
-		dead:  cfg.DeadRouters,
 		kways: &kwayCache{},
 	}
 	return nw, nil
 }
 
 // Clone returns an independent simulation instance over the same
-// topology and configuration. The immutable half (topology, routing
+// topology and per-run settings. The immutable half (topology, routing
 // table, port maps) is shared read-only; all run state is private, so
 // clones may run concurrently with each other and with the receiver.
-// Use SetPolicy/SetSeed to vary the per-run configuration of a clone.
+// The setters vary the per-run settings of a clone.
 func (nw *Network) Clone() *Network {
 	return &Network{
-		cfg:     nw.cfg,
-		table:   nw.table,
-		n:       nw.n,
-		nep:     nw.nep,
-		dead:    nw.dead,
-		lats:    nw.lats,
-		tenants: nw.tenants,
-		kways:   nw.kways,
+		cfg:   nw.cfg,
+		table: nw.table,
+		n:     nw.n,
+		nep:   nw.nep,
+		run:   nw.run,
+		kways: nw.kways,
 	}
 }
 
-// SetPolicy overrides the routing policy for subsequent runs.
-func (nw *Network) SetPolicy(p routing.Policy) { nw.cfg.Policy = p }
+// SetPolicy sets the routing algorithm for subsequent runs (default
+// Minimal). It panics on a policy that is not Valid: every façade and
+// sweep entry checks the policy first.
+func (nw *Network) SetPolicy(p routing.Policy) {
+	if !p.Valid() {
+		panic(fmt.Sprintf("simnet: unknown routing policy %d", int(p)))
+	}
+	nw.run.policy = p
+}
 
-// SetSeed overrides the random seed for subsequent runs.
-func (nw *Network) SetSeed(s int64) { nw.cfg.Seed = s }
+// SetSeed sets the seed that drives every randomized choice of
+// subsequent runs (default 0).
+func (nw *Network) SetSeed(s int64) { nw.run.seed = s }
 
-// SetWorkers overrides the shard count for subsequent runs (see
-// Config.Workers).
-func (nw *Network) SetWorkers(w int) { nw.cfg.Workers = w }
+// SetWorkers sets the number of shards subsequent runs are split into
+// (0 and 1 mean one). It is a speed knob only: every run's statistics
+// are identical for every value (MemoryBytes aside, which counts the
+// shards' real memory). Runs the shards cannot express — UGAL-G and
+// topologies under 4 routers per shard — use fewer shards, down to one
+// (see parWorkers).
+func (nw *Network) SetWorkers(w int) { nw.run.workers = w }
 
-// SetDeadRouters overrides the failed-router mask for subsequent runs
-// (nil = none). The mask is read-only and must have length Topo.N();
-// the sweep engine applies one plan's mask to each clone of a damaged
-// prototype. Like SetSchedule it returns an error — leaving the
-// previous mask in place — rather than panicking.
+// SetDeadRouters sets the failed-router mask for subsequent runs (nil
+// = none). A dead router cannot source, sink or switch traffic:
+// messages to or from its endpoints are dropped at the NIC and counted
+// in Stats.Dropped. The mask is read-only and must have length
+// Topo.N(); the sweep engine applies one plan's mask to each clone of
+// a damaged prototype. Like SetSchedule it returns an error — leaving
+// the previous mask in place — rather than panicking.
 func (nw *Network) SetDeadRouters(mask []bool) error {
 	if mask != nil && len(mask) != nw.n {
 		return fmt.Errorf("simnet: DeadRouters length %d, want %d", len(mask), nw.n)
 	}
-	nw.dead = mask
+	nw.run.dead = mask
 	return nil
 }
 
@@ -480,7 +453,7 @@ func (nw *Network) SetLinkLatencies(lat *LinkLatencies) error {
 			return fmt.Errorf("simnet: LinkLatencies.NIC = %d, want >= 0", lat.NIC)
 		}
 	}
-	nw.lats = lat
+	nw.run.lats = lat
 	return nil
 }
 
@@ -489,8 +462,8 @@ func (nw *Network) SetLinkLatencies(lat *LinkLatencies) error {
 // constant otherwise. This is the hot-path lookup behind every
 // router-to-router hop.
 func (nw *Network) linkLat(r int32, slot int) int64 {
-	if nw.lats != nil {
-		return nw.lats.Port[r][slot]
+	if nw.run.lats != nil {
+		return nw.run.lats.Port[r][slot]
 	}
 	return LinkLatency
 }
@@ -498,28 +471,39 @@ func (nw *Network) linkLat(r int32, slot int) int64 {
 // nicLat returns the NIC↔router wire latency (injection and ejection
 // hops).
 func (nw *Network) nicLat() int64 {
-	if nw.lats != nil && nw.lats.NIC > 0 {
-		return nw.lats.NIC
+	if nw.run.lats != nil && nw.run.lats.NIC > 0 {
+		return nw.run.lats.NIC
 	}
 	return LinkLatency
 }
 
-// SetSchedule overrides the timed topology-event schedule for
-// subsequent runs (nil = static; see Config.Schedule). It returns an
-// error — and leaves the previous schedule in place — on a schedule
-// that is invalid for the instance's topology, the same conditions
-// New enforces, so a sweep can fail one cell instead of crashing the
-// process.
+// SetSchedule sets the timed topology events — link cuts/restores,
+// router kills/revivals, planned rewiring steps — that subsequent runs
+// apply mid-run at their cycles (fault.Schedule; see DESIGN.md §10).
+// At each event the run's routing table is re-derived (Table.Repair
+// for cuts, Table.Restore for restores, each sharing every unchanged
+// row) and subsequent hops route on the new table; a packet whose
+// traversed link is down at its arrival instant, or that arrives at a
+// dead router, is dropped and counted in Stats.SeveredInFlight. Every
+// pair must be an edge of Topo (restores bring base-topology links
+// back — the schedule can never grow the topology past Topo).
+// Nil/empty means a static topology and changes nothing. The run loop
+// ends its drain windows at change cycles and applies each change
+// between drains, after every event before the change cycle and before
+// any event at or after it. RunBatches returns an error while a
+// schedule is set: motif rounds have no global clock a schedule could
+// be pinned to.
+//
+// SetSchedule returns an error — and leaves the previous schedule in
+// place — on a schedule that is invalid for the instance's topology,
+// so a sweep can fail one cell instead of crashing the process.
 func (nw *Network) SetSchedule(s fault.Schedule) error {
 	if err := s.Validate(nw.cfg.Topo); err != nil {
 		return fmt.Errorf("simnet: %w", err)
 	}
-	nw.cfg.Schedule = s
+	nw.run.sched = s
 	return nil
 }
-
-// isDead reports whether router r is failed.
-func (nw *Network) isDead(r int32) bool { return nw.dead != nil && nw.dead[r] }
 
 // Endpoints returns the number of attached endpoints.
 func (nw *Network) Endpoints() int { return nw.nep }
@@ -548,8 +532,8 @@ func (nw *Network) reset() {
 		clear(nw.ejFree)
 	}
 	nw.tbl = nw.table
-	if len(nw.cfg.Schedule) > 0 {
-		nw.live = newLiveTopo(nw.cfg.Schedule, nw)
+	if len(nw.run.sched) > 0 {
+		nw.live = newLiveTopo(nw)
 	} else {
 		nw.live = nil
 	}
@@ -646,7 +630,7 @@ func (nw *Network) newMessage(src, dst int32, created, uid int64) int32 {
 		interm:    -2, // routing decision pending
 		created:   created,
 		uid:       uid,
-		rng:       mixSeed(nw.cfg.Seed, int64(nw.nep)+uid),
+		rng:       mixSeed(nw.run.seed, int64(nw.nep)+uid),
 	})
 }
 
@@ -718,7 +702,7 @@ func (p *packet) routeTarget() int32 {
 // the others draw one intermediate, then whatever detour needs.
 func (nw *Network) decidePolicy(p *packet, r int32, now int64) {
 	p.interm, p.phase = -1, 1
-	if nw.cfg.Policy == routing.Minimal || p.dstRouter == r {
+	if nw.run.policy == routing.Minimal || p.dstRouter == r {
 		return
 	}
 	interm := nw.chooseValiantIntermediate(r, p.dstRouter)
@@ -736,7 +720,7 @@ func (nw *Network) decidePolicy(p *packet, r int32, now int64) {
 // backlog weighted by hop count, UGAL-G the backlog along sampled
 // paths. A missing hop or path keeps the packet minimal.
 func (nw *Network) detour(r, interm, dst int32, now int64) bool {
-	switch nw.cfg.Policy {
+	switch nw.run.policy {
 	case routing.UGALL:
 		_, minHop := nw.nextHop(r, dst)
 		_, valHop := nw.nextHop(r, interm)
@@ -755,7 +739,7 @@ func (nw *Network) detour(r, interm, dst int32, now int64) bool {
 		cRest, okRest := nw.pathCost(int(interm), int(dst), now)
 		return okMin && okVia && okRest && cVia+cRest < cMin
 	}
-	return true
+	return true // Valiant (SetPolicy admits nothing else here)
 }
 
 // pathCost samples one shortest path and sums queueing backlog plus
@@ -981,7 +965,7 @@ func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Sta
 	nw.begin(pattern, float64(PacketFlits)/load, msgsPerEP)
 	for ep := range nw.gens {
 		g := &nw.gens[ep]
-		g.src.state = mixSeed(nw.cfg.Seed, int64(ep))
+		g.src.state = mixSeed(nw.run.seed, int64(ep))
 		if g.rng == nil {
 			g.rng = rand.New(&g.src)
 		}
@@ -1053,12 +1037,12 @@ type Message struct {
 // synchronization of the motif's communication phases). Returned
 // Makespan spans all rounds; MeanLatency is the delivered-weighted mean
 // over every round and P99Latency is the percentile of the pooled
-// per-message latencies. It returns an error on an instance with a
-// topology-event schedule: a motif round has no global clock the
+// per-message latencies. It returns an error while a topology-event
+// schedule is set (SetSchedule): a motif round has no global clock the
 // schedule could be pinned to (each round restarts at the previous
 // drain point), so timed topology events are meaningless here.
 func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
-	if len(nw.cfg.Schedule) > 0 {
+	if len(nw.run.sched) > 0 {
 		return Stats{}, fmt.Errorf("simnet: RunBatches does not support a topology-event schedule")
 	}
 	shards := nw.begin(nil, 0, 0)
@@ -1073,7 +1057,7 @@ func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
 			sh := nw.ownerOf(nw.routerOf(src))
 			sh.stats.Offered++
 			sh.tenOffered(src)
-			if nw.isDead(nw.routerOf(src)) || nw.isDead(nw.routerOf(dst)) {
+			if nw.deadNow(nw.routerOf(src)) || nw.deadNow(nw.routerOf(dst)) {
 				sh.dropRun++
 				continue
 			}

@@ -20,10 +20,7 @@ func TestSimulationOnDamagedTopologyDropsGracefully(t *testing.T) {
 	b.AddEdge(4, 5)
 	g := b.Build()
 	tab := routing.NewTable(g)
-	nw, err := New(Config{Topo: g, Concentration: 1, Seed: 1}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: g, Concentration: 1}, tab, runConfig{seed: 1})
 	st := mustBatches(t, nw, [][]Message{{
 		{SrcEP: 0, DstEP: 2}, // same component: delivered
 		{SrcEP: 0, DstEP: 5}, // cross component: dropped
@@ -44,10 +41,7 @@ func TestSimulationAfterEdgeFailures(t *testing.T) {
 		t.Skip("rare: sample disconnected")
 	}
 	tab := routing.NewTable(damaged)
-	nw, err := New(Config{Topo: damaged, Concentration: 2, Seed: 2}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: damaged, Concentration: 2}, tab, runConfig{seed: 2})
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.2, 10)
 	if st.Delivered == 0 {
@@ -55,7 +49,7 @@ func TestSimulationAfterEdgeFailures(t *testing.T) {
 	}
 	// Mean hops must be at least the intact topology's average distance.
 	intactTab := routing.NewTable(inst.G)
-	intactNW, _ := New(Config{Topo: inst.G, Concentration: 2, Seed: 2}, intactTab)
+	intactNW := build(t, Config{Topo: inst.G, Concentration: 2}, intactTab, runConfig{seed: 2})
 	intactStats := intactNW.RunLoad(pattern, 0.2, 10)
 	if st.MeanHops < intactStats.MeanHops {
 		t.Errorf("damaged mean hops %.3f below intact %.3f", st.MeanHops, intactStats.MeanHops)
@@ -72,10 +66,7 @@ func TestOfferedDroppedAccounting(t *testing.T) {
 	b.AddEdge(4, 5)
 	g := b.Build()
 	tab := routing.NewTable(g)
-	nw, err := New(Config{Topo: g, Concentration: 1, Seed: 1}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: g, Concentration: 1}, tab, runConfig{seed: 1})
 	st := mustBatches(t, nw, [][]Message{{
 		{SrcEP: 0, DstEP: 2},
 		{SrcEP: 0, DstEP: 5},
@@ -99,10 +90,7 @@ func TestDeadRoutersDropAtNIC(t *testing.T) {
 	g := b.Build()
 	tab := routing.NewTable(g)
 	dead := []bool{false, false, true, false}
-	nw, err := New(Config{Topo: g, Concentration: 1, Seed: 1, DeadRouters: dead}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: g, Concentration: 1}, tab, runConfig{seed: 1, dead: dead})
 	st := mustBatches(t, nw, [][]Message{{
 		{SrcEP: 0, DstEP: 1}, // alive: delivered
 		{SrcEP: 0, DstEP: 2}, // to dead router: dropped
@@ -140,10 +128,7 @@ func TestValiantOnDamagedTopologyRoutesAroundFailures(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	damaged := inst.G.RemoveEdges(fault.SampleLinks(inst.G, 0.3, rng))
 	tab := routing.NewTable(damaged)
-	nw, err := New(Config{Topo: damaged, Concentration: 1, Policy: routing.Valiant, Seed: 4}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: damaged, Concentration: 1}, tab, runConfig{policy: routing.Valiant, seed: 4})
 	// All-pairs-ish batch: every endpoint sends to the next one.
 	var round []Message
 	for ep := 0; ep < nw.Endpoints(); ep++ {
@@ -169,10 +154,7 @@ func TestUGALUnderHotspotSheddsToValiant(t *testing.T) {
 	// uncongested case.
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
-	nw, err := New(Config{Topo: inst.G, Concentration: 2, Policy: routing.UGALL, Seed: 3}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALL, seed: 3})
 	hot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(4) } // 4 hot endpoints
 	st := nw.RunLoad(hot, 0.6, 20)
 	if st.Delivered == 0 {

@@ -29,15 +29,34 @@ func mustBatches(tb testing.TB, nw *Network, rounds [][]Message) Stats {
 	return st
 }
 
-func mustNet(t *testing.T, g *graph.Graph, cfg Config) *Network {
-	t.Helper()
-	cfg.Topo = g
-	tab := routing.NewTable(g)
+// build returns a Network over cfg and tab with the per-run settings
+// rc applied through the setters, failing the test on any error.
+func build(tb testing.TB, cfg Config, tab *routing.Table, rc runConfig) *Network {
+	tb.Helper()
 	nw, err := New(cfg, tab)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
+	}
+	nw.SetPolicy(rc.policy)
+	nw.SetSeed(rc.seed)
+	nw.SetWorkers(rc.workers)
+	for _, err := range []error{
+		nw.SetDeadRouters(rc.dead),
+		nw.SetSchedule(rc.sched),
+		nw.SetLinkLatencies(rc.lats),
+		nw.SetTenants(rc.tenants),
+	} {
+		if err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return nw
+}
+
+// mustNet builds a Network over g with its own routing table.
+func mustNet(t *testing.T, g *graph.Graph, conc int, rc runConfig) *Network {
+	t.Helper()
+	return build(t, Config{Topo: g, Concentration: conc}, routing.NewTable(g), rc)
 }
 
 func TestSingleMessageLatency(t *testing.T) {
@@ -46,7 +65,7 @@ func TestSingleMessageLatency(t *testing.T) {
 	// port serialize S + link L, router latency R (at dest), eject
 	// serialize S + link L.
 	g := lineGraph(2)
-	nw := mustNet(t, g, Config{Concentration: 1, Seed: 1})
+	nw := mustNet(t, g, 1, runConfig{seed: 1})
 	st := mustBatches(t, nw, [][]Message{{{SrcEP: 0, DstEP: 1}}})
 	if st.Delivered != 1 {
 		t.Fatalf("delivered %d", st.Delivered)
@@ -68,7 +87,7 @@ func TestSameRouterDelivery(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1)
 	g := b.Build()
-	nw := mustNet(t, g, Config{Concentration: 2, Seed: 1})
+	nw := mustNet(t, g, 2, runConfig{seed: 1})
 	st := mustBatches(t, nw, [][]Message{{{SrcEP: 0, DstEP: 1}}})
 	if st.Delivered != 1 {
 		t.Fatalf("delivered %d", st.Delivered)
@@ -86,7 +105,7 @@ func TestSerializationContention(t *testing.T) {
 	// Two messages from the same endpoint must serialize through the
 	// injection port: the second is delayed by exactly PacketFlits.
 	g := lineGraph(2)
-	nw := mustNet(t, g, Config{Concentration: 1, Seed: 1})
+	nw := mustNet(t, g, 1, runConfig{seed: 1})
 	st := mustBatches(t, nw, [][]Message{{
 		{SrcEP: 0, DstEP: 1},
 		{SrcEP: 0, DstEP: 1},
@@ -106,8 +125,7 @@ func TestSerializationContention(t *testing.T) {
 
 func TestHopCountsMatchShortestPaths(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
-	cfg := Config{Concentration: 2, Seed: 3}
-	nw := mustNet(t, inst.G, cfg)
+	nw := mustNet(t, inst.G, 2, runConfig{seed: 3})
 	// One message between far endpoints under minimal routing: hop count
 	// must equal the router-level shortest-path distance.
 	tab := routing.NewTable(inst.G)
@@ -124,11 +142,7 @@ func TestVCBudgetMinimal(t *testing.T) {
 	// hop index must stay ≤ diameter.
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
-	cfg := Config{Topo: inst.G, Concentration: 2, Seed: 5}
-	nw, err := New(cfg, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 5})
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.3, 20)
 	if st.Delivered == 0 {
@@ -142,11 +156,8 @@ func TestVCBudgetMinimal(t *testing.T) {
 func TestVCBudgetValiant(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
-	cfg := Config{Topo: inst.G, Concentration: 2, Policy: routing.Valiant, Seed: 6}
-	nw, err := New(cfg, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Topo: inst.G, Concentration: 2}
+	nw := build(t, cfg, tab, runConfig{policy: routing.Valiant, seed: 6})
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.3, 20)
 	if int(st.MaxVC) > 2*tab.Diameter() {
@@ -156,8 +167,7 @@ func TestVCBudgetValiant(t *testing.T) {
 		t.Error("valiant policy never took a Valiant path")
 	}
 	// Valiant paths are longer on average than minimal ones.
-	cfgMin := Config{Topo: inst.G, Concentration: 2, Policy: routing.Minimal, Seed: 6}
-	nwMin, _ := New(cfgMin, tab)
+	nwMin := build(t, cfg, tab, runConfig{policy: routing.Minimal, seed: 6})
 	stMin := nwMin.RunLoad(pattern, 0.3, 20)
 	if st.MeanHops <= stMin.MeanHops {
 		t.Errorf("valiant mean hops %.2f should exceed minimal %.2f", st.MeanHops, stMin.MeanHops)
@@ -167,11 +177,7 @@ func TestVCBudgetValiant(t *testing.T) {
 func TestUGALPrefersMinimalWhenUncongested(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
-	cfg := Config{Topo: inst.G, Concentration: 2, Policy: routing.UGALL, Seed: 7}
-	nw, err := New(cfg, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALL, seed: 7})
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	st := nw.RunLoad(pattern, 0.05, 10) // very light load
 	frac := float64(st.ValiantTaken) / float64(st.Delivered)
@@ -183,11 +189,7 @@ func TestUGALPrefersMinimalWhenUncongested(t *testing.T) {
 func TestLatencyGrowsWithLoad(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
-	cfg := Config{Topo: inst.G, Concentration: 4, Seed: 8}
-	nw, err := New(cfg, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: inst.G, Concentration: 4}, tab, runConfig{seed: 8})
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
 	low := nw.RunLoad(pattern, 0.1, 40)
 	high := nw.RunLoad(pattern, 0.7, 40)
@@ -202,8 +204,7 @@ func TestRunLoadDeterministicPerSeed(t *testing.T) {
 	tab := routing.NewTable(inst.G)
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
 	mk := func() Stats {
-		cfg := Config{Topo: inst.G, Concentration: 2, Seed: 42}
-		nw, _ := New(cfg, tab)
+		nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 42})
 		return nw.RunLoad(pattern, 0.4, 25)
 	}
 	a, b := mk(), mk()
@@ -216,8 +217,7 @@ func TestBatchesRoundsAreSequenced(t *testing.T) {
 	// Two rounds must take longer than the same messages in one round
 	// can finish... at minimum, makespan(2 rounds) >= makespan(round 1).
 	g := lineGraph(3)
-	cfg := Config{Concentration: 1, Seed: 2}
-	nw := mustNet(t, g, cfg)
+	nw := mustNet(t, g, 1, runConfig{seed: 2})
 	r1 := mustBatches(t, nw, [][]Message{{{SrcEP: 0, DstEP: 2}}})
 	r2 := mustBatches(t, nw, [][]Message{
 		{{SrcEP: 0, DstEP: 2}},
@@ -264,6 +264,23 @@ func TestRunLoadInvalidLoadPanics(t *testing.T) {
 				}
 			}()
 			nw.RunLoad(func(int, int64, *rand.Rand) int { return 0 }, load, 1)
+		}()
+	}
+}
+
+// TestSetPolicyPanicsOnUnknown: a policy outside the named ones is a
+// caller's bug (every entry checks Valid first), not a run routed as
+// Valiant.
+func TestSetPolicyPanicsOnUnknown(t *testing.T) {
+	nw := mustNet(t, lineGraph(2), 1, runConfig{})
+	for _, p := range []routing.Policy{-1, routing.UGALG + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetPolicy(%d) did not panic", int(p))
+				}
+			}()
+			nw.SetPolicy(p)
 		}()
 	}
 }

@@ -15,10 +15,7 @@ func class1StreamNet(tb testing.TB) *Network {
 	tb.Helper()
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
-	nw, err := New(Config{Topo: inst.G, Concentration: 4, Seed: 11}, tab)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	nw := build(tb, Config{Topo: inst.G, Concentration: 4}, tab, runConfig{seed: 11})
 	return nw
 }
 

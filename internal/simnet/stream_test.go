@@ -99,8 +99,7 @@ func TestArrivalClockMeanGap(t *testing.T) {
 // source" sentinel is silent.
 func TestRunLoadPatternSkips(t *testing.T) {
 	g := lineGraph(2)
-	cfg := Config{Concentration: 2, Seed: 3} // endpoints 0..3
-	nw := mustNet(t, g, cfg)
+	nw := mustNet(t, g, 2, runConfig{seed: 3}) // endpoints 0..3
 	const msgs = 5
 	pattern := func(src int, _ int64, rng *rand.Rand) int {
 		switch src {
@@ -128,7 +127,7 @@ func TestRunLoadPatternSkips(t *testing.T) {
 
 func TestRunBatchesPatternSkips(t *testing.T) {
 	g := lineGraph(2)
-	nw := mustNet(t, g, Config{Concentration: 1, Seed: 1})
+	nw := mustNet(t, g, 1, runConfig{seed: 1})
 	st := mustBatches(t, nw, [][]Message{{
 		{SrcEP: 0, DstEP: 0},  // self
 		{SrcEP: 0, DstEP: 9},  // out of range
@@ -182,10 +181,7 @@ func disconnectedNet(t *testing.T, policy routing.Policy) *Network {
 	bld.AddEdge(2, 3)
 	g := bld.Build()
 	tab := routing.NewTable(g)
-	nw, err := New(Config{Topo: g, Concentration: 1, Policy: policy, Seed: 3}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: g, Concentration: 1}, tab, runConfig{policy: policy, seed: 3})
 	return nw
 }
 
@@ -209,10 +205,7 @@ func TestPathCostUnreachable(t *testing.T) {
 func TestUGALGMinimalFallbackNoIntermediate(t *testing.T) {
 	g := lineGraph(2)
 	tab := routing.NewTable(g)
-	nw, err := New(Config{Topo: g, Concentration: 1, Policy: routing.UGALG, Seed: 2}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: g, Concentration: 1}, tab, runConfig{policy: routing.UGALG, seed: 2})
 	nw.reset()
 	p := packet{srcEP: 0, dstEP: 1, dstRouter: 1, interm: -2}
 	nw.decidePolicy(&p, 0, 0)
@@ -246,7 +239,7 @@ func TestUGALGDamagedRun(t *testing.T) {
 // makespan — makespans compose additively on a deterministic path.
 func TestRunBatchesCarryover(t *testing.T) {
 	g := lineGraph(3)
-	mk := func() *Network { return mustNet(t, g, Config{Concentration: 1, Seed: 4}) }
+	mk := func() *Network { return mustNet(t, g, 1, runConfig{seed: 4}) }
 	r1 := mustBatches(t, mk(), [][]Message{{{SrcEP: 0, DstEP: 2}}})
 	r2 := mustBatches(t, mk(), [][]Message{{{SrcEP: 2, DstEP: 0}}})
 	nw := mk()
@@ -281,10 +274,7 @@ func TestRunBatchesCarryover(t *testing.T) {
 func TestRunLoadStreamBacklogBounded(t *testing.T) {
 	inst := topo.MustLPS(11, 7)
 	tab := routing.NewTable(inst.G)
-	nw, err := New(Config{Topo: inst.G, Concentration: 2, Seed: 9}, tab)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 9})
 	nep := nw.Endpoints()
 	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
 	const msgs = 40

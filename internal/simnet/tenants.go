@@ -59,16 +59,16 @@ func (nw *Network) SetTenants(tc *TenantConfig) error {
 			}
 		}
 	}
-	nw.tenants = tc
+	nw.run.tenants = tc
 	return nil
 }
 
 // gapOf returns the mean injection gap for one endpoint: its tenant's
 // load when tenants are configured, the run's global load otherwise.
 func (nw *Network) gapOf(ep int32) float64 {
-	if nw.tenants != nil {
-		if t := nw.tenants.OfEP[ep]; t >= 0 {
-			return float64(PacketFlits) / nw.tenants.Load[t]
+	if nw.run.tenants != nil {
+		if t := nw.run.tenants.OfEP[ep]; t >= 0 {
+			return float64(PacketFlits) / nw.run.tenants.Load[t]
 		}
 	}
 	return nw.meanGap
@@ -78,12 +78,12 @@ func (nw *Network) gapOf(ep int32) float64 {
 // view — the Network in reset, each shard view in begin, and the
 // Network again before fold merges its shards.
 func (nw *Network) resetTenants() {
-	if nw.tenants == nil {
+	if nw.run.tenants == nil {
 		nw.tenStats = nil
 		nw.tenLat = nil
 		return
 	}
-	k := len(nw.tenants.Load)
+	k := len(nw.run.tenants.Load)
 	nw.tenStats = make([]TenantStats, k)
 	if len(nw.tenLat) != k {
 		nw.tenLat = make([]latDigest, k)
@@ -96,10 +96,10 @@ func (nw *Network) resetTenants() {
 // tenOffered charges one offered message to the source endpoint's
 // tenant.
 func (nw *Network) tenOffered(srcEP int32) {
-	if nw.tenants == nil {
+	if nw.run.tenants == nil {
 		return
 	}
-	if t := nw.tenants.OfEP[srcEP]; t >= 0 {
+	if t := nw.run.tenants.OfEP[srcEP]; t >= 0 {
 		nw.tenStats[t].Offered++
 	}
 }
@@ -107,10 +107,10 @@ func (nw *Network) tenOffered(srcEP int32) {
 // tenDelivered charges one delivery and its end-to-end latency to the
 // source endpoint's tenant.
 func (nw *Network) tenDelivered(srcEP int32, lat int64) {
-	if nw.tenants == nil {
+	if nw.run.tenants == nil {
 		return
 	}
-	if t := nw.tenants.OfEP[srcEP]; t >= 0 {
+	if t := nw.run.tenants.OfEP[srcEP]; t >= 0 {
 		nw.tenStats[t].Delivered++
 		nw.tenLat[t].add(lat)
 	}
@@ -121,7 +121,7 @@ func (nw *Network) tenDelivered(srcEP int32, lat int64) {
 // the Dropped identity and the digest-derived mean/P99. Returns nil on
 // a single-tenant run so Stats.Tenants stays omitted from JSON.
 func (nw *Network) finalizeTenants() []TenantStats {
-	if nw.tenants == nil {
+	if nw.run.tenants == nil {
 		return nil
 	}
 	out := make([]TenantStats, len(nw.tenStats))

@@ -286,7 +286,7 @@ type Options struct {
 	// results are bit-identical for every value.
 	Parallel int
 	// Workers is each cell's simulator shard count (simnet
-	// Config.Workers), a speed knob only: statistics, content keys and
+	// SetWorkers), a speed knob only: statistics, content keys and
 	// output are identical for every value. When Workers >= 2 and
 	// Parallel is 0, the cell pool is sized GOMAXPROCS / Workers (at
 	// least 1) so cells × shards never oversubscribe the machine.
@@ -303,14 +303,6 @@ type Options struct {
 	// routing-table footprint at every batch and repair boundary; scale
 	// sweeps track their peak memory with it.
 	OnTableBytes func(bytes int64)
-	// OnSimBytes, when set, observes Stats.MemoryBytes of every
-	// completed simulation cell — the run loop's peak working set
-	// (event scheduler + packet arena + latency digest + port state).
-	// Saturation cells report nothing (their Stats are empty); scale
-	// sweeps track the peak simulator footprint with it. Cells replayed
-	// from the cache report their recorded footprint, so a warm run's
-	// observations match a cold one's.
-	OnSimBytes func(bytes int64)
 	// Cache, when set, short-circuits every cell whose content key
 	// (Grid.ContentKeys) is already stored and stores each newly
 	// computed cell before it is emitted — so an interrupted run keeps
@@ -437,6 +429,11 @@ func (g *Grid) validate() error {
 			if err := s.Schedule.Validate(inst.Inst.G); err != nil {
 				return fmt.Errorf("sweep: schedule axis %q on %s: %w", s.Name, inst.Name, err)
 			}
+		}
+	}
+	for _, p := range g.Policies {
+		if !p.Valid() {
+			return fmt.Errorf("sweep: unknown routing policy %d", int(p))
 		}
 	}
 	for _, ps := range [][]traffic.Pattern{g.Patterns, g.ShiftPatterns} {
@@ -826,9 +823,6 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 			for ; emitAt < upto; emitAt++ {
 				pl := p.cached[emitAt]
 				out := Result{Cell: p.sel[emitAt], Stats: pl.Stats, Saturation: pl.Saturation}
-				if opts.OnSimBytes != nil && out.Stats.MemoryBytes > 0 {
-					opts.OnSimBytes(out.Stats.MemoryBytes)
-				}
 				if err := emit(out); err != nil {
 					return err
 				}
@@ -858,9 +852,6 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 			out := Result{Cell: *t.c, Stats: t.stats, Saturation: t.sat}
 			if t.err != nil {
 				out.Err = fmt.Errorf("sweep: cell %q: %w", t.key, t.err)
-			}
-			if opts.OnSimBytes != nil && out.Err == nil && out.Stats.MemoryBytes > 0 {
-				opts.OnSimBytes(out.Stats.MemoryBytes)
 			}
 			// Store before emitting, so a run killed mid-emit still keeps
 			// the cell for its resume.

@@ -345,6 +345,10 @@ func TestValidate(t *testing.T) {
 		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3}, MsgsPerRank: -5},
 		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3}, Ranks: -3},
 		{Instances: testInstances(t), Measure: MeasureSaturation, Ranks: -3},
+		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3},
+			Policies: []routing.Policy{routing.Policy(7)}},
+		{Instances: testInstances(t), Measure: MeasureSaturation,
+			Policies: []routing.Policy{routing.Policy(-1)}},
 	}
 	for i, g := range bad {
 		if err := g.Run(context.Background(), Options{}, func(Result) error { return nil }); err == nil {

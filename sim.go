@@ -63,20 +63,23 @@ type Sim struct {
 
 // Simulate prepares a simulator for the network, building the routing
 // table once (dense rows up to 4,096 routers, packed above; see
-// DESIGN.md §7); reuse the Sim for multiple runs. Invalid configurations (a negative
-// concentration, or a dead-router mask that does not match the graph)
-// surface as errors.
+// DESIGN.md §7); reuse the Sim for multiple runs. Invalid
+// configurations (a negative concentration, a policy that is none of
+// the Routing* constants, or a dead-router mask that does not match
+// the graph) surface as errors.
 func (n *Network) Simulate(cfg SimConfig) (*Sim, error) {
+	if !cfg.Policy.Valid() {
+		return nil, fmt.Errorf("spectralfly: unknown routing policy %d", int(cfg.Policy))
+	}
 	table := routing.NewTable(n.G)
-	nw, err := simnet.New(simnet.Config{
-		Topo:          n.G,
-		Concentration: cfg.Concentration,
-		DeadRouters:   n.failedRouters,
-		Policy:        cfg.Policy,
-		Seed:          cfg.Seed,
-		Workers:       cfg.Workers,
-	}, table)
+	nw, err := simnet.New(simnet.Config{Topo: n.G, Concentration: cfg.Concentration}, table)
 	if err != nil {
+		return nil, err
+	}
+	nw.SetPolicy(cfg.Policy)
+	nw.SetSeed(cfg.Seed)
+	nw.SetWorkers(cfg.Workers)
+	if err := nw.SetDeadRouters(n.failedRouters); err != nil {
 		return nil, err
 	}
 	return &Sim{net: n, cfg: cfg, table: table, nw: nw}, nil

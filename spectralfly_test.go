@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/routing"
 	"repro/internal/spectral"
 	"repro/internal/traffic"
 )
@@ -327,6 +328,17 @@ func TestPublicAPISimulateRejectsBadConcentration(t *testing.T) {
 	for _, c := range []int{-1, -3} {
 		if sim, err := net.Simulate(SimConfig{Concentration: c}); err == nil {
 			t.Errorf("concentration %d: Simulate gave %d endpoints, want an error", c, sim.Endpoints())
+		}
+	}
+}
+
+// TestPublicAPISimulateRejectsUnknownPolicy: a policy outside the
+// Routing* constants is an error, not a run routed as Valiant.
+func TestPublicAPISimulateRejectsUnknownPolicy(t *testing.T) {
+	net, _ := LPS(11, 7)
+	for _, pol := range []routing.Policy{RoutingMinimal - 1, RoutingUGALGlobal + 1, 7} {
+		if _, err := net.Simulate(SimConfig{Concentration: 2, Policy: pol}); err == nil {
+			t.Errorf("policy %d: Simulate returned no error", int(pol))
 		}
 	}
 }

@@ -296,15 +296,17 @@ func TestSweepErrors(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsUnknownKinds pins an error, not a panic, for a
-// traffic pattern or fault kind outside the named ones on any axis
-// that takes one. Parallel(2) puts the cells on worker goroutines,
+// TestSweepRejectsUnknownKinds pins an error, not a panic or a
+// silently mislabelled run, for a routing policy, traffic pattern or
+// fault kind outside the named ones on any axis that takes one. Parallel(2) puts the cells on worker goroutines,
 // where a panic would take the process down.
 func TestSweepRejectsUnknownKinds(t *testing.T) {
 	base := func() *Sweep {
 		return NewSweep("lps(11,7)").Concentration(2).Loads(0.3).Ranks(64).MsgsPerRank(2).Parallel(2)
 	}
 	for name, sw := range map[string]*Sweep{
+		"policy axis":    base().Policies(routing.Policy(7)),
+		"policy below":   base().Policies(RoutingMinimal, routing.Policy(-1)),
 		"pattern axis":   base().Patterns(traffic.Pattern(9)),
 		"shift traffic":  base().ShiftTraffic(500, traffic.Pattern(9), PatternRandom),
 		"tenant pattern": base().Tenants("sequential", TenantSpec{Name: "t", Pattern: 9, Ranks: 32}),
