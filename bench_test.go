@@ -20,7 +20,7 @@ import (
 
 func BenchmarkTable1SizeClass1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table1([]int{0}, exp.Quick)
+		rows, err := exp.Table1(exp.Quick, exp.Options{Classes: []int{0}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func BenchmarkTable1SizeClass1(b *testing.B) {
 
 func BenchmarkFig4Feasible(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if points := exp.Fig4Feasible(300); len(points) == 0 {
+		if points, err := exp.Fig4Feasible(exp.Quick, exp.Options{MaxPQ: 300}); err != nil || len(points) == 0 {
 			b.Fatal("no feasible points")
 		}
 	}
@@ -40,8 +40,8 @@ func BenchmarkFig4Feasible(b *testing.B) {
 
 func BenchmarkFig4FeasibleSizes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sizes := exp.Fig4FeasibleSizes(100, 100, 100, 100, 12)
-		if len(sizes.LPS) == 0 {
+		sizes, err := exp.Fig4FeasibleSizes(exp.Quick, exp.Options{})
+		if err != nil || len(sizes.LPS) == 0 {
 			b.Fatal("no LPS sizes")
 		}
 	}
@@ -49,7 +49,7 @@ func BenchmarkFig4FeasibleSizes(b *testing.B) {
 
 func BenchmarkFig4NormalizedBisection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig4NormalizedBisection(20, 2000)
+		rows, err := exp.Fig4NormalizedBisection(exp.Quick, exp.Options{MaxPQ: 20, MaxN: 2000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkFig4NormalizedBisection(b *testing.B) {
 
 func BenchmarkFig4RawBisection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig4RawBisection([]int{0}, exp.Quick)
+		rows, err := exp.Fig4RawBisection(exp.Quick, exp.Options{Classes: []int{0}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,21 +73,17 @@ func BenchmarkFig4RawBisection(b *testing.B) {
 
 func BenchmarkFig5Failures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := exp.Fig5(0, exp.Quick, exp.Fig5Options{
-			Proportions: []float64{0.1, 0.3},
-			MinTrials:   2, MaxTrials: 2,
-			SkipBisection: true,
-		})
+		points, err := exp.Fig5(exp.Quick, exp.Options{Classes: []int{0}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(points) != 8 {
+		if len(points) != 16 {
 			b.Fatal("wrong point count")
 		}
 	}
 }
 
-var benchSimOpts = exp.SimOptions{Ranks: 128, MsgsPerRank: 5, Loads: []float64{0.3}}
+var benchSimOpts = exp.Options{Ranks: 128, MsgsPerRank: 5, Loads: []float64{0.3}}
 
 func BenchmarkFig6UGAL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -127,7 +123,7 @@ func BenchmarkFig8Valiant(b *testing.B) {
 
 func BenchmarkFig9EmberMinimal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := exp.RunMotifs(exp.Quick, routing.Minimal, exp.SimOptions{Seed: exp.BaseSeed})
+		points, err := exp.Fig9(exp.Quick, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +135,7 @@ func BenchmarkFig9EmberMinimal(b *testing.B) {
 
 func BenchmarkFig10EmberUGAL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := exp.RunMotifs(exp.Quick, routing.UGALL, exp.SimOptions{Seed: exp.BaseSeed})
+		points, err := exp.Fig10(exp.Quick, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,11 +147,11 @@ func BenchmarkFig10EmberUGAL(b *testing.B) {
 
 func BenchmarkTable2Layout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table2(exp.Quick, exp.Table2Options{Pairs: 1, SkyWalkRuns: 2})
+		rows, err := exp.Table2(exp.Quick, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 2 {
+		if len(rows) != 4 {
 			b.Fatal("wrong row count")
 		}
 	}
@@ -163,7 +159,7 @@ func BenchmarkTable2Layout(b *testing.B) {
 
 func BenchmarkFig11Latency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := exp.Fig11(exp.Quick, exp.Table2Options{Pairs: 1, SkyWalkRuns: 2})
+		points, err := exp.Fig11(exp.Quick, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +171,7 @@ func BenchmarkFig11Latency(b *testing.B) {
 
 func BenchmarkFig3DistanceStructure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig3(0)
+		rows, err := exp.Fig3(exp.Quick, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,7 +198,7 @@ func BenchmarkAblations(b *testing.B) {
 // expected to run ≥2× faster wall-clock.
 
 func benchmarkSweep(b *testing.B, parallel int) {
-	opts := exp.SimOptions{
+	opts := exp.Options{
 		Ranks:       256,
 		MsgsPerRank: 10,
 		Loads:       []float64{0.2, 0.4, 0.6},
@@ -260,7 +256,7 @@ func BenchmarkTableRebuild(b *testing.B) {
 }
 
 func BenchmarkResilienceSweep(b *testing.B) {
-	opts := exp.SimOptions{
+	opts := exp.Options{
 		Fractions:   []float64{0.1},
 		Loads:       []float64{0.3},
 		Trials:      2,
@@ -518,7 +514,7 @@ func BenchmarkReconfigParallel40K(b *testing.B) {
 
 func BenchmarkScaleSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := exp.ScaleSweep(exp.Quick, exp.SimOptions{})
+		points, err := exp.ScaleSweep(exp.Quick, exp.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -540,7 +536,7 @@ func BenchmarkScaleSweep40K(b *testing.B) {
 		b.Skip("set SPECTRALFLY_LARGE_BENCH=1 to run the 40K-router acceptance bench")
 	}
 	for i := 0; i < b.N; i++ {
-		points, err := exp.ScaleSweep(exp.Full, exp.SimOptions{
+		points, err := exp.ScaleSweep(exp.Full, exp.Options{
 			Rungs: []int{2}, // LPS(13,43) / SF(139), ~40K routers each
 		})
 		if err != nil {

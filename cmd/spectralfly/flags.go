@@ -11,22 +11,19 @@ import (
 // cliFlags holds the raw flag values shared by every subcommand.
 type cliFlags struct {
 	full    bool
-	classes string
-	class   int
-	maxPQ   int64
-	maxN    int
 	jsonOut bool
-	// sim holds the scalar simulation flags (-ranks, -msgs, -seed,
-	// -parallel, -workers, -trials, -period, -layout), bound in place;
-	// dispatch adds the list flags -loads, -fractions and -rungs.
-	sim exp.SimOptions
+	// sim holds the scalar exhibit flags (-maxpq, -maxn, -ranks, -msgs,
+	// -seed, -parallel, -workers, -trials, -period, -layout), bound in
+	// place; dispatch adds the list flags -classes, -loads, -fractions
+	// and -rungs.
+	sim exp.Options
 
 	// Profiling outputs.
 	cpuprofile string
 	memprofile string
 
-	// List flags of the simulation exhibits (-loads is with the sweep
-	// flags).
+	// List flags of the exhibits (-loads is with the sweep flags).
+	classes   string
 	fractions string
 	rungs     string
 
@@ -64,10 +61,9 @@ func parseFlags(cmd string, args []string) cliFlags {
 func newFlagSet(cmd string, fl *cliFlags) *flag.FlagSet {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	fs.BoolVar(&fl.full, "full", false, "run the paper's full-scale configuration")
-	fs.StringVar(&fl.classes, "classes", "", "comma-separated Table I size classes (0-4)")
-	fs.IntVar(&fl.class, "class", 1, "size class for fig5 (paper uses 1 and 3)")
-	fs.Int64Var(&fl.maxPQ, "maxpq", 0, "p,q bound for LPS enumerations")
-	fs.IntVar(&fl.maxN, "maxn", 4000, "vertex cap for the fig4-normbw partitioner sweep")
+	fs.StringVar(&fl.classes, "classes", "", "comma-separated Table I size classes (0-4) for table1, fig3, fig4-rawbw and fig5 (fig5: the paper uses 1 and 3)")
+	fs.Int64Var(&fl.sim.MaxPQ, "maxpq", 0, "p,q bound for the fig4-feasible and fig4-normbw LPS enumerations (0 = scale default)")
+	fs.IntVar(&fl.sim.MaxN, "maxn", 0, "vertex cap for the fig4-normbw partitioner sweep (0 = 4000)")
 	fs.IntVar(&fl.sim.Ranks, "ranks", 0, "override MPI rank count for simulations (interference: the aggressor; the victim is a quarter of it)")
 	fs.IntVar(&fl.sim.MsgsPerRank, "msgs", 0, "override messages per rank for simulations")
 	fs.Int64Var(&fl.sim.Seed, "seed", 0, "override base seed")
@@ -81,7 +77,7 @@ func newFlagSet(cmd string, fl *cliFlags) *flag.FlagSet {
 	fs.Int64Var(&fl.sim.Period, "period", 0, "rewiring / traffic-shift period in cycles for reconfig (0 = scale default)")
 	fs.StringVar(&fl.rungs, "rungs", "", "comma-separated scale-ladder rungs for scale (0-2; default all)")
 	fs.StringVar(&fl.topos, "topos", "", "sweep topology axis, e.g. lps(11,7),sf(9),jf(512,12,s=1)")
-	fs.IntVar(&fl.conc, "conc", 1, "endpoints per router for sweep topologies")
+	fs.IntVar(&fl.conc, "conc", 1, "endpoints per router for sweep topologies (>= 1)")
 	fs.StringVar(&fl.policies, "policies", "", "sweep routing-policy axis, e.g. minimal,ugal-l")
 	fs.StringVar(&fl.patterns, "patterns", "", "sweep pattern axis, e.g. random,bit-shuffle")
 	fs.StringVar(&fl.motifs, "motifs", "", "sweep motif axis: halo3d,sweep3d,fft,fft-unbalanced")

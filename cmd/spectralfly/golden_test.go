@@ -18,76 +18,56 @@ import (
 //	go test ./cmd/spectralfly -run Golden -update
 var update = flag.Bool("update", false, "rewrite the CLI golden files")
 
-// goldenConfigs gives every exhibit the (cheap) flag configuration it
-// is pinned at. Configurations mirror what a user would pass on the
-// command line; axes without flags use the drivers' quick-scale
-// defaults, exactly as the binary would.
-func goldenConfigs() map[string]appConfig {
-	base := appConfig{scale: exp.Quick, class: 1, maxN: 4000}
-	sim := base
-	sim.opts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
-
-	satur := base
-	satur.opts = exp.SimOptions{MsgsPerRank: 6}
-
-	resil := base
-	resil.opts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
-
-	scale := base
-	scale.opts = exp.SimOptions{MsgsPerRank: 4}
-
-	recon := base
-	recon.opts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4}
-
-	// interference: 64-rank aggressor (victim 16), two aggressor loads,
-	// both quick-scale topology families, all three placement policies.
-	interf := base
-	interf.opts = exp.SimOptions{Ranks: 64, MsgsPerRank: 4, Loads: []float64{0.1, 0.5}}
-
-	// fig4-normbw at maxPQ 12: seven LPS rows, each partitioned.
-	normbw := base
-	normbw.maxPQ = 12
-
-	return map[string]appConfig{
-		"table1":        base,
-		"fig3":          base,
-		"fig4-feasible": base,
-		"fig4-sizes":    base,
-		"fig4-normbw":   normbw,
-		"fig4-rawbw":    base,
-		"fig5":          base,
-		"table2":        base,
-		"fig11":         base,
-		"fig6":          sim,
-		"fig7":          sim,
-		"fig8":          sim,
-		"fig9":          sim,
-		"fig10":         sim,
-		"saturation":    satur,
-		"resilience":    resil,
-		"reconfig":      recon,
-		"interference":  interf,
-		"scale":         scale,
-		"ablations":     base,
+// goldenConfigs gives every exhibit the (cheap) options it is pinned
+// at, all at Quick scale. Configurations mirror what a user would pass
+// on the command line; fields without flags use the drivers'
+// quick-scale defaults, exactly as the binary would.
+func goldenConfigs() map[string]exp.Options {
+	sim := exp.Options{Ranks: 64, MsgsPerRank: 4}
+	return map[string]exp.Options{
+		"table1":        {},
+		"fig3":          {},
+		"fig4-feasible": {},
+		"fig4-sizes":    {},
+		// fig4-normbw at maxPQ 12: seven LPS rows, each partitioned.
+		"fig4-normbw": {MaxPQ: 12},
+		"fig4-rawbw":  {},
+		"fig5":        {},
+		"table2":      {},
+		"fig11":       {},
+		"fig6":        sim,
+		"fig7":        sim,
+		"fig8":        sim,
+		"fig9":        sim,
+		"fig10":       sim,
+		"saturation":  {MsgsPerRank: 6},
+		"resilience":  sim,
+		"reconfig":    sim,
+		// interference: 64-rank aggressor (victim 16), two aggressor
+		// loads, both quick-scale topology families, all three
+		// placement policies.
+		"interference": {Ranks: 64, MsgsPerRank: 4, Loads: []float64{0.1, 0.5}},
+		"scale":        {MsgsPerRank: 4},
+		"ablations":    {},
 	}
 }
 
 func TestCLIGoldenJSON(t *testing.T) {
 	configs := goldenConfigs()
 	for _, e := range exhibits {
-		cfg, ok := configs[e.name]
+		opts, ok := configs[e.name]
 		if !ok {
 			t.Errorf("exhibit %q has no golden configuration", e.name)
 			continue
 		}
 		t.Run(e.name, func(t *testing.T) {
 			t.Parallel()
-			result, err := e.run(cfg)
+			result, err := e.run(exp.Quick, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := encodeJSON(&buf, e.name, cfg.scale, result); err != nil {
+			if err := encodeJSON(&buf, e.name, exp.Quick, result); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", e.name+".json")

@@ -74,23 +74,16 @@ func dispatch(cmd string, fl cliFlags) int {
 		scale = exp.Full
 	}
 	opts := fl.sim
+	opts.Classes = parseClasses(fl.classes)
 	opts.Loads = parseFractions(fl.loads)
 	opts.Fractions = parseFractions(fl.fractions)
 	opts.Rungs = parseClasses(fl.rungs)
-	cfg := appConfig{
-		scale:   scale,
-		classes: parseClasses(fl.classes),
-		class:   fl.class,
-		maxPQ:   fl.maxPQ,
-		maxN:    fl.maxN,
-		opts:    opts,
-	}
 	run := func(e exhibit) int {
 		start := time.Now()
 		if !fl.jsonOut {
 			fmt.Printf("== %s (%s scale) ==\n", e.name, scale)
 		}
-		result, err := e.run(cfg)
+		result, err := e.run(scale, opts)
 		if err != nil {
 			report(e.name, err)
 			return 1
@@ -113,7 +106,7 @@ func dispatch(cmd string, fl cliFlags) int {
 	sweepExhibit := func(f func(cliFlags) (any, error)) exhibit {
 		return exhibit{
 			name:  "sweep",
-			run:   func(appConfig) (any, error) { return f(fl) },
+			run:   func(exp.Scale, exp.Options) (any, error) { return f(fl) },
 			print: func(w io.Writer, rows any) { printSweep(w, rows.([]sweepRow)) },
 		}
 	}
@@ -215,7 +208,8 @@ func usageText() string {
   version        print the code version stamp (also in -json documents)
   all            run every exhibit in order (except scale: opt in explicitly)
 
-flags: -full (paper-scale), -classes 0,1, -class N, -maxpq N, -maxn N,
+flags: -full (paper-scale), -classes 0,1 (table1, fig3, fig4-rawbw,
+         fig5), -maxpq N, -maxn N (fig4 LPS enumerations),
        -ranks N (interference: the aggressor, victim a quarter of it),
        -msgs N, -seed N, -parallel N (0=GOMAXPROCS, 1=serial),
        -workers N (intra-run simulator shards; speed only, 0/1=one),

@@ -23,7 +23,7 @@ import (
 func serveFlags(dir string) cliFlags {
 	return cliFlags{
 		topos: "lps(11,7)", conc: 2, loads: "0.2,0.5", faults: "links:0.1",
-		sim: exp.SimOptions{Trials: 2, Ranks: 64, MsgsPerRank: 4, Seed: 11}, intact: true,
+		sim: exp.Options{Trials: 2, Ranks: 64, MsgsPerRank: 4, Seed: 11}, intact: true,
 		addr: "127.0.0.1:0", cacheDir: dir, chunk: 1,
 	}
 }

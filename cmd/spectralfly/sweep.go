@@ -64,12 +64,8 @@ func (sp sweepSpec) sweep() (*spectralfly.Sweep, error) {
 	if sp.Topos == "" {
 		return nil, fmt.Errorf("sweep needs -topos, e.g. -topos 'lps(11,7),sf(9)' (grammar: lps(p,q) sf(q) bf(p,s) df(a) dfc(a,h,g) jf(n,k,s=1) xp(k,l,s=1))")
 	}
-	conc := sp.Conc
-	if conc <= 0 {
-		conc = 1
-	}
 	sw := spectralfly.NewSweep().
-		Concentration(conc).
+		Concentration(sp.Conc).
 		Topologies(splitSpecs(sp.Topos)...).
 		Ranks(sp.Ranks).
 		MsgsPerRank(sp.Msgs).

@@ -24,7 +24,7 @@ func TestSplitSpecs(t *testing.T) {
 // the wire spec a coordinator hands to submit workers must not carry
 // it — each worker applies its own -workers.
 func TestSweepSpecOmitsWorkers(t *testing.T) {
-	b, err := json.Marshal(specFromFlags(cliFlags{topos: "lps(11,7)", sim: exp.SimOptions{Workers: 4}}))
+	b, err := json.Marshal(specFromFlags(cliFlags{topos: "lps(11,7)", sim: exp.Options{Workers: 4}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunSweepSubcommand(t *testing.T) {
 		conc:   2,
 		loads:  "0.3",
 		faults: "links:0.1",
-		sim:    exp.SimOptions{Trials: 1, Ranks: 64, MsgsPerRank: 4, Seed: 11},
+		sim:    exp.Options{Trials: 1, Ranks: 64, MsgsPerRank: 4, Seed: 11},
 		intact: true,
 	}
 	res, err := runSweep(fl)
@@ -109,10 +109,10 @@ func TestRunSweepSubcommand(t *testing.T) {
 	if _, err := runSweep(cliFlags{}); err == nil || !strings.Contains(err.Error(), "-topos") {
 		t.Errorf("missing -topos error: %v", err)
 	}
-	if _, err := runSweep(cliFlags{topos: "lps(11,7)", measure: "latency"}); err == nil {
+	if _, err := runSweep(cliFlags{topos: "lps(11,7)", conc: 1, measure: "latency"}); err == nil {
 		t.Error("bad -measure accepted")
 	}
-	if _, err := runSweep(cliFlags{topos: "torus(4,4)"}); err == nil {
+	if _, err := runSweep(cliFlags{topos: "torus(4,4)", conc: 1}); err == nil {
 		t.Error("bad spec accepted")
 	}
 }

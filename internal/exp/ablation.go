@@ -195,14 +195,12 @@ type Ablations struct {
 
 // RunAblations executes the five independent ablation studies
 // concurrently over the fan-out helper of the sweep engine. It reads
-// Seed (default BaseSeed) and Parallel (0 = GOMAXPROCS, 1 = serial).
-// Each study is deterministic given the seed, so the result set does
-// not depend on the worker count.
-func RunAblations(opts SimOptions) (Ablations, error) {
+// Seed and Parallel (0 = GOMAXPROCS, 1 = serial); the studies have one
+// size at both scales. Each study is deterministic given the seed, so
+// the result set does not depend on the worker count.
+func RunAblations(scale Scale, opts Options) (Ablations, error) {
+	opts = opts.withDefaults(scale, Options{}, Options{})
 	seed := opts.Seed
-	if seed == 0 {
-		seed = BaseSeed
-	}
 	var a Ablations
 	err := runner.Do(opts.Parallel,
 		func() (err error) { a.Arrangement, err = AblateDragonFlyArrangement(8, 4, 33, seed); return },

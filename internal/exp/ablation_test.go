@@ -103,7 +103,7 @@ func TestAblateLayoutGain(t *testing.T) {
 }
 
 func TestAblationsFprint(t *testing.T) {
-	a, err := RunAblations(SimOptions{Seed: 11})
+	a, err := RunAblations(Quick, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
 
 func TestTable1QuickMatchesPaper(t *testing.T) {
-	rows, err := Table1([]int{0}, Quick)
+	rows, err := Table1(Quick, Options{Classes: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +44,17 @@ func TestTable1QuickMatchesPaper(t *testing.T) {
 }
 
 func TestFig4FeasibleSmall(t *testing.T) {
-	points := Fig4Feasible(60)
+	points, err := Fig4Feasible(Quick, Options{MaxPQ: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) == 0 {
 		t.Fatal("no feasible points")
 	}
-	sizes := Fig4FeasibleSizes(40, 40, 40, 40, 12)
+	sizes, err := Fig4FeasibleSizes(Quick, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sizes.LPS) == 0 || len(sizes.SlimFly) == 0 || len(sizes.DragonFly) == 0 || len(sizes.BundleFlyMax) == 0 {
 		t.Fatal("missing family in size plot")
 	}
@@ -62,7 +67,7 @@ func TestFig4FeasibleSmall(t *testing.T) {
 }
 
 func TestFig4NormalizedBisectionShape(t *testing.T) {
-	rows, err := Fig4NormalizedBisection(20, 3000)
+	rows, err := Fig4NormalizedBisection(Quick, Options{MaxPQ: 20, MaxN: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,7 @@ func TestFig4NormalizedBisectionShape(t *testing.T) {
 }
 
 func TestFig4RawBisectionBracketsAndOrder(t *testing.T) {
-	rows, err := Fig4RawBisection([]int{1}, Quick)
+	rows, err := Fig4RawBisection(Quick, Options{Classes: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,30 +109,28 @@ func TestFig4RawBisectionBracketsAndOrder(t *testing.T) {
 }
 
 func TestFig5QuickShape(t *testing.T) {
-	points, err := Fig5(0, Quick, Fig5Options{
-		Proportions:   []float64{0, 0.2},
-		MinTrials:     2,
-		MaxTrials:     2,
-		SkipBisection: true,
-	})
+	points, err := Fig5(Quick, Options{Classes: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 topologies × 2 proportions.
-	if len(points) != 8 {
-		t.Fatalf("points %d want 8", len(points))
+	// 4 topologies × 4 proportions.
+	if len(points) != 16 {
+		t.Fatalf("points %d want 16", len(points))
 	}
-	// Failures must not shrink diameter or average hops.
+	// Failures must not shrink diameter or average hops below the
+	// intact instance's.
 	byName := map[string][]Fig5Point{}
 	for _, p := range points {
 		byName[p.Name] = append(byName[p.Name], p)
 	}
 	for name, ps := range byName {
-		if ps[1].Diameter < ps[0].Diameter {
-			t.Errorf("%s: diameter decreased under failures (%v -> %v)", name, ps[0].Diameter, ps[1].Diameter)
-		}
-		if ps[1].AvgHop < ps[0].AvgHop {
-			t.Errorf("%s: avg hops decreased under failures", name)
+		for _, p := range ps[1:] {
+			if p.Diameter < ps[0].Diameter {
+				t.Errorf("%s: diameter decreased under %v failures (%v -> %v)", name, p.Proportion, ps[0].Diameter, p.Diameter)
+			}
+			if p.AvgHop < ps[0].AvgHop {
+				t.Errorf("%s: avg hops decreased under %v failures", name, p.Proportion)
+			}
 		}
 	}
 }
@@ -136,30 +139,16 @@ func TestFig5QuickShape(t *testing.T) {
 // size classes rejects one outside 0-4 with an error instead of
 // indexing past the class table.
 func TestSizeClassOutOfRange(t *testing.T) {
-	for name, run := range map[string]func(class int) error{
-		"table1": func(c int) error { _, err := Table1([]int{c}, Quick); return err },
-		"fig3":   func(c int) error { _, err := Fig3(c); return err },
-		"fig4-rawbw": func(c int) error {
-			_, err := Fig4RawBisection([]int{c}, Quick)
-			return err
-		},
-		"fig5": func(c int) error { _, err := Fig5(c, Quick, Fig5Options{}); return err },
+	for name, run := range map[string]func(Scale, Options) error{
+		"table1":     func(s Scale, o Options) error { _, err := Table1(s, o); return err },
+		"fig3":       func(s Scale, o Options) error { _, err := Fig3(s, o); return err },
+		"fig4-rawbw": func(s Scale, o Options) error { _, err := Fig4RawBisection(s, o); return err },
+		"fig5":       func(s Scale, o Options) error { _, err := Fig5(s, o); return err },
 	} {
 		for _, class := range []int{-1, 5, 9} {
-			if err := run(class); err == nil || !strings.Contains(err.Error(), "out of range") {
+			if err := run(Quick, Options{Classes: []int{class}}); err == nil || !strings.Contains(err.Error(), "out of range") {
 				t.Errorf("%s class %d: err = %v, want out of range", name, class, err)
 			}
-		}
-	}
-}
-
-// TestFig5RejectsBadProportion pins an error, not a panic, for edge
-// failure proportions outside [0, 1].
-func TestFig5RejectsBadProportion(t *testing.T) {
-	for _, prop := range []float64{-0.1, 1.5, math.NaN()} {
-		opts := Fig5Options{Proportions: []float64{0, prop}, MinTrials: 1, MaxTrials: 1, SkipBisection: true}
-		if _, err := Fig5(0, Quick, opts); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
-			t.Errorf("proportion %v: err = %v, want out of [0,1]", prop, err)
 		}
 	}
 }
@@ -184,7 +173,7 @@ func TestSimInstancesQuickShape(t *testing.T) {
 }
 
 func TestFig7QuickRuns(t *testing.T) {
-	points, err := Fig7(Quick, SimOptions{
+	points, err := Fig7(Quick, Options{
 		Ranks:       128,
 		MsgsPerRank: 6,
 		Loads:       []float64{0.3},
@@ -212,7 +201,7 @@ func TestFig7QuickRuns(t *testing.T) {
 }
 
 func TestRunMotifsQuick(t *testing.T) {
-	points, err := RunMotifs(Quick, routing.Minimal, SimOptions{Seed: 7})
+	points, err := Fig9(Quick, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +224,12 @@ func TestRunMotifsQuick(t *testing.T) {
 }
 
 func TestTable2QuickShape(t *testing.T) {
-	rows, err := Table2(Quick, Table2Options{Pairs: 1, SkyWalkRuns: 2})
+	rows, err := Table2(Quick, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d want 2 (LPS + SF)", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("rows %d want 4 (two LPS/SF pairs)", len(rows))
 	}
 	for _, r := range rows {
 		if r.Electrical+r.Optical != r.Routers*r.Radix/2 {
@@ -259,12 +248,12 @@ func TestTable2QuickShape(t *testing.T) {
 }
 
 func TestFig11QuickShape(t *testing.T) {
-	points, err := Fig11(Quick, Table2Options{Pairs: 1, SkyWalkRuns: 2})
+	points, err := Fig11(Quick, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 6 { // 2 instances × 3 switch latencies
-		t.Fatalf("points %d want 6", len(points))
+	if len(points) != 12 { // 4 instances × 3 switch latencies
+		t.Fatalf("points %d want 12", len(points))
 	}
 	for _, p := range points {
 		if p.AvgRatio <= 0 || p.MaxRatio <= 0 {
@@ -277,7 +266,7 @@ func TestFig11QuickShape(t *testing.T) {
 }
 
 func TestFig6QuickRuns(t *testing.T) {
-	points, err := Fig6(Quick, SimOptions{
+	points, err := Fig6(Quick, Options{
 		Ranks:       128,
 		MsgsPerRank: 4,
 		Loads:       []float64{0.4},
@@ -306,7 +295,7 @@ func TestFig8QuickValiantContrast(t *testing.T) {
 	byPattern := map[string]float64{}
 	const seeds = 4
 	for seed := int64(0); seed < seeds; seed++ {
-		points, err := Fig8(Quick, SimOptions{
+		points, err := Fig8(Quick, Options{
 			Ranks:       128,
 			MsgsPerRank: 16,
 			Loads:       []float64{0.6},
@@ -331,7 +320,7 @@ func TestFig8QuickValiantContrast(t *testing.T) {
 }
 
 func TestSaturationQuick(t *testing.T) {
-	rows, err := Saturation(Quick, SimOptions{Ranks: 128, MsgsPerRank: 8})
+	rows, err := Saturation(Quick, Options{Ranks: 128, MsgsPerRank: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +335,7 @@ func TestSaturationQuick(t *testing.T) {
 }
 
 func TestFig3DistanceConcentration(t *testing.T) {
-	rows, err := Fig3(0)
+	rows, err := Fig3(Quick, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +368,7 @@ func TestPatternsFitRankSpace(t *testing.T) {
 	// Guard: the sim options produce power-of-two rank counts for bit
 	// patterns.
 	for _, scale := range []Scale{Quick, Full} {
-		opts := SimOptions{}.withDefaults(scale, paperQuick, paperFull)
+		opts := Options{}.withDefaults(scale, paperQuick, paperFull)
 		if !traffic.PowerOfTwo(opts.Ranks) {
 			t.Errorf("%v scale rank count %d not a power of two", scale, opts.Ranks)
 		}
@@ -390,7 +379,7 @@ func TestPatternsFitRankSpace(t *testing.T) {
 // permutations only on a power-of-two rank space, so 100 ranks is an
 // error, not a silent run of a non-permutation.
 func TestFig6RejectsNonPowerOfTwoRanks(t *testing.T) {
-	_, err := Fig6(Quick, SimOptions{Ranks: 100, MsgsPerRank: 2})
+	_, err := Fig6(Quick, Options{Ranks: 100, MsgsPerRank: 2})
 	if err == nil || !strings.Contains(err.Error(), "power-of-two") {
 		t.Fatalf("fig6 on 100 ranks: err %v, want a power-of-two error", err)
 	}

@@ -24,9 +24,11 @@ type Fig3Row struct {
 // Fig3 measures the class instances' distance structure. The paper's
 // observation: LPS has "relatively fewer vertices at distance equal to
 // the diameter" — its AtDiameter is small, while SlimFly's diameter-2
-// shell holds nearly all pairs.
-func Fig3(class int) ([]Fig3Row, error) {
-	specs, err := classSpecs([]int{class}, Quick)
+// shell holds nearly all pairs. It reads Classes (class 0 quick, class
+// 1 full).
+func Fig3(scale Scale, opts Options) ([]Fig3Row, error) {
+	opts = opts.withDefaults(scale, Options{Classes: []int{0}}, Options{Classes: []int{1}})
+	specs, err := classSpecs(opts.Classes)
 	if err != nil {
 		return nil, err
 	}

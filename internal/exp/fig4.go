@@ -10,9 +10,11 @@ import (
 )
 
 // Fig4Feasible reproduces Figure 4 (upper left): all feasible LPS
-// (radix, vertex-count) points for p, q < maxPQ (the paper uses 300).
-func Fig4Feasible(maxPQ int64) []topo.Feasible {
-	return topo.LPSFeasible(maxPQ)
+// (radix, vertex-count) points for p, q < MaxPQ (100 quick; 300 full,
+// as in the paper). It reads MaxPQ.
+func Fig4Feasible(scale Scale, opts Options) ([]topo.Feasible, error) {
+	opts = opts.withDefaults(scale, Options{MaxPQ: 100}, Options{MaxPQ: 300})
+	return topo.LPSFeasible(opts.MaxPQ), nil
 }
 
 // Fig4SizesPerRadix reproduces Figure 4 (lower left): feasible
@@ -24,8 +26,15 @@ type Fig4Sizes struct {
 	BundleFlyMax            []topo.Feasible
 }
 
-// Fig4FeasibleSizes enumerates the families up to the given limits.
-func Fig4FeasibleSizes(maxPQ, maxQ int64, maxA int, maxBFP, maxBFS int64) Fig4Sizes {
+// Fig4FeasibleSizes enumerates the families up to fixed per-scale
+// limits: LPS p, q < 60 (quick; 300 full), SlimFly q < 60 (300),
+// DragonFly a < 60 (120) and BundleFly p < 60, s < 12 (200, 16). It
+// reads no Options field.
+func Fig4FeasibleSizes(scale Scale, _ Options) (Fig4Sizes, error) {
+	maxPQ, maxQ, maxA, maxBFP, maxBFS := int64(60), int64(60), 60, int64(60), int64(12)
+	if scale == Full {
+		maxPQ, maxQ, maxA, maxBFP, maxBFS = 300, 300, 120, 200, 16
+	}
 	out := Fig4Sizes{
 		LPS:       topo.LPSFeasible(maxPQ),
 		SlimFly:   topo.SlimFlyFeasible(maxQ),
@@ -43,7 +52,7 @@ func Fig4FeasibleSizes(maxPQ, maxQ int64, maxA int, maxBFP, maxBFS int64) Fig4Si
 	sort.Slice(out.BundleFlyMax, func(i, j int) bool {
 		return out.BundleFlyMax[i].Radix < out.BundleFlyMax[j].Radix
 	})
-	return out
+	return out, nil
 }
 
 // BisectionRow is one point of the bisection-bandwidth plots (Figure 4
@@ -75,14 +84,15 @@ func bisectionRow(inst *topo.Instance, seed int64) BisectionRow {
 }
 
 // Fig4NormalizedBisection reproduces Figure 4 (upper right): the
-// normalized bisection bandwidth of LPS instances with p, q < maxPQ and
-// at most maxVertices vertices (the paper sweeps p, q < 100; the
-// vertex cap keeps the partitioner tractable — uncapped instances
-// reach beyond 10^5 vertices).
-func Fig4NormalizedBisection(maxPQ int64, maxVertices int) ([]BisectionRow, error) {
+// normalized bisection bandwidth of LPS instances with p, q < MaxPQ (30
+// quick; 100 full, as in the paper) and at most MaxN vertices (4000;
+// the vertex cap keeps the partitioner tractable — uncapped instances
+// reach beyond 10^5 vertices). It reads MaxPQ and MaxN.
+func Fig4NormalizedBisection(scale Scale, opts Options) ([]BisectionRow, error) {
+	opts = opts.withDefaults(scale, Options{MaxPQ: 30, MaxN: 4000}, Options{MaxPQ: 100, MaxN: 4000})
 	var rows []BisectionRow
-	for _, f := range topo.LPSFeasible(maxPQ) {
-		if f.Vertices > int64(maxVertices) {
+	for _, f := range topo.LPSFeasible(opts.MaxPQ) {
+		if f.Vertices > int64(opts.MaxN) {
 			continue
 		}
 		spec, err := topo.ParseSpec(f.Name)
@@ -105,10 +115,11 @@ func Fig4NormalizedBisection(maxPQ int64, maxVertices int) ([]BisectionRow, erro
 }
 
 // Fig4RawBisection reproduces Figure 4 (lower right): raw bisection
-// bandwidth (upper/lower bracket) for the Table I instances of the
-// requested classes (see classSpecs).
-func Fig4RawBisection(classes []int, scale Scale) ([]BisectionRow, error) {
-	specs, err := classSpecs(classes, scale)
+// bandwidth (upper/lower bracket) for Table I instances. It reads
+// Classes (0-1 quick, all five full).
+func Fig4RawBisection(scale Scale, opts Options) ([]BisectionRow, error) {
+	opts = opts.withDefaults(scale, tableIQuick, tableIFull)
+	specs, err := classSpecs(opts.Classes)
 	if err != nil {
 		return nil, err
 	}

@@ -27,59 +27,32 @@ type Fig5Point struct {
 // point stops adding trials.
 const fig5CVTarget = 0.10
 
-// Fig5Options tunes the failure sweep.
-type Fig5Options struct {
-	// Proportions of edges to delete; defaults per scale.
-	Proportions []float64
-	// MinTrials/MaxTrials bound the adaptive trial count. The paper
-	// grows trials until the coefficient of variation of batch means is
-	// below 10%; we approximate with fig5CVTarget on trial values.
-	MinTrials, MaxTrials int
-	// SkipBisection drops the (expensive) bisection measurement.
-	SkipBisection bool
-	Seed          int64
+// fig5Sweep is Fig 5's per-scale failure sweep: the proportions of
+// edges to delete and the bounds of the adaptive trial count. The paper
+// grows trials until the coefficient of variation of batch means is
+// below 10%; failurePoint approximates that with fig5CVTarget on trial
+// values.
+type fig5Sweep struct {
+	proportions          []float64
+	minTrials, maxTrials int
 }
 
-func (o Fig5Options) withDefaults(scale Scale) Fig5Options {
-	if o.Proportions == nil {
-		if scale == Full {
-			o.Proportions = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
-		} else {
-			o.Proportions = []float64{0, 0.1, 0.3, 0.5}
-		}
-	}
-	if o.MinTrials == 0 {
-		if scale == Full {
-			o.MinTrials = 5
-		} else {
-			o.MinTrials = 3
-		}
-	}
-	if o.MaxTrials == 0 {
-		if scale == Full {
-			o.MaxTrials = 30
-		} else {
-			o.MaxTrials = 5
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = BaseSeed
-	}
-	return o
-}
+var (
+	fig5Quick = fig5Sweep{[]float64{0, 0.1, 0.3, 0.5}, 3, 5}
+	fig5Full  = fig5Sweep{[]float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6}, 5, 30}
+)
 
-// Fig5 runs the §IV-A edge-failure study on one size class (the paper
-// uses class 1 (~600 vertices) for the left column and class 3 (~5K)
-// for the right). It returns one point per topology per proportion,
-// or an error if a proportion lies outside [0, 1].
-func Fig5(class int, scale Scale, opts Fig5Options) ([]Fig5Point, error) {
-	opts = opts.withDefaults(scale)
-	for _, prop := range opts.Proportions {
-		if err := (fault.Plan{Kind: fault.Links, Fraction: prop}).Validate(); err != nil {
-			return nil, err
-		}
+// Fig5 runs the §IV-A edge-failure study. It returns one point per
+// topology per proportion. It reads Classes (class 1 at both scales;
+// the paper uses class 1 (~600 vertices) for the left column and class
+// 3 (~5K) for the right, so Classes 1, 3 gives both) and Seed.
+func Fig5(scale Scale, opts Options) ([]Fig5Point, error) {
+	opts = opts.withDefaults(scale, Options{Classes: []int{1}}, Options{Classes: []int{1}})
+	sw := fig5Quick
+	if scale == Full {
+		sw = fig5Full
 	}
-	specs, err := classSpecs([]int{class}, scale)
+	specs, err := classSpecs(opts.Classes)
 	if err != nil {
 		return nil, err
 	}
@@ -89,8 +62,8 @@ func Fig5(class int, scale Scale, opts Fig5Options) ([]Fig5Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, prop := range opts.Proportions {
-			points = append(points, failurePoint(inst, prop, opts))
+		for _, prop := range sw.proportions {
+			points = append(points, failurePoint(inst, prop, sw, opts.Seed))
 		}
 	}
 	return points, nil
@@ -101,31 +74,27 @@ type trialResult struct {
 	diam, avgHop, bisection float64
 }
 
-func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) Fig5Point {
+func failurePoint(inst *topo.Instance, prop float64, sw fig5Sweep, seed int64) Fig5Point {
 	pt := Fig5Point{Name: inst.Name, Proportion: prop}
 	var vals []trialResult
 	runBatch := func(from, to int) {
 		results := make([]trialResult, to-from)
 		graph.EachSource(to-from, func() func(int) {
 			return func(i int) {
-				rng := rand.New(rand.NewSource(opts.Seed + int64(from+i)*31337))
-				results[i] = failureTrial(inst, prop, rng, opts)
+				rng := rand.New(rand.NewSource(seed + int64(from+i)*31337))
+				results[i] = failureTrial(inst, prop, rng)
 			}
 		})
 		vals = append(vals, results...)
 	}
-	runBatch(0, opts.MinTrials)
+	runBatch(0, sw.minTrials)
 	// Adaptive growth until the diameter CV is below target (diameter is
 	// the noisiest of the three measures).
-	for len(vals) < opts.MaxTrials && prop > 0 {
+	for len(vals) < sw.maxTrials && prop > 0 {
 		if cv(vals, func(r trialResult) float64 { return r.diam }) <= fig5CVTarget {
 			break
 		}
-		next := len(vals) * 2
-		if next > opts.MaxTrials {
-			next = opts.MaxTrials
-		}
-		runBatch(len(vals), next)
+		runBatch(len(vals), min(len(vals)*2, sw.maxTrials))
 	}
 	var nOK int
 	for _, r := range vals {
@@ -147,7 +116,7 @@ func failurePoint(inst *topo.Instance, prop float64, opts Fig5Options) Fig5Point
 	return pt
 }
 
-func failureTrial(inst *topo.Instance, prop float64, rng *rand.Rand, opts Fig5Options) trialResult {
+func failureTrial(inst *topo.Instance, prop float64, rng *rand.Rand) trialResult {
 	g := inst.G
 	if prop != 0 {
 		g = g.RemoveEdges(fault.SampleLinks(g, prop, rng))
@@ -156,14 +125,15 @@ func failureTrial(inst *topo.Instance, prop float64, rng *rand.Rand, opts Fig5Op
 	if !st.Connected {
 		return trialResult{ok: false}
 	}
-	r := trialResult{ok: true, diam: float64(st.Diameter), avgHop: st.AvgDist}
-	if !opts.SkipBisection {
-		r.bisection = float64(partition.BisectionBandwidth(g, partition.Options{
+	return trialResult{
+		ok:     true,
+		diam:   float64(st.Diameter),
+		avgHop: st.AvgDist,
+		bisection: float64(partition.BisectionBandwidth(g, partition.Options{
 			Seed:   rng.Int63(),
 			Trials: 4,
-		}))
+		})),
 	}
-	return r
 }
 
 func cv(vals []trialResult, f func(trialResult) float64) float64 {

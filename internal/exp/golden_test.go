@@ -26,7 +26,7 @@ var update = flag.Bool("update", false, "rewrite the exp golden file")
 // cheap enough for every CI run and stable under GOMAXPROCS (the
 // engine guarantees worker-count independence).
 func TestResilienceGolden(t *testing.T) {
-	points, err := Resilience(Quick, SimOptions{
+	points, err := Resilience(Quick, Options{
 		Fractions:   []float64{0.1},
 		Loads:       []float64{0.3},
 		Trials:      2,

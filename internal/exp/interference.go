@@ -61,10 +61,10 @@ type InterferenceReport struct {
 // its transpose pattern needs a power of two), MsgsPerRank (8, 20),
 // Layout (qap), Seed, Parallel and Workers. The victim is a quarter of
 // the aggressor's size.
-func Interference(scale Scale, opts SimOptions) (*InterferenceReport, error) {
+func Interference(scale Scale, opts Options) (*InterferenceReport, error) {
 	opts = opts.withDefaults(scale,
-		SimOptions{Ranks: 256, MsgsPerRank: 8, Loads: []float64{0.1, 0.4, 0.7}, Layout: "qap"},
-		SimOptions{Ranks: 2048, MsgsPerRank: 20, Loads: []float64{0.1, 0.3, 0.5, 0.7}, Layout: "qap"})
+		Options{Ranks: 256, MsgsPerRank: 8, Loads: []float64{0.1, 0.4, 0.7}, Layout: "qap"},
+		Options{Ranks: 2048, MsgsPerRank: 20, Loads: []float64{0.1, 0.3, 0.5, 0.7}, Layout: "qap"})
 	victimRanks := opts.Ranks / 4
 	instances, err := SimInstances(scale)
 	if err != nil {

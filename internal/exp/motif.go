@@ -44,16 +44,24 @@ func MotifSet(scale Scale) ([]traffic.Motif, int) {
 	}, 512
 }
 
-// RunMotifs executes the Ember motifs of §VI-D on the §VI-B topology
-// set under the given routing policy; Figure 9 uses Minimal, Figure 10
-// UGAL-L. Speedups are relative to the DragonFly makespan. The
-// (topology × motif) grid runs through the parallel engine. It reads
-// Seed, Parallel and Workers; MotifSet sizes the job.
-func RunMotifs(scale Scale, pol routing.Policy, opts SimOptions) ([]MotifPoint, error) {
-	seed := opts.Seed
-	if seed == 0 {
-		seed = BaseSeed
-	}
+// Fig9 runs the Ember motifs of §VI-D on the §VI-B topology set under
+// minimal routing. It reads Seed, Parallel and Workers; MotifSet sizes
+// the job.
+func Fig9(scale Scale, opts Options) ([]MotifPoint, error) {
+	return motifSweep(scale, opts, routing.Minimal)
+}
+
+// Fig10 runs the motifs of Fig9 under UGAL-L routing. It reads the
+// fields Fig9 reads.
+func Fig10(scale Scale, opts Options) ([]MotifPoint, error) {
+	return motifSweep(scale, opts, routing.UGALL)
+}
+
+// motifSweep runs the (topology × motif) grid under one routing policy
+// through the parallel engine. Speedups are relative to the DragonFly
+// makespan.
+func motifSweep(scale Scale, opts Options, pol routing.Policy) ([]MotifPoint, error) {
+	opts = opts.withDefaults(scale, Options{}, Options{})
 	instances, err := SimInstances(scale)
 	if err != nil {
 		return nil, err
@@ -65,7 +73,7 @@ func RunMotifs(scale Scale, pol routing.Policy, opts SimOptions) ([]MotifPoint, 
 		Motifs:    motifs,
 		Measure:   sweep.MeasureMotif,
 		Ranks:     ranks,
-		Seed:      seed,
+		Seed:      opts.Seed,
 		Keys: sweep.Keys{CellKey: func(c *sweep.Cell) string {
 			return fmt.Sprintf("motif/%s/%s/%s", c.Topology, c.Policy, c.MotifTag)
 		}},

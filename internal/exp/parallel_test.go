@@ -3,8 +3,6 @@ package exp
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/routing"
 )
 
 // TestFig6ParallelMatchesSerial is the engine's acceptance check: the
@@ -13,7 +11,7 @@ import (
 // slices.
 func TestFig6ParallelMatchesSerial(t *testing.T) {
 	mk := func(parallel int) []LoadPoint {
-		points, err := Fig6(Quick, SimOptions{
+		points, err := Fig6(Quick, Options{
 			Ranks:       128,
 			MsgsPerRank: 4,
 			Loads:       []float64{0.2, 0.4},
@@ -38,7 +36,7 @@ func TestFig6ParallelMatchesSerial(t *testing.T) {
 // way, and TestRunMotifsParallelMatchesSerial the motif path.
 func TestFig8ParallelMatchesSerial(t *testing.T) {
 	mk := func(parallel int) []LoadPoint {
-		points, err := Fig8(Quick, SimOptions{
+		points, err := Fig8(Quick, Options{
 			Ranks: 128, MsgsPerRank: 4, Loads: []float64{0.5}, Parallel: parallel,
 		})
 		if err != nil {
@@ -53,7 +51,7 @@ func TestFig8ParallelMatchesSerial(t *testing.T) {
 
 func TestRunMotifsParallelMatchesSerial(t *testing.T) {
 	mk := func(parallel int) []MotifPoint {
-		points, err := RunMotifs(Quick, routing.Minimal, SimOptions{Seed: 7, Parallel: parallel})
+		points, err := Fig9(Quick, Options{Seed: 7, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +65,7 @@ func TestRunMotifsParallelMatchesSerial(t *testing.T) {
 // TestMotifLatencyReported guards the RunBatches aggregation fold at
 // the experiment level: motif points must carry nonzero latency stats.
 func TestMotifLatencyReported(t *testing.T) {
-	points, err := RunMotifs(Quick, routing.Minimal, SimOptions{Seed: 7})
+	points, err := Fig9(Quick, Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,10 +77,10 @@ type ReconfigReport struct {
 // Every schedule is a pure value and every cell seed derives from a
 // stable key, so the report is bit-identical across Parallel values
 // and across every Workers value.
-func Reconfig(scale Scale, opts SimOptions) (*ReconfigReport, error) {
+func Reconfig(scale Scale, opts Options) (*ReconfigReport, error) {
 	opts = opts.withDefaults(scale,
-		SimOptions{Ranks: 128, MsgsPerRank: 8, Period: 1500},
-		SimOptions{Ranks: 2048, MsgsPerRank: 20, Period: 4000})
+		Options{Ranks: 128, MsgsPerRank: 8, Period: 1500},
+		Options{Ranks: 2048, MsgsPerRank: 20, Period: 4000})
 	// Each of the K fabric configurations the optical layer switches
 	// between is an n-router, k-regular Jellyfish; the rewiring leg
 	// takes `steps` steps after the initial activation.

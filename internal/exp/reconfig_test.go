@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-var reconfigTestOpts = SimOptions{
+var reconfigTestOpts = Options{
 	Ranks:       64,
 	MsgsPerRank: 3,
 }

@@ -56,21 +56,19 @@ var (
 //
 // It reads Fractions, the nonzero failure-fraction axis (0.05, 0.15
 // quick; 0.05 to 0.3 full; an intact baseline point, fault "none" at
-// fraction 0, is always included), Trials (2, 5; negative is an
-// error), Loads (0.3; 0.2, 0.5), Ranks (256, 4096), MsgsPerRank (8,
-// 20), Seed, Parallel and Workers. Every fraction is crossed with all
-// three fault kinds and with minimal and UGAL-L routing.
+// fraction 0, is always included), Trials (2, 5; the grid rejects a
+// negative count), Loads (0.3; 0.2, 0.5), Ranks (256, 4096),
+// MsgsPerRank (8, 20), Seed, Parallel and Workers. Every fraction is
+// crossed with all three fault kinds and with minimal and UGAL-L
+// routing.
 //
 // Every simulation seed derives from the cell's stable key and every
 // plan seed from the plan's stable key, so the output is bit-identical
 // between Parallel=1 and Parallel=N.
-func Resilience(scale Scale, opts SimOptions) ([]ResiliencePoint, error) {
-	if opts.Trials < 0 {
-		return nil, fmt.Errorf("exp: resilience trials %d, want >= 0 (0 selects the default)", opts.Trials)
-	}
+func Resilience(scale Scale, opts Options) ([]ResiliencePoint, error) {
 	opts = opts.withDefaults(scale,
-		SimOptions{Ranks: 256, MsgsPerRank: 8, Loads: []float64{0.3}, Fractions: []float64{0.05, 0.15}, Trials: 2},
-		SimOptions{Ranks: 4096, MsgsPerRank: 20, Loads: []float64{0.2, 0.5}, Fractions: []float64{0.05, 0.1, 0.2, 0.3}, Trials: 5})
+		Options{Ranks: 256, MsgsPerRank: 8, Loads: []float64{0.3}, Fractions: []float64{0.05, 0.15}, Trials: 2},
+		Options{Ranks: 4096, MsgsPerRank: 20, Loads: []float64{0.2, 0.5}, Fractions: []float64{0.05, 0.1, 0.2, 0.3}, Trials: 5})
 	instances, err := SimInstances(scale)
 	if err != nil {
 		return nil, err

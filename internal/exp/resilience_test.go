@@ -9,7 +9,7 @@ import (
 	"repro/internal/fault"
 )
 
-var resilienceTestOpts = SimOptions{
+var resilienceTestOpts = Options{
 	Fractions:   []float64{0.1},
 	Loads:       []float64{0.3},
 	Trials:      2,

@@ -23,7 +23,7 @@ type SaturationRow struct {
 // independent cells on the parallel engine. It reads MsgsPerRank
 // (Fig6's default, bounded to 60 and at full scale raised to 40), Seed,
 // Parallel and Workers.
-func Saturation(scale Scale, opts SimOptions) ([]SaturationRow, error) {
+func Saturation(scale Scale, opts Options) ([]SaturationRow, error) {
 	opts = opts.withDefaults(scale, paperQuick, paperFull)
 	instances, err := SimInstances(scale)
 	if err != nil {

@@ -101,13 +101,13 @@ func scaleInstances(scale Scale, rungs []int) ([]sweep.Instance, error) {
 //
 // Like every simulation driver, cell seeds derive from stable keys:
 // results are bit-identical across Parallel settings.
-func ScaleSweep(scale Scale, opts SimOptions) ([]ScalePoint, error) {
+func ScaleSweep(scale Scale, opts Options) ([]ScalePoint, error) {
 	return scaleSweep(scale, opts, routing.StorePacked)
 }
 
 // scaleSweep is ScaleSweep on the given routing-table store; only the
 // cross-store tests pass anything but packed.
-func scaleSweep(scale Scale, opts SimOptions, store routing.Store) ([]ScalePoint, error) {
+func scaleSweep(scale Scale, opts Options, store routing.Store) ([]ScalePoint, error) {
 	fraction := 0.01
 	switch fr := opts.Fractions; {
 	case len(fr) > 1:
@@ -119,7 +119,7 @@ func scaleSweep(scale Scale, opts SimOptions, store routing.Store) ([]ScalePoint
 	case len(fr) == 1:
 		fraction = fr[0]
 	}
-	opts = opts.withDefaults(scale, SimOptions{MsgsPerRank: 4}, SimOptions{MsgsPerRank: 10})
+	opts = opts.withDefaults(scale, Options{MsgsPerRank: 4}, Options{MsgsPerRank: 10})
 	instances, err := scaleInstances(scale, opts.Rungs)
 	if err != nil {
 		return nil, err

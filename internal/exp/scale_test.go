@@ -8,7 +8,7 @@ import (
 )
 
 func TestScaleSweepQuick(t *testing.T) {
-	points, err := ScaleSweep(Quick, SimOptions{Parallel: 2})
+	points, err := ScaleSweep(Quick, Options{Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +51,12 @@ func TestScaleSweepStoresBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the sweep three times")
 	}
-	base, err := ScaleSweep(Quick, SimOptions{})
+	base, err := ScaleSweep(Quick, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, store := range []routing.Store{routing.StoreDense, routing.StoreLazy} {
-		got, err := scaleSweep(Quick, SimOptions{Parallel: 1}, store)
+		got, err := scaleSweep(Quick, Options{Parallel: 1}, store)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestScaleSweepFractionChecks(t *testing.T) {
 		{[]float64{-0.1}, "fraction > 0"},
 		{[]float64{0.01, 0.02}, "single fraction, got 2"},
 	} {
-		_, err := ScaleSweep(Quick, SimOptions{Fractions: tc.fractions})
+		_, err := ScaleSweep(Quick, Options{Fractions: tc.fractions})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("fractions %v: err %v, want %q", tc.fractions, err, tc.want)
 		}

@@ -57,86 +57,13 @@ func buildInstances(specs []instanceSpec) ([]sweep.Instance, error) {
 	return out, nil
 }
 
-// SimOptions is the one job configuration of every simulation exhibit
-// (Fig6/7/8, RunMotifs, Saturation, Resilience, Reconfig, Interference,
-// ScaleSweep, RunAblations). Each driver's doc comment names the
-// fields it reads; a zero field selects that driver's own default at
-// the given scale, so the zero value runs every exhibit as published.
-type SimOptions struct {
-	// Ranks is the MPI job size (a power of two for the bit patterns;
-	// §VI-C uses 8192).
-	Ranks int
-	// MsgsPerRank is the number of messages each rank (each endpoint,
-	// for uniform traffic) generates in the open-loop runs.
-	MsgsPerRank int
-	// Loads is the offered-load axis (§VI-C uses .1 .2 .3 .5 .6 .7).
-	Loads []float64
-	// Fractions is the failure-fraction axis.
-	Fractions []float64
-	// Trials is the number of independent failure plans per
-	// (kind, fraction) cell.
-	Trials int
-	// Period is the cycle count between rewiring steps.
-	Period int64
-	// Layout selects the machine-room placement driving per-link wire
-	// latencies ("qap", "faq" or "sequential").
-	Layout string
-	// Rungs selects scale-ladder rungs by index.
-	Rungs []int
-	Seed  int64
-	// Parallel is the worker-pool size for the sweep engine: 0 sizes it
-	// by GOMAXPROCS, 1 forces the serial engine. Results are identical
-	// for every value (per-cell seeds are derived from stable cell keys
-	// and results are reassembled in cell order).
-	Parallel int
-	// Workers is each cell's intra-run simulator shard count, a speed
-	// knob only; see sweep.Options.Workers for the pool-splitting
-	// contract.
-	Workers int
-}
-
-// withDefaults fills every zero field of o from a driver's default at
-// the given scale (quick or full), and a zero Seed with BaseSeed. A nil
-// slice is zero; an empty non-nil one is kept, so the grid rejects it.
-func (o SimOptions) withDefaults(scale Scale, quick, full SimOptions) SimOptions {
-	d := quick
-	if scale == Full {
-		d = full
-	}
-	if o.Ranks == 0 {
-		o.Ranks = d.Ranks
-	}
-	if o.MsgsPerRank == 0 {
-		o.MsgsPerRank = d.MsgsPerRank
-	}
-	if o.Loads == nil {
-		o.Loads = d.Loads
-	}
-	if o.Fractions == nil {
-		o.Fractions = d.Fractions
-	}
-	if o.Trials == 0 {
-		o.Trials = d.Trials
-	}
-	if o.Period == 0 {
-		o.Period = d.Period
-	}
-	if o.Layout == "" {
-		o.Layout = d.Layout
-	}
-	if o.Seed == 0 {
-		o.Seed = BaseSeed
-	}
-	return o
-}
-
 // paperLoads is §VI-C's offered-load axis.
 var paperLoads = []float64{0.1, 0.2, 0.3, 0.5, 0.6, 0.7}
 
 // The §VI-C job of the Fig 6-8 load sweeps and the saturation search.
 var (
-	paperQuick = SimOptions{Ranks: 512, MsgsPerRank: 25, Loads: paperLoads}
-	paperFull  = SimOptions{Ranks: 8192, MsgsPerRank: 30, Loads: paperLoads}
+	paperQuick = Options{Ranks: 512, MsgsPerRank: 25, Loads: paperLoads}
+	paperFull  = Options{Ranks: 8192, MsgsPerRank: 30, Loads: paperLoads}
 )
 
 // LoadPoint is one simulated (topology, pattern, load) measurement.
@@ -163,20 +90,20 @@ func loadCellKey(c *sweep.Cell) string {
 // to DragonFly-UGAL (speedup > 1 favors the topology). It reads Ranks
 // (512 quick, 8192 full), MsgsPerRank (25, 30), Loads (§VI-C's six),
 // Seed, Parallel and Workers.
-func Fig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
+func Fig6(scale Scale, opts Options) ([]LoadPoint, error) {
 	return loadSweep(scale, opts, routing.UGALL, traffic.SyntheticPatterns)
 }
 
 // Fig7 reproduces the minimal-routing sweep with the random pattern,
 // reporting speedup relative to DragonFly-Min. It reads the fields
 // Fig6 reads, with the same defaults.
-func Fig7(scale Scale, opts SimOptions) ([]LoadPoint, error) {
+func Fig7(scale Scale, opts Options) ([]LoadPoint, error) {
 	return loadSweep(scale, opts, routing.Minimal, []traffic.Pattern{traffic.Random})
 }
 
 // loadSweep declares the (topology × pattern × load) grid on the sweep
 // core and reduces it against the DragonFly baseline.
-func loadSweep(scale Scale, opts SimOptions, pol routing.Policy, pats []traffic.Pattern) ([]LoadPoint, error) {
+func loadSweep(scale Scale, opts Options, pol routing.Policy, pats []traffic.Pattern) ([]LoadPoint, error) {
 	opts = opts.withDefaults(scale, paperQuick, paperFull)
 	instances, err := SimInstances(scale)
 	if err != nil {
@@ -211,7 +138,7 @@ func loadSweep(scale Scale, opts SimOptions, pol routing.Policy, pats []traffic.
 // times and destinations), and the ratio isolates the routing-policy
 // effect rather than workload-sampling noise. It reads the fields Fig6
 // reads, with the same defaults.
-func Fig8(scale Scale, opts SimOptions) ([]LoadPoint, error) {
+func Fig8(scale Scale, opts Options) ([]LoadPoint, error) {
 	opts = opts.withDefaults(scale, paperQuick, paperFull)
 	instances, err := SimInstances(scale)
 	if err != nil {

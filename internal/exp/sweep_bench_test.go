@@ -21,7 +21,7 @@ import (
 // memo (Table, Network, Mapping) and its ordered fan-out, then RunLoad
 // — and reduces the results into Fig6's points. The benchmark and gate
 // below hold the generic core to within 5% of it.
-func handRolledFig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
+func handRolledFig6(scale Scale, opts Options) ([]LoadPoint, error) {
 	pol, pats := routing.UGALL, traffic.SyntheticPatterns
 	opts = opts.withDefaults(scale, paperQuick, paperFull)
 	instances, err := SimInstances(scale)
@@ -99,7 +99,7 @@ func handRolledFig6(scale Scale, opts SimOptions) ([]LoadPoint, error) {
 
 // overheadOpts sizes the comparison grid: big enough that the
 // simulations dominate a real sweep, small enough for CI.
-var overheadOpts = SimOptions{
+var overheadOpts = Options{
 	Ranks:       256,
 	MsgsPerRank: 8,
 	Loads:       []float64{0.2, 0.5},

@@ -19,16 +19,16 @@ type Table1Row struct {
 	Mu1      float64
 }
 
-// classSpecs lists the instances of the requested Table I size
-// classes (0-4) in class order. Nil classes select 0-1 at Quick scale
-// and all five at Full; a class out of range is an error.
-func classSpecs(classes []int, scale Scale) ([]topo.Spec, error) {
-	if classes == nil {
-		classes = []int{0, 1}
-		if scale == Full {
-			classes = []int{0, 1, 2, 3, 4}
-		}
-	}
+// The default Classes of Table1 and Fig4RawBisection: Table I's
+// classes 0-1 at Quick scale and all five at Full.
+var (
+	tableIQuick = Options{Classes: []int{0, 1}}
+	tableIFull  = Options{Classes: []int{0, 1, 2, 3, 4}}
+)
+
+// classSpecs lists the instances of the given Table I size classes
+// (0-4) in class order; a class out of range is an error.
+func classSpecs(classes []int) ([]topo.Spec, error) {
 	var specs []topo.Spec
 	for _, ci := range classes {
 		if ci < 0 || ci >= len(topo.TableISizeClasses) {
@@ -39,10 +39,11 @@ func classSpecs(classes []int, scale Scale) ([]topo.Spec, error) {
 	return specs, nil
 }
 
-// Table1 computes the structural rows of Table I for the requested
-// size classes (see classSpecs).
-func Table1(classes []int, scale Scale) ([]Table1Row, error) {
-	specs, err := classSpecs(classes, scale)
+// Table1 computes the structural rows of Table I. It reads Classes
+// (0-1 quick, all five full).
+func Table1(scale Scale, opts Options) ([]Table1Row, error) {
+	opts = opts.withDefaults(scale, tableIQuick, tableIFull)
+	specs, err := classSpecs(opts.Classes)
 	if err != nil {
 		return nil, err
 	}

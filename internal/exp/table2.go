@@ -28,44 +28,16 @@ type Table2Row struct {
 	SkyWalkRuns int
 }
 
-// Table2Options tunes the layout study.
-type Table2Options struct {
-	Pairs       int // number of LPS/SF pairs (default: 2 quick, 4 full)
-	SkyWalkRuns int // SkyWalk instantiations (default: 3 quick, 20 full)
-	Seed        int64
-}
-
-func (o Table2Options) withDefaults(scale Scale) Table2Options {
-	if o.Pairs == 0 {
-		if scale == Full {
-			o.Pairs = 4
-		} else {
-			o.Pairs = 2
-		}
-	}
-	if o.SkyWalkRuns == 0 {
-		if scale == Full {
-			o.SkyWalkRuns = 20
-		} else {
-			o.SkyWalkRuns = 3
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = BaseSeed
-	}
-	return o
-}
-
 // Table2 reproduces the §VII layout study for the LPS/SF pairs of
-// Table II.
-func Table2(scale Scale, opts Table2Options) ([]Table2Row, error) {
-	opts = opts.withDefaults(scale)
+// Table II (see eachLayout). It reads Seed.
+func Table2(scale Scale, opts Options) ([]Table2Row, error) {
+	opts = opts.withDefaults(scale, Options{}, Options{})
 	bisectTrials := 4
 	if scale == Full {
 		bisectTrials = 8
 	}
 	var rows []Table2Row
-	err := eachLayout(scale, opts, func(inst *topo.Instance, p *layout.Placement, sky []*graph.Graph, skyPlace *layout.Placement) {
+	err := eachLayout(scale, opts.Seed, func(inst *topo.Instance, p *layout.Placement, sky []*graph.Graph, skyPlace *layout.Placement) {
 		g := inst.G
 		k, _ := g.Regularity()
 		ws := layout.Stats(g, p, 0)
@@ -91,7 +63,7 @@ func Table2(scale Scale, opts Table2Options) ([]Table2Row, error) {
 			Bisection:   bisect,
 			PowerW:      ws.PowerW,
 			PowerPerBW:  layout.PowerPerBandwidth(ws.PowerW, bisect),
-			SkyWalkRuns: opts.SkyWalkRuns,
+			SkyWalkRuns: len(sky),
 		})
 	})
 	if err != nil {
@@ -100,24 +72,27 @@ func Table2(scale Scale, opts Table2Options) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// eachLayout builds every Table II instance of the selected pairs, lays
-// it out in its machine room with the study's annealer (the layout
-// package defaults at Full scale, two restarts of four sweeps at
-// Quick), samples the SkyWalk references sized for it, and hands all
-// of them to f in table order.
-func eachLayout(scale Scale, opts Table2Options, f func(inst *topo.Instance, p *layout.Placement, sky []*graph.Graph, skyPlace *layout.Placement)) error {
-	lo := layout.Options{Seed: opts.Seed}
+// eachLayout builds every Table II instance of the study's pairs (the
+// first two at Quick scale, all four at Full), lays it out in its
+// machine room with the study's annealer (the layout package defaults
+// at Full scale, two restarts of four sweeps at Quick), samples the
+// SkyWalk references sized for it (3 instantiations at Quick, 20 at
+// Full), and hands all of them to f in table order.
+func eachLayout(scale Scale, seed int64, f func(inst *topo.Instance, p *layout.Placement, sky []*graph.Graph, skyPlace *layout.Placement)) error {
+	pairs, skyRuns := topo.TableIISpecs[:], 20
+	lo := layout.Options{Seed: seed}
 	if scale != Full {
+		pairs, skyRuns = pairs[:2], 3
 		lo.Restarts, lo.Sweeps = 2, 4
 	}
-	for pi := 0; pi < opts.Pairs && pi < len(topo.TableIISpecs); pi++ {
-		for _, spec := range topo.TableIISpecs[pi] {
+	for _, pair := range pairs {
+		for _, spec := range pair {
 			inst, err := spec.Build()
 			if err != nil {
 				return err
 			}
 			k, _ := inst.G.Regularity()
-			sky, skyPlace, err := skyWalkInstances(inst.G.N(), k, opts)
+			sky, skyPlace, err := skyWalkInstances(inst.G.N(), k, skyRuns, seed)
 			if err != nil {
 				return err
 			}
@@ -150,15 +125,16 @@ type Fig11Point struct {
 }
 
 // Fig11 computes end-to-end latency relative to SkyWalk as a function
-// of switch latency for the Table II instances.
-func Fig11(scale Scale, opts Table2Options) ([]Fig11Point, error) {
-	opts = opts.withDefaults(scale)
+// of switch latency for the Table II instances (see eachLayout). It
+// reads Seed.
+func Fig11(scale Scale, opts Options) ([]Fig11Point, error) {
+	opts = opts.withDefaults(scale, Options{}, Options{})
 	switchLats := []float64{0, 25, 50, 75, 100, 150, 200, 250}
 	if scale != Full {
 		switchLats = []float64{0, 100, 250}
 	}
 	var points []Fig11Point
-	err := eachLayout(scale, opts, func(inst *topo.Instance, p *layout.Placement, sky []*graph.Graph, skyPlace *layout.Placement) {
+	err := eachLayout(scale, opts.Seed, func(inst *topo.Instance, p *layout.Placement, sky []*graph.Graph, skyPlace *layout.Placement) {
 		// One all-pairs profile per graph serves every switch latency.
 		ownProf := layout.Profile(inst.G, p)
 		skyProfs := make([]*layout.PathProfile, len(sky))
@@ -190,13 +166,13 @@ func Fig11(scale Scale, opts Table2Options) ([]Fig11Point, error) {
 }
 
 // skyWalkInstances samples the SkyWalk references of one Table II
-// instance: SkyWalkRuns seeded instantiations in the machine room
-// sized for n routers, with that room's sequential placement.
-func skyWalkInstances(n, k int, opts Table2Options) ([]*graph.Graph, *layout.Placement, error) {
+// instance: runs seeded instantiations in the machine room sized for n
+// routers, with that room's sequential placement.
+func skyWalkInstances(n, k, runs int, seed int64) ([]*graph.Graph, *layout.Placement, error) {
 	place := layout.SequentialPlacement(n)
 	var out []*graph.Graph
-	for s := 0; s < opts.SkyWalkRuns; s++ {
-		inst, err := topo.SkyWalk(n, k, place.RouterDistance, 0, opts.Seed+int64(s)*37)
+	for s := 0; s < runs; s++ {
+		inst, err := topo.SkyWalk(n, k, place.RouterDistance, 0, seed+int64(s)*37)
 		if err != nil {
 			return nil, nil, err
 		}

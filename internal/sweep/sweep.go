@@ -82,15 +82,10 @@ type FaultAxis struct {
 	Kind       fault.Kind
 	Fraction   float64
 	RegionSize int // chassis size for region plans; <= 0 defaults to 8
-	Trials     int // independent plans; <= 0 defaults to 1
+	Trials     int // independent plans; 0 means 1, and a negative count is an error
 }
 
-func (f FaultAxis) trials() int {
-	if f.Trials <= 0 {
-		return 1
-	}
-	return f.Trials
-}
+func (f FaultAxis) trials() int { return max(f.Trials, 1) }
 
 // ScheduleAxis is one live-reconfiguration model on the schedule axis:
 // cells run with a timed topology-event schedule (fault.Schedule)
@@ -109,7 +104,7 @@ type ScheduleAxis struct {
 	Outage     int64
 	Repeats    int
 	// Trials runs independent trials, each sampling its own churn
-	// schedule; <= 0 defaults to 1.
+	// schedule; 0 means 1, and a negative count is an error.
 	Trials int
 	// Schedule is a fixed schedule for every trial, validated against
 	// every instance's graph; nil means sample churn.
@@ -119,12 +114,7 @@ type ScheduleAxis struct {
 // fixed tests nil-ness, not length: fault.Rewiring's static leg is empty.
 func (s ScheduleAxis) fixed() bool { return s.Schedule != nil }
 
-func (s ScheduleAxis) trials() int {
-	if s.Trials <= 0 {
-		return 1
-	}
-	return s.Trials
-}
+func (s ScheduleAxis) trials() int { return max(s.Trials, 1) }
 
 // churn is the axis's churn pattern with the given sampling seed.
 func (s ScheduleAxis) churn(seed int64) fault.ChurnSpec {
@@ -400,6 +390,9 @@ func (g *Grid) validate() error {
 		return fmt.Errorf("sweep: OmitIntact with no fault or schedule axis leaves an empty grid")
 	}
 	for _, f := range g.Faults {
+		if f.Trials < 0 {
+			return fmt.Errorf("sweep: fault axis %s:%v has trials %d, want >= 0", f.Kind, f.Fraction, f.Trials)
+		}
 		if !(f.Fraction > 0 && f.Fraction <= 1) {
 			return fmt.Errorf("sweep: fault fraction %v out of (0,1] (an intact baseline is the OmitIntact=false cells' job)", f.Fraction)
 		}
@@ -419,6 +412,9 @@ func (g *Grid) validate() error {
 			return fmt.Errorf("sweep: duplicate schedule axis name %q", s.Name)
 		}
 		seen[s.Name] = true
+		if s.Trials < 0 {
+			return fmt.Errorf("sweep: schedule axis %q has trials %d, want >= 0", s.Name, s.Trials)
+		}
 		if !s.fixed() {
 			if err := s.churn(0).Validate(); err != nil {
 				return fmt.Errorf("sweep: schedule axis %q: %w", s.Name, err)

@@ -349,6 +349,10 @@ func TestValidate(t *testing.T) {
 			Policies: []routing.Policy{routing.Policy(7)}},
 		{Instances: testInstances(t), Measure: MeasureSaturation,
 			Policies: []routing.Policy{routing.Policy(-1)}},
+		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3},
+			Faults: []FaultAxis{{Kind: fault.Links, Fraction: 0.1, Trials: -2}}},
+		{Instances: testInstances(t), Measure: MeasureLoad, Loads: []float64{0.3},
+			Schedules: []ScheduleAxis{{Name: "churn", Kind: fault.Links, Fraction: 0.1, Period: 10, Outage: 5, Trials: -1}}},
 	}
 	for i, g := range bad {
 		if err := g.Run(context.Background(), Options{}, func(Result) error { return nil }); err == nil {

@@ -47,7 +47,7 @@ const (
 type FaultAxis = sweep.FaultAxis
 
 // FaultLinks sweeps a uniformly random link-cut fraction, sampled
-// trials times (trials <= 0 means one plan).
+// trials times (0 means one plan; a negative count is an error).
 func FaultLinks(fraction float64, trials int) FaultAxis {
 	return FaultAxis{Kind: fault.Links, Fraction: fraction, Trials: trials}
 }
@@ -75,7 +75,8 @@ type ScheduleAxis = sweep.ScheduleAxis
 
 // ChurnLinks sweeps repeating link churn: every period cycles a fresh
 // random fraction of links fails, recovering outage cycles later,
-// repeats times. trials <= 0 means one sampled schedule.
+// repeats times. trials 0 means one sampled schedule; a negative count
+// is an error.
 func ChurnLinks(fraction float64, period, outage int64, repeats, trials int) ScheduleAxis {
 	return ScheduleAxis{Name: "links-churn", Kind: fault.Links, Fraction: fraction,
 		Period: period, Outage: outage, Repeats: repeats, Trials: trials}
