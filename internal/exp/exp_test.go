@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/spectral"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -105,6 +106,55 @@ func TestFig4RawBisectionBracketsAndOrder(t *testing.T) {
 	if lps.Normalized <= sf.Normalized {
 		t.Errorf("LPS(23,11) normalized bisection %.3f should exceed SF(17) %.3f",
 			lps.Normalized, sf.Normalized)
+	}
+}
+
+// TestStructuralExhibitsHonourSeed: Table I and both Figure 4
+// bisection exhibits seed their spectral and partitioner runs from
+// Options.Seed, so their rows equal rows built directly with that seed.
+// Only class 0's two cheapest rows, SF(7) and BF(13,3), are rebuilt:
+// both bisection rows, and BF(13,3)'s µ1, differ between seed 7 and
+// BaseSeed.
+func TestStructuralExhibitsHonourSeed(t *testing.T) {
+	const seed = 7
+	opts := Options{Classes: []int{0}, MaxPQ: 8, MaxN: 400, Seed: seed}
+	raw, err := Fig4RawBisection(Quick, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := Table1(Quick, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{1, 2} {
+		spec := topo.TableISizeClasses[0][i]
+		inst, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bisectionRow(inst, seed); raw[i] != want {
+			t.Errorf("fig4-rawbw %s: %+v, want %+v", spec, raw[i], want)
+		}
+		if mu1 := spectral.Profile(inst.G, seed).Mu1; table[i].Mu1 != mu1 {
+			t.Errorf("table1 %s: mu1 %v, want %v", spec, table[i].Mu1, mu1)
+		}
+	}
+	norm, err := Fig4NormalizedBisection(Quick, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range norm {
+		spec, err := topo.ParseSpec(r.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bisectionRow(inst, seed); r != want {
+			t.Errorf("fig4-normbw %s: %+v, want %+v", r.Name, r, want)
+		}
 	}
 }
 

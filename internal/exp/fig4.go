@@ -103,7 +103,7 @@ func Fig4NormalizedBisection(scale Scale, opts Options) ([]BisectionRow, error) 
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, bisectionRow(inst, BaseSeed))
+		rows = append(rows, bisectionRow(inst, opts.Seed))
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Radix != rows[j].Radix {
@@ -129,7 +129,7 @@ func Fig4RawBisection(scale Scale, opts Options) ([]BisectionRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, bisectionRow(inst, BaseSeed))
+		rows = append(rows, bisectionRow(inst, opts.Seed))
 	}
 	return rows, nil
 }

@@ -18,8 +18,8 @@ import (
 // handRolledFig6 is the overhead baseline for the declarative core: it
 // does by hand exactly the work a Fig6 cell needs, without internal/sweep
 // — the same (topology × pattern × load) cells and seeds, the Runner
-// memo (Table, Network, Mapping) and its ordered fan-out, then RunLoad
-// — and reduces the results into Fig6's points. The benchmark and gate
+// memo (Table, Network and Recycle, Mapping) and its ordered fan-out,
+// then RunLoad — and reduces the results into Fig6's points. The benchmark and gate
 // below hold the generic core to within 5% of it.
 func handRolledFig6(scale Scale, opts Options) ([]LoadPoint, error) {
 	pol, pats := routing.UGALL, traffic.SyntheticPatterns
@@ -62,6 +62,7 @@ func handRolledFig6(scale Scale, opts Options) ([]LoadPoint, error) {
 			return
 		}
 		res.Stats = nw.RunLoad(mp.PatternEndpoints(c.pat, opts.Ranks), c.load, opts.MsgsPerRank)
+		r.Recycle(c.si.Inst.G, c.si.Concentration, nw)
 	}, func(int) error { return nil })
 	nPats, nLoads := len(pats), len(opts.Loads)
 	at := func(i, p, l int) *result { return &results[(i*nPats+p)*nLoads+l] }

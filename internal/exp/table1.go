@@ -53,7 +53,7 @@ func Table1(scale Scale, opts Options) ([]Table1Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: building %s: %w", spec, err)
 		}
-		m := spectral.Profile(inst.G, BaseSeed)
+		m := spectral.Profile(inst.G, opts.Seed)
 		rows = append(rows, Table1Row{
 			Name:     inst.Name,
 			Routers:  m.Routers,

@@ -10,8 +10,8 @@
 //     once per topology instance and shared read-only across workers
 //     (routing.Table documents this contract); simulator prototypes
 //     (the port maps of simnet.New), handed out as private clones by
-//     Network; and rank→endpoint mappings, keyed by (endpoints, ranks,
-//     seed);
+//     Network, which reuses small finished clones (Recycle); and
+//     rank→endpoint mappings, keyed by (endpoints, ranks, seed);
 //   - an ordered fan-out (RunStream) over a worker pool sized by
 //     GOMAXPROCS, delivering results in index order regardless of
 //     completion order.
@@ -25,6 +25,7 @@ import (
 	"context"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,7 +47,31 @@ type Runner struct {
 	tables    map[*graph.Graph]*tableEntry
 	protos    map[protoKey]*protoEntry
 	maps      map[mapKey]*mapEntry
+	// idle holds recycled clones for Network to hand out again, oldest
+	// first: at most workers of them, whatever their keys.
+	idle []idleClone
 }
+
+// idleClone is a finished simulator clone of (key.g, key.conc) with
+// its per-run settings reset.
+type idleClone struct {
+	key protoKey
+	nw  *simnet.Network
+}
+
+// recycleMaxBytes gates Recycle: a clone is kept only if its last
+// run's MemoryBytes is at most this. Measured per cell: the fabric's
+// tiny Quick cells (64 ranks, 2 messages) use 162–222 KiB, and a
+// fresh clone's first run spends most of their time allocating the
+// event wheel, port state and injection cursors; the Full-scale load
+// grid uses 2,092–4,161 KiB, its fault and churn cells on LPS(23,13)
+// and SF(27) 1,485–10,785 KiB, and a 12K-router LPS cell 4.1–6.5 MB.
+// Above the gate, a kept clone would hold the union of every bucket's
+// peak capacity — about 3× the length-based MemoryBytes — across the
+// cells it serves (29 MB live, where a fresh clone held 20 MB, on
+// LPS(13,29) at loads 0.2/0.4/0.6), so large cells keep allocating
+// fresh.
+const recycleMaxBytes = 1 << 20
 
 // tableEntry memoizes one graph's routing table. The table pointer is
 // atomic so TableBytes can observe entries without racing a build in
@@ -171,11 +196,11 @@ func (r *Runner) Mapping(ranks, totalEP int, seed int64) (traffic.Mapping, error
 	return e.mp, e.err
 }
 
-// Release drops the memoized routing table and simulator prototypes
-// for g. Sweeps over many transient damaged instances (the resilience
-// grid builds one per failure plan) call this once a graph's cells have
-// all completed, so peak memory tracks one batch of plans rather than
-// the whole sweep. Releasing a graph with cells still in flight is a
+// Release drops the memoized routing table, simulator prototypes and
+// idle recycled clones for g. Sweeps over many transient damaged
+// instances (the resilience grid builds one per failure plan) call
+// this once a graph's cells have all completed, so peak memory tracks
+// one batch of plans rather than the whole sweep. Releasing a graph with cells still in flight is a
 // caller bug (those cells hold their own references, but a concurrent
 // re-build could duplicate work); releasing an unknown graph is a
 // no-op.
@@ -188,17 +213,28 @@ func (r *Runner) Release(g *graph.Graph) {
 			delete(r.protos, k)
 		}
 	}
+	r.idle = slices.DeleteFunc(r.idle, func(c idleClone) bool { return c.key.g == g })
 }
 
 // Network returns a private simulator for topology g with conc
-// endpoints per router: a clone of the memoized per-(g, conc)
+// endpoints per router: the most recently recycled idle clone of
+// (g, conc) if there is one, else a clone of the memoized per-(g, conc)
 // prototype, built on first use over g's memoized routing table. The
 // clone shares the prototype's immutable half read-only; its per-run
 // configuration (policy, seed, shards, dead routers, schedule,
-// latencies, tenants) is the caller's to set.
+// latencies, tenants) starts at the defaults and is the caller's to
+// set. A recycled clone runs exactly like a fresh one.
 func (r *Runner) Network(g *graph.Graph, conc int) (*simnet.Network, error) {
 	k := protoKey{g: g, conc: conc}
 	r.mu.Lock()
+	for i := len(r.idle) - 1; i >= 0; i-- {
+		if r.idle[i].key == k {
+			nw := r.idle[i].nw
+			r.idle = slices.Delete(r.idle, i, i+1)
+			r.mu.Unlock()
+			return nw, nil
+		}
+	}
 	e := r.protos[k]
 	if e == nil {
 		e = &protoEntry{}
@@ -212,6 +248,26 @@ func (r *Runner) Network(g *graph.Graph, conc int) (*simnet.Network, error) {
 		return nil, e.err
 	}
 	return e.proto.Clone(), nil
+}
+
+// Recycle takes back a clone that Network returned for (g, conc) once
+// the caller has finished with it and with every result of its runs.
+// The clone is kept for a later Network call only if its last run's
+// MemoryBytes is at most recycleMaxBytes, and the Runner keeps at
+// most its worker count of idle clones, dropping the oldest first; so
+// a sweep of tiny cells reuses each worker's run buffers while large
+// cells' memory is returned as before.
+func (r *Runner) Recycle(g *graph.Graph, conc int, nw *simnet.Network) {
+	if nw.MemoryBytes() > recycleMaxBytes {
+		return
+	}
+	nw.ResetSettings()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.idle) == r.workers {
+		r.idle = slices.Delete(r.idle, 0, 1)
+	}
+	r.idle = append(r.idle, idleClone{key: protoKey{g: g, conc: conc}, nw: nw})
 }
 
 // DeriveSeed maps a base seed and a stable cell key to a per-cell seed

@@ -22,7 +22,8 @@
 // arena, statistics). Clone produces a cheap second instance sharing the
 // immutable half, so a sweep engine can run many configurations of the
 // same instance concurrently — runner.Runner.Network hands each sweep
-// cell such a clone.
+// cell such a clone, and ResetSettings lets a finished clone serve the
+// next cell with its run buffers already allocated.
 //
 // The run loop streams its workload: RunLoad keeps one injection
 // cursor per endpoint (epGen) that schedules only that endpoint's next
@@ -375,6 +376,19 @@ func (nw *Network) Clone() *Network {
 		nep:   nw.nep,
 		run:   nw.run,
 		kways: nw.kways,
+	}
+}
+
+// ResetSettings returns every per-run setting to its default — a
+// Minimal, one-shard, undamaged, static, uniform-wire, single-tenant
+// run at seed 0, as on a fresh Clone of a prototype — and drops what
+// the finished run pointed at (its workload and live topology). The
+// run buffers stay: the event wheel, port and NIC state, injection
+// cursors, packet arena and shard views serve the next run, which
+// resets their contents. runner.Runner recycles sweep clones this way.
+func (nw *Network) ResetSettings() {
+	for _, v := range append([]*Network{nw}, nw.views...) {
+		v.run, v.pattern, v.live, v.tbl = runConfig{}, nil, nil, nil
 	}
 }
 

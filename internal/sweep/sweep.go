@@ -625,16 +625,19 @@ type task struct {
 }
 
 // measure runs one cell on a private clone of the engine's simulator
-// prototype for the cell's graph, per the grid's measure. validate has
-// already pinned the grid-level invariants (load range, shifting
-// traffic and tenants on Load grids only, schedules on Load grids
-// only), so only the simulator and the workload can fail here.
+// prototype for the cell's graph, per the grid's measure, and hands
+// the clone back to the engine for the next cell (Runner.Recycle).
+// validate has already pinned the grid-level invariants (load range,
+// shifting traffic and tenants on Load grids only, schedules on Load
+// grids only), so only the simulator and the workload can fail here.
 func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats, sat float64, err error) {
 	c, pt := t.c, &t.pt
-	nw, err := r.Network(pt.g, g.Instances[c.Instance].Concentration)
+	conc := g.Instances[c.Instance].Concentration
+	nw, err := r.Network(pt.g, conc)
 	if err != nil {
 		return st, 0, err
 	}
+	defer r.Recycle(pt.g, conc, nw)
 	nw.SetPolicy(c.Policy)
 	nw.SetSeed(t.seed)
 	nw.SetWorkers(workers)

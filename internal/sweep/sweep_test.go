@@ -713,3 +713,36 @@ func TestIntactTableReleasedPerInstance(t *testing.T) {
 	}
 	check("RunRange(0,3)", r)
 }
+
+// BenchmarkRunRangeTinyCells measures the fixed per-cell cost of the
+// sweep core: one 64-cell chunk of a Quick load grid (LPS(11,7) at
+// concentration 4, 64 ranks, 2 messages each, 64 loads) through
+// RunRange with fresh Options, the way a fabric worker executes each
+// claimed range. Run it with -benchmem; B/op is dominated by what
+// every cell's simulator allocates before its first event.
+func BenchmarkRunRangeTinyCells(b *testing.B) {
+	lps, err := topo.LPS(11, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	loads := make([]float64, 64)
+	for i := range loads {
+		loads[i] = 0.015 * float64(i+1)
+	}
+	g := &Grid{
+		Instances:   []Instance{{Name: lps.Name, Inst: lps, Concentration: 4}},
+		Loads:       loads,
+		Measure:     MeasureLoad,
+		Ranks:       64,
+		MsgsPerRank: 2,
+		Seed:        1,
+	}
+	discard := func(res Result) error { return res.Err }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.RunRange(context.Background(), Options{Parallel: 1}, 0, 64, discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
