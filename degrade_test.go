@@ -60,3 +60,19 @@ func TestDegradeStacksPlans(t *testing.T) {
 			st2.DeliveredFraction(), st1.DeliveredFraction())
 	}
 }
+
+// TestSimKeepsDeadRouters: a degraded network's dead routers reach
+// every run, so the same damaged wiring without the dead set runs
+// differently.
+func TestSimKeepsDeadRouters(t *testing.T) {
+	net, _ := LPS(11, 7)
+	hurt := mustDegrade(t, net, PlanRandomRouters(0.2, 4))
+	wiring := &Network{Name: hurt.Name, G: hurt.G}
+	cfg := SimConfig{Concentration: 2, Seed: 9}
+	dead := mustRunUniform(t, mustSimulate(t, hurt, cfg), 0.3, 5)
+	alive := mustRunUniform(t, mustSimulate(t, wiring, cfg), 0.3, 5)
+	dead.MemoryBytes, alive.MemoryBytes = 0, 0
+	if dead.Equal(alive) {
+		t.Fatalf("the dead-router set changed nothing: %+v", dead)
+	}
+}

@@ -73,6 +73,18 @@ func graphDigest(g *graph.Graph) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// instanceDigest is graphDigest plus, only on an instance with a dead
+// set, that set's digest, so every other instance keeps its keys.
+func instanceDigest(inst Instance) string {
+	d := graphDigest(inst.Inst.G)
+	if inst.Dead != nil {
+		h := sha256.New()
+		fmt.Fprint(h, inst.Dead)
+		d += "+dead:" + hex.EncodeToString(h.Sum(nil))
+	}
+	return d
+}
+
 // motifDigest hashes a motif's full message schedule. Motif names are
 // display labels and not unique — the quick and full variants of an
 // Ember motif share one — so only the rounds themselves identify the
@@ -208,7 +220,7 @@ func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 	shared := g.sharedKeyHeader()
 	digests := make([]string, len(g.Instances))
 	for i := range g.Instances {
-		digests[i] = graphDigest(g.Instances[i].Inst.G)
+		digests[i] = instanceDigest(g.Instances[i])
 		if g.Layout.enabled() {
 			// Commit each instance's intact latency table. Damaged cells'
 			// tables are re-derived from the same placement, pinned by the
@@ -268,7 +280,7 @@ func (g *Grid) Fingerprint(workers int) (string, error) {
 	d := g.deriver()
 	for i := range g.Instances {
 		inst := g.Instances[i]
-		fmt.Fprintf(h, "inst=%s:%d:%s", inst.Name, inst.Concentration, graphDigest(inst.Inst.G))
+		fmt.Fprintf(h, "inst=%s:%d:%s", inst.Name, inst.Concentration, instanceDigest(inst))
 		if g.Layout.enabled() {
 			t, err := d.latencies(i, inst.Inst.G)
 			if err != nil {

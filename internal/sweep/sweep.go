@@ -44,6 +44,10 @@ type Instance struct {
 	Name          string
 	Inst          *topo.Instance
 	Concentration int
+	// Dead marks the routers that are down in every cell: a network
+	// degraded before the sweep, with Inst its damaged graph. Nil means
+	// all are up. A dead set excludes fault and schedule axes.
+	Dead []bool
 }
 
 // Endpoints returns the simulated endpoint count of the instance.
@@ -359,6 +363,9 @@ func (g *Grid) validate() error {
 		}
 		if inst.Concentration < 1 {
 			return fmt.Errorf("sweep: instance %d (%s) has concentration %d, want >= 1", i, inst.Name, inst.Concentration)
+		}
+		if inst.Dead != nil && (len(g.Faults) > 0 || len(g.Schedules) > 0) {
+			return fmt.Errorf("sweep: instance %d (%s) has dead routers; a fault or schedule axis needs an intact instance", i, inst.Name)
 		}
 	}
 	if g.MsgsPerRank < 0 {
@@ -868,7 +875,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 		return flushHits(len(p.sel))
 	}
 	intact := func(c *Cell) (point, error) {
-		pt := point{g: g.Instances[c.Instance].Inst.G}
+		pt := point{g: g.Instances[c.Instance].Inst.G, dead: g.Instances[c.Instance].Dead}
 		return pt, d.resolve(c.Instance, &pt)
 	}
 

@@ -164,8 +164,8 @@ func (m Mapping) Ranks() int { return len(m.EPOf) }
 
 // PatternEndpoints returns a simnet.PatternFunc translating the
 // pattern from rank space to endpoint space through the mapping:
-// source endpoints outside the job emit no traffic (-1). It is the
-// single translation used by both the sweep engine and the façade.
+// source endpoints outside the job emit no traffic (-1). Every sweep
+// load cell, the façade's Sim runs included, translates through it.
 func (m Mapping) PatternEndpoints(p Pattern, ranks int) simnet.PatternFunc {
 	return func(srcEP int, _ int64, rng *rand.Rand) int {
 		r := m.RankOf[srcEP]

@@ -1,11 +1,13 @@
 package spectralfly
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/routing"
+	"repro/internal/runner"
 	"repro/internal/simnet"
+	"repro/internal/sweep"
 	"repro/internal/traffic"
 )
 
@@ -40,7 +42,8 @@ type SimConfig struct {
 	Concentration int
 	// Policy is the routing algorithm (default RoutingMinimal).
 	Policy routing.Policy
-	// Seed drives all randomness.
+	// Seed is the base seed, as in NewSweep(…).Seed(Seed) (but zero is
+	// not read as 1): each run's seed derives from it and its cell key.
 	Seed int64
 	// Workers is the number of router shards a run is split into and
 	// simulated in parallel (0 and 1 mean one). It is a speed knob
@@ -55,108 +58,73 @@ type SimStats = simnet.Stats
 
 // Sim is a ready-to-run simulation of one network.
 type Sim struct {
-	net   *Network
-	cfg   SimConfig
-	table *routing.Table
-	nw    *simnet.Network
+	inst sweep.Instance
+	cfg  SimConfig
+	r    *runner.Runner
 }
 
-// Simulate prepares a simulator for the network, building the routing
-// table once (dense rows up to 4,096 routers, packed above; see
-// DESIGN.md §7); reuse the Sim for multiple runs. Invalid
-// configurations (a negative concentration, a policy that is none of
-// the Routing* constants, or a dead-router mask that does not match
-// the graph) surface as errors.
+// Simulate prepares a simulator for the network; reuse the Sim for
+// multiple runs, which share one routing table (dense rows up to 4,096
+// routers, packed above; see DESIGN.md §7). Each run measures exactly
+// what the matching one-cell NewSweep measures. A negative
+// concentration or a policy that is none of the Routing* constants is
+// an error.
 func (n *Network) Simulate(cfg SimConfig) (*Sim, error) {
 	if !cfg.Policy.Valid() {
 		return nil, fmt.Errorf("spectralfly: unknown routing policy %d", int(cfg.Policy))
 	}
-	table := routing.NewTable(n.G)
-	nw, err := simnet.New(simnet.Config{Topo: n.G, Concentration: cfg.Concentration}, table)
-	if err != nil {
-		return nil, err
+	if cfg.Concentration < 0 {
+		return nil, fmt.Errorf("spectralfly: concentration %d, want >= 1 (0 means 1)", cfg.Concentration)
 	}
-	nw.SetPolicy(cfg.Policy)
-	nw.SetSeed(cfg.Seed)
-	nw.SetWorkers(cfg.Workers)
-	if err := nw.SetDeadRouters(n.failedRouters); err != nil {
-		return nil, err
-	}
-	return &Sim{net: n, cfg: cfg, table: table, nw: nw}, nil
+	return &Sim{inst: n.instance(max(cfg.Concentration, 1)), cfg: cfg, r: runner.New(1)}, nil
 }
 
 // Endpoints returns the number of simulated endpoints.
-func (s *Sim) Endpoints() int { return s.nw.Endpoints() }
+func (s *Sim) Endpoints() int { return s.inst.Endpoints() }
 
 // Diameter returns the network diameter from the routing table.
-func (s *Sim) Diameter() int { return s.table.Diameter() }
+func (s *Sim) Diameter() int { return s.r.Table(s.inst.Inst.G).Diameter() }
 
 // VirtualChannels returns the deadlock-free VC budget for the
 // configured policy (§V-A).
 func (s *Sim) VirtualChannels() int {
-	return routing.VirtualChannels(s.cfg.Policy, s.table.Diameter())
+	return routing.VirtualChannels(s.cfg.Policy, s.Diameter())
 }
 
-// RunUniform injects uniform random traffic at the offered load with
-// msgsPerEP messages per endpoint and returns the run statistics. A
-// load outside (0, 1], NaN included, or a negative message count is
-// an error. For a load sweep or a saturation search, use NewSweep.
+// RunUniform is RunPattern with uniform random traffic over every
+// endpoint, msgsPerEP messages each. A load outside (0, 1], NaN
+// included, or a negative message count is an error. For a load sweep
+// or a saturation search, use NewSweep.
 func (s *Sim) RunUniform(load float64, msgsPerEP int) (SimStats, error) {
-	if err := checkRun(load, msgsPerEP); err != nil {
-		return SimStats{}, err
-	}
-	nep := s.nw.Endpoints()
-	return s.nw.RunLoad(func(_ int, _ int64, rng *rand.Rand) int {
-		return rng.Intn(nep)
-	}, load, msgsPerEP), nil
+	return s.RunPattern(PatternRandom, s.Endpoints(), load, msgsPerEP)
 }
 
-// checkRun rejects an offered load outside (0, 1] (NaN fails too) and
-// a negative message count.
-func checkRun(load float64, msgs int) error {
-	if !(load > 0 && load <= 1) {
-		return fmt.Errorf("spectralfly: offered load %v out of (0,1]", load)
-	}
-	if msgs < 0 {
-		return fmt.Errorf("spectralfly: message count %d, want >= 0", msgs)
-	}
-	return nil
-}
-
-// RunPattern injects one of the §VI-C synthetic patterns over a
-// power-of-two rank space mapped onto the endpoints. A load outside
-// (0, 1], NaN included, a negative message count, a pattern that is
-// none of the Pattern* constants, or a bit pattern on a rank count
-// that is not a power of two is an error.
+// RunPattern injects one of the §VI-C synthetic patterns over a rank
+// space mapped onto the endpoints. A load outside (0, 1], NaN
+// included, a negative message count, a pattern that is none of the
+// Pattern* constants, or a bit pattern on a rank count that is not a
+// power of two is an error.
 func (s *Sim) RunPattern(pat traffic.Pattern, ranks int, load float64, msgsPerRank int) (SimStats, error) {
-	if err := checkRun(load, msgsPerRank); err != nil {
-		return SimStats{}, err
-	}
-	if !pat.Valid() {
-		return SimStats{}, fmt.Errorf("spectralfly: unknown traffic pattern %d", int(pat))
-	}
-	if pat != traffic.Random && !traffic.PowerOfTwo(ranks) {
-		return SimStats{}, fmt.Errorf("spectralfly: pattern %s needs a power-of-two rank count, got %d", pat, ranks)
-	}
-	mp, err := traffic.NewMapping(ranks, s.nw.Endpoints(), s.cfg.Seed)
-	if err != nil {
-		return SimStats{}, err
-	}
-	return s.nw.RunLoad(mp.PatternEndpoints(pat, ranks), load, msgsPerRank), nil
+	return s.run(sweep.Grid{Patterns: []traffic.Pattern{pat}, Loads: []float64{load}, Ranks: ranks, MsgsPerRank: msgsPerRank})
 }
 
 // RunMotif executes an Ember-style motif (§VI-D) over a rank space
 // mapped onto the endpoints and returns aggregate statistics; the
 // makespan is the paper's comparison metric.
 func (s *Sim) RunMotif(m traffic.Motif, ranks int) (SimStats, error) {
-	if err := traffic.Validate(m, ranks); err != nil {
-		return SimStats{}, err
-	}
-	mp, err := traffic.NewMapping(ranks, s.nw.Endpoints(), s.cfg.Seed)
+	return s.run(sweep.Grid{Measure: sweep.MeasureMotif, Motifs: []traffic.Motif{m}, Ranks: ranks})
+}
+
+// run measures g's one cell on this Sim's network, policy and seed.
+func (s *Sim) run(g sweep.Grid) (SimStats, error) {
+	g.Instances = []sweep.Instance{s.inst}
+	g.Policies = []routing.Policy{s.cfg.Policy}
+	g.Seed = s.cfg.Seed
+	res, err := g.Collect(context.Background(), sweep.Options{Runner: s.r, Workers: s.cfg.Workers})
 	if err != nil {
 		return SimStats{}, err
 	}
-	return s.nw.RunBatches(traffic.MapRounds(m, mp))
+	return res[0].Stats, res[0].Err
 }
 
 // Motif constructors (re-exported from internal/traffic).

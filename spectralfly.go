@@ -22,6 +22,9 @@
 // Centrality returns the vertex and link betweenness profiles from one
 // Brandes pass.
 //
+// Simulate runs single simulations, each exactly the matching
+// one-cell NewSweep.
+//
 // Simulate and NewSweep route over an all-pairs shortest-path table
 // whose storage follows from the network's size: dense rows up to
 // 4,096 routers, where they route fastest, and packed rows above (on
@@ -53,7 +56,7 @@ type Network struct {
 	G *Graph
 
 	// failedRouters marks dead routers on a degraded network (set by
-	// Degrade with a router- or region-kill plan); Simulate drops
+	// Degrade with a router- or region-kill plan); a Sim's runs drop
 	// traffic to and from their endpoints.
 	failedRouters []bool
 	// degraded marks any damaged copy — including pure link damage,

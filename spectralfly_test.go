@@ -1,6 +1,7 @@
 package spectralfly
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -394,6 +395,59 @@ func TestPublicAPIWorkersExactP99(t *testing.T) {
 	again.MemoryBytes = 0
 	if !again.Equal(a) {
 		t.Errorf("run not deterministic:\n%+v\n%+v", again, a)
+	}
+}
+
+// TestSimMatchesSweepCell: every Sim run is the one-cell NewSweep with
+// the same network, concentration, policy, axes and seed, at every
+// shard count. One Sim serves all three run kinds, so later runs take
+// the clones earlier runs recycled.
+func TestSimMatchesSweepCell(t *testing.T) {
+	net, _ := LPS(11, 7)
+	halo := Halo3D26{NX: 4, NY: 4, NZ: 4, Iters: 1}
+	for _, workers := range []int{1, 4} {
+		sim := mustSimulate(t, net, SimConfig{Concentration: 2, Policy: RoutingUGAL, Seed: 9, Workers: workers})
+		cell := func(sw *Sweep) SimStats {
+			t.Helper()
+			res, err := sw.Networks(net).Concentration(2).Policies(RoutingUGAL).Seed(9).Workers(workers).Collect(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 {
+				t.Fatalf("%d cells, want 1", len(res))
+			}
+			if res[0].Err != nil {
+				t.Fatal(res[0].Err)
+			}
+			return res[0].Stats
+		}
+		uniform, err := sim.RunUniform(0.3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shuffle, err := sim.RunPattern(PatternShuffle, 256, 0.3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		motif, err := sim.RunMotif(halo, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want SimStats
+		}{
+			{"uniform", uniform, cell(new(Sweep).Patterns(PatternRandom).Loads(0.3).Ranks(sim.Endpoints()).MsgsPerRank(5))},
+			{"shuffle", shuffle, cell(new(Sweep).Patterns(PatternShuffle).Loads(0.3).Ranks(256).MsgsPerRank(5))},
+			{"motif", motif, cell(new(Sweep).Motifs(halo).Ranks(64))},
+		} {
+			if c.got.Delivered == 0 {
+				t.Errorf("workers %d, %s: run idle", workers, c.name)
+			}
+			if !c.got.Equal(c.want) {
+				t.Errorf("workers %d, %s: Sim\n%+v\nsweep cell\n%+v", workers, c.name, c.got, c.want)
+			}
+		}
 	}
 }
 

@@ -197,17 +197,20 @@ func (s *Sweep) Networks(nets ...*Network) *Sweep {
 		if s.conc == 0 {
 			s.defaulted = append(s.defaulted, len(s.topos))
 		}
-		conc := s.conc
-		if conc == 0 {
-			conc = 1
-		}
-		s.topos = append(s.topos, sweep.Instance{
-			Name:          net.Name,
-			Inst:          &topo.Instance{Name: net.Name, G: net.G},
-			Concentration: conc,
-		})
+		s.topos = append(s.topos, net.instance(max(s.conc, 1)))
 	}
 	return s
+}
+
+// instance is the network as a sweep topology entry with conc
+// endpoints per router, a degraded network's dead routers included.
+func (n *Network) instance(conc int) sweep.Instance {
+	return sweep.Instance{
+		Name:          n.Name,
+		Inst:          &topo.Instance{Name: n.Name, G: n.G},
+		Concentration: conc,
+		Dead:          n.failedRouters,
+	}
 }
 
 // Concentration sets the endpoints-per-router count (default 1) for
