@@ -296,7 +296,7 @@ func TestServeRejectsMismatchedKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.close()
-	body, err := json.Marshal(service.ResultPost{Worker: "w", Index: 0, Key: keys[1], Payload: payload})
+	body, err := json.Marshal(service.ResultPost{Worker: "w", Cells: []service.ResultCell{{Index: 0, Key: keys[1], Payload: payload}}})
 	if err != nil {
 		t.Fatal(err)
 	}

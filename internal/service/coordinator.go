@@ -27,8 +27,9 @@ type CoordinatorConfig struct {
 	Info GridInfo
 	// Chunk is the cell count per claim (default: Cells/32 clamped to
 	// [1, 64]). Smaller chunks balance better and bound the work lost
-	// to a dead worker; larger chunks amortize per-claim overhead and
-	// the worker-side table rebuilds at range boundaries.
+	// to a dead worker; larger chunks amortize per-claim overhead, the
+	// worker-side table rebuilds at range boundaries and the result
+	// posts (a worker posts each range's cells as one batch).
 	Chunk int
 	// HeartbeatTimeout is how long a worker may go silent before its
 	// unfinished spans are re-queued (default 10s). Re-queuing a worker
@@ -74,7 +75,7 @@ type Coordinator struct {
 	queue    []span                  // unassigned spans
 	workers  map[string]*workerState // live workers
 	done     []bool                  // per-cell completion
-	buffered map[int]ResultPost      // completed but not yet emitted
+	buffered map[int]ResultCell      // completed but not yet emitted
 	nextEmit int
 	emitErr  error
 	doneCh   chan struct{}
@@ -117,7 +118,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		now:       time.Now,
 		workers:   make(map[string]*workerState),
 		done:      make([]bool, n),
-		buffered:  make(map[int]ResultPost),
+		buffered:  make(map[int]ResultCell),
 		doneCh:    make(chan struct{}),
 	}
 	for _, p := range cfg.Prefilled {
@@ -125,7 +126,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, fmt.Errorf("service: bad prefilled cell index %d", p.Index)
 		}
 		c.done[p.Index] = true
-		c.buffered[p.Index] = ResultPost{Index: p.Index, Key: p.Key, Payload: p.Payload}
+		c.buffered[p.Index] = ResultCell{Index: p.Index, Key: p.Key, Payload: p.Payload}
 		c.cached++
 	}
 	c.mu.Lock()
@@ -277,19 +278,25 @@ func (c *Coordinator) undone(s span) int {
 	return n
 }
 
-// result records one completed cell and advances the emit prefix.
-func (c *Coordinator) result(res ResultPost) error {
+// result records a batch of completed cells and advances the emit
+// prefix. Every index is checked before any is applied, so a batch
+// with one bad index marks nothing done.
+func (c *Coordinator) result(post ResultPost) error {
+	for _, res := range post.Cells {
+		if res.Index < 0 || res.Index >= len(c.done) {
+			return fmt.Errorf("cell index %d out of range [0,%d)", res.Index, len(c.done))
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if res.Index < 0 || res.Index >= len(c.done) {
-		return fmt.Errorf("cell index %d out of range [0,%d)", res.Index, len(c.done))
+	c.touch(post.Worker)
+	for _, res := range post.Cells {
+		if c.done[res.Index] {
+			continue // duplicate from a stolen or re-queued range
+		}
+		c.done[res.Index] = true
+		c.buffered[res.Index] = res
 	}
-	c.touch(res.Worker)
-	if c.done[res.Index] {
-		return nil // duplicate from a stolen or re-queued range
-	}
-	c.done[res.Index] = true
-	c.buffered[res.Index] = res
 	c.advance()
 	return c.emitErr
 }

@@ -5,12 +5,13 @@ import "encoding/json"
 // The coordinator protocol is five HTTP/JSON endpoints under /v1/.
 // It is deliberately minimal: a worker needs nothing but the grid
 // description and a stream of cell ranges, and the coordinator needs
-// nothing back but (index, key, payload) triples plus liveness pings.
+// nothing back but batches of (index, key, payload) triples plus
+// liveness pings.
 //
 //	GET  /v1/grid       → GridInfo
 //	GET  /v1/status     → StatusResponse
 //	POST /v1/claim      ClaimRequest  → ClaimResponse
-//	POST /v1/result     ResultPost    → 200 (body ignored)
+//	POST /v1/result     ResultPost    → 200 (body ignored); a batch of cells
 //	POST /v1/heartbeat  HeartbeatPost → 200
 //
 // Everything a worker computes is verifiable against the coordinator's
@@ -46,14 +47,25 @@ type ClaimResponse struct {
 	Done   bool // every cell is complete; the worker may exit
 }
 
-// ResultPost delivers one completed cell. Key is the cell's
+// ResultPost delivers a batch of completed cells: a worker posts the
+// cells of its claimed range once the range ends, and whatever it has
+// finished once per heartbeat interval while the range is still
+// running. The coordinator checks every index before applying any of
+// them — one out-of-range index rejects the whole batch and marks
+// nothing done. Cells whose index is already complete, within
+// the batch or from an earlier post, are acknowledged and dropped —
+// results are deterministic, so duplicates are identical by
+// construction.
+type ResultPost struct {
+	Worker string
+	Cells  []ResultCell
+}
+
+// ResultCell is one completed cell of a ResultPost. Key is the cell's
 // content-addressed cache key, which must match the coordinator's own
 // key for Index; Payload is the encoded measurement (sweep.Payload),
-// empty when Err is set. Duplicate posts for an already-completed
-// index are acknowledged and dropped — results are deterministic, so
-// duplicates are identical by construction.
-type ResultPost struct {
-	Worker  string
+// empty when Err is set.
+type ResultCell struct {
 	Index   int
 	Key     string
 	Payload json.RawMessage `json:",omitempty"`

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -372,7 +375,7 @@ func TestCoordinatorStatusEndpoint(t *testing.T) {
 	}
 
 	for i := 2; i < cells; i++ {
-		if err := coord.result(ResultPost{Worker: "w1", Index: i, Key: fakeKey(i), Payload: fakePayload(i)}); err != nil {
+		if err := coord.result(ResultPost{Worker: "w1", Cells: []ResultCell{{Index: i, Key: fakeKey(i), Payload: fakePayload(i)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,4 +388,237 @@ func TestCoordinatorStatusEndpoint(t *testing.T) {
 	default:
 		t.Fatal("grid not done")
 	}
+}
+
+// TestWorkerBatchesResults: with heartbeats too slow to flush, a
+// worker posts each claimed range's cells as one batch.
+func TestWorkerBatchesResults(t *testing.T) {
+	const cells, chunk = 64, 16
+	coord, col, _ := newTestCoordinator(t, cells, CoordinatorConfig{Chunk: chunk, HeartbeatTimeout: time.Hour})
+	var posts atomic.Int32
+	h := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/result" {
+			posts.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var mu sync.Mutex
+	var n int64
+	err := RunWorker(ctx, WorkerConfig{Coordinator: srv.URL, Name: "w",
+		Exec: fakeExec(0, nil, 0, &n, &mu), HeartbeatInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-coord.Done()
+	checkComplete(t, col, cells)
+	if got := posts.Load(); got != cells/chunk {
+		t.Fatalf("%d result posts for %d ranges", got, cells/chunk)
+	}
+}
+
+// TestWorkerFlushesWhileExecBlocks: cells a range has completed reach
+// the coordinator within a few heartbeat intervals even while the
+// range's Exec is still blocked on its next cell.
+func TestWorkerFlushesWhileExecBlocks(t *testing.T) {
+	const cells, k = 8, 3
+	const beat = 50 * time.Millisecond
+	coord, col, srv := newTestCoordinator(t, cells, CoordinatorConfig{Chunk: cells, HeartbeatTimeout: time.Hour})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- RunWorker(ctx, WorkerConfig{Coordinator: srv.URL, Name: "w", HeartbeatInterval: beat,
+			Exec: func(ctx context.Context, lo, hi int, post func(int, string, []byte, string) error) error {
+				for i := lo; i < lo+k; i++ {
+					if err := post(i, fakeKey(i), fakePayload(i), ""); err != nil {
+						return err
+					}
+				}
+				<-ctx.Done()
+				return ctx.Err()
+			}})
+	}()
+
+	emitted := func() int {
+		col.mu.Lock()
+		defer col.mu.Unlock()
+		return len(col.indices)
+	}
+	deadline := time.Now().Add(20 * beat)
+	for emitted() < k {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d completed cells emitted after %v of a blocked Exec", emitted(), k, 20*beat)
+		}
+		time.Sleep(beat / 10)
+	}
+	cancel()
+	if err := <-errc; err == nil {
+		t.Error("cancelled worker exited cleanly")
+	}
+	if got, rem := emitted(), coord.Remaining(); got != k || rem != cells-k {
+		t.Fatalf("emitted %d, remaining %d; want %d and %d", got, rem, k, cells-k)
+	}
+}
+
+// batch builds a ResultPost from worker w for the given indices, each
+// carrying its own fake key and payload.
+func batch(w string, indices ...int) ResultPost {
+	post := ResultPost{Worker: w}
+	for _, i := range indices {
+		post.Cells = append(post.Cells, ResultCell{Index: i, Key: fakeKey(i), Payload: fakePayload(i)})
+	}
+	return post
+}
+
+// TestResultBatchRejectsBadIndex: one out-of-range index rejects the
+// whole batch, over HTTP too, and marks no cell done.
+func TestResultBatchRejectsBadIndex(t *testing.T) {
+	const cells = 4
+	coord, col, srv := newTestCoordinator(t, cells, CoordinatorConfig{})
+	for _, bad := range []ResultPost{batch("w", 0, 1, cells), batch("w", -1, 2)} {
+		if err := coord.result(bad); err == nil {
+			t.Errorf("batch %v accepted", bad.Cells)
+		}
+		body, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/result", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			t.Errorf("batch %v acknowledged over HTTP", bad.Cells)
+		}
+	}
+	if rem := coord.Remaining(); rem != cells {
+		t.Fatalf("remaining %d after rejected batches, want %d", rem, cells)
+	}
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	if len(col.indices) != 0 {
+		t.Fatalf("rejected batches emitted %v", col.indices)
+	}
+}
+
+// TestResultBatchDropsDuplicates: a repeated index, within one batch
+// or across two, is acknowledged and emitted once.
+func TestResultBatchDropsDuplicates(t *testing.T) {
+	const cells = 5
+	coord, col, _ := newTestCoordinator(t, cells, CoordinatorConfig{})
+	for _, post := range []ResultPost{batch("a", 1, 0, 1), batch("b", 1, 2, 2), batch("a", 4, 3, 0)} {
+		if err := coord.result(post); err != nil {
+			t.Fatalf("batch %v: %v", post.Cells, err)
+		}
+	}
+	<-coord.Done()
+	checkComplete(t, col, cells)
+}
+
+// TestResultBatchKeyMismatchAborts: an element whose key is not the
+// coordinator's key for its index aborts the grid when it is emitted,
+// after the cells before it.
+func TestResultBatchKeyMismatchAborts(t *testing.T) {
+	const cells = 4
+	var emitted []int
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Info: GridInfo{Cells: cells},
+		Emit: func(index int, key string, payload []byte, errMsg string) error {
+			if key != fakeKey(index) {
+				return fmt.Errorf("cell %d posted under key %q", index, key)
+			}
+			emitted = append(emitted, index)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := batch("w", 0, 1, 2)
+	post.Cells[1].Key = fakeKey(3)
+	if err := coord.result(post); err == nil || !strings.Contains(err.Error(), "cell 1") {
+		t.Fatalf("mismatched batch: err = %v, want one naming cell 1", err)
+	}
+	select {
+	case <-coord.Done():
+	default:
+		t.Fatal("grid not aborted")
+	}
+	if coord.Err() == nil || len(emitted) != 1 || emitted[0] != 0 {
+		t.Fatalf("err %v, emitted %v; want an abort after cell 0", coord.Err(), emitted)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/claim", "application/json", strings.NewReader(`{"Worker":"w"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("claim on an aborted grid: %s", resp.Status)
+	}
+}
+
+// FuzzResultPost feeds arbitrary bodies to POST /v1/result on a small
+// coordinator with one prefilled cell. The handler must never panic;
+// a rejected body must leave Remaining unchanged, and an accepted one
+// must complete exactly its distinct, not yet done indices.
+func FuzzResultPost(f *testing.F) {
+	const cells, prefilled = 4, 1
+	for _, post := range []ResultPost{batch("w", 0, 2, 3), batch("w", 0, 0, 1), batch("w", 2, cells), batch("w")} {
+		body, err := json.Marshal(post)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"Worker":"w","Cells":[{"Index":-1}]}`))
+	f.Add([]byte(`{"Cells":null}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"Index":0,"Key":"k"}`))
+	f.Add([]byte(`{"Cells":[{"Index":1e3}]`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		coord, err := NewCoordinator(CoordinatorConfig{
+			Info:      GridInfo{Cells: cells},
+			Chunk:     2,
+			Emit:      func(int, string, []byte, string) error { return nil },
+			Prefilled: []JournalEntryPayload{{Index: prefilled, Key: fakeKey(prefilled), Payload: fakePayload(prefilled)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := coord.Remaining()
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/result", bytes.NewReader(body)))
+		after := coord.Remaining()
+		if rec.Code != http.StatusOK {
+			if after != before {
+				t.Fatalf("rejected body (%d) changed remaining %d -> %d", rec.Code, before, after)
+			}
+			return
+		}
+		var post ResultPost
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&post); err != nil {
+			t.Fatalf("accepted an undecodable body: %v", err)
+		}
+		fresh := map[int]bool{}
+		for _, c := range post.Cells {
+			if c.Index < 0 || c.Index >= cells {
+				t.Fatalf("accepted out-of-range index %d", c.Index)
+			}
+			if c.Index != prefilled {
+				fresh[c.Index] = true
+			}
+		}
+		if before-after != len(fresh) {
+			t.Fatalf("accepted batch completed %d cells, want %d", before-after, len(fresh))
+		}
+	})
 }

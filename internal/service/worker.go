@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -18,16 +19,21 @@ type WorkerConfig struct {
 	Coordinator string
 	// Name is the worker's stable id (default "<hostname>-<pid>").
 	Name string
-	// Exec computes the cells of one claimed range [lo, hi), posting
-	// each completed cell through post (in increasing index order —
-	// sweep.Grid.RunRange delivers exactly that). A post error must
-	// abort the range.
+	// Exec computes the cells of one claimed range [lo, hi), handing
+	// each completed cell to post (in increasing index order —
+	// sweep.Grid.RunRange delivers exactly that). post only queues the
+	// cell, and keeps payload until it is sent: the range's cells go to
+	// the coordinator as one batch when Exec returns (also when it
+	// returns an error), and cells still queued are flushed once per
+	// HeartbeatInterval while Exec runs. A post error reports a failed
+	// flush and must abort the range.
 	Exec func(ctx context.Context, lo, hi int, post func(index int, key string, payload []byte, errMsg string) error) error
 	// PollInterval is the wait between claims when the coordinator has
 	// nothing to hand out yet (default 200ms).
 	PollInterval time.Duration
 	// HeartbeatInterval is the liveness ping period (default 2s; keep
-	// it well under the coordinator's timeout).
+	// it well under the coordinator's timeout). It also bounds how long
+	// a completed cell waits in the worker before it is posted.
 	HeartbeatInterval time.Duration
 	// Client is the HTTP client (default: http.DefaultClient with a
 	// 30s timeout clone). Requests to a briefly unreachable
@@ -70,10 +76,12 @@ func FetchGrid(ctx context.Context, coordinator string, client *http.Client) (Gr
 // RunWorker joins the coordinator and executes claimed cell ranges
 // until the grid is done (returns nil), ctx is cancelled, or a request
 // permanently fails. Heartbeats run on their own goroutine for the
-// whole session.
+// whole session, and each tick first flushes the cells the current
+// range has completed so far.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	cfg.defaults()
 	base := strings.TrimRight(cfg.Coordinator, "/")
+	batch := &resultBatch{worker: cfg.Name, url: base + "/v1/result", client: cfg.Client}
 
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
@@ -85,6 +93,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			case <-hbCtx.Done():
 				return
 			case <-t.C:
+				// A failed flush is kept for the range to report.
+				_ = batch.flush(hbCtx)
 				// Best effort: a lost ping only risks an early re-queue,
 				// which duplicates work but never corrupts results.
 				_ = postJSON(hbCtx, cfg.Client, base+"/v1/heartbeat", HeartbeatPost{Worker: cfg.Name}, nil)
@@ -111,15 +121,62 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			}
 			continue
 		}
-		post := func(index int, key string, payload []byte, errMsg string) error {
-			return postJSON(ctx, cfg.Client, base+"/v1/result", ResultPost{
-				Worker: cfg.Name, Index: index, Key: key, Payload: payload, Err: errMsg,
-			}, nil)
+		err := cfg.Exec(ctx, grant.Lo, grant.Hi, batch.add)
+		// Cells completed before a failure are still delivered.
+		if ferr := batch.flush(ctx); err == nil {
+			err = ferr
 		}
-		if err := cfg.Exec(ctx, grant.Lo, grant.Hi, post); err != nil {
+		if err != nil {
 			return fmt.Errorf("service: range [%d,%d): %w", grant.Lo, grant.Hi, err)
 		}
 	}
+}
+
+// resultBatch queues a worker's completed cells for one POST
+// /v1/result. add is Exec's post callback; flush runs at range end
+// and on every heartbeat tick. The first failed flush sticks: every
+// later add and flush returns it, which aborts the range.
+type resultBatch struct {
+	worker string
+	url    string
+	client *http.Client
+
+	sendMu sync.Mutex // serializes flushes, so batches go out in order
+
+	mu    sync.Mutex
+	cells []ResultCell
+	err   error
+}
+
+func (b *resultBatch) add(index int, key string, payload []byte, errMsg string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.err != nil {
+		return b.err
+	}
+	b.cells = append(b.cells, ResultCell{Index: index, Key: key, Payload: payload, Err: errMsg})
+	return nil
+}
+
+// flush posts every queued cell as one batch; with none queued it
+// sends nothing.
+func (b *resultBatch) flush(ctx context.Context) error {
+	b.sendMu.Lock()
+	defer b.sendMu.Unlock()
+	b.mu.Lock()
+	cells, err := b.cells, b.err
+	b.cells = nil
+	b.mu.Unlock()
+	if err != nil || len(cells) == 0 {
+		return err
+	}
+	if err := postJSON(ctx, b.client, b.url, ResultPost{Worker: b.worker, Cells: cells}, nil); err != nil {
+		b.mu.Lock()
+		b.err = err
+		b.mu.Unlock()
+		return err
+	}
+	return nil
 }
 
 // retries for transient transport errors (coordinator restarting,
