@@ -622,3 +622,78 @@ func FuzzResultPost(f *testing.F) {
 		}
 	})
 }
+
+// fuzzCoordinator is the small coordinator the protocol decoders are
+// fuzzed against: four cells in chunks of two, cell 1 prefilled, so
+// its queue holds the spans [0,1) and [2,4).
+func fuzzCoordinator(t *testing.T) *Coordinator {
+	const cells, prefilled = 4, 1
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Info:      GridInfo{Cells: cells},
+		Chunk:     2,
+		Emit:      func(int, string, []byte, string) error { return nil },
+		Prefilled: []JournalEntryPayload{{Index: prefilled, Key: fakeKey(prefilled), Payload: fakePayload(prefilled)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coord
+}
+
+// FuzzClaimPost feeds arbitrary bodies to POST /v1/claim, twice on one
+// coordinator (the first and second queued spans). The handler must
+// never panic and never change Remaining; an accepted claim answers
+// Done or a span inside the grid.
+func FuzzClaimPost(f *testing.F) {
+	for _, body := range []string{`{"Worker":"w"}`, `{}`, `null`, `{"Worker":1}`, `{"Worker":"w"`, `[]`, `{"Worker":"w","Lo":-1}`} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		coord := fuzzCoordinator(t)
+		cells := coord.Status().Cells
+		for range 2 {
+			before := coord.Remaining()
+			rec := httptest.NewRecorder()
+			coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/claim", bytes.NewReader(body)))
+			if after := coord.Remaining(); after != before {
+				t.Fatalf("claim (%d) changed remaining %d -> %d", rec.Code, before, after)
+			}
+			if rec.Code != http.StatusOK {
+				if rec.Code != http.StatusBadRequest {
+					t.Fatalf("rejected claim answered %d, want %d", rec.Code, http.StatusBadRequest)
+				}
+				return
+			}
+			var resp ClaimResponse
+			if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+				t.Fatalf("accepted claim answered an undecodable body: %v", err)
+			}
+			if !resp.Done && !(0 <= resp.Lo && resp.Lo < resp.Hi && resp.Hi <= cells) {
+				t.Fatalf("accepted claim answered %+v, want Done or a span in [0,%d)", resp, cells)
+			}
+		}
+	})
+}
+
+// FuzzHeartbeatPost feeds arbitrary bodies to POST /v1/heartbeat. The
+// handler must never panic and never change Remaining; it accepts
+// exactly the bodies that decode as a HeartbeatPost.
+func FuzzHeartbeatPost(f *testing.F) {
+	for _, body := range []string{`{"Worker":"w"}`, `{}`, `null`, `{"Worker":1}`, `{"Worker":"w"`, `""`} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		coord := fuzzCoordinator(t)
+		before := coord.Remaining()
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/heartbeat", bytes.NewReader(body)))
+		if after := coord.Remaining(); after != before {
+			t.Fatalf("heartbeat (%d) changed remaining %d -> %d", rec.Code, before, after)
+		}
+		var hb HeartbeatPost
+		decodes := json.NewDecoder(bytes.NewReader(body)).Decode(&hb) == nil
+		if accepted := rec.Code == http.StatusOK; accepted != decodes {
+			t.Fatalf("heartbeat answered %d for a body that decodes: %v", rec.Code, decodes)
+		}
+	})
+}

@@ -26,9 +26,10 @@ type invarianceCase struct {
 // TestWorkerCountInvariance is the one-engine property: Workers is a
 // speed knob only, so every run — every policy, clamped one-shard
 // configurations, timed topology schedules, per-link latencies,
-// tenants, timed patterns, damaged topologies, RunBatches, and runs
-// past 8,192 deliveries — produces Stats.Equal statistics (MemoryBytes
-// aside: shards are real memory) for Workers 0, 1, 2, 3, 4 and 8. The
+// tenants, timed patterns, damaged topologies, partial jobs with
+// silent endpoints, RunBatches, and runs past 8,192 deliveries —
+// produces Stats.Equal statistics (MemoryBytes aside: shards are real
+// memory) for Workers 0, 1, 2, 3, 4 and 8. The
 // runs reuse one Network, so shard views carried across runs and shard
 // counts are covered too.
 func TestWorkerCountInvariance(t *testing.T) {
@@ -155,6 +156,26 @@ func TestWorkerCountInvariance(t *testing.T) {
 		return st
 	}
 
+	// A static 64-rank job scattered over LPS(11,7)'s 672 endpoints:
+	// the other 608 are silent and queue no injection cursor.
+	sparse := func(nw *Network) Stats {
+		nep := nw.Endpoints()
+		epOf := rand.New(rand.NewSource(3)).Perm(nep)[:64]
+		rankOf := make([]int, nep)
+		for ep := range rankOf {
+			rankOf[ep] = -1
+		}
+		for r, ep := range epOf {
+			rankOf[ep] = r
+		}
+		return nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int {
+			if rankOf[src] < 0 {
+				return -1
+			}
+			return epOf[rng.Intn(len(epOf))]
+		}, 0.5, 16)
+	}
+
 	tiny := graph.FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
 
 	cases := []invarianceCase{
@@ -201,6 +222,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 				}, 0.4, 12)
 			},
 			exercised: func(st Stats) bool { return len(st.Tenants) == 2 && st.SeveredInFlight > 0 }},
+		{name: "sparse-ranks", shards: 4,
+			net: mk(Config{Topo: lps, Concentration: 4}, lpsTab, runConfig{policy: routing.UGALL}), run: sparse},
 		{name: "batches-past-8192", shards: 4,
 			net: mk(Config{Topo: lps, Concentration: 2}, lpsTab, runConfig{policy: routing.UGALL}), run: batches, exercised: bigRun},
 		{name: "tiny-topology", shards: 1,

@@ -26,16 +26,16 @@
 // next cell with its run buffers already allocated.
 //
 // The run loop streams its workload: RunLoad keeps one injection
-// cursor per endpoint (epGen) that schedules only that endpoint's next
-// arrival and draws its destination from a PatternFunc that sees the
-// injection cycle (so static and time-varying traffic share one path),
-// delivered packets recycle arena slots through a freelist,
-// and latency statistics fold into an exact histogram (latDigest) — so
-// steady-state memory is O(active packets + endpoints + max latency),
-// not O(total offered traffic). Events dispatch through a
-// calendar-queue scheduler (sched.go) sized to the model's cycle
-// granularity, with a heap fallback for far-future events. Every run
-// goes through one run loop (parallel.go) that orders events by
+// cursor per sending endpoint (epGen) that schedules only that
+// endpoint's next arrival and draws its destination from a PatternFunc
+// that sees the injection cycle (so static and time-varying traffic
+// share one path), delivered packets recycle arena slots through a
+// freelist, and latency statistics fold into an exact histogram
+// (latDigest) — so steady-state memory is O(active packets + endpoints
+// + max latency), not O(total offered traffic). Events dispatch
+// through a calendar-queue scheduler (sched.go) sized to the model's
+// cycle granularity, with a heap fallback for far-future events. Every
+// run goes through one run loop (parallel.go) that orders events by
 // (time, canonical message id) and gives each packet its own routing
 // stream, so results do not depend on the shard count. See DESIGN.md
 // §9–§10.
@@ -138,6 +138,14 @@ type Network struct {
 	gens    []epGen
 	pattern PatternFunc
 	meanGap float64
+	// probe is the scratch stream RunLoad asks the pattern with, once
+	// per endpoint, whether that endpoint sends at all. It wraps
+	// probeSrc, is reseeded per run, and is never an endpoint's own
+	// stream, so the question draws nothing a cursor later reads. Each
+	// Network allocates its own (Clone does not copy it), so
+	// concurrently running clones never share one.
+	probe    *rand.Rand
+	probeSrc splitmix64
 
 	// lat folds per-message end-to-end latencies of one run (RunBatches
 	// pools its rounds here).
@@ -298,11 +306,14 @@ type Stats struct {
 	ValiantTaken int // packets routed non-minimally by UGAL/Valiant
 	// PatternSkips counts workload draws discarded because the pattern
 	// returned the source endpoint itself or an id outside the endpoint
-	// range (excluding the -1 "this source emits no traffic" sentinel of
-	// traffic.Mapping.PatternEndpoints). There is no redraw, so for
-	// patterns with fixed points (e.g. transpose, bit-complement on a
-	// palindromic rank) the realized offered load undershoots the
-	// nominal load by PatternSkips/(Offered+PatternSkips).
+	// range. A source that answers -1 ("this source emits no traffic",
+	// e.g. an endpoint outside traffic.Mapping's job) when RunLoad
+	// probes it draws nothing and counts nothing; a -1 from a source
+	// the probe found sending breaks the PatternFunc contract and counts
+	// here. There is no redraw, so for patterns with fixed points
+	// (e.g. transpose, bit-complement on a palindromic rank) the
+	// realized offered load undershoots the nominal load by
+	// PatternSkips/(Offered+PatternSkips).
 	PatternSkips int
 	// SeveredInFlight counts packets dropped mid-flight by a timed
 	// topology event: at its arrival instant the link it traversed was
@@ -648,12 +659,15 @@ func (nw *Network) newMessage(src, dst int32, created, uid int64) int32 {
 	})
 }
 
-// fireInjection services one endpoint's streaming injection cursor:
-// draw this message's destination, schedule the endpoint's next
-// arrival (keeping exactly one pending injection event per endpoint),
-// and inject the packet. All draws come from the endpoint's private
-// RNG, so the global event interleaving cannot perturb any endpoint's
-// workload stream.
+// fireInjection services one sending endpoint's streaming injection
+// cursor: draw this message's destination, schedule the endpoint's
+// next arrival (keeping exactly one pending injection event per
+// sending endpoint), and inject the packet. All draws come from the
+// endpoint's private RNG, so the global event interleaving cannot
+// perturb any endpoint's workload stream. Silent endpoints never get
+// here (RunLoad queues no cursor for them), so a -1 from a probed
+// sender breaks the PatternFunc contract and is counted as a skip
+// like any other out-of-range draw.
 func (nw *Network) fireInjection(ep int32, now int64) {
 	g := &nw.gens[ep]
 	g.left--
@@ -662,9 +676,6 @@ func (nw *Network) fireInjection(ep int32, now int64) {
 		nw.push(event{time: g.next(nw.gapOf(ep)), at: ep, kind: evInject})
 	}
 	switch {
-	case dst == -1:
-		// This source emits no traffic (endpoint outside the mapped
-		// rank space): by design, not a skipped draw.
 	case dst == int(ep) || dst < 0 || dst >= nw.nep:
 		nw.stats.PatternSkips++
 	default:
@@ -952,23 +963,38 @@ func (nw *Network) MemoryBytes() int64 {
 // the message is injected: a static pattern ignores now, a
 // time-varying one (traffic that shifts phase every P cycles while the
 // fabric rewires underneath it) reads it.
+//
+// The answer -1 means "this source emits no traffic" and is a property
+// of the source endpoint alone: a pattern returns it on every call for
+// that endpoint, whatever now and the draws, or on none. RunLoad relies
+// on this to ask each endpoint once, at cycle 0 on a scratch stream,
+// and to queue nothing for a silent one (traffic.Mapping's endpoints
+// outside the job, traffic.Assignment's unowned endpoints).
 type PatternFunc func(srcEP int, now int64, rng *rand.Rand) int
 
-// RunLoad drives the open-loop experiment of §VI-C: every endpoint
-// generates msgsPerEP messages with exponential inter-arrival times
-// realizing the given offered load (fraction of endpoint injection
-// bandwidth), destinations drawn from pattern. It returns the run
-// statistics; the paper's headline metric is Stats.MaxLatency. It
-// panics on a load outside (0, 1]: every façade and sweep entry checks
-// the load first.
+// RunLoad drives the open-loop experiment of §VI-C: every endpoint the
+// pattern does not silence (-1, see PatternFunc) generates msgsPerEP
+// messages with exponential inter-arrival times realizing the given
+// offered load (fraction of endpoint injection bandwidth), destinations
+// drawn from pattern. It returns the run statistics; the paper's
+// headline metric is Stats.MaxLatency. It panics on a load outside
+// (0, 1]: every façade and sweep entry checks the load first.
 //
-// Injection streams: each endpoint's cursor schedules only its next
-// arrival, so the event queue holds one pending injection per endpoint
-// instead of the whole run's message list, and memory scales with the
-// in-flight packet population rather than total offered traffic. Every
-// endpoint draws gaps and destinations from its own seeded RNG, so
-// results are deterministic per seed. Each cursor is seeded and queued
-// on the shard owning its router, then the run loop drains the shards.
+// Injection streams: each sending endpoint's cursor schedules only its
+// next arrival, so the event queue holds one pending injection per
+// sending endpoint instead of the whole run's message list, and memory
+// scales with the in-flight packet population rather than total
+// offered traffic. Every endpoint draws gaps and destinations from its
+// own seeded RNG, so results are deterministic per seed. Each cursor is
+// seeded and queued on the shard owning its router, then the run loop
+// drains the shards.
+//
+// Silent endpoints: before queueing a cursor, RunLoad asks the pattern
+// once for that endpoint, at cycle 0 with a scratch RNG. An endpoint
+// that answers -1 is silent for the whole run (see PatternFunc), so no
+// cursor is queued and its private stream is never drawn: a job mapped
+// onto part of the machine costs events only for its own ranks. Every
+// other endpoint's draws and event keys are unchanged by the question.
 func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Stats {
 	if !(load > 0 && load <= 1) { // NaN fails too
 		panic(fmt.Sprintf("simnet: offered load %v out of (0,1]", load))
@@ -976,6 +1002,10 @@ func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Sta
 	if nw.gens == nil {
 		nw.gens = make([]epGen, nw.nep)
 	}
+	if nw.probe == nil {
+		nw.probe = rand.New(&nw.probeSrc)
+	}
+	nw.probeSrc.state = mixSeed(nw.run.seed, -1) // lane -1: no endpoint or packet stream
 	nw.begin(pattern, float64(PacketFlits)/load, msgsPerEP)
 	for ep := range nw.gens {
 		g := &nw.gens[ep]
@@ -985,7 +1015,7 @@ func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Sta
 		}
 		g.t = 0
 		g.left = msgsPerEP
-		if msgsPerEP > 0 {
+		if msgsPerEP > 0 && pattern(ep, 0, nw.probe) != -1 {
 			sh := nw.ownerOf(nw.routerOf(int32(ep)))
 			sh.push(event{time: g.next(nw.gapOf(int32(ep))), at: int32(ep), kind: evInject})
 		}

@@ -43,9 +43,10 @@ func mixSeed(seed, lane int64) uint64 {
 
 // epGen is one endpoint's streaming injection cursor: a private RNG
 // (gap and destination draws), the continuous Poisson arrival clock,
-// and the count of messages still to generate. Each endpoint keeps
-// exactly one pending injection event in the scheduler, so queued
-// injections cost O(endpoints), not O(endpoints × msgsPerEP).
+// and the count of messages still to generate. Each sending endpoint
+// keeps exactly one pending injection event in the scheduler, so queued
+// injections cost O(sending endpoints), not O(endpoints × msgsPerEP);
+// a silent endpoint's cursor is never queued (see RunLoad).
 type epGen struct {
 	src  splitmix64
 	rng  *rand.Rand // wraps &src; allocated once per Network

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -95,8 +96,9 @@ func TestArrivalClockMeanGap(t *testing.T) {
 
 // TestRunLoadPatternSkips pins the skip-accounting semantics: draws
 // returning the source itself or an out-of-range id are counted in
-// Stats.PatternSkips (no redraw), while the -1 "no traffic from this
-// source" sentinel is silent.
+// Stats.PatternSkips (no redraw), while endpoint 1, which RunLoad's
+// probe finds silent (-1, "no traffic from this source"), queues no
+// cursor and so counts nothing.
 func TestRunLoadPatternSkips(t *testing.T) {
 	g := lineGraph(2)
 	nw := mustNet(t, g, 2, runConfig{seed: 3}) // endpoints 0..3
@@ -122,6 +124,49 @@ func TestRunLoadPatternSkips(t *testing.T) {
 	}
 	if st.Delivered != msgs {
 		t.Errorf("Delivered %d want %d", st.Delivered, msgs)
+	}
+}
+
+// TestSilentSourcesAskedOnce pins the PatternFunc contract RunLoad
+// relies on: a silent endpoint (-1) is asked exactly once, by the
+// probe, and never fires an injection; a sending endpoint is asked
+// once by the probe plus once per message. The run is the same for
+// every shard count.
+func TestSilentSourcesAskedOnce(t *testing.T) {
+	g := topo.MustLPS(11, 7).G
+	tab := routing.NewTable(g)
+	const msgs = 6
+	var base Stats
+	for _, w := range []int{1, 2, 4} {
+		nw := build(t, Config{Topo: g, Concentration: 4}, tab, runConfig{seed: 9, workers: w, policy: routing.UGALL})
+		nep := nw.Endpoints()
+		asked := make([]atomic.Int32, nep)
+		st := nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int {
+			asked[src].Add(1)
+			if src%2 == 1 {
+				return -1
+			}
+			return 2 * rng.Intn(nep/2) // another sending endpoint (or itself)
+		}, 0.4, msgs)
+		for ep := range asked {
+			want := int32(msgs + 1)
+			if ep%2 == 1 {
+				want = 1
+			}
+			if got := asked[ep].Load(); got != want {
+				t.Fatalf("Workers=%d: endpoint %d asked %d times, want %d", w, ep, got, want)
+			}
+		}
+		if st.Offered+st.PatternSkips != nep/2*msgs || st.Delivered != st.Offered {
+			t.Fatalf("Workers=%d: offered %d + skipped %d (delivered %d), want %d sends", w,
+				st.Offered, st.PatternSkips, st.Delivered, nep/2*msgs)
+		}
+		st.MemoryBytes = 0
+		if w == 1 {
+			base = st
+		} else if !st.Equal(base) {
+			t.Errorf("Workers=%d stats differ from Workers=1:\n%+v\n%+v", w, st, base)
+		}
 	}
 }
 

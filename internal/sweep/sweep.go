@@ -521,6 +521,19 @@ func (g *Grid) pointCells(cells []Cell, ii int, faultName string, fraction float
 	return cells
 }
 
+// pointSize is the number of cells pointCells appends per point.
+func (g *Grid) pointSize() int {
+	pols, pats, motifs, loads := g.axes()
+	switch g.Measure {
+	case MeasureSaturation:
+		return 1
+	case MeasureMotif:
+		return len(pols) * len(motifs)
+	default: // MeasureLoad
+		return len(pols) * len(pats) * len(loads)
+	}
+}
+
 // group is one batch of cells that share an execution context: an
 // instance's intact cells (fault and sched nil), one fault axis
 // entry's damaged cells across its trials, or one schedule axis
@@ -546,6 +559,19 @@ type group struct {
 // for its own section of the sweep (the per-instance memory lifecycle
 // Run documents).
 func (g *Grid) groups() (plan []group, all []Cell) {
+	// Size all once, so the group windows below are views of its final
+	// array and no append regrows it.
+	points := 0
+	if !g.OmitIntact {
+		points++
+	}
+	for _, f := range g.Faults {
+		points += f.trials()
+	}
+	for _, s := range g.Schedules {
+		points += s.trials()
+	}
+	all = make([]Cell, 0, len(g.Instances)*points*g.pointSize())
 	add := func(gr group, faultName string, fraction float64) {
 		start := len(all)
 		for trial := 0; trial < gr.trials; trial++ {
@@ -575,14 +601,6 @@ func (g *Grid) groups() (plan []group, all []Cell) {
 	}
 	if len(g.Faults) == 0 && len(g.Schedules) == 0 {
 		return []group{{inst: -1, trials: 1, cells: all}}, all
-	}
-	// Re-slice the windows from the final array, so the plan does not
-	// pin the arrays append outgrew.
-	lo := 0
-	for i := range plan {
-		hi := lo + len(plan[i].cells)
-		plan[i].cells = all[lo:hi:hi]
-		lo = hi
 	}
 	return plan, all
 }

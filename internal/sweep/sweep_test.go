@@ -92,6 +92,34 @@ func TestCellsOrder(t *testing.T) {
 	}
 }
 
+// TestCellsSizedOnce pins groups' one allocation: the cell slice is
+// sized exactly from the axis lengths, and every group's window is a
+// view of that one array, for each measure and with fault, schedule
+// and OmitIntact axes.
+func TestCellsSizedOnce(t *testing.T) {
+	omit := faultGrid(t)
+	omit.OmitIntact = true
+	motif := loadGrid(t)
+	motif.Measure = MeasureMotif
+	motif.Motifs = []traffic.Motif{traffic.Halo3D26{NX: 4, NY: 4, NZ: 4, Iters: 1}, traffic.FFT{NX: 4, NY: 4, NZ: 4, Iters: 1}}
+	sat := faultGrid(t)
+	sat.Measure = MeasureSaturation
+	for name, g := range map[string]*Grid{
+		"load": loadGrid(t), "faults": faultGrid(t), "faults+schedules": cacheGrid(t),
+		"omit-intact": omit, "motif": motif, "saturation": sat,
+	} {
+		plan, all := g.groups()
+		if len(all) == 0 || cap(all) != len(all) {
+			t.Errorf("%s: %d cells in a slice of capacity %d", name, len(all), cap(all))
+		}
+		for _, gr := range plan {
+			if len(gr.cells) > 0 && &gr.cells[0] != &all[gr.cells[0].Index] {
+				t.Errorf("%s: group window at cell %d is not a view of the cell slice", name, gr.cells[0].Index)
+			}
+		}
+	}
+}
+
 // TestRunParallelIndependence checks the core guarantee: identical
 // results, in identical order, for any worker count — including on
 // grids with a fault axis (incremental repair + registration).
@@ -718,8 +746,11 @@ func TestIntactTableReleasedPerInstance(t *testing.T) {
 // sweep core: one 64-cell chunk of a Quick load grid (LPS(11,7) at
 // concentration 4, 64 ranks, 2 messages each, 64 loads) through
 // RunRange with fresh Options, the way a fabric worker executes each
-// claimed range. Run it with -benchmem; B/op is dominated by what
-// every cell's simulator allocates before its first event.
+// claimed range. The 64 ranks fill 64 of the 672 endpoints; the other
+// 608 are silent and cost one pattern probe each, not an injection
+// cursor. Run it with -benchmem; B/op is dominated by the range's
+// engine setup (table, prototype, mapping) and each fresh clone's
+// buffers.
 func BenchmarkRunRangeTinyCells(b *testing.B) {
 	lps, err := topo.LPS(11, 7)
 	if err != nil {
