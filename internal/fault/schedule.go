@@ -3,8 +3,8 @@
 // and planned rewiring) that happens *while traffic flows*. The
 // simulator applies each Change at its cycle — its run loop walks the
 // schedule with an EdgeCursor and applies changes between drains —
-// and re-derives its routing table at each one (routing.Table.Repair
-// for the cut direction, Table.Restore for the restore direction, each
+// and routes on a table derived from the links down at that moment
+// (the intact table when none is, else one routing.Table.Repair of it,
 // sharing every unchanged row) — see simnet's SetSchedule and
 // DESIGN.md §10.
 //

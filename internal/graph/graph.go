@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -105,8 +106,7 @@ func FromEdges(n int, edges [][2]int32) *Graph {
 	}
 	g := &Graph{offsets: offsets, neigh: neigh, m: len(edges)}
 	for v := 0; v < n; v++ {
-		s := g.Neighbors(v)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		slices.Sort(g.Neighbors(v))
 	}
 	return g
 }
@@ -460,31 +460,44 @@ func girthFromRoot(g *Graph, s int, bound int32, dist, parent, queue []int32) in
 }
 
 // RemoveEdges returns a copy of g with the listed edges deleted. Edge
-// endpoint order does not matter; pairs that are not edges of g are
+// endpoint order does not matter; pairs that are not edges of g
+// (self-pairs and out-of-range ids included) and repeated pairs are
 // ignored. The vertex set is preserved (a router whose links all fail
 // becomes isolated rather than renumbered), which is what the fault
 // subsystem needs: distances, routing tables and simulator state all
-// keep their vertex ids across damage.
+// keep their vertex ids across damage. It filters the CSR: each
+// removed pair is found by binary search in both endpoints' sorted
+// lists, and one O(n + m) pass compacts the rest, so every list stays
+// sorted. RemoveEdges(nil) is a plain copy.
 func (g *Graph) RemoveEdges(removed [][2]int32) *Graph {
-	if len(removed) == 0 {
-		return FromEdges(g.N(), g.Edges())
-	}
-	drop := make(map[[2]int32]struct{}, len(removed))
+	n := int32(g.N())
+	drop := make([]bool, len(g.neigh))
+	dropped := 0
 	for _, e := range removed {
 		u, v := e[0], e[1]
-		if u > v {
-			u, v = v, u
+		if u == v || u < 0 || v < 0 || u >= n || v >= n {
+			continue
 		}
-		drop[[2]int32{u, v}] = struct{}{}
-	}
-	edges := g.Edges()
-	kept := edges[:0]
-	for _, e := range edges {
-		if _, dead := drop[e]; !dead {
-			kept = append(kept, e)
+		su, ok := slices.BinarySearch(g.Neighbors(int(u)), v)
+		if !ok || drop[g.offsets[u]+int32(su)] {
+			continue
 		}
+		sv, _ := slices.BinarySearch(g.Neighbors(int(v)), u)
+		drop[g.offsets[u]+int32(su)] = true
+		drop[g.offsets[v]+int32(sv)] = true
+		dropped += 2
 	}
-	return FromEdges(g.N(), kept)
+	offsets := make([]int32, len(g.offsets))
+	neigh := make([]int32, 0, len(g.neigh)-dropped)
+	for v := range n {
+		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+			if !drop[i] {
+				neigh = append(neigh, g.neigh[i])
+			}
+		}
+		offsets[v+1] = int32(len(neigh))
+	}
+	return &Graph{offsets: offsets, neigh: neigh, m: len(neigh) / 2}
 }
 
 // AddEdges returns a copy of g with the given edges inserted. The

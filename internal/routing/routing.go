@@ -165,7 +165,10 @@ func NewTableOpts(g *graph.Graph, opts TableOptions) *Table {
 // Repair returns the routing table for t's topology with the given
 // links removed: a rebuild over t.G.RemoveEdges(removed) in t's store
 // that shares every row the damage leaves unchanged (see newTable).
-// Pairs that are not edges of t.G are ignored.
+// Pairs that are not edges of t.G are ignored. Static fault plans
+// repair the intact table once; a scheduled simulation derives its
+// live table as one Repair of the pristine table over the links down
+// at that moment.
 func (t *Table) Repair(removed [][2]int32) *Table {
 	return newTable(t.G.RemoveEdges(removed), t.store, t)
 }
@@ -174,7 +177,10 @@ func (t *Table) Repair(removed [][2]int32) *Table {
 // links inserted — links coming back up, or a planned rewiring step
 // activating edges: a rebuild over t.G.AddEdges(added) in t's store
 // that shares every row the insertion leaves unchanged (see newTable).
-// Pairs already present in t.G are ignored.
+// Pairs already present in t.G are ignored. The simulator does not
+// call it (a scheduled run re-derives its live table from the pristine
+// one); its callers are the benchmark's routing layer panel, which
+// times it (routing.restore_ms), and FuzzRepairRestore.
 func (t *Table) Restore(added [][2]int32) *Table {
 	return newTable(t.G.AddEdges(added), t.store, t)
 }

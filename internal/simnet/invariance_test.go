@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -25,13 +27,13 @@ type invarianceCase struct {
 
 // TestWorkerCountInvariance is the one-engine property: Workers is a
 // speed knob only, so every run — every policy, clamped one-shard
-// configurations, timed topology schedules, per-link latencies,
-// tenants, timed patterns, damaged topologies, partial jobs with
-// silent endpoints, RunBatches, and runs past 8,192 deliveries —
-// produces Stats.Equal statistics (MemoryBytes aside: shards are real
-// memory) for Workers 0, 1, 2, 3, 4 and 8. The
-// runs reuse one Network, so shard views carried across runs and shard
-// counts are covered too.
+// configurations, timed topology schedules (one outlasting its
+// traffic), per-link latencies, tenants, timed patterns, damaged
+// topologies, partial jobs with silent endpoints, RunBatches, and runs
+// past 8,192 deliveries — produces Stats.Equal statistics (MemoryBytes
+// aside: shards are real memory) and derives the same live tables for
+// Workers 0, 1, 2, 3, 4 and 8. The runs reuse one Network, so shard
+// views carried across runs and shard counts are covered too.
 func TestWorkerCountInvariance(t *testing.T) {
 	lps := topo.MustLPS(11, 7).G
 	lpsTab := routing.NewTable(lps)
@@ -85,6 +87,18 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}.Schedule(lps)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A churn schedule that outlasts its traffic: its tail applies
+	// after the last event and derives no table.
+	tail, err := fault.ChurnSpec{
+		Kind: fault.Links, Fraction: 0.03,
+		Period: 400, Outage: 150, Repeats: 8, Seed: 12,
+	}.Schedule(lps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outlasts := func(st Stats) bool {
+		return st.Makespan > tail[2].Cycle && st.Makespan < tail[len(tail)-2].Cycle
 	}
 	// Phase-shifting traffic under the churn schedule.
 	shifting := func(nw *Network) Stats {
@@ -196,6 +210,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 			net: mk(Config{Topo: lps, Concentration: 1}, lpsTab, runConfig{sched: killRevive}), run: neighbor(lps, 48), exercised: severed},
 		{name: "churn-timed-pattern", shards: 4,
 			net: mk(Config{Topo: lps, Concentration: 4}, lpsTab, runConfig{sched: churn}), run: shifting},
+		{name: "churn-tail-minimal", shards: 4,
+			net: mk(Config{Topo: lps, Concentration: 2}, lpsTab, runConfig{sched: tail}), run: uniform(0.3, 6), exercised: outlasts},
+		{name: "churn-tail-ugal-l", shards: 4,
+			net: mk(Config{Topo: lps, Concentration: 2}, lpsTab, runConfig{sched: tail, policy: routing.UGALL}), run: uniform(0.3, 6), exercised: outlasts},
 		{name: "rewiring-timed-pattern", shards: 4,
 			net: mk(Config{Topo: union, Concentration: 2}, unionTab, runConfig{seed: 21, sched: rewire}),
 			run: func(nw *Network) Stats {
@@ -232,13 +250,20 @@ func TestWorkerCountInvariance(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := tc.net(t)
+			// The live tables a scheduled run derives, in order, named by
+			// their down links: the derivation points are part of the
+			// run, so they must not depend on the shard count either.
+			var derived []string
+			nw.onPublish = func() { derived = append(derived, fmt.Sprint(downLinks(nw))) }
 			base := tc.run(nw)
 			if base.Delivered == 0 || (tc.exercised != nil && !tc.exercised(base)) {
 				t.Fatalf("degenerate run exercises nothing: %+v", base)
 			}
 			base.MemoryBytes = 0
+			baseDerived := derived
 			for _, w := range []int{1, 2, 3, 4, 8, 0} {
 				nw.SetWorkers(w)
+				derived = nil
 				st := tc.run(nw)
 				if w == 4 && len(nw.shards) != tc.shards {
 					t.Errorf("Workers=4 ran %d shards, want %d", len(nw.shards), tc.shards)
@@ -246,6 +271,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 				st.MemoryBytes = 0
 				if !st.Equal(base) {
 					t.Errorf("Workers=%d stats differ from Workers=0:\n%+v\n%+v", w, st, base)
+				}
+				if !slices.Equal(derived, baseDerived) {
+					t.Errorf("Workers=%d derived %d live tables, Workers=0 %d:\n%v\n%v", w, len(derived), len(baseDerived), derived, baseDerived)
 				}
 			}
 		})

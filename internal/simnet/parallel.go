@@ -49,10 +49,11 @@ import (
 // cycle (for P = 1 that is the only window end), and a change at cycle
 // C applies between drains once the earliest pending event has reached
 // C — every event before C has drained, every event at or after C sees
-// the new state. Applying it mutates the shared liveTopo and re-points
-// each shard's table (applyTopo, schedule.go); the onTopo hook checks
-// the conservation invariant there, where the per-shard counters sum
-// exactly.
+// the new state. Applying it mutates the shared liveTopo's masks
+// (applyTopo, schedule.go); the onTopo hook checks the conservation
+// invariant there, where the per-shard counters sum exactly. The live
+// table is derived from the down links once, just before the next
+// drain, and re-pointed in every shard (publishTable).
 
 // xmsg is one cross-shard packet handoff: the arrival event (with the
 // canonical key already in e.seq) and the packet by value, routing
@@ -235,19 +236,20 @@ func (nw *Network) drive() {
 		// Apply every change due at or before the global earliest
 		// pending event: everything before it has drained and no shard
 		// is running. When the event stream has dried up (next ==
-		// MaxInt64) this applies the schedule's tail.
+		// MaxInt64) this applies the schedule's tail to the masks, and
+		// no table is derived for it: nothing is left to route.
 		for {
 			ci, ok := edges.Due(next)
 			if !ok {
 				break
 			}
 			nw.applyTopo(ci, nw.run.sched[ci].Cycle)
-			for _, sh := range shards {
-				sh.tbl = nw.tbl
-			}
 		}
 		if next == math.MaxInt64 {
 			return
+		}
+		if nw.live != nil && nw.live.stale {
+			nw.publishTable()
 		}
 		end := int64(math.MaxInt64)
 		if len(shards) > 1 {

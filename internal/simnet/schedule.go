@@ -11,11 +11,13 @@ import (
 // Timed topology events (SetSchedule): the live-topology half of
 // the simulator. A scheduled run owns one liveTopo — the link/router
 // masks plus the live routing table — and applies each fault.Change to
-// it exactly once, in schedule order, between drains of the run loop
-// (fault.EdgeCursor ends drain windows at change cycles so none spans
-// a change). The live state an event at cycle t observes is therefore
-// a pure function of (schedule, t) whatever the shard count. See
-// DESIGN.md §10.
+// its masks exactly once, in schedule order, between drains of the run
+// loop (fault.EdgeCursor ends drain windows at change cycles so none
+// spans a change). The live table is a function of the set of down
+// links, derived lazily: at most once per drain, and only before a
+// drain that has events to route. The live state an event at cycle t
+// observes is therefore a pure function of (schedule, t) whatever the
+// shard count. See DESIGN.md §10.
 
 // liveTopo is the run-local live topology of a scheduled run. Every
 // shard aliases the Network's liveTopo, which is written only between
@@ -29,11 +31,17 @@ type liveTopo struct {
 	// direction.
 	deadRun  []bool
 	downPort [][]bool
-	// tbl is the live routing table after the latest applied change:
-	// it starts as the pristine instance table and is replaced
-	// (Repair/Restore) at each change, so it always routes the base
-	// topology minus exactly the currently-down links.
-	tbl *routing.Table
+	// base is the pristine instance table, the live table whenever no
+	// link is down. tbl is the table derived at the latest drain that
+	// needed one: base itself, or base.Repair of exactly the links that
+	// were down then. stale marks that a change has flipped a link mask
+	// since.
+	base  *routing.Table
+	tbl   *routing.Table
+	stale bool
+	// peak is the largest MemoryBytes of a run-local table tbl has
+	// held and given up; memoryBytes folds in the current one.
+	peak int64
 }
 
 // newLiveTopo builds the live state of a fresh scheduled run: masks
@@ -45,6 +53,7 @@ func newLiveTopo(nw *Network) *liveTopo {
 		g:        nw.cfg.Topo,
 		deadRun:  make([]bool, nw.n),
 		downPort: make([][]bool, nw.n),
+		base:     nw.table,
 		tbl:      nw.table,
 	}
 	if nw.run.dead != nil {
@@ -73,59 +82,71 @@ func (lt *liveTopo) setLink(e [2]int32, up bool) {
 	lt.downPort[e[1]][lt.port(e[1], e[0])] = !up
 }
 
-// apply fires schedule change ci. Cuts and kills apply before restores
-// and revivals (Change's contract), and each list is filtered to its
-// effective delta — cutting a down link or restoring an up one is a
-// documented no-op — so the live table's graph always equals the base
-// topology minus exactly the currently-down links. A non-empty delta
-// replaces the live table: Repair for the cut links, then Restore for
-// the restored ones, each a rebuild over the changed graph that shares
-// every row the change leaves unchanged.
+// apply fires schedule change ci on the masks. Cuts and kills apply
+// before restores and revivals (Change's contract); cutting a down
+// link or restoring an up one is a documented no-op. A change that
+// flips a link mask marks the live table stale; derive rebuilds it
+// before the next drain that routes traffic.
 func (lt *liveTopo) apply(ci int) {
 	ch := &lt.sched[ci]
-	var cut [][2]int32
 	for _, e := range ch.Cut {
 		if lt.linkUp(e) {
 			lt.setLink(e, false)
-			cut = append(cut, e)
+			lt.stale = true
 		}
 	}
 	for _, r := range ch.Kill {
 		lt.deadRun[r] = true
 	}
-	var restore [][2]int32
 	for _, e := range ch.Restore {
 		if !lt.linkUp(e) {
 			lt.setLink(e, true)
-			restore = append(restore, e)
+			lt.stale = true
 		}
 	}
 	for _, r := range ch.Revive {
 		lt.deadRun[r] = false
 	}
-	if len(cut) > 0 {
-		lt.tbl = lt.tbl.Repair(cut)
+}
+
+// derive brings a stale live table up to date: the pristine table when
+// no link is down, otherwise one base.Repair of the down links, read
+// off the masks in CSR order (u < v).
+func (lt *liveTopo) derive() {
+	lt.stale = false
+	var down [][2]int32
+	for u := range lt.downPort {
+		for slot, w := range lt.g.Neighbors(u) {
+			if int32(u) < w && lt.downPort[u][slot] {
+				down = append(down, [2]int32{int32(u), w})
+			}
+		}
 	}
-	if len(restore) > 0 {
-		lt.tbl = lt.tbl.Restore(restore)
+	if lt.tbl != lt.base {
+		lt.peak = max(lt.peak, lt.tbl.MemoryBytes())
+	}
+	lt.tbl = lt.base
+	if len(down) > 0 {
+		lt.tbl = lt.base.Repair(down)
 	}
 }
 
 // memoryBytes is the live state's contribution to the run's working
-// set: the masks, plus the live table when a change has actually
-// replaced the pristine instance table (base). Repair/Restore return
-// that table as a second run-local one, which the length-based
-// accounting would otherwise never see; its MemoryBytes counts every
-// row, including those it shares with base.
-func (lt *liveTopo) memoryBytes(base *routing.Table) int64 {
+// set: the masks, plus the largest run-local table the run held —
+// Repair returns a table the length-based accounting would otherwise
+// never see, and its MemoryBytes counts every row, including those it
+// shares with base. A run that never derived one (every change fell
+// after its last event, or left no link down) counts the masks only.
+func (lt *liveTopo) memoryBytes() int64 {
 	b := int64(len(lt.deadRun))
 	for _, dp := range lt.downPort {
 		b += int64(len(dp))
 	}
-	if lt.tbl != base {
-		b += lt.tbl.MemoryBytes()
+	peak := lt.peak
+	if lt.tbl != lt.base {
+		peak = max(peak, lt.tbl.MemoryBytes())
 	}
-	return b
+	return b + peak
 }
 
 // deadNow reports whether router r is failed at this instant of the
@@ -138,15 +159,26 @@ func (nw *Network) deadNow(r int32) bool {
 	return nw.run.dead != nil && nw.run.dead[r]
 }
 
-// applyTopo applies schedule change ci at cycle now: mutate the live
-// topology, re-sync the run's fast-path table pointer, and fire the
-// boundary hook. The run loop calls it between drains and then
-// re-points each shard's table too.
+// applyTopo applies schedule change ci at cycle now to the live masks
+// and fires the boundary hook. The run loop calls it between drains.
 func (nw *Network) applyTopo(ci int, now int64) {
 	nw.live.apply(ci)
-	nw.tbl = nw.live.tbl
 	if nw.onTopo != nil {
 		nw.onTopo(now)
+	}
+}
+
+// publishTable derives a stale live table and re-points every shard's
+// fast-path table at it. The run loop calls it between drains, just
+// before a drain that has events to route.
+func (nw *Network) publishTable() {
+	nw.live.derive()
+	nw.tbl = nw.live.tbl
+	for _, sh := range nw.shards {
+		sh.tbl = nw.live.tbl
+	}
+	if nw.onPublish != nil {
+		nw.onPublish()
 	}
 }
 

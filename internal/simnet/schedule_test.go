@@ -53,10 +53,57 @@ func hookConservation(t *testing.T, nw *Network) (atEnd func()) {
 	}
 }
 
+// downLinks reads the links currently down off the live port masks,
+// each once as (u, v) with u < v.
+func downLinks(nw *Network) [][2]int32 {
+	var down [][2]int32
+	for u, ports := range nw.live.downPort {
+		for slot, w := range nw.cfg.Topo.Neighbors(u) {
+			if ports[slot] && int32(u) < w {
+				down = append(down, [2]int32{int32(u), w})
+			}
+		}
+	}
+	return down
+}
+
+// hookPublish installs the derivation check: every live table the run
+// publishes is the one every shard routes on, and it routes exactly
+// the base topology minus the links down at that moment — on every
+// pair, its distances equal a fresh build over that graph in the same
+// store. It returns the number of publishes so far.
+func hookPublish(t *testing.T, nw *Network) (publishes func() int) {
+	t.Helper()
+	n := 0
+	nw.onPublish = func() {
+		n++
+		tbl := nw.live.tbl
+		for s, sh := range nw.shards {
+			if sh.tbl != tbl {
+				t.Fatalf("publish %d: shard %d routes on a different table", n, s)
+			}
+		}
+		down := downLinks(nw)
+		if len(down) == 0 && tbl != nw.table {
+			t.Fatalf("publish %d: no link is down but the live table is not the pristine one", n)
+		}
+		want := routing.NewTableOpts(nw.table.G.RemoveEdges(down), routing.TableOptions{Store: nw.table.Store()})
+		for v := 0; v < nw.n; v++ {
+			for d := 0; d < nw.n; d++ {
+				if got, w := tbl.HopDist(v, d), want.HopDist(v, d); got != w {
+					t.Fatalf("publish %d (%d links down): HopDist(%d, %d) = %d, rebuild says %d", n, len(down), v, d, got, w)
+				}
+			}
+		}
+	}
+	return func() int { return n }
+}
+
 // runChurnConservation is the shared body of the property test and the
 // fuzz target: sample a churn schedule from the raw parameters, run a
 // loaded simulation over it on one shard and on four, and require
-// conservation at every change boundary and at the end. patRaw picks
+// conservation at every change boundary and at the end, and every
+// published live table against a rebuild (hookPublish). patRaw picks
 // the destination rule: static uniform, or one of two that read the
 // injection cycle — uniform/neighbor phases alternating every churn
 // period, or a hot spot rotating every half period.
@@ -97,6 +144,7 @@ func runChurnConservation(t *testing.T, seed int64, kindRaw, periodRaw, outageRa
 		for _, policy := range []routing.Policy{routing.Minimal, routing.UGALL} {
 			nw.SetPolicy(policy)
 			atEnd := hookConservation(t, nw)
+			hookPublish(t, nw)
 			st := nw.RunLoad(pattern, 0.3, 8)
 			atEnd()
 			if st.Offered == 0 {
@@ -142,23 +190,102 @@ func TestScheduleEmptyMatchesNil(t *testing.T) {
 
 func TestScheduleRoundTripBeforeTrafficIsLossless(t *testing.T) {
 	// A cycle-0 change that cuts links and restores them in the same
-	// Change (cuts apply first) drives the table through a live
-	// Repair→Restore round trip before any packet moves. Every message
-	// must still be delivered: the round-tripped table routes the intact
-	// topology.
+	// Change (cuts apply first) flips the masks there and back before
+	// any packet moves. No link is down at the first drain, so the run
+	// derives no table and routes on the pristine one, and every
+	// message must be delivered.
 	g := chordRing(12)
 	cut := [][2]int32{{0, 1}, {3, 5}, {7, 8}}
 	sched := fault.Schedule{{Cycle: 0, Cut: cut, Restore: cut}}
 	tab := routing.NewTable(g)
 	nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 3, sched: sched})
 	atEnd := hookConservation(t, nw)
+	hookPublish(t, nw)
 	st := nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.3, 10)
 	atEnd()
+	if nw.live.tbl != nw.table || nw.tbl != nw.table || nw.live.peak != 0 {
+		t.Fatal("a cut and restore of the same links derived a table")
+	}
 	if st.Dropped != 0 || st.SeveredInFlight != 0 {
 		t.Fatalf("lossless round trip dropped %d (severed %d)", st.Dropped, st.SeveredInFlight)
 	}
 	if st.Delivered != st.Offered {
 		t.Fatalf("delivered %d of %d offered", st.Delivered, st.Offered)
+	}
+}
+
+func TestChurnRestoringEveryLinkEndsOnPristineTable(t *testing.T) {
+	// Every churn outage ends with a change that restores all its
+	// links. With traffic past the last restore, the run must end
+	// routing on the pristine instance table itself, not on a rebuild
+	// of the intact topology, and still count the outages' tables in
+	// MemoryBytes.
+	g := chordRing(16)
+	sched, err := fault.ChurnSpec{Kind: fault.Links, Fraction: 0.1, Period: 300, Outage: 120, Repeats: 3, Seed: 5}.Schedule(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := sched[len(sched)-1].Cycle
+	tab := routing.NewTable(g)
+	nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 8, sched: sched})
+	for _, workers := range []int{0, 4} {
+		nw.SetWorkers(workers)
+		atEnd := hookConservation(t, nw)
+		publishes := hookPublish(t, nw)
+		st := nw.RunLoad(uniformPattern(nw.Endpoints()), 0.3, 40)
+		atEnd()
+		if st.Makespan <= last {
+			t.Fatalf("workers=%d: traffic ended at %d, before the last restore at %d", workers, st.Makespan, last)
+		}
+		if nw.live.tbl != nw.table {
+			t.Errorf("workers=%d: run ended on a rebuilt table, not the pristine one", workers)
+		}
+		// Three outages derive a damaged table each, three restores
+		// return to the pristine one.
+		if got := publishes(); got != 6 {
+			t.Errorf("workers=%d: %d tables published, want 6", workers, got)
+		}
+		if nw.live.peak != tab.MemoryBytes() {
+			t.Errorf("workers=%d: live peak %d B, want the %d B of a dense table", workers, nw.live.peak, tab.MemoryBytes())
+		}
+	}
+}
+
+func TestScheduleAfterTrafficDerivesNothing(t *testing.T) {
+	// Every change falls after the last delivery: the run loop applies
+	// them to the masks once the event stream has dried up, derives no
+	// table, and MemoryBytes counts the masks and nothing more.
+	g := chordRing(16)
+	cut := [][2]int32{{0, 1}, {4, 6}, {9, 10}}
+	sched := fault.Schedule{
+		{Cycle: 1_000_000, Cut: cut, Kill: []int32{3}},
+		{Cycle: 2_000_000, Restore: cut[:1]},
+	}
+	tab := routing.NewTable(g)
+	nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 2, sched: sched})
+	for _, workers := range []int{0, 4} {
+		nw.SetWorkers(workers)
+		atEnd := hookConservation(t, nw)
+		publishes := hookPublish(t, nw)
+		st := nw.RunLoad(uniformPattern(nw.Endpoints()), 0.3, 10)
+		atEnd()
+		if st.Makespan >= sched[0].Cycle || st.Dropped != 0 {
+			t.Fatalf("workers=%d: traffic reached the schedule (makespan %d, dropped %d)", workers, st.Makespan, st.Dropped)
+		}
+		if len(downLinks(nw)) != 2 || !nw.live.deadRun[3] {
+			t.Fatalf("workers=%d: the tail was not applied to the masks", workers)
+		}
+		if got := publishes(); got != 0 || nw.live.tbl != nw.table {
+			t.Fatalf("workers=%d: %d tables published after the last event", workers, got)
+		}
+		masks := int64(g.N() + 2*g.M())
+		live := nw.live
+		nw.live = nil
+		rest := nw.MemoryBytes()
+		nw.live = live
+		if st.MemoryBytes != rest+masks {
+			t.Errorf("workers=%d: MemoryBytes %d, want %d (run state) + %d (masks)", workers, st.MemoryBytes, rest, masks)
+		}
 	}
 }
 

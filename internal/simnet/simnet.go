@@ -108,13 +108,15 @@ type Network struct {
 
 	// tbl is this view's fast-path pointer to the live routing table of
 	// the current run: it starts as table and is re-pointed at live.tbl
-	// after each applied topology change, so all per-run routing
-	// decisions go through tbl while table stays the pristine shared
-	// instance. With an empty schedule tbl == table for the whole run.
+	// each time the run loop publishes a derived table, so all per-run
+	// routing decisions go through tbl while table stays the pristine
+	// shared instance. With an empty schedule tbl == table for the whole
+	// run.
 	tbl *routing.Table
 	// live is the run-local live topology of a scheduled run (nil with
 	// an empty schedule): the dead/down masks plus the live table,
-	// mutated only by applyTopo (schedule.go) between drains. Every
+	// mutated only by applyTopo and publishTable (schedule.go) between
+	// drains. Every
 	// shard aliases the Network's live. dropRun counts every message
 	// lost after being offered — NIC-dead, unreachable, or severed in
 	// flight — so the conservation invariant Offered == Delivered +
@@ -122,8 +124,10 @@ type Network struct {
 	live    *liveTopo
 	dropRun int
 	// onTopo, when set, is called after each topology event is applied
-	// (test hook for boundary invariant checks).
-	onTopo func(now int64)
+	// (test hook for boundary invariant checks); onPublish after each
+	// derived live table is published to the shards.
+	onTopo    func(now int64)
+	onPublish func()
 
 	// packets is the arena of in-flight messages: events reference
 	// packets by index, so the event queue carries no pointers. free
@@ -330,7 +334,10 @@ type Stats struct {
 	// MemoryBytes is the run loop's steady-state working-set footprint
 	// at the end of the run: event scheduler + packet arena/freelist +
 	// latency digest + injection generators + port state. Capacities
-	// only grow within a run, so this equals the run's peak.
+	// only grow within a run, so this equals the run's peak. A
+	// scheduled run adds its live masks and the largest run-local
+	// routing table it derived (none when no drain routed on a
+	// damaged topology).
 	MemoryBytes int64
 }
 
@@ -505,9 +512,12 @@ func (nw *Network) nicLat() int64 {
 // SetSchedule sets the timed topology events — link cuts/restores,
 // router kills/revivals, planned rewiring steps — that subsequent runs
 // apply mid-run at their cycles (fault.Schedule; see DESIGN.md §10).
-// At each event the run's routing table is re-derived (Table.Repair
-// for cuts, Table.Restore for restores, each sharing every unchanged
-// row) and subsequent hops route on the new table; a packet whose
+// The run's routing table is a function of the links that are down:
+// the pristine table while none is, otherwise one Table.Repair of the
+// pristine table over the down links (sharing every unchanged row). It
+// is derived lazily, once before the first drain after a change that
+// flipped a link, so changes after the last event build nothing.
+// Subsequent hops route on the derived table; a packet whose
 // traversed link is down at its arrival instant, or that arrives at a
 // dead router, is dropped and counted in Stats.SeveredInFlight. Every
 // pair must be an edge of Topo (restores bring base-topology links
@@ -947,13 +957,13 @@ func (nw *Network) MemoryBytes() int64 {
 	}
 	b += int64(len(nw.injFree)+len(nw.ejFree)) * 8
 	// Live-topology state of a scheduled run (nil otherwise, so static
-	// runs' accounting is untouched): the masks plus the run-local
-	// table Repair/Restore built. The lazy table backend's footprint
+	// runs' accounting is untouched): the masks plus the largest
+	// run-local table Repair derived. The lazy table backend's footprint
 	// depends on access order, so with it a scheduled run's
 	// MemoryBytes depends on the shard count; dense and packed stay
 	// run-deterministic.
 	if nw.live != nil {
-		b += nw.live.memoryBytes(nw.table)
+		b += nw.live.memoryBytes()
 	}
 	return b
 }
