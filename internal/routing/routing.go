@@ -9,19 +9,20 @@
 // graph.EachBFS, which sweeps 64 destinations at a time in the bits of
 // one word per vertex. Next-hop sets are derived on demand as the
 // neighbors one hop closer to the destination, so the storage cost is
-// one distance cell per (vertex, destination) pair rather than n²·k. Every row has
-// one format: cells of 4, 8 or 32 bits, the narrowest that fits the
-// row's largest distance at or above a per-store width floor. The
-// three storage backends (Store) trade memory for lookup cost: dense
-// rows pinned at the 32-bit width, packed rows from 4 bits up (8×
-// smaller — low-diameter Ramanujan instances fit hop counts in a
-// nibble), and lazily materialized packed rows under a bounded LRU
-// working set. Unless told otherwise a table picks its store from the
-// graph's size: dense up to 4,096 routers, packed above. A 32-bit row
-// also carries its distances mod 3 at 2 bits per vertex: a neighbour
-// of v is one hop closer to the destination exactly when its code is
-// (code(v)+2) mod 3, so the per-hop neighbour scan of a dense row reads
-// n/4 bytes instead of 4n.
+// one distance cell per (vertex, destination) pair rather than n²·k.
+// Every row has one format: cells of 4, 8 or 32 bits, the narrowest
+// that fits the row's largest distance (low-diameter Ramanujan
+// instances fit hop counts in a nibble). The three storage backends
+// (Store) trade memory for lookup cost: dense rows, which also carry
+// their distances mod 3 at 2 bits per vertex; packed rows, which do
+// not; and lazily materialized packed rows under a bounded LRU working
+// set. A neighbour of v is one hop closer to the destination exactly
+// when its code is (code(v)+2) mod 3, so the per-hop neighbour scan of
+// a dense row reads one 2-bit code per neighbour and decodes no cell,
+// for half again the bytes of packed cells: about 0.75·n² bytes for a
+// dense table against 0.5·n² for a packed one. Unless told otherwise a
+// table picks its store from the graph's size: dense up to 4,096
+// routers, packed above.
 //
 // On an intact Cayley graph (a graph carrying a graph.Cayley view, as
 // every topo.LPS graph does) the packed store keeps no rows at all: it
@@ -153,8 +154,9 @@ func NewTable(g *graph.Graph) *Table {
 
 // NewTableOpts builds a table with the chosen storage backend. Dense
 // and packed tables pay the full all-pairs BFS (graph.EachBFS) up
-// front, encoding each row from the kernel's scratch vector: narrow
-// rows pack it, 32-bit rows copy it and pack its mod-3 next-hop view.
+// front, encoding each row from the kernel's scratch vector: packed
+// rows pack its cells, dense rows its cells and its mod-3 next-hop
+// view in the same pass.
 // A packed table of a graph with a Cayley view runs one BFS from the
 // identity instead and routes through the view. Lazy tables return
 // immediately and compute rows on first touch.
@@ -220,14 +222,14 @@ func newTable(g *graph.Graph, store Store, prev *Table) *Table {
 		prev = nil // a Cayley table has no rows to share
 	}
 	t.rows = make([]packedRow, n)
-	minBits := t.store.minBits()
+	view := t.store == StoreDense
 	g.EachBFS(func() func(int, []int32) {
 		return func(d int, dist []int32) {
 			if prev != nil && prev.rows[d].equals(dist) {
 				t.rows[d] = prev.rows[d] // unchanged: share the row
 				return
 			}
-			t.rows[d] = encodeRow(dist, minBits) // copies the kernel's scratch
+			t.rows[d] = encodeRow(dist, view) // packs the kernel's scratch
 		}
 	})
 	t.diam = maxRowDist(t.rows)
@@ -238,13 +240,14 @@ func newTable(g *graph.Graph, store Store, prev *Table) *Table {
 func (t *Table) Store() Store { return t.store }
 
 // MemoryBytes returns the approximate payload size of the distance
-// store: 4 bytes per cell plus the 2-bit next-hop view for dense tables
-// (n²·4 + n·⌈n/4⌉), each row's payload plus 8 bytes of per-row
-// overhead for packed ones. A packed table on a Cayley graph counts
-// its n-byte identity distances plus the view it routes through
-// (graph.Cayley.Bytes). For lazy tables this counts only the resident
-// working set (plus fixed per-destination bookkeeping), so the value
-// tracks actual footprint as rows come and go.
+// store: each row's cells plus its 2-bit next-hop view for dense tables
+// (n·⌈n/2⌉ + n·⌈n/4⌉ when every row is 4 bits wide), each row's cells
+// plus 8 bytes of per-row overhead for packed ones. A packed table on
+// a Cayley graph counts its n-byte identity distances plus the view it
+// routes through (graph.Cayley.Bytes). For lazy tables this counts
+// only the resident working set (plus fixed per-destination
+// bookkeeping), so the value tracks actual footprint as rows come and
+// go.
 func (t *Table) MemoryBytes() int64 {
 	if t.lazy != nil {
 		return t.lazy.memoryBytes()
@@ -293,16 +296,16 @@ func (t *Table) HopDist(v, dest int) int32 {
 // nextHopSlots appends to slots, in slot order, the index in
 // G.Neighbors(v) of every neighbour of v one hop closer to dest, and
 // returns the extended slice; it appends nothing when v == dest or
-// dest is unreachable. A 32-bit row is scanned through its mod-3 view
-// (see packedRow), a narrower one through its cells; both find the
-// same slots.
+// dest is unreachable. A dense row is scanned through its mod-3 view
+// (see packedRow), a packed one through its cells; both find the same
+// slots.
 func (t *Table) nextHopSlots(v, dest int, slots []int32) []int32 {
 	if t.cay != nil {
 		return t.cay.nextHopSlots(v, dest, slots)
 	}
 	row := t.row(dest)
 	nb := t.G.Neighbors(v)
-	if row.bits == 32 {
+	if row.view != nil {
 		cv := row.code(v)
 		if v == dest || cv == codeUnreachable {
 			return slots

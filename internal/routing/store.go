@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -10,9 +11,10 @@ import (
 )
 
 // Store selects the distance-storage backend of a Table. Every backend
-// stores the same row format (packedRow) and differs only in the row
-// width floor and in when rows are computed; the packed store of an
-// intact Cayley graph stores no rows (cayleyTable). All three expose
+// stores the same row format (packedRow) and differs only in whether
+// rows carry the next-hop view and in when rows are computed; the
+// packed store of an intact Cayley graph stores no rows (cayleyTable).
+// All three expose
 // bit-identical distances (and therefore identical routes and
 // simulation statistics); they trade memory for per-lookup cost and
 // build laziness. The zero value leaves the choice to the table, which
@@ -24,12 +26,13 @@ const (
 	// storeBySize, the zero value, is dense rows up to denseMaxRouters
 	// routers and packed above.
 	storeBySize Store = iota
-	// StoreDense keeps every destination's row at the 32-bit width:
-	// int32 distances plus a 2-bit distance-mod-3 view that the
-	// next-hop scan reads instead of the cells, n²·4 + n·⌈n/4⌉ bytes.
+	// StoreDense keeps every destination's row as a packed row plus a
+	// 2-bit distance-mod-3 view that the next-hop scan reads instead
+	// of the cells: n·⌈n/2⌉ + n·⌈n/4⌉ ≈ 0.75·n² bytes when every row
+	// fits 4-bit cells, as on every low-diameter instance.
 	StoreDense
 	// StorePacked packs each destination's distances into 4-bit
-	// nibbles (n² / 2 bytes, an 8× cut over dense) — Ramanujan
+	// nibbles (n² / 2 bytes, two thirds of dense) — Ramanujan
 	// instances have diameter ≤ ~7, so hop distances plus the
 	// unreachable sentinel fit comfortably. Rows whose distances
 	// overflow the nibble range (deep damage, pathological graphs)
@@ -49,12 +52,13 @@ const (
 
 // denseMaxRouters is the largest graph the zero Store builds dense
 // rows for; larger graphs get packed rows (on an intact LPS graph, the
-// Cayley table). Dense rows route faster but cost 4.25·n² bytes, about
-// 71 MB at 4,096 routers. Every instance of the paper's load sweeps
-// (§VI-B, at most 1,458 routers) is therefore dense, where dense beat
-// packed on wall time in every measured pair; every Table II scale
-// rung (12,180 to 39,732 routers, where dense would take 0.6 to 6.7
-// GB) is packed.
+// Cayley table). Dense rows route faster: the view adds half the
+// 4-bit cells' bytes again, so a dense table costs about 0.75·n²
+// bytes, 12.6 MB at 4,096 routers. Every instance of the paper's load
+// sweeps (§VI-B, at most 1,458 routers) is therefore dense, where
+// dense beat packed on wall time in every measured pair; every Table
+// II scale rung (12,180 to 39,732 routers, where dense would take 0.1
+// to 1.2 GB against a few MB for the Cayley table) is packed.
 const denseMaxRouters = 4096
 
 func (s Store) String() string {
@@ -90,18 +94,10 @@ type TableOptions struct {
 	Store Store
 }
 
-// minBits is the row width floor of the store: dense rows are pinned
-// at 32 bits, packed (and lazy) rows start at 4.
-func (s Store) minBits() uint8 {
-	if s == StoreDense {
-		return 32
-	}
-	return 4
-}
-
 // Row encoding: a distance d ∈ {-1, 0, 1, ...} is stored as d+1 in
 // 4- and 8-bit cells, so 0 is the unreachable sentinel and the value
-// range of a width-w cell is [-1, 2^w-2]; 32-bit cells hold d itself.
+// range of a width-w cell is [-1, 2^w-2]; 32-bit cells hold d itself,
+// little-endian.
 const (
 	nibbleMaxDist = 14  // largest distance a 4-bit cell can hold
 	byteMaxDist   = 254 // largest distance an 8-bit cell can hold
@@ -112,68 +108,88 @@ const (
 const codeUnreachable = 3
 
 // packedRow is one destination's distance vector, the one row format
-// of every Table. Its cells are never written after encodeRow returns,
-// so tables may share them (Repair and Restore copy an unchanged row,
-// which shares its cells and its view) and read them concurrently.
-// Eager tables hold rows by value, so a lookup reads the row header
-// from one contiguous slice before its cells.
+// of every Table. Its cells are 4, 8 or 32 bits wide, the narrowest
+// that fits the row's largest finite distance. Its bytes are never
+// written after encodeRow returns, so tables may share a row (Repair
+// and Restore copy an unchanged row, which shares its cells and its
+// view) and read it concurrently. Eager tables hold rows by value, so
+// a lookup reads the row header from one contiguous slice before its
+// cells.
 //
-// A 32-bit row also carries its distances mod 3, four vertices per byte
-// (codeUnreachable marks unreachable), in nib: the next-hop view. A
+// A dense row also carries its distances mod 3, four vertices per byte
+// (codeUnreachable marks unreachable), in view: the next-hop view. A
 // neighbour w of a reachable vertex v has d(w) ∈ {d(v)-1, d(v),
 // d(v)+1}, three values distinct mod 3, so w is a next hop exactly when
-// its code is (code(v)+2) mod 3. The neighbour scan therefore reads n/4
-// bytes of the row instead of 4n (DESIGN.md §7).
+// its code is (code(v)+2) mod 3. The neighbour scan therefore reads
+// one 2-bit code per neighbour and never decodes a cell (DESIGN.md
+// §7). The view is an allocation of its own, so the views of a table's
+// rows lie together in memory rather than strided between their cells:
+// with one allocation per row, churn-repair ran about 5% slower.
 type packedRow struct {
-	bits uint8   // cell width: 4, 8 or 32
-	maxd int32   // largest finite distance in the row
-	nib  []uint8 // 4-bit cells packed two per byte (bits==4), one byte per cell (bits==8), or the 2-bit mod-3 view (bits==32)
-	wide []int32 // raw distances (bits==32)
+	bits  uint8   // cell width: 4, 8 or 32
+	maxd  int32   // largest finite distance in the row
+	cells []uint8 // 4-bit cells two per byte, 8-bit cells one per byte, or 32-bit cells four bytes each
+	view  []uint8 // the 2-bit mod-3 view, four vertices per byte (dense rows only; nil otherwise)
 }
 
-// encodeRow stores a distance vector at the narrowest width, no
-// narrower than minBits, that fits its largest finite distance. The
-// row never retains dist (the build hands it the kernel's scratch).
-func encodeRow(dist []int32, minBits uint8) packedRow {
-	if minBits < 32 {
-		switch maxd := maxDist(dist); {
-		case minBits <= 4 && maxd <= nibbleMaxDist:
-			nib := make([]uint8, (len(dist)+1)/2)
-			for v, d := range dist {
-				nib[v>>1] |= uint8(d+1) << ((uint(v) & 1) << 2)
-			}
-			return packedRow{bits: 4, maxd: maxd, nib: nib}
-		case minBits <= 8 && maxd <= byteMaxDist:
-			nib := make([]uint8, len(dist))
-			for v, d := range dist {
-				nib[v] = uint8(d + 1)
-			}
-			return packedRow{bits: 8, maxd: maxd, nib: nib}
-		}
-	}
-	return wideRow(dist)
-}
-
-// wideRow returns the 32-bit row of dist: a copy of its cells (one
-// memmove, no zeroing pass) and, from one scan of the copy while it is
-// still in cache, the row's largest distance and its mod-3 view,
-// stored one whole byte (four vertices) at a time.
-func wideRow(dist []int32) packedRow {
+// encodeRow stores a distance vector at the narrowest width that fits
+// its largest finite distance and, when view is set (every row of a
+// dense table), its mod-3 next-hop view. After one scan for the
+// largest distance, one pass writes the cells and the view together,
+// four vertices (one view byte) at a time, so no byte but those of a
+// partial tail is read back and rewritten. The row never retains dist
+// (the build hands it the kernel's scratch).
+func encodeRow(dist []int32, view bool) packedRow {
 	n := len(dist)
-	wide := slices.Clone(dist)
-	view := make([]uint8, (n+3)/4)
-	maxd := int32(-1)
+	r := packedRow{maxd: maxDist(dist)}
+	var cellBytes int
+	switch {
+	case r.maxd <= nibbleMaxDist:
+		r.bits, cellBytes = 4, (n+1)/2
+	case r.maxd <= byteMaxDist:
+		r.bits, cellBytes = 8, n
+	default:
+		r.bits, cellBytes = 32, 4*n
+	}
+	r.cells = make([]uint8, cellBytes)
+	if view {
+		r.view = make([]uint8, (n+3)/4)
+	}
 	full := n &^ 3
 	for v := 0; v < full; v += 4 {
-		d := wide[v : v+4 : v+4]
-		maxd = max(maxd, d[0], d[1], d[2], d[3])
-		view[v>>2] = mod3(d[0]) | mod3(d[1])<<2 | mod3(d[2])<<4 | mod3(d[3])<<6
+		d := dist[v : v+4 : v+4]
+		switch r.bits {
+		case 4:
+			c := r.cells[v>>1 : v>>1+2 : v>>1+2]
+			c[0] = uint8(d[0]+1) | uint8(d[1]+1)<<4
+			c[1] = uint8(d[2]+1) | uint8(d[3]+1)<<4
+		case 8:
+			c := r.cells[v : v+4 : v+4]
+			c[0], c[1], c[2], c[3] = uint8(d[0]+1), uint8(d[1]+1), uint8(d[2]+1), uint8(d[3]+1)
+		default:
+			for i, x := range d {
+				binary.LittleEndian.PutUint32(r.cells[4*(v+i):], uint32(x))
+			}
+		}
+		if view {
+			r.view[v>>2] = mod3(d[0]) | mod3(d[1])<<2 | mod3(d[2])<<4 | mod3(d[3])<<6
+		}
 	}
 	for v := full; v < n; v++ {
-		maxd = max(maxd, wide[v])
-		view[v>>2] |= mod3(wide[v]) << ((uint(v) & 3) << 1)
+		d := dist[v]
+		switch r.bits {
+		case 4:
+			r.cells[v>>1] |= uint8(d+1) << ((uint(v) & 1) << 2)
+		case 8:
+			r.cells[v] = uint8(d + 1)
+		default:
+			binary.LittleEndian.PutUint32(r.cells[4*v:], uint32(d))
+		}
+		if view {
+			r.view[v>>2] |= mod3(d) << ((uint(v) & 3) << 1)
+		}
 	}
-	return packedRow{bits: 32, maxd: maxd, nib: view, wide: wide}
+	return r
 }
 
 // mod3 returns the view code of a distance d ≥ -1: d mod 3, or
@@ -204,21 +220,22 @@ func maxRowDist(rows []packedRow) int32 {
 }
 
 // at returns the stored distance of vertex v (-1 unreachable). The
-// 32-bit test comes first (a switch would be reordered by value), so a
-// dense lookup costs one compare over a raw []int32 read.
+// 4-bit test comes first (a switch would be reordered by value): it is
+// the width of every row of a low-diameter instance, so a lookup there
+// costs one compare before its nibble read.
 func (r *packedRow) at(v int) int32 {
-	if r.bits == 32 {
-		return r.wide[v]
-	}
 	if r.bits == 4 {
-		return int32(r.nib[v>>1]>>((uint(v)&1)<<2)&0xf) - 1
+		return int32(r.cells[v>>1]>>((uint(v)&1)<<2)&0xf) - 1
 	}
-	return int32(r.nib[v]) - 1
+	if r.bits == 8 {
+		return int32(r.cells[v]) - 1
+	}
+	return int32(binary.LittleEndian.Uint32(r.cells[4*v:]))
 }
 
-// code returns the mod-3 view code of vertex v in a 32-bit row.
+// code returns the mod-3 view code of vertex v in a dense row.
 func (r *packedRow) code(v int) uint8 {
-	return r.nib[v>>2] >> ((uint(v) & 3) << 1) & 3
+	return r.view[v>>2] >> ((uint(v) & 3) << 1) & 3
 }
 
 // equals reports whether the row holds exactly the distances in dist.
@@ -233,7 +250,7 @@ func (r *packedRow) equals(dist []int32) bool {
 
 // bytes returns the payload size of the row.
 func (r *packedRow) bytes() int64 {
-	return int64(len(r.nib)) + 4*int64(len(r.wide))
+	return int64(len(r.cells)) + int64(len(r.view))
 }
 
 // cayleyTable is the packed store of an intact Cayley graph (a graph
@@ -348,7 +365,7 @@ func (lt *lazyTable) materialize(dest int) *packedRow {
 	}
 	dist := make([]int32, lt.g.N())
 	lt.g.BFS(dest, dist, nil)
-	pr := encodeRow(dist, StoreLazy.minBits())
+	pr := encodeRow(dist, false)
 	if len(lt.resident) >= lt.cap {
 		mi := 0
 		for i, d := range lt.resident {

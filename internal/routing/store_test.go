@@ -12,66 +12,75 @@ import (
 	"repro/internal/topo"
 )
 
+// TestPackedRowWidths pins the width encodeRow picks, the narrowest
+// that fits the largest finite distance, with and without the view a
+// dense row carries: each row decodes every cell, knows its largest
+// distance, equals exactly the vector it encodes, and ends its cells
+// where the view begins.
 func TestPackedRowWidths(t *testing.T) {
 	cases := []struct {
-		name    string
-		dist    []int32
-		minBits uint8
-		bits    uint8
+		name string
+		dist []int32
+		bits uint8
 	}{
-		{"nibble", []int32{-1, 0, 1, 7, 14}, 4, 4},
-		{"byte", []int32{-1, 0, 15, 200, 254}, 4, 8},
-		{"wide", []int32{-1, 0, 255, 100000}, 4, 32},
-		{"byte floor", []int32{-1, 0, 1, 7, 14}, 8, 8},
-		{"dense floor", []int32{-1, 0, 1, 7, 14}, 32, 32},
+		{"nibble", []int32{-1, 0, 1, 7, 14}, 4},
+		{"byte", []int32{-1, 0, 15, 200, 254}, 8},
+		{"wide", []int32{-1, 0, 255, 100000}, 32},
 	}
 	for _, c := range cases {
-		dist := append([]int32(nil), c.dist...)
-		r := encodeRow(dist, c.minBits)
-		if r.bits != c.bits {
-			t.Errorf("%s: encoded at %d bits, want %d", c.name, r.bits, c.bits)
-		}
-		if want := maxDist(c.dist); r.maxd != want {
-			t.Errorf("%s: maxd = %d, want %d", c.name, r.maxd, want)
-		}
-		for v, want := range c.dist {
-			if got := r.at(v); got != want {
-				t.Errorf("%s: at(%d) = %d, want %d", c.name, v, got, want)
+		for _, view := range []bool{false, true} {
+			name := fmt.Sprintf("%s view=%v", c.name, view)
+			r := encodeRow(c.dist, view)
+			if r.bits != c.bits {
+				t.Errorf("%s: encoded at %d bits, want %d", name, r.bits, c.bits)
 			}
-		}
-		if !r.equals(c.dist) {
-			t.Errorf("%s: row does not equal the vector it encodes", c.name)
-		}
-		changed := append([]int32(nil), c.dist...)
-		changed[len(changed)-1]--
-		if r.equals(changed) {
-			t.Errorf("%s: row equals a vector with a changed cell", c.name)
-		}
-		// A 32-bit row copies the vector it was given: the build hands
-		// it the kernel's scratch.
-		if c.bits == 32 && &r.wide[0] == &dist[0] {
-			t.Errorf("%s: 32-bit row retained its vector", c.name)
+			if want := maxDist(c.dist); r.maxd != want {
+				t.Errorf("%s: maxd = %d, want %d", name, r.maxd, want)
+			}
+			for v, want := range c.dist {
+				if got := r.at(v); got != want {
+					t.Errorf("%s: at(%d) = %d, want %d", name, v, got, want)
+				}
+			}
+			if !r.equals(c.dist) {
+				t.Errorf("%s: row does not equal the vector it encodes", name)
+			}
+			changed := append([]int32(nil), c.dist...)
+			changed[len(changed)-1]--
+			if r.equals(changed) {
+				t.Errorf("%s: row equals a vector with a changed cell", name)
+			}
+			if cells := (len(c.dist)*int(c.bits) + 7) / 8; len(r.cells) != cells || cap(r.cells) != cells {
+				t.Errorf("%s: %d cell bytes (capacity %d), want %d", name, len(r.cells), cap(r.cells), cells)
+			}
+			if (r.view != nil) != view {
+				t.Errorf("%s: row carries a view %v", name, r.view != nil)
+			}
 		}
 	}
 }
 
-// TestDenseRowView pins the 2-bit next-hop view of 32-bit rows: each
-// vertex's code is its distance mod 3, unreachable is 3, four codes
-// per byte from the low bits up, and a partial tail byte leaves its
-// unused bits zero.
+// TestDenseRowView pins the 2-bit next-hop view of dense rows at each
+// cell width: each vertex's code is its distance mod 3, unreachable is
+// 3, four codes per byte from the low bits up, and a partial tail byte
+// leaves its unused bits zero.
 func TestDenseRowView(t *testing.T) {
 	for _, c := range []struct {
 		dist  []int32
+		bits  uint8
 		codes []uint8
 	}{
-		{[]int32{-1, 0, 1, 2, 3, 4, -1, 5}, []uint8{3, 0, 1, 2, 0, 1, 3, 2}},
-		{[]int32{0, 1, 2, 3, 4, -1, 100000}, []uint8{0, 1, 2, 0, 1, 3, 1}}, // n % 4 == 3
-		{[]int32{4, -1, 0, 1, 2}, []uint8{1, 3, 0, 1, 2}},                  // n % 4 == 1
-		{[]int32{-1}, []uint8{3}},
+		{[]int32{-1, 0, 1, 2, 3, 4, -1, 5}, 4, []uint8{3, 0, 1, 2, 0, 1, 3, 2}},
+		{[]int32{4, -1, 0, 1, 2}, 4, []uint8{1, 3, 0, 1, 2}}, // n % 4 == 1
+		{[]int32{-1}, 4, []uint8{3}},
+		{[]int32{200, -1, 0, 254, 17, 15}, 8, []uint8{2, 3, 0, 2, 2, 0}},              // n % 4 == 2
+		{[]int32{0, 1, 2, 3, 4, -1, 100000}, 32, []uint8{0, 1, 2, 0, 1, 3, 1}},        // n % 4 == 3
+		{[]int32{255, 256, 257, -1, 0, 1, 2, 3}, 32, []uint8{0, 1, 2, 3, 0, 1, 2, 0}}, // whole bytes
+		{[]int32{14, 15, 254, 255, -1, 300, 299, 13, 12}, 32, []uint8{2, 0, 2, 0, 3, 0, 2, 1, 0}},
 	} {
-		r := encodeRow(c.dist, StoreDense.minBits())
-		if r.bits != 32 || len(r.nib) != (len(c.dist)+3)/4 {
-			t.Fatalf("%v: %d-bit row with a %d-byte view", c.dist, r.bits, len(r.nib))
+		r := encodeRow(c.dist, true)
+		if r.bits != c.bits || len(r.view) != (len(c.dist)+3)/4 {
+			t.Fatalf("%v: %d-bit row with a %d-byte view, want %d bits", c.dist, r.bits, len(r.view), c.bits)
 		}
 		var want []uint8
 		for v, code := range c.codes {
@@ -83,8 +92,11 @@ func TestDenseRowView(t *testing.T) {
 			}
 			want[v/4] |= code << (2 * (v % 4))
 		}
-		if string(r.nib) != string(want) {
-			t.Errorf("%v: view bytes %08b, want %08b", c.dist, r.nib, want)
+		if string(r.view) != string(want) {
+			t.Errorf("%v: view bytes %08b, want %08b", c.dist, r.view, want)
+		}
+		if cells := (packedRow{bits: r.bits, maxd: r.maxd, cells: r.cells}); !cells.equals(c.dist) {
+			t.Errorf("%v: cells without the view decode differently", c.dist)
 		}
 	}
 }
@@ -113,8 +125,9 @@ func TestStoreWidthFallbackOnLongPath(t *testing.T) {
 		if dense.Diameter() != packed.Diameter() {
 			t.Fatalf("n=%d: diameter %d vs %d", n, packed.Diameter(), dense.Diameter())
 		}
-		// Distances past 254 put packed rows at 32 bits too: both
-		// tables then scan the mod-3 view, with codes from large d.
+		// Distances past 254 put rows at 32 bits: the dense table then
+		// scans the mod-3 view with codes from large d, the packed one
+		// its 32-bit cells.
 		checkNextHopInvariant(t, dense)
 		checkNextHopInvariant(t, packed)
 	}
@@ -351,13 +364,36 @@ func TestLazyRecencyKeepsHotRow(t *testing.T) {
 	}
 }
 
+// wideTableBytes is the footprint of n rows of 32-bit cells plus the
+// 2-bit view, n²·4 + n·⌈n/4⌉. It is the fixed reference the packed
+// store's memory bounds are stated against: a 32-bit cell per pair is
+// what the all-pairs table costs without width packing.
+func wideTableBytes(n int) int64 {
+	return int64(n)*int64(n)*4 + int64(n)*int64((n+3)/4)
+}
+
+// nibbleDenseBytes is the footprint of a dense table whose rows all
+// fit 4-bit cells, as on every low-diameter instance: the cells plus
+// the 2-bit view, n·⌈n/2⌉ + n·⌈n/4⌉.
+func nibbleDenseBytes(n int) int64 {
+	return int64(n)*int64((n+1)/2) + int64(n)*int64((n+3)/4)
+}
+
+// TestPackedMemoryFootprint bounds both stores on LPS(11,7) (diameter
+// 3: nibble rows throughout): the packed store, which is the Cayley
+// table there, under a sixth of the 32-bit row cost, and the dense
+// store at no more than its nibble cells plus the view.
 func TestPackedMemoryFootprint(t *testing.T) {
-	inst := topo.MustLPS(11, 7) // diameter 3: nibble rows throughout
+	inst := topo.MustLPS(11, 7)
+	n := inst.G.N()
 	dense := NewTable(inst.G)
 	packed := NewTableOpts(inst.G, TableOptions{Store: StorePacked})
 	db, pb := dense.MemoryBytes(), packed.MemoryBytes()
-	if pb*6 > db {
-		t.Fatalf("packed table %d bytes, not under 1/6 of dense %d", pb, db)
+	if wide := wideTableBytes(n); pb*6 > wide {
+		t.Fatalf("packed table %d bytes, not under 1/6 of the 32-bit row cost %d", pb, wide)
+	}
+	if bound := nibbleDenseBytes(n); db > bound {
+		t.Fatalf("dense table %d bytes, above nibble cells plus view %d", db, bound)
 	}
 	if packed.Store() != StorePacked || dense.Store() != StoreDense {
 		t.Fatal("Store() misreports the backend")
@@ -365,17 +401,18 @@ func TestPackedMemoryFootprint(t *testing.T) {
 }
 
 // TestMemoryBytesPerBackend pins the exact MemoryBytes accounting on
-// LPS(11,7) (n=168, k=12, diameter 3): dense counts 4 bytes per cell
-// plus its 2-bit next-hop view (n·⌈n/4⌉ bytes), packed each nibble
-// row's payload plus 8 bytes per row, and lazy its per-destination
-// bookkeeping (16+8 bytes) plus the resident rows. Packed rows are
-// pinned on a copy of the edges without the Cayley view; on the LPS
-// graph itself the packed store is the Cayley table, pinned apart.
+// LPS(11,7) (n=168, k=12, diameter 3): dense counts each nibble row's
+// cells plus its 2-bit next-hop view (n·⌈n/2⌉ + n·⌈n/4⌉ bytes), packed
+// each nibble row's cells plus 8 bytes per row, and lazy its
+// per-destination bookkeeping (16+8 bytes) plus the resident rows.
+// Packed rows are pinned on a copy of the edges without the Cayley
+// view; on the LPS graph itself the packed store is the Cayley table,
+// pinned apart.
 func TestMemoryBytesPerBackend(t *testing.T) {
 	g := topo.MustLPS(11, 7).G
 	n := g.N()
-	if got := NewTable(g).MemoryBytes(); got != 119_952 {
-		t.Errorf("dense MemoryBytes = %d, want 119952 (168·168·4 + 168·42)", got)
+	if got := NewTable(g).MemoryBytes(); got != 21_168 {
+		t.Errorf("dense MemoryBytes = %d, want 21168 (168·84 + 168·42)", got)
 	}
 	plain := graph.FromEdges(n, g.Edges())
 	if got := NewTableOpts(plain, TableOptions{Store: StorePacked}).MemoryBytes(); got != 15_456 {
@@ -436,7 +473,7 @@ func TestTableConcurrentReadersNonDense(t *testing.T) {
 // Repair and Restore keep the resolved store.
 func TestStoreBySize(t *testing.T) {
 	g := circulant(denseMaxRouters, 1, 64)
-	store, bytes := func() (Store, int64) { // one 71 MB table alive at a time
+	store, bytes := func() (Store, int64) { // one 21 MB table (byte rows) alive at a time
 		tab := NewTable(g)
 		return tab.Store(), tab.MemoryBytes()
 	}()
@@ -547,16 +584,17 @@ func BenchmarkNextHopRandom(b *testing.B) {
 
 // BenchmarkTableMemory is the memory-regression gate: it reports the
 // distance-store bytes of dense and packed rows on SF(17), a family
-// with no Cayley view, and fails outright if packed rows lose their
-// ≥6× advantage over dense (nibble packing is nominally 8×; the slack
-// absorbs row headers). The cayley sub-benchmark reports the packed
-// store of the class-1 LPS instance, which is the Cayley table (one
-// identity BFS plus the group view) and holds no rows. CI runs it with
+// with no Cayley view and diameter 2, and fails outright if packed
+// rows lose their ≥6× advantage over the 32-bit row cost of the same
+// graph (nibble packing is nominally 8×; the slack absorbs row
+// headers), or if dense rows cost more than their nibble cells plus
+// the 2-bit view. The cayley sub-benchmark reports the packed store of
+// the class-1 LPS instance, which is the Cayley table (one identity
+// BFS plus the group view) and holds no rows. CI runs it with
 // -benchtime=1x.
 func BenchmarkTableMemory(b *testing.B) {
 	sf := topo.MustSlimFly(17).G
 	lps := topo.MustLPS(23, 11).G
-	var denseBytes int64
 	for _, c := range []struct {
 		name  string
 		g     *graph.Graph
@@ -572,12 +610,15 @@ func BenchmarkTableMemory(b *testing.B) {
 				bytes = NewTableOpts(c.g, TableOptions{Store: c.store}).MemoryBytes()
 			}
 			b.ReportMetric(float64(bytes), "table-bytes")
+			n := c.g.N()
 			switch c.name {
 			case "dense":
-				denseBytes = bytes
+				if bound := nibbleDenseBytes(n); bytes > bound {
+					b.Fatalf("memory regression: dense store %d bytes vs nibble cells plus view %d", bytes, bound)
+				}
 			case "packed":
-				if denseBytes > 0 && bytes*6 > denseBytes {
-					b.Fatalf("memory regression: packed store %d bytes vs dense %d (< 6x cut)", bytes, denseBytes)
+				if wide := wideTableBytes(n); bytes*6 > wide {
+					b.Fatalf("memory regression: packed store %d bytes vs 32-bit rows %d (< 6x cut)", bytes, wide)
 				}
 			}
 		})
@@ -591,8 +632,5 @@ func sharesRow(a, b *Table, dest int) bool {
 	if ra.bits != rb.bits {
 		return false
 	}
-	if ra.bits == 32 {
-		return &ra.wide[0] == &rb.wide[0]
-	}
-	return &ra.nib[0] == &rb.nib[0]
+	return &ra.cells[0] == &rb.cells[0]
 }

@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"math/bits"
-	"unsafe"
-)
+import "math/bits"
 
 // scheduler is the event queue of the run loop: a calendar queue
 // (time wheel) of one-cycle buckets over a sliding window of wheelSize
@@ -310,7 +307,6 @@ func (s *scheduler) sortBucket(b int) {
 // the run — identical whether the Network is fresh, cloned, or reused
 // (retained capacity slack from earlier runs does not leak in).
 func (s *scheduler) memoryBytes() int64 {
-	const slotBytes, eventBytes = int64(unsafe.Sizeof(slot{})), int64(unsafe.Sizeof(event{}))
 	b := int64(s.wpeak+s.sortPeak)*slotBytes + int64(s.opeak)*eventBytes
 	// Bucket slice headers, FIFO heads, top keys and the two bitmaps.
 	b += int64(len(s.buckets))*24 + int64(len(s.bhead))*4 + int64(len(s.top))*8 + int64(len(s.occ)+len(s.unsorted))*8

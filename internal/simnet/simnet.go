@@ -46,7 +46,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -202,6 +201,18 @@ type runConfig struct {
 	lats    *LinkLatencies
 	tenants *TenantConfig
 }
+
+// Entry sizes MemoryBytes charges, fixed at what unsafe.Sizeof gives
+// on 64-bit platforms (TestAccountingSizes pins them there). With
+// int64 aligned to 4 bytes and pointers of 4 bytes, 32-bit platforms
+// lay the same structs out smaller, and every exhibit that reports
+// MemoryBytes would differ by platform.
+const (
+	packetBytes = 56 // packet
+	epGenBytes  = 32 // epGen
+	slotBytes   = 16 // slot
+	eventBytes  = 32 // event
+)
 
 // packet is an in-flight message.
 type packet struct {
@@ -940,7 +951,7 @@ func (nw *Network) MemoryBytes() int64 {
 	var b int64
 	for _, sh := range shards {
 		b += sh.sched.memoryBytes()
-		b += int64(len(sh.packets))*int64(unsafe.Sizeof(packet{})) + int64(len(sh.free))*4
+		b += int64(len(sh.packets))*packetBytes + int64(len(sh.free))*4
 		b += sh.lat.memoryBytes()
 		b += sh.memoryBytesTenants()
 	}
@@ -950,7 +961,7 @@ func (nw *Network) MemoryBytes() int64 {
 		// wrapper (~48 B). Batch runs don't, so generators retained from
 		// an earlier RunLoad on a reused instance are not charged to
 		// them — the value stays a pure function of the run.
-		b += int64(len(nw.gens)) * (int64(unsafe.Sizeof(epGen{})) + 48)
+		b += int64(len(nw.gens)) * (epGenBytes + 48)
 	}
 	for _, pf := range nw.portFree {
 		b += int64(len(pf)) * 8
