@@ -14,6 +14,9 @@
 package graph
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -30,6 +33,16 @@ type Graph struct {
 	neigh   []int32 // len 2m, sorted within each vertex's slice
 	m       int     // number of undirected edges
 	cayley  *Cayley // group structure, on graphs built as Cayley graphs (WithCayley)
+	// digest is the memoized Digest, set by every CSR constructor (see
+	// newGraph) and shared by WithCayley's copy; nil on the zero Graph.
+	digest func() [32]byte
+}
+
+// newGraph wraps a finished CSR, arming its once-computed digest.
+func newGraph(offsets, neigh []int32, m int) *Graph {
+	g := &Graph{offsets: offsets, neigh: neigh, m: m}
+	g.digest = sync.OnceValue(g.hashWiring)
+	return g
 }
 
 // Builder accumulates edges for a Graph. Self-loops are rejected and
@@ -64,21 +77,44 @@ func (b *Builder) AddEdge(u, v int) {
 	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
 }
 
-// Build finalizes the graph, deduplicating edges.
+// Build finalizes the graph, deduplicating edges. It groups the
+// recorded pairs by lower endpoint in place (an American flag sort:
+// every pair moves straight into its group, with O(n) extra memory and
+// no comparison sort over the whole list), sorts each small group by
+// upper endpoint and drops repeats, so the distinct edges reach
+// FromEdges in order.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
-		}
-		return b.edges[i][1] < b.edges[j][1]
-	})
-	dedup := b.edges[:0]
-	for i, e := range b.edges {
-		if i == 0 || e != b.edges[i-1] {
-			dedup = append(dedup, e)
+	start := make([]int32, b.n+1)
+	for _, e := range b.edges {
+		start[e[0]+1]++
+	}
+	for u := range b.n {
+		start[u+1] += start[u]
+	}
+	fill := slices.Clone(start[:b.n])
+	for u := range b.n {
+		for fill[u] < start[u+1] {
+			i := fill[u]
+			if w := b.edges[i][0]; int(w) != u {
+				b.edges[i], b.edges[fill[w]] = b.edges[fill[w]], b.edges[i]
+				fill[w]++
+			} else {
+				fill[u]++
+			}
 		}
 	}
-	return FromEdges(b.n, dedup)
+	m := 0
+	for u := range b.n {
+		group := b.edges[start[u]:start[u+1]]
+		slices.SortFunc(group, func(x, y [2]int32) int { return cmp.Compare(x[1], y[1]) })
+		for _, e := range group {
+			if m == 0 || e != b.edges[m-1] {
+				b.edges[m] = e
+				m++
+			}
+		}
+	}
+	return FromEdges(b.n, b.edges[:m])
 }
 
 // FromEdges builds a graph from a deduplicated edge list. Edges must be
@@ -104,7 +140,7 @@ func FromEdges(n int, edges [][2]int32) *Graph {
 		neigh[cursor[v]] = u
 		cursor[v]++
 	}
-	g := &Graph{offsets: offsets, neigh: neigh, m: len(edges)}
+	g := newGraph(offsets, neigh, len(edges))
 	for v := 0; v < n; v++ {
 		slices.Sort(g.Neighbors(v))
 	}
@@ -146,6 +182,45 @@ func (g *Graph) Edges() [][2]int32 {
 		}
 	}
 	return out
+}
+
+// Digest returns the SHA-256 of the graph's exact wiring: N() as 8
+// little-endian bytes, then every edge of Edges() in its order (u < v,
+// CSR order) as u and v in 4 little-endian bytes each. Two graphs
+// share a digest exactly when they have the same vertex count and
+// edge set, whatever their history or Cayley view. The bytes stream
+// from the CSR through one fixed buffer, and a graph hashes them at
+// most once: the graph is immutable, so every later call returns the
+// memoized sum. The zero Graph hashes an empty graph on each call.
+func (g *Graph) Digest() [32]byte {
+	if g.digest == nil {
+		return g.hashWiring()
+	}
+	return g.digest()
+}
+
+// hashWiring computes Digest from scratch.
+func (g *Graph) hashWiring() [32]byte {
+	h := sha256.New()
+	var buf [8192]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(max(g.N(), 0)))
+	for u := range g.N() {
+		for _, v := range g.Neighbors(u) {
+			if v <= int32(u) {
+				continue
+			}
+			if len(b)+8 > len(buf) {
+				h.Write(b)
+				b = buf[:0]
+			}
+			b = binary.LittleEndian.AppendUint32(b, uint32(u))
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+	}
+	h.Write(b)
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // Regularity returns (k, true) if the graph is k-regular, else (0, false).
@@ -497,7 +572,7 @@ func (g *Graph) RemoveEdges(removed [][2]int32) *Graph {
 		}
 		offsets[v+1] = int32(len(neigh))
 	}
-	return &Graph{offsets: offsets, neigh: neigh, m: len(neigh) / 2}
+	return newGraph(offsets, neigh, len(neigh)/2)
 }
 
 // AddEdges returns a copy of g with the given edges inserted. The

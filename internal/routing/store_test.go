@@ -535,28 +535,40 @@ func TestPolicyJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// benchTable builds the class-1 LPS instance's table in store; a lazy
-// table's cap is at least n, so it measures the steady-state (hit-path)
-// cost: a sweep cycling more destinations than the cap pays a BFS per
-// miss instead, which is the documented trade.
-func benchTable(b *testing.B, store Store) *Table {
-	b.Helper()
+// benchTables returns the lookup benchmarks' tables on the class-1
+// LPS instance: dense rows; packed rows, built on the instance's
+// RemoveEdges(nil) copy (the same edges without the group view), since
+// the packed store of the intact Cayley graph is the Cayley table,
+// which is its own case; and, last, a lazy table whose cap is at least
+// n, so it measures the steady-state (hit-path) cost: a sweep cycling
+// more destinations than the cap pays a BFS per miss instead, which is
+// the documented trade.
+func benchTables() []benchTable {
 	g := topo.MustLPS(23, 11).G
-	if store == StoreLazy {
-		return newLazy(g, g.N())
+	return []benchTable{
+		{"dense", func() *Table { return NewTableOpts(g, TableOptions{Store: StoreDense}) }},
+		{"packed", func() *Table { return NewTableOpts(g.RemoveEdges(nil), TableOptions{Store: StorePacked}) }},
+		{"cayley", func() *Table { return NewTableOpts(g, TableOptions{Store: StorePacked}) }},
+		{"lazy", func() *Table { return newLazy(g, g.N()) }},
 	}
-	return NewTableOpts(g, TableOptions{Store: store})
+}
+
+// benchTable is one lookup benchmark case: a name and its table's
+// builder, run outside the timed loop.
+type benchTable struct {
+	name  string
+	build func() *Table
 }
 
 // BenchmarkHopDist measures the per-lookup cost of HopDist, one cell
-// read, for each of the three backends on the class-1 LPS instance.
+// read, for each backend on the class-1 LPS instance (benchTables).
 // The simulator's per-hop next-hop choice is measured by
 // BenchmarkNextHopRandom here and, in situ, by BenchmarkRunLoadStore
 // in internal/simnet.
 func BenchmarkHopDist(b *testing.B) {
-	for _, store := range allStores {
-		b.Run(store.String(), func(b *testing.B) {
-			tab := benchTable(b, store)
+	for _, c := range benchTables() {
+		b.Run(c.name, func(b *testing.B) {
+			tab := c.build()
 			n := tab.G.N()
 			var sink int32
 			b.ResetTimer()
@@ -569,9 +581,9 @@ func BenchmarkHopDist(b *testing.B) {
 }
 
 func BenchmarkNextHopRandom(b *testing.B) {
-	for _, store := range []Store{StoreDense, StorePacked} {
-		b.Run(store.String(), func(b *testing.B) {
-			tab := benchTable(b, store)
+	for _, c := range benchTables()[:3] { // all but lazy
+		b.Run(c.name, func(b *testing.B) {
+			tab := c.build()
 			n := tab.G.N()
 			rng := rand.New(rand.NewSource(1))
 			b.ResetTimer()

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/fault"
@@ -56,21 +57,16 @@ func DecodePayload(b []byte) (Payload, error) {
 	return p, err
 }
 
-// graphDigest hashes a topology instance's exact structure: vertex
-// count plus the edge list in its canonical order. Two instances with
-// the same name but different wiring (a regenerated random topology,
-// a different construction) therefore never share cell keys.
+// graphDigest is the hex of a topology instance's wiring digest
+// (graph.Graph.Digest): its vertex count plus its edge list in
+// canonical order. Two instances with the same name but different
+// wiring (a regenerated random topology, a different construction)
+// therefore never share cell keys. The graph computes the digest once
+// and keeps it, so replaying a grid over the same instances rehashes
+// no topology.
 func graphDigest(g *graph.Graph) string {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(g.N()))
-	h.Write(buf[:])
-	for _, e := range g.Edges() {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(e[0]))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(e[1]))
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	d := g.Digest()
+	return hex.EncodeToString(d[:])
 }
 
 // instanceDigest is graphDigest plus, only on an instance with a dead
@@ -170,71 +166,110 @@ func latencyDigest(t *simnet.LinkLatencies) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// contentKey builds one cell's content-addressed key. extra carries
-// the cell's group context — the fault-plan or schedule parameters
-// that the default cell identity strings do not fully capture (e.g.
+// contentKey builds one cell's content-addressed key from the grid's
+// shared header and the cell's instance digest. extra carries the
+// cell's group context — the fault-plan or schedule parameters that
+// the default cell identity strings do not fully capture (e.g.
 // FaultAxis.RegionSize changes the sampled plan but not the cell key).
-func (g *Grid) contentKey(shared string, digests []string, c *Cell, extra string) string {
+// The pre-image is appended to buf[:0], returned for reuse, and spells
+// every field as fmt's %d, %s and %v would: integers in decimal,
+// Policy and Pattern by String, floats as strconv's shortest 'g' form.
+func (g *Grid) contentKey(buf []byte, shared, digest string, c *Cell, extra string) (string, []byte) {
 	ck := g.Keys.cellKey(c)
-	h := sha256.New()
-	io.WriteString(h, shared)
-	fmt.Fprintf(h, "graph=%s\nconc=%d\n", digests[c.Instance], g.Instances[c.Instance].Concentration)
+	b := append(buf[:0], shared...)
+	b = append(b, "graph="...)
+	b = append(b, digest...)
+	b = append(b, "\nconc="...)
+	b = strconv.AppendInt(b, int64(g.Instances[c.Instance].Concentration), 10)
 	// The cell identity string, plus the fields it derives from spelled
 	// out explicitly — custom Keys.CellKey formats may elide an axis, and
 	// a key collision must cost a cache miss, never a wrong result.
-	fmt.Fprintf(h, "cell=%s\nsimseed=%d\npolicy=%s\n", ck, runner.DeriveSeed(g.Seed, ck), c.Policy)
+	b = append(b, "\ncell="...)
+	b = append(b, ck...)
+	b = append(b, "\nsimseed="...)
+	b = strconv.AppendInt(b, runner.DeriveSeed(g.Seed, ck), 10)
+	b = append(b, "\npolicy="...)
+	b = append(b, c.Policy.String()...)
+	b = append(b, '\n')
 	switch g.Measure {
 	case MeasureMotif:
-		fmt.Fprintf(h, "motif=%s:%s\n", c.MotifTag, motifDigest(c.Motif))
+		b = append(b, "motif="...)
+		b = append(b, c.MotifTag...)
+		b = append(b, ':')
+		b = append(b, motifDigest(c.Motif)...)
+		b = append(b, '\n')
 	case MeasureLoad:
-		fmt.Fprintf(h, "pattern=%s\nload=%v\n", c.Pattern, c.Load)
+		b = append(b, "pattern="...)
+		b = append(b, c.Pattern.String()...)
+		b = append(b, "\nload="...)
+		b = strconv.AppendFloat(b, c.Load, 'g', -1, 64)
+		b = append(b, '\n')
 	}
 	if extra != "" {
-		io.WriteString(h, extra)
-		h.Write([]byte{'\n'})
+		b = append(b, extra...)
+		b = append(b, '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), b
 }
 
 // ContentKeys returns one content-addressed cache key per cell, in
 // Cells() order. A key commits to everything the cell's measurement
 // depends on: the code version stamp, the grid's shared workload
-// knobs, the instance's exact graph and concentration, the cell
-// identity and its derived simulation seed, and the cell's sampled
-// fault-plan or schedule parameters. Two overlapping grids (say,
-// differing only in an extra fault axis) share keys for the cells they
-// have in common, so a cache warmed by one serves the other. The
-// workers argument (callers pass their Options.Workers) no longer
-// enters the keys: statistics do not depend on the shard count.
+// knobs, the instance's exact graph (its wiring digest, computed once
+// per graph) and concentration, the cell identity and its derived
+// simulation seed, and the cell's sampled fault-plan or schedule
+// parameters. Two overlapping grids (say, differing only in an extra
+// fault axis) share keys for the cells they have in common, so a cache
+// warmed by one serves the other. The workers argument (callers pass
+// their Options.Workers) no longer enters the keys: statistics do not
+// depend on the shard count.
 func (g *Grid) ContentKeys(workers int) ([]string, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
 	}
-	return g.contentKeys(g.deriver())
+	return g.contentKeys(g.deriver(), 0, -1)
 }
 
-// contentKeys is ContentKeys with a caller-supplied deriver, so Run
-// shares one set of memoized placements between key computation and
-// cell execution instead of optimizing every placement twice.
-func (g *Grid) contentKeys(d *deriver) ([]string, error) {
+// contentKeys is ContentKeys for the cells with Index in [lo, hi) (hi
+// < 0 means the end of the grid), with a caller-supplied deriver, so
+// Run shares one set of memoized placements between key computation
+// and cell execution instead of optimizing every placement twice. The
+// returned slice is indexed by cell Index and holds "" outside the
+// range: a ranged run keys, and derives instance digests and latency
+// tables for, only the cells it may look up.
+func (g *Grid) contentKeys(d *deriver, lo, hi int) ([]string, error) {
 	shared := g.sharedKeyHeader()
-	digests := make([]string, len(g.Instances))
-	for i := range g.Instances {
-		digests[i] = instanceDigest(g.Instances[i])
+	digests := make([]string, len(g.Instances)) // "" until an instance's first cell in range
+	digest := func(i int) (string, error) {
+		if digests[i] != "" {
+			return digests[i], nil
+		}
+		dg := instanceDigest(g.Instances[i])
 		if g.Layout.enabled() {
 			// Commit each instance's intact latency table. Damaged cells'
 			// tables are re-derived from the same placement, pinned by the
 			// fault-plan parameters their group context already carries.
 			t, err := d.latencies(i, g.Instances[i].Inst.G)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
-			digests[i] += "+lat:" + latencyDigest(t)
+			dg += "+lat:" + latencyDigest(t)
 		}
+		digests[i] = dg
+		return dg, nil
 	}
-	var keys []string
-	plan, _ := g.groups()
+	plan, all := g.groups()
+	if hi < 0 || hi > len(all) {
+		hi = len(all)
+	}
+	keys := make([]string, len(all))
+	var buf []byte
 	for _, gr := range plan {
+		n := len(gr.cells)
+		if n == 0 || gr.cells[n-1].Index < lo || gr.cells[0].Index >= hi {
+			continue
+		}
 		// A damaged or reconfiguration trial's group context: the
 		// fault-plan or schedule parameters its cells were sampled with.
 		extra := make([]string, gr.trials)
@@ -251,20 +286,30 @@ func (g *Grid) contentKeys(d *deriver) ([]string, error) {
 			}
 		}
 		for i := range gr.cells {
-			keys = append(keys, g.contentKey(shared, digests, &gr.cells[i], extra[gr.cells[i].Trial]))
+			c := &gr.cells[i]
+			if c.Index < lo || c.Index >= hi {
+				continue
+			}
+			dg, err := digest(c.Instance)
+			if err != nil {
+				return nil, err
+			}
+			keys[c.Index], buf = g.contentKey(buf, shared, dg, c, extra[c.Trial])
 		}
 	}
 	return keys, nil
 }
 
 // Fingerprint returns the full grid identity: a digest over the code
-// version stamp, every axis (instances with their exact graphs,
-// faults, schedules, policies, patterns, motifs, loads) and every
-// shared knob. Distributed runs use it as the coordinator/worker
-// compatibility check — unlike the per-cell keys of ContentKeys, which
-// deliberately exclude unrelated axes, the fingerprint pins the whole
-// grid. Like ContentKeys it takes the
-// caller's Options.Workers and ignores it.
+// version stamp, every axis (instances with their exact graphs, by
+// the same once-per-graph wiring digest the content keys use; faults,
+// schedules, policies, patterns, motifs, loads) and every shared knob.
+// Distributed runs use it as the coordinator/worker compatibility
+// check — unlike the per-cell keys of ContentKeys, which deliberately
+// exclude unrelated axes, the fingerprint pins the whole grid. It is
+// computed once per grid, so it keeps fmt; TestContentKeySetsPinned
+// pins its bytes. Like ContentKeys it takes the caller's
+// Options.Workers and ignores it.
 func (g *Grid) Fingerprint(workers int) (string, error) {
 	if err := g.validate(); err != nil {
 		return "", err

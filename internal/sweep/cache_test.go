@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"slices"
@@ -331,6 +333,53 @@ func TestRunRangeMatchesRun(t *testing.T) {
 	}
 }
 
+// TestWarmRunRangeKeysOnlyItsRange: a cached RunRange computes the
+// content keys of its own cells and no others — a distributed worker
+// claiming a range of a large grid must not re-key the whole grid — and
+// a warm range emits exactly the rows of a full warm Collect there.
+func TestWarmRunRangeKeysOnlyItsRange(t *testing.T) {
+	var keyed []int
+	counting := func() *Grid {
+		g := fixedGrid(t, nil)
+		g.Keys.CellKey = func(c *Cell) string {
+			keyed = append(keyed, c.Index)
+			return Keys{}.cellKey(c)
+		}
+		return g
+	}
+	cache := newMemCache()
+	if _, err := counting().Collect(context.Background(), Options{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	full, err := counting().Collect(context.Background(), Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(full)
+	for _, r := range [][2]int{{0, 1}, {1, 4}, {n - 3, n}, {2, 2}} {
+		lo, hi := r[0], r[1]
+		keyed, cache.misses = nil, 0
+		rows := []Result{}
+		if err := counting().RunRange(context.Background(), Options{Cache: cache}, lo, hi, func(res Result) error {
+			rows = append(rows, res)
+			return nil
+		}); err != nil {
+			t.Fatalf("range [%d,%d): %v", lo, hi, err)
+		}
+		for _, i := range keyed {
+			if i < lo || i >= hi {
+				t.Errorf("range [%d,%d) keyed cell %d", lo, hi, i)
+			}
+		}
+		if len(keyed) != hi-lo || cache.misses != 0 {
+			t.Errorf("range [%d,%d): %d cells keyed, %d misses, want %d and 0", lo, hi, len(keyed), cache.misses, hi-lo)
+		}
+		if !reflect.DeepEqual(rows, full[lo:hi]) {
+			t.Errorf("range [%d,%d): warm rows diverge from the full warm Collect", lo, hi)
+		}
+	}
+}
+
 // TestPayloadRoundTrip: encode/decode reproduces every statistic
 // exactly, and failed cells refuse to encode.
 func TestPayloadRoundTrip(t *testing.T) {
@@ -466,6 +515,117 @@ func TestContentKeysPinned(t *testing.T) {
 		}
 		if keys[0] != c.want {
 			t.Errorf("%s grid: first content key %s, want %s", c.name, keys[0], c.want)
+		}
+	}
+}
+
+// TestContentKeySetsPinned pins, under a fixed version stamp, a digest
+// over every content key of a grid and the grid's Fingerprint, for
+// grids that between them reach every branch of the key pre-image:
+// shifting traffic, motifs, saturation, each fault kind with a region
+// size, a sampled and a fixed schedule axis, tenants, a layout and an
+// instance with a dead set. A change in how any field is printed
+// orphans every cached cell of such grids, so the values were recorded
+// once and must never be regenerated.
+func TestContentKeySetsPinned(t *testing.T) {
+	old := version.Stamp()
+	version.Override("pinned")
+	defer version.Override(old)
+
+	shift := scheduleGrid(t)
+	shift.Loads = []float64{0.2, 1.0 / 3}
+
+	motif := &Grid{
+		Instances: testInstances(t),
+		Policies:  []routing.Policy{routing.Minimal, routing.Valiant},
+		Motifs: []traffic.Motif{
+			fakeMotif{name: "halo", rounds: [][][2]int32{{{0, 1}, {1, 0}}, {{2, 3}}}},
+			fakeMotif{name: "sweep", rounds: [][][2]int32{{{5, 9}}}},
+		},
+		Measure: MeasureMotif,
+		Ranks:   16,
+		Seed:    3,
+	}
+
+	sat := &Grid{Instances: testInstances(t), Measure: MeasureSaturation, MsgsPerRank: 4, Seed: 7}
+	sat.Faults = []FaultAxis{{Kind: fault.Routers, Fraction: 0.1}}
+
+	faults := loadGrid(t)
+	faults.Loads = []float64{0.25}
+	faults.Faults = []FaultAxis{
+		{Kind: fault.Links, Fraction: 0.1, RegionSize: 3, Trials: 2},
+		{Kind: fault.Routers, Fraction: 0.05, RegionSize: 5},
+		{Kind: fault.Regions, Fraction: 0.2, RegionSize: 4, Trials: 2},
+	}
+
+	sched := scheduleGrid(t)
+	sched.ShiftPeriod, sched.ShiftPatterns = 0, nil
+	sched.Schedules = scheduleAxes(t, sched)
+	sched.Schedules[0].RegionSize = 6
+	sched.Schedules = append(sched.Schedules, ScheduleAxis{
+		Name: "regions", Kind: fault.Regions, Fraction: 0.1, RegionSize: 4,
+		Period: 300, Outage: 100, Repeats: 1,
+	})
+
+	tenants := loadGrid(t)
+	tenants.Tenants = traffic.Tenants{
+		Specs: []traffic.TenantSpec{
+			{Name: "victim", Pattern: traffic.Random, Ranks: 8, Load: 0.05},
+			{Name: "aggressor", Pattern: traffic.Transpose, Ranks: 16},
+		},
+		Policy: traffic.PlaceRandom,
+		Seed:   5,
+	}
+
+	lay := loadGrid(t)
+	lay.Layout = Layout{Mode: "sequential", Seed: 11}
+
+	_, dead := degradedPair(t)
+
+	for _, c := range []struct {
+		name     string
+		g        *Grid
+		keys, fp string
+	}{
+		{"shift", shift,
+			"8c498f59475038aed6e0345d125539910aecc376bd20f893c23147d30c8bc1d3",
+			"07e91765d52b7bd7116fa16684f1a6953de76c951d2111f90eaeb43ecd60f161"},
+		{"motif", motif,
+			"11c86d0a5b7da20605075c9f45d3aaefcec9d3c85012248862cefd9bdfaf3921",
+			"db5998a8038581f45e5b7226c81bc333cc935a083fc107a948be8979f2d0965b"},
+		{"saturation", sat,
+			"0183efbb24ea75d0dc9e6ed8b79ed7d4a7b786d14e21f544dcaf7bee48abe356",
+			"b49a12856da0f6b480b083761c6de8e6e7364d952fc64295ed7d5f4f844109e8"},
+		{"faults", faults,
+			"b013c9064f4a78e97e089cea9d7c3a6008e6d74b7f0e4cdf8664a008b188b25f",
+			"e0a453e7fdd6135c22a96517eb5aade7d6fcf2a6b9ab10c3ecb397870d3984c3"},
+		{"schedules", sched,
+			"7361f18cffe4dc26f2f0fd0306ed19544713aef3fda5fc71a41bb6732dbf4f35",
+			"fa43ebcceb7155e5bbaa05f7074eb8156bd32ec80fb1af49911faac12879f40b"},
+		{"tenants", tenants,
+			"18b932679e2097df21579bc30ae5794386c999668af6dc7530aeffa1f0c1d8f2",
+			"26ab354686a60470fe9db81bf6390230f5f08d6909bdddf66a76dfd11e7a8416"},
+		{"layout", lay,
+			"15cf391e98ba3941f59691df60bc4d927352ca0175ae653ebede8a2c6dc34f91",
+			"f67bd8263f9aa7298589ebb589774ab4e029dd396ae32510ab110833b773430c"},
+		{"dead", dead,
+			"331b641b1b44bc500f46f3f0e760111c262d16ee02102ec8e44280da050b846b",
+			"77d8a0bbe154681c852de7f637eab21e024b7af9a7aa22e5486737c9ac181fbf"},
+	} {
+		keys, err := c.g.ContentKeys(0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
+		if got := hex.EncodeToString(sum[:]); got != c.keys {
+			t.Errorf("%s grid: digest of %d content keys %s, want %s", c.name, len(keys), got, c.keys)
+		}
+		fp, err := c.g.Fingerprint(0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if fp != c.fp {
+			t.Errorf("%s grid: fingerprint %s, want %s", c.name, fp, c.fp)
 		}
 	}
 }

@@ -759,7 +759,7 @@ func (g *Grid) run(ctx context.Context, opts Options, lo, hi int, emit func(Resu
 	var keys []string
 	if opts.Cache != nil {
 		var err error
-		if keys, err = g.contentKeys(d); err != nil {
+		if keys, err = g.contentKeys(d, lo, hi); err != nil {
 			return err
 		}
 	}
