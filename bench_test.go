@@ -387,7 +387,7 @@ func BenchmarkRunLoadStream40K(b *testing.B) {
 	}
 	nw.SetSeed(17)
 	nep := nw.Endpoints()
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := simnet.Workload{Dest: func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }}
 	const msgs = 32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -434,7 +434,7 @@ func BenchmarkRunLoadParallel40K(b *testing.B) {
 	}
 	serNet, parNet := mk(1), mk(4)
 	nep := serNet.Endpoints()
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := simnet.Workload{Dest: func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }}
 	const msgs = 32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -489,7 +489,7 @@ func BenchmarkReconfigParallel40K(b *testing.B) {
 	}
 	serNet, parNet := mk(1), mk(4)
 	nep := serNet.Endpoints()
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := simnet.Workload{Dest: func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }}
 	const msgs = 32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -71,17 +71,8 @@ func MustNew(q int64) *Field {
 // Order returns q = p^m.
 func (f *Field) Order() int64 { return f.q }
 
-// Char returns the characteristic p.
-func (f *Field) Char() int64 { return f.p }
-
-// Degree returns the extension degree m.
-func (f *Field) Degree() int64 { return f.m }
-
 // Add returns a+b.
 func (f *Field) Add(a, b int64) int64 { return f.add[a*f.q+b] }
-
-// Sub returns a-b.
-func (f *Field) Sub(a, b int64) int64 { return f.add[a*f.q+f.neg[b]] }
 
 // Neg returns -a.
 func (f *Field) Neg(a int64) int64 { return f.neg[a] }
@@ -96,9 +87,6 @@ func (f *Field) Inv(a int64) int64 {
 	}
 	return f.inv[a]
 }
-
-// Div returns a/b; it panics if b is zero.
-func (f *Field) Div(a, b int64) int64 { return f.Mul(a, f.Inv(b)) }
 
 // Pow returns a^e for e >= 0 (with 0^0 = 1).
 func (f *Field) Pow(a, e int64) int64 {
@@ -126,15 +114,6 @@ func (f *Field) PrimPow(i int64) int64 {
 	n := f.q - 1
 	i = ((i % n) + n) % n
 	return f.expTb[i]
-}
-
-// Log returns the discrete logarithm of a base Primitive(); a must be
-// nonzero.
-func (f *Field) Log(a int64) int64 {
-	if a == 0 {
-		panic("gf: log of zero")
-	}
-	return f.logTb[a]
 }
 
 // IsSquare reports whether a is a square in the field (0 counts as a

@@ -15,7 +15,7 @@ import (
 func ReferenceDigest(g *Graph) [32]byte {
 	h := sha256.New()
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(max(g.N(), 0)))
+	binary.LittleEndian.PutUint64(buf[:], uint64(g.N()))
 	h.Write(buf[:])
 	for _, e := range g.Edges() {
 		binary.LittleEndian.PutUint32(buf[:4], uint32(e[0]))

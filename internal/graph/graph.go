@@ -147,8 +147,9 @@ func FromEdges(n int, edges [][2]int32) *Graph {
 	return g
 }
 
-// N returns the number of vertices.
-func (g *Graph) N() int { return len(g.offsets) - 1 }
+// N returns the number of vertices (0 on the zero Graph, whose
+// offsets are nil).
+func (g *Graph) N() int { return max(len(g.offsets)-1, 0) }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return g.m }
@@ -203,7 +204,7 @@ func (g *Graph) Digest() [32]byte {
 func (g *Graph) hashWiring() [32]byte {
 	h := sha256.New()
 	var buf [8192]byte
-	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(max(g.N(), 0)))
+	b := binary.LittleEndian.AppendUint64(buf[:0], uint64(g.N()))
 	for u := range g.N() {
 		for _, v := range g.Neighbors(u) {
 			if v <= int32(u) {

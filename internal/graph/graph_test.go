@@ -354,3 +354,27 @@ func TestEachSourceRunsEverySourceOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroGraph: the zero Graph is the empty graph its doc promises,
+// with every query answering as on a built graph with no vertices.
+func TestZeroGraph(t *testing.T) {
+	var g Graph
+	if g.N() != 0 || g.M() != 0 {
+		t.Fatalf("N, M = %d, %d; want 0, 0", g.N(), g.M())
+	}
+	if !g.IsConnected() {
+		t.Error("zero graph not connected")
+	}
+	if labels, count := g.Components(); len(labels) != 0 || count != 0 {
+		t.Errorf("Components = %v, %d; want none", labels, count)
+	}
+	if e := g.Edges(); len(e) != 0 {
+		t.Errorf("Edges = %v", e)
+	}
+	if k, ok := g.Regularity(); k != 0 || !ok {
+		t.Errorf("Regularity = %d, %v; want 0, true", k, ok)
+	}
+	if got, want := g.Digest(), FromEdges(0, nil).Digest(); got != want {
+		t.Errorf("Digest %x differs from the built empty graph's %x", got, want)
+	}
+}

@@ -349,6 +349,3 @@ func isqrt(n int64) int64 {
 		x = y
 	}
 }
-
-// ISqrt exposes floor(sqrt(n)); it panics for negative n.
-func ISqrt(n int64) int64 { return isqrt(n) }

@@ -319,15 +319,15 @@ func TestFourSquareNormProperty(t *testing.T) {
 
 func TestISqrt(t *testing.T) {
 	for n := int64(0); n < 10000; n++ {
-		r := ISqrt(n)
+		r := isqrt(n)
 		if r*r > n || (r+1)*(r+1) <= n {
-			t.Fatalf("ISqrt(%d)=%d incorrect", n, r)
+			t.Fatalf("isqrt(%d)=%d incorrect", n, r)
 		}
 	}
 	big := int64(1) << 62
-	r := ISqrt(big)
+	r := isqrt(big)
 	if r*r > big || (r+1)*(r+1) <= big {
-		t.Fatalf("ISqrt(2^62)=%d incorrect", r)
+		t.Fatalf("isqrt(2^62)=%d incorrect", r)
 	}
 }
 

@@ -282,6 +282,3 @@ func (g *Group) Bytes() int64 {
 func (g *Group) Identity() int {
 	return g.IndexOf(Mat{1, 0, 0, 1})
 }
-
-// Contains reports whether m's coset belongs to the group.
-func (g *Group) Contains(m Mat) bool { return g.IndexOf(m) >= 0 }

@@ -119,7 +119,7 @@ func TestGroupClosure(t *testing.T) {
 		for i := 0; i < g.Order(); i++ {
 			for j := 0; j < g.Order(); j++ {
 				prod := g.Element(i).Mul(g.Element(j), q)
-				if !g.Contains(prod) {
+				if g.IndexOf(prod) < 0 {
 					t.Fatalf("%v(2,%d) not closed: %v·%v = %v", kind, q, g.Element(i), g.Element(j), prod)
 				}
 			}
@@ -132,7 +132,7 @@ func TestPSLIsSubgroupOfPGL(t *testing.T) {
 	psl := MustGroup(q, PSL)
 	pgl := MustGroup(q, PGL)
 	for i := 0; i < psl.Order(); i++ {
-		if !pgl.Contains(psl.Element(i)) {
+		if pgl.IndexOf(psl.Element(i)) < 0 {
 			t.Fatalf("PSL element %v not in PGL", psl.Element(i))
 		}
 	}
@@ -237,7 +237,7 @@ func TestPaperExampleVertexCoset(t *testing.T) {
 		}
 	}
 	g := MustGroup(q, PGL)
-	if !g.Contains(ms[0]) {
+	if g.IndexOf(ms[0]) < 0 {
 		t.Error("paper example vertex not found in PGL(2,F5)")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/simnet"
 	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // cellKind is what a cell measures, as in sweep.Grid.measure.
@@ -22,7 +23,7 @@ const (
 
 // cellSpec is one sweep cell's per-run settings and measurement. Its
 // zero value is a Minimal, one-shard, undamaged, static, uniform-wire,
-// single-tenant load cell.
+// single-tenant load cell in which every endpoint sends.
 type cellSpec struct {
 	kind    cellKind
 	policy  routing.Policy
@@ -34,6 +35,10 @@ type cellSpec struct {
 	tenants *simnet.TenantConfig
 	load    float64
 	msgs    int
+	// ranks, when positive, restricts the load and saturation traffic
+	// to a random ranks-endpoint job (traffic.NewMapping seeded with
+	// seed) that sends uniformly within itself.
+	ranks int
 }
 
 // cellResult is what one cell measured.
@@ -77,7 +82,14 @@ func runCell(tb testing.TB, nw *simnet.Network, c cellSpec) cellResult {
 		}
 	}
 	nep := nw.Endpoints()
-	uniform := func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+	uniform := simnet.Workload{Dest: func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }}
+	if c.ranks > 0 {
+		mp, err := traffic.NewMapping(c.ranks, nep, c.seed)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		uniform = mp.PatternEndpoints(traffic.Random, c.ranks)
+	}
 	switch c.kind {
 	case saturationCell:
 		return cellResult{sat: nw.SaturationLoad(uniform, c.msgs)}
@@ -170,7 +182,9 @@ func checkRecycledMatchesFresh(t *testing.T, g *graph.Graph, cells []namedCell) 
 // clone measures exactly what each cell measures on a fresh clone —
 // no setting (tenants, schedule, dead mask, latencies, shard count,
 // policy, seed) and no run state carries over from one cell to the
-// next, whatever the measure.
+// next, whatever the measure. A 64-rank job after a full one, and a
+// full job after it, pin that injection cursors left by an earlier
+// sender set never leak into the next run.
 func TestRecycledCloneMatchesFresh(t *testing.T) {
 	g := topo.MustLPS(11, 7).G
 	s := newRecycleSettings(g)
@@ -187,17 +201,22 @@ func TestRecycledCloneMatchesFresh(t *testing.T) {
 		{"workers 1", cellSpec{seed: 6, load: 0.6, msgs: 4}},
 		{"saturation", cellSpec{kind: saturationCell, seed: 7, msgs: 4}},
 		{"load", cellSpec{policy: routing.Valiant, seed: 8, load: 0.7, msgs: 6}},
+		{"64-rank job after a full one", cellSpec{policy: routing.Valiant, seed: 8, ranks: 64, load: 0.7, msgs: 6}},
+		{"full job after a 64-rank one", cellSpec{seed: 9, load: 0.5, msgs: 5}},
+		{"64-rank saturation", cellSpec{kind: saturationCell, seed: 10, ranks: 64, msgs: 4}},
 		{"motif after load", cellSpec{kind: motifCell, seed: 8}},
 	})
 }
 
 // FuzzRecycledClone decodes a short cell sequence — four bytes a cell:
 // setting flags, policy, seed and load — and checks it measures the
-// same on one recycled clone as on fresh clones.
+// same on one recycled clone as on fresh clones. Flag 0x80 runs a
+// 64-rank job instead of every endpoint, so sequences mix sender sets.
 func FuzzRecycledClone(f *testing.F) {
 	f.Add([]byte{0x01, 1, 1, 80, 0x00, 0, 2, 80})
 	f.Add([]byte{0x02, 2, 3, 120, 0x00, 0, 3, 120, 0x04, 1, 4, 200})
 	f.Add([]byte{0x08, 0, 5, 60, 0x10, 1, 6, 150, 0x40, 2, 7, 90, 0x20, 3, 8, 40})
+	f.Add([]byte{0x00, 1, 9, 150, 0x80, 1, 9, 150, 0x00, 2, 10, 90, 0xd0, 0, 11, 60})
 	g := topo.MustLPS(11, 7).G
 	s := newRecycleSettings(g)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -225,6 +244,9 @@ func FuzzRecycledClone(f *testing.F) {
 			}
 			if flags&0x10 != 0 {
 				c.workers = 2
+			}
+			if flags&0x80 != 0 {
+				c.ranks = 64
 			}
 			switch {
 			case flags&0x20 != 0 && c.sched == nil:

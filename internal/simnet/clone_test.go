@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -62,7 +61,7 @@ func TestRunBatchesAggregatesLatency(t *testing.T) {
 func TestCloneDeterminism(t *testing.T) {
 	nw := lpsNetwork(t, runConfig{policy: routing.UGALL, seed: 42})
 	nep := nw.Endpoints()
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := uniformWorkload(nep)
 	a := nw.RunLoad(pattern, 0.4, 8)
 	b := nw.RunLoad(pattern, 0.4, 8) // reuse of the same instance
 	c := nw.Clone().RunLoad(pattern, 0.4, 8)
@@ -80,7 +79,7 @@ func TestCloneDeterminism(t *testing.T) {
 func TestCloneConcurrentRuns(t *testing.T) {
 	nw := lpsNetwork(t, runConfig{policy: routing.UGALL, seed: 1})
 	nep := nw.Endpoints()
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := uniformWorkload(nep)
 	want := nw.Clone().RunLoad(pattern, 0.3, 5)
 	var wg sync.WaitGroup
 	got := make([]Stats, 8)
@@ -112,7 +111,7 @@ func TestCloneCopiesRunSettings(t *testing.T) {
 	for ep := range ofEP {
 		ofEP[ep] = int32(ep % 2)
 	}
-	run := func(nw *Network) Stats { return nw.RunLoad(uniformPattern(nw.Endpoints()), 0.3, 5) }
+	run := func(nw *Network) Stats { return nw.RunLoad(uniformWorkload(nw.Endpoints()), 0.3, 5) }
 	base := run(lpsNetwork(t, runConfig{}))
 	for _, tc := range []struct {
 		name string

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/routing"
@@ -27,7 +26,7 @@ func allDeadNet(t *testing.T) *Network {
 func TestRunLoadAllRoutersDead(t *testing.T) {
 	nw := allDeadNet(t)
 	nep := nw.Endpoints()
-	pattern := func(srcEP int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := uniformWorkload(nep)
 	st := nw.RunLoad(pattern, 0.3, 5)
 	if st.Delivered != 0 {
 		t.Fatalf("delivered %d on an all-dead network", st.Delivered)
@@ -64,7 +63,7 @@ func TestRunBatchesAllRoutersDead(t *testing.T) {
 func TestSaturationLoadAllRoutersDead(t *testing.T) {
 	nw := allDeadNet(t)
 	nep := nw.Endpoints()
-	pattern := func(srcEP int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := uniformWorkload(nep)
 	if sat := nw.SaturationLoad(pattern, 4); sat != 0 {
 		t.Fatalf("saturation %v on an all-dead network, want 0", sat)
 	}
@@ -100,7 +99,7 @@ func BenchmarkRunLoadStore(b *testing.B) {
 			tab := routing.NewTableOpts(inst.G, opts)
 			nw := build(b, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 11, policy: routing.UGALL})
 			nep := nw.Endpoints()
-			pattern := func(srcEP int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+			pattern := uniformWorkload(nep)
 			var hops int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/routing"
@@ -12,7 +11,7 @@ func TestUGALGRoutesAndRespectsVCBudget(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
 	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALG, seed: 4})
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := uniformWorkload(nw.Endpoints())
 	st := nw.RunLoad(pattern, 0.4, 20)
 	if st.Delivered == 0 {
 		t.Fatal("idle")
@@ -26,7 +25,7 @@ func TestUGALGPrefersMinimalWhenIdle(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
 	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALG, seed: 5})
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := uniformWorkload(nw.Endpoints())
 	st := nw.RunLoad(pattern, 0.05, 8)
 	frac := float64(st.ValiantTaken) / float64(st.Delivered)
 	if frac > 0.05 {
@@ -38,7 +37,7 @@ func TestUGALGDivertsUnderHotspot(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
 	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALG, seed: 6})
-	hot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(4) }
+	hot := uniformWorkload(4)
 	st := nw.RunLoad(hot, 0.7, 25)
 	if st.ValiantTaken == 0 {
 		t.Error("UGAL-G never diverted under a hotspot")
@@ -51,11 +50,11 @@ func TestSaturationLoadOrdering(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
 	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 9})
-	uniform := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	uniform := uniformWorkload(nw.Endpoints())
 	// Mild hotspot: a third of the endpoints receive all traffic, so the
 	// hot ejection ports saturate around 3× lower load than uniform —
 	// but are NOT already saturated at the 5% baseline.
-	hotspot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints() / 3) }
+	hotspot := uniformWorkload(nw.Endpoints() / 3)
 	su := nw.SaturationLoad(uniform, 15)
 	sh := nw.SaturationLoad(hotspot, 15)
 	if su <= 0 || su > 1 || sh <= 0 || sh > 1 {

@@ -59,16 +59,13 @@ func TestTenantScheduleConservation(t *testing.T) {
 			ofEP[ep] = -1
 		}
 	}
-	// Tenant-internal traffic; unowned endpoints emit nothing.
-	pattern := func(src int, _ int64, rng *rand.Rand) int {
-		switch {
-		case src < 16:
+	// Tenant-internal traffic; unowned endpoints are not senders.
+	pattern := Workload{Senders: endpointRange(40), Dest: func(src int, _ int64, rng *rand.Rand) int {
+		if src < 16 {
 			return rng.Intn(16)
-		case src < 40:
-			return 16 + rng.Intn(24)
 		}
-		return -1
-	}
+		return 16 + rng.Intn(24)
+	}}
 	run := func(workers int) Stats {
 		nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 4, sched: sched, workers: workers,
 			lats: lats, tenants: &TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}})
@@ -99,7 +96,7 @@ func TestTenantScheduleConservation(t *testing.T) {
 			sumDel += ts.Delivered
 			sumDrop += ts.Dropped
 		}
-		// Unowned endpoints emit nothing, so the tenant rows partition
+		// Unowned endpoints are not senders, so the tenant rows partition
 		// the global counters exactly.
 		if sumOff != st.Offered || sumDel != st.Delivered || sumDrop != st.Dropped {
 			t.Errorf("workers=%d: tenant rows do not partition the run: %d/%d/%d vs %d/%d/%d",
@@ -139,7 +136,7 @@ func TestUniformLatencyTableMatchesNil(t *testing.T) {
 			run := func(lat *LinkLatencies) Stats {
 				nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{policy: pol, seed: 3, workers: workers, lats: lat})
 				nep := nw.Endpoints()
-				return nw.RunLoad(func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }, 0.5, 16)
+				return nw.RunLoad(uniformWorkload(nep), 0.5, 16)
 			}
 			want, got := run(nil), run(uniform)
 			if want.Delivered == 0 {

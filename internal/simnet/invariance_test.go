@@ -48,16 +48,16 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 	}
 	uniform := func(load float64, msgs int) func(nw *Network) Stats {
-		return func(nw *Network) Stats { return nw.RunLoad(uniformPattern(nw.Endpoints()), load, msgs) }
+		return func(nw *Network) Stats { return nw.RunLoad(uniformWorkload(nw.Endpoints()), load, msgs) }
 	}
 	// The one-hop neighbor pattern at concentration 1 is the old
 	// tie-free gate: unique shortest paths, no port contention.
 	neighbor := func(g *graph.Graph, msgs int) func(nw *Network) Stats {
 		return func(nw *Network) Stats {
-			return nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int {
+			return nw.RunLoad(Workload{Dest: func(src int, _ int64, rng *rand.Rand) int {
 				nbs := g.Neighbors(src)
 				return int(nbs[rng.Intn(len(nbs))])
-			}, streamGateLoad, msgs)
+			}}, streamGateLoad, msgs)
 		}
 	}
 	bigRun := func(st Stats) bool { return st.Delivered > 8192 }
@@ -103,12 +103,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 	// Phase-shifting traffic under the churn schedule.
 	shifting := func(nw *Network) Stats {
 		nep := nw.Endpoints()
-		return nw.RunLoad(func(src int, now int64, rng *rand.Rand) int {
+		return nw.RunLoad(Workload{Dest: func(src int, now int64, rng *rand.Rand) int {
 			if (now/1500)%2 == 0 {
 				return rng.Intn(nep)
 			}
 			return (src + 7) % nep
-		}, streamGateLoad, 24)
+		}}, streamGateLoad, 24)
 	}
 
 	// Rewiring between two fabric configurations of a 16-router union.
@@ -171,23 +171,17 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 
 	// A static 64-rank job scattered over LPS(11,7)'s 672 endpoints:
-	// the other 608 are silent and queue no injection cursor.
+	// the other 608 are not senders and queue no injection cursor.
 	sparse := func(nw *Network) Stats {
-		nep := nw.Endpoints()
-		epOf := rand.New(rand.NewSource(3)).Perm(nep)[:64]
-		rankOf := make([]int, nep)
-		for ep := range rankOf {
-			rankOf[ep] = -1
+		epOf := rand.New(rand.NewSource(3)).Perm(nw.Endpoints())[:64]
+		senders := make([]int32, len(epOf))
+		for i, ep := range epOf {
+			senders[i] = int32(ep)
 		}
-		for r, ep := range epOf {
-			rankOf[ep] = r
-		}
-		return nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int {
-			if rankOf[src] < 0 {
-				return -1
-			}
+		slices.Sort(senders)
+		return nw.RunLoad(Workload{Senders: senders, Dest: func(_ int, _ int64, rng *rand.Rand) int {
 			return epOf[rng.Intn(len(epOf))]
-		}, 0.5, 16)
+		}}, 0.5, 16)
 	}
 
 	tiny := graph.FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
@@ -218,9 +212,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 			net: mk(Config{Topo: union, Concentration: 2}, unionTab, runConfig{seed: 21, sched: rewire}),
 			run: func(nw *Network) Stats {
 				nep := nw.Endpoints()
-				return nw.RunLoad(func(src int, now int64, rng *rand.Rand) int {
+				return nw.RunLoad(Workload{Dest: func(src int, now int64, rng *rand.Rand) int {
 					return (src + (int(now/period)%4+1)*3) % nep
-				}, 0.3, 20)
+				}}, 0.3, 20)
 			}},
 		{name: "het-latencies", shards: 4,
 			net: mk(Config{Topo: lps, Concentration: 4}, lpsTab, runConfig{lats: testLatTable(lps)}), run: uniform(streamGateLoad, 16)},
@@ -229,15 +223,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{name: "tenants-schedule", shards: 4,
 			net: tenantNet,
 			run: func(nw *Network) Stats {
-				return nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int {
-					switch {
-					case src < 16:
+				return nw.RunLoad(Workload{Senders: endpointRange(40), Dest: func(src int, _ int64, rng *rand.Rand) int {
+					if src < 16 {
 						return rng.Intn(16)
-					case src < 40:
-						return 16 + rng.Intn(24)
 					}
-					return -1
-				}, 0.4, 12)
+					return 16 + rng.Intn(24)
+				}}, 0.4, 12)
 			},
 			exercised: func(st Stats) bool { return len(st.Tenants) == 2 && st.SeveredInFlight > 0 }},
 		{name: "sparse-ranks", shards: 4,

@@ -18,7 +18,7 @@ func runAt(tb testing.TB, workers int, policy routing.Policy, load float64, msgs
 	nw := class1StreamNet(tb)
 	nw.SetPolicy(policy)
 	nw.SetWorkers(workers)
-	return nw.RunLoad(uniformPattern(nw.Endpoints()), load, msgs)
+	return nw.RunLoad(uniformWorkload(nw.Endpoints()), load, msgs)
 }
 
 // At contended loads, where path choice feeds back into queueing, one
@@ -82,8 +82,8 @@ func TestScheduleParallelSpeedupGate(t *testing.T) {
 		return nw
 	}
 	serialNet, parNet := mk(0), mk(4)
-	patS := uniformPattern(serialNet.Endpoints())
-	patP := uniformPattern(parNet.Endpoints())
+	patS := uniformWorkload(serialNet.Endpoints())
+	patP := uniformWorkload(parNet.Endpoints())
 	parNet.RunLoad(patP, streamGateLoad, speedupGateMsgs) // warm shard map + arenas
 	const reps = 3
 	minS, minP := time.Duration(1<<62), time.Duration(1<<62)
@@ -120,7 +120,7 @@ func TestParallelDamagedConservation(t *testing.T) {
 	for _, pol := range []routing.Policy{routing.Minimal, routing.Valiant} {
 		run := func(workers int) Stats {
 			nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 11, dead: dead, policy: pol, workers: workers})
-			return nw.RunLoad(uniformPattern(nw.Endpoints()), 0.2, 16)
+			return nw.RunLoad(uniformWorkload(nw.Endpoints()), 0.2, 16)
 		}
 		serial, par := run(1), run(4)
 		if par.Offered != serial.Offered || par.Delivered != serial.Delivered || par.Dropped != serial.Dropped {
@@ -150,8 +150,8 @@ func TestRunLoadParallelSpeedupGate(t *testing.T) {
 	serialNet := class1StreamNet(t)
 	parNet := class1StreamNet(t)
 	parNet.SetWorkers(4)
-	patS := uniformPattern(serialNet.Endpoints())
-	patP := uniformPattern(parNet.Endpoints())
+	patS := uniformWorkload(serialNet.Endpoints())
+	patP := uniformWorkload(parNet.Endpoints())
 	parNet.RunLoad(patP, streamGateLoad, speedupGateMsgs) // warm shard map + arenas
 	const reps = 3
 	minS, minP := time.Duration(1<<62), time.Duration(1<<62)
@@ -182,7 +182,7 @@ func BenchmarkRunLoadParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			nw := class1StreamNet(b)
 			nw.SetWorkers(w)
-			pattern := uniformPattern(nw.Endpoints())
+			pattern := uniformWorkload(nw.Endpoints())
 			nw.RunLoad(pattern, streamGateLoad, speedupGateMsgs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

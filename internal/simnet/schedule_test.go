@@ -145,7 +145,7 @@ func runChurnConservation(t *testing.T, seed int64, kindRaw, periodRaw, outageRa
 			nw.SetPolicy(policy)
 			atEnd := hookConservation(t, nw)
 			hookPublish(t, nw)
-			st := nw.RunLoad(pattern, 0.3, 8)
+			st := nw.RunLoad(Workload{Dest: pattern}, 0.3, 8)
 			atEnd()
 			if st.Offered == 0 {
 				t.Fatalf("workers=%d policy %v: run offered no traffic", workers, policy)
@@ -177,7 +177,7 @@ func TestScheduleEmptyMatchesNil(t *testing.T) {
 	// (golden files pin the same for the CLI surface).
 	inst := topo.MustSlimFly(5)
 	tab := routing.NewTable(inst.G)
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
+	pattern := uniformWorkload(inst.G.N() * 2)
 	var got [2]Stats
 	for i, sched := range []fault.Schedule{nil, {}} {
 		nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 9, sched: sched})
@@ -201,7 +201,7 @@ func TestScheduleRoundTripBeforeTrafficIsLossless(t *testing.T) {
 	nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 3, sched: sched})
 	atEnd := hookConservation(t, nw)
 	hookPublish(t, nw)
-	st := nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.3, 10)
+	st := nw.RunLoad(uniformWorkload(nw.Endpoints()), 0.3, 10)
 	atEnd()
 	if nw.live.tbl != nw.table || nw.tbl != nw.table || nw.live.peak != 0 {
 		t.Fatal("a cut and restore of the same links derived a table")
@@ -232,7 +232,7 @@ func TestChurnRestoringEveryLinkEndsOnPristineTable(t *testing.T) {
 		nw.SetWorkers(workers)
 		atEnd := hookConservation(t, nw)
 		publishes := hookPublish(t, nw)
-		st := nw.RunLoad(uniformPattern(nw.Endpoints()), 0.3, 40)
+		st := nw.RunLoad(uniformWorkload(nw.Endpoints()), 0.3, 40)
 		atEnd()
 		if st.Makespan <= last {
 			t.Fatalf("workers=%d: traffic ended at %d, before the last restore at %d", workers, st.Makespan, last)
@@ -267,7 +267,7 @@ func TestScheduleAfterTrafficDerivesNothing(t *testing.T) {
 		nw.SetWorkers(workers)
 		atEnd := hookConservation(t, nw)
 		publishes := hookPublish(t, nw)
-		st := nw.RunLoad(uniformPattern(nw.Endpoints()), 0.3, 10)
+		st := nw.RunLoad(uniformWorkload(nw.Endpoints()), 0.3, 10)
 		atEnd()
 		if st.Makespan >= sched[0].Cycle || st.Dropped != 0 {
 			t.Fatalf("workers=%d: traffic reached the schedule (makespan %d, dropped %d)", workers, st.Makespan, st.Dropped)
@@ -311,7 +311,7 @@ func TestSeveredInFlightAccounting(t *testing.T) {
 	tab := routing.NewTable(g)
 	nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 12, sched: sched})
 	atEnd := hookConservation(t, nw)
-	st := nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }, 0.8, 30)
+	st := nw.RunLoad(uniformWorkload(nw.Endpoints()), 0.8, 30)
 	atEnd()
 	if st.SeveredInFlight == 0 {
 		t.Fatal("mass mid-run kill severed no packets (timing or accounting broken)")
@@ -355,11 +355,11 @@ func TestRewiringScheduleUnderShiftingTraffic(t *testing.T) {
 		nw.SetWorkers(workers)
 		atEnd := hookConservation(t, nw)
 		nep := nw.Endpoints()
-		st := nw.RunLoad(func(src int, now int64, rng *rand.Rand) int {
+		st := nw.RunLoad(Workload{Dest: func(src int, now int64, rng *rand.Rand) int {
 			// The hot spot rotates with the rewiring phase.
 			shift := int(now/period)%4 + 1
 			return (src + shift*3) % nep
-		}, 0.3, 20)
+		}}, 0.3, 20)
 		atEnd()
 		if st.Delivered == 0 {
 			t.Fatalf("workers=%d: rewiring run delivered nothing", workers)

@@ -26,7 +26,7 @@
 // next cell with its run buffers already allocated.
 //
 // The run loop streams its workload: RunLoad keeps one injection
-// cursor per sending endpoint (epGen) that schedules only that
+// cursor per sender of its Workload (epGen) that schedules only that
 // endpoint's next arrival and draws its destination from a PatternFunc
 // that sees the injection cycle (so static and time-varying traffic
 // share one path), delivered packets recycle arena slots through a
@@ -136,19 +136,13 @@ type Network struct {
 	packets []packet
 	free    []int32
 
-	// gens holds the per-endpoint streaming injection cursors of
-	// RunLoad (allocated once per instance, reseeded per run).
+	// gens holds RunLoad's streaming injection cursors, indexed by
+	// endpoint: sized to every endpoint once per instance, and seeded
+	// per run only for the workload's senders (an endpoint that never
+	// sent holds no rand.Rand).
 	gens    []epGen
 	pattern PatternFunc
 	meanGap float64
-	// probe is the scratch stream RunLoad asks the pattern with, once
-	// per endpoint, whether that endpoint sends at all. It wraps
-	// probeSrc, is reseeded per run, and is never an endpoint's own
-	// stream, so the question draws nothing a cursor later reads. Each
-	// Network allocates its own (Clone does not copy it), so
-	// concurrently running clones never share one.
-	probe    *rand.Rand
-	probeSrc splitmix64
 
 	// lat folds per-message end-to-end latencies of one run (RunBatches
 	// pools its rounds here).
@@ -321,14 +315,11 @@ type Stats struct {
 	ValiantTaken int // packets routed non-minimally by UGAL/Valiant
 	// PatternSkips counts workload draws discarded because the pattern
 	// returned the source endpoint itself or an id outside the endpoint
-	// range. A source that answers -1 ("this source emits no traffic",
-	// e.g. an endpoint outside traffic.Mapping's job) when RunLoad
-	// probes it draws nothing and counts nothing; a -1 from a source
-	// the probe found sending breaks the PatternFunc contract and counts
-	// here. There is no redraw, so for patterns with fixed points
-	// (e.g. transpose, bit-complement on a palindromic rank) the
-	// realized offered load undershoots the nominal load by
-	// PatternSkips/(Offered+PatternSkips).
+	// range (-1 included). Only a Workload's senders draw, so an
+	// endpoint outside the job counts nothing. There is no redraw, so
+	// for patterns with fixed points (e.g. transpose, bit-complement on
+	// a palindromic rank) the realized offered load undershoots the
+	// nominal load by PatternSkips/(Offered+PatternSkips).
 	PatternSkips int
 	// SeveredInFlight counts packets dropped mid-flight by a timed
 	// topology event: at its arrival instant the link it traversed was
@@ -685,10 +676,8 @@ func (nw *Network) newMessage(src, dst int32, created, uid int64) int32 {
 // next arrival (keeping exactly one pending injection event per
 // sending endpoint), and inject the packet. All draws come from the
 // endpoint's private RNG, so the global event interleaving cannot
-// perturb any endpoint's workload stream. Silent endpoints never get
-// here (RunLoad queues no cursor for them), so a -1 from a probed
-// sender breaks the PatternFunc contract and is counted as a skip
-// like any other out-of-range draw.
+// perturb any endpoint's workload stream. Only a Workload's senders
+// get here; an answer outside the other endpoints counts as a skip.
 func (nw *Network) fireInjection(ep int32, now int64) {
 	g := &nw.gens[ep]
 	g.left--
@@ -956,11 +945,13 @@ func (nw *Network) MemoryBytes() int64 {
 		b += sh.memoryBytesTenants()
 	}
 	if nw.pattern != nil {
-		// Streaming (RunLoad) runs use the injection generators: each
-		// carries a two-word source plus one heap-allocated rand.Rand
-		// wrapper (~48 B). Batch runs don't, so generators retained from
-		// an earlier RunLoad on a reused instance are not charged to
-		// them — the value stays a pure function of the run.
+		// Streaming (RunLoad) runs use the injection generators, one
+		// slot per endpoint, each charged as a two-word source plus one
+		// heap-allocated rand.Rand wrapper (~48 B): an upper bound, as
+		// an endpoint that never sent holds no wrapper. Batch runs
+		// don't, so generators retained from an earlier RunLoad on a
+		// reused instance are not charged to them — the value stays a
+		// pure function of the run.
 		b += int64(len(nw.gens)) * (epGenBytes + 48)
 	}
 	for _, pf := range nw.portFree {
@@ -984,65 +975,74 @@ func (nw *Network) MemoryBytes() int64 {
 // the message is injected: a static pattern ignores now, a
 // time-varying one (traffic that shifts phase every P cycles while the
 // fabric rewires underneath it) reads it.
-//
-// The answer -1 means "this source emits no traffic" and is a property
-// of the source endpoint alone: a pattern returns it on every call for
-// that endpoint, whatever now and the draws, or on none. RunLoad relies
-// on this to ask each endpoint once, at cycle 0 on a scratch stream,
-// and to queue nothing for a silent one (traffic.Mapping's endpoints
-// outside the job, traffic.Assignment's unowned endpoints).
 type PatternFunc func(srcEP int, now int64, rng *rand.Rand) int
 
-// RunLoad drives the open-loop experiment of §VI-C: every endpoint the
-// pattern does not silence (-1, see PatternFunc) generates msgsPerEP
-// messages with exponential inter-arrival times realizing the given
-// offered load (fraction of endpoint injection bandwidth), destinations
-// drawn from pattern. It returns the run statistics; the paper's
-// headline metric is Stats.MaxLatency. It panics on a load outside
-// (0, 1]: every façade and sweep entry checks the load first.
+// Workload is the traffic of one open-loop run: the endpoints that
+// send and the destination each message draws. Senders is strictly
+// increasing (traffic.Mapping's job endpoints, traffic.Assignment's
+// owned ones); nil means every endpoint sends. An endpoint outside
+// Senders injects nothing and Dest is never asked for it, so a job
+// mapped onto part of the machine costs events only for its own ranks.
+type Workload struct {
+	Senders []int32
+	Dest    PatternFunc
+}
+
+// RunLoad drives the open-loop experiment of §VI-C: every sender of w
+// generates msgsPerEP messages with exponential inter-arrival times
+// realizing the given offered load (fraction of endpoint injection
+// bandwidth), destinations drawn from w.Dest. It returns the run
+// statistics; the paper's headline metric is Stats.MaxLatency. It
+// panics on a load outside (0, 1], and on senders that are not
+// strictly increasing endpoint ids: every façade and sweep entry
+// checks the load first, and every producer lists its senders sorted.
 //
-// Injection streams: each sending endpoint's cursor schedules only its
-// next arrival, so the event queue holds one pending injection per
-// sending endpoint instead of the whole run's message list, and memory
-// scales with the in-flight packet population rather than total
-// offered traffic. Every endpoint draws gaps and destinations from its
-// own seeded RNG, so results are deterministic per seed. Each cursor is
-// seeded and queued on the shard owning its router, then the run loop
-// drains the shards.
-//
-// Silent endpoints: before queueing a cursor, RunLoad asks the pattern
-// once for that endpoint, at cycle 0 with a scratch RNG. An endpoint
-// that answers -1 is silent for the whole run (see PatternFunc), so no
-// cursor is queued and its private stream is never drawn: a job mapped
-// onto part of the machine costs events only for its own ranks. Every
-// other endpoint's draws and event keys are unchanged by the question.
-func (nw *Network) RunLoad(pattern PatternFunc, load float64, msgsPerEP int) Stats {
+// Injection streams: each sender's cursor schedules only its next
+// arrival, so the event queue holds one pending injection per sender
+// instead of the whole run's message list, and memory scales with the
+// in-flight packet population rather than total offered traffic. Every
+// endpoint draws gaps and destinations from its own seeded RNG, so
+// results are deterministic per seed. Each cursor is seeded and queued
+// on the shard owning its router, then the run loop drains the shards.
+func (nw *Network) RunLoad(w Workload, load float64, msgsPerEP int) Stats {
 	if !(load > 0 && load <= 1) { // NaN fails too
 		panic(fmt.Sprintf("simnet: offered load %v out of (0,1]", load))
 	}
 	if nw.gens == nil {
 		nw.gens = make([]epGen, nw.nep)
 	}
-	if nw.probe == nil {
-		nw.probe = rand.New(&nw.probeSrc)
-	}
-	nw.probeSrc.state = mixSeed(nw.run.seed, -1) // lane -1: no endpoint or packet stream
-	nw.begin(pattern, float64(PacketFlits)/load, msgsPerEP)
-	for ep := range nw.gens {
-		g := &nw.gens[ep]
-		g.src.state = mixSeed(nw.run.seed, int64(ep))
-		if g.rng == nil {
-			g.rng = rand.New(&g.src)
+	nw.begin(w.Dest, float64(PacketFlits)/load, msgsPerEP)
+	prev := int32(-1)
+	for _, ep := range w.Senders {
+		if ep <= prev || int(ep) >= nw.nep {
+			panic(fmt.Sprintf("simnet: sender %d after %d: senders must be strictly increasing endpoints below %d", ep, prev, nw.nep))
 		}
-		g.t = 0
-		g.left = msgsPerEP
-		if msgsPerEP > 0 && pattern(ep, 0, nw.probe) != -1 {
-			sh := nw.ownerOf(nw.routerOf(int32(ep)))
-			sh.push(event{time: g.next(nw.gapOf(int32(ep))), at: int32(ep), kind: evInject})
+		nw.startCursor(ep, msgsPerEP)
+		prev = ep
+	}
+	if w.Senders == nil {
+		for ep := range nw.gens {
+			nw.startCursor(int32(ep), msgsPerEP)
 		}
 	}
 	nw.drive()
 	return nw.fold()
+}
+
+// startCursor seeds sender ep's injection cursor for a run of msgs
+// messages and queues its first arrival on the shard owning its router.
+func (nw *Network) startCursor(ep int32, msgs int) {
+	if msgs <= 0 {
+		return
+	}
+	g := &nw.gens[ep]
+	g.src.state = mixSeed(nw.run.seed, int64(ep))
+	if g.rng == nil {
+		g.rng = rand.New(&g.src)
+	}
+	g.t = 0
+	g.left = msgs
+	nw.ownerOf(nw.routerOf(ep)).push(event{time: g.next(nw.gapOf(ep)), at: ep, kind: evInject})
 }
 
 // The saturation search's knee criterion and bisection resolution: a
@@ -1062,26 +1062,26 @@ const (
 // The tail statistic is used because over a finite horizon the mean
 // lags the congestion collapse that the paper's max-time metric
 // reflects.
-func (nw *Network) SaturationLoad(pattern PatternFunc, msgsPerEP int) float64 {
-	base := nw.RunLoad(pattern, 0.05, msgsPerEP).P99Latency
+func (nw *Network) SaturationLoad(w Workload, msgsPerEP int) float64 {
+	base := nw.RunLoad(w, 0.05, msgsPerEP).P99Latency
 	if base <= 0 {
 		return 0
 	}
 	limit := float64(base) * SaturationLatencyFactor
 	lo, hi := 0.05, 1.0
-	probe := nw.RunLoad(pattern, hi, msgsPerEP)
-	if probe.Delivered == 0 {
+	full := nw.RunLoad(w, hi, msgsPerEP)
+	if full.Delivered == 0 {
 		// Nothing arrives at full load (dead or partitioned network):
 		// the zero tail latency is meaningless, so don't compare it
 		// against the limit — there is no knee to bisect for.
 		return 0
 	}
-	if float64(probe.P99Latency) <= limit {
+	if float64(full.P99Latency) <= limit {
 		return hi // never saturates in the modeled range
 	}
 	for hi-lo > SaturationTol {
 		mid := (lo + hi) / 2
-		if float64(nw.RunLoad(pattern, mid, msgsPerEP).P99Latency) <= limit {
+		if float64(nw.RunLoad(w, mid, msgsPerEP).P99Latency) <= limit {
 			lo = mid
 		} else {
 			hi = mid

@@ -42,7 +42,7 @@ func TestSimulationAfterEdgeFailures(t *testing.T) {
 	}
 	tab := routing.NewTable(damaged)
 	nw := build(t, Config{Topo: damaged, Concentration: 2}, tab, runConfig{seed: 2})
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := uniformWorkload(nw.Endpoints())
 	st := nw.RunLoad(pattern, 0.2, 10)
 	if st.Delivered == 0 {
 		t.Fatal("no deliveries on damaged topology")
@@ -155,7 +155,7 @@ func TestUGALUnderHotspotSheddsToValiant(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
 	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALL, seed: 3})
-	hot := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(4) } // 4 hot endpoints
+	hot := uniformWorkload(4) // 4 hot endpoints
 	st := nw.RunLoad(hot, 0.6, 20)
 	if st.Delivered == 0 {
 		t.Fatal("idle")

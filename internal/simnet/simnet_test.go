@@ -143,7 +143,7 @@ func TestVCBudgetMinimal(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
 	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 5})
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := uniformWorkload(nw.Endpoints())
 	st := nw.RunLoad(pattern, 0.3, 20)
 	if st.Delivered == 0 {
 		t.Fatal("nothing delivered")
@@ -158,7 +158,7 @@ func TestVCBudgetValiant(t *testing.T) {
 	tab := routing.NewTable(inst.G)
 	cfg := Config{Topo: inst.G, Concentration: 2}
 	nw := build(t, cfg, tab, runConfig{policy: routing.Valiant, seed: 6})
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := uniformWorkload(nw.Endpoints())
 	st := nw.RunLoad(pattern, 0.3, 20)
 	if int(st.MaxVC) > 2*tab.Diameter() {
 		t.Errorf("valiant used %d hops > 2·diameter %d", st.MaxVC, 2*tab.Diameter())
@@ -178,7 +178,7 @@ func TestUGALPrefersMinimalWhenUncongested(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
 	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{policy: routing.UGALL, seed: 7})
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := uniformWorkload(nw.Endpoints())
 	st := nw.RunLoad(pattern, 0.05, 10) // very light load
 	frac := float64(st.ValiantTaken) / float64(st.Delivered)
 	if frac > 0.2 {
@@ -190,7 +190,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 	inst := topo.MustSlimFly(7)
 	tab := routing.NewTable(inst.G)
 	nw := build(t, Config{Topo: inst.G, Concentration: 4}, tab, runConfig{seed: 8})
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nw.Endpoints()) }
+	pattern := uniformWorkload(nw.Endpoints())
 	low := nw.RunLoad(pattern, 0.1, 40)
 	high := nw.RunLoad(pattern, 0.7, 40)
 	if high.MeanLatency <= low.MeanLatency {
@@ -202,7 +202,7 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 func TestRunLoadDeterministicPerSeed(t *testing.T) {
 	inst := topo.MustSlimFly(5)
 	tab := routing.NewTable(inst.G)
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(inst.G.N() * 2) }
+	pattern := uniformWorkload(inst.G.N() * 2)
 	mk := func() Stats {
 		nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 42})
 		return nw.RunLoad(pattern, 0.4, 25)
@@ -263,7 +263,7 @@ func TestRunLoadInvalidLoadPanics(t *testing.T) {
 					t.Errorf("expected panic for load %v", load)
 				}
 			}()
-			nw.RunLoad(func(int, int64, *rand.Rand) int { return 0 }, load, 1)
+			nw.RunLoad(Workload{Dest: func(int, int64, *rand.Rand) int { return 0 }}, load, 1)
 		}()
 	}
 }

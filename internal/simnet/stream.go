@@ -41,15 +41,15 @@ func mixSeed(seed, lane int64) uint64 {
 	return mix64(uint64(seed)*0x9e3779b97f4a7c15 + uint64(lane) + 1)
 }
 
-// epGen is one endpoint's streaming injection cursor: a private RNG
+// epGen is one sender's streaming injection cursor: a private RNG
 // (gap and destination draws), the continuous Poisson arrival clock,
-// and the count of messages still to generate. Each sending endpoint
-// keeps exactly one pending injection event in the scheduler, so queued
-// injections cost O(sending endpoints), not O(endpoints × msgsPerEP);
-// a silent endpoint's cursor is never queued (see RunLoad).
+// and the count of messages still to generate. Each sender keeps
+// exactly one pending injection event in the scheduler, so queued
+// injections cost O(senders), not O(endpoints × msgsPerEP); an
+// endpoint outside the Workload's senders is never seeded or queued.
 type epGen struct {
 	src  splitmix64
-	rng  *rand.Rand // wraps &src; allocated once per Network
+	rng  *rand.Rand // wraps &src; allocated on the endpoint's first send
 	t    float64    // continuous arrival clock (fractional carry)
 	left int        // messages still to generate
 }

@@ -24,8 +24,18 @@ const (
 	streamGateMsgs = 64
 )
 
-func uniformPattern(nep int) PatternFunc {
-	return func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+// uniformWorkload sends from every endpoint to a uniformly drawn one.
+func uniformWorkload(nep int) Workload {
+	return Workload{Dest: func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }}
+}
+
+// endpointRange lists endpoints 0..n-1, a sender set.
+func endpointRange(n int) []int32 {
+	eps := make([]int32, n)
+	for i := range eps {
+		eps[i] = int32(i)
+	}
+	return eps
 }
 
 // streamMemoryGrowth bounds how much the class-1 working set may grow
@@ -42,7 +52,7 @@ const streamMemoryGrowth = 1.25
 // accounting is deterministic, so the gate always arms.
 func TestRunLoadStreamMemoryGate(t *testing.T) {
 	nw := class1StreamNet(t)
-	pattern := uniformPattern(nw.Endpoints())
+	pattern := uniformWorkload(nw.Endpoints())
 	small := nw.RunLoad(pattern, streamGateLoad, 16)
 	large := nw.RunLoad(pattern, streamGateLoad, 256)
 	if small.Delivered == 0 || large.Delivered <= small.Delivered {
@@ -59,7 +69,7 @@ func TestRunLoadStreamMemoryGate(t *testing.T) {
 // point, reporting the working set alongside ns/op.
 func BenchmarkRunLoadStream(b *testing.B) {
 	nw := class1StreamNet(b)
-	pattern := uniformPattern(nw.Endpoints())
+	pattern := uniformWorkload(nw.Endpoints())
 	var st Stats
 	for i := 0; i < b.N; i++ {
 		st = nw.RunLoad(pattern, streamGateLoad, streamGateMsgs)

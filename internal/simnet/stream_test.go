@@ -94,28 +94,28 @@ func TestArrivalClockMeanGap(t *testing.T) {
 	}
 }
 
-// TestRunLoadPatternSkips pins the skip-accounting semantics: draws
-// returning the source itself or an out-of-range id are counted in
-// Stats.PatternSkips (no redraw), while endpoint 1, which RunLoad's
-// probe finds silent (-1, "no traffic from this source"), queues no
-// cursor and so counts nothing.
+// TestRunLoadPatternSkips pins the skip-accounting semantics: a
+// sender's draws returning the source itself or an out-of-range id
+// (-1 included) are counted in Stats.PatternSkips (no redraw), while
+// an endpoint outside Workload.Senders is never asked and counts
+// nothing.
 func TestRunLoadPatternSkips(t *testing.T) {
 	g := lineGraph(2)
 	nw := mustNet(t, g, 2, runConfig{seed: 3}) // endpoints 0..3
 	const msgs = 5
-	pattern := func(src int, _ int64, rng *rand.Rand) int {
+	dest := func(src int, _ int64, rng *rand.Rand) int {
 		switch src {
 		case 0:
 			return 0 // fixed point: self-send
 		case 1:
-			return -1 // sentinel: source emits no traffic
+			return -1 // no destination
 		case 2:
 			return 99 // out of range
 		default:
 			return 0 // valid
 		}
 	}
-	st := nw.RunLoad(pattern, 0.5, msgs)
+	st := nw.RunLoad(Workload{Senders: []int32{0, 2, 3}, Dest: dest}, 0.5, msgs)
 	if st.PatternSkips != 2*msgs {
 		t.Errorf("PatternSkips %d want %d (self + out-of-range draws)", st.PatternSkips, 2*msgs)
 	}
@@ -125,13 +125,34 @@ func TestRunLoadPatternSkips(t *testing.T) {
 	if st.Delivered != msgs {
 		t.Errorf("Delivered %d want %d", st.Delivered, msgs)
 	}
+	// With every endpoint sending, endpoint 1's -1 is one more skip.
+	if st := nw.RunLoad(Workload{Dest: dest}, 0.5, msgs); st.PatternSkips != 3*msgs || st.Offered != msgs {
+		t.Errorf("all senders: PatternSkips %d Offered %d, want %d and %d", st.PatternSkips, st.Offered, 3*msgs, msgs)
+	}
 }
 
-// TestSilentSourcesAskedOnce pins the PatternFunc contract RunLoad
-// relies on: a silent endpoint (-1) is asked exactly once, by the
-// probe, and never fires an injection; a sending endpoint is asked
-// once by the probe plus once per message. The run is the same for
-// every shard count.
+// TestRunLoadRejectsBadSenders: a sender list that is not strictly
+// increasing, or names an endpoint past the last, panics before
+// anything is simulated.
+func TestRunLoadRejectsBadSenders(t *testing.T) {
+	nw := mustNet(t, lineGraph(2), 2, runConfig{seed: 3}) // endpoints 0..3
+	for _, senders := range [][]int32{{1, 1}, {2, 0}, {0, 4}, {-1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("senders %v: no panic", senders)
+				}
+			}()
+			nw.RunLoad(Workload{Senders: senders, Dest: uniformWorkload(4).Dest}, 0.5, 2)
+		}()
+	}
+}
+
+// TestSilentSourcesAskedOnce pins what Workload.Senders means to
+// RunLoad: an endpoint outside the sender set is never asked for a
+// destination and never fires an injection, and a sender is asked
+// exactly once per message. The run is the same for every shard
+// count.
 func TestSilentSourcesAskedOnce(t *testing.T) {
 	g := topo.MustLPS(11, 7).G
 	tab := routing.NewTable(g)
@@ -140,18 +161,19 @@ func TestSilentSourcesAskedOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		nw := build(t, Config{Topo: g, Concentration: 4}, tab, runConfig{seed: 9, workers: w, policy: routing.UGALL})
 		nep := nw.Endpoints()
+		var even []int32
+		for ep := 0; ep < nep; ep += 2 {
+			even = append(even, int32(ep))
+		}
 		asked := make([]atomic.Int32, nep)
-		st := nw.RunLoad(func(src int, _ int64, rng *rand.Rand) int {
+		st := nw.RunLoad(Workload{Senders: even, Dest: func(src int, _ int64, rng *rand.Rand) int {
 			asked[src].Add(1)
-			if src%2 == 1 {
-				return -1
-			}
 			return 2 * rng.Intn(nep/2) // another sending endpoint (or itself)
-		}, 0.4, msgs)
+		}}, 0.4, msgs)
 		for ep := range asked {
-			want := int32(msgs + 1)
+			want := int32(msgs)
 			if ep%2 == 1 {
-				want = 1
+				want = 0
 			}
 			if got := asked[ep].Load(); got != want {
 				t.Fatalf("Workers=%d: endpoint %d asked %d times, want %d", w, ep, got, want)
@@ -321,7 +343,7 @@ func TestRunLoadStreamBacklogBounded(t *testing.T) {
 	tab := routing.NewTable(inst.G)
 	nw := build(t, Config{Topo: inst.G, Concentration: 2}, tab, runConfig{seed: 9})
 	nep := nw.Endpoints()
-	pattern := func(src int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
+	pattern := uniformWorkload(nep)
 	const msgs = 40
 	st := nw.RunLoad(pattern, 0.2, msgs)
 	if st.Delivered == 0 {

@@ -18,9 +18,9 @@ import "fmt"
 // and shared across clones and shards like the dead mask.
 type TenantConfig struct {
 	// OfEP maps each endpoint to its tenant id, or -1 for an endpoint
-	// no tenant owns (such endpoints may still stream pattern draws
-	// but their patterns emit no traffic). Length must equal
-	// Endpoints().
+	// no tenant owns (such an endpoint is normally not among the
+	// Workload's senders; if it sends, its load is the run's). Length
+	// must equal Endpoints().
 	OfEP []int32
 	// Load is each tenant's offered load as a fraction of endpoint
 	// injection bandwidth, in (0, 1]. Entries index tenant ids.

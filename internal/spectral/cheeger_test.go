@@ -47,31 +47,6 @@ func TestCheegerBoundsBracketBisectionDerivedExpansion(t *testing.T) {
 	}
 }
 
-func TestTannerVertexExpansionPositiveForExpanders(t *testing.T) {
-	// Petersen: k=3, λ(G)=2 → bound = 9/7 - 1 = 2/7 > 0.
-	b := graph.NewBuilder(10)
-	for i := 0; i < 5; i++ {
-		b.AddEdge(i, (i+1)%5)
-		b.AddEdge(5+i, 5+(i+2)%5)
-		b.AddEdge(i, 5+i)
-	}
-	sp := Analyze(b.Build(), Options{})
-	got := sp.TannerVertexExpansion()
-	want := 9.0/7.0 - 1.0
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("Tanner bound %v want %v", got, want)
-	}
-}
-
-func TestTannerBoundWeakForPoorExpanders(t *testing.T) {
-	// A long cycle has λ(G) → 2 = k: bound → 4/(4+2)-1 = -1/3 < 0
-	// (vacuous), as expected for a non-expander.
-	sp := Analyze(ring(60), Options{})
-	if b := sp.TannerVertexExpansion(); b > 0.05 {
-		t.Errorf("cycle Tanner bound %v should be ≈0 or negative", b)
-	}
-}
-
 func TestCheegerPanicsOnIrregular(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1)

@@ -457,16 +457,3 @@ func (s Spectrum) CheegerBounds() (lower, upper float64) {
 	}
 	return gap / 2, math.Sqrt(2 * float64(s.Degree) * gap)
 }
-
-// TannerVertexExpansion returns Tanner's lower bound on the vertex
-// isoperimetric number of a k-regular graph (§II, [12]): every set S
-// with |S| ≤ n/2 satisfies |∂S|/|S| ≥ k²/(λ² + k) − 1, where
-// λ = λ(G).
-func (s Spectrum) TannerVertexExpansion() float64 {
-	if !s.Regular || s.Degree == 0 {
-		panic("spectral: TannerVertexExpansion requires a regular graph")
-	}
-	k := float64(s.Degree)
-	lam := s.LambdaG()
-	return k*k/(lam*lam+k) - 1
-}

@@ -679,7 +679,7 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 	case MeasureSaturation:
 		nep := nw.Endpoints()
 		uniform := func(_ int, _ int64, rng *rand.Rand) int { return rng.Intn(nep) }
-		return st, nw.SaturationLoad(uniform, g.MsgsPerRank), nil
+		return st, nw.SaturationLoad(simnet.Workload{Dest: uniform}, g.MsgsPerRank), nil
 	case MeasureMotif:
 		if err := traffic.Validate(c.Motif, g.Ranks); err != nil {
 			return st, 0, err
@@ -692,8 +692,8 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 		return st, 0, err
 	}
 	// A Load cell's workload — tenants, shifting or one mapped
-	// pattern — resolves to one PatternFunc for one RunLoad.
-	var pattern simnet.PatternFunc
+	// pattern — resolves to one Workload for one RunLoad.
+	var w simnet.Workload
 	if pt.tenants != nil {
 		tc, err := pt.tenants.Config(c.Load)
 		if err == nil {
@@ -702,7 +702,7 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 		if err != nil {
 			return st, 0, err
 		}
-		pattern = pt.tenants.Pattern()
+		w = pt.tenants.Pattern()
 	} else {
 		mp, err := r.Mapping(g.Ranks, nw.Endpoints(), g.Seed)
 		if err != nil {
@@ -711,16 +711,16 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 		if g.ShiftPeriod > 0 {
 			funcs := make([]simnet.PatternFunc, len(g.ShiftPatterns))
 			for i, p := range g.ShiftPatterns {
-				funcs[i] = mp.PatternEndpoints(p, g.Ranks)
+				funcs[i] = mp.PatternEndpoints(p, g.Ranks).Dest
 			}
-			pattern = func(srcEP int, now int64, rng *rand.Rand) int {
+			w = simnet.Workload{Senders: mp.EPOf, Dest: func(srcEP int, now int64, rng *rand.Rand) int {
 				return funcs[int(now/g.ShiftPeriod)%len(funcs)](srcEP, now, rng)
-			}
+			}}
 		} else {
-			pattern = mp.PatternEndpoints(c.Pattern, g.Ranks)
+			w = mp.PatternEndpoints(c.Pattern, g.Ranks)
 		}
 	}
-	return nw.RunLoad(pattern, c.Load, g.MsgsPerRank), 0, nil
+	return nw.RunLoad(w, c.Load, g.MsgsPerRank), 0, nil
 }
 
 // Run executes the grid and streams one Result per cell, in the order

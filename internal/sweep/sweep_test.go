@@ -762,9 +762,9 @@ func TestIntactTableReleasedPerInstance(t *testing.T) {
 // sweep core: one 64-cell chunk of a Quick load grid (LPS(11,7) at
 // concentration 4, 64 ranks, 2 messages each, 64 loads) through
 // RunRange with fresh Options, the way a fabric worker executes each
-// claimed range. The 64 ranks fill 64 of the 672 endpoints; the other
-// 608 are silent and cost one pattern probe each, not an injection
-// cursor. Run it with -benchmem; B/op is dominated by the range's
+// claimed range. The 64 ranks fill 64 of the 672 endpoints, the
+// workload's senders; the other 608 cost no injection cursor. Run it
+// with -benchmem; B/op is dominated by the range's
 // engine setup (table, prototype, mapping) and each fresh clone's
 // buffers.
 func BenchmarkRunRangeTinyCells(b *testing.B) {

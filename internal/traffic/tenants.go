@@ -146,6 +146,8 @@ type Assignment struct {
 	OfEP []int32
 	// rankOf[ep] is ep's rank within its tenant (-1 when unowned).
 	rankOf []int32
+	// senders lists the owned endpoints in increasing order.
+	senders []int32
 }
 
 // Place materializes the tenant set on a topology (g's routers ×
@@ -246,23 +248,24 @@ func (ts Tenants) Place(g *graph.Graph, concentration int) (*Assignment, error) 
 	default:
 		return nil, fmt.Errorf("traffic: unknown placement policy %d", ts.Policy)
 	}
+	for ep, t := range a.OfEP {
+		if t >= 0 {
+			a.senders = append(a.senders, int32(ep))
+		}
+	}
 	return a, nil
 }
 
-// Pattern returns the combined simnet.PatternFunc of the tenant set:
-// each source endpoint draws a destination rank from its own tenant's
-// pattern over that tenant's rank space and sends to the endpoint
-// holding it; endpoints no tenant owns emit nothing (-1).
-func (a *Assignment) Pattern() simnet.PatternFunc {
-	return func(srcEP int, _ int64, rng *rand.Rand) int {
+// Pattern returns the combined simnet.Workload of the tenant set: the
+// owned endpoints send, each drawing a destination rank from its own
+// tenant's pattern over that tenant's rank space and sending to the
+// endpoint holding it.
+func (a *Assignment) Pattern() simnet.Workload {
+	return simnet.Workload{Senders: a.senders, Dest: func(srcEP int, _ int64, rng *rand.Rand) int {
 		t := a.OfEP[srcEP]
-		if t < 0 {
-			return -1
-		}
 		eps := a.EPOf[t]
-		dst := a.Specs[t].Pattern.Dest(int(a.rankOf[srcEP]), len(eps), rng)
-		return int(eps[dst])
-	}
+		return int(eps[a.Specs[t].Pattern.Dest(int(a.rankOf[srcEP]), len(eps), rng)])
+	}}
 }
 
 // Config builds the simulator's tenant table: the endpoint-to-tenant

@@ -98,27 +98,26 @@ func TestTenantPatternStaysInTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat := a.Pattern()
-	rng := rand.New(rand.NewSource(1))
-	owned := 0
-	for ep := 0; ep < 32; ep++ {
-		for i := 0; i < 20; i++ {
-			dst := pat(ep, 0, rng)
-			src := a.OfEP[ep]
-			if src < 0 {
-				if dst != -1 {
-					t.Fatalf("unowned ep %d emitted traffic to %d", ep, dst)
-				}
-				continue
-			}
-			owned++
-			if dst < 0 || a.OfEP[dst] != src {
-				t.Fatalf("tenant %d ep %d sent to %d (owner %d): crossed tenant boundary", src, ep, dst, a.OfEP[dst])
-			}
+	w := a.Pattern()
+	// The senders are exactly the owned endpoints, in increasing order.
+	var owned []int32
+	for ep, tn := range a.OfEP {
+		if tn >= 0 {
+			owned = append(owned, int32(ep))
 		}
 	}
-	if owned == 0 {
-		t.Fatal("no owned endpoint generated traffic")
+	if len(owned) == 0 || !reflect.DeepEqual(w.Senders, owned) {
+		t.Fatalf("senders %v, want the owned endpoints %v", w.Senders, owned)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, ep := range w.Senders {
+		for i := 0; i < 20; i++ {
+			dst := w.Dest(int(ep), 0, rng)
+			src := a.OfEP[ep]
+			if dst < 0 || a.OfEP[dst] != src {
+				t.Fatalf("tenant %d ep %d sent to %d: crossed tenant boundary", src, ep, dst)
+			}
+		}
 	}
 }
 

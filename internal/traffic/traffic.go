@@ -111,10 +111,6 @@ func (p Pattern) Dest(src, ranks int, rng *rand.Rand) int {
 	panic(fmt.Sprintf("traffic: unknown pattern %d", int(p)))
 }
 
-// IsPermutation reports whether p.Dest is a fixed permutation (false
-// only for Random).
-func (p Pattern) IsPermutation() bool { return p != Random }
-
 // PowerOfTwo reports whether n is a power of two.
 func PowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
@@ -159,19 +155,12 @@ func NewMapping(ranks, totalEP int, seed int64) (Mapping, error) {
 	return Mapping{EPOf: eps, RankOf: rankOf}, nil
 }
 
-// Ranks returns the number of mapped ranks.
-func (m Mapping) Ranks() int { return len(m.EPOf) }
-
-// PatternEndpoints returns a simnet.PatternFunc translating the
-// pattern from rank space to endpoint space through the mapping:
-// source endpoints outside the job emit no traffic (-1). Every sweep
-// load cell, the façade's Sim runs included, translates through it.
-func (m Mapping) PatternEndpoints(p Pattern, ranks int) simnet.PatternFunc {
-	return func(srcEP int, _ int64, rng *rand.Rand) int {
-		r := m.RankOf[srcEP]
-		if r < 0 {
-			return -1
-		}
-		return int(m.EPOf[p.Dest(int(r), ranks, rng)])
-	}
+// PatternEndpoints returns the job's simnet.Workload: the mapped
+// endpoints send (EPOf is sorted), each translating the pattern from
+// rank space to endpoint space through the mapping. Every sweep load
+// cell, the façade's Sim runs included, translates through it.
+func (m Mapping) PatternEndpoints(p Pattern, ranks int) simnet.Workload {
+	return simnet.Workload{Senders: m.EPOf, Dest: func(srcEP int, _ int64, rng *rand.Rand) int {
+		return int(m.EPOf[p.Dest(int(m.RankOf[srcEP]), ranks, rng)])
+	}}
 }
