@@ -32,6 +32,8 @@ type cellSpec struct {
 	dead    []bool
 	sched   fault.Schedule
 	lats    *simnet.LinkLatencies
+	// tenants, when set, rides in the load cell's workload; every
+	// endpoint must be owned.
 	tenants *simnet.TenantConfig
 	load    float64
 	msgs    int
@@ -73,9 +75,6 @@ func runCell(tb testing.TB, nw *simnet.Network, c cellSpec) cellResult {
 	if c.lats != nil {
 		errs = append(errs, nw.SetLinkLatencies(c.lats))
 	}
-	if c.tenants != nil {
-		errs = append(errs, nw.SetTenants(c.tenants))
-	}
 	for _, err := range errs {
 		if err != nil {
 			tb.Fatal(err)
@@ -106,6 +105,7 @@ func runCell(tb testing.TB, nw *simnet.Network, c cellSpec) cellResult {
 		}
 		return cellResult{st: st}
 	}
+	uniform.Tenants = c.tenants
 	return cellResult{st: nw.RunLoad(uniform, c.load, c.msgs)}
 }
 
@@ -180,11 +180,11 @@ func checkRecycledMatchesFresh(t *testing.T, g *graph.Graph, cells []namedCell) 
 
 // TestRecycledCloneMatchesFresh: a sequence of cells on one recycled
 // clone measures exactly what each cell measures on a fresh clone —
-// no setting (tenants, schedule, dead mask, latencies, shard count,
-// policy, seed) and no run state carries over from one cell to the
-// next, whatever the measure. A 64-rank job after a full one, and a
-// full job after it, pin that injection cursors left by an earlier
-// sender set never leak into the next run.
+// no setting (schedule, dead mask, latencies, shard count, policy,
+// seed), no workload (tenant table included) and no run state carries
+// over from one cell to the next, whatever the measure. A 64-rank job
+// after a full one, and a full job after it, pin that injection
+// cursors left by an earlier sender set never leak into the next run.
 func TestRecycledCloneMatchesFresh(t *testing.T) {
 	g := topo.MustLPS(11, 7).G
 	s := newRecycleSettings(g)

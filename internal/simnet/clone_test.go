@@ -107,10 +107,6 @@ func TestCloneCopiesRunSettings(t *testing.T) {
 	g := topo.MustLPS(11, 7).G
 	dead := make([]bool, g.N())
 	dead[3] = true
-	ofEP := make([]int32, 2*g.N())
-	for ep := range ofEP {
-		ofEP[ep] = int32(ep % 2)
-	}
 	run := func(nw *Network) Stats { return nw.RunLoad(uniformWorkload(nw.Endpoints()), 0.3, 5) }
 	base := run(lpsNetwork(t, runConfig{}))
 	for _, tc := range []struct {
@@ -123,7 +119,6 @@ func TestCloneCopiesRunSettings(t *testing.T) {
 		{"dead", runConfig{dead: dead}},
 		{"schedule", runConfig{sched: fault.Schedule{{Cycle: 100, Kill: []int32{0}}}}},
 		{"latencies", runConfig{lats: testLatTable(g)}},
-		{"tenants", runConfig{tenants: &TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}}},
 	} {
 		nw := lpsNetwork(t, tc.rc)
 		cl := nw.Clone()

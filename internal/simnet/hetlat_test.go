@@ -65,10 +65,9 @@ func TestTenantScheduleConservation(t *testing.T) {
 			return rng.Intn(16)
 		}
 		return 16 + rng.Intn(24)
-	}}
+	}, Tenants: &TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}}
 	run := func(workers int) Stats {
-		nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 4, sched: sched, workers: workers,
-			lats: lats, tenants: &TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}})
+		nw := build(t, Config{Topo: g, Concentration: 2}, tab, runConfig{seed: 4, sched: sched, workers: workers, lats: lats})
 		return nw.RunLoad(pattern, 0.4, 12)
 	}
 	check := func(workers int, st Stats) {

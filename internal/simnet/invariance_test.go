@@ -152,7 +152,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{Cycle: 900, Restore: [][2]int32{{0, 1}, {5, 6}}, Revive: []int32{9}},
 	}
 	tenantNet := mk(Config{Topo: ring, Concentration: 2}, ringTab, runConfig{seed: 4, sched: ringSched,
-		lats: testLatTable(ring), tenants: &TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}})
+		lats: testLatTable(ring)})
 
 	// RunBatches: 16 rounds of 600 random messages.
 	batches := func(nw *Network) Stats {
@@ -228,7 +228,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 						return rng.Intn(16)
 					}
 					return 16 + rng.Intn(24)
-				}}, 0.4, 12)
+				}, Tenants: &TenantConfig{OfEP: ofEP, Load: []float64{0.3, 0.6}}}, 0.4, 12)
 			},
 			exercised: func(st Stats) bool { return len(st.Tenants) == 2 && st.SeveredInFlight > 0 }},
 		{name: "sparse-ranks", shards: 4,

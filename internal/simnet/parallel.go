@@ -145,9 +145,9 @@ func (nw *Network) shardAssign(workers int) []int32 {
 // begin resets the run state and returns the run's shards: the
 // Network itself when parWorkers is 1, otherwise views kept across
 // runs, each reset to alias the shared run state.
-func (nw *Network) begin(pattern PatternFunc, meanGap float64, msgsPerEP int) []*Network {
+func (nw *Network) begin(w Workload, meanGap float64, msgsPerEP int) []*Network {
+	nw.work, nw.meanGap = w, meanGap
 	nw.reset()
-	nw.pattern, nw.meanGap = pattern, meanGap
 	nw.msgs = int64(msgsPerEP)
 	nw.injBase = int64(nw.nep) * nw.msgs
 	p := nw.parWorkers()
@@ -166,7 +166,7 @@ func (nw *Network) begin(pattern PatternFunc, meanGap float64, msgsPerEP int) []
 		sh.cfg, sh.run, sh.table, sh.tbl, sh.live = nw.cfg, nw.run, nw.table, nw.tbl, nw.live
 		sh.n, sh.nep = nw.n, nw.nep
 		sh.portFree, sh.injFree, sh.ejFree, sh.gens = nw.portFree, nw.injFree, nw.ejFree, nw.gens
-		sh.pattern, sh.meanGap = pattern, meanGap
+		sh.work, sh.meanGap = w, meanGap
 		sh.msgs, sh.injBase = nw.msgs, nw.injBase
 		sh.shardOf, sh.shardID = shardOf, int32(s)
 		sh.resetShard()

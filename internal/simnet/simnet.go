@@ -23,7 +23,10 @@
 // immutable half, so a sweep engine can run many configurations of the
 // same instance concurrently — runner.Runner.Network hands each sweep
 // cell such a clone, and ResetSettings lets a finished clone serve the
-// next cell with its run buffers already allocated.
+// next cell with its run buffers already allocated. The setters hold
+// the fabric's per-run settings; the traffic — senders, destinations
+// and, for co-scheduled jobs, the tenant table (tenants.go) — is the
+// Workload each RunLoad takes.
 //
 // The run loop streams its workload: RunLoad keeps one injection
 // cursor per sender of its Workload (epGen) that schedules only that
@@ -139,9 +142,10 @@ type Network struct {
 	// gens holds RunLoad's streaming injection cursors, indexed by
 	// endpoint: sized to every endpoint once per instance, and seeded
 	// per run only for the workload's senders (an endpoint that never
-	// sent holds no rand.Rand).
+	// sent holds no rand.Rand). work is the running RunLoad's
+	// workload (zero for RunBatches), meanGap its run-load gap.
 	gens    []epGen
-	pattern PatternFunc
+	work    Workload
 	meanGap float64
 
 	// lat folds per-message end-to-end latencies of one run (RunBatches
@@ -149,8 +153,8 @@ type Network struct {
 	lat latDigest
 
 	// tenStats/tenLat accumulate per-tenant counters and latency
-	// digests for the current run (nil unless tenants is set). A
-	// message belongs to its source endpoint's tenant.
+	// digests for the current run (nil unless its workload has
+	// tenants). A message belongs to its source endpoint's tenant.
 	tenStats []TenantStats
 	tenLat   []latDigest
 
@@ -185,7 +189,7 @@ type Network struct {
 // runConfig holds a Network's per-run settings, each written only by
 // its setter. What its fields point at is read-only once set, so
 // clones and shard views share it. The zero value is a Minimal,
-// one-shard, undamaged, static, uniform-wire, single-tenant run.
+// one-shard, undamaged, static, uniform-wire run.
 type runConfig struct {
 	policy  routing.Policy
 	seed    int64
@@ -193,7 +197,6 @@ type runConfig struct {
 	dead    []bool
 	sched   fault.Schedule
 	lats    *LinkLatencies
-	tenants *TenantConfig
 }
 
 // Entry sizes MemoryBytes charges, fixed at what unsafe.Sizeof gives
@@ -328,8 +331,8 @@ type Stats struct {
 	// so static-run goldens are untouched — unless the run had a
 	// schedule.
 	SeveredInFlight int `json:",omitempty"`
-	// Tenants is the per-tenant slice of the run's accounting when a
-	// TenantConfig was set (SetTenants), indexed by tenant id; nil —
+	// Tenants is the per-tenant slice of the run's accounting when
+	// its Workload had a TenantConfig, indexed by tenant id; nil —
 	// and omitted from JSON, so single-tenant goldens are untouched —
 	// otherwise.
 	Tenants []TenantStats `json:",omitempty"`
@@ -400,15 +403,16 @@ func (nw *Network) Clone() *Network {
 }
 
 // ResetSettings returns every per-run setting to its default — a
-// Minimal, one-shard, undamaged, static, uniform-wire, single-tenant
-// run at seed 0, as on a fresh Clone of a prototype — and drops what
-// the finished run pointed at (its workload and live topology). The
-// run buffers stay: the event wheel, port and NIC state, injection
-// cursors, packet arena and shard views serve the next run, which
-// resets their contents. runner.Runner recycles sweep clones this way.
+// Minimal, one-shard, undamaged, static, uniform-wire run at seed 0,
+// as on a fresh Clone of a prototype — and drops what the finished
+// run pointed at (its workload, tenant table included, and live
+// topology). The run buffers stay: the event wheel, port and NIC
+// state, injection cursors, packet arena and shard views serve the
+// next run, which resets their contents. runner.Runner recycles sweep
+// clones this way.
 func (nw *Network) ResetSettings() {
 	for _, v := range append([]*Network{nw}, nw.views...) {
-		v.run, v.pattern, v.live, v.tbl = runConfig{}, nil, nil, nil
+		v.run, v.work, v.live, v.tbl = runConfig{}, Workload{}, nil, nil
 	}
 }
 
@@ -681,7 +685,7 @@ func (nw *Network) newMessage(src, dst int32, created, uid int64) int32 {
 func (nw *Network) fireInjection(ep int32, now int64) {
 	g := &nw.gens[ep]
 	g.left--
-	dst := nw.pattern(int(ep), now, g.rng)
+	dst := nw.work.Dest(int(ep), now, g.rng)
 	if g.left > 0 {
 		nw.push(event{time: g.next(nw.gapOf(ep)), at: ep, kind: evInject})
 	}
@@ -944,7 +948,7 @@ func (nw *Network) MemoryBytes() int64 {
 		b += sh.lat.memoryBytes()
 		b += sh.memoryBytesTenants()
 	}
-	if nw.pattern != nil {
+	if nw.work.Dest != nil {
 		// Streaming (RunLoad) runs use the injection generators, one
 		// slot per endpoint, each charged as a two-word source plus one
 		// heap-allocated rand.Rand wrapper (~48 B): an upper bound, as
@@ -978,24 +982,32 @@ func (nw *Network) MemoryBytes() int64 {
 type PatternFunc func(srcEP int, now int64, rng *rand.Rand) int
 
 // Workload is the traffic of one open-loop run: the endpoints that
-// send and the destination each message draws. Senders is strictly
-// increasing (traffic.Mapping's job endpoints, traffic.Assignment's
-// owned ones); nil means every endpoint sends. An endpoint outside
-// Senders injects nothing and Dest is never asked for it, so a job
-// mapped onto part of the machine costs events only for its own ranks.
+// send, the destination each message draws, and — for a multi-tenant
+// run — who owns each sender and at what load it sends. Senders is
+// strictly increasing (traffic.Mapping's job endpoints,
+// traffic.Assignment's owned ones); nil means every endpoint sends. An
+// endpoint outside Senders injects nothing and Dest is never asked for
+// it, so a job mapped onto part of the machine costs events only for
+// its own ranks. Tenants is nil for a single-tenant run; otherwise
+// every sender must be owned by a tenant, and the run folds
+// Stats.Tenants.
 type Workload struct {
 	Senders []int32
 	Dest    PatternFunc
+	Tenants *TenantConfig
 }
 
 // RunLoad drives the open-loop experiment of §VI-C: every sender of w
 // generates msgsPerEP messages with exponential inter-arrival times
 // realizing the given offered load (fraction of endpoint injection
 // bandwidth), destinations drawn from w.Dest. It returns the run
-// statistics; the paper's headline metric is Stats.MaxLatency. It
-// panics on a load outside (0, 1], and on senders that are not
-// strictly increasing endpoint ids: every façade and sweep entry
-// checks the load first, and every producer lists its senders sorted.
+// statistics; the paper's headline metric is Stats.MaxLatency. A
+// tenant sends at its own load, or at load when its entry is 0. It
+// panics on a load outside (0, 1], on senders that are not strictly
+// increasing endpoint ids, and on a tenant table that does not fit
+// the instance or leaves a sender unowned: every façade and sweep
+// entry checks the load first, and every producer lists its senders
+// sorted and owned.
 //
 // Injection streams: each sender's cursor schedules only its next
 // arrival, so the event queue holds one pending injection per sender
@@ -1008,10 +1020,13 @@ func (nw *Network) RunLoad(w Workload, load float64, msgsPerEP int) Stats {
 	if !(load > 0 && load <= 1) { // NaN fails too
 		panic(fmt.Sprintf("simnet: offered load %v out of (0,1]", load))
 	}
+	if w.Tenants != nil {
+		w.Tenants.check(nw.nep)
+	}
 	if nw.gens == nil {
 		nw.gens = make([]epGen, nw.nep)
 	}
-	nw.begin(w.Dest, float64(PacketFlits)/load, msgsPerEP)
+	nw.begin(w, float64(PacketFlits)/load, msgsPerEP)
 	prev := int32(-1)
 	for _, ep := range w.Senders {
 		if ep <= prev || int(ep) >= nw.nep {
@@ -1032,6 +1047,9 @@ func (nw *Network) RunLoad(w Workload, load float64, msgsPerEP int) Stats {
 // startCursor seeds sender ep's injection cursor for a run of msgs
 // messages and queues its first arrival on the shard owning its router.
 func (nw *Network) startCursor(ep int32, msgs int) {
+	if tc := nw.work.Tenants; tc != nil && tc.OfEP[ep] < 0 {
+		panic(fmt.Sprintf("simnet: sender %d is owned by no tenant", ep))
+	}
 	if msgs <= 0 {
 		return
 	}
@@ -1110,7 +1128,7 @@ func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
 	if len(nw.run.sched) > 0 {
 		return Stats{}, fmt.Errorf("simnet: RunBatches does not support a topology-event schedule")
 	}
-	shards := nw.begin(nil, 0, 0)
+	shards := nw.begin(Workload{}, 0, 0)
 	var clock, uid int64
 	for _, round := range rounds {
 		for _, m := range round {
@@ -1121,7 +1139,6 @@ func (nw *Network) RunBatches(rounds [][]Message) (Stats, error) {
 			src, dst := int32(m.SrcEP), int32(m.DstEP)
 			sh := nw.ownerOf(nw.routerOf(src))
 			sh.stats.Offered++
-			sh.tenOffered(src)
 			if nw.deadNow(nw.routerOf(src)) || nw.deadNow(nw.routerOf(dst)) {
 				sh.dropRun++
 				continue

@@ -44,7 +44,6 @@ func build(tb testing.TB, cfg Config, tab *routing.Table, rc runConfig) *Network
 		nw.SetDeadRouters(rc.dead),
 		nw.SetSchedule(rc.sched),
 		nw.SetLinkLatencies(rc.lats),
-		nw.SetTenants(rc.tenants),
 	} {
 		if err != nil {
 			tb.Fatal(err)
@@ -285,13 +284,42 @@ func TestSetPolicyPanicsOnUnknown(t *testing.T) {
 	}
 }
 
+// TestSetTenantsRejectsBadLoad: RunLoad panics on a tenant table that
+// does not fit the instance or leaves a sender unowned, as it does on
+// unsorted senders, and runs a tenant load of 0 at the run's load.
 func TestSetTenantsRejectsBadLoad(t *testing.T) {
 	g := lineGraph(2)
-	nw, _ := New(Config{Topo: g}, routing.NewTable(g))
-	ofEP := make([]int32, nw.Endpoints())
-	for _, load := range []float64{0, 1.5, math.NaN()} {
-		if err := nw.SetTenants(&TenantConfig{OfEP: ofEP, Load: []float64{load}}); err == nil {
-			t.Errorf("SetTenants accepted tenant load %v", load)
-		}
+	nw := mustNet(t, g, 2, runConfig{})
+	next := func(src int, _ int64, _ *rand.Rand) int { return (src + 1) % 4 }
+	run := func(tc *TenantConfig, senders []int32) Stats {
+		return nw.RunLoad(Workload{Senders: senders, Dest: next, Tenants: tc}, 0.5, 4)
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     TenantConfig
+		senders []int32
+	}{
+		{"short OfEP", TenantConfig{OfEP: []int32{0, 0, 0}, Load: []float64{0.5}}, nil},
+		{"long OfEP", TenantConfig{OfEP: []int32{0, 0, 0, 0, 0}, Load: []float64{0.5}}, nil},
+		{"tenant id past the loads", TenantConfig{OfEP: []int32{0, 1, 0, 0}, Load: []float64{0.5}}, nil},
+		{"tenant id below -1", TenantConfig{OfEP: []int32{0, -2, 0, 0}, Load: []float64{0.5}}, []int32{0}},
+		{"load above 1", TenantConfig{OfEP: []int32{0, 0, 0, 0}, Load: []float64{1.5}}, nil},
+		{"negative load", TenantConfig{OfEP: []int32{0, 0, 0, 0}, Load: []float64{-0.1}}, nil},
+		{"NaN load", TenantConfig{OfEP: []int32{0, 0, 0, 0}, Load: []float64{math.NaN()}}, nil},
+		{"unowned sender", TenantConfig{OfEP: []int32{0, -1, 0, 0}, Load: []float64{0.5}}, []int32{0, 1}},
+		{"unowned endpoint sends by default", TenantConfig{OfEP: []int32{0, 0, -1, 0}, Load: []float64{0.5}}, nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: RunLoad accepted %+v with senders %v", tc.name, tc.cfg, tc.senders)
+				}
+			}()
+			run(&tc.cfg, tc.senders)
+		}()
+	}
+	owned := &TenantConfig{OfEP: []int32{0, 0, -1, 1}, Load: []float64{0, 0.5}}
+	if st := run(owned, []int32{0, 1, 3}); len(st.Tenants) != 2 || st.Tenants[0].Offered != 8 || st.Tenants[1].Offered != 4 {
+		t.Errorf("a tenant load of 0 with an unowned silent endpoint: %+v", st)
 	}
 }

@@ -58,9 +58,12 @@ type epGen struct {
 // and returns the arrival cycle, rounded to nearest. Keeping t in
 // float64 carries the fractional remainder across messages, so the
 // realized mean inter-arrival gap matches PacketFlits/load instead of
-// being biased low by per-message truncation.
+// being biased low by per-message truncation. The explicit float64
+// conversion rounds the product before the sum, so no platform fuses
+// the two into one multiply-add and every platform draws the same
+// arrival cycles.
 func (g *epGen) next(meanGap float64) int64 {
-	g.t += g.rng.ExpFloat64() * meanGap
+	g.t += float64(g.rng.ExpFloat64() * meanGap)
 	return int64(g.t + 0.5)
 }
 

@@ -2,28 +2,28 @@ package simnet
 
 import "fmt"
 
-// Multi-tenant runs: a TenantConfig partitions the endpoints among
-// co-scheduled jobs ("tenants") and gives each its own offered load.
-// The engine stays a single event simulation — tenants share ports,
-// links and routing exactly like ranks of one job — but injection
-// pacing becomes per-tenant (each endpoint draws inter-arrival gaps
-// from its tenant's load instead of the global one) and delivery
+// Multi-tenant runs: a Workload's TenantConfig partitions the
+// endpoints among co-scheduled jobs ("tenants") and gives each its own
+// offered load. The engine stays a single event simulation — tenants
+// share ports, links and routing exactly like ranks of one job — but
+// injection pacing becomes per-tenant (each sender draws inter-arrival
+// gaps from its tenant's load instead of the run's) and delivery
 // statistics are additionally folded per tenant, so inter-job
 // interference (a victim tenant's tail latency under an aggressor's
 // load) is directly observable. A message belongs to its source
-// endpoint's tenant. traffic.Tenants builds configs from placement
-// policies; see DESIGN.md §12.
+// endpoint's tenant. traffic.Assignment builds tenant workloads from
+// placement policies; see DESIGN.md §12.
 
-// TenantConfig assigns endpoints to tenants. It is read-only once set
-// and shared across clones and shards like the dead mask.
+// TenantConfig assigns endpoints to tenants. It is read-only once
+// handed to RunLoad, so shards share it.
 type TenantConfig struct {
 	// OfEP maps each endpoint to its tenant id, or -1 for an endpoint
-	// no tenant owns (such an endpoint is normally not among the
-	// Workload's senders; if it sends, its load is the run's). Length
-	// must equal Endpoints().
+	// no tenant owns. Every sender of the Workload must be owned.
+	// Length must equal Endpoints().
 	OfEP []int32
 	// Load is each tenant's offered load as a fraction of endpoint
-	// injection bandwidth, in (0, 1]. Entries index tenant ids.
+	// injection bandwidth, in [0, 1]; 0 runs the tenant at the run's
+	// load. Entries index tenant ids.
 	Load []float64
 }
 
@@ -39,36 +39,33 @@ type TenantStats struct {
 	P99Latency  int64
 }
 
-// SetTenants overrides the multi-tenant configuration for subsequent
-// runs (nil = single-tenant). Like SetSchedule it returns an error —
-// leaving the previous configuration in place — on a malformed
-// config, so a sweep can fail one cell instead of the process.
-func (nw *Network) SetTenants(tc *TenantConfig) error {
-	if tc != nil {
-		if len(tc.OfEP) != nw.nep {
-			return fmt.Errorf("simnet: TenantConfig.OfEP length %d, want %d", len(tc.OfEP), nw.nep)
-		}
-		for ep, t := range tc.OfEP {
-			if t < -1 || int(t) >= len(tc.Load) {
-				return fmt.Errorf("simnet: TenantConfig.OfEP[%d] = %d, want -1..%d", ep, t, len(tc.Load)-1)
-			}
-		}
-		for t, l := range tc.Load {
-			if !(l > 0 && l <= 1) {
-				return fmt.Errorf("simnet: tenant %d load %v out of (0,1]", t, l)
-			}
+// check panics on a table that does not fit an instance of nep
+// endpoints: RunLoad's callers build tables from a validated
+// placement, so a malformed one is a caller's bug, like unsorted
+// senders.
+func (tc *TenantConfig) check(nep int) {
+	if len(tc.OfEP) != nep {
+		panic(fmt.Sprintf("simnet: TenantConfig.OfEP length %d, want %d", len(tc.OfEP), nep))
+	}
+	for ep, t := range tc.OfEP {
+		if t < -1 || int(t) >= len(tc.Load) {
+			panic(fmt.Sprintf("simnet: TenantConfig.OfEP[%d] = %d, want -1..%d", ep, t, len(tc.Load)-1))
 		}
 	}
-	nw.run.tenants = tc
-	return nil
+	for t, l := range tc.Load {
+		if !(l >= 0 && l <= 1) { // NaN fails too
+			panic(fmt.Sprintf("simnet: tenant %d load %v out of [0,1]", t, l))
+		}
+	}
 }
 
-// gapOf returns the mean injection gap for one endpoint: its tenant's
-// load when tenants are configured, the run's global load otherwise.
+// gapOf returns the mean injection gap for one sender: its tenant's
+// load when the workload has tenants and the tenant's load is set,
+// the run's load otherwise.
 func (nw *Network) gapOf(ep int32) float64 {
-	if nw.run.tenants != nil {
-		if t := nw.run.tenants.OfEP[ep]; t >= 0 {
-			return float64(PacketFlits) / nw.run.tenants.Load[t]
+	if tc := nw.work.Tenants; tc != nil {
+		if l := tc.Load[tc.OfEP[ep]]; l > 0 {
+			return float64(PacketFlits) / l
 		}
 	}
 	return nw.meanGap
@@ -78,12 +75,12 @@ func (nw *Network) gapOf(ep int32) float64 {
 // view — the Network in reset, each shard view in begin, and the
 // Network again before fold merges its shards.
 func (nw *Network) resetTenants() {
-	if nw.run.tenants == nil {
+	if nw.work.Tenants == nil {
 		nw.tenStats = nil
 		nw.tenLat = nil
 		return
 	}
-	k := len(nw.run.tenants.Load)
+	k := len(nw.work.Tenants.Load)
 	nw.tenStats = make([]TenantStats, k)
 	if len(nw.tenLat) != k {
 		nw.tenLat = make([]latDigest, k)
@@ -96,21 +93,16 @@ func (nw *Network) resetTenants() {
 // tenOffered charges one offered message to the source endpoint's
 // tenant.
 func (nw *Network) tenOffered(srcEP int32) {
-	if nw.run.tenants == nil {
-		return
-	}
-	if t := nw.run.tenants.OfEP[srcEP]; t >= 0 {
-		nw.tenStats[t].Offered++
+	if tc := nw.work.Tenants; tc != nil {
+		nw.tenStats[tc.OfEP[srcEP]].Offered++
 	}
 }
 
 // tenDelivered charges one delivery and its end-to-end latency to the
 // source endpoint's tenant.
 func (nw *Network) tenDelivered(srcEP int32, lat int64) {
-	if nw.run.tenants == nil {
-		return
-	}
-	if t := nw.run.tenants.OfEP[srcEP]; t >= 0 {
+	if tc := nw.work.Tenants; tc != nil {
+		t := tc.OfEP[srcEP]
 		nw.tenStats[t].Delivered++
 		nw.tenLat[t].add(lat)
 	}
@@ -121,7 +113,7 @@ func (nw *Network) tenDelivered(srcEP int32, lat int64) {
 // the Dropped identity and the digest-derived mean/P99. Returns nil on
 // a single-tenant run so Stats.Tenants stays omitted from JSON.
 func (nw *Network) finalizeTenants() []TenantStats {
-	if nw.run.tenants == nil {
+	if nw.work.Tenants == nil {
 		return nil
 	}
 	out := make([]TenantStats, len(nw.tenStats))

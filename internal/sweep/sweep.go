@@ -695,14 +695,7 @@ func (g *Grid) measure(r *runner.Runner, t *task, workers int) (st simnet.Stats,
 	// pattern — resolves to one Workload for one RunLoad.
 	var w simnet.Workload
 	if pt.tenants != nil {
-		tc, err := pt.tenants.Config(c.Load)
-		if err == nil {
-			err = nw.SetTenants(tc)
-		}
-		if err != nil {
-			return st, 0, err
-		}
-		w = pt.tenants.Pattern()
+		w = pt.tenants.Workload()
 	} else {
 		mp, err := r.Mapping(g.Ranks, nw.Endpoints(), g.Seed)
 		if err != nil {

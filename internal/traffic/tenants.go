@@ -15,9 +15,9 @@ import (
 // co-scheduled jobs — each a synthetic pattern over its own rank
 // space — placed on disjoint endpoint sets by a placement policy.
 // Place materializes the allocation for a concrete topology; the
-// resulting Assignment translates to the simulator's combined pattern
-// function and per-tenant load table (simnet.TenantConfig). See
-// DESIGN.md §12.
+// resulting Assignment translates to one simnet.Workload: the owned
+// senders, the combined pattern function and the per-tenant load
+// table. See DESIGN.md §12.
 
 // PlacementPolicy selects how tenants' endpoint allocations are carved
 // out of the machine.
@@ -78,8 +78,8 @@ type TenantSpec struct {
 	// Ranks is the tenant's job size in ranks (= endpoints allocated).
 	Ranks int
 	// Load is the tenant's offered load as a fraction of endpoint
-	// injection bandwidth; 0 defers to the caller's default (the sweep
-	// engine substitutes the cell's load axis value).
+	// injection bandwidth; 0 runs the tenant at the run's load (a
+	// sweep cell's load axis value).
 	Load float64
 }
 
@@ -256,32 +256,23 @@ func (ts Tenants) Place(g *graph.Graph, concentration int) (*Assignment, error) 
 	return a, nil
 }
 
-// Pattern returns the combined simnet.Workload of the tenant set: the
-// owned endpoints send, each drawing a destination rank from its own
+// Workload returns the tenant set's simnet.Workload: the owned
+// endpoints send, each drawing a destination rank from its own
 // tenant's pattern over that tenant's rank space and sending to the
-// endpoint holding it.
-func (a *Assignment) Pattern() simnet.Workload {
-	return simnet.Workload{Senders: a.senders, Dest: func(srcEP int, _ int64, rng *rand.Rand) int {
-		t := a.OfEP[srcEP]
-		eps := a.EPOf[t]
-		return int(eps[a.Specs[t].Pattern.Dest(int(a.rankOf[srcEP]), len(eps), rng)])
-	}}
-}
-
-// Config builds the simulator's tenant table: the endpoint-to-tenant
-// map plus each tenant's offered load, with zero-load specs resolved
-// to defaultLoad (the run's load axis value).
-func (a *Assignment) Config(defaultLoad float64) (*simnet.TenantConfig, error) {
+// endpoint holding it, at its tenant's load (0 resolves to the run's
+// load in simnet).
+func (a *Assignment) Workload() simnet.Workload {
 	loads := make([]float64, len(a.Specs))
 	for t, sp := range a.Specs {
-		l := sp.Load
-		if l == 0 {
-			l = defaultLoad
-		}
-		if !(l > 0 && l <= 1) {
-			return nil, fmt.Errorf("traffic: tenant %d (%s) resolved load %v out of (0,1]", t, sp.Name, l)
-		}
-		loads[t] = l
+		loads[t] = sp.Load
 	}
-	return &simnet.TenantConfig{OfEP: a.OfEP, Load: loads}, nil
+	return simnet.Workload{
+		Senders: a.senders,
+		Dest: func(srcEP int, _ int64, rng *rand.Rand) int {
+			t := a.OfEP[srcEP]
+			eps := a.EPOf[t]
+			return int(eps[a.Specs[t].Pattern.Dest(int(a.rankOf[srcEP]), len(eps), rng)])
+		},
+		Tenants: &simnet.TenantConfig{OfEP: a.OfEP, Load: loads},
+	}
 }

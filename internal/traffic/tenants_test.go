@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
+	"repro/internal/simnet"
 )
 
 // ringGraph builds a simple cycle on n routers — enough structure for
@@ -98,7 +100,12 @@ func TestTenantPatternStaysInTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := a.Pattern()
+	w := a.Workload()
+	// The tenant table is the placement's owner map and the specs'
+	// loads, unresolved.
+	if w.Tenants == nil || !reflect.DeepEqual(w.Tenants.OfEP, a.OfEP) || !reflect.DeepEqual(w.Tenants.Load, []float64{0.05, 0}) {
+		t.Fatalf("tenant table %+v, want OfEP %v and loads [0.05 0]", w.Tenants, a.OfEP)
+	}
 	// The senders are exactly the owned endpoints, in increasing order.
 	var owned []int32
 	for ep, tn := range a.OfEP {
@@ -121,37 +128,60 @@ func TestTenantPatternStaysInTenant(t *testing.T) {
 	}
 }
 
+// tenantNet builds a simulator over g at concentration 2 with seed 3.
+func tenantNet(t *testing.T, g *graph.Graph) *simnet.Network {
+	t.Helper()
+	nw, err := simnet.New(simnet.Config{Topo: g, Concentration: 2}, routing.NewTable(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.SetSeed(3)
+	return nw
+}
+
+// TestTenantConfigResolvesDefaultLoad: a spec with load 0 runs at the
+// run's load, so it measures exactly what the same spec at that load
+// measures, MemoryBytes included, and not what it measures at another.
 func TestTenantConfigResolvesDefaultLoad(t *testing.T) {
 	g := ringGraph(16)
-	a, err := testTenants(PlaceSequential).Place(g, 2)
-	if err != nil {
-		t.Fatal(err)
+	run := func(specLoad, load float64) simnet.Stats {
+		ts := testTenants(PlaceSequential)
+		ts.Specs[1].Load = specLoad
+		a, err := ts.Place(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tenantNet(t, g).RunLoad(a.Workload(), load, 6)
 	}
-	tc, err := a.Config(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Load[0] != 0.05 || tc.Load[1] != 0.4 {
-		t.Errorf("loads = %v, want [0.05 0.4]", tc.Load)
-	}
-	if len(tc.OfEP) != 32 {
-		t.Errorf("OfEP length %d, want 32", len(tc.OfEP))
+	for _, x := range []float64{0.2, 0.4, 1} {
+		got, want := run(0, x), run(x, 0.7)
+		if !got.Equal(want) {
+			t.Errorf("load 0 at run load %v:\n%+v\nwant the spec at load %v:\n%+v", x, got, x, want)
+		}
+		if other := run(x/2, x); got.Tenants[1].MeanLatency == other.Tenants[1].MeanLatency && got.Makespan == other.Makespan {
+			t.Errorf("load 0 at run load %v measures like the spec at load %v", x, x/2)
+		}
 	}
 }
 
-// TestTenantLoadRejectsNaN pins that a NaN tenant load or default
-// load is an error, as out-of-range ones are.
+// TestTenantLoadRejectsNaN pins that a NaN tenant load is an error,
+// as out-of-range ones are, and that a tenant workload run at a NaN
+// load panics like any other run.
 func TestTenantLoadRejectsNaN(t *testing.T) {
 	ts := testTenants(PlaceSequential)
 	ts.Specs[0].Load = math.NaN()
 	if err := ts.Validate(64); err == nil {
 		t.Error("Validate accepted a NaN tenant load")
 	}
-	a, err := testTenants(PlaceSequential).Place(ringGraph(16), 2)
+	g := ringGraph(16)
+	a, err := testTenants(PlaceSequential).Place(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Config(math.NaN()); err == nil {
-		t.Error("Config accepted a NaN default load")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RunLoad accepted a NaN run load for a tenant workload")
+		}
+	}()
+	tenantNet(t, g).RunLoad(a.Workload(), math.NaN(), 2)
 }
